@@ -160,12 +160,7 @@ PackedSweepIndex::PackedSweepIndex(const PackedPatternSet& set)
 }
 
 PackedAccumulator::PackedAccumulator(PackedLayout layout)
-    : PackedAccumulator(layout, packed_active_kernels()) {}
-
-PackedAccumulator::PackedAccumulator(PackedLayout layout,
-                                     const PackedKernels& kernels)
     : layout_(layout),
-      kernels_(&kernels),
       planes_(std::max<std::size_t>(
           1, static_cast<std::size_t>(layout.signal_words()))),
       bus_mask_(static_cast<std::size_t>(layout.bus_words()), 0),
@@ -192,11 +187,7 @@ bool PackedAccumulator::fits(const PackedPatternSet& set,
   if ((h.summary & summary_) != 0) {
     const PackedSlot* const s = set.slot_data() + h.slot_begin;
     const PackedSlot* const end = set.slot_data() + h.slot_end;
-#if SITAM_PACKED_KERNEL_DISPATCH
-    if (kernels_->slots_conflict(s, end, planes_.data())) return false;
-#else
-    if (packed_scalar_slots_conflict(s, end, planes_.data())) return false;
-#endif
+    if (packed_slots_conflict(s, end, planes_.data())) return false;
   }
   return fits_bus(set, i, h.bus_word0, h.uniform_driver);
 }

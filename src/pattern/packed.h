@@ -245,81 +245,10 @@ class PackedSweepIndex {
   std::vector<Record> records_;
 };
 
-// ---------------------------------------------------------------------------
-// Plane-sweep kernel table (SITAM_SIMD).
-//
-// The probe loops below are 64-bit word-parallel already; SIMD widens them
-// across *slots*: the AVX2 kernels probe all four inlined record slots (and
-// rest-walk blocks of four) with one gather per plane, the NEON kernels
-// probe slot pairs. Every kernel returns exactly the scalar decision — a
-// boolean with no observable early-exit difference — so compaction output
-// is byte-identical whichever kernel runs (packed_kernels_test sweeps
-// packed_all_kernels() to enforce this).
-//
-// Dispatch is resolved from CPU features at runtime: SITAM_SIMD=ON builds
-// on x86-64 also compile an AVX2 TU (per-file -mavx2) and select it iff the
-// running CPU reports AVX2; aarch64 builds compile the NEON TU (NEON is
-// baseline there). The scalar kernels are always built; SITAM_SIMD=OFF
-// builds bypass the table entirely and inline them directly, keeping the
-// codegen of the pre-table implementation.
-//
-// Raw vector intrinsics are confined to the packed_kernels_{avx2,neon}.cpp
-// TUs — lint rule SL016 rejects them anywhere else.
-
-#if defined(SITAM_SIMD_AVX2) || defined(SITAM_SIMD_NEON)
-#define SITAM_PACKED_KERNEL_DISPATCH 1
-#else
-#define SITAM_PACKED_KERNEL_DISPATCH 0
-#endif
-
-/// One plane-sweep kernel set. The two entry points cover both probe
-/// shapes the sweeps use: a sweep-index record (four inlined slots plus a
-/// rest range into the shared slot array) and a raw slot span.
-struct PackedKernels {
-  const char* name;
-  /// True iff any slot of `r` — inlined or in `slot_base[rest_begin,
-  /// slot_end)` — conflicts with the dense planes.
-  bool (*record_conflict)(const PackedSweepIndex::Record& r,
-                          const PackedSlot* slot_base,
-                          const PlaneWord* planes);
-  /// True iff any slot in [s, end) conflicts with the dense planes.
-  bool (*slots_conflict)(const PackedSlot* s, const PackedSlot* end,
-                         const PlaneWord* planes);
-};
-
-/// The portable kernel set (always compiled).
-[[nodiscard]] const PackedKernels& packed_scalar_kernels();
-/// The kernel set the running CPU dispatches to.
-[[nodiscard]] const PackedKernels& packed_active_kernels();
-/// Every kernel set this build + CPU supports, scalar first, the active
-/// (widest) set last. Tests sweep this to assert the kernels agree
-/// bit-for-bit on randomized layouts.
-[[nodiscard]] std::span<const PackedKernels> packed_all_kernels();
-
-#if defined(SITAM_SIMD_AVX2)
-/// AVX2 kernel entry points (packed_kernels_avx2.cpp, built with -mavx2).
-/// Call only when __builtin_cpu_supports("avx2") — the dispatcher's job.
-[[nodiscard]] bool packed_avx2_record_conflict(
-    const PackedSweepIndex::Record& r, const PackedSlot* slot_base,
-    const PlaneWord* planes);
-[[nodiscard]] bool packed_avx2_slots_conflict(const PackedSlot* s,
-                                              const PackedSlot* end,
-                                              const PlaneWord* planes);
-#endif
-#if defined(SITAM_SIMD_NEON)
-/// NEON kernel entry points (packed_kernels_neon.cpp).
-[[nodiscard]] bool packed_neon_record_conflict(
-    const PackedSweepIndex::Record& r, const PackedSlot* slot_base,
-    const PlaneWord* planes);
-[[nodiscard]] bool packed_neon_slots_conflict(const PackedSlot* s,
-                                              const PackedSlot* end,
-                                              const PlaneWord* planes);
-#endif
-
-/// Scalar slot-span probe — the conflict formula over each word-compressed
-/// slot against the dense planes. Inline so SITAM_SIMD=OFF builds fold it
-/// straight into the sweep loops.
-[[nodiscard]] inline bool packed_scalar_slots_conflict(
+/// Slot-span probe — the conflict formula over each word-compressed slot
+/// against the dense planes. Inline so it folds straight into the sweep
+/// loops.
+[[nodiscard]] inline bool packed_slots_conflict(
     const PackedSlot* s, const PackedSlot* end, const PlaneWord* planes) {
   for (; s != end; ++s) {
     const PlaneWord& p = planes[s->word];
@@ -331,10 +260,10 @@ struct PackedKernels {
   return false;
 }
 
-/// Scalar sweep-record probe: the two branch-free inlined slot pairs, then
-/// the rest-of-slots walk. A missing inlined slot carries care 0 and word
-/// 0, which reads planes[0] (always allocated) and conflicts never.
-[[nodiscard]] inline bool packed_scalar_record_conflict(
+/// Sweep-record probe: the two branch-free inlined slot pairs, then the
+/// rest-of-slots walk. A missing inlined slot carries care 0 and word 0,
+/// which reads planes[0] (always allocated) and conflicts never.
+[[nodiscard]] inline bool packed_record_conflict(
     const PackedSweepIndex::Record& r, const PackedSlot* slot_base,
     const PlaneWord* planes) {
   const PlaneWord& p0 = planes[r.word[0]];
@@ -351,8 +280,8 @@ struct PackedKernels {
         ((r.value3 ^ p3.value) | (r.active3 ^ p3.active)))) != 0) {
     return true;
   }
-  return packed_scalar_slots_conflict(slot_base + r.rest_begin,
-                                      slot_base + r.slot_end, planes);
+  return packed_slots_conflict(slot_base + r.rest_begin,
+                               slot_base + r.slot_end, planes);
 }
 
 /// Dense bit-planes for one growing compacted pattern (or one first-fit
@@ -365,12 +294,7 @@ struct PackedKernels {
 /// contract the deterministic parallel sweep in compaction.cpp relies on.
 class PackedAccumulator {
  public:
-  /// Probes dispatch through packed_active_kernels().
   explicit PackedAccumulator(PackedLayout layout);
-  /// Probes dispatch through `kernels` — the packed_kernels_test seam that
-  /// pins one kernel set regardless of the running CPU. `kernels` must
-  /// outlive the accumulator (the packed_all_kernels() entries do).
-  PackedAccumulator(PackedLayout layout, const PackedKernels& kernels);
 
   /// Starts a fresh compacted pattern.
   void reset();
@@ -411,9 +335,6 @@ class PackedAccumulator {
                               std::int32_t uniform_driver) const;
 
   PackedLayout layout_;
-  // Kernel set the probes dispatch through (SITAM_SIMD builds only; OFF
-  // builds call the inline scalar kernels directly and never read this).
-  const PackedKernels* kernels_;
   // Interleaved planes (at least one word, so inlined probes of an empty
   // slot — care 0, word 0 — stay in bounds without a branch).
   std::vector<PlaneWord> planes_;
@@ -431,15 +352,9 @@ inline bool PackedAccumulator::fits(const PackedSweepIndex& index,
   SITAM_DCHECK(index.set().layout() == layout_);
   const PackedSweepIndex::Record& r = index.record(i);
   const PackedPatternSet& set = index.set();
-#if SITAM_PACKED_KERNEL_DISPATCH
-  if (kernels_->record_conflict(r, set.slot_data(), planes_.data())) {
+  if (packed_record_conflict(r, set.slot_data(), planes_.data())) {
     return false;
   }
-#else
-  if (packed_scalar_record_conflict(r, set.slot_data(), planes_.data())) {
-    return false;
-  }
-#endif
   return fits_bus(set, i, r.bus_word0, r.uniform_driver);
 }
 

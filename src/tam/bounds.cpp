@@ -31,18 +31,18 @@ LowerBounds lower_bounds(const Soc& soc, const TestTimeTable& table,
   }
   bounds.t_in = std::max(bounds.t_in, (volume + w_max - 1) / w_max);
 
-  // SI: (a) per group, the best case is one full-width rail hosting
-  // exactly the group's cores; (b) the groups' boundary bit volume must
-  // flow through W wires.
+  // SI: (a) per group, no pattern shifts faster than the group's WOC bits
+  // spread evenly over all W wires — ceil(sum WOC / W), not the sum of
+  // per-core ceilings, which narrower parallel rails can round below;
+  // (b) the groups' boundary bit volume must flow through W wires.
   std::int64_t si_bits = 0;
   for (const SiTestGroup& group : tests.groups) {
     if (group.patterns <= 0) continue;
-    std::int64_t best_shift = 0;
     std::int64_t group_woc = 0;
     for (const int core : group.cores) {
-      best_shift += table.woc_shift(core, w_max);
       group_woc += soc.modules[static_cast<std::size_t>(core)].woc();
     }
+    const std::int64_t best_shift = (group_woc + w_max - 1) / w_max;
     const std::int64_t best_case =
         (group.patterns + 1) * best_shift + kSiApplyCycles * group.patterns;
     bounds.t_si = std::max(bounds.t_si, best_case);

@@ -3,8 +3,8 @@
 // Used to report optimality gaps for the heuristic optimizer:
 //  * InTest: no architecture can beat the slowest single core at full width,
 //    nor ship the SOC's pipelined test data volume faster than volume/W.
-//  * SI: each SI test group is at best applied on one full-width rail
-//    hosting exactly its care cores; and the total boundary bit volume of
+//  * SI: no SI test group shifts a pattern faster than its cores' WOC bits
+//    spread evenly over all W wires; and the total boundary bit volume of
 //    all groups must flow through W wires.
 #pragma once
 

@@ -1,8 +1,33 @@
 #include "util/cli.h"
 
+#include <charconv>
 #include <stdexcept>
+#include <system_error>
 
 namespace sitam {
+namespace {
+
+// Parses all of `text` as a T, or throws std::invalid_argument naming the
+// flag and the value (e.g. "--wmax: expected an integer, got '32x'").
+// Unlike std::stoll/std::stod, trailing garbage is rejected.
+template <typename T>
+T parse_number(const std::string& flag, const std::string& text,
+               const char* what) {
+  T out{};
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  if (ec == std::errc::result_out_of_range) {
+    throw std::invalid_argument("--" + flag + ": expected " + what +
+                                " in range, got '" + text + "'");
+  }
+  if (ec != std::errc{} || ptr != end) {
+    throw std::invalid_argument("--" + flag + ": expected " + what +
+                                ", got '" + text + "'");
+  }
+  return out;
+}
+
+}  // namespace
 
 CliArgs::CliArgs(int argc, const char* const* argv) {
   if (argc > 0) program_ = argv[0];
@@ -46,13 +71,13 @@ std::int64_t CliArgs::get_or(const std::string& name,
                              std::int64_t fallback) const {
   const auto v = get(name);
   if (!v) return fallback;
-  return std::stoll(*v);
+  return parse_number<std::int64_t>(name, *v, "an integer");
 }
 
 double CliArgs::get_or(const std::string& name, double fallback) const {
   const auto v = get(name);
   if (!v) return fallback;
-  return std::stod(*v);
+  return parse_number<double>(name, *v, "a number");
 }
 
 std::vector<std::int64_t> CliArgs::get_list_or(
@@ -66,7 +91,9 @@ std::vector<std::int64_t> CliArgs::get_list_or(
     const std::string tok =
         v->substr(pos, comma == std::string::npos ? std::string::npos
                                                   : comma - pos);
-    if (!tok.empty()) out.push_back(std::stoll(tok));
+    if (!tok.empty()) {
+      out.push_back(parse_number<std::int64_t>(name, tok, "an integer"));
+    }
     if (comma == std::string::npos) break;
     pos = comma + 1;
   }

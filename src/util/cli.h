@@ -21,11 +21,15 @@ class CliArgs {
   [[nodiscard]] std::optional<std::string> get(const std::string& name) const;
   [[nodiscard]] std::string get_or(const std::string& name,
                                    std::string fallback) const;
+  /// The numeric getters parse the whole value or throw
+  /// std::invalid_argument naming the flag and the value, e.g.
+  /// "--wmax: expected an integer, got '32x'".
   [[nodiscard]] std::int64_t get_or(const std::string& name,
                                     std::int64_t fallback) const;
   [[nodiscard]] double get_or(const std::string& name, double fallback) const;
 
-  /// Parses a comma-separated integer list, e.g. --widths=8,16,24.
+  /// Parses a comma-separated integer list, e.g. --widths=8,16,24; throws
+  /// like get_or on a malformed element.
   [[nodiscard]] std::vector<std::int64_t> get_list_or(
       const std::string& name, std::vector<std::int64_t> fallback) const;
 

@@ -1,4 +1,4 @@
-// Fixture: raw SIMD intrinsics outside the sanctioned kernel TUs (SL016).
+// Fixture: raw SIMD intrinsics, banned in every file (SL016).
 #include <immintrin.h>
 
 namespace sitam {

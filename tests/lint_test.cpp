@@ -40,7 +40,7 @@ TEST(LintRules, CatalogueHasSixteenStableIds) {
   }
 }
 
-TEST(LintRules, RawSimdIntrinsicsOutsideKernelTus) {
+TEST(LintRules, RawSimdIntrinsicsAnywhere) {
   const std::string text =
       "#include <immintrin.h>\n"
       "long long f(const long long* p) {\n"
@@ -50,9 +50,10 @@ TEST(LintRules, RawSimdIntrinsicsOutsideKernelTus) {
   const auto findings = lint::lint_source("src/core/x.cpp", text);
   EXPECT_EQ(rule_ids(findings),
             (std::vector<std::string>{"SL016", "SL016", "SL016"}));
-  // The sanctioned kernel TUs are exempt — that is where intrinsics live.
-  EXPECT_TRUE(
-      lint::lint_source("src/pattern/packed_kernels_avx2.cpp", text).empty());
+  // No file is exempt, not even the former AVX2 kernel TU.
+  EXPECT_EQ(rule_ids(lint::lint_source("src/pattern/packed_kernels_avx2.cpp",
+                                       text)),
+            (std::vector<std::string>{"SL016", "SL016", "SL016"}));
   // NEON families are matched too.
   const auto neon = lint::lint_source(
       "src/tam/y.cpp", "int g() { uint64x2_t v = vcombine_u64(a, b); }\n");

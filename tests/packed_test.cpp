@@ -1,11 +1,12 @@
 // Tests for the packed bit-plane pattern representation (pattern/packed.h):
 // plane encoding round-trips, word-parallel compatibility vs the sparse
 // SiPattern::compatible oracle on randomized pairs, accumulator fits/absorb/
-// contains semantics (including the sweep-index fast path and the bus
-// driver disambiguation), summary folding beyond 64 care words, and input
-// validation.
+// contains semantics on sparse and dense layouts (including the sweep-index
+// fast path with its rest-of-slots walk, and the bus driver disambiguation),
+// summary folding beyond 64 care words, and input validation.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -29,11 +30,13 @@ SiPattern make(std::initializer_list<std::pair<int, SigValue>> assignments,
 constexpr SigValue kCareValues[] = {SigValue::kStable0, SigValue::kStable1,
                                     SigValue::kRise, SigValue::kFall};
 
-/// Random pattern over `terminals` terminals and `bus_width` bus lines;
-/// exercises all four care values and multi-driver bus postfixes.
-SiPattern random_pattern(Rng& rng, int terminals, int bus_width) {
+/// Random pattern over `terminals` terminals and `bus_width` bus lines
+/// with 1..`max_cares` care assignments; exercises all four care values
+/// and multi-driver bus postfixes.
+SiPattern random_pattern(Rng& rng, int terminals, int bus_width,
+                         std::uint64_t max_cares = 8) {
   SiPattern p;
-  const std::uint64_t cares = 1 + rng.below(8);
+  const std::uint64_t cares = 1 + rng.below(max_cares);
   for (std::uint64_t a = 0; a < cares; ++a) {
     const int t = static_cast<int>(rng.below(static_cast<std::uint64_t>(terminals)));
     p.set(t, kCareValues[rng.below(4)]);
@@ -106,32 +109,54 @@ TEST(PackedPatternSet, CompatibleMatchesSparseOracleOnRandomPairs) {
 }
 
 TEST(PackedAccumulator, FitsMatchesSparseOracleUnderAccumulation) {
-  constexpr int kTerminals = 150;
-  constexpr int kBusWidth = 8;
-  const PackedLayout layout{kTerminals, kBusWidth};
+  struct LayoutCase {
+    int terminals;
+    int bus_width;
+    std::uint64_t max_cares;
+  };
+  // A 3-word layout whose patterns fit the sweep record's four inlined
+  // slots, and a 66-word layout with dense patterns whose slot lists
+  // overflow them into the rest-of-slots walk.
+  const LayoutCase cases[] = {{150, 8, 8}, {4200, 64, 40}};
   Rng rng(0xfeedc0deULL);
-  std::vector<SiPattern> patterns;
-  for (int i = 0; i < 300; ++i) {
-    patterns.push_back(random_pattern(rng, kTerminals, kBusWidth));
-  }
-  const PackedPatternSet set(patterns, layout);
-  const PackedSweepIndex index(set);
+  for (const LayoutCase& c : cases) {
+    SCOPED_TRACE(c.terminals);
+    const PackedLayout layout{c.terminals, c.bus_width};
+    std::vector<SiPattern> patterns;
+    for (int i = 0; i < 300; ++i) {
+      patterns.push_back(
+          random_pattern(rng, c.terminals, c.bus_width, c.max_cares));
+    }
+    const PackedPatternSet set(patterns, layout);
+    const PackedSweepIndex index(set);
 
-  // Greedily accumulate into one pattern both sparsely and packed; every
-  // fits() decision (both overloads) must match the sparse try_absorb.
-  PackedAccumulator acc(layout);
-  acc.absorb(set, 0);
-  SiPattern sparse = patterns[0];
-  for (std::size_t i = 1; i < patterns.size(); ++i) {
-    const bool expected = SiPattern::compatible(sparse, patterns[i]);
-    ASSERT_EQ(acc.fits(set, i), expected) << "pattern " << i;
-    ASSERT_EQ(acc.fits(index, i), expected) << "pattern " << i;
-    if (expected) {
-      ASSERT_TRUE(sparse.try_absorb(patterns[i]));
-      acc.absorb(set, i);
+    // Greedily accumulate into one pattern both sparsely and packed; every
+    // fits() decision (both overloads) must match the sparse try_absorb.
+    PackedAccumulator acc(layout);
+    acc.absorb(set, 0);
+    SiPattern sparse = patterns[0];
+    std::size_t accepted = 0;
+    std::size_t rest_walks = 0;
+    for (std::size_t i = 1; i < patterns.size(); ++i) {
+      const bool expected = SiPattern::compatible(sparse, patterns[i]);
+      ASSERT_EQ(acc.fits(set, i), expected) << "pattern " << i;
+      ASSERT_EQ(acc.fits(index, i), expected) << "pattern " << i;
+      const PackedSweepIndex::Record& r = index.record(i);
+      rest_walks += r.rest_begin < r.slot_end ? 1 : 0;
+      if (expected) {
+        ASSERT_TRUE(sparse.try_absorb(patterns[i]));
+        acc.absorb(set, i);
+        ++accepted;
+      }
+    }
+    EXPECT_EQ(acc.to_pattern(), sparse);
+    // Both verdicts must be exercised to mean anything.
+    EXPECT_GT(accepted, 0u);
+    EXPECT_LT(accepted, patterns.size() - 1);
+    if (c.max_cares > 8) {
+      EXPECT_GT(rest_walks, 0u);
     }
   }
-  EXPECT_EQ(acc.to_pattern(), sparse);
 }
 
 TEST(PackedAccumulator, BusDriverDisambiguation) {

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 
+#include "core/context.h"
 #include "interconnect/terminal_space.h"
 #include "sitest/group.h"
 #include "soc/benchmarks.h"
@@ -143,6 +145,28 @@ TEST(Bounds, HoldOnLargeBenchmarks) {
       EXPECT_GT(bounds.t_si, 0);
     }
   }
+}
+
+// Regression: the SI term once charged each group the sum of its cores'
+// per-core ceil(WOC / W), which spreading the cores over narrower parallel
+// rails rounds below. On this run (`sitam optimize --soc=d695 --wmax=24
+// --nr=10000 --seed=2 --parts=1`) the optimizer found T_soc 92 448 while
+// that bound claimed 94 213.
+TEST(Bounds, HoldWhenNarrowRailsRoundBetterThanOneFullWidthRail) {
+  SitamContext context;
+  FlowRequest request;
+  request.soc = context.intern(load_benchmark("d695"));
+  request.workload.pattern_count = 10000;
+  request.workload.groupings = {1};
+  request.workload.seed = 2;
+  request.widths = {24};
+  const FlowResult flow = context.run(request);
+  EXPECT_EQ(flow.optimize.evaluation.t_soc, 92448);
+  EXPECT_LE(flow.lower_bound, flow.optimize.evaluation.t_soc);
+  const TestTimeTable table(*request.soc, 24);
+  const LowerBounds bounds = lower_bounds(*request.soc, table, flow.tests, 24);
+  EXPECT_LE(bounds.t_si, flow.optimize.evaluation.t_si);
+  EXPECT_EQ(bounds.t_soc(), flow.lower_bound);
 }
 
 TEST(Bounds, WiderTamLowersBounds) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -220,6 +222,39 @@ TEST(CliArgs, ListFallback) {
   const CliArgs args(1, argv);
   const auto widths = args.get_list_or("widths", {1, 2});
   ASSERT_EQ(widths.size(), 2u);
+}
+
+TEST(CliArgs, NumericErrorsNameTheFlagAndValue) {
+  const char* argv[] = {"prog", "--wmax=32x", "--ratio=0.5q", "--widths=8,1x6",
+                        "--nr=99999999999999999999", "--flag"};
+  const CliArgs args(6, argv);
+  const auto message = [&](auto&& get) -> std::string {
+    try {
+      (void)get();
+    } catch (const std::invalid_argument& err) {
+      return err.what();
+    }
+    return "no throw";
+  };
+  EXPECT_EQ(message([&] { return args.get_or("wmax", std::int64_t{0}); }),
+            "--wmax: expected an integer, got '32x'");
+  EXPECT_EQ(message([&] { return args.get_or("ratio", 0.0); }),
+            "--ratio: expected a number, got '0.5q'");
+  EXPECT_EQ(message([&] { return args.get_list_or("widths", {}); }),
+            "--widths: expected an integer, got '1x6'");
+  EXPECT_EQ(message([&] { return args.get_or("nr", std::int64_t{0}); }),
+            "--nr: expected an integer in range, got '99999999999999999999'");
+  // A bare boolean flag carries no number.
+  EXPECT_EQ(message([&] { return args.get_or("flag", std::int64_t{0}); }),
+            "--flag: expected an integer, got 'true'");
+}
+
+TEST(CliArgs, ParsesWholeNumbers) {
+  const char* argv[] = {"prog", "--seed=-5", "--ratio=0.25", "--w=8,16"};
+  const CliArgs args(4, argv);
+  EXPECT_EQ(args.get_or("seed", std::int64_t{0}), -5);
+  EXPECT_DOUBLE_EQ(args.get_or("ratio", 0.0), 0.25);
+  EXPECT_EQ(args.get_list_or("w", {}), (std::vector<std::int64_t>{8, 16}));
 }
 
 TEST(CliArgs, RejectsPositionalArguments) {

@@ -122,18 +122,17 @@ constexpr Doc kDocs[] = {
      "result store's derived index grows per record and must keep a\n"
      "clear/rebuild path (StoreIndex::clear is the reference).\n"},
     {"SL016",
-     "Raw SIMD intrinsics outside the sanctioned kernel TUs.\n\n"
-     "All vector code lives behind the packed kernel table\n"
-     "(pattern/packed.h): scalar, AVX2 and NEON entries with runtime CPU\n"
-     "dispatch, proven byte-identical by packed_kernels_test. An intrinsic\n"
-     "call anywhere else forks the ISA paths outside that proof — it can\n"
-     "silently change results between machines, and it breaks builds whose\n"
-     "baseline ISA lacks the instruction (only the kernel TUs get per-file\n"
-     "-mavx2). Matched: x86/NEON intrinsic headers, __m128/__m256/__m512,\n"
-     "_mm*_ prefixes, and the NEON v*q_/uintNxM_t families. Portable\n"
-     "builtins (__builtin_prefetch, __builtin_cpu_supports) stay allowed.\n"
-     "To add a kernel, add entries to the table in the sanctioned TUs and\n"
-     "extend the identity property test.\n"},
+     "Raw SIMD intrinsics anywhere in the tree.\n\n"
+     "The compaction conflict probe (pattern/packed.h) is scalar-only.\n"
+     "AVX2 and NEON kernels once sat behind a runtime-dispatch table; timed\n"
+     "end to end in bench/e2e they lost to the scalar probe on the tables\n"
+     "workload and were deleted. New vector code must first show a\n"
+     "measured gain in bench/e2e, with identical exact metrics, before this\n"
+     "rule is relaxed for it. An intrinsic also breaks builds whose\n"
+     "baseline ISA lacks the instruction. Matched: x86/NEON intrinsic\n"
+     "headers, __m128/__m256/__m512, _mm*_ prefixes, and the NEON\n"
+     "v*q_/uintNxM_t families. Portable builtins (__builtin_prefetch,\n"
+     "__builtin_cpu_supports) stay allowed.\n"},
 };
 
 }  // namespace

@@ -61,9 +61,8 @@ constexpr Rule kRules[] = {
      "cache container with an insert path but no clear/erase/eviction "
      "grows without bound in a long-running service"},
     {"SL016",
-     "raw SIMD intrinsic or vector type outside the sanctioned kernel TUs "
-     "(src/pattern/packed_kernels_{avx2,neon}.cpp); go through the packed "
-     "kernel table so every ISA path stays byte-identical and dispatched"},
+     "raw SIMD intrinsic or vector type; the compaction probe is scalar "
+     "and new vector code must first show a measured gain in bench/e2e"},
 };
 
 bool is_header_path(const std::string& path) {
@@ -610,26 +609,21 @@ void check_obs_clock(Context& ctx) {
 }
 
 // ---------------------------------------------------------------------------
-// SL016 — raw SIMD intrinsics outside the sanctioned kernel TUs.
+// SL016 — raw SIMD intrinsics anywhere.
 
 void check_simd_intrinsics(Context& ctx) {
-  // The kernel TUs are the one sanctioned home for vector intrinsics;
-  // everything else reaches SIMD through the packed kernel table
-  // (pattern/packed.h), whose scalar/AVX2/NEON entries are proven
-  // byte-identical by packed_kernels_test. __builtin_prefetch and
+  // No file is exempt: AVX2/NEON plane-sweep kernels were timed against
+  // the scalar probe end to end, lost, and were deleted. Vector code comes
+  // back only with a measured bench/e2e gain. __builtin_prefetch and
   // __builtin_cpu_supports are portable builtins, not intrinsics, and are
   // deliberately not matched here.
-  if (ctx.path == "src/pattern/packed_kernels_avx2.cpp" ||
-      ctx.path == "src/pattern/packed_kernels_neon.cpp") {
-    return;
-  }
   static constexpr const char* kMarkers[] = {
       // x86 intrinsic headers, vector types, and intrinsic prefixes.
       "immintrin.h", "x86intrin.h", "emmintrin.h", "tmmintrin.h",
       "smmintrin.h", "avxintrin.h", "__m128", "__m256", "__m512", "_mm_",
       "_mm256_", "_mm512_",
       // NEON header, vector-type suffix pattern stand-ins, and the
-      // intrinsic families the kernels (or future ones) would reach for.
+      // intrinsic families a plane-sweep kernel would reach for.
       "arm_neon.h", "vld1q_", "vst1q_", "vcombine_u", "vcreate_u",
       "vgetq_lane_", "vsetq_lane_", "vandq_u", "vorrq_u", "veorq_u",
       "vaddq_u", "uint64x2_t", "uint32x4_t", "uint16x8_t", "uint8x16_t",
@@ -640,11 +634,9 @@ void check_simd_intrinsics(Context& ctx) {
       const std::size_t at = line.find(marker);
       if (at != std::string::npos && (at == 0 || !ident_char(line[at - 1]))) {
         ctx.emit(li, "SL016",
-                 "raw SIMD intrinsic/vector type; only the sanctioned "
-                 "kernel TUs src/pattern/packed_kernels_{avx2,neon}.cpp "
-                 "may use intrinsics — route new kernels through the "
-                 "packed kernel table (pattern/packed.h) so scalar/SIMD "
-                 "stay byte-identical under runtime dispatch");
+                 "raw SIMD intrinsic/vector type; the compaction probe "
+                 "is scalar-only — new vector code must first show a "
+                 "measured end-to-end gain in bench/e2e");
         break;
       }
     }

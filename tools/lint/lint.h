@@ -5,7 +5,8 @@
 // linter turns the conventions that guarantee rests on into enforced rules.
 // It is a multi-pass analyzer without libclang: every file is stripped of
 // comments and string literals, then (a) a fixed line-level rule table
-// (SL001..SL011, SL016) is matched against the remaining code, (b) a
+// (SL001..SL011, plus SL016, which bans raw SIMD intrinsics in every file
+// with no exemption) is matched against the remaining code, (b) a
 // tokenizer-backed scope/symbol model per TU drives the semantic rules —
 // SL012 mutable global state, SL013 `// guarded_by(m)` lock discipline,
 // SL015 unbounded cache growth — and (c) a cross-TU pass over the include
