@@ -97,7 +97,7 @@ BENCHMARK(BM_CompactGreedy)->Arg(1000)->Arg(5000)->Arg(20000)
     ->Unit(benchmark::kMillisecond);
 
 void BM_CompactGreedyReference(benchmark::State& state) {
-  // The frozen sparse sweep the packed kernel is measured against.
+  // The frozen sparse sweep the block kernel is measured against.
   const Soc& soc = p93791();
   const TerminalSpace ts(soc);
   Rng rng(2);
@@ -112,25 +112,6 @@ void BM_CompactGreedyReference(benchmark::State& state) {
 }
 BENCHMARK(BM_CompactGreedyReference)->Arg(1000)->Arg(5000)->Arg(20000)
     ->Unit(benchmark::kMillisecond);
-
-void BM_CompactGreedyThreads(benchmark::State& state) {
-  // Deterministic parallel sweep; results are bit-identical across thread
-  // counts, so this isolates the wall-clock effect of the snapshot filter.
-  const Soc& soc = p93791();
-  const TerminalSpace ts(soc);
-  Rng rng(2);
-  const RandomPatternConfig config;
-  const auto patterns =
-      generate_random_patterns(ts, 20000, config, rng);
-  CompactionConfig compaction;
-  compaction.threads = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(compact_greedy(patterns, ts.total(),
-                                            config.bus_width, compaction));
-  }
-}
-BENCHMARK(BM_CompactGreedyThreads)->Arg(1)->Arg(2)->Arg(8)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_CompactFirstFit(benchmark::State& state) {
   const Soc& soc = p93791();

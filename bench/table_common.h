@@ -200,7 +200,7 @@ inline int run_table_bench(const std::string& soc_name, int argc,
       record.metrics["delta_hit_rate"] = evals.delta_hit_rate();
       record.metrics["cache_hit_rate"] = evals.hit_rate();
       for (const ExperimentOutcome& row : sweep.rows) {
-        const std::string prefix = "w" + std::to_string(row.w_max);
+        const std::string prefix = 'w' + std::to_string(row.w_max);
         record.metrics[prefix + ".t_baseline"] =
             static_cast<double>(row.t_baseline);
         record.metrics[prefix + ".t_min"] = static_cast<double>(row.t_min);

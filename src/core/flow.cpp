@@ -4,7 +4,6 @@
 #include <future>
 #include <limits>
 #include <stdexcept>
-#include <thread>
 
 #include "obs/obs.h"
 #include "pattern/compaction.h"
@@ -46,14 +45,6 @@ SiWorkload SiWorkload::prepare(const Soc& soc, const SiWorkloadConfig& config,
   GroupingConfig grouping = config.grouping;
   grouping.bus_width = std::max(grouping.bus_width, config.patterns.bus_width);
   grouping.partition.seed = config.seed ^ 0x9e3779b97f4a7c15ULL;
-  // With a single grouping there is nothing to fan out across, so spend the
-  // worker threads *inside* the compaction sweep instead. The parallel sweep
-  // is bit-identical to the serial one, so this only changes wall-clock.
-  if (config.parallel_prepare && config.groupings.size() == 1 &&
-      grouping.compaction.threads == 1) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    grouping.compaction.threads = static_cast<int>(std::clamp(hw, 1u, 8u));
-  }
 
   workload.test_sets_.reserve(config.groupings.size());
   if (config.parallel_prepare && config.groupings.size() > 1) {

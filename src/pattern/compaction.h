@@ -1,26 +1,32 @@
 // Vertical SI test compaction: pattern-count reduction (§3).
 //
 // Finding the minimum compacted set is the NP-complete clique covering
-// problem on the pattern-compatibility graph. Two solvers are provided,
-// both running on the packed bit-plane kernel of packed.h (word-parallel
-// compatibility checks, one-AND summary pruning):
+// problem on the pattern-compatibility graph. Both solvers run on one
+// first-fit kernel over blocks of 64 compacted patterns ("classes"), held
+// transposed: per used terminal, four masks — one per cared value, "classes
+// incompatible with this value here" — plus a mask per bus line and per
+// (line, driver) pair. Placing a candidate ORs one mask word per care bit
+// (and `line & ~driver` per bus bit) into a block's conflict word; the
+// lowest zero bit is its class, tested 64 classes at a time. Only the
+// terminals and lines the input uses get masks, so a call costs
+// ⌈C/64⌉ × (4·U + B + P) words for C classes, U used terminals, B used bus
+// lines and P ≤ B·D distinct (line, driver) pairs — independent of the
+// declared terminal space.
 //
 //  * compact_greedy — the paper's heuristic: take the first uncompacted
 //    pattern and merge every following compatible pattern into it, repeat.
-//    Candidates are tested against a dense packed accumulator in O(slots)
-//    word ops; with CompactionConfig::threads > 1 the per-round sweep is
-//    sharded across a thread pool and stays bit-identical to the serial
-//    sweep for any thread count (see the merge rule in compaction.cpp).
+//    Run as first-fit in index order, which is pointwise identical to the
+//    sweep: class k of first-fit is exactly sweep round k (a pattern
+//    reaches round k iff rounds 0..k-1 rejected it, and round k's
+//    accumulator at pattern i is the union of its members before i). So
+//    each candidate is placed once instead of re-probed every round.
 //
 //  * compact_first_fit — a classical clique-cover approximation:
-//    Welsh-Powell-style first-fit coloring of the conflict graph. Patterns
-//    are processed in descending density (care bits + bus bits, keys
-//    precomputed once) and each goes into the first existing compatible
-//    class, held as a packed accumulator. Note that *unsorted* first-fit
-//    would be pointwise identical to the greedy sweep (class k of
-//    first-fit is exactly sweep round k), so the density ordering is what
-//    makes this a distinct reference point. Comparable compaction ratios
-//    at higher runtime — exactly the trade-off §3 reports.
+//    Welsh-Powell-style first-fit coloring of the conflict graph. The same
+//    kernel, fed in descending density (care bits + bus bits, keys
+//    precomputed once) instead of index order. Since unsorted first-fit is
+//    the greedy sweep, the density ordering is what makes this a distinct
+//    reference point; §3 reports that the two compact comparably.
 //
 // compact_greedy_reference is the pre-packed sparse sweep, kept verbatim
 // as the before/after baseline for BENCH_compaction.json and as the
@@ -54,20 +60,17 @@ struct CompactionResult {
   CompactionStats stats;
 };
 
-/// Knobs for the greedy sweep. The output is bit-identical for every
-/// setting — threads only shard a pure candidate filter.
+/// Knobs for the greedy sweep.
 struct CompactionConfig {
-  /// Worker threads for the greedy sweep; 1 = serial.
+  /// Accepted for API compatibility; must be >= 1. The sweep is one serial
+  /// first-fit pass, so this changes neither the output nor the speed.
   int threads = 1;
-  /// Rounds with fewer remaining candidates than this run serially (the
-  /// sharding overhead would dominate). Exposed so tests can force the
-  /// parallel path on small inputs.
-  std::size_t min_parallel_candidates = 2048;
 };
 
-/// Paper's greedy sweep on the packed kernel. `total_terminals` and
-/// `bus_width` size the bit-planes (use TerminalSpace::total() and the bus
-/// width; patterns with ids outside these ranges throw std::out_of_range).
+/// Paper's greedy sweep on the first-fit block kernel. `total_terminals`
+/// and `bus_width` bound the ids (use TerminalSpace::total() and the bus
+/// width; patterns with ids outside these ranges throw std::out_of_range,
+/// checked in input order before any work is done).
 /// Throws std::invalid_argument for negative dimensions or threads < 1.
 [[nodiscard]] CompactionResult compact_greedy(
     std::span<const SiPattern> patterns, int total_terminals, int bus_width,
@@ -79,7 +82,8 @@ struct CompactionConfig {
 [[nodiscard]] CompactionResult compact_greedy_reference(
     std::span<const SiPattern> patterns, int total_terminals, int bus_width);
 
-/// First-fit clique-cover approximation (reference quality bar).
+/// First-fit clique-cover approximation (reference quality bar). Same
+/// dimension and id checks as compact_greedy.
 [[nodiscard]] CompactionResult compact_first_fit(
     std::span<const SiPattern> patterns, int total_terminals, int bus_width);
 

@@ -9,6 +9,11 @@ void SiPattern::set(int terminal, SigValue value) {
   if (terminal < 0) {
     throw std::invalid_argument("SiPattern::set: negative terminal id");
   }
+  if (assignments_.empty() || assignments_.back().first < terminal) {
+    // Ascending builds (generator, compaction) append without a search.
+    if (value != SigValue::kDontCare) assignments_.emplace_back(terminal, value);
+    return;
+  }
   const auto it = std::lower_bound(
       assignments_.begin(), assignments_.end(), terminal,
       [](const auto& entry, int t) { return entry.first < t; });
@@ -35,6 +40,10 @@ SigValue SiPattern::at(int terminal) const {
 void SiPattern::set_bus(int line, int driver_core) {
   if (line < 0) {
     throw std::invalid_argument("SiPattern::set_bus: negative line");
+  }
+  if (bus_bits_.empty() || bus_bits_.back().line < line) {
+    bus_bits_.push_back(BusBit{line, driver_core});
+    return;
   }
   const auto it = std::lower_bound(
       bus_bits_.begin(), bus_bits_.end(), line,

@@ -8,9 +8,8 @@
 // boundaries must never be compacted together (§3).
 //
 // The sparse form is the mutation-friendly builder representation; the
-// compaction kernels batch-convert pattern sets into the word-parallel
-// bit-plane form of packed.h, which answers compatible() in a few 64-bit
-// ops instead of a sorted-list walk.
+// compaction kernel (compaction.h) tests a candidate against 64 compacted
+// patterns per word op instead of a sorted-list walk per pair.
 #pragma once
 
 #include <cstdint>

@@ -125,7 +125,7 @@ SiTestSet build_si_test_set(std::span<const SiPattern> patterns,
     const auto& bucket = buckets[static_cast<std::size_t>(part)];
     if (bucket.empty()) continue;
     SiTestGroup group;
-    group.label = "g" + std::to_string(part + 1);
+    group.label = 'g' + std::to_string(part + 1);
     for (int core = 0; core < cores; ++core) {
       if (partition.part_of[static_cast<std::size_t>(core)] == part) {
         group.cores.push_back(core);

@@ -49,10 +49,9 @@ struct SiTestSet {
 
 struct GroupingConfig {
   PartitionConfig partition;  ///< Partitioner knobs (seeded, deterministic).
-  int bus_width = 32;         ///< Bus postfix width (accumulator sizing).
+  int bus_width = 32;         ///< Bus postfix width (bus id bound).
   /// Vertical-compaction knobs, forwarded to compact_greedy for every
-  /// bucket. The deterministic parallel sweep keeps the output identical
-  /// for any thread count, so this only changes wall-clock time.
+  /// bucket.
   CompactionConfig compaction;
 };
 

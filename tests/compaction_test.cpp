@@ -1,7 +1,12 @@
 // Tests for the vertical SI compaction engines (§3): soundness (coverage of
-// every original pattern), bus-line conflict handling, determinism, and the
-// greedy-vs-first-fit comparison the paper alludes to.
+// every original pattern), bus-line conflict handling, determinism, the
+// greedy-vs-first-fit comparison the paper alludes to, and the edges of the
+// 64-class block kernel (block boundaries, bus drivers, wide buses, the
+// declared terminal space) against the sparse reference sweep.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <numeric>
 
 #include "interconnect/terminal_space.h"
 #include "pattern/compaction.h"
@@ -110,6 +115,169 @@ TEST(CompactGreedy, InvalidThreadCountThrows) {
   EXPECT_THROW((void)compact_greedy({}, 4, 4, config), std::invalid_argument);
 }
 
+// ---------------------------------------------------------------------------
+// Block-kernel edge cases, each checked byte for byte against the sparse
+// reference sweep.
+// ---------------------------------------------------------------------------
+
+constexpr SigValue kCareValues[] = {SigValue::kStable0, SigValue::kStable1,
+                                    SigValue::kRise, SigValue::kFall};
+
+/// compact_greedy must equal the reference sweep; returns the class count.
+std::size_t expect_matches_reference(const std::vector<SiPattern>& input,
+                                     int total_terminals, int bus_width) {
+  const auto kernel = compact_greedy(input, total_terminals, bus_width);
+  const auto reference =
+      compact_greedy_reference(input, total_terminals, bus_width);
+  EXPECT_EQ(kernel.patterns, reference.patterns);
+  EXPECT_EQ(first_uncovered(input, kernel.patterns), -1);
+  return kernel.patterns.size();
+}
+
+/// `classes` pairwise-conflicting seeds (the base-4 digits of k on
+/// terminals 0..3), then fillers that each agree with some seed on a few
+/// digits and add a private terminal. A filler fits its seed's class and
+/// often earlier ones, so fillers spread across blocks but never open a
+/// class.
+std::vector<SiPattern> exact_class_input(int classes, Rng& rng) {
+  std::vector<SiPattern> input;
+  for (int k = 0; k < classes; ++k) {
+    SiPattern p;
+    for (int d = 0, rest = k; d < 4; ++d, rest /= 4) {
+      p.set(d, kCareValues[rest % 4]);
+    }
+    input.push_back(p);
+  }
+  for (int f = 0; f < 3 * classes; ++f) {
+    const int k =
+        static_cast<int>(rng.below(static_cast<std::uint64_t>(classes)));
+    SiPattern p;
+    for (int d = 0, rest = k; d < 4; ++d, rest /= 4) {
+      if (rng.below(2) == 0) p.set(d, kCareValues[rest % 4]);
+    }
+    p.set(4 + f, kCareValues[rng.below(4)]);
+    input.push_back(p);
+  }
+  return input;
+}
+
+TEST(BlockKernel, ClassCountsAroundBlockBoundaries) {
+  Rng rng(0xb10c5ULL);
+  for (const int classes : {63, 64, 65, 128, 129}) {
+    SCOPED_TRACE(classes);
+    const auto input = exact_class_input(classes, rng);
+    EXPECT_EQ(expect_matches_reference(input, 4 + 3 * classes, 0),
+              static_cast<std::size_t>(classes));
+  }
+}
+
+TEST(BlockKernel, FullyConflictingSetKeepsEveryPattern) {
+  // Every pattern drives bus line 5 from its own driver, and terminal 0
+  // cycles through all four care values: no two can merge.
+  std::vector<SiPattern> input;
+  for (int i = 0; i < 150; ++i) {
+    input.push_back(make({{0, kCareValues[i % 4]}, {1 + i, SigValue::kRise}},
+                         {{5, i}}));
+  }
+  EXPECT_EQ(expect_matches_reference(input, 160, 8), input.size());
+}
+
+TEST(BlockKernel, MixedAndNegativeBusDriversOnAWideBus) {
+  // Lines beyond 64, negative driver ids and patterns whose lines are
+  // driven by different cores; sparse care bits so the bus decides most
+  // conflicts.
+  for (const int bus_width : {8, 64, 150}) {
+    SCOPED_TRACE(bus_width);
+    Rng rng(0xd21eULL + static_cast<std::uint64_t>(bus_width));
+    std::vector<SiPattern> input;
+    for (int i = 0; i < 600; ++i) {
+      SiPattern p;
+      if (rng.below(3) != 0) {
+        p.set(static_cast<int>(rng.below(400)), kCareValues[rng.below(4)]);
+      }
+      const std::uint64_t lines = rng.below(4);
+      for (std::uint64_t l = 0; l < lines; ++l) {
+        const int line = static_cast<int>(
+            rng.below(static_cast<std::uint64_t>(bus_width)));
+        const int driver = static_cast<int>(rng.below(5)) - 2;  // -2..2
+        bool taken = false;  // one driver per line within a pattern
+        for (const BusBit& b : p.bus_bits()) taken |= b.line == line;
+        if (!taken) p.set_bus(line, driver);
+      }
+      input.push_back(p);
+    }
+    const std::size_t classes =
+        expect_matches_reference(input, 400, bus_width);
+    EXPECT_GT(classes, 1u);
+    EXPECT_LT(classes, input.size());
+  }
+}
+
+TEST(BlockKernel, AllDontCarePatterns) {
+  // Empty patterns fit every class: alone they make one empty class, and
+  // mixed in they join class 0.
+  const std::vector<SiPattern> empty(70);
+  EXPECT_EQ(expect_matches_reference(empty, 10, 4), 1u);
+  std::vector<SiPattern> mixed = {
+      make({{0, SigValue::kRise}}), SiPattern{}, make({{0, SigValue::kFall}}),
+      SiPattern{}, make({}, {{1, 3}}), SiPattern{}};
+  EXPECT_EQ(expect_matches_reference(mixed, 10, 4), 2u);
+  EXPECT_EQ(expect_matches_reference(mixed, 1, 2), 2u);  // tight bounds
+}
+
+TEST(BlockKernel, OutputIndependentOfDeclaredTerminalSpace) {
+  const Soc soc = load_benchmark("p34392");
+  const TerminalSpace ts(soc);
+  Rng rng(0x5bace);
+  const RandomPatternConfig config;
+  const auto patterns = generate_random_patterns(ts, 1500, config, rng);
+  int max_id = 0;
+  for (const SiPattern& p : patterns) {
+    if (!p.assignments().empty()) {
+      max_id = std::max(max_id, p.assignments().back().first);
+    }
+  }
+  const auto tight = compact_greedy(patterns, max_id + 1, config.bus_width);
+  const auto huge = compact_greedy(patterns, 1 << 24, config.bus_width);
+  EXPECT_EQ(tight.patterns, huge.patterns);
+  EXPECT_EQ(compact_first_fit(patterns, max_id + 1, config.bus_width).patterns,
+            compact_first_fit(patterns, 1 << 24, config.bus_width).patterns);
+  // One below the largest id is out of range.
+  EXPECT_THROW((void)compact_greedy(patterns, max_id, config.bus_width),
+               std::out_of_range);
+}
+
+TEST(BlockKernel, OutOfRangeIdsThrowInInputOrder) {
+  // The first bad id in input order wins: a terminal before a later
+  // pattern's bus line, and within a pattern terminals before bus lines.
+  const std::vector<SiPattern> input = {
+      make({{1, SigValue::kRise}}),
+      make({{12, SigValue::kRise}}, {{9, 0}}),
+      make({{0, SigValue::kRise}}, {{7, 0}}),
+  };
+  for (const bool first_fit : {false, true}) {
+    try {
+      (void)(first_fit ? compact_first_fit(input, 10, 4)
+                       : compact_greedy(input, 10, 4));
+      ADD_FAILURE() << "no throw";
+    } catch (const std::out_of_range& e) {
+      EXPECT_STREQ(e.what(),
+                   "compaction: terminal id 12 outside declared terminal "
+                   "space");
+    }
+  }
+  const std::vector<SiPattern> bus_first = {
+      make({{0, SigValue::kRise}}, {{9, 0}}),
+      make({{12, SigValue::kRise}}),
+  };
+  try {
+    (void)compact_greedy(bus_first, 10, 4);
+    ADD_FAILURE() << "no throw";
+  } catch (const std::out_of_range& e) {
+    EXPECT_STREQ(e.what(), "compaction: bus line 9 outside declared bus width");
+  }
+}
+
 TEST(FirstUncovered, DetectsMissingPattern) {
   const std::vector<SiPattern> original = {
       make({{0, SigValue::kRise}}),
@@ -211,7 +379,7 @@ TEST_P(CompactionPropertyTest, FirstFitIsSoundAndNoWorseThanTwiceGreedy) {
 }
 
 TEST_P(CompactionPropertyTest, PackedSweepMatchesReferenceByteForByte) {
-  // The packed kernel is an acceleration of the seed sweep, not a
+  // The block kernel is an acceleration of the seed sweep, not a
   // re-derivation: its output must be *equal*, pattern for pattern.
   const CompactionCase param = GetParam();
   const Soc soc = load_benchmark(param.soc);
@@ -224,6 +392,41 @@ TEST_P(CompactionPropertyTest, PackedSweepMatchesReferenceByteForByte) {
   const auto reference =
       compact_greedy_reference(patterns, ts.total(), config.bus_width);
   EXPECT_EQ(packed.patterns, reference.patterns);
+}
+
+TEST_P(CompactionPropertyTest, FirstFitMatchesSparseOracle) {
+  // Welsh-Powell first-fit spelled out on sparse patterns: densest first
+  // (stable), each into the first class it is compatible with.
+  const CompactionCase param = GetParam();
+  const Soc soc = load_benchmark(param.soc);
+  const TerminalSpace ts(soc);
+  Rng rng(param.seed);
+  const RandomPatternConfig config;
+  const auto patterns =
+      generate_random_patterns(ts, param.count, config, rng);
+  std::vector<std::size_t> order(patterns.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  const auto density = [&patterns](std::size_t i) {
+    return patterns[i].care_count() +
+           static_cast<int>(patterns[i].bus_bits().size());
+  };
+  std::stable_sort(order.begin(), order.end(),
+                   [&density](std::size_t a, std::size_t b) {
+                     return density(a) > density(b);
+                   });
+  std::vector<SiPattern> classes;
+  for (const std::size_t i : order) {
+    bool placed = false;
+    for (SiPattern& cls : classes) {
+      if (cls.try_absorb(patterns[i])) {
+        placed = true;
+        break;
+      }
+    }
+    if (!placed) classes.push_back(patterns[i]);
+  }
+  EXPECT_EQ(compact_first_fit(patterns, ts.total(), config.bus_width).patterns,
+            classes);
 }
 
 TEST_P(CompactionPropertyTest, GreedyIsDeterministic) {

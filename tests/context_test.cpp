@@ -37,7 +37,7 @@ std::string result_bytes(const FlowRequest& request,
   serve::Request envelope;
   envelope.op = request.mode == FlowMode::kSweep ? serve::RequestOp::kSweep
                                                  : serve::RequestOp::kOptimize;
-  envelope.id = "x";
+  envelope.id = std::string(1, 'x');
   envelope.pattern_count = request.workload.pattern_count;
   envelope.groupings = request.workload.groupings;
   envelope.widths = request.widths;

@@ -13,10 +13,14 @@
 #include <vector>
 
 #include "core/report.h"
+#include "interconnect/terminal_space.h"
 #include "obs/export.h"
 #include "obs/manifest.h"
 #include "obs/obs.h"
 #include "obs/trace_verify.h"
+#include "pattern/compaction.h"
+#include "pattern/generator.h"
+#include "soc/benchmarks.h"
 #include "soc/synth.h"
 #include "tam/optimizer.h"
 #include "util/json.h"
@@ -320,7 +324,7 @@ OptimizerScenario optimizer_scenario() {
   tests.parts = 1;
   for (int g = 0; g < 4; ++g) {
     SiTestGroup group;
-    group.label = "g" + std::to_string(g + 1);
+    group.label = 'g' + std::to_string(g + 1);
     group.cores = {g, (g + 3) % soc.core_count()};
     std::sort(group.cores.begin(), group.cores.end());
     group.patterns = 40 + 15 * g;
@@ -374,6 +378,32 @@ TEST(Obs, TracingDoesNotChangeOptimizationResults) {
   EXPECT_EQ(traced.evaluation.t_soc, untraced.evaluation.t_soc);
   EXPECT_EQ(traced.architecture.describe(), untraced.architecture.describe());
   EXPECT_EQ(traced.stats.evaluations, untraced.stats.evaluations);
+}
+
+TEST(Obs, CompactionCountersReconcileWithTheResult) {
+  // One class per greedy round, so `rounds` equals the compacted count;
+  // `block_probes` counts the 64-class blocks the candidates tested.
+  const Soc soc = load_benchmark("d695");
+  const TerminalSpace ts(soc);
+  Rng rng(0xc0c0ULL);
+  const RandomPatternConfig config;
+  const auto patterns = generate_random_patterns(ts, 1500, config, rng);
+  obs::TraceSession session;
+  const CompactionResult result =
+      compact_greedy(patterns, ts.total(), config.bus_width);
+  const TraceDump dump = session.stop();
+
+  const auto out = static_cast<std::int64_t>(result.patterns.size());
+  EXPECT_EQ(dump.metrics.counter("pattern.compaction.patterns_in"), 1500);
+  EXPECT_EQ(dump.metrics.counter("pattern.compaction.patterns_out"), out);
+  EXPECT_EQ(dump.metrics.counter("pattern.compaction.rounds"),
+            dump.metrics.counter("pattern.compaction.patterns_out"));
+  // Every candidate after the first tests at least one block and at most
+  // all of them.
+  const std::int64_t probes =
+      dump.metrics.counter("pattern.compaction.block_probes");
+  EXPECT_GE(probes, 1500 - 1);
+  EXPECT_LE(probes, 1500 * ((out + 63) / 64));
 }
 
 // Satellite: the empty-stats guard in render_evaluator_stats must not

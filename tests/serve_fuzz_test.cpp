@@ -173,7 +173,7 @@ TEST(ServeFuzz, SeededMutationsNeverCrashTheServer) {
           mutated.insert(at, 1, static_cast<char>(rng.below(128)));
           break;
       }
-      if (mutated.empty()) mutated = "{";
+      if (mutated.empty()) mutated = std::string(1, '{');
     }
     // Cost guard: a digit edit can turn nr=300 into nr=999300. Mutants
     // that stay valid but grew expensive still exercised the parser; only

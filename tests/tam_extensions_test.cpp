@@ -285,7 +285,9 @@ TEST(SchedulePickRules, AllProduceValidSchedules) {
               return std::find(b.rails.begin(), b.rails.end(), r) !=
                      b.rails.end();
             });
-        if (share) EXPECT_FALSE(a.begin < b.end && b.begin < a.end);
+        if (share) {
+          EXPECT_FALSE(a.begin < b.end && b.begin < a.end);
+        }
       }
     }
   }
@@ -489,7 +491,7 @@ TEST(PowerConstrainedSchedule, RunningPowerNeverExceedsBudget) {
   SiTestSet tests;
   // Eight single-core tests so several could run in parallel.
   for (int c = 0; c < 8; ++c) {
-    tests.groups.push_back(group("t" + std::to_string(c), {c}, 40 + c));
+    tests.groups.push_back(group('t' + std::to_string(c), {c}, 40 + c));
   }
   assign_si_power(tests, soc);
   std::int64_t max_single = 0;
@@ -556,7 +558,7 @@ TEST(PowerConstrainedSchedule, OptimizerHonorsBudget) {
   const TestTimeTable table(soc, 16);
   SiTestSet tests;
   for (int c = 0; c < 6; ++c) {
-    tests.groups.push_back(group("t" + std::to_string(c), {c}, 60));
+    tests.groups.push_back(group('t' + std::to_string(c), {c}, 60));
   }
   assign_si_power(tests, soc);
   std::int64_t max_single = 0;

@@ -14,7 +14,7 @@ Module scan_module(std::vector<int> chains, int inputs, int outputs,
                    std::int64_t patterns) {
   Module m;
   m.id = 1;
-  m.name = "m";
+  m.name = std::string(1, 'm');
   m.inputs = inputs;
   m.outputs = outputs;
   m.scan_chains = std::move(chains);
