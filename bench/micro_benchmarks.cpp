@@ -156,6 +156,27 @@ void BM_BuildSiTestSet(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildSiTestSet)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
 
+void BM_BuildSiTestSets(benchmark::State& state) {
+  // All four groupings of one 20 000-pattern set in the shared pass: one
+  // care-set index and hypergraph, and every group's compaction in one
+  // longest-first job list on `threads` workers.
+  const Soc& soc = p93791();
+  const TerminalSpace ts(soc);
+  Rng rng(4);
+  const auto patterns =
+      generate_random_patterns(ts, 20000, RandomPatternConfig{}, rng);
+  const int groupings[] = {1, 2, 4, 8};
+  const int threads = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(build_si_test_sets(
+        patterns, ts, groupings, GroupingConfig{}, threads));
+  }
+  state.SetItemsProcessed(state.iterations() * 20000);
+}
+// Real time: the workers' CPU time is not the caller's.
+BENCHMARK(BM_BuildSiTestSets)->ArgName("threads")->Arg(1)->Arg(4)
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
+
 SiTestSet sample_tests(const Soc& soc, int parts) {
   const TerminalSpace ts(soc);
   Rng rng(5);

@@ -1,7 +1,6 @@
 #include "core/flow.h"
 
 #include <algorithm>
-#include <future>
 #include <limits>
 #include <stdexcept>
 
@@ -10,6 +9,7 @@
 #include "util/check.h"
 #include "util/log.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace sitam {
 
@@ -46,28 +46,20 @@ SiWorkload SiWorkload::prepare(const Soc& soc, const SiWorkloadConfig& config,
   grouping.bus_width = std::max(grouping.bus_width, config.patterns.bus_width);
   grouping.partition.seed = config.seed ^ 0x9e3779b97f4a7c15ULL;
 
-  workload.test_sets_.reserve(config.groupings.size());
-  if (config.parallel_prepare && config.groupings.size() > 1) {
-    std::vector<std::future<SiTestSet>> futures;
-    futures.reserve(config.groupings.size());
-    for (const int parts : config.groupings) {
-      futures.push_back(std::async(std::launch::async, [&, parts] {
-        SITAM_TRACE_SPAN_ARG("flow.workload.compact", parts);
-        return build_si_test_set(raw, workload.terminals_, parts, grouping);
-      }));
-    }
-    for (auto& future : futures) {
-      workload.test_sets_.push_back(future.get());
-    }
-    check_cancel(cancel);
-  } else {
-    for (const int parts : config.groupings) {
-      check_cancel(cancel);
-      SITAM_TRACE_SPAN_ARG("flow.workload.compact", parts);
-      workload.test_sets_.push_back(
-          build_si_test_set(raw, workload.terminals_, parts, grouping));
-    }
+  {
+    // One pass over the raw set for all groupings; a single grouping's
+    // jobs stay on this thread.
+    SITAM_TRACE_SPAN_ARG("flow.workload.compact",
+                         static_cast<std::int64_t>(config.groupings.size()));
+    const int threads =
+        config.parallel_prepare && config.groupings.size() > 1
+            ? ThreadPool::hardware_threads()
+            : 1;
+    workload.test_sets_ =
+        build_si_test_sets(raw, workload.terminals_, config.groupings,
+                           grouping, threads, cancel);
   }
+  check_cancel(cancel);
   for (std::size_t i = 0; i < workload.test_sets_.size(); ++i) {
     SITAM_INFO << "workload " << soc.name << " N_r=" << config.pattern_count
                << " parts=" << config.groupings[i] << ": "

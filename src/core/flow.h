@@ -26,9 +26,9 @@ struct SiWorkloadConfig {
   std::vector<int> groupings = {1, 2, 4, 8};  ///< i values for T_g_i.
   GroupingConfig grouping;             ///< Partitioner + bus width.
   std::uint64_t seed = 0x20070604ULL;  ///< Drives all randomness.
-  /// Compact the groupings on worker threads (results are identical to the
-  /// sequential path — each grouping is an independent deterministic
-  /// computation over the same raw pattern set).
+  /// With more than one grouping, run the groups' compactions on
+  /// hardware_threads() pool workers instead of the calling thread (results
+  /// are identical: each compaction is an independent deterministic job).
   bool parallel_prepare = true;
 };
 
@@ -39,7 +39,7 @@ class SiWorkload {
   /// Generates and compacts; the SOC is copied in.
   /// Throws std::invalid_argument on bad config (empty groupings,
   /// non-positive grouping values, negative pattern count). `cancel` is a
-  /// cooperative cancellation token checked at grouping boundaries
+  /// cooperative cancellation token checked before each compaction job
   /// (nullptr = never cancelled); a cancelled prepare unwinds with
   /// sitam::Cancelled before any cache sees the partial workload.
   static SiWorkload prepare(const Soc& soc, const SiWorkloadConfig& config,

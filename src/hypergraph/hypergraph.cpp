@@ -1,7 +1,6 @@
 #include "hypergraph/hypergraph.h"
 
 #include <algorithm>
-#include <map>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -20,18 +19,26 @@ std::int64_t Hypergraph::total_edge_weight() const {
 }
 
 void Hypergraph::normalize() {
-  std::map<std::vector<int>, std::int64_t> merged;
   for (Hyperedge& e : edges) {
     std::sort(e.pins.begin(), e.pins.end());
     e.pins.erase(std::unique(e.pins.begin(), e.pins.end()), e.pins.end());
-    if (e.pins.empty()) continue;
-    merged[std::move(e.pins)] += e.weight;
   }
-  edges.clear();
-  edges.reserve(merged.size());
-  for (auto& [pins, weight] : merged) {
-    edges.push_back(Hyperedge{pins, weight});
+  std::erase_if(edges, [](const Hyperedge& e) { return e.pins.empty(); });
+  // Lexicographic pin order, then one edge per run of equal pin sets.
+  std::sort(edges.begin(), edges.end(),
+            [](const Hyperedge& a, const Hyperedge& b) {
+              return a.pins < b.pins;
+            });
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    if (kept > 0 && edges[kept - 1].pins == edges[i].pins) {
+      edges[kept - 1].weight += edges[i].weight;
+    } else {
+      if (kept != i) edges[kept] = std::move(edges[i]);
+      ++kept;
+    }
   }
+  edges.resize(kept);
 }
 
 void Hypergraph::validate() const {

@@ -143,14 +143,15 @@ constexpr SigValue kCareValues[] = {SigValue::kStable0, SigValue::kStable1,
 /// words (capacity doubles as blocks open) whatever the declared space.
 class FirstFitKernel {
  public:
-  /// Validates every id of `patterns` in input order (the same
-  /// std::out_of_range the sparse accumulator throws) and ranks the used
-  /// terminals and (line, driver) pairs. Borrows `patterns`.
-  FirstFitKernel(std::span<const SiPattern> patterns, int total_terminals,
+  /// Validates every id of the `members` of `patterns`, in member order
+  /// (the same std::out_of_range the sparse accumulator throws), and ranks
+  /// the terminals and (line, driver) pairs they use. Borrows `patterns`.
+  FirstFitKernel(std::span<const SiPattern> patterns,
+                 std::span<const std::uint32_t> members, int total_terminals,
                  int bus_width);
 
-  /// Puts pattern `i` into the first class it is compatible with (opening
-  /// a new one if none is) and merges it in.
+  /// Puts pattern `i` (a member) into the first class it is compatible
+  /// with (opening a new one if none is) and merges it in.
   void place(std::size_t i);
 
   /// Classes opened so far.
@@ -208,11 +209,13 @@ class FirstFitKernel {
 };
 
 FirstFitKernel::FirstFitKernel(std::span<const SiPattern> patterns,
+                               std::span<const std::uint32_t> members,
                                int total_terminals, int bus_width)
     : patterns_(patterns) {
-  // Validate in input order; mark the used terminals in a bitmap that
+  // Validate in member order; mark the used terminals in a bitmap that
   // grows to the largest id seen, not the declared space.
-  for (const SiPattern& p : patterns) {
+  for (const std::uint32_t i : members) {
+    const SiPattern& p = patterns[i];
     for (const auto& [terminal, value] : p.assignments()) {
       (void)value;
       if (terminal >= total_terminals) throw_terminal_out_of_range(terminal);
@@ -351,40 +354,66 @@ std::vector<SiPattern> FirstFitKernel::materialize() const {
   return out;
 }
 
+/// 0, 1, ..., n-1: every pattern, in input order.
+[[nodiscard]] std::vector<std::uint32_t> all_members(std::size_t n) {
+  SITAM_CHECK_MSG(n <= UINT32_MAX, "compaction: too many patterns");
+  std::vector<std::uint32_t> members(n);
+  std::iota(members.begin(), members.end(), std::uint32_t{0});
+  return members;
+}
+
+/// The greedy sweep over `members`, in member order. First-fit in that
+/// order *is* the sweep: class k holds exactly what round k would absorb,
+/// because a pattern reaches round k's sweep iff rounds 0..k-1 rejected
+/// it, and each round's accumulator at pattern i is the union of its
+/// members before i.
+[[nodiscard]] FirstFitKernel sweep(std::span<const SiPattern> patterns,
+                                   std::span<const std::uint32_t> members,
+                                   int total_terminals, int bus_width) {
+  if (total_terminals < 0 || bus_width < 0) {
+    throw std::invalid_argument("compact_greedy: negative dimensions");
+  }
+  FirstFitKernel kernel(patterns, members, total_terminals, bus_width);
+  for (const std::uint32_t i : members) kernel.place(i);
+  // One class per sweep round; the probe count shows how far candidates
+  // scan before they find their class.
+  SITAM_COUNTER("pattern.compaction.rounds", kernel.classes());
+  SITAM_COUNTER("pattern.compaction.block_probes", kernel.block_probes());
+  SITAM_COUNTER("pattern.compaction.patterns_in", members.size());
+  SITAM_COUNTER("pattern.compaction.patterns_out", kernel.classes());
+  return kernel;
+}
+
 }  // namespace
 
 CompactionResult compact_greedy(std::span<const SiPattern> patterns,
                                 int total_terminals, int bus_width,
                                 const CompactionConfig& config) {
-  if (total_terminals < 0 || bus_width < 0) {
-    throw std::invalid_argument("compact_greedy: negative dimensions");
-  }
   if (config.threads < 1) {
     throw std::invalid_argument("compact_greedy: threads must be >= 1");
   }
   Stopwatch watch;
   CompactionResult result;
   result.stats.original_count = patterns.size();
-
-  // First-fit in index order *is* the greedy sweep: class k holds exactly
-  // what round k would absorb, because a pattern reaches round k's sweep
-  // iff rounds 0..k-1 rejected it, and each round's accumulator at pattern
-  // i is the union of its members before i.
-  FirstFitKernel kernel(patterns, total_terminals, bus_width);
-  for (std::size_t i = 0; i < patterns.size(); ++i) kernel.place(i);
-  result.patterns = kernel.materialize();
-
+  result.patterns =
+      sweep(patterns, all_members(patterns.size()), total_terminals,
+            bus_width)
+          .materialize();
   result.stats.compacted_count = result.patterns.size();
   result.stats.seconds = watch.seconds();
-  // One class per sweep round; the probe count shows how far candidates
-  // scan before they find their class.
-  SITAM_COUNTER("pattern.compaction.rounds", kernel.classes());
-  SITAM_COUNTER("pattern.compaction.block_probes", kernel.block_probes());
-  SITAM_COUNTER("pattern.compaction.patterns_in",
-                result.stats.original_count);
-  SITAM_COUNTER("pattern.compaction.patterns_out",
-                result.stats.compacted_count);
   return result;
+}
+
+std::size_t compact_greedy_count(std::span<const SiPattern> patterns,
+                                 std::span<const std::uint32_t> members,
+                                 int total_terminals, int bus_width) {
+  for (const std::uint32_t i : members) {
+    if (i >= patterns.size()) {
+      throw std::out_of_range("compact_greedy_count: member " +
+                              std::to_string(i) + " outside the pattern set");
+    }
+  }
+  return sweep(patterns, members, total_terminals, bus_width).classes();
 }
 
 CompactionResult compact_greedy_reference(std::span<const SiPattern> patterns,
@@ -437,7 +466,8 @@ CompactionResult compact_first_fit(std::span<const SiPattern> patterns,
 
   // The kernel validates in input order, so a bad id throws the same error
   // whichever order the patterns are then placed in.
-  FirstFitKernel kernel(patterns, total_terminals, bus_width);
+  FirstFitKernel kernel(patterns, all_members(patterns.size()),
+                        total_terminals, bus_width);
 
   // Welsh-Powell order: densest (hardest to place) patterns first. The
   // density keys are computed once up front — not inside the comparator,

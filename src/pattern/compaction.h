@@ -21,6 +21,10 @@
 //    accumulator at pattern i is the union of its members before i). So
 //    each candidate is placed once instead of re-probed every round.
 //
+//    compact_greedy_count runs the same sweep over a member list of a
+//    larger set and returns only the class count: the 2-D compaction
+//    (sitest) needs nothing else, and skips building the patterns.
+//
 //  * compact_first_fit — a classical clique-cover approximation:
 //    Welsh-Powell-style first-fit coloring of the conflict graph. The same
 //    kernel, fed in descending density (care bits + bus bits, keys
@@ -35,6 +39,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -75,6 +80,16 @@ struct CompactionConfig {
 [[nodiscard]] CompactionResult compact_greedy(
     std::span<const SiPattern> patterns, int total_terminals, int bus_width,
     const CompactionConfig& config = {});
+
+/// Compacted count of the greedy sweep over the `members` of `patterns`
+/// (indices, in sweep order): compact_greedy(those patterns, ...)
+/// .patterns.size(), without building the compacted patterns. Same
+/// dimension and id checks as compact_greedy, in member order; a member
+/// outside `patterns` throws std::out_of_range.
+[[nodiscard]] std::size_t compact_greedy_count(
+    std::span<const SiPattern> patterns,
+    std::span<const std::uint32_t> members, int total_terminals,
+    int bus_width);
 
 /// The historical sparse-list sweep (per-care-bit checks against an
 /// epoch-stamped dense accumulator). Frozen as the benchmark baseline and

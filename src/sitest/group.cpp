@@ -1,10 +1,19 @@
 #include "sitest/group.h"
 
 #include <algorithm>
+#include <bit>
+#include <future>
+#include <limits>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
 
+#include "obs/obs.h"
+#include "pattern/packed.h"
 #include "util/check.h"
+#include "util/thread_pool.h"
 
 namespace sitam {
 
@@ -38,22 +47,354 @@ void assign_si_power(SiTestSet& set, const Soc& soc,
   }
 }
 
-Hypergraph build_core_hypergraph(std::span<const SiPattern> patterns,
-                                 const TerminalSpace& terminals) {
+namespace {
+
+/// The care-core sets of one raw pattern set, shared by every grouping.
+/// Distinct sets are numbered in lexicographic order of their sorted core
+/// lists, so the empty set (a pattern with no care core), if any, is 0.
+struct CareIndex {
+  std::vector<std::uint32_t> set_of;       ///< Set id per pattern.
+  std::vector<std::vector<int>> sets;      ///< Sorted cores per set id.
+  std::vector<std::int64_t> multiplicity;  ///< Patterns per set id.
+  std::vector<bool> bus;  ///< Per set id: some pattern drives a bus line.
+};
+
+/// Interns each pattern's care-core set, held as a bitmask over the cores,
+/// in one pass: a dense terminal -> core table maps assignments, an
+/// open-addressing table maps masks to first-seen ids, and a final sort
+/// renumbers the distinct sets lexicographically. Validates every id in
+/// input order; `bus_width` bounds the bus lines.
+CareIndex index_care_sets(std::span<const SiPattern> patterns,
+                          const TerminalSpace& terminals, int bus_width) {
+  SITAM_TRACE_SPAN_ARG("sitest.index",
+                       static_cast<std::int64_t>(patterns.size()));
+  SITAM_CHECK_MSG(patterns.size() < UINT32_MAX, "sitest: too many patterns");
+  const int cores = terminals.core_count();
+  std::vector<int> core_of(static_cast<std::size_t>(terminals.total()));
+  for (int core = 0; core < cores; ++core) {
+    const auto first =
+        core_of.begin() + terminals.first_terminal(core);
+    std::fill(first, first + terminals.woc(core), core);
+  }
+
+  const std::size_t words = std::max<std::size_t>(
+      1, (static_cast<std::size_t>(cores) + 63) / 64);
+  constexpr std::uint32_t kFree = UINT32_MAX;
+  std::vector<std::uint64_t> keys;   // `words` per first-seen set
+  std::vector<std::int64_t> counts;  // per first-seen set
+  std::vector<bool> bus;             // per first-seen set
+  std::vector<std::uint32_t> slots(64, kFree);
+  const auto key = [&](std::uint32_t id) {
+    return std::span<const std::uint64_t>(keys).subspan(id * words, words);
+  };
+  const auto slot_of = [&](std::span<const std::uint64_t> mask) {
+    std::uint64_t h = 0;
+    for (const std::uint64_t w : mask) h = (h ^ w) * 0x9e3779b97f4a7c15ULL;
+    h = (h ^ (h >> 32)) * 0xd6e8feb86659fd93ULL;
+    std::size_t s = (h ^ (h >> 32)) & (slots.size() - 1);
+    while (slots[s] != kFree && !std::ranges::equal(key(slots[s]), mask)) {
+      s = (s + 1) & (slots.size() - 1);
+    }
+    return s;
+  };
+
+  CareIndex index;
+  index.set_of.resize(patterns.size());
+  std::vector<std::uint64_t> mask(words);
+  for (std::size_t i = 0; i < patterns.size(); ++i) {
+    const SiPattern& p = patterns[i];
+    std::fill(mask.begin(), mask.end(), 0);
+    for (const auto& [terminal, value] : p.assignments()) {
+      (void)value;
+      if (terminal < 0 || terminal >= terminals.total()) {
+        throw_terminal_out_of_range(terminal);
+      }
+      const auto c = static_cast<std::size_t>(
+          core_of[static_cast<std::size_t>(terminal)]);
+      mask[c / 64] |= std::uint64_t{1} << (c % 64);
+    }
+    for (const BusBit& bit : p.bus_bits()) {
+      if (bit.line < 0 || bit.line >= bus_width) {
+        throw_bus_out_of_range(bit.line);
+      }
+      if (bit.driver_core < 0 || bit.driver_core >= cores) {
+        throw std::out_of_range("sitest: bus driver core " +
+                                std::to_string(bit.driver_core) +
+                                " outside the SOC");
+      }
+      const auto c = static_cast<std::size_t>(bit.driver_core);
+      mask[c / 64] |= std::uint64_t{1} << (c % 64);
+    }
+    std::size_t s = slot_of(mask);
+    if (slots[s] == kFree) {
+      slots[s] = static_cast<std::uint32_t>(counts.size());
+      keys.insert(keys.end(), mask.begin(), mask.end());
+      counts.push_back(0);
+      bus.push_back(false);
+      if (2 * counts.size() > slots.size()) {  // keep the load <= 1/2
+        slots.assign(2 * slots.size(), kFree);
+        for (std::uint32_t id = 0; id < counts.size(); ++id) {
+          slots[slot_of(key(id))] = id;
+        }
+        s = slot_of(mask);
+      }
+    }
+    const std::uint32_t id = slots[s];
+    index.set_of[i] = id;
+    ++counts[id];
+    if (!p.bus_bits().empty()) bus[id] = true;
+  }
+
+  // Renumber lexicographically by sorted core list.
+  std::vector<std::vector<int>> lists(counts.size());
+  for (std::uint32_t id = 0; id < counts.size(); ++id) {
+    const auto k = key(id);
+    for (std::size_t w = 0; w < words; ++w) {
+      for (std::uint64_t bits = k[w]; bits != 0; bits &= bits - 1) {
+        lists[id].push_back(static_cast<int>(w * 64) +
+                            std::countr_zero(bits));
+      }
+    }
+  }
+  std::vector<std::uint32_t> order(counts.size());
+  std::iota(order.begin(), order.end(), std::uint32_t{0});
+  std::sort(order.begin(), order.end(),
+            [&lists](std::uint32_t a, std::uint32_t b) {
+              return lists[a] < lists[b];
+            });
+  std::vector<std::uint32_t> rank(counts.size());
+  for (std::uint32_t r = 0; r < order.size(); ++r) {
+    rank[order[r]] = r;
+    index.sets.push_back(std::move(lists[order[r]]));
+    index.multiplicity.push_back(counts[order[r]]);
+    index.bus.push_back(bus[order[r]]);
+  }
+  for (std::uint32_t& id : index.set_of) id = rank[id];
+  return index;
+}
+
+/// The §3 hypergraph of an index: its non-empty sets, in set-id order, are
+/// already the sorted, merged edges normalize() would produce.
+Hypergraph core_hypergraph(const CareIndex& index,
+                           const TerminalSpace& terminals) {
   Hypergraph hg;
   hg.vertex_weights.reserve(
       static_cast<std::size_t>(terminals.core_count()));
   for (int core = 0; core < terminals.core_count(); ++core) {
     hg.vertex_weights.push_back(terminals.woc(core));
   }
-  for (const SiPattern& p : patterns) {
-    Hyperedge edge;
-    edge.pins = p.care_cores(terminals);
-    edge.weight = 1;
-    if (!edge.pins.empty()) hg.edges.push_back(std::move(edge));
+  for (std::size_t k = 0; k < index.sets.size(); ++k) {
+    if (index.sets[k].empty()) continue;
+    hg.edges.push_back(Hyperedge{index.sets[k], index.multiplicity[k]});
   }
-  hg.normalize();  // merges identical care sets, summing multiplicities
   return hg;
+}
+
+/// One vertical compaction: the members of one group of one grouping.
+struct CompactionJob {
+  std::size_t set = 0;    ///< Index into the result (grouping).
+  std::size_t group = 0;  ///< Index into that test set's groups.
+  std::vector<std::uint32_t> members;
+};
+
+/// Runs tasks on a pool of `threads` workers or, for threads == 1, on the
+/// caller at once; either way each result (or exception) comes back
+/// through a future.
+class Executor {
+ public:
+  explicit Executor(int threads) {
+    if (threads > 1) pool_.emplace(threads);
+  }
+
+  template <typename F>
+  auto submit(F task) -> std::future<std::invoke_result_t<F>> {
+    if (pool_) return pool_->submit(std::move(task));
+    std::packaged_task<std::invoke_result_t<F>()> now(std::move(task));
+    auto result = now.get_future();
+    now();
+    return result;
+  }
+
+ private:
+  std::optional<ThreadPool> pool_;
+};
+
+/// The all-cores group holding every pattern (i = 1), plus its job.
+void add_single_group(const CareIndex& index, int cores, std::size_t set_index,
+                      SiTestSet& set, std::vector<CompactionJob>& jobs) {
+  const std::size_t patterns = index.set_of.size();
+  SITAM_CHECK(set.groups.empty());
+  set.parts = 1;
+  if (patterns == 0) return;
+  SiTestGroup group;
+  group.label = "g1";
+  group.cores.resize(static_cast<std::size_t>(cores));
+  std::iota(group.cores.begin(), group.cores.end(), 0);
+  group.raw_patterns = static_cast<std::int64_t>(patterns);
+  group.uses_bus =
+      std::find(index.bus.begin(), index.bus.end(), true) != index.bus.end();
+  set.groups.push_back(std::move(group));
+  std::vector<std::uint32_t> members(patterns);
+  std::iota(members.begin(), members.end(), std::uint32_t{0});
+  jobs.push_back(CompactionJob{set_index, 0, std::move(members)});
+}
+
+/// The groups of a partition into `partition.parts` (patterns still 0),
+/// plus one job per group. A care set goes to part k if all its cores are
+/// in part k, else (and the empty set always) to the remainder, so the
+/// buckets are decided once per distinct set.
+void add_grouping(const CareIndex& index, const Partition& partition,
+                  std::size_t set_index, SiTestSet& set,
+                  std::vector<CompactionJob>& jobs) {
+  const auto cores = static_cast<int>(partition.part_of.size());
+  SITAM_CHECK(partition.parts >= 2 && set.groups.empty());
+  set.parts = partition.parts;
+  // Part ids lie below min(parts, cores): a huge i costs no more than
+  // i = cores.
+  const auto remainder =
+      static_cast<std::size_t>(std::min(partition.parts, cores));
+  std::vector<std::size_t> home(index.sets.size(), remainder);
+  std::vector<std::int64_t> raw(remainder + 1, 0);
+  std::vector<bool> bus(remainder + 1, false);
+  for (std::size_t k = 0; k < index.sets.size(); ++k) {
+    const std::vector<int>& care = index.sets[k];
+    if (!care.empty()) {
+      const int part = partition.part_of[static_cast<std::size_t>(care[0])];
+      const bool local = std::all_of(care.begin(), care.end(), [&](int c) {
+        return partition.part_of[static_cast<std::size_t>(c)] == part;
+      });
+      if (local) home[k] = static_cast<std::size_t>(part);
+    }
+    raw[home[k]] += index.multiplicity[k];
+    if (index.bus[k]) bus[home[k]] = true;
+  }
+  std::vector<std::vector<std::uint32_t>> buckets(remainder + 1);
+  for (std::size_t b = 0; b <= remainder; ++b) {
+    buckets[b].reserve(static_cast<std::size_t>(raw[b]));
+  }
+  for (std::uint32_t i = 0; i < index.set_of.size(); ++i) {
+    buckets[home[index.set_of[i]]].push_back(i);
+  }
+
+  for (std::size_t b = 0; b <= remainder; ++b) {
+    if (buckets[b].empty()) continue;
+    SiTestGroup group;
+    if (b == remainder) {
+      group.label = "rem";
+      group.cores.resize(static_cast<std::size_t>(cores));
+      // Cross-group patterns load every boundary.
+      std::iota(group.cores.begin(), group.cores.end(), 0);
+      group.is_remainder = true;
+    } else {
+      group.label = 'g' + std::to_string(b + 1);
+      for (int core = 0; core < cores; ++core) {
+        if (partition.part_of[static_cast<std::size_t>(core)] ==
+            static_cast<int>(b)) {
+          group.cores.push_back(core);
+        }
+      }
+    }
+    group.raw_patterns = raw[b];
+    group.uses_bus = bus[b];
+    jobs.push_back(
+        CompactionJob{set_index, set.groups.size(), std::move(buckets[b])});
+    set.groups.push_back(std::move(group));
+  }
+}
+
+}  // namespace
+
+Hypergraph build_core_hypergraph(std::span<const SiPattern> patterns,
+                                 const TerminalSpace& terminals) {
+  return core_hypergraph(
+      index_care_sets(patterns, terminals, std::numeric_limits<int>::max()),
+      terminals);
+}
+
+std::vector<SiTestSet> build_si_test_sets(std::span<const SiPattern> patterns,
+                                          const TerminalSpace& terminals,
+                                          std::span<const int> groupings,
+                                          const GroupingConfig& config,
+                                          int threads,
+                                          const CancelToken* cancel) {
+  // At most one job per part holding a core, plus the remainder.
+  const int cores = terminals.core_count();
+  std::size_t max_jobs = 0;
+  for (const int parts : groupings) {
+    if (parts < 1) {
+      throw std::invalid_argument("build_si_test_sets: parts must be >= 1");
+    }
+    max_jobs +=
+        parts == 1 ? 1 : static_cast<std::size_t>(std::min(parts, cores)) + 1;
+  }
+  if (threads < 1 || config.compaction.threads < 1) {
+    throw std::invalid_argument("build_si_test_sets: threads must be >= 1");
+  }
+  const CareIndex index =
+      index_care_sets(patterns, terminals, config.bus_width);
+  const Hypergraph hg = core_hypergraph(index, terminals);
+
+  std::vector<SiTestSet> sets(groupings.size());
+  // Reserved so that no job moves while a worker reads its members.
+  std::vector<CompactionJob> jobs;
+  jobs.reserve(max_jobs);
+  const auto compact = [&](std::span<const std::uint32_t> members) {
+    check_cancel(cancel);
+    SITAM_TRACE_SPAN_ARG("sitest.compact",
+                         static_cast<std::int64_t>(members.size()));
+    return compact_greedy_count(patterns, members, terminals.total(),
+                                config.bus_width);
+  };
+  Executor executor(static_cast<int>(
+      std::min(static_cast<std::size_t>(threads), max_jobs)));
+  std::vector<std::future<std::size_t>> counts;
+  // Starts jobs [from, end) longest first, so the biggest compactions do
+  // not wait behind small ones. Results land by job index: the order and
+  // the thread count change only the timing.
+  const auto start_jobs = [&](std::size_t from) {
+    std::vector<std::size_t> order(jobs.size() - from);
+    std::iota(order.begin(), order.end(), from);
+    std::stable_sort(order.begin(), order.end(),
+                     [&jobs](std::size_t a, std::size_t b) {
+                       return jobs[a].members.size() > jobs[b].members.size();
+                     });
+    counts.resize(jobs.size());
+    for (const std::size_t j : order) {
+      counts[j] = executor.submit(
+          [&compact, members = std::span<const std::uint32_t>(
+                         jobs[j].members)] { return compact(members); });
+    }
+  };
+
+  // i = 1 needs no partition, and its job holds every pattern: it starts
+  // first, while the other groupings are partitioned beside it.
+  for (std::size_t g = 0; g < groupings.size(); ++g) {
+    if (groupings[g] == 1) {
+      add_single_group(index, cores, g, sets[g], jobs);
+    }
+  }
+  start_jobs(0);
+  std::vector<std::future<Partition>> partitions(groupings.size());
+  for (std::size_t g = 0; g < groupings.size(); ++g) {
+    if (groupings[g] == 1) continue;
+    partitions[g] = executor.submit([&, parts = groupings[g]] {
+      check_cancel(cancel);
+      SITAM_TRACE_SPAN_ARG("sitest.partition", parts);
+      return partition_hypergraph(hg, parts, config.partition);
+    });
+  }
+  const std::size_t partitioned = jobs.size();
+  for (std::size_t g = 0; g < groupings.size(); ++g) {
+    if (groupings[g] == 1) continue;
+    add_grouping(index, partitions[g].get(), g, sets[g], jobs);
+  }
+  start_jobs(partitioned);
+
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    sets[jobs[j].set].groups[jobs[j].group].patterns =
+        static_cast<std::int64_t>(counts[j].get());
+  }
+  return sets;
 }
 
 SiTestSet build_si_test_set(std::span<const SiPattern> patterns,
@@ -62,94 +403,9 @@ SiTestSet build_si_test_set(std::span<const SiPattern> patterns,
   if (parts < 1) {
     throw std::invalid_argument("build_si_test_set: parts must be >= 1");
   }
-  const int cores = terminals.core_count();
-  std::vector<int> all_cores(static_cast<std::size_t>(cores));
-  std::iota(all_cores.begin(), all_cores.end(), 0);
-
-  SiTestSet set;
-  set.parts = parts;
-
-  const auto compact = [&](std::span<const SiPattern> bucket) {
-    return compact_greedy(bucket, terminals.total(), config.bus_width,
-                          config.compaction);
-  };
-  const auto any_bus = [](std::span<const SiPattern> bucket) {
-    for (const SiPattern& p : bucket) {
-      if (!p.bus_bits().empty()) return true;
-    }
-    return false;
-  };
-
-  if (parts == 1) {
-    // Pure vertical compaction; every pattern loads all cores' WOCs.
-    if (!patterns.empty()) {
-      const CompactionResult compacted = compact(patterns);
-      SiTestGroup group;
-      group.label = "g1";
-      group.cores = all_cores;
-      group.raw_patterns = static_cast<std::int64_t>(patterns.size());
-      group.patterns =
-          static_cast<std::int64_t>(compacted.patterns.size());
-      group.uses_bus = any_bus(patterns);
-      set.groups.push_back(std::move(group));
-    }
-    return set;
-  }
-
-  // Partition cores to minimize the (weighted) number of cross-group
-  // patterns; then bucket each pattern by the part of its care cores.
-  const Hypergraph hg = build_core_hypergraph(patterns, terminals);
-  const Partition partition =
-      partition_hypergraph(hg, parts, config.partition);
-
-  std::vector<std::vector<SiPattern>> buckets(
-      static_cast<std::size_t>(parts));
-  std::vector<SiPattern> remainder;
-  for (const SiPattern& p : patterns) {
-    const auto care = p.care_cores(terminals);
-    // Per-pattern in the bucketing loop: debug/sanitizer builds only. An
-    // all-don't-care pattern would be dropped by compaction upstream.
-    SITAM_DCHECK_MSG(!care.empty(), "pattern with no care cores");
-    const int part = partition.part_of[static_cast<std::size_t>(care[0])];
-    const bool local = std::all_of(care.begin(), care.end(), [&](int c) {
-      return partition.part_of[static_cast<std::size_t>(c)] == part;
-    });
-    if (local) {
-      buckets[static_cast<std::size_t>(part)].push_back(p);
-    } else {
-      remainder.push_back(p);
-    }
-  }
-
-  for (int part = 0; part < parts; ++part) {
-    const auto& bucket = buckets[static_cast<std::size_t>(part)];
-    if (bucket.empty()) continue;
-    SiTestGroup group;
-    group.label = 'g' + std::to_string(part + 1);
-    for (int core = 0; core < cores; ++core) {
-      if (partition.part_of[static_cast<std::size_t>(core)] == part) {
-        group.cores.push_back(core);
-      }
-    }
-    group.raw_patterns = static_cast<std::int64_t>(bucket.size());
-    group.patterns =
-        static_cast<std::int64_t>(compact(bucket).patterns.size());
-    group.uses_bus = any_bus(bucket);
-    set.groups.push_back(std::move(group));
-  }
-
-  if (!remainder.empty()) {
-    SiTestGroup group;
-    group.label = "rem";
-    group.cores = all_cores;  // cross-group patterns load every boundary
-    group.is_remainder = true;
-    group.raw_patterns = static_cast<std::int64_t>(remainder.size());
-    group.patterns =
-        static_cast<std::int64_t>(compact(remainder).patterns.size());
-    group.uses_bus = any_bus(remainder);
-    set.groups.push_back(std::move(group));
-  }
-  return set;
+  const int groupings[] = {parts};
+  return std::move(
+      build_si_test_sets(patterns, terminals, groupings, config, 1).front());
 }
 
 }  // namespace sitam

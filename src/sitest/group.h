@@ -8,6 +8,14 @@
 // group's WOCs are loaded; all other core boundaries are bypassed); the rest
 // form a *remainder* group that still loads every core's WOCs. Each group is
 // then compacted independently with the greedy clique-cover heuristic.
+//
+// The hypergraph and each pattern's care-core set depend only on the raw
+// pattern set, so build_si_test_sets computes them once for a list of
+// groupings: care sets are interned to ids, every grouping's buckets are
+// index lists decided once per distinct set, and all groups' compactions
+// run as one longest-first job list. A pattern with no care core (all
+// don't-care, no bus line) loads no boundary; at i >= 2 it goes to the
+// remainder group (at i = 1 the single group, as every pattern does).
 #pragma once
 
 #include <cstdint>
@@ -19,6 +27,7 @@
 #include "interconnect/terminal_space.h"
 #include "pattern/compaction.h"
 #include "pattern/pattern.h"
+#include "util/cancel.h"
 
 namespace sitam {
 
@@ -50,12 +59,15 @@ struct SiTestSet {
 struct GroupingConfig {
   PartitionConfig partition;  ///< Partitioner knobs (seeded, deterministic).
   int bus_width = 32;         ///< Bus postfix width (bus id bound).
-  /// Vertical-compaction knobs, forwarded to compact_greedy for every
-  /// bucket.
+  /// Vertical-compaction knobs; `threads` must be >= 1 and changes
+  /// nothing (see CompactionConfig).
   CompactionConfig compaction;
 };
 
-/// Builds the core-level hypergraph of §3/Fig. 2 from a raw pattern set.
+/// Builds the core-level hypergraph of §3/Fig. 2 from a raw pattern set:
+/// one edge per distinct non-empty care-core set, in lexicographic order
+/// (the order Hypergraph::normalize() gives). Throws std::out_of_range for
+/// a terminal outside `terminals` or a bus driver outside its cores.
 [[nodiscard]] Hypergraph build_core_hypergraph(
     std::span<const SiPattern> patterns, const TerminalSpace& terminals);
 
@@ -70,10 +82,27 @@ void assign_si_power(SiTestSet& set, const Soc& soc,
                      std::int64_t units_per_cell = 1,
                      std::int64_t base_units = 0);
 
-/// Full two-dimensional compaction: partitions cores into `parts` groups,
-/// buckets the patterns, and vertically compacts each bucket. parts == 1
-/// degenerates to pure one-dimensional (count-only) compaction with a single
-/// group spanning all cores. Throws std::invalid_argument for parts < 1.
+/// Full two-dimensional compaction for every grouping in `groupings` (one
+/// test set each, in that order) over one raw pattern set: partitions the
+/// cores into `parts` groups, buckets the patterns, and vertically compacts
+/// each bucket. parts == 1 degenerates to pure one-dimensional (count-only)
+/// compaction with a single group spanning all cores.
+///
+/// The compactions of all groupings' groups run longest first on
+/// min(`threads`, jobs) pool workers; threads == 1 runs them on the caller.
+/// The result does not depend on `threads`. `cancel` is checked before each
+/// compaction starts (nullptr = never cancelled).
+///
+/// Throws std::invalid_argument for parts < 1, threads < 1 or
+/// config.compaction.threads < 1, std::out_of_range for a terminal, bus
+/// line or bus driver outside the declared space (checked in input order
+/// before any compaction), and sitam::Cancelled.
+[[nodiscard]] std::vector<SiTestSet> build_si_test_sets(
+    std::span<const SiPattern> patterns, const TerminalSpace& terminals,
+    std::span<const int> groupings, const GroupingConfig& config,
+    int threads, const CancelToken* cancel = nullptr);
+
+/// One grouping of build_si_test_sets, on the caller's thread.
 [[nodiscard]] SiTestSet build_si_test_set(std::span<const SiPattern> patterns,
                                           const TerminalSpace& terminals,
                                           int parts,

@@ -109,6 +109,24 @@ TEST(CompactGreedy, NegativeDimensionsThrow) {
   EXPECT_THROW((void)compact_first_fit({}, 4, -1), std::invalid_argument);
 }
 
+TEST(CompactGreedyCount, ChecksMembersAndIds) {
+  const std::vector<SiPattern> input = {make({{1, SigValue::kRise}}),
+                                        make({{12, SigValue::kFall}}),
+                                        make({{2, SigValue::kFall}})};
+  const std::vector<std::uint32_t> good = {2, 0};
+  EXPECT_EQ(compact_greedy_count(input, good, 10, 4), 1u);
+  EXPECT_EQ(compact_greedy_count(input, {}, 10, 4), 0u);
+  // Pattern 1 is outside the terminal space only if it is a member.
+  const std::vector<std::uint32_t> with_bad = {0, 1};
+  EXPECT_THROW((void)compact_greedy_count(input, with_bad, 10, 4),
+               std::out_of_range);
+  const std::vector<std::uint32_t> outside = {0, 3};
+  EXPECT_THROW((void)compact_greedy_count(input, outside, 10, 4),
+               std::out_of_range);
+  EXPECT_THROW((void)compact_greedy_count(input, good, -1, 4),
+               std::invalid_argument);
+}
+
 TEST(CompactGreedy, InvalidThreadCountThrows) {
   CompactionConfig config;
   config.threads = 0;
@@ -427,6 +445,34 @@ TEST_P(CompactionPropertyTest, FirstFitMatchesSparseOracle) {
   }
   EXPECT_EQ(compact_first_fit(patterns, ts.total(), config.bus_width).patterns,
             classes);
+}
+
+TEST_P(CompactionPropertyTest, CountMatchesGreedyOnAnyMemberList) {
+  // The count entry is the sweep without materialize(): over every pattern
+  // and over a member list (every third pattern, in order), it equals the
+  // size of compact_greedy on those patterns.
+  const CompactionCase param = GetParam();
+  const Soc soc = load_benchmark(param.soc);
+  const TerminalSpace ts(soc);
+  Rng rng(param.seed);
+  const RandomPatternConfig config;
+  const auto patterns =
+      generate_random_patterns(ts, param.count, config, rng);
+  std::vector<std::uint32_t> all(patterns.size());
+  std::iota(all.begin(), all.end(), std::uint32_t{0});
+  EXPECT_EQ(
+      compact_greedy_count(patterns, all, ts.total(), config.bus_width),
+      compact_greedy(patterns, ts.total(), config.bus_width).patterns.size());
+
+  std::vector<std::uint32_t> thirds;
+  std::vector<SiPattern> copied;
+  for (std::uint32_t i = 1; i < patterns.size(); i += 3) {
+    thirds.push_back(i);
+    copied.push_back(patterns[i]);
+  }
+  EXPECT_EQ(
+      compact_greedy_count(patterns, thirds, ts.total(), config.bus_width),
+      compact_greedy(copied, ts.total(), config.bus_width).patterns.size());
 }
 
 TEST_P(CompactionPropertyTest, GreedyIsDeterministic) {

@@ -6,7 +6,12 @@
 
 #include "core/flow.h"
 #include "core/report.h"
+#include "obs/obs.h"
+#include "pattern/generator.h"
 #include "soc/benchmarks.h"
+#include "util/cancel.h"
+#include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace sitam {
 namespace {
@@ -67,6 +72,34 @@ TEST(SiWorkload, ParallelPrepareMatchesSequential) {
       EXPECT_EQ(a.groups[g].patterns, b.groups[g].patterns);
       EXPECT_EQ(a.groups[g].raw_patterns, b.groups[g].raw_patterns);
       EXPECT_EQ(a.groups[g].uses_bus, b.groups[g].uses_bus);
+    }
+  }
+}
+
+TEST(SiWorkload, CancelledJobListStartsNoCompaction) {
+  // prepare's token reaches the job list: each partition and compaction
+  // job checks it before it starts, so a cancelled pass unwinds with
+  // Cancelled without compacting anything, on the caller or on a pool.
+  const Soc soc = load_benchmark("d695");
+  const TerminalSpace ts(soc);
+  Rng rng(5);
+  const auto patterns =
+      generate_random_patterns(ts, 2000, RandomPatternConfig{}, rng);
+  const std::vector<int> groupings = {1, 2, 4, 8};
+  CancelToken token;
+  token.request();
+  for (const int threads : {1, ThreadPool::hardware_threads()}) {
+    obs::TraceSession session;
+    EXPECT_THROW((void)build_si_test_sets(patterns, ts, groupings,
+                                          GroupingConfig{}, threads, &token),
+                 Cancelled)
+        << "threads=" << threads;
+    const obs::TraceDump dump = session.stop();
+    for (const obs::TrackDump& track : dump.tracks) {
+      for (const obs::SpanEvent& span : track.spans) {
+        EXPECT_STRNE(span.name, "sitest.compact") << "threads=" << threads;
+        EXPECT_STRNE(span.name, "sitest.partition") << "threads=" << threads;
+      }
     }
   }
 }

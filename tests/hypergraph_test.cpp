@@ -4,6 +4,7 @@
 // random sweeps.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <numeric>
 #include <set>
 
@@ -46,6 +47,45 @@ TEST(Hypergraph, NormalizeMergesDuplicatesAndSorts) {
   EXPECT_EQ(hg.edges[1].pins, (std::vector<int>{0, 2}));
   EXPECT_EQ(hg.edges[1].weight, 7);
   EXPECT_NO_THROW(hg.validate());
+}
+
+TEST(Hypergraph, NormalizeMatchesAMapOracle) {
+  // normalize() sorts and merges in place; the map it replaced is the
+  // oracle: lexicographic edge order, summed weights, empty edges dropped.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    const int vertices = static_cast<int>(rng.uniform(1, 12));
+    Hypergraph hg;
+    hg.vertex_weights.assign(static_cast<std::size_t>(vertices), 1);
+    const int edges = static_cast<int>(rng.uniform(0, 300));
+    for (int e = 0; e < edges; ++e) {
+      Hyperedge edge;
+      // Up to 4 pins, repeats and any order allowed; 0 pins now and then.
+      const int pins = static_cast<int>(rng.uniform(0, 4));
+      for (int k = 0; k < pins; ++k) {
+        edge.pins.push_back(
+            static_cast<int>(rng.below(static_cast<std::uint64_t>(vertices))));
+      }
+      edge.weight = static_cast<std::int64_t>(rng.uniform(1, 9));
+      hg.edges.push_back(std::move(edge));
+    }
+    std::map<std::vector<int>, std::int64_t> oracle;
+    for (const Hyperedge& e : hg.edges) {
+      std::set<int> pins(e.pins.begin(), e.pins.end());
+      if (!pins.empty()) {
+        oracle[std::vector<int>(pins.begin(), pins.end())] += e.weight;
+      }
+    }
+    hg.normalize();
+    ASSERT_EQ(hg.edges.size(), oracle.size()) << "seed=" << seed;
+    std::size_t i = 0;
+    for (const auto& [pins, weight] : oracle) {
+      EXPECT_EQ(hg.edges[i].pins, pins) << "seed=" << seed << " edge " << i;
+      EXPECT_EQ(hg.edges[i].weight, weight) << "seed=" << seed << " edge " << i;
+      ++i;
+    }
+    EXPECT_NO_THROW(hg.validate()) << "seed=" << seed;
+  }
 }
 
 TEST(Hypergraph, ValidateRejectsBadPins) {

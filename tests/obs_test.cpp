@@ -5,6 +5,7 @@
 // instrumentation never changes optimization results.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -12,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/flow.h"
 #include "core/report.h"
 #include "interconnect/terminal_space.h"
 #include "obs/export.h"
@@ -404,6 +406,42 @@ TEST(Obs, CompactionCountersReconcileWithTheResult) {
       dump.metrics.counter("pattern.compaction.block_probes");
   EXPECT_GE(probes, 1500 - 1);
   EXPECT_LE(probes, 1500 * ((out + 63) / 64));
+}
+
+TEST(Obs, TracedPrepareShowsTheGroupingSchedule) {
+  // One index pass, one partition per grouping i > 1, and one compaction
+  // span per non-empty group, whose arg is the group's raw pattern count.
+  const Soc soc = load_benchmark("d695");
+  SiWorkloadConfig config;
+  config.pattern_count = 2000;
+  config.groupings = {1, 2, 4, 8};
+  obs::TraceSession session;
+  const SiWorkload workload = SiWorkload::prepare(soc, config);
+  const TraceDump dump = session.stop();
+
+  std::int64_t index = 0;
+  std::vector<std::int64_t> partitions;
+  std::vector<std::int64_t> compactions;
+  for (const obs::TrackDump& track : dump.tracks) {
+    for (const obs::SpanEvent& span : track.spans) {
+      const std::string_view name = span.name;
+      if (name == "sitest.index") ++index;
+      if (name == "sitest.partition") partitions.push_back(span.arg);
+      if (name == "sitest.compact") compactions.push_back(span.arg);
+    }
+  }
+  EXPECT_EQ(index, 1);
+  std::sort(partitions.begin(), partitions.end());
+  EXPECT_EQ(partitions, (std::vector<std::int64_t>{2, 4, 8}));
+  std::vector<std::int64_t> groups;
+  for (const int parts : config.groupings) {
+    for (const SiTestGroup& group : workload.tests(parts).groups) {
+      groups.push_back(group.raw_patterns);
+    }
+  }
+  std::sort(groups.begin(), groups.end());
+  std::sort(compactions.begin(), compactions.end());
+  EXPECT_EQ(compactions, groups);
 }
 
 // Satellite: the empty-stats guard in render_evaluator_stats must not

@@ -178,6 +178,36 @@ TEST(ParallelDeterminism, CompactGreedySweepMatchesAcrossThreadCounts) {
   }
 }
 
+TEST(ParallelDeterminism, SharedGroupingPassMatchesAcrossThreadCounts) {
+  // The job list of build_si_test_sets: every thread count gives the
+  // serial result, group by group (and the tsan preset runs it).
+  const Soc soc = load_benchmark("d695");
+  const TerminalSpace ts(soc);
+  Rng rng(0x5e75ULL);
+  const auto patterns =
+      generate_random_patterns(ts, 3000, RandomPatternConfig{}, rng);
+  const std::vector<int> groupings = {1, 2, 4, 8};
+  const GroupingConfig config;
+  const std::vector<SiTestSet> serial =
+      build_si_test_sets(patterns, ts, groupings, config, 1);
+  for (const int threads : kThreadCounts) {
+    const std::vector<SiTestSet> parallel =
+        build_si_test_sets(patterns, ts, groupings, config, threads);
+    ASSERT_EQ(parallel.size(), serial.size());
+    for (std::size_t g = 0; g < serial.size(); ++g) {
+      ASSERT_EQ(parallel[g].groups.size(), serial[g].groups.size());
+      for (std::size_t k = 0; k < serial[g].groups.size(); ++k) {
+        const SiTestGroup& a = parallel[g].groups[k];
+        const SiTestGroup& b = serial[g].groups[k];
+        EXPECT_EQ(a.label, b.label) << "threads=" << threads;
+        EXPECT_EQ(a.cores, b.cores) << "threads=" << threads;
+        EXPECT_EQ(a.patterns, b.patterns) << "threads=" << threads;
+        EXPECT_EQ(a.raw_patterns, b.raw_patterns) << "threads=" << threads;
+      }
+    }
+  }
+}
+
 TEST(ParallelDeterminism, ChainZeroMatchesSingleChainConfig) {
   // chains=1 must reproduce the historical single-chain trajectory, and a
   // multi-chain winner can only improve on it.
