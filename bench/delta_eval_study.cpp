@@ -57,6 +57,9 @@ ModeOutcome run_mode(const SiWorkload& workload,
                      int repetitions) {
   OptimizerConfig config;
   config.delta_eval = delta_eval;
+  // One thread, as the manifest records: the study times the evaluator,
+  // not the sweep's pool.
+  config.threads = 1;
   ModeOutcome outcome;
   // First run is the warm-up: it pulls the workload into cache and is the
   // run whose results and stats the identity/ratio gates inspect (the

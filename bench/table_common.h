@@ -12,7 +12,8 @@
 //   --fast              shrink N_r by 10x (CI-friendly smoke run)
 //   --cache=DIR         reuse compacted test sets across runs
 //   --restarts=N        Algorithm 2 restarts per optimization
-//   --threads=T         restart-loop worker threads (0 = all cores)
+//   --threads=T         sweep job-list workers (default 0 = all cores,
+//                       1 = serial; results are identical either way)
 //   --no-cache-evals    disable the evaluator memo cache
 //   --no-delta          disable the incremental delta evaluator
 //   --smoke             tiny traced-friendly run: N_r=400, widths {8,16},
@@ -86,7 +87,7 @@ inline int run_table_bench(const std::string& soc_name, int argc,
   optimizer.restarts =
       static_cast<int>(args.get_or("restarts", std::int64_t{smoke ? 2 : 1}));
   optimizer.threads =
-      static_cast<int>(args.get_or("threads", std::int64_t{smoke ? 2 : 1}));
+      static_cast<int>(args.get_or("threads", std::int64_t{smoke ? 2 : 0}));
   optimizer.evaluator.memoize = !args.has("no-cache-evals");
   optimizer.delta_eval = !args.has("no-delta");
 

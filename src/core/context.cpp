@@ -47,7 +47,7 @@ std::uint64_t SitamContext::request_key(const FlowRequest& request) {
   mix(request.widths.size());
   for (const int w : request.widths) mix(static_cast<std::uint64_t>(w));
   // Every optimizer knob that changes the result *or its stats*. threads
-  // and cancel are deliberately absent: the restart loop is documented
+  // and cancel are deliberately absent: the optimizer is documented
   // bit-identical for any thread count, and cancellation is control flow.
   const OptimizerConfig& opt = request.optimizer;
   mix(opt.delta_eval ? 1 : 0);

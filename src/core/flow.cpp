@@ -1,6 +1,7 @@
 #include "core/flow.h"
 
 #include <algorithm>
+#include <future>
 #include <limits>
 #include <stdexcept>
 
@@ -118,58 +119,87 @@ ExperimentOutcome run_experiment(const SiWorkload& workload, int w_max,
   if (w_max < 1) {
     throw std::invalid_argument("run_experiment: w_max must be >= 1");
   }
-  const Soc& soc = workload.soc();
-  const TestTimeTable table(soc, w_max);
-
-  ExperimentOutcome outcome;
-  outcome.w_max = w_max;
-
-  // Baseline T_[8]: one InTest-only TR-Architect run, then the fixed
-  // architecture is scored against every grouping's SI tests; the best
-  // grouping is credited to the baseline (most charitable reading).
-  {
-    SITAM_TRACE_SPAN_ARG("flow.experiment.baseline", w_max);
-    static const SiTestSet kNoTests{};
-    const OptimizeResult intest_only =
-        optimize_tam(soc, table, kNoTests, w_max, config);
-    outcome.baseline_architecture = intest_only.architecture;
-    std::int64_t best = std::numeric_limits<std::int64_t>::max();
-    for (const int parts : workload.groupings()) {
-      const TamEvaluator evaluator(soc, table, workload.tests(parts));
-      best = std::min(best,
-                      evaluator.evaluate(outcome.baseline_architecture).t_soc);
-    }
-    outcome.t_baseline = best;
-  }
-
-  // T_g_i: the SI-aware optimizer per grouping.
-  outcome.t_min = std::numeric_limits<std::int64_t>::max();
-  for (const int parts : workload.groupings()) {
-    check_cancel(config.cancel);
-    SITAM_TRACE_SPAN_ARG("flow.experiment.grouping", parts);
-    OptimizeResult result =
-        optimize_tam(soc, table, workload.tests(parts), w_max, config);
-    if (result.evaluation.t_soc < outcome.t_min) {
-      outcome.t_min = result.evaluation.t_soc;
-      outcome.best_grouping = parts;
-    }
-    outcome.per_grouping.push_back(std::move(result));
-  }
-  return outcome;
+  return std::move(run_sweep(workload, {w_max}, config).rows.front());
 }
 
 SweepResult run_sweep(const SiWorkload& workload,
                       const std::vector<int>& widths,
                       const OptimizerConfig& config) {
-  SweepResult sweep;
-  sweep.soc_name = workload.soc().name;
-  sweep.pattern_count = workload.raw_pattern_count();
-  sweep.groupings = workload.groupings();
   for (const int w : widths) {
-    check_cancel(config.cancel);
-    SITAM_INFO << "sweep " << sweep.soc_name << ": W_max=" << w;
-    SITAM_TRACE_SPAN_ARG("flow.sweep.width", w);
-    sweep.rows.push_back(run_experiment(workload, w, config));
+    if (w < 1) throw std::invalid_argument("run_sweep: w_max must be >= 1");
+  }
+  check_cancel(config.cancel);
+  const Soc& soc = workload.soc();
+  const std::vector<int>& groupings = workload.groupings();
+  // Per width: the baseline job, then one job per grouping.
+  const std::size_t per_width = groupings.size() + 1;
+  Executor executor(ThreadPool::workers_for(
+      config.threads, widths.size() * per_width *
+                          static_cast<std::size_t>(
+                              std::max(1, config.restarts))));
+
+  std::vector<TestTimeTable> tables;
+  tables.reserve(widths.size());
+  {
+    SITAM_TRACE_SPAN_ARG("flow.sweep.tables",
+                         static_cast<std::int64_t>(widths.size()));
+    std::vector<std::future<TestTimeTable>> built;
+    built.reserve(widths.size());
+    for (const int w : widths) {
+      built.push_back(
+          executor.submit([&soc, w] { return TestTimeTable(soc, w); }));
+    }
+    for (std::future<TestTimeTable>& table : built) {
+      tables.push_back(table.get());
+    }
+  }
+
+  // Baseline T_[8]: an InTest-only TR-Architect run. T_g_i: the SI-aware
+  // optimizer per grouping. Every restart of every job runs on one pool.
+  static const SiTestSet kNoTests{};
+  std::vector<OptimizeJob> jobs;
+  jobs.reserve(widths.size() * per_width);
+  for (std::size_t k = 0; k < widths.size(); ++k) {
+    jobs.push_back({&tables[k], &kNoTests, widths[k], "flow.sweep.job", 0});
+    for (const int parts : groupings) {
+      jobs.push_back({&tables[k], &workload.tests(parts), widths[k],
+                      "flow.sweep.job", parts});
+    }
+  }
+  std::vector<OptimizeResult> results =
+      optimize_tam_batch(soc, jobs, config, executor);
+
+  SweepResult sweep;
+  sweep.soc_name = soc.name;
+  sweep.pattern_count = workload.raw_pattern_count();
+  sweep.groupings = groupings;
+  for (std::size_t k = 0; k < widths.size(); ++k) {
+    ExperimentOutcome outcome;
+    outcome.w_max = widths[k];
+    // The fixed baseline architecture is scored against every grouping's
+    // SI tests; the best grouping is credited to the baseline (most
+    // charitable reading).
+    outcome.baseline_architecture =
+        std::move(results[k * per_width].architecture);
+    outcome.t_baseline = std::numeric_limits<std::int64_t>::max();
+    for (const int parts : groupings) {
+      const TamEvaluator evaluator(soc, tables[k], workload.tests(parts));
+      outcome.t_baseline = std::min(
+          outcome.t_baseline,
+          evaluator.evaluate(outcome.baseline_architecture).t_soc);
+    }
+    outcome.t_min = std::numeric_limits<std::int64_t>::max();
+    for (std::size_t g = 0; g < groupings.size(); ++g) {
+      OptimizeResult& result = results[k * per_width + 1 + g];
+      if (result.evaluation.t_soc < outcome.t_min) {
+        outcome.t_min = result.evaluation.t_soc;
+        outcome.best_grouping = groupings[g];
+      }
+      outcome.per_grouping.push_back(std::move(result));
+    }
+    SITAM_INFO << "sweep " << sweep.soc_name << ": W_max=" << widths[k]
+               << " T_min=" << outcome.t_min;
+    sweep.rows.push_back(std::move(outcome));
   }
   return sweep;
 }

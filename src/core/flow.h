@@ -90,7 +90,8 @@ struct ExperimentOutcome {
   [[nodiscard]] double delta_g_pct() const;         ///< ΔT_g in %.
 };
 
-/// Runs the full §5 protocol for one TAM width.
+/// Runs the full §5 protocol for one TAM width: run_sweep over {w_max}.
+/// Throws std::invalid_argument for w_max < 1.
 [[nodiscard]] ExperimentOutcome run_experiment(
     const SiWorkload& workload, int w_max, const OptimizerConfig& config = {});
 
@@ -101,7 +102,14 @@ struct SweepResult {
   std::vector<ExperimentOutcome> rows;  ///< One per width, ascending.
 };
 
-/// Runs run_experiment for every width (the paper uses 8..64 step 8).
+/// Runs the §5 protocol for every width (the paper uses 8..64 step 8) as
+/// one job list on one Executor of config.threads workers: the wrapper
+/// table of each width, then the baseline job and one job per grouping for
+/// every width, every restart of every job a unit of the same pool
+/// (optimize_tam_batch). Rows come back in width order and are identical
+/// for every thread count. Throws std::invalid_argument for a width < 1;
+/// a cancelled config.cancel unwinds with sitam::Cancelled once every
+/// started unit has returned.
 [[nodiscard]] SweepResult run_sweep(const SiWorkload& workload,
                                     const std::vector<int>& widths,
                                     const OptimizerConfig& config = {});

@@ -55,8 +55,27 @@ std::vector<SiPattern> generate_random_patterns(
   std::vector<SiPattern> patterns;
   patterns.reserve(static_cast<std::size_t>(count));
 
+  // Per-call scratch, so a pattern costs no allocation beyond its own two
+  // lists: stamp[t] == n + 1 iff pattern n has already written terminal t
+  // (the first write wins), `cares` and `bus` collect pattern n's entries,
+  // `picks` holds the sampled indices.
+  std::vector<std::int64_t> stamp(static_cast<std::size_t>(terminals.total()),
+                                  0);
+  std::vector<std::pair<int, SigValue>> cares;
+  std::vector<BusBit> bus;
+  std::vector<std::size_t> picks;
+
   for (std::int64_t n = 0; n < count; ++n) {
-    SiPattern p;
+    const std::int64_t mark = n + 1;
+    cares.clear();
+    bus.clear();
+    const auto is_free = [&](int t) {
+      return stamp[static_cast<std::size_t>(t)] != mark;
+    };
+    const auto write = [&](int t, SigValue value) {
+      stamp[static_cast<std::size_t>(t)] = mark;
+      cares.emplace_back(t, value);
+    };
 
     // Victim: a random output terminal of a random core.
     const int victim_core = static_cast<int>(rng.below(
@@ -64,8 +83,8 @@ std::vector<SiPattern> generate_random_patterns(
     const int victim_woc = terminals.woc(victim_core);
     const int victim_bit =
         static_cast<int>(rng.below(static_cast<std::uint64_t>(victim_woc)));
-    const int victim_terminal = terminals.terminal(victim_core, victim_bit);
-    p.set(victim_terminal, random_victim_value(rng));
+    write(terminals.terminal(victim_core, victim_bit),
+          random_victim_value(rng));
 
     // Aggressors: Na in [min, max], at most max_external outside the victim
     // core boundary, the rest inside. Internal aggressors come from the
@@ -100,13 +119,12 @@ std::vector<SiPattern> generate_random_patterns(
 
     if (internals > 0) {
       // Distinct bits within the window, excluding the victim bit.
-      auto picks =
-          rng.sample_indices(static_cast<std::size_t>(window_size),
-                             static_cast<std::size_t>(internals));
+      rng.sample_indices(static_cast<std::size_t>(window_size),
+                         static_cast<std::size_t>(internals), picks);
       for (const std::size_t pick : picks) {
         int bit = lo_bit + static_cast<int>(pick);
         if (bit >= victim_bit) ++bit;
-        p.set(terminals.terminal(victim_core, bit), random_transition(rng));
+        write(terminals.terminal(victim_core, bit), random_transition(rng));
       }
     }
     // The idle polarity (all-0 or all-1) of the quiescent neighborhood is a
@@ -118,7 +136,7 @@ std::vector<SiPattern> generate_random_patterns(
       // injected noise is deterministic.
       for (int bit = lo_bit; bit <= hi_bit; ++bit) {
         const int t = terminals.terminal(victim_core, bit);
-        if (p.at(t) == SigValue::kDontCare) p.set(t, idle);
+        if (is_free(t)) write(t, idle);
       }
     }
     for (int e = 0; e < externals; ++e) {
@@ -149,13 +167,13 @@ std::vector<SiPattern> generate_random_patterns(
       const int bit =
           static_cast<int>(rng.below(static_cast<std::uint64_t>(other_woc)));
       const int t = terminals.terminal(other, bit);
-      if (p.at(t) == SigValue::kDontCare) p.set(t, random_transition(rng));
+      if (is_free(t)) write(t, random_transition(rng));
       if (config.quiet_neighbors && config.locality_window > 0) {
         const int half = std::max(1, config.locality_window / 2);
         for (int b = std::max(0, bit - half);
              b <= std::min(other_woc - 1, bit + half); ++b) {
           const int tq = terminals.terminal(other, b);
-          if (p.at(tq) == SigValue::kDontCare) p.set(tq, idle);
+          if (is_free(tq)) write(tq, idle);
         }
       }
     }
@@ -167,15 +185,16 @@ std::vector<SiPattern> generate_random_patterns(
       const int occupied = static_cast<int>(rng.uniform(
           1, static_cast<std::uint64_t>(
                  std::min(na, config.bus_width))));
-      auto lines = rng.sample_indices(
-          static_cast<std::size_t>(config.bus_width),
-          static_cast<std::size_t>(occupied));
-      for (const std::size_t line : lines) {
-        p.set_bus(static_cast<int>(line), victim_core);
+      rng.sample_indices(static_cast<std::size_t>(config.bus_width),
+                         static_cast<std::size_t>(occupied), picks);
+      std::sort(picks.begin(), picks.end());
+      for (const std::size_t line : picks) {
+        bus.push_back(BusBit{static_cast<int>(line), victim_core});
       }
     }
 
-    patterns.push_back(std::move(p));
+    std::ranges::sort(cares, {}, &std::pair<int, SigValue>::first);
+    patterns.emplace_back().assign(cares, bus);
   }
   return patterns;
 }

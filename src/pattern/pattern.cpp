@@ -10,7 +10,7 @@ void SiPattern::set(int terminal, SigValue value) {
     throw std::invalid_argument("SiPattern::set: negative terminal id");
   }
   if (assignments_.empty() || assignments_.back().first < terminal) {
-    // Ascending builds (generator, compaction) append without a search.
+    // Ascending builds (the compaction kernel) append without a search.
     if (value != SigValue::kDontCare) assignments_.emplace_back(terminal, value);
     return;
   }
@@ -56,6 +56,29 @@ void SiPattern::set_bus(int line, int driver_core) {
     return;
   }
   bus_bits_.insert(it, BusBit{line, driver_core});
+}
+
+void SiPattern::assign(std::span<const std::pair<int, SigValue>> assignments,
+                       std::span<const BusBit> bus_bits) {
+  int last = -1;
+  for (const auto& [terminal, value] : assignments) {
+    if (terminal <= last || value == SigValue::kDontCare) {
+      throw std::invalid_argument(
+          "SiPattern::assign: terminals must ascend strictly with care "
+          "values");
+    }
+    last = terminal;
+  }
+  last = -1;
+  for (const BusBit& bit : bus_bits) {
+    if (bit.line <= last) {
+      throw std::invalid_argument(
+          "SiPattern::assign: bus lines must ascend strictly");
+    }
+    last = bit.line;
+  }
+  assignments_.assign(assignments.begin(), assignments.end());
+  bus_bits_.assign(bus_bits.begin(), bus_bits.end());
 }
 
 std::vector<int> SiPattern::care_cores(const TerminalSpace& terminals) const {

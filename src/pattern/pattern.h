@@ -44,6 +44,14 @@ class SiPattern {
   /// throws std::logic_error (a single pattern has one driver per line).
   void set_bus(int line, int driver_core);
 
+  /// Replaces the whole pattern: `assignments` must hold strictly
+  /// ascending, non-negative terminals with care values, `bus_bits`
+  /// strictly ascending, non-negative lines. One copy per list, no search
+  /// (the generator builds patterns this way). Throws
+  /// std::invalid_argument otherwise, leaving the pattern unchanged.
+  void assign(std::span<const std::pair<int, SigValue>> assignments,
+              std::span<const BusBit> bus_bits);
+
   [[nodiscard]] std::span<const std::pair<int, SigValue>> assignments()
       const {
     return assignments_;

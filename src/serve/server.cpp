@@ -46,6 +46,9 @@ FlowRequest build_flow_request(const Request& request,
   flow.workload.groupings = request.groupings;
   flow.widths = request.widths;
   flow.optimizer.restarts = request.restarts;
+  // The worker pool is the server's fan-out: a job's restarts stay on the
+  // worker that runs it instead of nesting a pool inside every worker.
+  flow.optimizer.threads = 1;
   flow.optimizer.delta_eval = request.delta_eval;
   flow.optimizer.evaluator.memoize = request.memoize;
   return flow;

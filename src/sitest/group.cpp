@@ -5,10 +5,8 @@
 #include <future>
 #include <limits>
 #include <numeric>
-#include <optional>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 
 #include "obs/obs.h"
 #include "pattern/packed.h"
@@ -197,28 +195,6 @@ struct CompactionJob {
   std::vector<std::uint32_t> members;
 };
 
-/// Runs tasks on a pool of `threads` workers or, for threads == 1, on the
-/// caller at once; either way each result (or exception) comes back
-/// through a future.
-class Executor {
- public:
-  explicit Executor(int threads) {
-    if (threads > 1) pool_.emplace(threads);
-  }
-
-  template <typename F>
-  auto submit(F task) -> std::future<std::invoke_result_t<F>> {
-    if (pool_) return pool_->submit(std::move(task));
-    std::packaged_task<std::invoke_result_t<F>()> now(std::move(task));
-    auto result = now.get_future();
-    now();
-    return result;
-  }
-
- private:
-  std::optional<ThreadPool> pool_;
-};
-
 /// The all-cores group holding every pattern (i = 1), plus its job.
 void add_single_group(const CareIndex& index, int cores, std::size_t set_index,
                       SiTestSet& set, std::vector<CompactionJob>& jobs) {
@@ -345,8 +321,7 @@ std::vector<SiTestSet> build_si_test_sets(std::span<const SiPattern> patterns,
     return compact_greedy_count(patterns, members, terminals.total(),
                                 config.bus_width);
   };
-  Executor executor(static_cast<int>(
-      std::min(static_cast<std::size_t>(threads), max_jobs)));
+  Executor executor(ThreadPool::workers_for(threads, max_jobs));
   std::vector<std::future<std::size_t>> counts;
   // Starts jobs [from, end) longest first, so the biggest compactions do
   // not wait behind small ones. Results land by job index: the order and

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -199,45 +200,35 @@ OptimizeResult optimize_tam_annealing(const Soc& soc,
   }
 
   const int chains = std::max(1, config.chains);
-  const int threads =
-      std::min(config.threads == 0 ? ThreadPool::hardware_threads()
-                                   : std::max(1, config.threads),
-               chains);
   const auto chain_seed = [&](int chain) {
     return chain == 0 ? config.seed
                       : split_stream(config.seed,
                                      static_cast<std::uint64_t>(chain));
   };
 
+  Executor executor(ThreadPool::workers_for(config.threads,
+                                            static_cast<std::size_t>(chains)));
+  std::vector<std::future<OptimizeResult>> futures;
+  futures.reserve(static_cast<std::size_t>(chains));
+  for (int chain = 0; chain < chains; ++chain) {
+    futures.push_back(executor.submit([&, chain] {
+      return run_chain(soc, table, tests, w_max, config, start,
+                       chain_seed(chain));
+    }));
+  }
+  // Collect every future before rethrowing: a cancelled chain must not
+  // strand siblings against unwound stack state.
   std::vector<OptimizeResult> results;
   results.reserve(static_cast<std::size_t>(chains));
-  if (threads <= 1) {
-    for (int chain = 0; chain < chains; ++chain) {
-      results.push_back(run_chain(soc, table, tests, w_max, config, start,
-                                  chain_seed(chain)));
+  std::exception_ptr first_error;
+  for (auto& future : futures) {
+    try {
+      results.push_back(future.get());
+    } catch (...) {
+      if (!first_error) first_error = std::current_exception();
     }
-  } else {
-    ThreadPool pool(threads);
-    std::vector<std::future<OptimizeResult>> futures;
-    futures.reserve(static_cast<std::size_t>(chains));
-    for (int chain = 0; chain < chains; ++chain) {
-      futures.push_back(pool.submit([&, chain] {
-        return run_chain(soc, table, tests, w_max, config, start,
-                         chain_seed(chain));
-      }));
-    }
-    // Collect every future before rethrowing (see optimize_tam): a
-    // cancelled chain must not strand siblings against unwound stack state.
-    std::exception_ptr first_error;
-    for (auto& future : futures) {
-      try {
-        results.push_back(future.get());
-      } catch (...) {
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-    if (first_error) std::rethrow_exception(first_error);
   }
+  if (first_error) std::rethrow_exception(first_error);
 
   // Winner: lowest T_soc, ties broken by lowest chain index; stats sum
   // over every chain (plus the warm start's own optimization).

@@ -94,6 +94,8 @@ struct RailTimes {
   std::int64_t time_in = 0;    ///< InTest time on this rail.
   std::int64_t time_si = 0;    ///< This rail's own busy time across SI tests.
   std::int64_t time_used = 0;  ///< time_in + time_si.
+
+  friend bool operator==(const RailTimes&, const RailTimes&) = default;
 };
 
 /// CalculateSITestTime output for one SI test group: the per-rail busy
@@ -124,11 +126,16 @@ struct SiScheduleItem {
   std::int64_t duration = 0;       ///< time_si(s) = end - begin.
   int bottleneck_rail = -1;        ///< r_btn(s): rail with the max T_r(s).
   std::vector<int> rails;          ///< R_tam(s): involved rail indices.
+
+  friend bool operator==(const SiScheduleItem&,
+                         const SiScheduleItem&) = default;
 };
 
 struct SiSchedule {
   std::vector<SiScheduleItem> items;  ///< In scheduling order.
   std::int64_t makespan = 0;          ///< T_si_soc.
+
+  friend bool operator==(const SiSchedule&, const SiSchedule&) = default;
 };
 
 /// One core's InTest slot on its rail (cores on a rail test sequentially,
@@ -138,6 +145,8 @@ struct InTestSlot {
   int rail = -1;
   std::int64_t begin = 0;
   std::int64_t end = 0;
+
+  friend bool operator==(const InTestSlot&, const InTestSlot&) = default;
 };
 
 struct Evaluation {
@@ -147,6 +156,8 @@ struct Evaluation {
   std::vector<RailTimes> rails;    ///< Parallel to architecture.rails.
   std::vector<InTestSlot> intest;  ///< Rail-major, then core order.
   SiSchedule schedule;
+
+  friend bool operator==(const Evaluation&, const Evaluation&) = default;
 };
 
 /// Evaluation-count bookkeeping for one evaluator stack (and, summed, for a
@@ -165,6 +176,9 @@ struct EvaluatorStats {
   std::int64_t cache_hits = 0;
   std::int64_t delta_hits = 0;
   std::int64_t cache_misses = 0;
+
+  friend bool operator==(const EvaluatorStats&,
+                         const EvaluatorStats&) = default;
 
   /// Fraction of evaluations that avoided a full ScheduleSITest run
   /// (memo hits + delta hits).

@@ -1,8 +1,12 @@
 #include "tam/optimizer.h"
 
 #include <algorithm>
+#include <exception>
+#include <future>
 #include <limits>
+#include <mutex>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <utility>
@@ -26,14 +30,7 @@ class Optimizer {
         w_max_(w_max),
         config_(config),
         eval_(soc, table, tests, config.evaluator),
-        delta_(eval_) {
-    if (w_max < 1) {
-      throw std::invalid_argument("optimize_tam: w_max must be >= 1");
-    }
-    if (soc.core_count() == 0) {
-      throw std::invalid_argument("optimize_tam: SOC has no cores");
-    }
-  }
+        delta_(eval_) {}
 
   OptimizeResult run(const std::vector<int>& core_order) {
     TamArchitecture arch = start_solution(core_order);
@@ -396,65 +393,100 @@ OptimizeResult run_restart(const Soc& soc, const TestTimeTable& table,
   return attempt.run(order);
 }
 
-/// Winner rule shared by the serial and pooled paths: lowest t_soc, ties
-/// broken by lowest restart index. `results` is in restart-index order, so
-/// a linear scan with strict `<` implements exactly that.
-OptimizeResult pick_winner(std::vector<OptimizeResult> results) {
-  SITAM_CHECK(!results.empty());
-  std::size_t best = 0;
-  EvaluatorStats total;
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    total += results[i].stats;
-    if (results[i].evaluation.t_soc < results[best].evaluation.t_soc) {
-      best = i;
+/// The running reduction of one job's restarts: the winner so far (lowest
+/// t_soc, ties to the lowest restart index) and the stats summed over the
+/// restarts folded in. Both are independent of the folding order.
+class JobWinner {
+ public:
+  void fold(OptimizeResult result, int restart) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    total_ += result.stats;
+    if (!best_ || result.evaluation.t_soc < best_->evaluation.t_soc ||
+        (result.evaluation.t_soc == best_->evaluation.t_soc &&
+         restart < best_restart_)) {
+      best_ = std::move(result);
+      best_restart_ = restart;
     }
   }
-  OptimizeResult winner = std::move(results[best]);
-  winner.stats = total;
-  return winner;
-}
+
+  /// The winner with the summed stats; call once, after every fold.
+  [[nodiscard]] OptimizeResult take() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    SITAM_CHECK(best_.has_value());
+    OptimizeResult winner = std::move(*best_);
+    winner.stats = total_;
+    return winner;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::optional<OptimizeResult> best_;  // guarded_by(mutex_)
+  int best_restart_ = 0;                // guarded_by(mutex_)
+  EvaluatorStats total_;                // guarded_by(mutex_)
+};
 
 }  // namespace
 
 OptimizeResult optimize_tam(const Soc& soc, const TestTimeTable& table,
                             const SiTestSet& tests, int w_max,
                             const OptimizerConfig& config) {
-  const int restarts = std::max(1, config.restarts);
-  const int threads =
-      std::min(config.threads == 0 ? ThreadPool::hardware_threads()
-                                   : std::max(1, config.threads),
-               restarts);
+  const OptimizeJob job{&table, &tests, w_max};
+  Executor executor(ThreadPool::workers_for(
+      config.threads, static_cast<std::size_t>(std::max(1, config.restarts))));
+  return std::move(optimize_tam_batch(soc, std::span(&job, 1), config,
+                                      executor)
+                       .front());
+}
 
-  std::vector<OptimizeResult> results;
-  results.reserve(static_cast<std::size_t>(restarts));
-  if (threads <= 1) {
-    for (int restart = 0; restart < restarts; ++restart) {
-      results.push_back(
-          run_restart(soc, table, tests, w_max, config, restart));
+std::vector<OptimizeResult> optimize_tam_batch(
+    const Soc& soc, std::span<const OptimizeJob> jobs,
+    const OptimizerConfig& config, Executor& executor) {
+  if (soc.core_count() == 0) {
+    throw std::invalid_argument("optimize_tam: SOC has no cores");
+  }
+  for (const OptimizeJob& job : jobs) {
+    if (job.w_max < 1) {
+      throw std::invalid_argument("optimize_tam: w_max must be >= 1");
     }
-  } else {
-    ThreadPool pool(threads);
-    std::vector<std::future<OptimizeResult>> futures;
-    futures.reserve(static_cast<std::size_t>(restarts));
+    if (job.table == nullptr || job.tests == nullptr) {
+      throw std::invalid_argument("optimize_tam: job without table or tests");
+    }
+  }
+  const int restarts = std::max(1, config.restarts);
+
+  // Units in job-major order, started in submission order; each folds its
+  // result into its job's winner, so the finishing order changes nothing.
+  std::vector<JobWinner> winners(jobs.size());
+  std::vector<std::future<void>> units;
+  units.reserve(jobs.size() * static_cast<std::size_t>(restarts));
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
     for (int restart = 0; restart < restarts; ++restart) {
-      futures.push_back(pool.submit([&, restart] {
-        return run_restart(soc, table, tests, w_max, config, restart);
+      units.push_back(executor.submit([&, j, restart] {
+        const OptimizeJob& job = jobs[j];
+        const obs::ScopedSpan span(job.span, job.span_arg);
+        winners[j].fold(run_restart(soc, *job.table, *job.tests, job.w_max,
+                                    config, restart),
+                        restart);
       }));
     }
-    // Collect every future before rethrowing: a cancelled (or otherwise
-    // throwing) restart must not leave siblings running against stack
-    // references we are about to unwind.
-    std::exception_ptr first_error;
-    for (auto& future : futures) {
-      try {
-        results.push_back(future.get());
-      } catch (...) {
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-    if (first_error) std::rethrow_exception(first_error);
   }
-  return pick_winner(std::move(results));
+  // Collect every unit before rethrowing: a cancelled (or otherwise
+  // throwing) unit must not leave siblings running against state the
+  // caller is about to unwind.
+  std::exception_ptr first_error;
+  for (std::future<void>& unit : units) {
+    try {
+      unit.get();
+    } catch (...) {
+      if (!first_error) first_error = std::current_exception();
+    }
+  }
+  if (first_error) std::rethrow_exception(first_error);
+
+  std::vector<OptimizeResult> results;
+  results.reserve(jobs.size());
+  for (JobWinner& winner : winners) results.push_back(winner.take());
+  return results;
 }
 
 OptimizeResult optimize_intest_only(const Soc& soc, const TestTimeTable& table,

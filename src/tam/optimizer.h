@@ -12,12 +12,15 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "sitest/group.h"
 #include "soc/soc.h"
 #include "tam/architecture.h"
 #include "tam/evaluator.h"
 #include "util/cancel.h"
+#include "util/thread_pool.h"
 #include "wrapper/design.h"
 
 namespace sitam {
@@ -52,15 +55,18 @@ struct OptimizerConfig {
   /// so every restart's trajectory is independent of how the others are
   /// scheduled.
   std::uint64_t restart_seed = 0x5eedULL;
-  /// Worker threads for the restart loop: 1 = serial, 0 = one per
-  /// hardware thread. Restarts are fully independent (own Optimizer, own
-  /// evaluator, own RNG stream) and the winner is chosen by
-  /// (t_soc, restart index), so the result is bit-identical for every
-  /// thread count.
-  int threads = 1;
+  /// Worker threads for the (job, restart) units of one call: 1 = serial
+  /// on the caller, 0 = one per hardware thread. optimize_tam runs its
+  /// restarts on them; run_sweep runs every restart of every width and
+  /// grouping on one such pool. Units are fully independent (own
+  /// Optimizer, own evaluator, own RNG stream) and each job's winner is
+  /// chosen by (t_soc, restart index), so the result is bit-identical for
+  /// every thread count.
+  int threads = 0;
   /// Non-owning cooperative cancellation token (nullptr = never
-  /// cancelled). The restart loop and every Algorithm 2 improvement loop
-  /// check it between iterations and unwind with sitam::Cancelled; each
+  /// cancelled). Every (job, restart) unit, before it starts, and every
+  /// Algorithm 2 improvement loop check it and unwind with
+  /// sitam::Cancelled; each
   /// restart owns its evaluator state, so a cancelled run leaves no shared
   /// cache mid-update. Deliberately excluded from request identity hashes.
   const CancelToken* cancel = nullptr;
@@ -76,12 +82,38 @@ struct OptimizeResult {
 };
 
 /// Solves Problem P_SI_opt: minimizes T_soc = T_in + T_si over TestRail
-/// architectures of total width exactly `w_max`.
+/// architectures of total width exactly `w_max`: a batch of one job, its
+/// restarts on config.threads workers (never more than the restarts).
 /// Throws std::invalid_argument for w_max < 1 or an empty SOC.
 [[nodiscard]] OptimizeResult optimize_tam(const Soc& soc,
                                           const TestTimeTable& table,
                                           const SiTestSet& tests, int w_max,
                                           const OptimizerConfig& config = {});
+
+/// One problem of an optimize_tam_batch call. Borrowed: the table and the
+/// tests must outlive the call.
+struct OptimizeJob {
+  const TestTimeTable* table = nullptr;
+  const SiTestSet* tests = nullptr;
+  int w_max = 0;
+  /// When set (a string literal), each unit of this job runs inside a span
+  /// of this name with `span_arg`, on the thread that runs it.
+  const char* span = nullptr;
+  std::int64_t span_arg = 0;
+};
+
+/// Runs config.restarts Algorithm 2 restarts of every job, all
+/// (job, restart) units on `executor` (config.threads is not read), and
+/// returns one result per job in job order: each equals optimize_tam of that job alone. A finished
+/// restart is folded into its job's winner at once (lowest t_soc, then
+/// lowest restart index; stats summed), so no more than one result per
+/// job is held. Every unit is waited for before the call returns or
+/// throws (a cancelled unit throws sitam::Cancelled; the first error in
+/// unit order is rethrown). Throws std::invalid_argument, before any unit
+/// runs, for a job with w_max < 1 or a null table/tests, or an empty SOC.
+[[nodiscard]] std::vector<OptimizeResult> optimize_tam_batch(
+    const Soc& soc, std::span<const OptimizeJob> jobs,
+    const OptimizerConfig& config, Executor& executor);
 
 /// The paper's T_[8] baseline: plain TR-Architect, i.e. Algorithm 2 run
 /// against an *empty* SI test set (optimizing T_in only), after which the

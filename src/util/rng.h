@@ -108,6 +108,11 @@ class Rng {
   [[nodiscard]] std::vector<std::size_t> sample_indices(std::size_t n,
                                                         std::size_t k);
 
+  /// The same draws into `out` (its contents replaced, its capacity
+  /// reused), so a caller sampling in a loop allocates once.
+  void sample_indices(std::size_t n, std::size_t k,
+                      std::vector<std::size_t>& out);
+
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));

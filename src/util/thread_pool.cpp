@@ -33,6 +33,14 @@ int ThreadPool::hardware_threads() {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
+int ThreadPool::workers_for(int requested, std::size_t tasks) {
+  const int wanted = requested == 0 ? hardware_threads()
+                                    : std::max(1, requested);
+  return static_cast<int>(
+      std::max<std::size_t>(1, std::min(static_cast<std::size_t>(wanted),
+                                        tasks)));
+}
+
 void ThreadPool::shutdown() {
   {
     const std::lock_guard<std::mutex> lock(mutex_);

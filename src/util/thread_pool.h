@@ -1,19 +1,20 @@
 // Fixed-size worker thread pool with futures-based, prioritised task
 // submission.
 //
-// The optimizer's restart loop and the annealing chains are embarrassingly
-// parallel: every unit of work owns its Optimizer/TamEvaluator instance and
-// only the final winner selection needs the results together. ThreadPool
-// gives those callers a deterministic harness: submit() returns a
-// std::future so results are collected in *submission* order regardless of
-// which worker finishes first, and exceptions thrown inside a task surface
-// at future::get() instead of terminating a worker. shutdown() (also run
+// The optimizer's (job, restart) units and the annealing chains are
+// embarrassingly parallel: every unit of work owns its
+// Optimizer/TamEvaluator instance and only the winner selection needs the
+// results together. ThreadPool gives those callers a deterministic
+// harness: submit() returns a std::future so results are collected in
+// *submission* order regardless of which worker finishes first, and
+// exceptions thrown inside a task surface at future::get() instead of
+// terminating a worker. shutdown() (also run
 // by the destructor) drains every queued task before joining, so no
 // submitted work is silently dropped.
 //
 // Tasks carry a JobPriority: workers always drain higher-priority queues
 // first, FIFO within a priority. The job server uses this to keep
-// interactive requests ahead of bulk sweeps; the optimizer's restart fan
+// interactive requests ahead of bulk sweeps; the optimizer's unit fan
 // simply submits at the default priority, which preserves the original
 // strict-FIFO behaviour. Priorities only reorder *dispatch* — they never
 // change any task's result, so the deterministic-results contract of the
@@ -28,6 +29,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -64,6 +66,11 @@ class ThreadPool {
   /// std::thread::hardware_concurrency clamped to >= 1 (the standard
   /// allows it to report 0 when the count is unknowable).
   [[nodiscard]] static int hardware_threads();
+
+  /// Workers worth starting for `tasks` independent tasks when `requested`
+  /// were asked for (0 = hardware_threads(), negative = 1): never more
+  /// than the tasks, never fewer than one.
+  [[nodiscard]] static int workers_for(int requested, std::size_t tasks);
 
   /// Stops accepting new tasks, runs everything already queued, then joins
   /// the workers. Idempotent; called by the destructor.
@@ -113,6 +120,33 @@ class ThreadPool {
   bool shutting_down_ = false;  // guarded_by(mutex_)
   std::mutex mutex_;
   std::condition_variable ready_;
+};
+
+/// Runs tasks on a ThreadPool of `threads` workers or, for threads <= 1,
+/// on the caller at once (no pool is started); either way each result (or
+/// exception) comes back through a future. The job lists of the workload
+/// prepare and of the optimizer batch share it, so a serial run spawns no
+/// thread.
+class Executor {
+ public:
+  explicit Executor(int threads) {
+    if (threads > 1) pool_.emplace(threads);
+  }
+
+  /// Number of threads running tasks (1 when they run on the caller).
+  [[nodiscard]] int size() const { return pool_ ? pool_->size() : 1; }
+
+  template <typename F>
+  auto submit(F task) -> std::future<std::invoke_result_t<F>> {
+    if (pool_) return pool_->submit(std::move(task));
+    std::packaged_task<std::invoke_result_t<F>()> now(std::move(task));
+    auto result = now.get_future();
+    now();
+    return result;
+  }
+
+ private:
+  std::optional<ThreadPool> pool_;
 };
 
 }  // namespace sitam

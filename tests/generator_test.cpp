@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
+#include <vector>
 
 #include "interconnect/terminal_space.h"
 #include "interconnect/topology.h"
@@ -179,6 +181,80 @@ TEST(RandomGenerator, RejectsSingleCore) {
   EXPECT_THROW(
       (void)generate_random_patterns(ts, 10, RandomPatternConfig{}, rng),
       std::invalid_argument);
+}
+
+/// FNV-1a over every pattern's assignments and bus bits, in order.
+std::uint64_t patterns_digest(const std::vector<SiPattern>& patterns) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::int64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= static_cast<std::uint64_t>(value >> (8 * byte)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const SiPattern& p : patterns) {
+    mix(-1);
+    for (const auto& [terminal, value] : p.assignments()) {
+      mix(terminal);
+      mix(static_cast<std::int64_t>(value));
+    }
+    mix(-2);
+    for (const BusBit& bit : p.bus_bits()) {
+      mix(bit.line);
+      mix(bit.driver_core);
+    }
+  }
+  return h;
+}
+
+std::uint64_t generated_digest(const char* soc_name, std::int64_t count,
+                               const RandomPatternConfig& config) {
+  const Soc soc = load_benchmark(soc_name);
+  const TerminalSpace ts(soc);
+  Rng rng(0x20070604ULL);  // SiWorkloadConfig's default seed
+  return patterns_digest(generate_random_patterns(ts, count, config, rng));
+}
+
+TEST(RandomGenerator, PinnedTableWorkloads) {
+  // The exact raw sets behind Tables 2 and 3 at N_r = 10 000: any change
+  // in draw order or in first-write-wins shows up here.
+  EXPECT_EQ(generated_digest("p34392", 10000, RandomPatternConfig{}),
+            17227840453858529265ULL);
+  EXPECT_EQ(generated_digest("p93791", 10000, RandomPatternConfig{}),
+            3646471725985709070ULL);
+}
+
+TEST(RandomGenerator, PinnedConfigVariants) {
+  // The other branches of the generator: no locality window, no quiet
+  // fill, floorplan-ring externals, a bus wider than 64 lines and a
+  // window wider than 64 bits.
+  RandomPatternConfig no_window;
+  no_window.locality_window = 0;
+  RandomPatternConfig loud;
+  loud.quiet_neighbors = false;
+  RandomPatternConfig ring;
+  ring.external_core_ring = 2;
+  ring.max_external_aggressors = 4;
+  ring.max_aggressors = 9;
+  RandomPatternConfig wide_bus;
+  wide_bus.bus_width = 70;
+  wide_bus.bus_use_probability = 1.0;
+  wide_bus.max_aggressors = 40;
+  RandomPatternConfig wide_window;
+  wide_window.locality_window = 40;
+  wide_window.max_aggressors = 30;
+  EXPECT_EQ(generated_digest("p93791", 2000, no_window),
+            12705537112482669983ULL);
+  EXPECT_EQ(generated_digest("p93791", 2000, loud),
+            4954456975396766772ULL);
+  EXPECT_EQ(generated_digest("p93791", 2000, ring),
+            279338841025981509ULL);
+  EXPECT_EQ(generated_digest("p93791", 2000, wide_bus),
+            12025520657360222614ULL);
+  EXPECT_EQ(generated_digest("p93791", 2000, wide_window),
+            3113287677554984865ULL);
+  EXPECT_EQ(generated_digest("d695", 2000, RandomPatternConfig{}),
+            120064043863362381ULL);
 }
 
 // ---------------------------------------------------------------------------

@@ -444,6 +444,47 @@ TEST(Obs, TracedPrepareShowsTheGroupingSchedule) {
   EXPECT_EQ(compactions, groups);
 }
 
+TEST(Obs, TracedSweepShowsOneJobSpanPerJobOnItsWorker) {
+  // run_sweep's job list: one flow.sweep.tables span for the wrapper
+  // tables, then one flow.sweep.job span per (width, job) at one restart,
+  // arg = grouping i (0 = the baseline), each wrapping its restart span on
+  // the same track.
+  const Soc soc = load_benchmark("d695");
+  SiWorkloadConfig config;
+  config.pattern_count = 500;
+  config.groupings = {1, 2};
+  const SiWorkload workload = SiWorkload::prepare(soc, config);
+  OptimizerConfig optimizer;
+  optimizer.threads = 2;
+  obs::TraceSession session;
+  const SweepResult sweep = run_sweep(workload, {8, 16, 24}, optimizer);
+  const TraceDump dump = session.stop();
+  ASSERT_EQ(sweep.rows.size(), 3u);
+
+  std::vector<std::int64_t> tables;
+  std::vector<std::int64_t> jobs;
+  std::int64_t jobs_with_a_restart = 0;
+  for (const obs::TrackDump& track : dump.tracks) {
+    for (const obs::SpanEvent& span : track.spans) {
+      const std::string_view name = span.name;
+      if (name == "flow.sweep.tables") tables.push_back(span.arg);
+      if (name != "flow.sweep.job") continue;
+      jobs.push_back(span.arg);
+      for (const obs::SpanEvent& inner : track.spans) {
+        if (std::string_view(inner.name) == "tam.optimizer.restart" &&
+            inner.begin_ns >= span.begin_ns && inner.end_ns <= span.end_ns) {
+          ++jobs_with_a_restart;
+          break;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(tables, (std::vector<std::int64_t>{3}));
+  std::sort(jobs.begin(), jobs.end());
+  EXPECT_EQ(jobs, (std::vector<std::int64_t>{0, 0, 0, 1, 1, 1, 2, 2, 2}));
+  EXPECT_EQ(jobs_with_a_restart, 9);
+}
+
 // Satellite: the empty-stats guard in render_evaluator_stats must not
 // divide by zero and must say explicitly that the evaluator never ran.
 TEST(Report, RenderEvaluatorStatsGuardsZeroEvaluations) {

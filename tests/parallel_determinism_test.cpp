@@ -1,15 +1,21 @@
 // Property-style determinism checks for the parallel optimizer paths:
-// optimize_tam's restart loop and optimize_tam_annealing's chains must
-// return bit-identical winners for every thread count, across many seeds,
-// on d695-style synthetic SOCs. Also covers memo-cache transparency (same
-// results with the cache on and off) and evaluator-stats consistency.
+// optimize_tam's restart loop, run_sweep's pooled job list and
+// optimize_tam_annealing's chains must return bit-identical winners for
+// every thread count, across many seeds, on d695-style synthetic SOCs and
+// the ITC'02 benchmarks. Also covers memo-cache transparency (same results
+// with the cache on and off), evaluator-stats consistency and cancelling a
+// pooled sweep.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "core/flow.h"
 #include "interconnect/terminal_space.h"
 #include "pattern/compaction.h"
 #include "pattern/generator.h"
@@ -19,6 +25,7 @@
 #include "tam/annealing.h"
 #include "tam/optimizer.h"
 #include "tam/verify.h"
+#include "util/cancel.h"
 #include "util/rng.h"
 #include "wrapper/design.h"
 
@@ -206,6 +213,143 @@ TEST(ParallelDeterminism, SharedGroupingPassMatchesAcrossThreadCounts) {
       }
     }
   }
+}
+
+/// Field-by-field equality of two sweep rows: the baseline, every
+/// grouping's architecture, evaluation and stats, and the row's minimum.
+void expect_same_row(const ExperimentOutcome& got,
+                     const ExperimentOutcome& want, const std::string& where) {
+  EXPECT_EQ(got.w_max, want.w_max) << where;
+  EXPECT_EQ(got.t_baseline, want.t_baseline) << where;
+  EXPECT_EQ(got.baseline_architecture.describe(),
+            want.baseline_architecture.describe())
+      << where;
+  ASSERT_EQ(got.per_grouping.size(), want.per_grouping.size()) << where;
+  for (std::size_t g = 0; g < want.per_grouping.size(); ++g) {
+    const OptimizeResult& a = got.per_grouping[g];
+    const OptimizeResult& b = want.per_grouping[g];
+    EXPECT_EQ(a.architecture.describe(), b.architecture.describe())
+        << where << " grouping " << g;
+    EXPECT_TRUE(a.evaluation == b.evaluation) << where << " grouping " << g;
+    EXPECT_TRUE(a.stats == b.stats) << where << " grouping " << g;
+  }
+  EXPECT_EQ(got.t_min, want.t_min) << where;
+  EXPECT_EQ(got.best_grouping, want.best_grouping) << where;
+}
+
+SiWorkload sweep_workload(const char* soc_name) {
+  SiWorkloadConfig config;
+  config.pattern_count = 800;
+  config.groupings = {1, 2, 4};
+  return SiWorkload::prepare(load_benchmark(soc_name), config);
+}
+
+TEST(SweepDeterminism, RowsMatchAcrossThreadCounts) {
+  // The pooled job list of run_sweep: every thread count (0 = all cores)
+  // gives the serial rows, at one restart and at four.
+  const std::vector<int> widths = {8, 16, 24};
+  for (const char* soc_name : {"d695", "p22810"}) {
+    const SiWorkload workload = sweep_workload(soc_name);
+    for (const int restarts : {1, 4}) {
+      OptimizerConfig config;
+      config.restarts = restarts;
+      config.threads = 1;
+      const SweepResult serial = run_sweep(workload, widths, config);
+      ASSERT_EQ(serial.rows.size(), widths.size());
+      for (const ExperimentOutcome& row : serial.rows) {
+        for (const OptimizeResult& result : row.per_grouping) {
+          EXPECT_TRUE(verify_stats(result.stats).empty());
+        }
+      }
+      for (const int threads : {2, 3, 0}) {
+        config.threads = threads;
+        const SweepResult pooled = run_sweep(workload, widths, config);
+        ASSERT_EQ(pooled.rows.size(), serial.rows.size());
+        for (std::size_t r = 0; r < serial.rows.size(); ++r) {
+          expect_same_row(pooled.rows[r], serial.rows[r],
+                          std::string(soc_name) + " restarts=" +
+                              std::to_string(restarts) + " threads=" +
+                              std::to_string(threads) + " W=" +
+                              std::to_string(widths[r]));
+        }
+      }
+    }
+  }
+}
+
+TEST(SweepDeterminism, RunExperimentIsTheMatchingSweepRow) {
+  const SiWorkload workload = sweep_workload("d695");
+  OptimizerConfig config;
+  config.restarts = 2;
+  const SweepResult sweep = run_sweep(workload, {8, 16}, config);
+  expect_same_row(run_experiment(workload, 16, config), sweep.rows[1],
+                  "run_experiment W=16");
+  config.threads = 1;
+  expect_same_row(run_experiment(workload, 8, config), sweep.rows[0],
+                  "run_experiment W=8 threads=1");
+}
+
+TEST(SweepDeterminism, BatchOfJobsMatchesOneCallPerJob) {
+  // optimize_tam_batch returns, per job, exactly what optimize_tam gives
+  // for that job alone.
+  const Scenario a = make_scenario(4);
+  const TestTimeTable wide(a.soc, a.w_max + 3);
+  const SiTestSet no_tests;
+  const OptimizeJob jobs[] = {{&a.table, &a.tests, a.w_max},
+                              {&wide, &a.tests, a.w_max + 3},
+                              {&a.table, &no_tests, a.w_max}};
+  OptimizerConfig config;
+  config.restarts = 3;
+  for (const int threads : {1, 3}) {
+    Executor executor(threads);
+    const std::vector<OptimizeResult> batch =
+        optimize_tam_batch(a.soc, jobs, config, executor);
+    ASSERT_EQ(batch.size(), 3u);
+    for (std::size_t j = 0; j < 3; ++j) {
+      const OptimizeResult alone = optimize_tam(
+          a.soc, *jobs[j].table, *jobs[j].tests, jobs[j].w_max, config);
+      EXPECT_EQ(batch[j].architecture.describe(),
+                alone.architecture.describe())
+          << "job " << j;
+      EXPECT_TRUE(batch[j].evaluation == alone.evaluation) << "job " << j;
+      EXPECT_TRUE(batch[j].stats == alone.stats) << "job " << j;
+    }
+  }
+  const OptimizeJob bad[] = {{&a.table, &a.tests, 0}};
+  Executor executor(2);
+  EXPECT_THROW((void)optimize_tam_batch(a.soc, bad, config, executor),
+               std::invalid_argument);
+}
+
+TEST(SweepDeterminism, CancelUnwindsAPooledSweep) {
+  // A token fired while the pool is busy: the sweep throws Cancelled after
+  // every started unit has returned (ASan/TSan would flag a worker still
+  // reading the sweep's tables or tests).
+  const SiWorkload workload = sweep_workload("p22810");
+  CancelToken token;
+  OptimizerConfig config;
+  config.restarts = 32;
+  config.threads = 3;
+  config.cancel = &token;
+  std::atomic<bool> started{false};
+  std::thread canceller([&] {
+    while (!started.load()) std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    token.request();
+  });
+  bool cancelled = false;
+  try {
+    started.store(true);
+    (void)run_sweep(workload, {8, 16, 24, 32, 40, 48, 56, 64}, config);
+  } catch (const Cancelled&) {
+    cancelled = true;
+  }
+  canceller.join();
+  EXPECT_TRUE(cancelled);
+
+  // A token set before the call stops the sweep before any unit runs.
+  config.threads = 0;
+  EXPECT_THROW((void)run_sweep(workload, {8}, config), Cancelled);
 }
 
 TEST(ParallelDeterminism, ChainZeroMatchesSingleChainConfig) {

@@ -78,6 +78,43 @@ TEST(SiPattern, AssignmentsStaySorted) {
   EXPECT_EQ(a[2].first, 9);
 }
 
+TEST(SiPattern, AssignReplacesBothLists) {
+  SiPattern p;
+  p.set(9, SigValue::kRise);
+  p.set_bus(3, 1);
+  const std::pair<int, SigValue> cares[] = {{2, SigValue::kStable0},
+                                            {5, SigValue::kFall}};
+  const BusBit bus[] = {{0, 4}, {7, 4}};
+  p.assign(cares, bus);
+  SiPattern built;
+  built.set(5, SigValue::kFall);
+  built.set(2, SigValue::kStable0);
+  built.set_bus(7, 4);
+  built.set_bus(0, 4);
+  EXPECT_EQ(p, built);
+}
+
+TEST(SiPattern, AssignRejectsUnsortedDuplicateOrDontCareEntries) {
+  SiPattern p;
+  p.set(1, SigValue::kRise);
+  const SiPattern before = p;
+  const std::pair<int, SigValue> unsorted[] = {{5, SigValue::kRise},
+                                               {2, SigValue::kRise}};
+  const std::pair<int, SigValue> duplicate[] = {{2, SigValue::kRise},
+                                                {2, SigValue::kFall}};
+  const std::pair<int, SigValue> dont_care[] = {{2, SigValue::kDontCare}};
+  const std::pair<int, SigValue> negative[] = {{-1, SigValue::kRise}};
+  const BusBit bus_duplicate[] = {{3, 0}, {3, 0}};
+  const BusBit bus_negative[] = {{-2, 0}};
+  EXPECT_THROW(p.assign(unsorted, {}), std::invalid_argument);
+  EXPECT_THROW(p.assign(duplicate, {}), std::invalid_argument);
+  EXPECT_THROW(p.assign(dont_care, {}), std::invalid_argument);
+  EXPECT_THROW(p.assign(negative, {}), std::invalid_argument);
+  EXPECT_THROW(p.assign({}, bus_duplicate), std::invalid_argument);
+  EXPECT_THROW(p.assign({}, bus_negative), std::invalid_argument);
+  EXPECT_EQ(p, before);
+}
+
 TEST(SiPattern, NegativeTerminalThrows) {
   SiPattern p;
   EXPECT_THROW(p.set(-1, SigValue::kRise), std::invalid_argument);

@@ -113,14 +113,19 @@ void expect_matches_golden(const std::string& name,
   EXPECT_EQ(buffer.str(), actual) << "golden mismatch for " << name;
 }
 
+/// The default OptimizerConfig runs the sweep's job list on every core;
+/// `threads` = 1 runs it serially on the caller. Both must render the
+/// same golden bytes.
 SweepResult canonical_sweep(const std::string& soc_name,
-                            std::int64_t pattern_count) {
+                            std::int64_t pattern_count, int threads = 0) {
   const Soc soc = load_benchmark(soc_name);
   SiWorkloadConfig config;
   config.pattern_count = pattern_count;
   config.groupings = {1, 2};
   const SiWorkload workload = SiWorkload::prepare(soc, config);
-  return run_sweep(workload, {16, 32}, OptimizerConfig{});
+  OptimizerConfig optimizer;
+  optimizer.threads = threads;
+  return run_sweep(workload, {16, 32}, optimizer);
 }
 
 TEST(Regression, Table2P34392Golden) {
@@ -131,6 +136,18 @@ TEST(Regression, Table2P34392Golden) {
 TEST(Regression, Table3P93791Golden) {
   expect_matches_golden("table3_p93791.txt",
                         render_sweep_document(canonical_sweep("p93791", 800)));
+}
+
+TEST(Regression, Table2P34392GoldenSerial) {
+  expect_matches_golden(
+      "table2_p34392.txt",
+      render_sweep_document(canonical_sweep("p34392", 800, /*threads=*/1)));
+}
+
+TEST(Regression, Table3P93791GoldenSerial) {
+  expect_matches_golden(
+      "table3_p93791.txt",
+      render_sweep_document(canonical_sweep("p93791", 800, /*threads=*/1)));
 }
 
 TEST(Regression, D695Experiment) {

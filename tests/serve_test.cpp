@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <map>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -204,6 +205,51 @@ TEST(JobServer, ControlPlaneAndErrorEnvelopes) {
   EXPECT_TRUE(saw_unknown_id);
   EXPECT_TRUE(saw_stats);
   EXPECT_TRUE(saw_bye);
+}
+
+TEST(JobServer, ServedSweepRunsOnItsWorkerAndKeepsItsResultLine) {
+  // The worker pool is a served job's only fan-out: its optimizer runs
+  // with threads = 1, so every restart span of a traced sweep sits on one
+  // track, and the result line stays the one pinned below.
+  const std::string job =
+      R"("soc":"d695","widths":[8,16],"nr":600,"parts":[1,2],"restarts":3)";
+  // One server per job: the result memo would answer the second one.
+  const auto serve_one = [](const std::string& line) {
+    Recorder recorder;
+    serve::ServerOptions options;
+    options.threads = 2;
+    options.progress = false;
+    serve::JobServer server(options, std::ref(recorder));
+    EXPECT_TRUE(server.submit_line(line));
+    server.drain();
+    return recorder.results();
+  };
+  const std::map<std::string, std::string> results =
+      serve_one(R"({"op":"sweep","id":"pin",)" + job + "}");
+  ASSERT_EQ(results.count("pin"), 1u);
+  EXPECT_EQ(results.at("pin"),
+            R"({"type":"result","op":"sweep","n_r":600,"widths":[8,16],)"
+            R"("rows":[{"w_max":8,"t_baseline":100414,"t_g":[102196,99025],)"
+            R"("t_min":99025},{"w_max":16,"t_baseline":57035,)"
+            R"("t_g":[54218,52632],"t_min":52632}],"stats":{)"
+            R"("evaluations":4288,"cache_hits":0,"delta_hits":4276,)"
+            R"("cache_misses":12}})");
+
+  const std::map<std::string, std::string> traced = serve_one(
+      R"({"op":"sweep","id":"traced","trace":true,)" + job + "}");
+  ASSERT_EQ(traced.count("traced"), 1u);
+  const JsonValue root = parse_json(traced.at("traced"));
+  const JsonValue* trace =
+      root.find("observability")->find("trace")->find("traceEvents");
+  ASSERT_NE(trace, nullptr);
+  std::set<std::int64_t> restart_tracks;
+  for (const JsonValue& event : trace->as_array()) {
+    const JsonValue* name = event.find("name");
+    if (name != nullptr && name->as_string() == "tam.optimizer.restart") {
+      restart_tracks.insert(event.find("tid")->as_int());
+    }
+  }
+  EXPECT_EQ(restart_tracks.size(), 1u);
 }
 
 TEST(JobServer, ServeStreamSpeaksTheProtocolEndToEnd) {

@@ -7,6 +7,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "util/check.h"
@@ -134,6 +135,53 @@ TEST(Rng, SampleIndicesThrowsWhenKExceedsN) {
 TEST(Rng, SampleIndicesEmpty) {
   Rng rng(15);
   EXPECT_TRUE(rng.sample_indices(5, 0).empty());
+}
+
+/// Reference sampler: a partial Fisher-Yates for dense draws, rejection
+/// through an unordered_set otherwise.
+std::vector<std::size_t> sample_with_a_set(Rng& rng, std::size_t n,
+                                           std::size_t k) {
+  std::vector<std::size_t> out;
+  if (k == 0) return out;
+  if (k * 3 >= n) {
+    std::vector<std::size_t> all(n);
+    for (std::size_t i = 0; i < n; ++i) all[i] = i;
+    for (std::size_t i = 0; i < k; ++i) {
+      const std::size_t j = i + static_cast<std::size_t>(rng.below(n - i));
+      std::swap(all[i], all[j]);
+    }
+    all.resize(k);
+    return all;
+  }
+  std::unordered_set<std::size_t> seen;
+  while (out.size() < k) {
+    const auto v = static_cast<std::size_t>(rng.below(n));
+    if (seen.insert(v).second) out.push_back(v);
+  }
+  return out;
+}
+
+TEST(Rng, SampleIndicesMatchTheRejectionSetForEverySmallN) {
+  // Same draws, same order, same generator state afterwards, for every
+  // (n <= 64, k) pair and both entry points.
+  std::vector<std::size_t> reused;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    for (std::size_t n = 1; n <= 64; ++n) {
+      for (std::size_t k = 0; k <= n; ++k) {
+        Rng oracle(split_stream(seed, n * 65 + k));
+        Rng fresh = oracle;
+        Rng into = oracle;
+        const std::vector<std::size_t> want = sample_with_a_set(oracle, n, k);
+        ASSERT_EQ(fresh.sample_indices(n, k), want)
+            << "seed=" << seed << " n=" << n << " k=" << k;
+        into.sample_indices(n, k, reused);
+        ASSERT_EQ(reused, want) << "seed=" << seed << " n=" << n << " k=" << k;
+        const std::uint64_t next = oracle();
+        ASSERT_EQ(fresh(), next) << "seed=" << seed << " n=" << n;
+        ASSERT_EQ(into(), next) << "seed=" << seed << " n=" << n;
+      }
+    }
+  }
 }
 
 TEST(TextTable, RendersHeadersAndRows) {

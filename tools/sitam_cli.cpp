@@ -214,7 +214,7 @@ OptimizerConfig optimizer_config(const CliArgs& args) {
   OptimizerConfig config;
   config.restarts =
       static_cast<int>(args.get_or("restarts", std::int64_t{1}));
-  config.threads = static_cast<int>(args.get_or("threads", std::int64_t{1}));
+  config.threads = static_cast<int>(args.get_or("threads", std::int64_t{0}));
   config.evaluator.memoize = !args.has("no-cache");
   config.delta_eval = !args.has("no-delta");
   return config;
@@ -548,8 +548,8 @@ int usage() {
          "  store-import --store=F --files=a.json,b.json\n"
          "                                  backfill BENCH_*.json artifacts\n"
          "  (optimize/sweep accept --json --trace-out=F --metrics-out=F;\n"
-         "   optimize/sweep/verify accept --restarts=N --threads=T\n"
-         "   (0 = all cores) --no-cache --no-delta)\n";
+         "   optimize/sweep/verify accept --restarts=N --no-cache --no-delta\n"
+         "   --threads=T (optimizer workers: default 0 = all cores, 1 = serial))\n";
   return 2;
 }
 
