@@ -34,31 +34,30 @@ SiWorkload SiWorkload::prepare(const Soc& soc, const SiWorkloadConfig& config,
   }
 
   SiWorkload workload(soc, config);
-  Rng rng(config.seed);
-  std::vector<SiPattern> raw;
-  {
-    SITAM_TRACE_SPAN_ARG("flow.workload.generate", config.pattern_count);
-    raw = generate_random_patterns(workload.terminals_, config.pattern_count,
-                                   config.patterns, rng);
-  }
-  check_cancel(cancel);
-
   GroupingConfig grouping = config.grouping;
   grouping.bus_width = std::max(grouping.bus_width, config.patterns.bus_width);
   grouping.partition.seed = config.seed ^ 0x9e3779b97f4a7c15ULL;
 
   {
-    // One pass over the raw set for all groupings; a single grouping's
-    // jobs stay on this thread.
+    // One pipeline over the raw set for all groupings: the §5 draw writes
+    // chunks on this thread while the i = 1 compaction places them on a
+    // pool worker. A single grouping's pipeline stays on this thread.
     SITAM_TRACE_SPAN_ARG("flow.workload.compact",
                          static_cast<std::int64_t>(config.groupings.size()));
-    const int threads =
-        config.parallel_prepare && config.groupings.size() > 1
-            ? ThreadPool::hardware_threads()
-            : 1;
-    workload.test_sets_ =
-        build_si_test_sets(raw, workload.terminals_, config.groupings,
-                           grouping, threads, cancel);
+    RawPatternStore raw;
+    Executor executor(config.parallel_prepare && config.groupings.size() > 1
+                          ? ThreadPool::hardware_threads()
+                          : 1);
+    Rng rng(config.seed);
+    workload.test_sets_ = build_si_test_sets(
+        raw,
+        [&] {
+          SITAM_TRACE_SPAN_ARG("flow.workload.generate",
+                               config.pattern_count);
+          draw_random_patterns(workload.terminals_, config.pattern_count,
+                               config.patterns, rng, raw);
+        },
+        workload.terminals_, config.groupings, grouping, executor, cancel);
   }
   check_cancel(cancel);
   for (std::size_t i = 0; i < workload.test_sets_.size(); ++i) {

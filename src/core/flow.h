@@ -1,8 +1,8 @@
 // End-to-end experiment flow (the §5 harness).
 //
 // A SiWorkload captures everything that does *not* depend on the TAM width:
-// the random SI pattern set (generated per §5) and, for each grouping
-// parameter i, the two-dimensionally compacted SI test set. run_experiment /
+// for each grouping parameter i, the two-dimensionally compacted SI test set
+// of one random SI pattern set (drawn per §5, then dropped). run_experiment /
 // run_sweep then optimize TAM architectures per width and produce rows in
 // the exact shape of the paper's Tables 2 and 3.
 #pragma once
@@ -26,17 +26,22 @@ struct SiWorkloadConfig {
   std::vector<int> groupings = {1, 2, 4, 8};  ///< i values for T_g_i.
   GroupingConfig grouping;             ///< Partitioner + bus width.
   std::uint64_t seed = 0x20070604ULL;  ///< Drives all randomness.
-  /// With more than one grouping, run the groups' compactions on
-  /// hardware_threads() pool workers instead of the calling thread (results
-  /// are identical: each compaction is an independent deterministic job).
+  /// With more than one grouping, run the prepare pipeline on one pool of
+  /// hardware_threads() workers: the i = 1 compaction places each chunk of
+  /// the raw set while the calling thread draws the next, then the
+  /// partitions and the other groups' compactions run beside it. Off, or
+  /// with one grouping, the same chunks run in the same order on the
+  /// calling thread. Results are identical either way: each compaction is
+  /// an independent deterministic job.
   bool parallel_prepare = true;
 };
 
-/// Prepared SI workload: raw patterns plus compacted test sets per
-/// grouping parameter.
+/// Prepared SI workload: the compacted test sets per grouping parameter of
+/// one raw pattern set.
 class SiWorkload {
  public:
-  /// Generates and compacts; the SOC is copied in.
+  /// Draws the raw set into a RawPatternStore and compacts it (see
+  /// parallel_prepare); the SOC is copied in.
   /// Throws std::invalid_argument on bad config (empty groupings,
   /// non-positive grouping values, negative pattern count). `cancel` is a
   /// cooperative cancellation token checked before each compaction job

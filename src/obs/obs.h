@@ -167,6 +167,10 @@ class ScopedSpan {
     }
   }
 
+  /// Replaces the argument, for a span whose value is known only once its
+  /// work is done (a streamed count learns its input size at the end).
+  void set_arg(std::int64_t arg) noexcept { arg_ = arg; }
+
  private:
   const char* name_ = nullptr;  ///< Null when no session was active.
   std::int64_t begin_ns_ = 0;

@@ -121,6 +121,23 @@ constexpr SigValue kCareValues[] = {SigValue::kStable0, SigValue::kStable1,
   return a.line != b.line ? a.line < b.line : a.driver_core < b.driver_core;
 }
 
+/// The std::out_of_range the sparse accumulator throws for the first id of
+/// `p` outside [0, total_terminals) or [0, bus_width): terminals, then bus
+/// lines.
+void check_ids(const PatternView& p, int total_terminals, int bus_width) {
+  for (const auto& [terminal, value] : p.assignments()) {
+    (void)value;
+    if (terminal < 0 || terminal >= total_terminals) {
+      throw_terminal_out_of_range(terminal);
+    }
+  }
+  for (const BusBit& bit : p.bus_bits()) {
+    if (bit.line < 0 || bit.line >= bus_width) {
+      throw_bus_out_of_range(bit.line);
+    }
+  }
+}
+
 /// First-fit over blocks of 64 compacted patterns ("classes"), stored
 /// transposed: one 64-bit word per (row, block), bit c of block b standing
 /// for class 64b + c. Each row answers one question a candidate bit asks
@@ -130,29 +147,29 @@ constexpr SigValue kCareValues[] = {SigValue::kStable0, SigValue::kStable1,
 ///            than care value v (a candidate with v there conflicts);
 ///   line   — classes occupying a used bus line;
 ///   pair   — classes driving a line from one driver (one row per distinct
-///            (line, driver) pair of the input).
+///            (line, driver) pair seen).
 ///
 /// place() ORs a candidate's terminal rows plus `line & ~pair` per bus bit
 /// into one conflict word per block; the lowest zero bit is its class.
 /// Unopened classes of the last block have empty columns, so when no open
 /// class fits, that lowest zero is exactly the next class to open.
 ///
-/// Row r of block b lives at r * capacity + b, so a candidate's rows are
-/// contiguous across blocks and a scan streams a few cache lines. Only
-/// used terminals and lines get rows, so memory is ⌈C/64⌉ × (4·U + B + P)
-/// words (capacity doubles as blocks open) whatever the declared space.
+/// Terminal rows and bus rows are two arrays; row r of block b lives at
+/// r * capacity + b, so a candidate's rows are contiguous across blocks and
+/// a scan streams a few cache lines. A terminal or pair gets its rows the
+/// first time a placed pattern uses it, so patterns can arrive one chunk at
+/// a time and memory is ⌈C/64⌉ × (4·U + B + P) words (capacity doubles as
+/// blocks open) whatever the declared space. Row numbers never reach the
+/// output: materialize() walks ids in ascending order.
 class FirstFitKernel {
  public:
-  /// Validates every id of the `members` of `patterns`, in member order
-  /// (the same std::out_of_range the sparse accumulator throws), and ranks
-  /// the terminals and (line, driver) pairs they use. Borrows `patterns`.
-  FirstFitKernel(std::span<const SiPattern> patterns,
-                 std::span<const std::uint32_t> members, int total_terminals,
-                 int bus_width);
+  /// `total_terminals` and `bus_width` bound the ids place() accepts.
+  FirstFitKernel(int total_terminals, int bus_width)
+      : total_terminals_(total_terminals), bus_width_(bus_width) {}
 
-  /// Puts pattern `i` (a member) into the first class it is compatible
-  /// with (opening a new one if none is) and merges it in.
-  void place(std::size_t i);
+  /// Checks `p`'s ids (check_ids), puts it into the first class it is
+  /// compatible with (opening a new one if none is) and merges it in.
+  void place(const PatternView& p);
 
   /// Classes opened so far.
   [[nodiscard]] std::size_t classes() const noexcept { return classes_; }
@@ -164,109 +181,124 @@ class FirstFitKernel {
   /// Builds each class's pattern straight from the masks. A class cares
   /// about terminal u iff some row 4u + v holds its bit, and its value is
   /// the one row that lacks it. Walking terminals, then pairs, in ascending
-  /// order makes every set()/set_bus() an append.
+  /// order (sorted once here) makes every set()/set_bus() an append.
   [[nodiscard]] std::vector<SiPattern> materialize() const;
 
  private:
+  static constexpr std::uint32_t kNoRow = UINT32_MAX;
+
   struct BusRows {
     std::uint32_t line = 0;
     std::uint32_t pair = 0;
   };
+  struct PairRow {
+    BusBit bit;
+    std::uint32_t row = 0;
+  };
 
-  [[nodiscard]] std::uint64_t* row(std::uint32_t r) {
-    return masks_.data() + static_cast<std::size_t>(r) * capacity_;
+  [[nodiscard]] std::uint64_t* care_row(std::uint32_t r) {
+    return care_masks_.data() + static_cast<std::size_t>(r) * capacity_;
   }
-  [[nodiscard]] const std::uint64_t* row(std::uint32_t r) const {
-    return masks_.data() + static_cast<std::size_t>(r) * capacity_;
+  [[nodiscard]] const std::uint64_t* care_row(std::uint32_t r) const {
+    return care_masks_.data() + static_cast<std::size_t>(r) * capacity_;
   }
-  /// Dense rank of a used terminal: popcount prefix of its bitmap word
-  /// plus the used ids below it in that word.
-  [[nodiscard]] std::uint32_t rank(int terminal) const {
-    const auto t = static_cast<std::uint32_t>(terminal);
-    const std::uint64_t below =
-        used_[t >> 6] & ((std::uint64_t{1} << (t & 63)) - 1);
-    return prefix_[t >> 6] + static_cast<std::uint32_t>(std::popcount(below));
+  [[nodiscard]] std::uint64_t* bus_row(std::uint32_t r) {
+    return bus_masks_.data() + static_cast<std::size_t>(r) * capacity_;
   }
+  [[nodiscard]] const std::uint64_t* bus_row(std::uint32_t r) const {
+    return bus_masks_.data() + static_cast<std::size_t>(r) * capacity_;
+  }
+  /// Rank u of `terminal` (rows 4u..4u+3), given on first sight.
+  [[nodiscard]] std::uint32_t rank(int terminal);
+  /// The line and pair rows of `bit`, given on first sight.
+  [[nodiscard]] BusRows bus_rows(const BusBit& bit);
+  /// Appends one empty bus row and returns it.
+  [[nodiscard]] std::uint32_t add_bus_row();
   /// Appends an empty block, doubling the capacity (and re-laying out the
   /// rows) when it is full.
   void add_block();
 
-  std::span<const SiPattern> patterns_;
-  std::vector<std::uint64_t> used_;         // bitmap of used terminal ids
-  std::vector<std::uint32_t> prefix_;       // used ids before each word
-  std::vector<int> terminals_;              // rank -> terminal id
-  std::vector<BusBit> pairs_;               // sorted distinct (line, driver)
-  std::vector<std::uint32_t> pair_line_;    // pair -> its line row
-  std::uint32_t pair_base_ = 0;             // first pair row
-  std::uint32_t rows_ = 0;
-  std::size_t capacity_ = 0;                // blocks allocated per row
-  std::size_t blocks_ = 0;                  // blocks in use
+  int total_terminals_ = 0;
+  int bus_width_ = 0;
+  std::vector<std::uint32_t> rank_of_;       // terminal id -> rank or kNoRow
+  std::vector<int> terminals_;               // rank -> terminal id
+  std::vector<std::uint32_t> line_row_;      // line -> bus row or kNoRow
+  std::vector<std::vector<PairRow>> pairs_;  // line -> its pairs' rows
+  std::uint32_t bus_rows_ = 0;
+  std::size_t capacity_ = 0;                 // blocks allocated per row
+  std::size_t blocks_ = 0;                   // blocks in use
   std::size_t classes_ = 0;
   std::uint64_t block_probes_ = 0;
-  std::vector<std::uint64_t> masks_;        // rows_ x capacity_
-  std::vector<std::uint32_t> care_;         // place() scratch: care rows
-  std::vector<BusRows> bus_;                // place() scratch: bus rows
+  std::vector<std::uint64_t> care_masks_;    // 4 * terminals_ x capacity_
+  std::vector<std::uint64_t> bus_masks_;     // bus_rows_ x capacity_
+  std::vector<std::uint32_t> care_;          // place() scratch: care rows
+  std::vector<BusRows> bus_;                 // place() scratch: bus rows
 };
 
-FirstFitKernel::FirstFitKernel(std::span<const SiPattern> patterns,
-                               std::span<const std::uint32_t> members,
-                               int total_terminals, int bus_width)
-    : patterns_(patterns) {
-  // Validate in member order; mark the used terminals in a bitmap that
-  // grows to the largest id seen, not the declared space.
-  for (const std::uint32_t i : members) {
-    const SiPattern& p = patterns[i];
-    for (const auto& [terminal, value] : p.assignments()) {
-      (void)value;
-      if (terminal >= total_terminals) throw_terminal_out_of_range(terminal);
-      const auto t = static_cast<std::uint32_t>(terminal);
-      if ((t >> 6) >= used_.size()) used_.resize((t >> 6) + 1, 0);
-      used_[t >> 6] |= std::uint64_t{1} << (t & 63);
-    }
-    for (const BusBit& bit : p.bus_bits()) {
-      if (bit.line >= bus_width) throw_bus_out_of_range(bit.line);
-      pairs_.push_back(bit);
-    }
+std::uint32_t FirstFitKernel::rank(int terminal) {
+  const auto t = static_cast<std::size_t>(terminal);
+  if (t >= rank_of_.size()) {
+    rank_of_.resize(
+        std::clamp(2 * rank_of_.size(), t + 1,
+                   static_cast<std::size_t>(total_terminals_)),
+        kNoRow);
   }
-  prefix_.resize(used_.size());
-  for (std::size_t w = 0; w < used_.size(); ++w) {
-    prefix_[w] = static_cast<std::uint32_t>(terminals_.size());
-    for (std::uint64_t bits = used_[w]; bits != 0; bits &= bits - 1) {
-      terminals_.push_back(static_cast<int>(w * 64) + std::countr_zero(bits));
-    }
+  std::uint32_t& rank = rank_of_[t];
+  if (rank == kNoRow) {
+    SITAM_CHECK_MSG(4 * terminals_.size() + 4 <= UINT32_MAX,
+                    "compaction: too many kernel rows");
+    rank = static_cast<std::uint32_t>(terminals_.size());
+    terminals_.push_back(terminal);
+    care_masks_.resize(care_masks_.size() + 4 * capacity_, 0);
   }
-  std::sort(pairs_.begin(), pairs_.end(), bus_bit_less);
-  pairs_.erase(std::unique(pairs_.begin(), pairs_.end()), pairs_.end());
+  return rank;
+}
 
-  // Rows: four per used terminal, one per used line, one per pair.
-  const std::size_t line_base = 4 * terminals_.size();
-  std::size_t lines = 0;
-  for (std::size_t k = 0; k < pairs_.size(); ++k) {
-    if (k > 0 && pairs_[k].line != pairs_[k - 1].line) ++lines;
-    pair_line_.push_back(static_cast<std::uint32_t>(line_base + lines));
+std::uint32_t FirstFitKernel::add_bus_row() {
+  SITAM_CHECK_MSG(bus_rows_ < UINT32_MAX, "compaction: too many kernel rows");
+  bus_masks_.resize(bus_masks_.size() + capacity_, 0);
+  return bus_rows_++;
+}
+
+FirstFitKernel::BusRows FirstFitKernel::bus_rows(const BusBit& bit) {
+  const auto l = static_cast<std::size_t>(bit.line);
+  if (l >= line_row_.size()) {
+    line_row_.resize(l + 1, kNoRow);
+    pairs_.resize(l + 1);
   }
-  if (!pairs_.empty()) ++lines;
-  const std::size_t rows = line_base + lines + pairs_.size();
-  SITAM_CHECK_MSG(rows <= UINT32_MAX, "compaction: too many kernel rows");
-  rows_ = static_cast<std::uint32_t>(rows);
-  pair_base_ = static_cast<std::uint32_t>(line_base + lines);
+  if (line_row_[l] == kNoRow) line_row_[l] = add_bus_row();
+  std::vector<PairRow>& pairs = pairs_[l];
+  auto pair = std::find_if(pairs.begin(), pairs.end(), [&](const PairRow& p) {
+    return p.bit.driver_core == bit.driver_core;
+  });
+  if (pair == pairs.end()) {
+    pairs.push_back(PairRow{bit, add_bus_row()});
+    pair = pairs.end() - 1;
+  }
+  return BusRows{line_row_[l], pair->row};
 }
 
 void FirstFitKernel::add_block() {
   if (blocks_ == capacity_) {
     const std::size_t capacity = std::max<std::size_t>(1, 2 * capacity_);
-    std::vector<std::uint64_t> masks(rows_ * capacity, 0);
-    for (std::uint32_t r = 0; r < rows_; ++r) {
-      std::copy_n(row(r), blocks_, masks.data() + r * capacity);
-    }
-    masks_ = std::move(masks);
+    const auto relayout = [&](std::vector<std::uint64_t>& masks,
+                              std::size_t rows) {
+      std::vector<std::uint64_t> wider(rows * capacity, 0);
+      for (std::size_t r = 0; r < rows; ++r) {
+        std::copy_n(masks.data() + r * capacity_, blocks_,
+                    wider.data() + r * capacity);
+      }
+      masks = std::move(wider);
+    };
+    relayout(care_masks_, 4 * terminals_.size());
+    relayout(bus_masks_, bus_rows_);
     capacity_ = capacity;
   }
   ++blocks_;
 }
 
-void FirstFitKernel::place(std::size_t i) {
-  const SiPattern& p = patterns_[i];
+void FirstFitKernel::place(const PatternView& p) {
+  check_ids(p, total_terminals_, bus_width_);
   care_.clear();
   std::size_t transitions = 0;
   for (const auto& [terminal, value] : p.assignments()) {
@@ -276,13 +308,7 @@ void FirstFitKernel::place(std::size_t i) {
     if (is_transition(value)) std::swap(care_[transitions++], care_.back());
   }
   bus_.clear();
-  for (const BusBit& bit : p.bus_bits()) {
-    const auto k = static_cast<std::size_t>(
-        std::lower_bound(pairs_.begin(), pairs_.end(), bit, bus_bit_less) -
-        pairs_.begin());
-    bus_.push_back(
-        BusRows{pair_line_[k], pair_base_ + static_cast<std::uint32_t>(k)});
-  }
+  for (const BusBit& bit : p.bus_bits()) bus_.push_back(bus_rows(bit));
 
   constexpr std::uint64_t kFull = ~std::uint64_t{0};
   const std::span<const std::uint32_t> care = care_;
@@ -292,12 +318,12 @@ void FirstFitKernel::place(std::size_t i) {
   for (; b < blocks_; ++b) {
     std::uint64_t conflict = 0;
     for (const BusRows& rows : bus) {
-      conflict |= row(rows.line)[b] & ~row(rows.pair)[b];
+      conflict |= bus_row(rows.line)[b] & ~bus_row(rows.pair)[b];
     }
     // Four rows between exit checks keeps the loads independent.
     for (std::size_t k = 0; k < care.size() && conflict != kFull; k += 4) {
       const std::size_t end = std::min(care.size(), k + 4);
-      for (std::size_t j = k; j < end; ++j) conflict |= row(care[j])[b];
+      for (std::size_t j = k; j < end; ++j) conflict |= care_row(care[j])[b];
     }
     if (conflict != kFull) {
       cls = b * 64 + static_cast<std::size_t>(std::countr_one(conflict));
@@ -316,24 +342,39 @@ void FirstFitKernel::place(std::size_t i) {
     // The class now conflicts with every other value at this terminal.
     const std::uint32_t base = r & ~3u;
     for (std::uint32_t v = base; v < base + 4; ++v) {
-      if (v != r) row(v)[b] |= bit;
+      if (v != r) care_row(v)[b] |= bit;
     }
   }
   for (const BusRows& rows : bus) {
-    row(rows.line)[b] |= bit;
-    row(rows.pair)[b] |= bit;
+    bus_row(rows.line)[b] |= bit;
+    bus_row(rows.pair)[b] |= bit;
   }
 }
 
 std::vector<SiPattern> FirstFitKernel::materialize() const {
+  std::vector<std::uint32_t> by_id(terminals_.size());
+  std::iota(by_id.begin(), by_id.end(), std::uint32_t{0});
+  std::sort(by_id.begin(), by_id.end(), [this](std::uint32_t a,
+                                               std::uint32_t b) {
+    return terminals_[a] < terminals_[b];
+  });
+  std::vector<PairRow> pairs;
+  for (const std::vector<PairRow>& line : pairs_) {
+    pairs.insert(pairs.end(), line.begin(), line.end());
+  }
+  std::sort(pairs.begin(), pairs.end(),
+            [](const PairRow& a, const PairRow& b) {
+              return bus_bit_less(a.bit, b.bit);
+            });
+
   std::vector<SiPattern> out(classes_);
   // Block by block, so the appends go to 64 patterns at a time.
   for (std::size_t b = 0; b < blocks_; ++b) {
     SiPattern* const block = out.data() + b * 64;
-    for (std::size_t u = 0; u < terminals_.size(); ++u) {
-      const auto r = static_cast<std::uint32_t>(4 * u);
-      const std::uint64_t values[4] = {row(r)[b], row(r + 1)[b],
-                                       row(r + 2)[b], row(r + 3)[b]};
+    for (const std::uint32_t u : by_id) {
+      const std::uint32_t r = 4 * u;
+      const std::uint64_t values[4] = {care_row(r)[b], care_row(r + 1)[b],
+                                       care_row(r + 2)[b], care_row(r + 3)[b]};
       std::uint64_t cared = values[0] | values[1] | values[2] | values[3];
       for (; cared != 0; cared &= cared - 1) {
         const int c = std::countr_zero(cared);
@@ -343,15 +384,47 @@ std::vector<SiPattern> FirstFitKernel::materialize() const {
         block[c].set(terminals_[u], kCareValues[v]);
       }
     }
-    for (std::size_t k = 0; k < pairs_.size(); ++k) {
-      std::uint64_t drives = row(pair_base_ + static_cast<std::uint32_t>(k))[b];
-      for (; drives != 0; drives &= drives - 1) {
-        block[std::countr_zero(drives)].set_bus(pairs_[k].line,
-                                                pairs_[k].driver_core);
+    for (const PairRow& pair : pairs) {
+      for (std::uint64_t drives = bus_row(pair.row)[b]; drives != 0;
+           drives &= drives - 1) {
+        block[std::countr_zero(drives)].set_bus(pair.bit.line,
+                                                pair.bit.driver_core);
       }
     }
   }
   return out;
+}
+
+/// The greedy sweep: `feed` places patterns into a fresh kernel, in sweep
+/// order, and returns how many. First-fit in that order *is* the sweep:
+/// class k holds exactly what round k would absorb, because a pattern
+/// reaches round k's sweep iff rounds 0..k-1 rejected it, and each round's
+/// accumulator at pattern i is the union of its members before i.
+template <typename Feed>
+[[nodiscard]] FirstFitKernel sweep(int total_terminals, int bus_width,
+                                   const Feed& feed) {
+  if (total_terminals < 0 || bus_width < 0) {
+    throw std::invalid_argument("compact_greedy: negative dimensions");
+  }
+  FirstFitKernel kernel(total_terminals, bus_width);
+  const std::size_t in = feed(kernel);
+  // One class per sweep round; the probe count shows how far candidates
+  // scan before they find their class.
+  SITAM_COUNTER("pattern.compaction.rounds", kernel.classes());
+  SITAM_COUNTER("pattern.compaction.block_probes", kernel.block_probes());
+  SITAM_COUNTER("pattern.compaction.patterns_in", in);
+  SITAM_COUNTER("pattern.compaction.patterns_out", kernel.classes());
+  return kernel;
+}
+
+/// sweep() over the `members` of `patterns`, in member order.
+[[nodiscard]] FirstFitKernel sweep(std::span<const PatternView> patterns,
+                                   std::span<const std::uint32_t> members,
+                                   int total_terminals, int bus_width) {
+  return sweep(total_terminals, bus_width, [&](FirstFitKernel& kernel) {
+    for (const std::uint32_t i : members) kernel.place(patterns[i]);
+    return members.size();
+  });
 }
 
 /// 0, 1, ..., n-1: every pattern, in input order.
@@ -360,28 +433,6 @@ std::vector<SiPattern> FirstFitKernel::materialize() const {
   std::vector<std::uint32_t> members(n);
   std::iota(members.begin(), members.end(), std::uint32_t{0});
   return members;
-}
-
-/// The greedy sweep over `members`, in member order. First-fit in that
-/// order *is* the sweep: class k holds exactly what round k would absorb,
-/// because a pattern reaches round k's sweep iff rounds 0..k-1 rejected
-/// it, and each round's accumulator at pattern i is the union of its
-/// members before i.
-[[nodiscard]] FirstFitKernel sweep(std::span<const SiPattern> patterns,
-                                   std::span<const std::uint32_t> members,
-                                   int total_terminals, int bus_width) {
-  if (total_terminals < 0 || bus_width < 0) {
-    throw std::invalid_argument("compact_greedy: negative dimensions");
-  }
-  FirstFitKernel kernel(patterns, members, total_terminals, bus_width);
-  for (const std::uint32_t i : members) kernel.place(i);
-  // One class per sweep round; the probe count shows how far candidates
-  // scan before they find their class.
-  SITAM_COUNTER("pattern.compaction.rounds", kernel.classes());
-  SITAM_COUNTER("pattern.compaction.block_probes", kernel.block_probes());
-  SITAM_COUNTER("pattern.compaction.patterns_in", members.size());
-  SITAM_COUNTER("pattern.compaction.patterns_out", kernel.classes());
-  return kernel;
 }
 
 }  // namespace
@@ -395,16 +446,16 @@ CompactionResult compact_greedy(std::span<const SiPattern> patterns,
   Stopwatch watch;
   CompactionResult result;
   result.stats.original_count = patterns.size();
-  result.patterns =
-      sweep(patterns, all_members(patterns.size()), total_terminals,
-            bus_width)
-          .materialize();
+  result.patterns = sweep(pattern_views(patterns),
+                          all_members(patterns.size()), total_terminals,
+                          bus_width)
+                        .materialize();
   result.stats.compacted_count = result.patterns.size();
   result.stats.seconds = watch.seconds();
   return result;
 }
 
-std::size_t compact_greedy_count(std::span<const SiPattern> patterns,
+std::size_t compact_greedy_count(std::span<const PatternView> patterns,
                                  std::span<const std::uint32_t> members,
                                  int total_terminals, int bus_width) {
   for (const std::uint32_t i : members) {
@@ -414,6 +465,31 @@ std::size_t compact_greedy_count(std::span<const SiPattern> patterns,
     }
   }
   return sweep(patterns, members, total_terminals, bus_width).classes();
+}
+
+std::size_t compact_greedy_count(std::span<const SiPattern> patterns,
+                                 std::span<const std::uint32_t> members,
+                                 int total_terminals, int bus_width) {
+  return compact_greedy_count(pattern_views(patterns), members,
+                              total_terminals, bus_width);
+}
+
+std::size_t compact_greedy_count(const RawPatternStore& store,
+                                 int total_terminals, int bus_width,
+                                 const CancelToken* cancel) {
+  return sweep(total_terminals, bus_width, [&](FirstFitKernel& kernel) {
+           std::size_t in = 0;
+           for (std::size_t k = 0;; ++k) {
+             const RawPatternStore::Chunk* chunk = store.wait_chunk(k);
+             if (chunk == nullptr) return in;
+             check_cancel(cancel);
+             for (std::size_t j = 0; j < chunk->size(); ++j) {
+               kernel.place((*chunk)[j]);
+             }
+             in += chunk->size();
+           }
+         })
+      .classes();
 }
 
 CompactionResult compact_greedy_reference(std::span<const SiPattern> patterns,
@@ -464,10 +540,12 @@ CompactionResult compact_first_fit(std::span<const SiPattern> patterns,
   CompactionResult result;
   result.stats.original_count = patterns.size();
 
-  // The kernel validates in input order, so a bad id throws the same error
+  // Ids are checked in input order, so a bad id throws the same error
   // whichever order the patterns are then placed in.
-  FirstFitKernel kernel(patterns, all_members(patterns.size()),
-                        total_terminals, bus_width);
+  for (const SiPattern& p : patterns) {
+    check_ids(p, total_terminals, bus_width);
+  }
+  FirstFitKernel kernel(total_terminals, bus_width);
 
   // Welsh-Powell order: densest (hardest to place) patterns first. The
   // density keys are computed once up front — not inside the comparator,
@@ -483,7 +561,7 @@ CompactionResult compact_first_fit(std::span<const SiPattern> patterns,
                    [&density](std::size_t a, std::size_t b) {
                      return density[a] > density[b];
                    });
-  for (const std::size_t i : order) kernel.place(i);
+  for (const std::size_t i : order) kernel.place(patterns[i]);
   result.patterns = kernel.materialize();
 
   result.stats.compacted_count = result.patterns.size();

@@ -7,11 +7,15 @@
 // incompatible with this value here" — plus a mask per bus line and per
 // (line, driver) pair. Placing a candidate ORs one mask word per care bit
 // (and `line & ~driver` per bus bit) into a block's conflict word; the
-// lowest zero bit is its class, tested 64 classes at a time. Only the
-// terminals and lines the input uses get masks, so a call costs
+// lowest zero bit is its class, tested 64 classes at a time. A terminal,
+// line or pair gets its masks when the first pattern using it is placed
+// (the row order never reaches the output), so the kernel reads patterns
+// as they arrive — a RawPatternStore chunk by chunk — and a call costs
 // ⌈C/64⌉ × (4·U + B + P) words for C classes, U used terminals, B used bus
 // lines and P ≤ B·D distinct (line, driver) pairs — independent of the
-// declared terminal space.
+// declared terminal space. Nothing reads a care list in order, so the
+// kernel takes PatternViews of unsorted store patterns and of SiPatterns
+// alike.
 //
 //  * compact_greedy — the paper's heuristic: take the first uncompacted
 //    pattern and merge every following compatible pattern into it, repeat.
@@ -22,7 +26,8 @@
 //    each candidate is placed once instead of re-probed every round.
 //
 //    compact_greedy_count runs the same sweep over a member list of a
-//    larger set and returns only the class count: the 2-D compaction
+//    larger set, or over a whole RawPatternStore as its chunks are
+//    published, and returns only the class count: the 2-D compaction
 //    (sitest) needs nothing else, and skips building the patterns.
 //
 //  * compact_first_fit — a classical clique-cover approximation:
@@ -44,6 +49,8 @@
 #include <vector>
 
 #include "pattern/pattern.h"
+#include "pattern/raw_store.h"
+#include "util/cancel.h"
 
 namespace sitam {
 
@@ -75,7 +82,7 @@ struct CompactionConfig {
 /// Paper's greedy sweep on the first-fit block kernel. `total_terminals`
 /// and `bus_width` bound the ids (use TerminalSpace::total() and the bus
 /// width; patterns with ids outside these ranges throw std::out_of_range,
-/// checked in input order before any work is done).
+/// checked in input order, each pattern's terminals before its bus lines).
 /// Throws std::invalid_argument for negative dimensions or threads < 1.
 [[nodiscard]] CompactionResult compact_greedy(
     std::span<const SiPattern> patterns, int total_terminals, int bus_width,
@@ -87,9 +94,23 @@ struct CompactionConfig {
 /// dimension and id checks as compact_greedy, in member order; a member
 /// outside `patterns` throws std::out_of_range.
 [[nodiscard]] std::size_t compact_greedy_count(
+    std::span<const PatternView> patterns,
+    std::span<const std::uint32_t> members, int total_terminals,
+    int bus_width);
+[[nodiscard]] std::size_t compact_greedy_count(
     std::span<const SiPattern> patterns,
     std::span<const std::uint32_t> members, int total_terminals,
     int bus_width);
+
+/// Compacted count of the greedy sweep over every pattern of `store`, in
+/// store order. Places each chunk as soon as it is published, so it can
+/// run on another thread while the store is being written; returns once
+/// the store is closed and every chunk is placed. Same checks as
+/// compact_greedy; `cancel` is checked before each chunk (nullptr = never
+/// cancelled) and throws sitam::Cancelled.
+[[nodiscard]] std::size_t compact_greedy_count(
+    const RawPatternStore& store, int total_terminals, int bus_width,
+    const CancelToken* cancel = nullptr);
 
 /// The historical sparse-list sweep (per-care-bit checks against an
 /// epoch-stamped dense accumulator). Frozen as the benchmark baseline and

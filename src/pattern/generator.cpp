@@ -24,57 +24,53 @@ SigValue random_transition(Rng& rng) {
   return rng.chance(0.5) ? SigValue::kRise : SigValue::kFall;
 }
 
-}  // namespace
-
-std::vector<SiPattern> generate_random_patterns(
-    const TerminalSpace& terminals, std::int64_t count,
-    const RandomPatternConfig& config, Rng& rng) {
+void check_random_config(const TerminalSpace& terminals, std::int64_t count,
+                         const RandomPatternConfig& config) {
   if (terminals.core_count() < 2) {
-    throw std::invalid_argument(
-        "generate_random_patterns: need at least 2 cores");
+    throw std::invalid_argument("random SI patterns: need at least 2 cores");
   }
   if (count < 0) {
-    throw std::invalid_argument("generate_random_patterns: negative count");
+    throw std::invalid_argument("random SI patterns: negative count");
   }
   if (config.min_aggressors < 1 ||
       config.max_aggressors < config.min_aggressors) {
-    throw std::invalid_argument(
-        "generate_random_patterns: bad aggressor range");
+    throw std::invalid_argument("random SI patterns: bad aggressor range");
   }
   if (config.bus_use_probability < 0.0 || config.bus_use_probability > 1.0) {
     throw std::invalid_argument(
-        "generate_random_patterns: bus probability outside [0,1]");
+        "random SI patterns: bus probability outside [0,1]");
   }
   if (config.bus_width < 0 || config.max_external_aggressors < 0 ||
       config.min_external_aggressors < 0 || config.locality_window < 0 ||
       config.external_core_ring < 0) {
-    throw std::invalid_argument("generate_random_patterns: negative config");
+    throw std::invalid_argument("random SI patterns: negative config");
   }
+}
 
+}  // namespace
+
+void draw_random_patterns(const TerminalSpace& terminals, std::int64_t count,
+                          const RandomPatternConfig& config, Rng& rng,
+                          RawPatternStore& out) {
+  check_random_config(terminals, count, config);
   const int cores = terminals.core_count();
-  std::vector<SiPattern> patterns;
-  patterns.reserve(static_cast<std::size_t>(count));
 
-  // Per-call scratch, so a pattern costs no allocation beyond its own two
-  // lists: stamp[t] == n + 1 iff pattern n has already written terminal t
-  // (the first write wins), `cares` and `bus` collect pattern n's entries,
-  // `picks` holds the sampled indices.
+  // Per-call scratch, so a pattern costs no allocation: stamp[t] == n + 1
+  // iff pattern n has already written terminal t (the first write wins),
+  // `picks` holds the sampled indices. Cares go to the store in draw
+  // order.
   std::vector<std::int64_t> stamp(static_cast<std::size_t>(terminals.total()),
                                   0);
-  std::vector<std::pair<int, SigValue>> cares;
-  std::vector<BusBit> bus;
   std::vector<std::size_t> picks;
 
   for (std::int64_t n = 0; n < count; ++n) {
     const std::int64_t mark = n + 1;
-    cares.clear();
-    bus.clear();
     const auto is_free = [&](int t) {
       return stamp[static_cast<std::size_t>(t)] != mark;
     };
     const auto write = [&](int t, SigValue value) {
       stamp[static_cast<std::size_t>(t)] = mark;
-      cares.emplace_back(t, value);
+      out.add_care(t, value);
     };
 
     // Victim: a random output terminal of a random core.
@@ -189,12 +185,35 @@ std::vector<SiPattern> generate_random_patterns(
                          static_cast<std::size_t>(occupied), picks);
       std::sort(picks.begin(), picks.end());
       for (const std::size_t line : picks) {
-        bus.push_back(BusBit{static_cast<int>(line), victim_core});
+        out.add_bus(BusBit{static_cast<int>(line), victim_core});
       }
     }
+    out.end_pattern();
+  }
+}
 
-    std::ranges::sort(cares, {}, &std::pair<int, SigValue>::first);
-    patterns.emplace_back().assign(cares, bus);
+std::vector<SiPattern> generate_random_patterns(
+    const TerminalSpace& terminals, std::int64_t count,
+    const RandomPatternConfig& config, Rng& rng) {
+  check_random_config(terminals, count, config);
+  std::vector<SiPattern> patterns;
+  patterns.reserve(static_cast<std::size_t>(count));
+  // The draw stream chunk by chunk (one RNG stream, so chunking changes
+  // nothing), each pattern's cares sorted into a SiPattern.
+  std::vector<std::pair<int, SigValue>> cares;
+  for (std::int64_t done = 0; done < count;) {
+    const std::int64_t n = std::min<std::int64_t>(
+        count - done,
+        static_cast<std::int64_t>(RawPatternStore::kChunkPatterns));
+    RawPatternStore chunk(static_cast<std::size_t>(n));
+    draw_random_patterns(terminals, n, config, rng, chunk);
+    chunk.close();
+    for (const PatternView& p : chunk.views()) {
+      cares.assign(p.assignments().begin(), p.assignments().end());
+      std::ranges::sort(cares, {}, &std::pair<int, SigValue>::first);
+      patterns.emplace_back().assign(cares, p.bus_bits());
+    }
+    done += n;
   }
   return patterns;
 }

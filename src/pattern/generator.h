@@ -2,10 +2,11 @@
 //
 // Three generators are provided:
 //
-//  * generate_random_patterns — the workload of the paper's §5 experiments:
+//  * draw_random_patterns — the workload of the paper's §5 experiments:
 //    one victim, Na ∈ [2,6] random aggressors with at most two outside the
 //    victim core boundary, and a 32-bit shared bus occupied with
-//    probability 50% (1..Na postfix bits).
+//    probability 50% (1..Na postfix bits). It writes a RawPatternStore;
+//    generate_random_patterns is the same draw as sorted SiPatterns.
 //
 //  * generate_ma_patterns — the maximal-aggressor fault model [Cuviello et
 //    al., ICCAD'99]: 6 vector pairs per victim net (positive/negative
@@ -24,6 +25,7 @@
 #include "interconnect/terminal_space.h"
 #include "interconnect/topology.h"
 #include "pattern/pattern.h"
+#include "pattern/raw_store.h"
 #include "util/rng.h"
 
 namespace sitam {
@@ -58,9 +60,17 @@ struct RandomPatternConfig {
   double bus_use_probability = 0.5;
 };
 
-/// Generates `count` random SI vector pairs per §5 of the paper.
+/// Draws `count` random SI vector pairs per §5 of the paper into `out`
+/// (cares in draw order), continuing `rng`'s stream: two calls of n and m
+/// patterns draw exactly what one call of n + m does. `out` is not closed.
 /// Throws std::invalid_argument on a degenerate configuration (fewer than
-/// two cores, non-positive counts, bad probability...).
+/// two cores, negative counts, bad probability...).
+void draw_random_patterns(const TerminalSpace& terminals, std::int64_t count,
+                          const RandomPatternConfig& config, Rng& rng,
+                          RawPatternStore& out);
+
+/// draw_random_patterns as SiPatterns: each pattern's cares sorted by
+/// terminal. Same checks.
 [[nodiscard]] std::vector<SiPattern> generate_random_patterns(
     const TerminalSpace& terminals, std::int64_t count,
     const RandomPatternConfig& config, Rng& rng);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <functional>
 #include <future>
 #include <limits>
 #include <numeric>
@@ -62,7 +63,7 @@ struct CareIndex {
 /// open-addressing table maps masks to first-seen ids, and a final sort
 /// renumbers the distinct sets lexicographically. Validates every id in
 /// input order; `bus_width` bounds the bus lines.
-CareIndex index_care_sets(std::span<const SiPattern> patterns,
+CareIndex index_care_sets(std::span<const PatternView> patterns,
                           const TerminalSpace& terminals, int bus_width) {
   SITAM_TRACE_SPAN_ARG("sitest.index",
                        static_cast<std::int64_t>(patterns.size()));
@@ -100,7 +101,7 @@ CareIndex index_care_sets(std::span<const SiPattern> patterns,
   index.set_of.resize(patterns.size());
   std::vector<std::uint64_t> mask(words);
   for (std::size_t i = 0; i < patterns.size(); ++i) {
-    const SiPattern& p = patterns[i];
+    const PatternView& p = patterns[i];
     std::fill(mask.begin(), mask.end(), 0);
     for (const auto& [terminal, value] : p.assignments()) {
       (void)value;
@@ -195,24 +196,20 @@ struct CompactionJob {
   std::vector<std::uint32_t> members;
 };
 
-/// The all-cores group holding every pattern (i = 1), plus its job.
-void add_single_group(const CareIndex& index, int cores, std::size_t set_index,
-                      SiTestSet& set, std::vector<CompactionJob>& jobs) {
-  const std::size_t patterns = index.set_of.size();
+/// The all-cores group holding every pattern (i = 1). Its compaction is
+/// the pass's one count over every pattern, started before the partitions.
+void add_single_group(const CareIndex& index, int cores, SiTestSet& set) {
   SITAM_CHECK(set.groups.empty());
   set.parts = 1;
-  if (patterns == 0) return;
+  if (index.set_of.empty()) return;
   SiTestGroup group;
   group.label = "g1";
   group.cores.resize(static_cast<std::size_t>(cores));
   std::iota(group.cores.begin(), group.cores.end(), 0);
-  group.raw_patterns = static_cast<std::int64_t>(patterns);
+  group.raw_patterns = static_cast<std::int64_t>(index.set_of.size());
   group.uses_bus =
       std::find(index.bus.begin(), index.bus.end(), true) != index.bus.end();
   set.groups.push_back(std::move(group));
-  std::vector<std::uint32_t> members(patterns);
-  std::iota(members.begin(), members.end(), std::uint32_t{0});
-  jobs.push_back(CompactionJob{set_index, 0, std::move(members)});
 }
 
 /// The groups of a partition into `partition.parts` (patterns still 0),
@@ -278,23 +275,10 @@ void add_grouping(const CareIndex& index, const Partition& partition,
   }
 }
 
-}  // namespace
-
-Hypergraph build_core_hypergraph(std::span<const SiPattern> patterns,
-                                 const TerminalSpace& terminals) {
-  return core_hypergraph(
-      index_care_sets(patterns, terminals, std::numeric_limits<int>::max()),
-      terminals);
-}
-
-std::vector<SiTestSet> build_si_test_sets(std::span<const SiPattern> patterns,
-                                          const TerminalSpace& terminals,
-                                          std::span<const int> groupings,
-                                          const GroupingConfig& config,
-                                          int threads,
-                                          const CancelToken* cancel) {
-  // At most one job per part holding a core, plus the remainder.
-  const int cores = terminals.core_count();
+/// Checks a pass's groupings and thread counts; returns its most jobs:
+/// one per part holding a core, plus the remainder (one at i = 1).
+std::size_t check_pass(std::span<const int> groupings, int cores,
+                       const GroupingConfig& config) {
   std::size_t max_jobs = 0;
   for (const int parts : groupings) {
     if (parts < 1) {
@@ -303,13 +287,52 @@ std::vector<SiTestSet> build_si_test_sets(std::span<const SiPattern> patterns,
     max_jobs +=
         parts == 1 ? 1 : static_cast<std::size_t>(std::min(parts, cores)) + 1;
   }
-  if (threads < 1 || config.compaction.threads < 1) {
+  if (config.compaction.threads < 1) {
     throw std::invalid_argument("build_si_test_sets: threads must be >= 1");
   }
-  const CareIndex index =
-      index_care_sets(patterns, terminals, config.bus_width);
-  const Hypergraph hg = core_hypergraph(index, terminals);
+  return max_jobs;
+}
 
+/// The jobs a pass has started. Each borrows the pass's state and the
+/// executor may outlive the pass, so an unwinding pass first waits for
+/// every job it started.
+struct StartedJobs {
+  std::future<std::size_t> single;  ///< The i = 1 count, if any.
+  std::vector<std::future<Partition>> partitions;
+  std::vector<std::future<std::size_t>> counts;
+
+  StartedJobs() = default;
+  StartedJobs(const StartedJobs&) = delete;
+  StartedJobs& operator=(const StartedJobs&) = delete;
+  ~StartedJobs() {
+    if (single.valid()) single.wait();
+    for (const auto& p : partitions) {
+      if (p.valid()) p.wait();
+    }
+    for (const auto& c : counts) {
+      if (c.valid()) c.wait();
+    }
+  }
+};
+
+/// The rest of a pass once its raw set is complete and indexed, with the
+/// i = 1 count already started in `single` (valid iff some grouping is 1;
+/// taken over and waited for here, like every job this starts): partitions
+/// every grouping i >= 2 on `executor` beside it, buckets the patterns and
+/// runs those groups' compactions longest first. Results land by job
+/// index, so neither the order nor the thread count changes them.
+std::vector<SiTestSet> finish_pass(std::span<const PatternView> patterns,
+                                   const CareIndex& index,
+                                   const TerminalSpace& terminals,
+                                   std::span<const int> groupings,
+                                   const GroupingConfig& config,
+                                   std::size_t max_jobs, Executor& executor,
+                                   const CancelToken* cancel,
+                                   std::future<std::size_t>& single) {
+  SITAM_CHECK(single.valid() ==
+              (std::find(groupings.begin(), groupings.end(), 1) !=
+               groupings.end()));
+  const Hypergraph hg = core_hypergraph(index, terminals);
   std::vector<SiTestSet> sets(groupings.size());
   // Reserved so that no job moves while a worker reads its members.
   std::vector<CompactionJob> jobs;
@@ -321,55 +344,139 @@ std::vector<SiTestSet> build_si_test_sets(std::span<const SiPattern> patterns,
     return compact_greedy_count(patterns, members, terminals.total(),
                                 config.bus_width);
   };
-  Executor executor(ThreadPool::workers_for(threads, max_jobs));
-  std::vector<std::future<std::size_t>> counts;
-  // Starts jobs [from, end) longest first, so the biggest compactions do
-  // not wait behind small ones. Results land by job index: the order and
-  // the thread count change only the timing.
-  const auto start_jobs = [&](std::size_t from) {
-    std::vector<std::size_t> order(jobs.size() - from);
-    std::iota(order.begin(), order.end(), from);
-    std::stable_sort(order.begin(), order.end(),
-                     [&jobs](std::size_t a, std::size_t b) {
-                       return jobs[a].members.size() > jobs[b].members.size();
-                     });
-    counts.resize(jobs.size());
-    for (const std::size_t j : order) {
-      counts[j] = executor.submit(
-          [&compact, members = std::span<const std::uint32_t>(
-                         jobs[j].members)] { return compact(members); });
-    }
-  };
+  StartedJobs started;
+  started.single = std::move(single);
 
-  // i = 1 needs no partition, and its job holds every pattern: it starts
-  // first, while the other groupings are partitioned beside it.
+  started.partitions.resize(groupings.size());
   for (std::size_t g = 0; g < groupings.size(); ++g) {
     if (groupings[g] == 1) {
-      add_single_group(index, cores, g, sets[g], jobs);
+      add_single_group(index, terminals.core_count(), sets[g]);
+      continue;
     }
-  }
-  start_jobs(0);
-  std::vector<std::future<Partition>> partitions(groupings.size());
-  for (std::size_t g = 0; g < groupings.size(); ++g) {
-    if (groupings[g] == 1) continue;
-    partitions[g] = executor.submit([&, parts = groupings[g]] {
+    started.partitions[g] = executor.submit([&, parts = groupings[g]] {
       check_cancel(cancel);
       SITAM_TRACE_SPAN_ARG("sitest.partition", parts);
       return partition_hypergraph(hg, parts, config.partition);
     });
   }
-  const std::size_t partitioned = jobs.size();
   for (std::size_t g = 0; g < groupings.size(); ++g) {
     if (groupings[g] == 1) continue;
-    add_grouping(index, partitions[g].get(), g, sets[g], jobs);
+    add_grouping(index, started.partitions[g].get(), g, sets[g], jobs);
   }
-  start_jobs(partitioned);
+  // Longest first, so the biggest compactions do not wait behind small
+  // ones.
+  std::vector<std::size_t> order(jobs.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&jobs](std::size_t a, std::size_t b) {
+                     return jobs[a].members.size() > jobs[b].members.size();
+                   });
+  started.counts.resize(jobs.size());
+  for (const std::size_t j : order) {
+    started.counts[j] = executor.submit(
+        [&compact, members = std::span<const std::uint32_t>(
+                       jobs[j].members)] { return compact(members); });
+  }
 
+  if (started.single.valid()) {
+    const auto count = static_cast<std::int64_t>(started.single.get());
+    for (std::size_t g = 0; g < groupings.size(); ++g) {
+      if (groupings[g] == 1 && !sets[g].groups.empty()) {
+        sets[g].groups.front().patterns = count;
+      }
+    }
+  }
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     sets[jobs[j].set].groups[jobs[j].group].patterns =
-        static_cast<std::int64_t>(counts[j].get());
+        static_cast<std::int64_t>(started.counts[j].get());
   }
   return sets;
+}
+
+}  // namespace
+
+Hypergraph build_core_hypergraph(std::span<const SiPattern> patterns,
+                                 const TerminalSpace& terminals) {
+  return core_hypergraph(
+      index_care_sets(pattern_views(patterns), terminals,
+                      std::numeric_limits<int>::max()),
+      terminals);
+}
+
+std::vector<SiTestSet> build_si_test_sets(std::span<const SiPattern> patterns,
+                                          const TerminalSpace& terminals,
+                                          std::span<const int> groupings,
+                                          const GroupingConfig& config,
+                                          int threads,
+                                          const CancelToken* cancel) {
+  const std::size_t max_jobs =
+      check_pass(groupings, terminals.core_count(), config);
+  if (threads < 1) {
+    throw std::invalid_argument("build_si_test_sets: threads must be >= 1");
+  }
+  const std::vector<PatternView> views = pattern_views(patterns);
+  const CareIndex index =
+      index_care_sets(views, terminals, config.bus_width);
+  Executor executor(ThreadPool::workers_for(threads, max_jobs));
+  StartedJobs started;
+  if (std::find(groupings.begin(), groupings.end(), 1) != groupings.end()) {
+    // i = 1 needs no partition, and its job holds every pattern: it starts
+    // first, while the other groupings are partitioned beside it.
+    started.single = executor.submit([&] {
+      check_cancel(cancel);
+      SITAM_TRACE_SPAN_ARG("sitest.compact",
+                           static_cast<std::int64_t>(views.size()));
+      std::vector<std::uint32_t> members(views.size());
+      std::iota(members.begin(), members.end(), std::uint32_t{0});
+      return compact_greedy_count(views, members, terminals.total(),
+                                  config.bus_width);
+    });
+  }
+  return finish_pass(views, index, terminals, groupings, config, max_jobs,
+                     executor, cancel, started.single);
+}
+
+std::vector<SiTestSet> build_si_test_sets(
+    RawPatternStore& store, const std::function<void()>& draw,
+    const TerminalSpace& terminals, std::span<const int> groupings,
+    const GroupingConfig& config, Executor& executor,
+    const CancelToken* cancel) {
+  const std::size_t max_jobs =
+      check_pass(groupings, terminals.core_count(), config);
+  StartedJobs started;
+  const bool single =
+      std::find(groupings.begin(), groupings.end(), 1) != groupings.end();
+  // The i = 1 count reads the chunks in store order as `draw` publishes
+  // them; its span's arg is set once the store is complete.
+  const auto count_all = [&store, &terminals, &config, cancel] {
+    check_cancel(cancel);
+    obs::ScopedSpan span("sitest.compact");
+    const std::size_t count = compact_greedy_count(
+        store, terminals.total(), config.bus_width, cancel);
+    span.set_arg(static_cast<std::int64_t>(store.size()));
+    return count;
+  };
+  // On a pool it starts before the first chunk is drawn; on the caller it
+  // runs once the store is closed.
+  if (single && executor.size() > 1) {
+    started.single = executor.submit(count_all);
+  }
+  try {
+    draw();
+  } catch (...) {
+    store.close();  // lets a streaming count finish before `started` waits
+    throw;
+  }
+  store.close();
+  check_cancel(cancel);
+  if (single && !started.single.valid()) {
+    started.single = executor.submit(count_all);
+  }
+  const std::vector<PatternView> views = store.views();
+  const CareIndex index =
+      index_care_sets(views, terminals, config.bus_width);
+  return finish_pass(views, index, terminals, groupings, config, max_jobs,
+                     executor, cancel, started.single);
 }
 
 SiTestSet build_si_test_set(std::span<const SiPattern> patterns,

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -27,7 +28,9 @@
 #include "interconnect/terminal_space.h"
 #include "pattern/compaction.h"
 #include "pattern/pattern.h"
+#include "pattern/raw_store.h"
 #include "util/cancel.h"
+#include "util/thread_pool.h"
 
 namespace sitam {
 
@@ -88,10 +91,12 @@ void assign_si_power(SiTestSet& set, const Soc& soc,
 /// each bucket. parts == 1 degenerates to pure one-dimensional (count-only)
 /// compaction with a single group spanning all cores.
 ///
-/// The compactions of all groupings' groups run longest first on
-/// min(`threads`, jobs) pool workers; threads == 1 runs them on the caller.
-/// The result does not depend on `threads`. `cancel` is checked before each
-/// compaction starts (nullptr = never cancelled).
+/// The i = 1 count starts first; the partitions of every grouping i >= 2
+/// run beside it, then their groups' compactions run longest first. All of
+/// it runs on min(`threads`, jobs) pool workers; threads == 1 runs it on
+/// the caller. The result does not depend on `threads`. `cancel` is
+/// checked before each partition and compaction starts (nullptr = never
+/// cancelled).
 ///
 /// Throws std::invalid_argument for parts < 1, threads < 1 or
 /// config.compaction.threads < 1, std::out_of_range for a terminal, bus
@@ -101,6 +106,22 @@ void assign_si_power(SiTestSet& set, const Soc& soc,
     std::span<const SiPattern> patterns, const TerminalSpace& terminals,
     std::span<const int> groupings, const GroupingConfig& config,
     int threads, const CancelToken* cancel = nullptr);
+
+/// The same pass over a raw set that `draw` writes into `store` (open, and
+/// closed here), with its jobs on `executor` — the workload prepare's
+/// pipeline. On a pool (executor.size() > 1) the i = 1 count starts before
+/// `draw` is called and places each chunk as soon as the store publishes
+/// it; on the caller it runs the same chunks in the same order once `draw`
+/// returns. The care-set index, the partitions and the i >= 2 jobs follow
+/// as in the span form, which this matches for any executor. Ids are
+/// checked by the index after `draw`, in store order.
+/// `cancel` is also checked after `draw` and before each chunk the count
+/// places. Every started job has finished when this returns or throws.
+[[nodiscard]] std::vector<SiTestSet> build_si_test_sets(
+    RawPatternStore& store, const std::function<void()>& draw,
+    const TerminalSpace& terminals, std::span<const int> groupings,
+    const GroupingConfig& config, Executor& executor,
+    const CancelToken* cancel = nullptr);
 
 /// One grouping of build_si_test_sets, on the caller's thread.
 [[nodiscard]] SiTestSet build_si_test_set(std::span<const SiPattern> patterns,

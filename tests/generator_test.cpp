@@ -11,6 +11,7 @@
 #include "interconnect/terminal_space.h"
 #include "interconnect/topology.h"
 #include "pattern/generator.h"
+#include "pattern/raw_store.h"
 #include "soc/benchmarks.h"
 #include "util/rng.h"
 
@@ -255,6 +256,111 @@ TEST(RandomGenerator, PinnedConfigVariants) {
             3113287677554984865ULL);
   EXPECT_EQ(generated_digest("d695", 2000, RandomPatternConfig{}),
             120064043863362381ULL);
+}
+
+TEST(RandomGenerator, StoreDrawsSortedAreTheGeneratedPatterns) {
+  // draw_random_patterns writes cares in draw order; sorted per pattern
+  // they are generate_random_patterns' output, element by element, for
+  // any chunk size and however the draw is split into calls (one stream).
+  RandomPatternConfig wide_bus;
+  wide_bus.bus_width = 70;
+  wide_bus.bus_use_probability = 1.0;
+  wide_bus.max_aggressors = 40;
+  for (const char* soc_name : {"d695", "p93791"}) {
+    const Soc soc = load_benchmark(soc_name);
+    const TerminalSpace ts(soc);
+    for (const RandomPatternConfig& config :
+         {RandomPatternConfig{}, wide_bus}) {
+      Rng expected_rng(0x20070604ULL);
+      const std::vector<SiPattern> expected =
+          generate_random_patterns(ts, 5000, config, expected_rng);
+      for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
+                                      std::size_t{4096}, std::size_t{5000}}) {
+        RawPatternStore store(chunk);
+        Rng rng(0x20070604ULL);
+        for (const std::int64_t part : {1, 4094, 905}) {
+          draw_random_patterns(ts, part, config, rng, store);
+        }
+        store.close();
+        const std::vector<PatternView> views = store.views();
+        ASSERT_EQ(views.size(), expected.size());
+        ASSERT_EQ(store.size(), expected.size());
+        for (std::size_t i = 0; i < views.size(); ++i) {
+          std::vector<std::pair<int, SigValue>> cares(
+              views[i].assignments().begin(), views[i].assignments().end());
+          std::sort(cares.begin(), cares.end());
+          ASSERT_TRUE(std::ranges::equal(cares,
+                                         expected[i].assignments()))
+              << soc_name << " chunk=" << chunk << " pattern " << i;
+          ASSERT_TRUE(std::ranges::equal(views[i].bus_bits(),
+                                         expected[i].bus_bits()))
+              << soc_name << " chunk=" << chunk << " pattern " << i;
+        }
+      }
+      // Both generators continue the same stream.
+      EXPECT_EQ(expected_rng(), [&] {
+        Rng rng(0x20070604ULL);
+        RawPatternStore store;
+        draw_random_patterns(ts, 5000, config, rng, store);
+        return rng();
+      }());
+    }
+  }
+}
+
+TEST(RawPatternStore, ChunksPublishInOrderAndNeverMove) {
+  RawPatternStore store(3);
+  EXPECT_THROW(RawPatternStore(0), std::invalid_argument);
+  for (int n = 0; n < 7; ++n) {
+    for (int k = 0; k <= n % 3; ++k) {
+      store.add_care(10 * n + k, SigValue::kRise);
+    }
+    if (n % 2 == 0) store.add_bus(BusBit{n, 1});
+    store.end_pattern();
+  }
+  const RawPatternStore::Chunk* first = store.wait_chunk(0);
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(first->size(), 3u);
+  store.add_care(99, SigValue::kFall);  // an unfinished pattern is dropped
+  store.close();
+  store.close();  // idempotent
+  EXPECT_THROW(store.end_pattern(), std::logic_error);
+  EXPECT_EQ(store.wait_chunk(0), first);
+  ASSERT_NE(store.wait_chunk(2), nullptr);
+  EXPECT_EQ(store.wait_chunk(2)->size(), 1u);
+  EXPECT_EQ(store.wait_chunk(3), nullptr);
+  const std::vector<PatternView> views = store.views();
+  ASSERT_EQ(views.size(), 7u);
+  for (int n = 0; n < 7; ++n) {
+    const PatternView& p = views[static_cast<std::size_t>(n)];
+    ASSERT_EQ(p.assignments().size(), static_cast<std::size_t>(n % 3 + 1));
+    EXPECT_EQ(p.assignments().front().first, 10 * n);
+    EXPECT_EQ(p.bus_bits().size(), n % 2 == 0 ? 1u : 0u);
+  }
+}
+
+TEST(RawPatternStore, PatternsLongerThanASegmentStayContiguous) {
+  // A pattern that does not fit the rest of a segment moves to a fresh
+  // one, and one longer than a whole segment gets a segment of its own.
+  RawPatternStore store(2);
+  const std::size_t lengths[] = {RawPatternStore::kSegmentEntries - 3, 7,
+                                 3 * RawPatternStore::kSegmentEntries, 1};
+  for (const std::size_t length : lengths) {
+    for (std::size_t k = 0; k < length; ++k) {
+      store.add_care(static_cast<int>(k), SigValue::kStable1);
+    }
+    store.end_pattern();
+  }
+  store.close();
+  const std::vector<PatternView> views = store.views();
+  ASSERT_EQ(views.size(), std::size(lengths));
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    const auto cares = views[i].assignments();
+    ASSERT_EQ(cares.size(), lengths[i]);
+    for (std::size_t k = 0; k < cares.size(); ++k) {
+      ASSERT_EQ(cares[k].first, static_cast<int>(k)) << "pattern " << i;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -411,9 +411,11 @@ TEST(Obs, CompactionCountersReconcileWithTheResult) {
 TEST(Obs, TracedPrepareShowsTheGroupingSchedule) {
   // One index pass, one partition per grouping i > 1, and one compaction
   // span per non-empty group, whose arg is the group's raw pattern count.
+  // With pool workers, the i = 1 compaction streams: its span starts
+  // before the draw that feeds it ends.
   const Soc soc = load_benchmark("d695");
   SiWorkloadConfig config;
-  config.pattern_count = 2000;
+  config.pattern_count = 10000;
   config.groupings = {1, 2, 4, 8};
   obs::TraceSession session;
   const SiWorkload workload = SiWorkload::prepare(soc, config);
@@ -422,12 +424,18 @@ TEST(Obs, TracedPrepareShowsTheGroupingSchedule) {
   std::int64_t index = 0;
   std::vector<std::int64_t> partitions;
   std::vector<std::int64_t> compactions;
+  std::vector<obs::SpanEvent> generate;
+  std::vector<obs::SpanEvent> single;  // the i = 1 compaction
   for (const obs::TrackDump& track : dump.tracks) {
     for (const obs::SpanEvent& span : track.spans) {
       const std::string_view name = span.name;
       if (name == "sitest.index") ++index;
       if (name == "sitest.partition") partitions.push_back(span.arg);
       if (name == "sitest.compact") compactions.push_back(span.arg);
+      if (name == "sitest.compact" && span.arg == config.pattern_count) {
+        single.push_back(span);
+      }
+      if (name == "flow.workload.generate") generate.push_back(span);
     }
   }
   EXPECT_EQ(index, 1);
@@ -442,6 +450,14 @@ TEST(Obs, TracedPrepareShowsTheGroupingSchedule) {
   std::sort(groups.begin(), groups.end());
   std::sort(compactions.begin(), compactions.end());
   EXPECT_EQ(compactions, groups);
+
+  ASSERT_EQ(generate.size(), 1u);
+  EXPECT_EQ(generate.front().arg, config.pattern_count);
+  ASSERT_EQ(single.size(), 1u);
+  if (ThreadPool::hardware_threads() >= 2) {
+    EXPECT_LT(single.front().begin_ns, generate.front().end_ns)
+        << "the i = 1 compaction waited for the whole draw";
+  }
 }
 
 TEST(Obs, TracedSweepShowsOneJobSpanPerJobOnItsWorker) {

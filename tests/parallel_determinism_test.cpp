@@ -3,14 +3,18 @@
 // optimize_tam_annealing's chains must return bit-identical winners for
 // every thread count, across many seeds, on d695-style synthetic SOCs and
 // the ITC'02 benchmarks. Also covers memo-cache transparency (same results
-// with the cache on and off), evaluator-stats consistency and cancelling a
-// pooled sweep.
+// with the cache on and off), evaluator-stats consistency, cancelling a
+// pooled sweep, and the streamed prepare pipeline against the per-grouping
+// oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <future>
+#include <map>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,7 +23,9 @@
 #include "interconnect/terminal_space.h"
 #include "pattern/compaction.h"
 #include "pattern/generator.h"
+#include "pattern/raw_store.h"
 #include "sitest/group.h"
+#include "sitest_oracle.h"
 #include "soc/benchmarks.h"
 #include "soc/synth.h"
 #include "tam/annealing.h"
@@ -27,6 +33,7 @@
 #include "tam/verify.h"
 #include "util/cancel.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 #include "wrapper/design.h"
 
 namespace sitam {
@@ -212,6 +219,136 @@ TEST(ParallelDeterminism, SharedGroupingPassMatchesAcrossThreadCounts) {
         EXPECT_EQ(a.raw_patterns, b.raw_patterns) << "threads=" << threads;
       }
     }
+  }
+}
+
+/// Field-by-field equality of two test sets.
+void expect_same_set(const SiTestSet& got, const SiTestSet& want,
+                     const std::string& where) {
+  EXPECT_EQ(got.parts, want.parts) << where;
+  ASSERT_EQ(got.groups.size(), want.groups.size()) << where;
+  for (std::size_t k = 0; k < want.groups.size(); ++k) {
+    const SiTestGroup& a = got.groups[k];
+    const SiTestGroup& b = want.groups[k];
+    EXPECT_EQ(a.label, b.label) << where << " group " << k;
+    EXPECT_EQ(a.cores, b.cores) << where << " group " << k;
+    EXPECT_EQ(a.patterns, b.patterns) << where << " group " << k;
+    EXPECT_EQ(a.raw_patterns, b.raw_patterns) << where << " group " << k;
+    EXPECT_EQ(a.is_remainder, b.is_remainder) << where << " group " << k;
+    EXPECT_EQ(a.uses_bus, b.uses_bus) << where << " group " << k;
+  }
+}
+
+TEST(PreparePipeline, StreamedPassMatchesTheOracle) {
+  // The prepare pipeline draws the raw set into a RawPatternStore while
+  // the i = 1 count places its chunks on a pool worker. For every SOC,
+  // N_r around the 4 096-pattern chunk, grouping list and thread count
+  // (0 = all cores) it gives the test sets the oracle builds, grouping by
+  // grouping, from generate_random_patterns output.
+  const std::vector<std::vector<int>> grouping_lists = {
+      {1}, {2, 4}, {1, 2, 4, 8}};
+  constexpr std::uint64_t kSeed = 0x5e75ULL;
+  const RandomPatternConfig pattern_config;
+  GroupingConfig config;
+  config.bus_width = pattern_config.bus_width;
+  for (const char* soc_name : {"d695", "p22810", "p34392"}) {
+    const Soc soc = load_benchmark(soc_name);
+    const TerminalSpace ts(soc);
+    for (const std::int64_t nr : {0, 1, 4095, 4097, 10000}) {
+      Rng rng(kSeed);
+      const std::vector<SiPattern> raw =
+          generate_random_patterns(ts, nr, pattern_config, rng);
+      std::map<int, SiTestSet> oracle;
+      for (const int parts : {1, 2, 4, 8}) {
+        oracle[parts] = testing::oracle_si_test_set(raw, ts, parts, config);
+      }
+      for (const std::vector<int>& groupings : grouping_lists) {
+        for (const int threads : {1, 2, 3, 0}) {
+          RawPatternStore store;
+          Executor executor(ThreadPool::workers_for(threads, 16));
+          Rng draw_rng(kSeed);
+          const std::vector<SiTestSet> sets = build_si_test_sets(
+              store,
+              [&] {
+                draw_random_patterns(ts, nr, pattern_config, draw_rng, store);
+              },
+              ts, groupings, config, executor);
+          ASSERT_EQ(sets.size(), groupings.size());
+          for (std::size_t g = 0; g < groupings.size(); ++g) {
+            expect_same_set(sets[g], oracle[groupings[g]],
+                            std::string(soc_name) + " N_r=" +
+                                std::to_string(nr) + " threads=" +
+                                std::to_string(threads) + " i=" +
+                                std::to_string(groupings[g]));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(PreparePipeline, PrepareMatchesTheOracle) {
+  // SiWorkload::prepare runs that pipeline on its own executor: pooled
+  // (parallel_prepare with more than one grouping) and on the caller.
+  for (const bool parallel : {true, false}) {
+    for (const std::vector<int>& groupings :
+         std::vector<std::vector<int>>{{1}, {1, 2, 4, 8}}) {
+      SiWorkloadConfig config;
+      config.pattern_count = 4097;
+      config.groupings = groupings;
+      config.parallel_prepare = parallel;
+      const Soc soc = load_benchmark("p22810");
+      const TerminalSpace ts(soc);
+      const SiWorkload workload = SiWorkload::prepare(soc, config);
+      Rng rng(config.seed);
+      const std::vector<SiPattern> raw = generate_random_patterns(
+          ts, config.pattern_count, config.patterns, rng);
+      GroupingConfig grouping = config.grouping;
+      grouping.partition.seed = config.seed ^ 0x9e3779b97f4a7c15ULL;
+      for (const int parts : groupings) {
+        expect_same_set(
+            workload.tests(parts),
+            testing::oracle_si_test_set(raw, ts, parts, grouping),
+            "parallel=" + std::to_string(parallel) +
+                " i=" + std::to_string(parts));
+      }
+    }
+  }
+}
+
+TEST(PreparePipeline, StoreCountMatchesPatternCountAtAnyChunkSize) {
+  // compact_greedy_count over a store — streamed while it is drawn on
+  // another thread, and over its views once closed — equals the count of
+  // the same patterns as SiPatterns, whatever the chunk size.
+  const Soc soc = load_benchmark("p34392");
+  const TerminalSpace ts(soc);
+  const RandomPatternConfig pattern_config;
+  constexpr std::int64_t kCount = 6000;
+  Rng rng(0xc0ffeeULL);
+  const std::vector<SiPattern> raw =
+      generate_random_patterns(ts, kCount, pattern_config, rng);
+  std::vector<std::uint32_t> all(raw.size());
+  std::iota(all.begin(), all.end(), std::uint32_t{0});
+  const std::size_t expected = compact_greedy_count(
+      raw, all, ts.total(), pattern_config.bus_width);
+  EXPECT_GT(expected, 0u);
+  for (const std::size_t chunk :
+       {std::size_t{1}, std::size_t{7}, std::size_t{4096},
+        static_cast<std::size_t>(kCount)}) {
+    RawPatternStore store(chunk);
+    Executor executor(2);
+    std::future<std::size_t> streamed = executor.submit([&] {
+      return compact_greedy_count(store, ts.total(),
+                                  pattern_config.bus_width);
+    });
+    Rng draw_rng(0xc0ffeeULL);
+    draw_random_patterns(ts, kCount, pattern_config, draw_rng, store);
+    store.close();
+    EXPECT_EQ(streamed.get(), expected) << "chunk=" << chunk;
+    EXPECT_EQ(compact_greedy_count(store.views(), all, ts.total(),
+                                   pattern_config.bus_width),
+              expected)
+        << "chunk=" << chunk;
   }
 }
 
