@@ -25,10 +25,7 @@ std::uint64_t workload_config_hash(const Soc& soc,
                                    const SiWorkloadConfig& config) {
   // Hash the generator parameters so any change invalidates the key.
   std::uint64_t h = config.seed;
-  const auto mix = [&h](std::uint64_t value) {
-    h ^= value + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    h = split_mix64(h);
-  };
+  const auto mix = [&h](std::uint64_t value) { hash_mix(h, value); };
   mix(static_cast<std::uint64_t>(config.pattern_count));
   mix(static_cast<std::uint64_t>(config.patterns.min_aggressors));
   mix(static_cast<std::uint64_t>(config.patterns.max_aggressors));
@@ -41,9 +38,9 @@ std::uint64_t workload_config_hash(const Soc& soc,
   mix(static_cast<std::uint64_t>(config.patterns.bus_use_probability *
                                  1e6));
   // The groupings and the grouping/partition knobs change the compacted
-  // test sets, so the in-memory tier must not serve a workload prepared
-  // under different ones (the disk tier keys groupings into the filename,
-  // the memory tier has only this hash).
+  // test sets, so SitamContext's workload tier must not serve a workload
+  // prepared under different ones (the disk tier keys groupings into the
+  // filename, the context keys its tier by this hash alone).
   mix(config.groupings.size());
   for (const int parts : config.groupings) {
     mix(static_cast<std::uint64_t>(parts));
@@ -115,70 +112,6 @@ SiWorkload prepare_cached(const Soc& soc, const SiWorkloadConfig& config,
   SiWorkload workload = SiWorkload::prepare(soc, config, cancel);
   save_workload(workload, directory);
   return workload;
-}
-
-WorkloadMemoryCache::WorkloadMemoryCache(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {}
-
-std::optional<SiWorkload> WorkloadMemoryCache::lookup(const std::string& key) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    SITAM_COUNTER("core.cache.memory_misses", 1);
-    return std::nullopt;
-  }
-  it->second.last_used = ++tick_;
-  SITAM_COUNTER("core.cache.memory_hits", 1);
-  return it->second.workload;
-}
-
-void WorkloadMemoryCache::insert(const std::string& key, SiWorkload workload) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  Entry& entry =
-      entries_.insert_or_assign(key, Entry{std::move(workload), 0})
-          .first->second;
-  entry.last_used = ++tick_;
-  while (entries_.size() > capacity_) {
-    evict_one_locked();
-  }
-}
-
-SiWorkload WorkloadMemoryCache::prepare(const Soc& soc,
-                                        const SiWorkloadConfig& config,
-                                        const std::string& directory,
-                                        const CancelToken* cancel) {
-  const std::string key = workload_cache_key(soc, config);
-  if (std::optional<SiWorkload> hit = lookup(key)) {
-    return *std::move(hit);
-  }
-  // Disk tier (prepare on a cold disk cache) unless running memory-only;
-  // promote whatever it yields. A cancelled prepare throws before insert.
-  SiWorkload prepared = directory.empty()
-                            ? SiWorkload::prepare(soc, config, cancel)
-                            : prepare_cached(soc, config, directory, cancel);
-  insert(key, prepared);
-  return prepared;
-}
-
-std::size_t WorkloadMemoryCache::size() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
-}
-
-void WorkloadMemoryCache::clear() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  entries_.clear();
-}
-
-void WorkloadMemoryCache::evict_one_locked() {
-  auto victim = entries_.begin();
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (it->second.last_used < victim->second.last_used) {
-      victim = it;
-    }
-  }
-  SITAM_COUNTER("core.cache.memory_evictions", 1);
-  entries_.erase(victim);
 }
 
 }  // namespace sitam

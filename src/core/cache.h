@@ -8,10 +8,7 @@
 // can only be hit deliberately.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <optional>
 #include <string>
 
@@ -42,66 +39,14 @@ void save_workload(const SiWorkload& workload, const std::string& directory);
     const Soc& soc, const SiWorkloadConfig& config,
     const std::string& directory);
 
-/// prepare() with a cache in front: load if present, else prepare + save.
-/// `cancel` is forwarded to SiWorkload::prepare (nullptr = never
-/// cancelled); a cancelled prepare unwinds before anything is saved.
+/// prepare() with the disk cache in front: load if present, else prepare +
+/// save. SitamContext runs it as its workload tier's compute when a cache
+/// directory is configured. `cancel` is forwarded to SiWorkload::prepare
+/// (nullptr = never cancelled); a cancelled prepare unwinds before
+/// anything is saved.
 [[nodiscard]] SiWorkload prepare_cached(const Soc& soc,
                                         const SiWorkloadConfig& config,
                                         const std::string& directory,
                                         const CancelToken* cancel = nullptr);
-
-/// Bounded in-memory tier in front of the on-disk workload cache.
-///
-/// A long-running service answers many optimization requests against a
-/// handful of SOC/workload configurations; re-reading (let alone
-/// re-preparing) the workload per request is wasted latency, but an
-/// unbounded map of workloads is a slow leak. This cache holds at most
-/// `capacity` prepared workloads, evicts the least recently used entry on
-/// overflow, and is safe to share across request threads.
-class WorkloadMemoryCache {
- public:
-  /// `capacity` is clamped to >= 1.
-  explicit WorkloadMemoryCache(std::size_t capacity = 16);
-
-  WorkloadMemoryCache(const WorkloadMemoryCache&) = delete;
-  WorkloadMemoryCache& operator=(const WorkloadMemoryCache&) = delete;
-
-  /// Cached workload for `key`, or nullopt. A hit refreshes the entry's
-  /// recency.
-  [[nodiscard]] std::optional<SiWorkload> lookup(const std::string& key);
-
-  /// Inserts (or replaces) the entry for `key`, then evicts the least
-  /// recently used entries until the cache is back within capacity.
-  void insert(const std::string& key, SiWorkload workload);
-
-  /// prepare_cached() with this memory tier in front of the disk tier:
-  /// memory hit, else disk hit (promoted into memory), else prepare +
-  /// save + insert. An empty `directory` skips the disk tier entirely —
-  /// the memory-only mode a long-running SitamContext/server runs in,
-  /// where touching the filesystem per miss is unwanted. `cancel` is
-  /// forwarded to the underlying prepare; a cancelled prepare inserts
-  /// nothing, so the cache never holds a partial workload.
-  [[nodiscard]] SiWorkload prepare(const Soc& soc,
-                                   const SiWorkloadConfig& config,
-                                   const std::string& directory,
-                                   const CancelToken* cancel = nullptr);
-
-  [[nodiscard]] std::size_t size() const;
-  void clear();
-
- private:
-  struct Entry {
-    SiWorkload workload;
-    std::uint64_t last_used = 0;
-  };
-
-  /// Removes the least recently used entry. Caller holds mutex_.
-  void evict_one_locked();
-
-  const std::size_t capacity_;
-  std::uint64_t tick_ = 0;               // guarded_by(mutex_)
-  std::map<std::string, Entry> entries_;  // guarded_by(mutex_)
-  mutable std::mutex mutex_;
-};
 
 }  // namespace sitam

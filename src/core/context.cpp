@@ -1,10 +1,9 @@
 #include "core/context.h"
 
-#include <algorithm>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
+#include "core/cache.h"
 #include "obs/obs.h"
 #include "tam/bounds.h"
 #include "util/check.h"
@@ -12,37 +11,23 @@
 
 namespace sitam {
 
-SitamContext::SitamContext() : SitamContext(Options{}) {}
-
-SitamContext::SitamContext(Options options)
-    : options_{std::max<std::size_t>(1, options.workload_capacity),
-               std::max<std::size_t>(1, options.result_capacity),
-               std::move(options.cache_directory)},
-      workloads_(options_.workload_capacity) {}
+SitamContext::SitamContext(Options options) : options_(std::move(options)) {}
 
 std::shared_ptr<const Soc> SitamContext::intern(Soc soc) {
-  const std::uint64_t key = soc_structure_hash(soc);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = arena_.find(key);
-  if (it != arena_.end()) {
-    it->second.last_used = ++tick_;
-    return it->second.soc;
+  const auto interned = arena_.get_or_compute(
+      soc_structure_hash(soc), [&soc] { return std::move(soc); });
+  if (!interned.hit) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    ++stats_.socs_interned;
+    SITAM_COUNTER("core.context.socs_interned", 1);
   }
-  auto shared = std::make_shared<const Soc>(std::move(soc));
-  arena_.insert_or_assign(key, ArenaEntry{shared, ++tick_});
-  ++stats_.socs_interned;
-  SITAM_COUNTER("core.context.socs_interned", 1);
-  trim_arena_locked();
-  return shared;
+  return interned.value;
 }
 
 std::uint64_t SitamContext::request_key(const FlowRequest& request) {
   SITAM_CHECK_MSG(request.soc != nullptr, "FlowRequest without a SOC");
   std::uint64_t h = workload_config_hash(*request.soc, request.workload);
-  const auto mix = [&h](std::uint64_t value) {
-    h ^= value + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    h = split_mix64(h);
-  };
+  const auto mix = [&h](std::uint64_t value) { hash_mix(h, value); };
   mix(request.mode == FlowMode::kOptimize ? 1 : 2);
   mix(request.widths.size());
   for (const int w : request.widths) mix(static_cast<std::uint64_t>(w));
@@ -82,66 +67,47 @@ FlowResult SitamContext::run(const FlowRequest& request) {
     ++stats_.requests;
   }
 
-  // Heavy work runs outside the lock; a Cancelled unwind from anywhere —
-  // including a token that was set before the request arrived — leaves
-  // the memo untouched (the cancelled counter is the only trace).
-  FlowResult result;
+  // A Cancelled unwind from anywhere — including a token that was set
+  // before the request arrived — stores nothing (the cancelled counter is
+  // the only trace).
   try {
     check_cancel(request.cancel);
+    const auto [result, hit] = results_.get_or_compute(
+        key, [&] { return compute(request); }, request.cancel);
     {
       const std::lock_guard<std::mutex> lock(mutex_);
-      const auto it = results_.find(key);
-      if (it != results_.end()) {
-        it->second.last_used = ++tick_;
-        ++stats_.result_hits;
-        SITAM_COUNTER("core.context.result_hits", 1);
-        return it->second.result;
-      }
-      ++stats_.result_misses;
+      ++(hit ? stats_.result_hits : stats_.result_misses);
+    }
+    if (hit) {
+      SITAM_COUNTER("core.context.result_hits", 1);
+    } else {
       SITAM_COUNTER("core.context.result_misses", 1);
     }
-    result = compute(request);
+    return *result;
   } catch (const Cancelled&) {
     const std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.cancelled;
     SITAM_COUNTER("core.context.cancelled", 1);
     throw;
   }
-
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    results_.insert_or_assign(key, ResultEntry{result, ++tick_});
-    trim_results_locked();
-  }
-  return result;
 }
 
 FlowResult SitamContext::compute(const FlowRequest& request) {
   const Soc& soc = *request.soc;
 
-  // Workload tier: memory cache, then (if configured) disk, then prepare.
-  // Hit accounting lives here rather than in WorkloadMemoryCache so the
-  // counters line up with this context's requests.
-  const std::string wkey = workload_cache_key(soc, request.workload);
-  std::optional<SiWorkload> cached = workloads_.lookup(wkey);
-  const bool workload_hit = cached.has_value();
-  if (!workload_hit) {
-    SiWorkload prepared =
-        options_.cache_directory.empty()
-            ? SiWorkload::prepare(soc, request.workload, request.cancel)
-            : prepare_cached(soc, request.workload, options_.cache_directory,
-                             request.cancel);
-    workloads_.insert(wkey, prepared);
-    cached.emplace(std::move(prepared));
-  }
-  const SiWorkload& workload = *cached;
+  // Workload tier: memory, then (if configured) disk, then prepare.
+  const auto [workload, hit] = workloads_.get_or_compute(
+      workload_config_hash(soc, request.workload),
+      [&] {
+        return options_.cache_directory.empty()
+                   ? SiWorkload::prepare(soc, request.workload, request.cancel)
+                   : prepare_cached(soc, request.workload,
+                                    options_.cache_directory, request.cancel);
+      },
+      request.cancel);
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    if (workload_hit) {
-      ++stats_.workload_hits;
-    } else {
-      ++stats_.workload_misses;
-    }
+    ++(hit ? stats_.workload_hits : stats_.workload_misses);
   }
   check_cancel(request.cancel);
 
@@ -153,13 +119,13 @@ FlowResult SitamContext::compute(const FlowRequest& request) {
   FlowResult result;
   result.mode = request.mode;
   if (request.mode == FlowMode::kSweep) {
-    result.sweep = run_sweep(workload, request.widths, optimizer);
+    result.sweep = run_sweep(*workload, request.widths, optimizer);
     return result;
   }
 
   const int w_max = request.widths.front();
   const int parts = request.workload.groupings.front();
-  const SiTestSet& tests = workload.tests(parts);
+  const SiTestSet& tests = workload->tests(parts);
   const TestTimeTable table(soc, w_max);
   result.optimize = optimize_tam(soc, table, tests, w_max, optimizer);
   result.tests = tests;
@@ -174,31 +140,9 @@ ContextStats SitamContext::stats() const {
 }
 
 void SitamContext::clear() {
-  workloads_.clear();
-  const std::lock_guard<std::mutex> lock(mutex_);
-  results_.clear();
   arena_.clear();
-}
-
-void SitamContext::trim_results_locked() {
-  while (results_.size() > options_.result_capacity) {
-    auto victim = results_.begin();
-    for (auto it = results_.begin(); it != results_.end(); ++it) {
-      if (it->second.last_used < victim->second.last_used) victim = it;
-    }
-    SITAM_COUNTER("core.context.result_evictions", 1);
-    results_.erase(victim);
-  }
-}
-
-void SitamContext::trim_arena_locked() {
-  while (arena_.size() > options_.result_capacity) {
-    auto victim = arena_.begin();
-    for (auto it = arena_.begin(); it != arena_.end(); ++it) {
-      if (it->second.last_used < victim->second.last_used) victim = it;
-    }
-    arena_.erase(victim);
-  }
+  workloads_.clear();
+  results_.clear();
 }
 
 }  // namespace sitam

@@ -2,11 +2,12 @@
 //
 // Everything the flow used to pick up ambiently (a freshly prepared
 // workload per CLI invocation, per-process caches) is owned here
-// explicitly: the SOC model arena (structurally identical SOCs are
-// interned and shared), the bounded WorkloadMemoryCache, and a bounded
-// result memo keyed by a content hash of the full request. There are no
-// hidden statics — two contexts are fully independent, and one context is
-// safe to share across request threads (the job server in src/serve runs
+// explicitly, as three bounded single-flight StageCaches
+// (core/stage_cache.h): the SOC arena (structurally identical SOCs are
+// interned and shared), the prepared workloads, and the finished results
+// keyed by a content hash of the full request. There are no hidden
+// statics — two contexts are fully independent, and one context is safe
+// to share across request threads (the job server in src/serve runs
 // every worker against a single context).
 //
 // The unit of work is a FlowRequest -> FlowResult round trip:
@@ -19,22 +20,21 @@
 //
 // Identical requests (same SOC structure, workload config, widths,
 // optimizer knobs) hit the result memo and return the stored FlowResult
-// verbatim; the hit counters in ContextStats make the reuse observable.
-// Cancellation is cooperative: a request carries a non-owning CancelToken
-// that unwinds the prepare and optimize loops with sitam::Cancelled,
-// leaving every cache untouched by the cancelled run.
+// verbatim; requests that share a workload config prepare it once, even
+// when they arrive together. The hit counters in ContextStats make the
+// reuse observable. Cancellation is cooperative: a request carries a
+// non-owning CancelToken that unwinds the prepare and optimize loops with
+// sitam::Cancelled; a cancelled run stores nothing in any cache.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
-#include "core/cache.h"
 #include "core/flow.h"
+#include "core/stage_cache.h"
 #include "tam/area.h"
 #include "util/cancel.h"
 
@@ -84,9 +84,11 @@ struct FlowResult {
 };
 
 /// Monotonic counters proving (or disproving) cache reuse; readable at any
-/// time via SitamContext::stats(). hits + misses == lookups per tier.
+/// time via SitamContext::stats(). Each lookup that returns a value counts
+/// once, as a miss for the caller that ran the compute and as a hit for
+/// everyone else, so hits + misses == lookups per tier.
 struct ContextStats {
-  std::int64_t requests = 0;        ///< run() calls that got past lookup.
+  std::int64_t requests = 0;        ///< Well-formed run() calls.
   std::int64_t result_hits = 0;     ///< Served verbatim from the memo.
   std::int64_t result_misses = 0;   ///< Computed end to end.
   std::int64_t workload_hits = 0;   ///< Prepared workload reused.
@@ -97,38 +99,30 @@ struct ContextStats {
 
 /// Reentrant flow engine; see the file comment. Thread-safe: any number of
 /// threads may call run()/intern()/stats() concurrently. Heavy work
-/// (prepare, optimize) runs outside the context lock, so concurrent
-/// distinct requests do not serialize; concurrent *identical* requests may
-/// both compute (last insert wins — the results are bit-identical, so this
-/// only costs time; the job server dedupes in-flight requests above this
-/// layer).
+/// (prepare, optimize) runs outside every lock, so concurrent distinct
+/// requests do not serialize; concurrent requests for the same workload or
+/// the same result wait for one computation instead of repeating it.
 class SitamContext {
  public:
   struct Options {
-    /// Prepared workloads kept in memory (LRU beyond this). >= 1.
-    std::size_t workload_capacity = 16;
-    /// FlowResults kept in the memo (LRU beyond this). >= 1.
-    std::size_t result_capacity = 64;
     /// Disk tier for prepared workloads; "" = memory-only (the default —
     /// a long-running context should not touch the filesystem per miss).
     std::string cache_directory;
   };
 
-  SitamContext();
-  explicit SitamContext(Options options);
+  explicit SitamContext(Options options = {});
 
   SitamContext(const SitamContext&) = delete;
   SitamContext& operator=(const SitamContext&) = delete;
 
   /// Canonical shared instance for `soc`: structurally identical models
   /// (same name, modules, scan chains, pattern counts) map to one arena
-  /// entry. The arena is bounded by the result memo capacity and evicted
-  /// LRU; eviction only drops the arena's own reference — outstanding
+  /// entry. Eviction only drops the arena's own reference — outstanding
   /// shared_ptrs stay valid.
   [[nodiscard]] std::shared_ptr<const Soc> intern(Soc soc);
 
   /// Runs the flow for `request`, consulting the result memo first and the
-  /// workload cache second. Throws sitam::Cancelled if request.cancel was
+  /// workload tier second. Throws sitam::Cancelled if request.cancel was
   /// triggered (the caches are left exactly as before the call), and
   /// std::invalid_argument for a malformed request (null SOC, empty
   /// widths/groupings).
@@ -148,31 +142,17 @@ class SitamContext {
   [[nodiscard]] static std::uint64_t request_key(const FlowRequest& request);
 
  private:
-  struct ResultEntry {
-    FlowResult result;
-    std::uint64_t last_used = 0;
-  };
-  struct ArenaEntry {
-    std::shared_ptr<const Soc> soc;
-    std::uint64_t last_used = 0;
-  };
-
   /// Computes a FlowResult end to end (workload tier + optimize/sweep).
   [[nodiscard]] FlowResult compute(const FlowRequest& request);
 
-  /// Evicts the least recently used entries down to the capacity. Caller
-  /// holds mutex_.
-  void trim_results_locked();
-  void trim_arena_locked();
-
   const Options options_;
-  WorkloadMemoryCache workloads_;  ///< Internally locked.
+  // Capacities, in finished entries (LRU beyond them):
+  StageCache<Soc> arena_{64};             ///< Interned SOC models.
+  StageCache<SiWorkload> workloads_{16};  ///< Prepared workloads.
+  StageCache<FlowResult> results_{64};    ///< The result memo.
 
   mutable std::mutex mutex_;
-  std::uint64_t tick_ = 0;                          // guarded_by(mutex_)
-  std::map<std::uint64_t, ResultEntry> results_;    // guarded_by(mutex_)
-  std::map<std::uint64_t, ArenaEntry> arena_;       // guarded_by(mutex_)
-  ContextStats stats_;                              // guarded_by(mutex_)
+  ContextStats stats_;  // guarded_by(mutex_)
 };
 
 }  // namespace sitam

@@ -4,6 +4,7 @@
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "obs/export.h"
@@ -52,6 +53,45 @@ FlowRequest build_flow_request(const Request& request,
   flow.optimizer.delta_eval = request.delta_eval;
   flow.optimizer.evaluator.memoize = request.memoize;
   return flow;
+}
+
+/// The ServerStats + ContextStats counters as ("group.name", value) pairs,
+/// in the order both the `stats` response and the "serve.stats" record
+/// list them.
+std::vector<std::pair<std::string_view, std::int64_t>> stat_counters(
+    const ServerStats& server, const ContextStats& context) {
+  return {
+      {"server.received", server.received},
+      {"server.malformed", server.malformed},
+      {"server.jobs", server.jobs},
+      {"server.followers", server.followers},
+      {"server.completed", server.completed},
+      {"server.cancelled", server.cancelled},
+      {"server.failed", server.failed},
+      {"context.requests", context.requests},
+      {"context.result_hits", context.result_hits},
+      {"context.result_misses", context.result_misses},
+      {"context.workload_hits", context.workload_hits},
+      {"context.workload_misses", context.workload_misses},
+      {"context.cancelled", context.cancelled},
+      {"context.socs_interned", context.socs_interned},
+  };
+}
+
+/// Reads the next line of `in` into `line`, newline excluded, keeping at
+/// most kMaxRequestLineBytes of it: a longer line is consumed through its
+/// newline and flagged `overlong`. Returns false at end of input.
+bool read_bounded_line(std::istream& in, std::string& line, bool& overlong) {
+  line.clear();
+  overlong = false;
+  std::streambuf& buffer = *in.rdbuf();
+  for (;;) {
+    const int c = buffer.sbumpc();
+    if (c == std::char_traits<char>::eof()) return !line.empty() || overlong;
+    if (c == '\n') return true;
+    if (line.size() == kMaxRequestLineBytes) overlong = true;
+    if (!overlong) line.push_back(static_cast<char>(c));
+  }
 }
 
 }  // namespace
@@ -119,6 +159,15 @@ bool JobServer::submit_line(const std::string& line) {
       return true;
   }
   return true;
+}
+
+void JobServer::reject_line(const std::string& error) {
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    ++stats_.received;
+    ++stats_.malformed;
+  }
+  emit(error_response("", error));
 }
 
 void JobServer::handle_job(Request request) {
@@ -296,7 +345,6 @@ void JobServer::maybe_snapshot_stats() {
     stats_snapshots_ = stats_.completed / options_.stats_store_every;
     server = stats_;
   }
-  const ContextStats context = context_.stats();
 
   store::StoreRecord record;
   record.manifest = obs::RunManifest::collect("sitam serve");
@@ -308,25 +356,9 @@ void JobServer::maybe_snapshot_stats() {
   record.config_hash = store::store_hash_hex(
       "every=" + std::to_string(options_.stats_store_every) +
       ";threads=" + std::to_string(options_.threads));
-  record.metrics["server.received"] = static_cast<double>(server.received);
-  record.metrics["server.malformed"] = static_cast<double>(server.malformed);
-  record.metrics["server.jobs"] = static_cast<double>(server.jobs);
-  record.metrics["server.followers"] = static_cast<double>(server.followers);
-  record.metrics["server.completed"] = static_cast<double>(server.completed);
-  record.metrics["server.cancelled"] = static_cast<double>(server.cancelled);
-  record.metrics["server.failed"] = static_cast<double>(server.failed);
-  record.metrics["context.requests"] = static_cast<double>(context.requests);
-  record.metrics["context.result_hits"] =
-      static_cast<double>(context.result_hits);
-  record.metrics["context.result_misses"] =
-      static_cast<double>(context.result_misses);
-  record.metrics["context.workload_hits"] =
-      static_cast<double>(context.workload_hits);
-  record.metrics["context.workload_misses"] =
-      static_cast<double>(context.workload_misses);
-  record.metrics["context.cancelled"] = static_cast<double>(context.cancelled);
-  record.metrics["context.socs_interned"] =
-      static_cast<double>(context.socs_interned);
+  for (const auto& [name, value] : stat_counters(server, context_.stats())) {
+    record.metrics[std::string(name)] = static_cast<double>(value);
+  }
   {
     // The digest covers the metric payload: two snapshots with identical
     // counters digest identically.
@@ -353,27 +385,18 @@ ServerStats JobServer::stats() const {
 }
 
 void JobServer::write_stats_response() {
-  ServerStats server = stats();
-  const ContextStats context = context_.stats();
   JsonWriter json;
   json.begin_object().kv("type", "stats");
-  json.key("server").begin_object();
-  json.kv("received", server.received)
-      .kv("malformed", server.malformed)
-      .kv("jobs", server.jobs)
-      .kv("followers", server.followers)
-      .kv("completed", server.completed)
-      .kv("cancelled", server.cancelled)
-      .kv("failed", server.failed);
-  json.end_object();
-  json.key("context").begin_object();
-  json.kv("requests", context.requests)
-      .kv("result_hits", context.result_hits)
-      .kv("result_misses", context.result_misses)
-      .kv("workload_hits", context.workload_hits)
-      .kv("workload_misses", context.workload_misses)
-      .kv("cancelled", context.cancelled)
-      .kv("socs_interned", context.socs_interned);
+  std::string_view group;  // "server", then "context"
+  for (const auto& [name, value] : stat_counters(stats(), context_.stats())) {
+    const std::string_view prefix = name.substr(0, name.find('.'));
+    if (prefix != group) {
+      if (!group.empty()) json.end_object();
+      group = prefix;
+      json.key(group).begin_object();
+    }
+    json.kv(name.substr(group.size() + 1), value);
+  }
   json.end_object();
   json.end_object();
   emit(json.str());
@@ -385,7 +408,13 @@ int serve_stream(std::istream& in, std::ostream& out,
     out << line << '\n' << std::flush;
   });
   std::string line;
-  while (std::getline(in, line)) {
+  bool overlong = false;
+  while (read_bounded_line(in, line, overlong)) {
+    if (overlong) {
+      server.reject_line("request line exceeds " +
+                         std::to_string(kMaxRequestLineBytes) + " bytes");
+      continue;
+    }
     if (line.empty()) continue;
     if (!server.submit_line(line)) break;
   }

@@ -11,8 +11,9 @@
 // flight becomes a *follower* of that job group — no second optimization
 // runs; when the leader finishes, every member gets its own result line
 // (identical bytes up to the echoed id). Jobs that miss the in-flight map
-// can still hit the context's result memo, so identical work is shared
-// across the whole server lifetime, not just across concurrent arrivals.
+// can still hit the context's result memo, and jobs that share only a
+// workload prepare it once, so identical work is shared across the whole
+// server lifetime, not just across concurrent arrivals.
 //
 // Cancellation is cooperative: `cancel` marks one member id done; the
 // underlying computation's CancelToken fires only when every member has
@@ -26,6 +27,7 @@
 #pragma once
 
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -64,6 +66,11 @@ struct ServerOptions {
   std::int64_t stats_store_every = 0;
 };
 
+/// Longest request line serve_stream reads, newline excluded: far above
+/// the inline soc_text of any real SOC. A longer line is answered with an
+/// error envelope and skipped through its newline, never held whole.
+inline constexpr std::size_t kMaxRequestLineBytes = std::size_t{8} << 20;
+
 /// Monotonic protocol-level counters (the context has its own; see
 /// ContextStats). Snapshot via JobServer::stats().
 struct ServerStats {
@@ -95,6 +102,10 @@ class JobServer {
   /// signal to stop reading.
   bool submit_line(const std::string& line);
 
+  /// Counts and answers, with an error envelope carrying `error`, a line
+  /// the transport refused to read in full (serve_stream's overlong lines).
+  void reject_line(const std::string& error);
+
   /// Blocks until no job is queued or running.
   void drain();
 
@@ -103,7 +114,10 @@ class JobServer {
 
  private:
   /// One deduped unit of work: the leader's request plus every member id
-  /// still expecting a response.
+  /// still expecting a response. The context's single-flight result cache
+  /// would also share the computation, but only this layer knows member
+  /// ids and per-member cancellation, and a follower here never occupies a
+  /// worker thread.
   struct JobGroup {
     FlowRequest flow;        ///< Built once, shared by all members.
     Request request;         ///< Leader's parsed request (for envelopes).

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <unordered_set>
 
+#include "util/rng.h"
+
 namespace sitam {
 
 std::int64_t Module::scan_flops() const {
@@ -45,9 +47,7 @@ std::int64_t Soc::total_test_data_volume() const {
 
 std::uint64_t soc_structure_hash(const Soc& soc) {
   std::uint64_t h = 0x5174616d'50c0de01ULL;  // arbitrary nonzero basis
-  const auto mix = [&h](std::uint64_t value) {
-    h ^= value + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  };
+  const auto mix = [&h](std::uint64_t value) { h = hash_combine(h, value); };
   const auto mix_string = [&](const std::string& s) {
     mix(s.size());
     for (const char c : s) mix(static_cast<unsigned char>(c));

@@ -158,10 +158,8 @@ DualHash architecture_hash_pair(const TamArchitecture& arch) {
   std::uint64_t h0 = 0x51a7ca5eULL;
   std::uint64_t h1 = 0x51a7ca5eULL ^ 0x94d049bb133111ebULL;
   const auto mix = [&h0, &h1](std::uint64_t value) {
-    h0 ^= value + 0x9e3779b97f4a7c15ULL + (h0 << 6) + (h0 >> 2);
-    h0 = split_mix64(h0);
-    h1 ^= value + 0x9e3779b97f4a7c15ULL + (h1 << 6) + (h1 >> 2);
-    h1 = split_mix64(h1);
+    hash_mix(h0, value);
+    hash_mix(h1, value);
   };
   mix(arch.rails.size());
   for (const TestRail& rail : arch.rails) {
@@ -180,13 +178,8 @@ DualHash architecture_hash_pair(const TamArchitecture& arch) {
 // mutates nothing.
 std::uint64_t TamEvaluator::architecture_hash(const TamArchitecture& arch,
                                               std::uint64_t salt) {
-  // Same mix pattern as workload_cache_key (core/cache.cpp): fold each
-  // value into the running hash, then finalize with SplitMix64.
   std::uint64_t h = 0x51a7ca5eULL ^ (salt * 0x94d049bb133111ebULL);
-  const auto mix = [&h](std::uint64_t value) {
-    h ^= value + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    h = split_mix64(h);
-  };
+  const auto mix = [&h](std::uint64_t value) { hash_mix(h, value); };
   mix(arch.rails.size());
   for (const TestRail& rail : arch.rails) {
     mix(static_cast<std::uint64_t>(rail.width));

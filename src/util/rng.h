@@ -24,6 +24,19 @@ namespace sitam {
   return z ^ (z >> 31);
 }
 
+/// Boost-style hash_combine: folds `value` into the running hash `h`.
+[[nodiscard]] constexpr std::uint64_t hash_combine(std::uint64_t h,
+                                                   std::uint64_t value) noexcept {
+  return h ^ (value + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
+}
+
+/// hash_combine with a SplitMix64 finalizer: the mix step of the workload,
+/// request and TAM architecture keys.
+constexpr void hash_mix(std::uint64_t& h, std::uint64_t value) noexcept {
+  h = hash_combine(h, value);
+  h = split_mix64(h);
+}
+
 /// Derives an independent seed for stream `index` of a master `seed` via
 /// SplitMix64. Parallel restarts/chains each seed an Rng from their own
 /// stream so results do not depend on execution order or thread count.

@@ -94,6 +94,19 @@ TEST_F(CacheTest, KeyDependsOnParameters) {
   EXPECT_NE(workload_cache_key(other, base), key);
 }
 
+// Disk-cache filenames and SitamContext request keys are built from these
+// hashes; a change to the mixing would silently orphan every cache
+// directory, so the values are pinned.
+TEST(CacheKey, PinnedForAFixedD695Config) {
+  const Soc soc = load_benchmark("d695");
+  EXPECT_EQ(soc_structure_hash(soc), 0x0b0630b4a419ed27ULL);
+  SiWorkloadConfig config;
+  config.pattern_count = 2000;
+  config.groupings = {1, 2, 4};
+  config.seed = 7;
+  EXPECT_EQ(workload_cache_key(soc, config), "d695_nr2000_s9eddfcd879b1ead3");
+}
+
 TEST_F(CacheTest, PartialCacheIsAMiss) {
   const Soc soc = load_benchmark("mini5");
   const SiWorkload prepared = SiWorkload::prepare(soc, config());

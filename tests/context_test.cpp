@@ -2,14 +2,17 @@
 // tentpole properties: repeated identical requests reuse the workload
 // cache and the result memo (hit counters observable via stats()), reuse
 // returns bit-identical results, the SOC arena interns structurally
-// identical models, and the caches stay bounded.
+// identical models, and concurrent requests prepare a shared workload once.
+// The cache bound itself is covered by stage_cache_test.
 #include "core/context.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "serve/protocol.h"
@@ -124,19 +127,47 @@ TEST(SitamContext, InternDeduplicatesStructurallyIdenticalSocs) {
   EXPECT_NE(a.get(), d.get());  // structural change = new identity
 }
 
-TEST(SitamContext, ResultMemoIsBoundedLru) {
-  SitamContext::Options options;
-  options.result_capacity = 1;
-  SitamContext context(options);
-  const FlowRequest narrow = small_request(context, /*w_max=*/2);
-  const FlowRequest wide = small_request(context, /*w_max=*/4);
-
-  (void)context.run(narrow);
-  (void)context.run(wide);    // evicts `narrow` (capacity 1)
-  (void)context.run(narrow);  // recomputed, not served from the memo
+TEST(SitamContext, ConcurrentRequestsShareOneWorkloadPrepare) {
+  // Four requests that differ only in W arrive together: the first one
+  // prepares the workload, the other three wait for it instead of
+  // preparing it again.
+  SitamContext context;
+  const auto soc = context.intern(load_benchmark("d695"));
+  constexpr int kThreads = 4;
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  std::vector<std::int64_t> t_soc(kThreads, 0);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      FlowRequest request;
+      request.soc = soc;
+      request.workload.pattern_count = 2000;
+      request.workload.groupings = {2};
+      request.widths = {8 + 4 * t};
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      EXPECT_NO_THROW(t_soc[static_cast<std::size_t>(t)] =
+                          context.run(request).optimize.evaluation.t_soc);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
   const ContextStats stats = context.stats();
-  EXPECT_EQ(stats.result_hits, 0);
-  EXPECT_EQ(stats.result_misses, 3);
+  EXPECT_EQ(stats.workload_misses, 1);
+  EXPECT_EQ(stats.workload_hits, kThreads - 1);
+  EXPECT_EQ(stats.result_misses, kThreads);
+  for (const std::int64_t t : t_soc) EXPECT_GT(t, 0);
+}
+
+TEST(SitamContext, RequestKeyIsPinned) {
+  // Served results are memoized under this key; it must not move.
+  SitamContext context;
+  FlowRequest request;
+  request.soc = context.intern(load_benchmark("d695"));
+  request.workload.pattern_count = 2000;
+  request.workload.groupings = {1, 2, 4};
+  request.workload.seed = 7;
+  request.widths = {16};
+  EXPECT_EQ(SitamContext::request_key(request), 0xf55430c3dedfee70ULL);
 }
 
 TEST(SitamContext, ClearDropsEveryCache) {

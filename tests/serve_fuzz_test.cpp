@@ -1,13 +1,17 @@
 // Adversarial input against the serve protocol: every malformed line —
-// truncated JSON, duplicate keys, megabyte fields, invalid UTF-8, hostile
-// nesting, type confusion — must come back as exactly one structured
+// truncated JSON, duplicate keys, megabyte fields, a 64 MiB line, invalid
+// UTF-8, hostile nesting, type confusion — must come back as exactly one structured
 // "error" response, never a crash, and never a poisoned cache (a valid
 // request afterwards still computes the right answer). A seeded mutation
 // fuzzer rides on top of the fixed corpus.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <exception>
+#include <istream>
 #include <mutex>
+#include <sstream>
+#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -141,6 +145,58 @@ TEST(ServeFuzz, HostileLinesBecomeErrorResponsesAndNeverPoisonTheCache) {
   EXPECT_GT(root.find("t_soc")->as_int(), 0);
   EXPECT_EQ(server.stats().completed, 1);
   EXPECT_EQ(server.context_stats().result_misses, 1);
+}
+
+/// An input stream of one `length`-byte line followed by `tail`, produced
+/// chunk by chunk so the long line never exists in memory as one string.
+class LongLineBuffer : public std::streambuf {
+ public:
+  LongLineBuffer(std::size_t length, std::string tail)
+      : remaining_(length), tail_(std::move(tail)), chunk_(1 << 16, 'x') {}
+
+ protected:
+  int_type underflow() override {
+    if (remaining_ > 0) {
+      const std::size_t n = std::min(remaining_, chunk_.size());
+      remaining_ -= n;
+      setg(chunk_.data(), chunk_.data(), chunk_.data() + n);
+    } else if (!tail_served_) {
+      tail_served_ = true;
+      setg(tail_.data(), tail_.data(), tail_.data() + tail_.size());
+    } else {
+      return traits_type::eof();
+    }
+    return traits_type::to_int_type(*gptr());
+  }
+
+ private:
+  std::size_t remaining_;
+  std::string tail_;
+  std::string chunk_;
+  bool tail_served_ = false;
+};
+
+TEST(ServeFuzz, OverlongLineIsRejectedAndServingGoesOn) {
+  LongLineBuffer buffer(std::size_t{64} << 20,
+                        "\n" R"({"op":"ping"})" "\n");
+  std::istream in(&buffer);
+  std::ostringstream out;
+  serve::ServerOptions options;
+  options.threads = 1;
+  options.progress = false;
+  EXPECT_EQ(serve::serve_stream(in, out, options), 0);
+
+  std::vector<std::string> lines;
+  std::istringstream responses(out.str());
+  for (std::string line; std::getline(responses, line);) {
+    lines.push_back(line);
+  }
+  ASSERT_EQ(lines.size(), 2u);
+  const JsonValue error = parse_json(lines[0]);
+  EXPECT_EQ(error.find("type")->as_string(), "error");
+  EXPECT_NE(error.find("error")->as_string().find("exceeds"),
+            std::string::npos);
+  EXPECT_EQ(lines[1], R"({"type":"pong"})");
 }
 
 TEST(ServeFuzz, SeededMutationsNeverCrashTheServer) {

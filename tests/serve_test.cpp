@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <map>
 #include <mutex>
 #include <set>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "serve/protocol.h"
+#include "store/store.h"
 #include "util/json.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -205,6 +207,62 @@ TEST(JobServer, ControlPlaneAndErrorEnvelopes) {
   EXPECT_TRUE(saw_unknown_id);
   EXPECT_TRUE(saw_stats);
   EXPECT_TRUE(saw_bye);
+}
+
+TEST(JobServer, StatsLineAndSnapshotRecordArePinned) {
+  // The `stats` response and the "serve.stats" store record both list the
+  // ServerStats + ContextStats counters; clients and dashboards parse them
+  // by name, so names, order and values are pinned.
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("sitam_serve_stats_" +
+        std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
+        ".jsonl"))
+          .string();
+  std::filesystem::remove(path);
+  std::filesystem::remove(store::ResultStore::index_path_for(path));
+  Recorder recorder;
+  {
+    serve::ServerOptions options;
+    options.threads = 1;
+    options.progress = false;
+    options.stats_store_path = path;
+    options.stats_store_every = 1;
+    serve::JobServer server(options, std::ref(recorder));
+    const std::string job = R"("soc":"mini5","wmax":4,"nr":300})";
+    ASSERT_TRUE(server.submit_line(R"({"op":"ping"})"));
+    ASSERT_TRUE(server.submit_line(R"({"op":"bogus"})"));
+    ASSERT_TRUE(server.submit_line(R"({"op":"optimize","id":"a",)" + job));
+    server.drain();
+    ASSERT_TRUE(server.submit_line(R"({"op":"optimize","id":"b",)" + job));
+    server.drain();
+    ASSERT_TRUE(server.submit_line(R"({"op":"stats"})"));
+  }
+  EXPECT_EQ(recorder.lines().back(),
+            R"({"type":"stats","server":{"received":5,"malformed":1,)"
+            R"("jobs":2,"followers":0,"completed":2,"cancelled":0,)"
+            R"("failed":0},"context":{"requests":2,"result_hits":1,)"
+            R"("result_misses":1,"workload_hits":0,"workload_misses":1,)"
+            R"("cancelled":0,"socs_interned":1}})");
+
+  const std::vector<store::StoreRecord> records =
+      store::ResultStore::read_all(path);
+  std::filesystem::remove(path);
+  std::filesystem::remove(store::ResultStore::index_path_for(path));
+  ASSERT_EQ(records.size(), 2u);
+  std::string metrics;
+  for (const auto& [name, value] : records.back().metrics) {
+    metrics += name + "=" + std::to_string(static_cast<int>(value)) + " ";
+  }
+  EXPECT_EQ(metrics,
+            "context.cancelled=0 context.requests=2 context.result_hits=1 "
+            "context.result_misses=1 context.socs_interned=1 "
+            "context.workload_hits=0 context.workload_misses=1 "
+            "server.cancelled=0 server.completed=2 server.failed=0 "
+            "server.followers=0 server.jobs=2 server.malformed=1 "
+            "server.received=4 ");
+  EXPECT_EQ(records.front().result_digest, "953612dd395cf1e4");
+  EXPECT_EQ(records.back().result_digest, "5781fd2d12fdb6e7");
 }
 
 TEST(JobServer, ServedSweepRunsOnItsWorkerAndKeepsItsResultLine) {
