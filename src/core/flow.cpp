@@ -40,8 +40,9 @@ SiWorkload SiWorkload::prepare(const Soc& soc, const SiWorkloadConfig& config,
 
   {
     // One pipeline over the raw set for all groupings: the §5 draw writes
-    // chunks on this thread while the i = 1 compaction places them on a
-    // pool worker. A single grouping's pipeline stays on this thread.
+    // chunks on this thread while the i = 1 compaction places them and the
+    // care-set index interns them on pool workers. A single grouping's
+    // pipeline stays on this thread.
     SITAM_TRACE_SPAN_ARG("flow.workload.compact",
                          static_cast<std::int64_t>(config.groupings.size()));
     RawPatternStore raw;

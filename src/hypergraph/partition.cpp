@@ -4,6 +4,7 @@
 #include <array>
 #include <limits>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -61,16 +62,21 @@ struct BisectionState {
     }
   }
 
+  /// What an edge of weight `w` with `counts` pins per side adds to the
+  /// gain of a pin on side `s`: +w if the pin is its last on `s` (the edge
+  /// becomes uncut), -w if the other side has none (it becomes cut).
+  [[nodiscard]] static std::int64_t edge_gain(const std::array<int, 2>& counts,
+                                              int s, std::int64_t w) {
+    return (counts[s] == 1 ? w : 0) - (counts[1 - s] == 0 ? w : 0);
+  }
+
   /// FM gain of moving `v` to the other side: positive = cut decreases.
   [[nodiscard]] std::int64_t gain(int v) const {
     std::int64_t g = 0;
     const int from = side[static_cast<std::size_t>(v)];
-    const int to = 1 - from;
     for (const int e : (*incidence)[static_cast<std::size_t>(v)]) {
-      const auto& counts = pins_on[static_cast<std::size_t>(e)];
-      const std::int64_t w = hg->edges[static_cast<std::size_t>(e)].weight;
-      if (counts[from] == 1) g += w;   // edge becomes uncut
-      if (counts[to] == 0) g -= w;     // edge becomes cut
+      g += edge_gain(pins_on[static_cast<std::size_t>(e)], from,
+                     hg->edges[static_cast<std::size_t>(e)].weight);
     }
     return g;
   }
@@ -95,19 +101,36 @@ struct BisectionState {
     return new_to <= limit[to];
   }
 
-  void move(int v) {
+  /// Moves `v` to the other side. With `gains` (one per vertex), also
+  /// updates the gain of every other pin of `v`'s edges from each edge's
+  /// pin counts before and after; `v`'s own entry goes stale.
+  void move(int v, std::span<std::int64_t> gains = {}) {
     const int from = side[static_cast<std::size_t>(v)];
     const int to = 1 - from;
     const std::int64_t w = hg->vertex_weights[static_cast<std::size_t>(v)];
     for (const int e : (*incidence)[static_cast<std::size_t>(v)]) {
       auto& counts = pins_on[static_cast<std::size_t>(e)];
-      const std::int64_t ew = hg->edges[static_cast<std::size_t>(e)].weight;
-      const bool was_cut = counts[0] > 0 && counts[1] > 0;
+      const Hyperedge& edge = hg->edges[static_cast<std::size_t>(e)];
+      const std::array<int, 2> before = counts;
       --counts[from];
       ++counts[to];
+      const bool was_cut = before[0] > 0 && before[1] > 0;
       const bool now_cut = counts[0] > 0 && counts[1] > 0;
-      if (was_cut && !now_cut) cut -= ew;
-      if (!was_cut && now_cut) cut += ew;
+      if (was_cut && !now_cut) cut -= edge.weight;
+      if (!was_cut && now_cut) cut += edge.weight;
+      if (gains.empty()) continue;
+      const std::int64_t delta[2] = {
+          edge_gain(counts, 0, edge.weight) -
+              edge_gain(before, 0, edge.weight),
+          edge_gain(counts, 1, edge.weight) -
+              edge_gain(before, 1, edge.weight)};
+      if (delta[0] == 0 && delta[1] == 0) continue;
+      for (const int u : edge.pins) {
+        if (u != v) {
+          gains[static_cast<std::size_t>(u)] +=
+              delta[side[static_cast<std::size_t>(u)]];
+        }
+      }
     }
     side_weight[from] -= w;
     side_weight[to] += w;
@@ -116,10 +139,16 @@ struct BisectionState {
 };
 
 /// One FM pass with rollback to the best prefix; returns true if the pass
-/// strictly improved (cut, excess) lexicographically.
+/// strictly improved (cut, excess) lexicographically. Every gain is
+/// computed once per pass, then kept current by each move (Fiduccia &
+/// Mattheyses), so a step costs one scan of the cached gains.
 bool fm_pass(BisectionState& state) {
   const int n = state.hg->vertex_count();
   std::vector<bool> locked(static_cast<std::size_t>(n), false);
+  std::vector<std::int64_t> gains(static_cast<std::size_t>(n));
+  for (int v = 0; v < n; ++v) {
+    gains[static_cast<std::size_t>(v)] = state.gain(v);
+  }
   std::vector<int> move_order;
   move_order.reserve(static_cast<std::size_t>(n));
 
@@ -134,14 +163,15 @@ bool fm_pass(BisectionState& state) {
     std::int64_t pick_gain = std::numeric_limits<std::int64_t>::min();
     for (int v = 0; v < n; ++v) {
       if (locked[static_cast<std::size_t>(v)] || !state.feasible(v)) continue;
-      const std::int64_t g = state.gain(v);
+      const std::int64_t g = gains[static_cast<std::size_t>(v)];
       if (g > pick_gain) {
         pick_gain = g;
         pick = v;
       }
     }
     if (pick < 0) break;
-    state.move(pick);
+    SITAM_DCHECK(pick_gain == state.gain(pick));
+    state.move(pick, gains);
     locked[static_cast<std::size_t>(pick)] = true;
     move_order.push_back(pick);
     const std::int64_t ex = state.excess();
@@ -394,12 +424,6 @@ BisectionResult multilevel_bisect(const Hypergraph& hg, std::int64_t target0,
     state.init(fine, fine_inc, std::move(fine_side), limit0, limit1);
     refine(state, config.max_fm_passes);
     side = std::move(state.side);
-  }
-
-  // When there was no coarsening at all, `side` is already at full size but
-  // unrefined against hg only if levels was empty; refine once more then.
-  if (levels.empty()) {
-    // `side` was refined on *current == hg already; nothing to do.
   }
 
   BisectionState final_state;

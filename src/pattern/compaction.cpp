@@ -153,6 +153,8 @@ void check_ids(const PatternView& p, int total_terminals, int bus_width) {
 /// into one conflict word per block; the lowest zero bit is its class.
 /// Unopened classes of the last block have empty columns, so when no open
 /// class fits, that lowest zero is exactly the next class to open.
+/// first_fit() fills the conflict words of kStrip blocks per pass over the
+/// rows, then probes the blocks left one at a time.
 ///
 /// Terminal rows and bus rows are two arrays; row r of block b lives at
 /// r * capacity + b, so a candidate's rows are contiguous across blocks and
@@ -167,8 +169,8 @@ class FirstFitKernel {
   FirstFitKernel(int total_terminals, int bus_width)
       : total_terminals_(total_terminals), bus_width_(bus_width) {}
 
-  /// Checks `p`'s ids (check_ids), puts it into the first class it is
-  /// compatible with (opening a new one if none is) and merges it in.
+  /// Checks `p`'s ids (as check_ids does), puts it into the first class it
+  /// is compatible with (opening a new one if none is) and merges it in.
   void place(const PatternView& p);
 
   /// Classes opened so far.
@@ -217,6 +219,15 @@ class FirstFitKernel {
   /// Appends an empty block, doubling the capacity (and re-laying out the
   /// rows) when it is full.
   void add_block();
+  /// The first class compatible with the candidate whose rows are `care`
+  /// and `bus`: an open one, else classes_ (the next to open, whose column
+  /// is still empty). Probes strips of kStrip blocks, then the rest one
+  /// block at a time.
+  [[nodiscard]] std::size_t first_fit(std::span<const std::uint32_t> care,
+                                      std::span<const BusRows> bus) const;
+
+  /// Blocks probed together by first_fit.
+  static constexpr std::size_t kStrip = 4;
 
   int total_terminals_ = 0;
   int bus_width_ = 0;
@@ -298,57 +309,100 @@ void FirstFitKernel::add_block() {
 }
 
 void FirstFitKernel::place(const PatternView& p) {
-  check_ids(p, total_terminals_, bus_width_);
   care_.clear();
   std::size_t transitions = 0;
   for (const auto& [terminal, value] : p.assignments()) {
+    if (terminal < 0 || terminal >= total_terminals_) {
+      throw_terminal_out_of_range(terminal);
+    }
     care_.push_back(4 * rank(terminal) + care_index(value));
     // Transitions first: their rows reject most classes, so the scan can
-    // usually stop reading a block after them.
+    // usually stop reading a strip after them.
     if (is_transition(value)) std::swap(care_[transitions++], care_.back());
   }
   bus_.clear();
-  for (const BusBit& bit : p.bus_bits()) bus_.push_back(bus_rows(bit));
+  for (const BusBit& bit : p.bus_bits()) {
+    if (bit.line < 0 || bit.line >= bus_width_) {
+      throw_bus_out_of_range(bit.line);
+    }
+    bus_.push_back(bus_rows(bit));
+  }
 
-  constexpr std::uint64_t kFull = ~std::uint64_t{0};
   const std::span<const std::uint32_t> care = care_;
   const std::span<const BusRows> bus = bus_;
-  std::size_t cls = classes_;
-  std::size_t b = 0;
-  for (; b < blocks_; ++b) {
-    std::uint64_t conflict = 0;
-    for (const BusRows& rows : bus) {
-      conflict |= bus_row(rows.line)[b] & ~bus_row(rows.pair)[b];
-    }
-    // Four rows between exit checks keeps the loads independent.
-    for (std::size_t k = 0; k < care.size() && conflict != kFull; k += 4) {
-      const std::size_t end = std::min(care.size(), k + 4);
-      for (std::size_t j = k; j < end; ++j) conflict |= care_row(care[j])[b];
-    }
-    if (conflict != kFull) {
-      cls = b * 64 + static_cast<std::size_t>(std::countr_one(conflict));
-      break;
-    }
-  }
-  block_probes_ += std::min(b + 1, blocks_);
+  const std::size_t cls = first_fit(care, bus);
+  block_probes_ += std::min(cls / 64 + 1, blocks_);
   if (cls == classes_) {
     if (classes_ == blocks_ * 64) add_block();
     ++classes_;
   }
 
-  b = cls / 64;
+  const std::size_t block = cls / 64;
   const std::uint64_t bit = std::uint64_t{1} << (cls % 64);
   for (const std::uint32_t r : care) {
     // The class now conflicts with every other value at this terminal.
     const std::uint32_t base = r & ~3u;
     for (std::uint32_t v = base; v < base + 4; ++v) {
-      if (v != r) care_row(v)[b] |= bit;
+      if (v != r) care_row(v)[block] |= bit;
     }
   }
   for (const BusRows& rows : bus) {
-    bus_row(rows.line)[b] |= bit;
-    bus_row(rows.pair)[b] |= bit;
+    bus_row(rows.line)[block] |= bit;
+    bus_row(rows.pair)[block] |= bit;
   }
+}
+
+std::size_t FirstFitKernel::first_fit(std::span<const std::uint32_t> care,
+                                      std::span<const BusRows> bus) const {
+  constexpr std::uint64_t kFull = ~std::uint64_t{0};
+  std::size_t b = 0;
+  // Whole strips of kStrip blocks: a row's words for them are contiguous,
+  // so one pass over the rows fills kStrip conflict words.
+  for (; b + kStrip <= blocks_; b += kStrip) {
+    std::uint64_t conflict[kStrip] = {};
+    for (const BusRows& rows : bus) {
+      const std::uint64_t* line = bus_row(rows.line) + b;
+      const std::uint64_t* pair = bus_row(rows.pair) + b;
+      for (std::size_t j = 0; j < kStrip; ++j) {
+        conflict[j] |= line[j] & ~pair[j];
+      }
+    }
+    const auto full = [&conflict] {
+      std::uint64_t all = kFull;
+      for (const std::uint64_t c : conflict) all &= c;
+      return all == kFull;
+    };
+    // Four rows between exit checks keeps the loads independent; stop once
+    // every block of the strip is full.
+    for (std::size_t k = 0; k < care.size() && !full(); k += 4) {
+      const std::size_t end = std::min(care.size(), k + 4);
+      for (std::size_t r = k; r < end; ++r) {
+        const std::uint64_t* row = care_row(care[r]) + b;
+        for (std::size_t j = 0; j < kStrip; ++j) conflict[j] |= row[j];
+      }
+    }
+    for (std::size_t j = 0; j < kStrip; ++j) {
+      if (conflict[j] != kFull) {
+        return (b + j) * 64 +
+               static_cast<std::size_t>(std::countr_one(conflict[j]));
+      }
+    }
+  }
+  // The fewer than kStrip blocks left, one at a time.
+  for (; b < blocks_; ++b) {
+    std::uint64_t conflict = 0;
+    for (const BusRows& rows : bus) {
+      conflict |= bus_row(rows.line)[b] & ~bus_row(rows.pair)[b];
+    }
+    for (std::size_t k = 0; k < care.size() && conflict != kFull; k += 4) {
+      const std::size_t end = std::min(care.size(), k + 4);
+      for (std::size_t r = k; r < end; ++r) conflict |= care_row(care[r])[b];
+    }
+    if (conflict != kFull) {
+      return b * 64 + static_cast<std::size_t>(std::countr_one(conflict));
+    }
+  }
+  return classes_;
 }
 
 std::vector<SiPattern> FirstFitKernel::materialize() const {

@@ -7,13 +7,17 @@
 // incompatible with this value here" — plus a mask per bus line and per
 // (line, driver) pair. Placing a candidate ORs one mask word per care bit
 // (and `line & ~driver` per bus bit) into a block's conflict word; the
-// lowest zero bit is its class, tested 64 classes at a time. A terminal,
-// line or pair gets its masks when the first pattern using it is placed
-// (the row order never reaches the output), so the kernel reads patterns
-// as they arrive — a RawPatternStore chunk by chunk — and a call costs
-// ⌈C/64⌉ × (4·U + B + P) words for C classes, U used terminals, B used bus
-// lines and P ≤ B·D distinct (line, driver) pairs — independent of the
-// declared terminal space. Nothing reads a care list in order, so the
+// lowest zero bit is its class, tested 64 classes at a time. The probe
+// reads strips of four blocks at once (each row's four words are
+// contiguous, so one pass over the rows fills four conflict words and
+// stops once all four are full), then the fewer than four blocks left one
+// at a time. A terminal, line or pair gets its masks when the first
+// pattern using it is placed (the row order never reaches the output), so
+// the kernel reads patterns as they arrive — a RawPatternStore chunk by
+// chunk — and a call costs ⌈C/64⌉ × (4·U + B + P) words for C classes, U
+// used terminals, B used bus lines and P ≤ B·D distinct (line, driver)
+// pairs — independent of the declared terminal space (the block capacity
+// starts at one and doubles). Nothing reads a care list in order, so the
 // kernel takes PatternViews of unsorted store patterns and of SiPatterns
 // alike.
 //

@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "util/check.h"
@@ -35,11 +36,24 @@ int int_field(const JsonValue& value, const std::string& name) {
   return static_cast<int>(v);
 }
 
-/// `[1,2,4]` or a bare integer; every element must be positive.
+/// The error for field `name` over its limit (`unit` follows the number).
+std::invalid_argument over_limit(const std::string& name, std::int64_t limit,
+                                 const std::string& unit = "") {
+  return std::invalid_argument("field '" + name + "' exceeds its limit of " +
+                               std::to_string(limit) + unit);
+}
+
+/// `[1,2,4]` or a bare integer: at most `max_entries` elements, each in
+/// [1, max_value].
 std::vector<int> int_list_field(const JsonValue& value,
-                                const std::string& name) {
+                                const std::string& name,
+                                std::size_t max_entries, int max_value) {
   std::vector<int> list;
   if (value.is_array()) {
+    if (value.as_array().size() > max_entries) {
+      throw over_limit(name, static_cast<std::int64_t>(max_entries),
+                       " entries");
+    }
     for (const JsonValue& item : value.as_array()) {
       list.push_back(int_field(item, name));
     }
@@ -54,6 +68,7 @@ std::vector<int> int_list_field(const JsonValue& value,
       throw std::invalid_argument("field '" + name +
                                   "' entries must be >= 1");
     }
+    if (v > max_value) throw over_limit(name, max_value);
   }
   return list;
 }
@@ -130,24 +145,35 @@ Request parse_request(const std::string& line) {
             "field 'nr' must be a non-negative integer");
       }
       request.pattern_count = value.as_int();
+      if (request.pattern_count > kMaxPatternCount) {
+        throw over_limit(field, kMaxPatternCount);
+      }
     } else if (field == "seed") {
       if (!value.is_integer()) {
         throw std::invalid_argument("field 'seed' must be an integer");
       }
       request.seed = static_cast<std::uint64_t>(value.as_int());
     } else if (field == "parts") {
-      request.groupings = int_list_field(value, field);
+      request.groupings =
+          int_list_field(value, field, kMaxPartsCount, kMaxParts);
     } else if (field == "widths") {
-      request.widths = int_list_field(value, field);
+      request.widths =
+          int_list_field(value, field, kMaxWidthCount, kMaxWidth);
     } else if (field == "wmax") {
       request.widths = {int_field(value, field)};
       if (request.widths.front() < 1) {
         throw std::invalid_argument("field 'wmax' must be >= 1");
       }
+      if (request.widths.front() > kMaxWidth) {
+        throw over_limit(field, kMaxWidth);
+      }
     } else if (field == "restarts") {
       request.restarts = int_field(value, field);
       if (request.restarts < 1) {
         throw std::invalid_argument("field 'restarts' must be >= 1");
+      }
+      if (request.restarts > kMaxRestarts) {
+        throw over_limit(field, kMaxRestarts);
       }
     } else if (field == "no_delta") {
       request.delta_eval = !bool_field(value, field);

@@ -17,6 +17,7 @@
 // request.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -58,10 +59,22 @@ struct Request {
   bool trace = false;
 };
 
+/// Upper limits of a job request's numeric fields (docs/SERVER.md), so one
+/// line cannot ask for unbounded work or memory. Each sits far above what
+/// the paper's experiments and the fleet send.
+inline constexpr std::int64_t kMaxPatternCount = 1'000'000;  ///< `nr`
+inline constexpr int kMaxRestarts = 1024;                    ///< `restarts`
+inline constexpr std::size_t kMaxWidthCount = 64;  ///< entries of `widths`
+inline constexpr int kMaxWidth = 1024;  ///< each width, and `wmax`
+inline constexpr std::size_t kMaxPartsCount = 64;  ///< entries of `parts`
+inline constexpr int kMaxParts = 1024;             ///< each grouping i
+
 /// Parses one request line. Throws JsonParseError for malformed JSON
 /// (including duplicate keys, bad UTF-8, over-deep nesting) and
 /// std::invalid_argument for schema violations: non-object root, unknown
-/// fields, missing/oversized ids, bad enum strings, non-positive widths.
+/// fields, missing/oversized ids, bad enum strings, non-positive widths,
+/// and a value or list over its limit above (the message names the field
+/// and the limit).
 [[nodiscard]] Request parse_request(const std::string& line);
 
 // ---- Response envelopes (single-line JSON, no trailing newline) --------

@@ -59,117 +59,166 @@ struct CareIndex {
 };
 
 /// Interns each pattern's care-core set, held as a bitmask over the cores,
-/// in one pass: a dense terminal -> core table maps assignments, an
-/// open-addressing table maps masks to first-seen ids, and a final sort
-/// renumbers the distinct sets lexicographically. Validates every id in
-/// input order; `bus_width` bounds the bus lines.
-CareIndex index_care_sets(std::span<const PatternView> patterns,
-                          const TerminalSpace& terminals, int bus_width) {
-  SITAM_TRACE_SPAN_ARG("sitest.index",
-                       static_cast<std::int64_t>(patterns.size()));
-  SITAM_CHECK_MSG(patterns.size() < UINT32_MAX, "sitest: too many patterns");
-  const int cores = terminals.core_count();
-  std::vector<int> core_of(static_cast<std::size_t>(terminals.total()));
-  for (int core = 0; core < cores; ++core) {
-    const auto first =
-        core_of.begin() + terminals.first_terminal(core);
-    std::fill(first, first + terminals.woc(core), core);
+/// one pattern at a time: a dense terminal -> core table maps assignments
+/// and an open-addressing table maps masks to first-seen ids. finish()
+/// renumbers the distinct sets lexicographically. add() validates every id
+/// of its pattern; `bus_width` bounds the bus lines.
+class CareInterner {
+ public:
+  CareInterner(const TerminalSpace& terminals, int bus_width)
+      : terminals_(terminals.total()),
+        cores_(terminals.core_count()),
+        bus_width_(bus_width),
+        words_(std::max<std::size_t>(
+            1, (static_cast<std::size_t>(cores_) + 63) / 64)),
+        core_of_(static_cast<std::size_t>(terminals_)),
+        slots_(64, kFree),
+        mask_(words_) {
+    for (int core = 0; core < cores_; ++core) {
+      const auto first = core_of_.begin() + terminals.first_terminal(core);
+      std::fill(first, first + terminals.woc(core), core);
+    }
   }
 
-  const std::size_t words = std::max<std::size_t>(
-      1, (static_cast<std::size_t>(cores) + 63) / 64);
-  constexpr std::uint32_t kFree = UINT32_MAX;
-  std::vector<std::uint64_t> keys;   // `words` per first-seen set
-  std::vector<std::int64_t> counts;  // per first-seen set
-  std::vector<bool> bus;             // per first-seen set
-  std::vector<std::uint32_t> slots(64, kFree);
-  const auto key = [&](std::uint32_t id) {
-    return std::span<const std::uint64_t>(keys).subspan(id * words, words);
-  };
-  const auto slot_of = [&](std::span<const std::uint64_t> mask) {
-    std::uint64_t h = 0;
-    for (const std::uint64_t w : mask) h = (h ^ w) * 0x9e3779b97f4a7c15ULL;
-    h = (h ^ (h >> 32)) * 0xd6e8feb86659fd93ULL;
-    std::size_t s = (h ^ (h >> 32)) & (slots.size() - 1);
-    while (slots[s] != kFree && !std::ranges::equal(key(slots[s]), mask)) {
-      s = (s + 1) & (slots.size() - 1);
-    }
-    return s;
-  };
-
-  CareIndex index;
-  index.set_of.resize(patterns.size());
-  std::vector<std::uint64_t> mask(words);
-  for (std::size_t i = 0; i < patterns.size(); ++i) {
-    const PatternView& p = patterns[i];
-    std::fill(mask.begin(), mask.end(), 0);
+  /// Interns the care set of `p`, the next pattern. Throws
+  /// std::out_of_range for a terminal, bus line or bus driver outside the
+  /// declared space (terminals first).
+  void add(const PatternView& p) {
+    SITAM_CHECK_MSG(set_of_.size() < UINT32_MAX - 1,
+                    "sitest: too many patterns");
+    std::fill(mask_.begin(), mask_.end(), 0);
     for (const auto& [terminal, value] : p.assignments()) {
       (void)value;
-      if (terminal < 0 || terminal >= terminals.total()) {
+      if (terminal < 0 || terminal >= terminals_) {
         throw_terminal_out_of_range(terminal);
       }
-      const auto c = static_cast<std::size_t>(
-          core_of[static_cast<std::size_t>(terminal)]);
-      mask[c / 64] |= std::uint64_t{1} << (c % 64);
+      set_core(core_of_[static_cast<std::size_t>(terminal)]);
     }
     for (const BusBit& bit : p.bus_bits()) {
-      if (bit.line < 0 || bit.line >= bus_width) {
+      if (bit.line < 0 || bit.line >= bus_width_) {
         throw_bus_out_of_range(bit.line);
       }
-      if (bit.driver_core < 0 || bit.driver_core >= cores) {
+      if (bit.driver_core < 0 || bit.driver_core >= cores_) {
         throw std::out_of_range("sitest: bus driver core " +
                                 std::to_string(bit.driver_core) +
                                 " outside the SOC");
       }
-      const auto c = static_cast<std::size_t>(bit.driver_core);
-      mask[c / 64] |= std::uint64_t{1} << (c % 64);
+      set_core(bit.driver_core);
     }
-    std::size_t s = slot_of(mask);
-    if (slots[s] == kFree) {
-      slots[s] = static_cast<std::uint32_t>(counts.size());
-      keys.insert(keys.end(), mask.begin(), mask.end());
-      counts.push_back(0);
-      bus.push_back(false);
-      if (2 * counts.size() > slots.size()) {  // keep the load <= 1/2
-        slots.assign(2 * slots.size(), kFree);
-        for (std::uint32_t id = 0; id < counts.size(); ++id) {
-          slots[slot_of(key(id))] = id;
+    std::size_t s = slot_of(mask_);
+    if (slots_[s] == kFree) {
+      slots_[s] = static_cast<std::uint32_t>(counts_.size());
+      keys_.insert(keys_.end(), mask_.begin(), mask_.end());
+      counts_.push_back(0);
+      bus_.push_back(false);
+      if (2 * counts_.size() > slots_.size()) {  // keep the load <= 1/2
+        slots_.assign(2 * slots_.size(), kFree);
+        for (std::uint32_t id = 0; id < counts_.size(); ++id) {
+          slots_[slot_of(key(id))] = id;
         }
-        s = slot_of(mask);
+        s = slot_of(mask_);
       }
     }
-    const std::uint32_t id = slots[s];
-    index.set_of[i] = id;
-    ++counts[id];
-    if (!p.bus_bits().empty()) bus[id] = true;
+    const std::uint32_t id = slots_[s];
+    set_of_.push_back(id);
+    ++counts_[id];
+    if (!p.bus_bits().empty()) bus_[id] = true;
   }
 
-  // Renumber lexicographically by sorted core list.
-  std::vector<std::vector<int>> lists(counts.size());
-  for (std::uint32_t id = 0; id < counts.size(); ++id) {
-    const auto k = key(id);
-    for (std::size_t w = 0; w < words; ++w) {
-      for (std::uint64_t bits = k[w]; bits != 0; bits &= bits - 1) {
-        lists[id].push_back(static_cast<int>(w * 64) +
-                            std::countr_zero(bits));
+  /// The index of every pattern added, its sets renumbered
+  /// lexicographically by sorted core list.
+  [[nodiscard]] CareIndex finish() && {
+    std::vector<std::vector<int>> lists(counts_.size());
+    for (std::uint32_t id = 0; id < counts_.size(); ++id) {
+      const auto k = key(id);
+      for (std::size_t w = 0; w < words_; ++w) {
+        for (std::uint64_t bits = k[w]; bits != 0; bits &= bits - 1) {
+          lists[id].push_back(static_cast<int>(w * 64) +
+                              std::countr_zero(bits));
+        }
       }
     }
+    std::vector<std::uint32_t> order(counts_.size());
+    std::iota(order.begin(), order.end(), std::uint32_t{0});
+    std::sort(order.begin(), order.end(),
+              [&lists](std::uint32_t a, std::uint32_t b) {
+                return lists[a] < lists[b];
+              });
+    CareIndex index;
+    std::vector<std::uint32_t> rank(counts_.size());
+    for (std::uint32_t r = 0; r < order.size(); ++r) {
+      rank[order[r]] = r;
+      index.sets.push_back(std::move(lists[order[r]]));
+      index.multiplicity.push_back(counts_[order[r]]);
+      index.bus.push_back(bus_[order[r]]);
+    }
+    index.set_of = std::move(set_of_);
+    for (std::uint32_t& id : index.set_of) id = rank[id];
+    return index;
   }
-  std::vector<std::uint32_t> order(counts.size());
-  std::iota(order.begin(), order.end(), std::uint32_t{0});
-  std::sort(order.begin(), order.end(),
-            [&lists](std::uint32_t a, std::uint32_t b) {
-              return lists[a] < lists[b];
-            });
-  std::vector<std::uint32_t> rank(counts.size());
-  for (std::uint32_t r = 0; r < order.size(); ++r) {
-    rank[order[r]] = r;
-    index.sets.push_back(std::move(lists[order[r]]));
-    index.multiplicity.push_back(counts[order[r]]);
-    index.bus.push_back(bus[order[r]]);
+
+ private:
+  static constexpr std::uint32_t kFree = UINT32_MAX;
+
+  void set_core(int core) {
+    const auto c = static_cast<std::size_t>(core);
+    mask_[c / 64] |= std::uint64_t{1} << (c % 64);
   }
-  for (std::uint32_t& id : index.set_of) id = rank[id];
-  return index;
+  [[nodiscard]] std::span<const std::uint64_t> key(std::uint32_t id) const {
+    return std::span<const std::uint64_t>(keys_).subspan(id * words_, words_);
+  }
+  [[nodiscard]] std::size_t slot_of(
+      std::span<const std::uint64_t> mask) const {
+    std::uint64_t h = 0;
+    for (const std::uint64_t w : mask) h = (h ^ w) * 0x9e3779b97f4a7c15ULL;
+    h = (h ^ (h >> 32)) * 0xd6e8feb86659fd93ULL;
+    std::size_t s = (h ^ (h >> 32)) & (slots_.size() - 1);
+    while (slots_[s] != kFree && !std::ranges::equal(key(slots_[s]), mask)) {
+      s = (s + 1) & (slots_.size() - 1);
+    }
+    return s;
+  }
+
+  int terminals_ = 0;
+  int cores_ = 0;
+  int bus_width_ = 0;
+  std::size_t words_ = 1;
+  std::vector<int> core_of_;             // terminal -> core
+  std::vector<std::uint64_t> keys_;      // words_ per first-seen set
+  std::vector<std::int64_t> counts_;     // per first-seen set
+  std::vector<bool> bus_;                // per first-seen set
+  std::vector<std::uint32_t> slots_;     // mask hash -> first-seen id
+  std::vector<std::uint64_t> mask_;      // add() scratch
+  std::vector<std::uint32_t> set_of_;    // first-seen id per pattern
+};
+
+/// The care-set index of `patterns`, validating every id in input order.
+CareIndex index_care_sets(std::span<const PatternView> patterns,
+                          const TerminalSpace& terminals, int bus_width) {
+  SITAM_TRACE_SPAN_ARG("sitest.index",
+                       static_cast<std::int64_t>(patterns.size()));
+  CareInterner interner(terminals, bus_width);
+  for (const PatternView& p : patterns) interner.add(p);
+  return std::move(interner).finish();
+}
+
+/// The care-set index of every pattern of `store`, in store order. Reads
+/// each chunk as soon as it is published, so it can run beside the
+/// writer; returns once the store is closed. `cancel` is checked before
+/// each chunk.
+CareIndex index_care_sets(const RawPatternStore& store,
+                          const TerminalSpace& terminals, int bus_width,
+                          const CancelToken* cancel) {
+  obs::ScopedSpan span("sitest.index");
+  CareInterner interner(terminals, bus_width);
+  for (std::size_t k = 0;; ++k) {
+    const RawPatternStore::Chunk* chunk = store.wait_chunk(k);
+    if (chunk == nullptr) break;
+    check_cancel(cancel);
+    for (const PatternView& p : *chunk) interner.add(p);
+  }
+  span.set_arg(static_cast<std::int64_t>(store.size()));
+  return std::move(interner).finish();
 }
 
 /// The §3 hypergraph of an index: its non-empty sets, in set-id order, are
@@ -298,6 +347,7 @@ std::size_t check_pass(std::span<const int> groupings, int cores,
 /// every job it started.
 struct StartedJobs {
   std::future<std::size_t> single;  ///< The i = 1 count, if any.
+  std::future<CareIndex> index;     ///< The streamed care-set index.
   std::vector<std::future<Partition>> partitions;
   std::vector<std::future<std::size_t>> counts;
 
@@ -306,6 +356,7 @@ struct StartedJobs {
   StartedJobs& operator=(const StartedJobs&) = delete;
   ~StartedJobs() {
     if (single.valid()) single.wait();
+    if (index.valid()) index.wait();
     for (const auto& p : partitions) {
       if (p.valid()) p.wait();
     }
@@ -446,8 +497,9 @@ std::vector<SiTestSet> build_si_test_sets(
   StartedJobs started;
   const bool single =
       std::find(groupings.begin(), groupings.end(), 1) != groupings.end();
-  // The i = 1 count reads the chunks in store order as `draw` publishes
-  // them; its span's arg is set once the store is complete.
+  // The i = 1 count and the care-set index each read the chunks in store
+  // order as `draw` publishes them; their spans' args are set once the
+  // store is complete.
   const auto count_all = [&store, &terminals, &config, cancel] {
     check_cancel(cancel);
     obs::ScopedSpan span("sitest.compact");
@@ -456,25 +508,28 @@ std::vector<SiTestSet> build_si_test_sets(
     span.set_arg(static_cast<std::int64_t>(store.size()));
     return count;
   };
-  // On a pool it starts before the first chunk is drawn; on the caller it
-  // runs once the store is closed.
-  if (single && executor.size() > 1) {
-    started.single = executor.submit(count_all);
-  }
+  const auto index_all = [&store, &terminals, &config, cancel] {
+    return index_care_sets(store, terminals, config.bus_width, cancel);
+  };
+  const auto start_readers = [&] {
+    if (single) started.single = executor.submit(count_all);
+    started.index = executor.submit(index_all);
+  };
+  // On a pool both start before the first chunk is drawn, beside the
+  // writer; on the caller they run once the store is closed.
+  const bool streamed = executor.size() > 1;
+  if (streamed) start_readers();
   try {
     draw();
   } catch (...) {
-    store.close();  // lets a streaming count finish before `started` waits
-    throw;
+    store.close();  // lets the streaming readers finish before `started`
+    throw;          // waits for them
   }
   store.close();
   check_cancel(cancel);
-  if (single && !started.single.valid()) {
-    started.single = executor.submit(count_all);
-  }
+  if (!streamed) start_readers();
+  const CareIndex index = started.index.get();
   const std::vector<PatternView> views = store.views();
-  const CareIndex index =
-      index_care_sets(views, terminals, config.bus_width);
   return finish_pass(views, index, terminals, groupings, config, max_jobs,
                      executor, cancel, started.single);
 }

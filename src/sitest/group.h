@@ -11,7 +11,8 @@
 //
 // The hypergraph and each pattern's care-core set depend only on the raw
 // pattern set, so build_si_test_sets computes them once for a list of
-// groupings: care sets are interned to ids, every grouping's buckets are
+// groupings: care sets are interned to ids pattern by pattern (so the
+// index can read a store while it is drawn), every grouping's buckets are
 // index lists decided once per distinct set, and all groups' compactions
 // run as one longest-first job list. A pattern with no care core (all
 // don't-care, no bus line) loads no boundary; at i >= 2 it goes to the
@@ -109,14 +110,17 @@ void assign_si_power(SiTestSet& set, const Soc& soc,
 
 /// The same pass over a raw set that `draw` writes into `store` (open, and
 /// closed here), with its jobs on `executor` — the workload prepare's
-/// pipeline. On a pool (executor.size() > 1) the i = 1 count starts before
-/// `draw` is called and places each chunk as soon as the store publishes
-/// it; on the caller it runs the same chunks in the same order once `draw`
-/// returns. The care-set index, the partitions and the i >= 2 jobs follow
-/// as in the span form, which this matches for any executor. Ids are
-/// checked by the index after `draw`, in store order.
-/// `cancel` is also checked after `draw` and before each chunk the count
-/// places. Every started job has finished when this returns or throws.
+/// pipeline. Three jobs share the store: `draw` writes it, and the i = 1
+/// count and the care-set index read it. On a pool (executor.size() > 1) the
+/// count and the index start before `draw` is called and each reads every
+/// chunk as soon as the store publishes it, so once the store is closed
+/// only the index's renumbering is left; on the caller both run the same
+/// chunks in the same order once `draw` returns. The partitions and the
+/// i >= 2 jobs follow as in the span form, which this matches for any
+/// executor. Ids are checked by the index in store order, with the span
+/// form's exceptions. `cancel` is also checked after `draw` and before
+/// each chunk the count or the index reads. Every started job has
+/// finished when this returns or throws.
 [[nodiscard]] std::vector<SiTestSet> build_si_test_sets(
     RawPatternStore& store, const std::function<void()>& draw,
     const TerminalSpace& terminals, std::span<const int> groupings,

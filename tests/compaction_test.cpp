@@ -152,16 +152,20 @@ std::size_t expect_matches_reference(const std::vector<SiPattern>& input,
   return kernel.patterns.size();
 }
 
+/// Base-4 digits of the seeds of exact_class_input: up to 4^5 = 1024
+/// pairwise-conflicting classes.
+constexpr int kSeedDigits = 5;
+
 /// `classes` pairwise-conflicting seeds (the base-4 digits of k on
-/// terminals 0..3), then fillers that each agree with some seed on a few
-/// digits and add a private terminal. A filler fits its seed's class and
-/// often earlier ones, so fillers spread across blocks but never open a
-/// class.
+/// terminals 0..kSeedDigits-1), then fillers that each agree with some seed
+/// on a few digits and add a private terminal. A filler fits its seed's
+/// class and often earlier ones, so fillers spread across blocks but never
+/// open a class.
 std::vector<SiPattern> exact_class_input(int classes, Rng& rng) {
   std::vector<SiPattern> input;
   for (int k = 0; k < classes; ++k) {
     SiPattern p;
-    for (int d = 0, rest = k; d < 4; ++d, rest /= 4) {
+    for (int d = 0, rest = k; d < kSeedDigits; ++d, rest /= 4) {
       p.set(d, kCareValues[rest % 4]);
     }
     input.push_back(p);
@@ -170,22 +174,44 @@ std::vector<SiPattern> exact_class_input(int classes, Rng& rng) {
     const int k =
         static_cast<int>(rng.below(static_cast<std::uint64_t>(classes)));
     SiPattern p;
-    for (int d = 0, rest = k; d < 4; ++d, rest /= 4) {
+    for (int d = 0, rest = k; d < kSeedDigits; ++d, rest /= 4) {
       if (rng.below(2) == 0) p.set(d, kCareValues[rest % 4]);
     }
-    p.set(4 + f, kCareValues[rng.below(4)]);
+    p.set(kSeedDigits + f, kCareValues[rng.below(4)]);
     input.push_back(p);
   }
   return input;
 }
 
 TEST(BlockKernel, ClassCountsAroundBlockBoundaries) {
+  // Around one, two, four and eight blocks: the kernel probes strips of
+  // four blocks, then the blocks left one at a time, so 255/256/257 and
+  // 511/512/513 classes end a strip, fill it or open a tail block.
   Rng rng(0xb10c5ULL);
-  for (const int classes : {63, 64, 65, 128, 129}) {
+  for (const int classes :
+       {63, 64, 65, 128, 129, 255, 256, 257, 511, 512, 513}) {
     SCOPED_TRACE(classes);
     const auto input = exact_class_input(classes, rng);
-    EXPECT_EQ(expect_matches_reference(input, 4 + 3 * classes, 0),
+    EXPECT_EQ(expect_matches_reference(input, kSeedDigits + 3 * classes, 0),
               static_cast<std::size_t>(classes));
+  }
+}
+
+TEST(BlockKernel, FewOpenBlocksRunOnlyTheOneBlockProbe) {
+  // Dense §5 patterns with bus bits that compact into one to three
+  // blocks: no strip of four blocks ever exists, so every candidate takes
+  // the one-block-at-a-time probe.
+  const Soc soc = load_benchmark("d695");
+  const TerminalSpace ts(soc);
+  const RandomPatternConfig config;
+  for (const std::int64_t count : {40, 300, 1200}) {
+    SCOPED_TRACE(count);
+    Rng rng(0x7a11ULL + static_cast<std::uint64_t>(count));
+    const auto input = generate_random_patterns(ts, count, config, rng);
+    const std::size_t classes =
+        expect_matches_reference(input, ts.total(), config.bus_width);
+    EXPECT_GE(classes, 1u);
+    EXPECT_LE(classes, 3u * 64);
   }
 }
 

@@ -10,6 +10,10 @@
 
 #include "hypergraph/hypergraph.h"
 #include "hypergraph/partition.h"
+#include "interconnect/terminal_space.h"
+#include "pattern/generator.h"
+#include "sitest/group.h"
+#include "soc/benchmarks.h"
 #include "util/rng.h"
 
 namespace sitam {
@@ -317,6 +321,96 @@ TEST(PartitionHypergraph, CoarseningHandlesLargeInstances) {
   const Partition p = partition_hypergraph(hg, 2);
   // A path of 2000 with noise should still cut only a tiny fraction.
   EXPECT_LT(p.cut_weight(hg), 60);
+}
+
+/// One hash of a partition's part ids, vertex by vertex.
+std::uint64_t part_digest(const Partition& p) {
+  std::uint64_t h = static_cast<std::uint64_t>(p.part_of.size());
+  for (const int part : p.part_of) {
+    hash_mix(h, static_cast<std::uint64_t>(part));
+  }
+  return h;
+}
+
+/// A seeded hypergraph of `n` vertices: weights 1..20, 4n edges of 2..5
+/// pins, weights 1..10.
+Hypergraph seeded_graph(int n, std::uint64_t seed) {
+  Rng rng(seed);
+  Hypergraph hg;
+  hg.vertex_weights.resize(static_cast<std::size_t>(n));
+  for (auto& w : hg.vertex_weights) {
+    w = static_cast<std::int64_t>(rng.uniform(1, 20));
+  }
+  for (int e = 0; e < 4 * n; ++e) {
+    const auto pins = std::min<std::size_t>(rng.uniform(2, 5),
+                                            static_cast<std::size_t>(n));
+    Hyperedge edge;
+    for (const auto v :
+         rng.sample_indices(static_cast<std::size_t>(n), pins)) {
+      edge.pins.push_back(static_cast<int>(v));
+    }
+    edge.weight = static_cast<std::int64_t>(rng.uniform(1, 10));
+    hg.edges.push_back(std::move(edge));
+  }
+  hg.normalize();
+  return hg;
+}
+
+TEST(PartitionPins, SeededGraphsKeepTheirPartitions) {
+  // Digests of part_of pinned from the from-scratch FM gain loop. n = 6
+  // and 32 stay below the coarsening limit (48), n = 48 sits on it, and
+  // n = 49 and 200 run the coarsened path. A change here changes the
+  // groupings, so the compacted counts of every table.
+  const std::map<std::pair<int, int>, std::uint64_t> pinned = {
+      {{6, 2}, 0x7300df99370380f4ULL},
+      {{6, 3}, 0x42d93d964354f129ULL},
+      {{6, 4}, 0x05444a05a7550639ULL},
+      {{6, 8}, 0x427d91f8a9f3bc47ULL},
+      {{32, 2}, 0x279a21f0281f5bebULL},
+      {{32, 3}, 0x30d93718103a1a1fULL},
+      {{32, 4}, 0x94094f4afccaff24ULL},
+      {{32, 8}, 0x13644c6e7563a07dULL},
+      {{48, 2}, 0x0efcf993d44fb233ULL},
+      {{48, 3}, 0xb3b81ef8f5c93209ULL},
+      {{48, 4}, 0xfe3aab1c1966b626ULL},
+      {{48, 8}, 0x17faf904cfad7004ULL},
+      {{49, 2}, 0x0147f356880bd7baULL},
+      {{49, 3}, 0x44e9dbe35d76aa9fULL},
+      {{49, 4}, 0xb2bd465f3d021daeULL},
+      {{49, 8}, 0x4441d4e04a16ea1fULL},
+      {{200, 2}, 0xbdd07a37492ed366ULL},
+      {{200, 3}, 0x4dada137a0775406ULL},
+      {{200, 4}, 0x1eb43965036f5274ULL},
+      {{200, 8}, 0x29062e2bfaea1558ULL},
+  };
+  for (const auto& [key, digest] : pinned) {
+    const auto [n, k] = key;
+    const Hypergraph hg =
+        seeded_graph(n, 0x9a57ULL + static_cast<std::uint64_t>(n));
+    const Partition p = partition_hypergraph(hg, k);
+    EXPECT_EQ(part_digest(p), digest) << "n=" << n << " k=" << k;
+  }
+}
+
+TEST(PartitionPins, P93791CoreHypergraphKeepsItsPartitions) {
+  // The p93791 N_r = 10 000 core hypergraph of the table flow (its pattern
+  // seed, and the partition seed SiWorkload::prepare derives from it).
+  const TerminalSpace ts(load_benchmark("p93791"));
+  constexpr std::uint64_t kSeed = 0x20070604ULL;
+  Rng rng(kSeed);
+  const Hypergraph hg = build_core_hypergraph(
+      generate_random_patterns(ts, 10000, RandomPatternConfig{}, rng), ts);
+  PartitionConfig config;
+  config.seed = kSeed ^ 0x9e3779b97f4a7c15ULL;
+  const std::map<int, std::uint64_t> pinned = {
+      {2, 0x16bae3548fda9a0bULL},
+      {4, 0x1353f4f2a8ccfc25ULL},
+      {8, 0xff451e9f930027d1ULL},
+  };
+  for (const auto& [k, digest] : pinned) {
+    EXPECT_EQ(part_digest(partition_hypergraph(hg, k, config)), digest)
+        << "k=" << k;
+  }
 }
 
 }  // namespace

@@ -411,8 +411,8 @@ TEST(Obs, CompactionCountersReconcileWithTheResult) {
 TEST(Obs, TracedPrepareShowsTheGroupingSchedule) {
   // One index pass, one partition per grouping i > 1, and one compaction
   // span per non-empty group, whose arg is the group's raw pattern count.
-  // With pool workers, the i = 1 compaction streams: its span starts
-  // before the draw that feeds it ends.
+  // With pool workers, the i = 1 compaction and the care-set index stream:
+  // their spans start before the draw that feeds them ends.
   const Soc soc = load_benchmark("d695");
   SiWorkloadConfig config;
   config.pattern_count = 10000;
@@ -421,7 +421,7 @@ TEST(Obs, TracedPrepareShowsTheGroupingSchedule) {
   const SiWorkload workload = SiWorkload::prepare(soc, config);
   const TraceDump dump = session.stop();
 
-  std::int64_t index = 0;
+  std::vector<obs::SpanEvent> index;
   std::vector<std::int64_t> partitions;
   std::vector<std::int64_t> compactions;
   std::vector<obs::SpanEvent> generate;
@@ -429,7 +429,7 @@ TEST(Obs, TracedPrepareShowsTheGroupingSchedule) {
   for (const obs::TrackDump& track : dump.tracks) {
     for (const obs::SpanEvent& span : track.spans) {
       const std::string_view name = span.name;
-      if (name == "sitest.index") ++index;
+      if (name == "sitest.index") index.push_back(span);
       if (name == "sitest.partition") partitions.push_back(span.arg);
       if (name == "sitest.compact") compactions.push_back(span.arg);
       if (name == "sitest.compact" && span.arg == config.pattern_count) {
@@ -438,7 +438,8 @@ TEST(Obs, TracedPrepareShowsTheGroupingSchedule) {
       if (name == "flow.workload.generate") generate.push_back(span);
     }
   }
-  EXPECT_EQ(index, 1);
+  ASSERT_EQ(index.size(), 1u);
+  EXPECT_EQ(index.front().arg, config.pattern_count);
   std::sort(partitions.begin(), partitions.end());
   EXPECT_EQ(partitions, (std::vector<std::int64_t>{2, 4, 8}));
   std::vector<std::int64_t> groups;
@@ -457,6 +458,8 @@ TEST(Obs, TracedPrepareShowsTheGroupingSchedule) {
   if (ThreadPool::hardware_threads() >= 2) {
     EXPECT_LT(single.front().begin_ns, generate.front().end_ns)
         << "the i = 1 compaction waited for the whole draw";
+    EXPECT_LT(index.front().begin_ns, generate.front().end_ns)
+        << "the care-set index waited for the whole draw";
   }
 }
 

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <future>
 #include <map>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -349,6 +350,89 @@ TEST(PreparePipeline, StoreCountMatchesPatternCountAtAnyChunkSize) {
                                    pattern_config.bus_width),
               expected)
         << "chunk=" << chunk;
+  }
+}
+
+TEST(PreparePipeline, BadIdInTheSecondChunkThrowsAfterEveryJobReturns) {
+  // A bad id in chunk 2 stops the streamed count and index on their
+  // workers while the draw goes on. The pass throws the span form's
+  // std::out_of_range, and only once every job it started has returned:
+  // the store and the executor are destroyed right after, so a job still
+  // reading them would show under asan or tsan.
+  const Soc soc = load_benchmark("d695");
+  const TerminalSpace ts(soc);
+  const RandomPatternConfig pattern_config;
+  GroupingConfig config;
+  config.bus_width = pattern_config.bus_width;
+  const std::vector<int> groupings = {1, 2, 4, 8};
+  constexpr std::size_t kChunk = 64;
+  const std::string bad_terminal = "compaction: terminal id " +
+                                   std::to_string(ts.total()) +
+                                   " outside declared terminal space";
+  const std::string bad_driver = "sitest: bus driver core " +
+                                 std::to_string(soc.core_count()) +
+                                 " outside the SOC";
+  for (const std::string& expected : {bad_terminal, bad_driver}) {
+    for (const int threads : {1, 2, 3, 0}) {
+      SCOPED_TRACE(expected + " threads=" + std::to_string(threads));
+      auto store = std::make_unique<RawPatternStore>(kChunk);
+      auto executor =
+          std::make_unique<Executor>(ThreadPool::workers_for(threads, 16));
+      Rng rng(0xbad1dULL);
+      try {
+        (void)build_si_test_sets(
+            *store,
+            [&] {
+              draw_random_patterns(ts, kChunk + 10, pattern_config, rng,
+                                   *store);
+              if (expected == bad_terminal) {
+                store->add_care(ts.total(), SigValue::kRise);
+              } else {
+                store->add_care(0, SigValue::kRise);
+                store->add_bus(BusBit{0, soc.core_count()});
+              }
+              store->end_pattern();
+              draw_random_patterns(ts, 8 * kChunk, pattern_config, rng,
+                                   *store);
+            },
+            ts, groupings, config, *executor);
+        ADD_FAILURE() << "no throw";
+      } catch (const std::out_of_range& e) {
+        EXPECT_EQ(std::string(e.what()), expected);
+      }
+      store.reset();
+      executor.reset();
+    }
+  }
+}
+
+TEST(PreparePipeline, CancelDuringTheDrawUnwindsWithCancelled) {
+  // The token fires while chunks are still being drawn: the streamed
+  // readers stop at their next chunk, and the pass unwinds with Cancelled
+  // whether they ran on workers or on the caller.
+  const Soc soc = load_benchmark("p22810");
+  const TerminalSpace ts(soc);
+  const RandomPatternConfig pattern_config;
+  GroupingConfig config;
+  config.bus_width = pattern_config.bus_width;
+  const std::vector<int> groupings = {1, 2, 4, 8};
+  for (const int threads : {1, 2, 3, 0}) {
+    SCOPED_TRACE(threads);
+    CancelToken token;
+    RawPatternStore store(64);
+    Executor executor(ThreadPool::workers_for(threads, 16));
+    Rng rng(0xca9ce1ULL);
+    EXPECT_THROW((void)build_si_test_sets(
+                     store,
+                     [&] {
+                       draw_random_patterns(ts, 300, pattern_config, rng,
+                                            store);
+                       token.request();
+                       draw_random_patterns(ts, 700, pattern_config, rng,
+                                            store);
+                     },
+                     ts, groupings, config, executor, &token),
+                 Cancelled);
   }
 }
 

@@ -147,6 +147,86 @@ TEST(ServeFuzz, HostileLinesBecomeErrorResponsesAndNeverPoisonTheCache) {
   EXPECT_EQ(server.context_stats().result_misses, 1);
 }
 
+/// The one response a fresh server gives to `line`.
+std::string only_response(const std::string& line) {
+  std::mutex mutex;
+  std::vector<std::string> lines;
+  serve::ServerOptions options;
+  options.threads = 1;
+  options.progress = false;
+  serve::JobServer server(options, [&](const std::string& out) {
+    const std::lock_guard<std::mutex> lock(mutex);
+    lines.push_back(out);
+  });
+  EXPECT_TRUE(server.submit_line(line));
+  server.drain();
+  const std::lock_guard<std::mutex> lock(mutex);
+  EXPECT_EQ(lines.size(), 1u) << line.substr(0, 120);
+  return lines.empty() ? std::string() : lines.front();
+}
+
+/// `line` parses, and `over` is answered with an error envelope whose
+/// message is exactly `message`.
+void expect_limit(const std::string& line, const std::string& over,
+                  const std::string& message) {
+  EXPECT_NO_THROW((void)serve::parse_request(line)) << line;
+  const JsonValue error = parse_json(only_response(over));
+  EXPECT_EQ(error.find("type")->as_string(), "error") << over;
+  EXPECT_EQ(error.find("id"), nullptr) << over;
+  EXPECT_EQ(error.find("error")->as_string(), message) << over;
+}
+
+/// `[1, 1, ...]` with `n` entries.
+std::string ones(std::size_t n) {
+  std::string list = "[";
+  for (std::size_t i = 0; i < n; ++i) list += i == 0 ? "1" : ",1";
+  return list + "]";
+}
+
+TEST(ServeFuzz, PatternCountOverItsLimitIsRejected) {
+  const std::string head = R"({"op":"optimize","id":"x","soc":"d695","nr":)";
+  expect_limit(head + std::to_string(serve::kMaxPatternCount) + "}",
+               head + std::to_string(serve::kMaxPatternCount + 1) + "}",
+               "field 'nr' exceeds its limit of " +
+                   std::to_string(serve::kMaxPatternCount));
+}
+
+TEST(ServeFuzz, RestartsOverTheirLimitAreRejected) {
+  const std::string head =
+      R"({"op":"optimize","id":"x","soc":"d695","restarts":)";
+  expect_limit(head + std::to_string(serve::kMaxRestarts) + "}",
+               head + std::to_string(serve::kMaxRestarts + 1) + "}",
+               "field 'restarts' exceeds its limit of " +
+                   std::to_string(serve::kMaxRestarts));
+}
+
+TEST(ServeFuzz, WidthsOverTheirLimitsAreRejected) {
+  const std::string head = R"({"op":"sweep","id":"x","soc":"d695","widths":)";
+  const std::string limit = std::to_string(serve::kMaxWidth);
+  const std::string over = std::to_string(serve::kMaxWidth + 1);
+  expect_limit(head + ones(serve::kMaxWidthCount) + "}",
+               head + ones(serve::kMaxWidthCount + 1) + "}",
+               "field 'widths' exceeds its limit of " +
+                   std::to_string(serve::kMaxWidthCount) + " entries");
+  expect_limit(head + "[8," + limit + "]}", head + "[8," + over + "]}",
+               "field 'widths' exceeds its limit of " + limit);
+  const std::string wmax = R"({"op":"optimize","id":"x","wmax":)";
+  expect_limit(wmax + limit + "}", wmax + over + "}",
+               "field 'wmax' exceeds its limit of " + limit);
+}
+
+TEST(ServeFuzz, PartsOverTheirLimitsAreRejected) {
+  const std::string head = R"({"op":"sweep","id":"x","soc":"d695","parts":)";
+  const std::string limit = std::to_string(serve::kMaxParts);
+  expect_limit(head + ones(serve::kMaxPartsCount) + "}",
+               head + ones(serve::kMaxPartsCount + 1) + "}",
+               "field 'parts' exceeds its limit of " +
+                   std::to_string(serve::kMaxPartsCount) + " entries");
+  expect_limit(head + "[1," + limit + "]}",
+               head + "[1," + std::to_string(serve::kMaxParts + 1) + "]}",
+               "field 'parts' exceeds its limit of " + limit);
+}
+
 /// An input stream of one `length`-byte line followed by `tail`, produced
 /// chunk by chunk so the long line never exists in memory as one string.
 class LongLineBuffer : public std::streambuf {
