@@ -1,6 +1,6 @@
 // Incremental (delta) schedule evaluation study on the p93791 optimization
 // workload: the full §5 sweep runs twice — once with the DeltaEvaluator in
-// front of the memo cache and once with the plain memoized evaluator — and
+// front of the full evaluator and once with the full evaluator alone — and
 // the study checks that
 //   (a) every optimization result is identical (the delta path is purely a
 //       throughput switch; any divergence exits nonzero), and
@@ -34,12 +34,20 @@ using namespace sitam;
 namespace {
 
 /// The acceptance gate: the delta path must cut full ScheduleSITest runs by
-/// at least this factor on the move-heavy optimizer workload.
-constexpr double kMinFullRunRatio = 3.0;
+/// at least this factor on the move-heavy optimizer workload. It was 3x
+/// against a baseline whose evaluator memo answered 18 432 of its 58 471
+/// evaluations; the baseline now runs all of them, so the factor is scaled
+/// by 58 471 / 40 039 (the larger of the full and --smoke factors; --smoke's
+/// is 2 724 / 2 137) to keep the same requirement.
+constexpr double kMinFullRunRatio = 3.0 * 58471.0 / 40039.0;
 
 /// The wall-clock gate (--wallclock_gate): delta mode must finish the sweep
-/// at least this many times faster than the memoized baseline, in seconds.
-constexpr double kMinWallClockSpeedup = 1.5;
+/// at least this many times faster than the full-evaluation baseline, in
+/// seconds. It was 1.5x against a baseline behind the evaluator memo;
+/// without the memo that baseline ran 0.818x as long (median of 44
+/// interleaved runs), so 1.5 * 0.818 keeps the old requirement
+/// t_delta <= t_memo / 1.5.
+constexpr double kMinWallClockSpeedup = 1.5 * 0.818;
 
 /// Timed repetitions per mode, run interleaved (baseline, delta, baseline,
 /// delta, ...) so that a burst of host load lands on both modes instead of
@@ -125,7 +133,7 @@ void write_report(const std::string& path, std::int64_t n_r,
   json.key("manifest");
   manifest.write(json);
   json.key("benchmark")
-      .value("incremental delta evaluation vs memoized full evaluation");
+      .value("incremental delta evaluation vs full evaluation");
   json.key("soc").value("p93791");
   json.key("n_r").value(n_r);
   json.key("widths").begin_array();
@@ -134,13 +142,11 @@ void write_report(const std::string& path, std::int64_t n_r,
   json.key("baseline").begin_object();
   json.key("seconds").value(baseline.seconds);
   json.key("evaluations").value(baseline.stats.evaluations);
-  json.key("memo_hits").value(baseline.stats.cache_hits);
   json.key("full_schedule_runs").value(baseline.stats.full_evaluations());
   json.end_object();
   json.key("delta").begin_object();
   json.key("seconds").value(delta.seconds);
   json.key("evaluations").value(delta.stats.evaluations);
-  json.key("memo_hits").value(delta.stats.cache_hits);
   json.key("delta_hits").value(delta.stats.delta_hits);
   json.key("delta_hit_rate").value(delta.stats.delta_hit_rate());
   json.key("full_schedule_runs").value(delta.stats.full_evaluations());
@@ -194,7 +200,6 @@ int main(int argc, char** argv) {
   table.add_column("mode", Align::kLeft);
   table.add_column("seconds");
   table.add_column("evaluations");
-  table.add_column("memo hits");
   table.add_column("delta hits");
   table.add_column("full runs");
   const auto add_row = [&](const std::string& mode, const ModeOutcome& m) {
@@ -202,12 +207,11 @@ int main(int argc, char** argv) {
     table.cell(mode);
     table.cell(m.seconds, 3);
     table.cell(m.stats.evaluations);
-    table.cell(m.stats.cache_hits);
     table.cell(m.stats.delta_hits);
     table.cell(m.stats.full_evaluations());
   };
-  add_row("baseline (memo only)", baseline);
-  add_row("delta + memo", delta);
+  add_row("baseline (full)", baseline);
+  add_row("delta", delta);
   std::cout << table;
 
   const double ratio =

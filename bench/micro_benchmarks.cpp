@@ -1,11 +1,11 @@
 // google-benchmark microbenchmarks for the library's hot paths: wrapper
 // design, pattern generation, greedy compaction, hypergraph partitioning,
 // architecture evaluation (incl. Algorithm 1 scheduling) and the full
-// Algorithm 2 optimizer — serial and parallel/memoized.
+// Algorithm 2 optimizer — serial and parallel.
 //
 // Before the registered benchmarks run, main() measures the multi-restart
 // Algorithm 2 optimizer as the plain serial paper implementation vs the
-// full accelerated stack (restart pool + memo + delta evaluation) and
+// full accelerated stack (restart pool + delta evaluation) and
 // writes the comparison to BENCH_parallel.json in the working directory
 // (skip with --no_parallel_report).
 #include <benchmark/benchmark.h>
@@ -203,27 +203,13 @@ void BM_EvaluateArchitecture(benchmark::State& state) {
   const Soc& soc = p93791();
   const TestTimeTable table(soc, 64);
   const SiTestSet tests = sample_tests(soc, 8);
-  EvaluatorOptions options;
-  options.memoize = false;  // measure the full timing model every time
-  const TamEvaluator evaluator(soc, table, tests, options);
+  const TamEvaluator evaluator(soc, table, tests);
   const TamArchitecture arch = eight_by_eight(soc);
   for (auto _ : state) {
     benchmark::DoNotOptimize(evaluator.evaluate(arch));
   }
 }
 BENCHMARK(BM_EvaluateArchitecture);
-
-void BM_EvaluateArchitectureMemoized(benchmark::State& state) {
-  const Soc& soc = p93791();
-  const TestTimeTable table(soc, 64);
-  const SiTestSet tests = sample_tests(soc, 8);
-  const TamEvaluator evaluator(soc, table, tests);  // memoize defaults on
-  const TamArchitecture arch = eight_by_eight(soc);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(evaluator.evaluate(arch));
-  }
-}
-BENCHMARK(BM_EvaluateArchitectureMemoized);
 
 void BM_OptimizeTam(benchmark::State& state) {
   const Soc& soc = p93791();
@@ -347,18 +333,18 @@ BENCHMARK(BM_OptimizeTamTraced)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// BENCH_parallel.json: serial vs parallel multi-start, memo hit rate.
+// BENCH_parallel.json: serial vs parallel multi-start, delta hit rate.
 // ---------------------------------------------------------------------------
 
 void write_parallel_report(const std::string& path) {
   // Serial baseline vs the full accelerated stack on the multi-restart
   // Algorithm 2 optimizer. The baseline is the plain paper implementation:
   // one restart after another on one thread, every candidate scored by the
-  // full timing model (no memo, no delta front-end). The accelerated leg
+  // full timing model (no delta front-end). The accelerated leg
   // enables everything the repo builds on top: the restart pool (clamped
   // to the hardware — on a single-core host the pool contributes nothing
-  // and the evaluation stack is the entire story), the t_soc memo, and
-  // the incremental delta evaluator in front of it. The winner rule is
+  // and the evaluation stack is the entire story) and the incremental
+  // delta evaluator in front of the full one. The winner rule is
   // (t_soc, restart index), independent of the thread count and of the
   // scoring path, so both legs produce bit-identical results; the JSON
   // records every knob so the speedup is attributable. The restart loop —
@@ -376,7 +362,6 @@ void write_parallel_report(const std::string& path) {
   OptimizerConfig serial;
   serial.restarts = restarts;
   serial.threads = 1;
-  serial.evaluator.memoize = false;
   serial.delta_eval = false;
 
   // Oversubscribing a host with fewer cores than restarts measures
@@ -386,7 +371,6 @@ void write_parallel_report(const std::string& path) {
       std::max(1, std::min(restarts, ThreadPool::hardware_threads()));
   OptimizerConfig parallel = serial;
   parallel.threads = pool_threads;
-  parallel.evaluator.memoize = true;
   parallel.delta_eval = true;
 
   // Min-of-N timing per mode (first run doubles as the result used by the
@@ -429,7 +413,6 @@ void write_parallel_report(const std::string& path) {
       std::int64_t{ThreadPool::hardware_threads()});
   json.key("serial").begin_object();
   json.key("threads").value(std::int64_t{1});
-  json.key("memoize").value(false);
   json.key("delta_eval").value(false);
   json.key("seconds").value(serial_seconds);
   json.key("evaluations").value(serial_result.stats.evaluations);
@@ -437,13 +420,11 @@ void write_parallel_report(const std::string& path) {
   json.end_object();
   json.key("parallel").begin_object();
   json.key("threads").value(std::int64_t{pool_threads});
-  json.key("memoize").value(true);
   json.key("delta_eval").value(true);
   json.key("seconds").value(parallel_seconds);
   json.key("evaluations").value(parallel_result.stats.evaluations);
-  json.key("memo_hits").value(parallel_result.stats.cache_hits);
   json.key("delta_hits").value(parallel_result.stats.delta_hits);
-  // Memo + delta hits over all evaluations: the fraction of scoring calls
+  // Delta hits over all evaluations: the fraction of scoring calls
   // that never ran the full timing model.
   json.key("hit_rate").value(parallel_result.stats.hit_rate());
   json.key("t_soc").value(parallel_result.evaluation.t_soc);
@@ -460,7 +441,7 @@ void write_parallel_report(const std::string& path) {
   std::cout << "wrote " << path << ": serial " << serial_seconds
             << " s, parallel " << parallel_seconds << " s ("
             << serial_seconds / std::max(1e-9, parallel_seconds)
-            << "x), memo+delta hit rate "
+            << "x), delta hit rate "
             << 100.0 * parallel_result.stats.hit_rate() << " %\n";
 }
 

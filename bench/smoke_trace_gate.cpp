@@ -3,7 +3,7 @@
 // checks that
 //   (a) the Chrome trace file passes obs::verify_chrome_trace_file,
 //   (b) the evaluator counters reconcile exactly
-//       (cache_hits + delta_hits + cache_misses == evaluations),
+//       (delta_hits + cache_misses == evaluations),
 //   (c) multiple per-thread tracks carry spans, including the compaction
 //       and optimizer phases.
 // Exits nonzero on any violation.
@@ -73,16 +73,14 @@ int main(int argc, char** argv) {
   if (verdict.span_events == 0) return fail("trace holds no spans");
 
   // (b) The counter identity every EvaluatorStats view must satisfy:
-  // each evaluation resolves as exactly one of memo hit / delta hit /
-  // full run.
+  // each evaluation resolves as exactly one of delta hit / full run.
   const obs::MetricsSnapshot& metrics = emitter.dump().metrics;
   const std::int64_t evaluations =
       metrics.counter("tam.evaluator.evaluations");
-  const std::int64_t resolved = metrics.counter("tam.evaluator.cache_hits") +
-                                metrics.counter("tam.evaluator.delta_hits") +
+  const std::int64_t resolved = metrics.counter("tam.evaluator.delta_hits") +
                                 metrics.counter("tam.evaluator.cache_misses");
   if (evaluations <= 0 || resolved != evaluations) {
-    return fail("evaluator counters do not reconcile: hits+misses=" +
+    return fail("evaluator counters do not reconcile: delta hits+misses=" +
                 std::to_string(resolved) + " vs evaluations=" +
                 std::to_string(evaluations));
   }

@@ -14,7 +14,6 @@
 //   --restarts=N        Algorithm 2 restarts per optimization
 //   --threads=T         sweep job-list workers (default 0 = all cores,
 //                       1 = serial; results are identical either way)
-//   --no-cache-evals    disable the evaluator memo cache
 //   --no-delta          disable the incremental delta evaluator
 //   --smoke             tiny traced-friendly run: N_r=400, widths {8,16},
 //                       2 restarts on 2 threads (explicit flags still win)
@@ -88,13 +87,11 @@ inline int run_table_bench(const std::string& soc_name, int argc,
       static_cast<int>(args.get_or("restarts", std::int64_t{smoke ? 2 : 1}));
   optimizer.threads =
       static_cast<int>(args.get_or("threads", std::int64_t{smoke ? 2 : 0}));
-  optimizer.evaluator.memoize = !args.has("no-cache-evals");
   optimizer.delta_eval = !args.has("no-delta");
 
   obs::RunManifest manifest =
       bench_manifest(args, soc_name, seed, optimizer.threads);
   manifest.add_extra("restarts", std::to_string(optimizer.restarts));
-  manifest.add_extra("memoize", optimizer.evaluator.memoize ? "1" : "0");
   manifest.add_extra("delta_eval", optimizer.delta_eval ? "1" : "0");
   {
     std::string list;
@@ -174,15 +171,11 @@ inline int run_table_bench(const std::string& soc_name, int argc,
       record.manifest.add_extra("nr", std::to_string(n_r));
       record.manifest.add_extra("restarts",
                                 std::to_string(optimizer.restarts));
-      record.manifest.add_extra("memoize",
-                                optimizer.evaluator.memoize ? "1" : "0");
       record.manifest.add_extra("delta_eval",
                                 optimizer.delta_eval ? "1" : "0");
       record.scenario = soc_name + "/nr" + std::to_string(n_r);
       {
-        std::string config = "memoize=";
-        config += optimizer.evaluator.memoize ? '1' : '0';
-        config += ";delta=";
+        std::string config = "delta=";
         config += optimizer.delta_eval ? '1' : '0';
         config += ";nr=" + std::to_string(n_r);
         config += ";restarts=" + std::to_string(optimizer.restarts);
@@ -197,7 +190,6 @@ inline int run_table_bench(const std::string& soc_name, int argc,
           static_cast<double>(evals.evaluations);
       record.metrics["cache_misses"] =
           static_cast<double>(evals.cache_misses);
-      record.metrics["memo_hit_rate"] = evals.memo_hit_rate();
       record.metrics["delta_hit_rate"] = evals.delta_hit_rate();
       record.metrics["cache_hit_rate"] = evals.hit_rate();
       for (const ExperimentOutcome& row : sweep.rows) {

@@ -43,7 +43,9 @@ std::uint64_t SitamContext::request_key(const FlowRequest& request) {
   mix(opt.restart_seed);
   mix(static_cast<std::uint64_t>(opt.evaluator.pick));
   mix(static_cast<std::uint64_t>(opt.evaluator.style));
-  mix(opt.evaluator.memoize ? 1 : 0);
+  // A constant in the removed memo switch's slot keeps the keys of default
+  // requests unchanged.
+  mix(1);
   mix(static_cast<std::uint64_t>(opt.evaluator.power_budget));
   mix(opt.evaluator.exclusive_bus ? 1 : 0);
   mix(opt.evaluator.interleave_phases ? 1 : 0);

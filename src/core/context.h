@@ -131,7 +131,7 @@ class SitamContext {
   /// Snapshot of the reuse counters.
   [[nodiscard]] ContextStats stats() const;
 
-  /// Drops every cached workload, memoized result and arena entry.
+  /// Drops every cached workload, stored result and arena entry.
   void clear();
 
   /// Content hash identifying `request` up to result equality: mixes the

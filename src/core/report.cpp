@@ -74,9 +74,9 @@ std::string render_evaluator_stats(const EvaluatorStats& stats) {
     return "0 evaluations (evaluator never invoked)";
   }
   std::ostringstream os;
-  os << stats.evaluations << " evaluations: " << stats.cache_hits
-     << " memo hits + " << stats.delta_hits << " delta hits + "
-     << stats.full_evaluations() << " full ScheduleSITest runs ("
+  os << stats.evaluations << " evaluations: " << stats.delta_hits
+     << " delta hits + " << stats.full_evaluations()
+     << " full ScheduleSITest runs ("
      << std::fixed << std::setprecision(1) << 100.0 * stats.hit_rate()
      << " % avoided)";
   return os.str();

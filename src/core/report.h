@@ -22,10 +22,9 @@ namespace sitam {
                                               const SiTestSet& tests);
 
 /// One-line evaluator accounting, e.g.
-/// "118 evaluations: 12 memo hits + 93 delta hits + 13 full ScheduleSITest
-/// runs (89.0 % avoided)". Memo and delta hits are reported separately —
-/// a memo hit returns a stored result verbatim while a delta hit patches
-/// the previous schedule state — and the avoided fraction covers both.
+/// "118 evaluations: 105 delta hits + 13 full ScheduleSITest runs (89.0 %
+/// avoided)". A delta hit patches the previous schedule state instead of
+/// running ScheduleSITest.
 [[nodiscard]] std::string render_evaluator_stats(const EvaluatorStats& stats);
 
 }  // namespace sitam

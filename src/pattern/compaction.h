@@ -80,6 +80,7 @@ struct CompactionResult {
 struct CompactionConfig {
   /// Accepted for API compatibility; must be >= 1. The sweep is one serial
   /// first-fit pass, so this changes neither the output nor the speed.
+  /// Kept only because bench/e2e still sets it (ROADMAP item 7 (g)).
   int threads = 1;
 };
 

@@ -19,39 +19,14 @@ namespace sitam::serve {
 
 namespace {
 
-/// Evaluator toggles one backend name stands for.
-struct BackendConfig {
-  bool memoize = false;
-  bool delta_eval = false;
-};
-
-BackendConfig backend_config(const std::string& backend) {
-  if (backend == "full") return {false, false};
-  if (backend == "memo") return {true, false};
-  if (backend == "delta") return {true, true};
+/// Whether a backend name runs the delta evaluator. "memo" is an alias of
+/// "full" (the evaluator has no memo); it stays only because bench/e2e
+/// still names it (ROADMAP item 7).
+bool backend_delta_eval(const std::string& backend) {
+  if (backend == "full" || backend == "memo") return false;
+  if (backend == "delta") return true;
   throw std::invalid_argument("unknown backend '" + backend +
                               "' (expected full, memo or delta)");
-}
-
-/// The request line a cell submits to the job server. The job id is the
-/// scenario string, so every response maps straight back to its cell.
-std::string cell_request_line(const FleetOptions& options,
-                              const FleetCell& cell) {
-  const BackendConfig backend = backend_config(cell.backend);
-  JsonWriter json;
-  json.begin_object()
-      .kv("op", "optimize")
-      .kv("id", cell.scenario())
-      .kv("soc", cell.soc)
-      .kv("wmax", std::int64_t{cell.w_max})
-      .kv("nr", options.pattern_count)
-      .kv("seed", static_cast<std::int64_t>(cell.seed))
-      .kv("parts", std::int64_t{options.grouping})
-      .kv("restarts", std::int64_t{options.restarts});
-  if (!backend.memoize) json.kv("no_cache", true);
-  if (!backend.delta_eval) json.kv("no_delta", true);
-  json.end_object();
-  return json.str();
 }
 
 /// Derived hit rates mirroring EvaluatorStats::*_rate(), recomputed from
@@ -65,11 +40,11 @@ void add_hit_rates(std::map<std::string, double>& metrics) {
     const auto cit = metrics.find(name);
     return cit == metrics.end() ? 0.0 : cit->second;
   };
-  const double memo_hits = counter("stats.cache_hits");
+  // Every evaluation that avoided a full run is a delta hit, so the two
+  // rates are one number.
   const double delta_hits = counter("stats.delta_hits");
-  metrics["memo_hit_rate"] = memo_hits / evaluations;
   metrics["delta_hit_rate"] = delta_hits / evaluations;
-  metrics["cache_hit_rate"] = (memo_hits + delta_hits) / evaluations;
+  metrics["cache_hit_rate"] = delta_hits / evaluations;
 }
 
 /// Builds the store record for one completed cell. Everything here is a
@@ -102,6 +77,24 @@ store::StoreRecord cell_record(const FleetOptions& options,
 
 }  // namespace
 
+std::string cell_request_line(const FleetOptions& options,
+                              const FleetCell& cell) {
+  const bool delta_eval = backend_delta_eval(cell.backend);
+  JsonWriter json;
+  json.begin_object()
+      .kv("op", "optimize")
+      .kv("id", cell.scenario())
+      .kv("soc", cell.soc)
+      .kv("wmax", std::int64_t{cell.w_max})
+      .kv("nr", options.pattern_count)
+      .kv("seed", static_cast<std::int64_t>(cell.seed))
+      .kv("parts", std::int64_t{options.grouping})
+      .kv("restarts", std::int64_t{options.restarts});
+  if (!delta_eval) json.kv("no_delta", true);
+  json.end_object();
+  return json.str();
+}
+
 std::string FleetCell::scenario() const {
   std::ostringstream os;
   os << soc << "/w" << w_max << '/' << backend << "/seed" << seed;
@@ -120,7 +113,7 @@ std::vector<FleetCell> build_fleet_grid(const FleetOptions& options) {
     }
   }
   for (const std::string& backend : options.backends) {
-    backend_config(backend);  // Validates; throws on an unknown name.
+    (void)backend_delta_eval(backend);  // Throws on an unknown name.
   }
   std::vector<FleetCell> grid;
   grid.reserve(options.socs.size() * options.widths.size() *

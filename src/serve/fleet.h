@@ -12,10 +12,11 @@
 // built exclusively from deterministic bytes — the server's result line,
 // whose payload is a pure function of the request.
 //
-// The "backend" axis selects the evaluator configuration the cell runs
-// under: "full" disables both the memo table and delta evaluation, "memo"
-// enables the memo only, "delta" enables both — the same three columns
-// BENCH_delta.json compares. See docs/RESULT_STORE.md.
+// The "backend" axis selects the evaluator the cell runs under: "full"
+// runs every evaluation through the full timing model, "delta" puts the
+// incremental delta evaluator in front of it — the two legs
+// BENCH_delta.json compares. "memo" is an alias of "full", kept only
+// because bench/e2e still names it. See docs/RESULT_STORE.md.
 #pragma once
 
 #include <cstdint>
@@ -78,6 +79,12 @@ struct FleetSummary {
 /// Config-hash input for `cell`: every result-affecting knob, canonically
 /// ordered. Hash this with store_hash_hex to get the StoreKey config_hash.
 [[nodiscard]] std::string fleet_cell_config(const FleetOptions& options,
+                                            const FleetCell& cell);
+
+/// The request line `cell` submits to the job server. The job id is the
+/// scenario string, so every response maps straight back to its cell.
+/// Throws std::invalid_argument for an unknown backend name.
+[[nodiscard]] std::string cell_request_line(const FleetOptions& options,
                                             const FleetCell& cell);
 
 /// Runs the fleet: opens the store, skips satisfied cells, fans the rest

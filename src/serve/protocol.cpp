@@ -178,7 +178,9 @@ Request parse_request(const std::string& line) {
     } else if (field == "no_delta") {
       request.delta_eval = !bool_field(value, field);
     } else if (field == "no_cache") {
-      request.memoize = !bool_field(value, field);
+      // Accepted and type-checked, with no effect: the evaluator has no
+      // memo. Kept only because bench/e2e still sends it (ROADMAP item 7).
+      (void)bool_field(value, field);
     } else if (field == "priority") {
       request.priority = parse_priority(string_field(value, field));
     } else if (field == "trace") {

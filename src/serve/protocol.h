@@ -50,7 +50,6 @@ struct Request {
   std::vector<int> widths = {32};
   int restarts = 1;
   bool delta_eval = true;
-  bool memoize = true;
   JobPriority priority = JobPriority::kNormal;
   /// Record a per-job trace: the result line gains "manifest", "trace"
   /// (Chrome trace-event JSON) and "metrics" objects covering exactly this

@@ -51,7 +51,6 @@ FlowRequest build_flow_request(const Request& request,
   // worker that runs it instead of nesting a pool inside every worker.
   flow.optimizer.threads = 1;
   flow.optimizer.delta_eval = request.delta_eval;
-  flow.optimizer.evaluator.memoize = request.memoize;
   return flow;
 }
 

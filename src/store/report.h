@@ -30,7 +30,7 @@ struct DashboardOptions {
   /// Metrics promoted to Markdown table columns (when present in the
   /// scenario); every metric is always in the JSON document.
   std::vector<std::string> highlight = {
-      "t_soc",    "seconds",        "speedup",        "memo_hit_rate",
+      "t_soc",          "seconds",        "speedup",
       "delta_hit_rate", "cache_hit_rate", "compaction_ratio",
   };
 };

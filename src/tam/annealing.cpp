@@ -119,7 +119,7 @@ OptimizeResult run_chain(const Soc& soc, const TestTimeTable& table,
   DeltaEvaluator incremental(evaluator);
   const auto score = [&](const TamArchitecture& arch) {
     // Annealing moves dirty at most two rails, so nearly every scoring call
-    // is a delta hit; the memoized evaluator is the L2 behind it.
+    // is a delta hit; the full evaluator runs the rest.
     return config.delta_eval ? incremental.t_soc(arch) : evaluator.t_soc(arch);
   };
   Rng rng(seed);

@@ -132,7 +132,7 @@ void DeltaEvaluator::materialize(const TamArchitecture& arch) {
   base_eval_.t_si = t_si_;
   base_eval_.t_soc = t_soc_;
   // InTest slots rail-major in core order — the exact layout
-  // evaluate_uncached produces. Only evaluate() pays for this; t_soc() and
+  // evaluate_reference produces. Only evaluate() pays for this; t_soc() and
   // rail_times() never reach here.
   const TestTimeTable& table = full_->table();
   base_eval_.intest.clear();
@@ -646,10 +646,8 @@ void DeltaEvaluator::rebase(const TamArchitecture& arch) {
   SITAM_TRACE_SPAN("tam.delta.rebase");
   ++breakdown_.rebases;
   SITAM_COUNTER("tam.delta.rebases", 1);
-  // Full path through the wrapped evaluator — its memo cache is the L2
-  // behind the delta path, so a revisited architecture is still answered
-  // without a ScheduleSITest run (and the memo entry it stores is what
-  // makes a later direct evaluate() of the same architecture a hit).
+  // A plain full evaluation through the wrapped evaluator (one counted
+  // ScheduleSITest run).
   base_eval_ = full_->evaluate(arch);
   const std::size_t rail_count = arch.rails.size();
   SITAM_CHECK_MSG(base_eval_.rails.size() == rail_count,

@@ -1,4 +1,5 @@
-// Incremental schedule evaluation (the delta path in front of the memo).
+// Incremental schedule evaluation (the delta path in front of the full
+// evaluator).
 //
 // Algorithm 2 and the annealing chains evaluate long sequences of
 // architectures where consecutive candidates differ in one move — a core
@@ -83,7 +84,7 @@ struct DeltaOptions {
 };
 
 /// Fallback/rebase diagnostics, separate from EvaluatorStats (which only
-/// tracks the hit/miss accounting shared with the memo cache).
+/// tracks the delta-hit/full-run accounting).
 struct DeltaBreakdown {
   std::int64_t delta_hits = 0;       ///< Patched without a full run.
   std::int64_t identity_hits = 0;    ///< …of which: unchanged architecture.
@@ -96,14 +97,14 @@ struct DeltaBreakdown {
 
 /// Incremental front-end over a TamEvaluator. evaluate()/t_soc() are
 /// drop-in replacements for the TamEvaluator calls with identical results;
-/// stats() merges the wrapped evaluator's memo counters with the local
-/// delta-hit count so the EvaluatorStats invariant (hits + delta hits +
-/// misses == evaluations) holds for the stack as a whole.
+/// stats() merges the wrapped evaluator's full-run counters with the local
+/// delta-hit count so the EvaluatorStats invariant (delta hits + misses ==
+/// evaluations) holds for the stack as a whole.
 class DeltaEvaluator {
  public:
   /// `full` must outlive the DeltaEvaluator. The wrapped evaluator performs
-  /// all fallback evaluations (through its memo cache when enabled) and
-  /// supplies the per-group timing recomputation.
+  /// all fallback evaluations and supplies the per-group timing
+  /// recomputation.
   explicit DeltaEvaluator(const TamEvaluator& full,
                           const DeltaOptions& options = {});
 
@@ -126,8 +127,8 @@ class DeltaEvaluator {
   /// Drops the cached state; the next evaluation rebases via the full path.
   void invalidate();
 
-  /// Combined counters: the wrapped evaluator's (memo hits + full runs)
-  /// plus this front-end's delta hits.
+  /// Combined counters: the wrapped evaluator's full runs plus this
+  /// front-end's delta hits.
   [[nodiscard]] EvaluatorStats stats() const;
 
   [[nodiscard]] const DeltaBreakdown& breakdown() const { return breakdown_; }
@@ -142,8 +143,8 @@ class DeltaEvaluator {
   // evaluation must fall back. On success the SoA state describes `arch`.
   bool try_delta(const TamArchitecture& arch);
 
-  // Full-path evaluation through the wrapped evaluator (memo = L2), then
-  // rebuilds the SoA state from scratch.
+  // Full evaluation through the wrapped evaluator, then rebuilds the SoA
+  // state from scratch.
   void rebase(const TamArchitecture& arch);
 
   // Derives t_si_/t_soc_ from t_in_ and makespan_ under the phase rule.

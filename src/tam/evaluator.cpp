@@ -1,13 +1,11 @@
 #include "tam/evaluator.h"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 
 #include "obs/obs.h"
 #include "tam/schedule.h"
 #include "util/check.h"
-#include "util/rng.h"
 
 namespace sitam {
 
@@ -144,134 +142,25 @@ void TamEvaluator::si_group_timing_into(const TamArchitecture& arch,
   }
 }
 
-namespace {
-
-// One traversal, both salted states — the memo's hit path computes the key
-// and the check hash together, so keep the per-salt mixing byte-identical
-// to architecture_hash(arch, salt).
-struct DualHash {
-  std::uint64_t key;
-  std::uint64_t check;
-};
-
-DualHash architecture_hash_pair(const TamArchitecture& arch) {
-  std::uint64_t h0 = 0x51a7ca5eULL;
-  std::uint64_t h1 = 0x51a7ca5eULL ^ 0x94d049bb133111ebULL;
-  const auto mix = [&h0, &h1](std::uint64_t value) {
-    hash_mix(h0, value);
-    hash_mix(h1, value);
-  };
-  mix(arch.rails.size());
-  for (const TestRail& rail : arch.rails) {
-    mix(static_cast<std::uint64_t>(rail.width));
-    mix(rail.cores.size());
-    for (const int core : rail.cores) {
-      mix(static_cast<std::uint64_t>(core));
-    }
-  }
-  return DualHash{h0, h1};
+void TamEvaluator::count_full_run() const {
+  SITAM_COUNTER("tam.evaluator.evaluations", 1);
+  SITAM_COUNTER("tam.evaluator.cache_misses", 1);
+  ++stats_.evaluations;
+  ++stats_.cache_misses;
 }
-
-}  // namespace
-
-// sitam-lint: allow(SL005) — static pure hash; reads the architecture,
-// mutates nothing.
-std::uint64_t TamEvaluator::architecture_hash(const TamArchitecture& arch,
-                                              std::uint64_t salt) {
-  std::uint64_t h = 0x51a7ca5eULL ^ (salt * 0x94d049bb133111ebULL);
-  const auto mix = [&h](std::uint64_t value) { hash_mix(h, value); };
-  mix(arch.rails.size());
-  for (const TestRail& rail : arch.rails) {
-    mix(static_cast<std::uint64_t>(rail.width));
-    mix(rail.cores.size());
-    for (const int core : rail.cores) {
-      mix(static_cast<std::uint64_t>(core));
-    }
-  }
-  return h;
-}
-
-// Locking pattern for both memoized entry points: hash outside the lock,
-// probe + counter bumps under it, evaluate_uncached outside it (it only
-// touches the unguarded scratch), insert under a second critical section.
-// Two threads racing on the same miss both run the timing model — wasted
-// work, not wrong answers: the result is bit-identical and the second
-// insert overwrites the first with the same bytes.
 
 Evaluation TamEvaluator::evaluate(const TamArchitecture& arch) const {
-  SITAM_COUNTER("tam.evaluator.evaluations", 1);
-  if (!options_.memoize) {
-    SITAM_COUNTER("tam.evaluator.cache_misses", 1);
-    {
-      const std::lock_guard<std::mutex> lock(memo_mutex_);
-      ++stats_.evaluations;
-      ++stats_.cache_misses;
-    }
-    return evaluate_uncached(arch);
-  }
-  const DualHash hash = architecture_hash_pair(arch);
-  {
-    const std::lock_guard<std::mutex> lock(memo_mutex_);
-    ++stats_.evaluations;
-    if (const auto it = memo_.find(hash.key);
-        it != memo_.end() && it->second.check == hash.check) {
-      ++stats_.cache_hits;
-      SITAM_COUNTER("tam.evaluator.cache_hits", 1);
-      return it->second.evaluation;
-    }
-    ++stats_.cache_misses;
-  }
-  SITAM_COUNTER("tam.evaluator.cache_misses", 1);
-  Evaluation ev = evaluate_uncached(arch);
-  {
-    const std::lock_guard<std::mutex> lock(memo_mutex_);
-    if (memo_.size() >= kMemoCapacity) memo_.clear();
-    memo_[hash.key] = MemoEntry{hash.check, ev};
-  }
-  return ev;
+  count_full_run();
+  return evaluate_reference(arch);
 }
 
 std::int64_t TamEvaluator::t_soc(const TamArchitecture& arch) const {
-  SITAM_COUNTER("tam.evaluator.evaluations", 1);
-  if (!options_.memoize) {
-    SITAM_COUNTER("tam.evaluator.cache_misses", 1);
-    {
-      const std::lock_guard<std::mutex> lock(memo_mutex_);
-      ++stats_.evaluations;
-      ++stats_.cache_misses;
-    }
-    return evaluate_uncached(arch).t_soc;
-  }
-  // This is the optimizers' inner-loop call: a hit costs one dual-hash
-  // traversal and a find, and a miss stores a 16-byte scalar entry — the
-  // full-Evaluation memo is never copied into or out of here.
-  const DualHash hash = architecture_hash_pair(arch);
-  {
-    const std::lock_guard<std::mutex> lock(memo_mutex_);
-    ++stats_.evaluations;
-    if (const auto it = scalar_memo_.find(hash.key);
-        it != scalar_memo_.end() && it->second.check == hash.check) {
-      ++stats_.cache_hits;
-      SITAM_COUNTER("tam.evaluator.cache_hits", 1);
-      return it->second.t_soc;
-    }
-    if (const auto it = memo_.find(hash.key);
-        it != memo_.end() && it->second.check == hash.check) {
-      ++stats_.cache_hits;
-      SITAM_COUNTER("tam.evaluator.cache_hits", 1);
-      return it->second.evaluation.t_soc;
-    }
-    ++stats_.cache_misses;
-  }
-  SITAM_COUNTER("tam.evaluator.cache_misses", 1);
-  const std::int64_t t = evaluate_uncached(arch).t_soc;
-  const std::lock_guard<std::mutex> lock(memo_mutex_);
-  if (scalar_memo_.size() >= kMemoCapacity) scalar_memo_.clear();
-  scalar_memo_.emplace(hash.key, ScalarEntry{hash.check, t});
-  return t;
+  count_full_run();
+  return evaluate_reference(arch).t_soc;
 }
 
-Evaluation TamEvaluator::evaluate_uncached(const TamArchitecture& arch) const {
+Evaluation TamEvaluator::evaluate_reference(
+    const TamArchitecture& arch) const {
   const int cores = soc_->core_count();
   Evaluation ev;
   ev.rails.resize(arch.rails.size());

@@ -17,8 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "sitest/group.h"
@@ -64,12 +62,6 @@ inline constexpr std::int64_t kBusSwitchCycles = 4;
 struct EvaluatorOptions {
   SchedulePick pick = SchedulePick::kLongestFirst;
   ArchitectureStyle style = ArchitectureStyle::kTestRail;
-  /// Memoize evaluate() results keyed by a 64-bit architecture hash. The
-  /// optimizer's merge/sweep loops revisit near-identical architectures
-  /// constantly, so hits dominate on the hot path; a memoized answer is the
-  /// stored Evaluation verbatim, so results are identical either way (up to
-  /// an astronomically unlikely double 64-bit hash collision).
-  bool memoize = true;
   /// Peak-power budget for concurrently running SI tests (same units as
   /// SiTestGroup::power; see assign_si_power). 0 = unconstrained. The
   /// evaluator rejects test sets containing a group whose own power already
@@ -163,16 +155,17 @@ struct Evaluation {
 /// Evaluation-count bookkeeping for one evaluator stack (and, summed, for a
 /// whole optimizer run). Every evaluate()/t_soc() call counts exactly once,
 /// in exactly one bucket:
-///  * cache_hits  — answered verbatim from the memo cache (an architecture
-///    seen before);
 ///  * delta_hits  — answered by the incremental delta path (DeltaEvaluator
 ///    patched the previous architecture's schedule state instead of running
 ///    ScheduleSITest from scratch);
 ///  * cache_misses — ran the full timing model (a full ScheduleSITest).
-/// The three always add up to `evaluations`. A plain TamEvaluator never
+/// The buckets always add up to `evaluations`. A plain TamEvaluator never
 /// records delta hits; only the DeltaEvaluator front-end does.
 struct EvaluatorStats {
   std::int64_t evaluations = 0;
+  /// Always 0: the evaluator has no memo. Kept, with memo_hit_rate(), only
+  /// because bench/e2e still reads both (ROADMAP item 7 (g) deletes them
+  /// with their readers); result lines keep their "cache_hits" field.
   std::int64_t cache_hits = 0;
   std::int64_t delta_hits = 0;
   std::int64_t cache_misses = 0;
@@ -180,8 +173,7 @@ struct EvaluatorStats {
   friend bool operator==(const EvaluatorStats&,
                          const EvaluatorStats&) = default;
 
-  /// Fraction of evaluations that avoided a full ScheduleSITest run
-  /// (memo hits + delta hits).
+  /// Fraction of evaluations that avoided a full ScheduleSITest run.
   [[nodiscard]] double hit_rate() const {
     return evaluations == 0
                ? 0.0
@@ -189,7 +181,7 @@ struct EvaluatorStats {
                      static_cast<double>(evaluations);
   }
 
-  /// Fraction answered verbatim from the memo cache.
+  /// Always 0 (see cache_hits).
   [[nodiscard]] double memo_hit_rate() const {
     return evaluations == 0 ? 0.0
                             : static_cast<double>(cache_hits) /
@@ -221,12 +213,9 @@ struct EvaluatorStats {
 /// evaluate() hundreds of thousands of times, so the implementation reuses
 /// scratch buffers.
 ///
-/// Thread-safety: the memo caches and the stats counters are guarded by
-/// memo_mutex_, so concurrent readers never corrupt them (a racing miss
-/// may evaluate the same architecture twice — idempotent, results are
-/// bit-identical). The *scratch buffers* are not guarded: evaluation
-/// itself must stay single-threaded per instance. The parallel optimizer
-/// honours this by giving every worker its own evaluator.
+/// Not thread-safe: the scratch buffers and the stats counters are plain
+/// members, so an instance must be used by one thread at a time. The
+/// parallel optimizers give every restart/chain its own evaluator.
 class TamEvaluator {
  public:
   /// All references must outlive the evaluator. Throws
@@ -234,16 +223,13 @@ class TamEvaluator {
   TamEvaluator(const Soc& soc, const TestTimeTable& table,
                const SiTestSet& tests, const EvaluatorOptions& options = {});
 
-  /// Full evaluation: rail times, Algorithm 1 schedule, T_soc.
+  /// Full evaluation: rail times, Algorithm 1 schedule, T_soc. Every call
+  /// runs the timing model and counts as one full run (cache_misses).
   /// The architecture must be valid for this SOC (validate() it first when
-  /// it comes from outside the optimizer). Answered from the memo cache
-  /// when EvaluatorOptions::memoize is on and the architecture was seen
-  /// before.
+  /// it comes from outside the optimizer).
   [[nodiscard]] Evaluation evaluate(const TamArchitecture& arch) const;
 
-  /// Convenience: just T_soc. With memoization on, a hit returns the
-  /// cached scalar without copying the stored Evaluation — use this (not
-  /// evaluate().t_soc) in scoring loops.
+  /// Convenience: just T_soc, counted like evaluate().
   [[nodiscard]] std::int64_t t_soc(const TamArchitecture& arch) const;
 
   /// CalculateSITestTime for one group: duration and bottleneck rail.
@@ -257,7 +243,7 @@ class TamEvaluator {
   /// input for one group). `group_index` is recorded in the result;
   /// `rail_of_core` must come from arch.rail_of_core(core_count()). This is
   /// the building block the incremental DeltaEvaluator refreshes per dirty
-  /// group; it does not touch the memo cache or the counters.
+  /// group; it does not touch the counters.
   [[nodiscard]] SiGroupTiming si_group_timing(
       const TamArchitecture& arch, int group_index,
       const std::vector<int>& rail_of_core) const;
@@ -269,37 +255,18 @@ class TamEvaluator {
                             const std::vector<int>& rail_of_core,
                             SiGroupTiming& out) const;
 
-  /// Uncached, uncounted full evaluation — the reference the delta path is
+  /// evaluate() without the counters — the reference the delta path is
   /// checked against under SITAM_DCHECK and in the differential tests.
-  /// Bypasses the memo cache and does not touch the stats counters.
-  [[nodiscard]] Evaluation evaluate_reference(const TamArchitecture& arch) const {
-    return evaluate_uncached(arch);
-  }
+  [[nodiscard]] Evaluation evaluate_reference(const TamArchitecture& arch) const;
 
   [[nodiscard]] const Soc& soc() const { return *soc_; }
   [[nodiscard]] const SiTestSet& tests() const { return *tests_; }
   [[nodiscard]] const TestTimeTable& table() const { return *table_; }
   [[nodiscard]] const EvaluatorOptions& options() const { return options_; }
 
-  /// Hit/miss/eval counters since construction (or the last reset).
-  /// Returned by value: the counters are mutex-guarded, so handing out a
-  /// reference would let callers read them while another thread updates.
-  [[nodiscard]] EvaluatorStats stats() const {
-    const std::lock_guard<std::mutex> lock(memo_mutex_);
-    return stats_;
-  }
-  void reset_stats() {
-    const std::lock_guard<std::mutex> lock(memo_mutex_);
-    stats_ = EvaluatorStats{};
-  }
-
-  /// 64-bit hash of the evaluation-relevant architecture state: rail
-  /// count, and per rail (in order) its width and core set. Rail ids are
-  /// optimizer bookkeeping and do not participate. `salt` selects one of
-  /// two independent mixes (the memo cache verifies both to make a
-  /// colliding lookup need a simultaneous 128-bit collision).
-  [[nodiscard]] static std::uint64_t architecture_hash(
-      const TamArchitecture& arch, std::uint64_t salt = 0);
+  /// Eval/miss counters since construction (or the last reset).
+  [[nodiscard]] const EvaluatorStats& stats() const { return stats_; }
+  void reset_stats() { stats_ = EvaluatorStats{}; }
 
   /// SI busy time of one rail given per-pattern scan length and core
   /// count. Public for the delta evaluator, which rebuilds a patched
@@ -309,18 +276,16 @@ class TamEvaluator {
                                           std::int64_t patterns) const;
 
  private:
-
-  // The uncached timing model (the body of evaluate()).
-  [[nodiscard]] Evaluation evaluate_uncached(const TamArchitecture& arch) const;
+  // Counts one full run in stats_ and the trace counters.
+  void count_full_run() const;
 
   const Soc* soc_;
   const TestTimeTable* table_;
   const SiTestSet* tests_;
   EvaluatorOptions options_;
 
-  // Scratch reused across evaluate() calls. Deliberately NOT guarded:
-  // evaluation stays single-threaded per instance (see the class comment),
-  // so guarding them would only hide a misuse the scratch reuse forbids.
+  // Scratch reused across evaluate() calls (single-threaded per instance,
+  // see the class comment).
   mutable std::vector<int> rail_of_core_;
   mutable std::vector<std::int64_t> rail_shift_;  // l_r(s) accumulator
   mutable std::vector<std::int64_t> rail_cores_;  // |C(r) ∩ C(s)| accumulator
@@ -329,31 +294,7 @@ class TamEvaluator {
   mutable std::vector<int> order_scratch_;
   mutable std::vector<std::int64_t> rail_time_in_scratch_;
   mutable detail::ScheduleWorkspace schedule_ws_;
-
-  // Guards the memo caches and the stats counters below. Probes, counter
-  // bumps and inserts happen under it; evaluate_uncached runs outside it.
-  mutable std::mutex memo_mutex_;
-
-  // Memo cache: primary hash -> (check hash, result). Cleared wholesale
-  // when it outgrows kMemoCapacity — the optimizer's working set is tiny
-  // compared to the cap, so eviction is a non-event in practice.
-  struct MemoEntry {
-    std::uint64_t check = 0;
-    Evaluation evaluation;
-  };
-  static constexpr std::size_t kMemoCapacity = 1 << 16;
-  mutable std::unordered_map<std::uint64_t, MemoEntry> memo_;  // guarded_by(memo_mutex_)
-
-  // Scalar side-cache for the t_soc() hot path: 16 bytes per entry, so a
-  // miss never stores (and a hit never touches) a full Evaluation. Kept
-  // separate from memo_ because the scoring loops see mostly-unique
-  // architectures whose full evaluations would be dead weight.
-  struct ScalarEntry {
-    std::uint64_t check = 0;
-    std::int64_t t_soc = 0;
-  };
-  mutable std::unordered_map<std::uint64_t, ScalarEntry> scalar_memo_;  // guarded_by(memo_mutex_)
-  mutable EvaluatorStats stats_;  // guarded_by(memo_mutex_)
+  mutable EvaluatorStats stats_;
 };
 
 }  // namespace sitam

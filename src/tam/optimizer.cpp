@@ -54,7 +54,7 @@ class Optimizer {
 
  private:
   [[nodiscard]] std::int64_t t_soc(const TamArchitecture& arch) const {
-    // Delta path when enabled (memo behind it as L2); plain memoized
+    // Delta path when enabled (full evaluation behind it); plain full
     // evaluator otherwise. Identical numbers either way.
     return config_.delta_eval ? delta_.t_soc(arch) : eval_.t_soc(arch);
   }
@@ -356,7 +356,7 @@ class Optimizer {
   int w_max_;
   OptimizerConfig config_;
   TamEvaluator eval_;
-  // Incremental front-end over eval_ (which stays the L2 memo behind it).
+  // Incremental front-end over eval_ (which runs its full evaluations).
   // Mutable for the same reason eval_'s internals are: scoring a candidate
   // does not change the observable optimizer state.
   mutable DeltaEvaluator delta_;

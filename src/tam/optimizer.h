@@ -30,8 +30,8 @@ struct OptimizerConfig {
   EvaluatorOptions evaluator;
   /// Score candidates through the incremental DeltaEvaluator (tam/delta.h):
   /// consecutive candidates differ by a move, so most evaluations patch the
-  /// previous schedule state instead of re-running ScheduleSITest; the memo
-  /// cache serves as the L2 behind it. Results are bit-identical either
+  /// previous schedule state instead of re-running ScheduleSITest; the rest
+  /// run the full evaluator. Results are bit-identical either
   /// way — the delta path replays the same shared scheduling core — so this
   /// is purely a throughput switch (kept as a switch for the differential
   /// tests and the delta_eval_study bench).

@@ -263,7 +263,7 @@ std::vector<std::string> verify_stats(const EvaluatorStats& stats) {
   }
   if (stats.cache_hits + stats.delta_hits + stats.cache_misses !=
       stats.evaluations) {
-    fail("memo hits + delta hits + misses = ",
+    fail("cache_hits + delta hits + misses = ",
          stats.cache_hits + stats.delta_hits + stats.cache_misses,
          " does not add up to ", stats.evaluations, " evaluations");
   }

@@ -33,8 +33,8 @@ namespace sitam {
     const TamArchitecture& arch, const Evaluation& evaluation,
     const EvaluatorOptions& options = {});
 
-/// Sanity-checks evaluator counters: non-negative, memo hits + delta hits +
-/// misses equal to the total evaluation count, and a non-empty count when a
+/// Sanity-checks evaluator counters: non-negative, cache_hits + delta hits
+/// + misses equal to the total evaluation count, and a non-empty count when a
 /// result was produced. Same contract as verify_evaluation: a list of
 /// human-readable violations, empty = verified.
 [[nodiscard]] std::vector<std::string> verify_stats(

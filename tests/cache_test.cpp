@@ -1,4 +1,4 @@
-// Tests for the workload cache and the evaluator's memo cache.
+// Tests for the workload cache and the evaluator's counters.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -132,12 +132,12 @@ TEST_F(CacheTest, FromPreparedValidatesShape) {
 }
 
 // ---------------------------------------------------------------------------
-// Evaluator memo cache.
+// Evaluator counters.
 // ---------------------------------------------------------------------------
 
-class EvaluatorMemoTest : public ::testing::Test {
+class EvaluatorStatsTest : public ::testing::Test {
  protected:
-  EvaluatorMemoTest() : table_(soc_, 8) {
+  EvaluatorStatsTest() : table_(soc_, 8) {
     SiTestGroup group;
     group.label = "g1";
     group.cores = {0, 2};
@@ -161,74 +161,21 @@ class EvaluatorMemoTest : public ::testing::Test {
   SiTestSet tests_;
 };
 
-TEST_F(EvaluatorMemoTest, HitsOnReevaluationOfSameArchitecture) {
+TEST_F(EvaluatorStatsTest, ReevaluationIsAFullRunWithAnIdenticalResult) {
   const TamEvaluator evaluator(soc_, table_, tests_);
   const TamArchitecture arch = two_rails();
   const Evaluation first = evaluator.evaluate(arch);
   const Evaluation again = evaluator.evaluate(arch);
-  EXPECT_EQ(evaluator.stats().evaluations, 2);
-  EXPECT_EQ(evaluator.stats().cache_misses, 1);
-  EXPECT_EQ(evaluator.stats().cache_hits, 1);
-  // The memoized answer is the stored evaluation verbatim.
-  EXPECT_EQ(again.t_soc, first.t_soc);
-  EXPECT_EQ(again.t_in, first.t_in);
-  EXPECT_EQ(again.schedule.items.size(), first.schedule.items.size());
-}
-
-TEST_F(EvaluatorMemoTest, MissAfterMutatingWidthOrCores) {
-  const TamEvaluator evaluator(soc_, table_, tests_);
-  TamArchitecture arch = two_rails();
-  (void)evaluator.evaluate(arch);
-
-  ++arch.rails[0].width;  // width change -> different architecture
-  --arch.rails[1].width;
-  (void)evaluator.evaluate(arch);
-  EXPECT_EQ(evaluator.stats().cache_misses, 2);
-
-  // Moving a core between rails is a different architecture too.
-  arch = two_rails();
-  arch.rails[0].cores = {0, 1, 2};
-  arch.rails[1].cores = {3, 4};
-  (void)evaluator.evaluate(arch);
+  EXPECT_EQ(again, first);
+  EXPECT_EQ(evaluator.t_soc(arch), first.t_soc);
+  EXPECT_EQ(evaluator.stats().evaluations, 3);
   EXPECT_EQ(evaluator.stats().cache_misses, 3);
+  EXPECT_EQ(evaluator.stats().full_evaluations(), 3);
   EXPECT_EQ(evaluator.stats().cache_hits, 0);
+  EXPECT_EQ(evaluator.stats().delta_hits, 0);
 }
 
-TEST_F(EvaluatorMemoTest, MissCountMatchesDistinctArchitectures) {
-  const TamEvaluator evaluator(soc_, table_, tests_);
-  std::vector<TamArchitecture> distinct;
-  for (int w = 1; w <= 4; ++w) {
-    TamArchitecture arch = two_rails();
-    arch.rails[0].width = w;
-    distinct.push_back(std::move(arch));
-  }
-  for (int round = 0; round < 3; ++round) {
-    for (const TamArchitecture& arch : distinct) {
-      (void)evaluator.evaluate(arch);
-    }
-  }
-  EXPECT_EQ(evaluator.stats().evaluations,
-            static_cast<std::int64_t>(3 * distinct.size()));
-  EXPECT_EQ(evaluator.stats().cache_misses,
-            static_cast<std::int64_t>(distinct.size()));
-  EXPECT_EQ(evaluator.stats().cache_hits,
-            static_cast<std::int64_t>(2 * distinct.size()));
-}
-
-TEST_F(EvaluatorMemoTest, DisabledCacheCountsEveryCallAsMiss) {
-  EvaluatorOptions options;
-  options.memoize = false;
-  const TamEvaluator evaluator(soc_, table_, tests_, options);
-  const TamArchitecture arch = two_rails();
-  const Evaluation a = evaluator.evaluate(arch);
-  const Evaluation b = evaluator.evaluate(arch);
-  EXPECT_EQ(a.t_soc, b.t_soc);
-  EXPECT_EQ(evaluator.stats().evaluations, 2);
-  EXPECT_EQ(evaluator.stats().cache_misses, 2);
-  EXPECT_EQ(evaluator.stats().cache_hits, 0);
-}
-
-TEST_F(EvaluatorMemoTest, ResetStatsClearsCounters) {
+TEST_F(EvaluatorStatsTest, ResetStatsClearsCounters) {
   TamEvaluator evaluator(soc_, table_, tests_);
   (void)evaluator.evaluate(two_rails());
   evaluator.reset_stats();
@@ -238,12 +185,12 @@ TEST_F(EvaluatorMemoTest, ResetStatsClearsCounters) {
 }
 
 // ---------------------------------------------------------------------------
-// Memo-vs-delta bucket accounting: a DeltaEvaluator stacked on the memo must
-// keep the two hit kinds apart — memo hits answer repeats, delta hits answer
-// moves — and the rate helpers must report each bucket separately.
+// Delta-vs-full bucket accounting: a DeltaEvaluator stacked on the full
+// evaluator must keep delta hits (moves) apart from full runs (rebases and
+// direct calls), and the rate helpers must report each bucket separately.
 // ---------------------------------------------------------------------------
 
-TEST_F(EvaluatorMemoTest, DeltaHitsAndMemoHitsLandInSeparateBuckets) {
+TEST_F(EvaluatorStatsTest, DeltaHitsAndFullRunsLandInSeparateBuckets) {
   const TamEvaluator evaluator(soc_, table_, tests_);
   DeltaEvaluator delta(evaluator);
   const TamArchitecture arch = two_rails();
@@ -251,19 +198,19 @@ TEST_F(EvaluatorMemoTest, DeltaHitsAndMemoHitsLandInSeparateBuckets) {
   std::swap(moved.rails[0].width, moved.rails[1].width);
 
   (void)delta.evaluate(arch);   // rebase: full run -> cache_misses
-  (void)delta.evaluate(moved);  // one move -> delta_hits (never memoized)
+  (void)delta.evaluate(moved);  // one move -> delta_hits
   delta.invalidate();
-  (void)delta.evaluate(arch);  // rebase of the memoized base -> cache_hits
+  (void)delta.evaluate(arch);  // rebase of a seen architecture: full run
 
   const EvaluatorStats stats = delta.stats();
   EXPECT_EQ(stats.evaluations, 3);
-  EXPECT_EQ(stats.cache_misses, 1);
+  EXPECT_EQ(stats.cache_misses, 2);
   EXPECT_EQ(stats.delta_hits, 1);
-  EXPECT_EQ(stats.cache_hits, 1);
-  EXPECT_EQ(stats.full_evaluations(), 1);
+  EXPECT_EQ(stats.cache_hits, 0);
+  EXPECT_EQ(stats.full_evaluations(), 2);
 }
 
-TEST_F(EvaluatorMemoTest, RateHelpersSeparateTheBuckets) {
+TEST_F(EvaluatorStatsTest, RateHelpersSeparateTheBuckets) {
   EvaluatorStats stats;
   stats.evaluations = 8;
   stats.cache_hits = 2;
@@ -280,19 +227,19 @@ TEST_F(EvaluatorMemoTest, RateHelpersSeparateTheBuckets) {
   EXPECT_DOUBLE_EQ(zero.delta_hit_rate(), 0.0);
 }
 
-TEST_F(EvaluatorMemoTest, DeltaHitsBypassTheMemoEntirely) {
+TEST_F(EvaluatorStatsTest, DeltaHitsNeverReachTheFullEvaluator) {
   const TamEvaluator evaluator(soc_, table_, tests_);
   DeltaEvaluator delta(evaluator);
   TamArchitecture arch = two_rails();
   (void)delta.evaluate(arch);
   const std::int64_t wrapped_before = evaluator.stats().evaluations;
   std::swap(arch.rails[0].width, arch.rails[1].width);
-  (void)delta.evaluate(arch);  // patched: must not consult the memo
+  (void)delta.evaluate(arch);  // patched: no full run
   EXPECT_EQ(evaluator.stats().evaluations, wrapped_before);
   EXPECT_EQ(delta.breakdown().delta_hits, 1);
 }
 
-TEST_F(EvaluatorMemoTest, StatsSumWrappedAndLocalCounters) {
+TEST_F(EvaluatorStatsTest, StatsSumWrappedAndLocalCounters) {
   const TamEvaluator evaluator(soc_, table_, tests_);
   DeltaEvaluator delta(evaluator);
   TamArchitecture arch = two_rails();
@@ -304,25 +251,11 @@ TEST_F(EvaluatorMemoTest, StatsSumWrappedAndLocalCounters) {
 
   const EvaluatorStats combined = delta.stats();
   EXPECT_EQ(combined.evaluations, 3);
-  EXPECT_EQ(combined.cache_misses, 1);  // the initial rebase
-  EXPECT_EQ(combined.cache_hits, 1);    // the direct re-evaluation
+  EXPECT_EQ(combined.cache_misses, 2);  // the rebase and the direct call
   EXPECT_EQ(combined.delta_hits, 1);    // the move
-  EXPECT_EQ(combined.cache_hits + combined.delta_hits + combined.cache_misses,
+  EXPECT_EQ(combined.cache_hits, 0);
+  EXPECT_EQ(combined.delta_hits + combined.cache_misses,
             combined.evaluations);
-}
-
-TEST_F(EvaluatorMemoTest, ArchitectureHashIgnoresRailIds) {
-  TamArchitecture a = two_rails();
-  TamArchitecture b = two_rails();
-  b.rails[0].id = 17;  // optimizer bookkeeping only
-  EXPECT_EQ(TamEvaluator::architecture_hash(a),
-            TamEvaluator::architecture_hash(b));
-  b.rails[0].width = 4;
-  EXPECT_NE(TamEvaluator::architecture_hash(a),
-            TamEvaluator::architecture_hash(b));
-  // The two salted mixes are independent hashes.
-  EXPECT_NE(TamEvaluator::architecture_hash(a, 0),
-            TamEvaluator::architecture_hash(a, 1));
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "serve/fleet.h"
 #include "serve/protocol.h"
 #include "store/store.h"
 #include "util/json.h"
@@ -207,6 +208,76 @@ TEST(JobServer, ControlPlaneAndErrorEnvelopes) {
   EXPECT_TRUE(saw_unknown_id);
   EXPECT_TRUE(saw_stats);
   EXPECT_TRUE(saw_bye);
+}
+
+// Every field docs/SERVER.md lists for `optimize` (and `widths`, which
+// `sweep` adds) parses on one line.
+TEST(Protocol, EveryDocumentedJobFieldParses) {
+  const serve::Request request = serve::parse_request(
+      R"({"op":"optimize","id":"all","soc":"d695","wmax":16,"nr":2000,)"
+      R"("seed":7,"parts":[2],"restarts":3,"no_delta":true,"no_cache":true,)"
+      R"("priority":"high","trace":true})");
+  EXPECT_EQ(request.op, serve::RequestOp::kOptimize);
+  EXPECT_EQ(request.id, "all");
+  EXPECT_EQ(request.soc, "d695");
+  EXPECT_EQ(request.widths, std::vector<int>{16});
+  EXPECT_EQ(request.pattern_count, 2000);
+  EXPECT_EQ(request.seed, 7u);
+  EXPECT_EQ(request.groupings, std::vector<int>{2});
+  EXPECT_EQ(request.restarts, 3);
+  EXPECT_FALSE(request.delta_eval);
+  EXPECT_EQ(request.priority, JobPriority::kHigh);
+  EXPECT_TRUE(request.trace);
+
+  const serve::Request sweep = serve::parse_request(
+      R"({"op":"sweep","id":"s","soc_text":"x","widths":[8,16]})");
+  EXPECT_EQ(sweep.op, serve::RequestOp::kSweep);
+  EXPECT_EQ(sweep.soc_text, "x");
+  EXPECT_EQ(sweep.widths, (std::vector<int>{8, 16}));
+}
+
+// `no_cache` has no effect, but it is still type-checked as a bool.
+TEST(Protocol, NonBoolNoCacheGetsTheErrorEnvelope) {
+  Recorder recorder;
+  serve::ServerOptions options;
+  options.threads = 1;
+  options.progress = false;
+  serve::JobServer server(options, std::ref(recorder));
+  EXPECT_TRUE(server.submit_line(
+      R"({"op":"optimize","id":"nc","soc":"d695","no_cache":1})"));
+  server.drain();
+  EXPECT_EQ(recorder.lines(),
+            std::vector<std::string>{
+                R"({"type":"error","error":"field 'no_cache' must be a boolean"})"});
+  EXPECT_EQ(server.stats().malformed, 1);
+  EXPECT_EQ(server.stats().jobs, 0);
+}
+
+// The fleet's `full` and `memo` backends send the same evaluator settings,
+// so one (SOC, W, seed) pair is computed once and answered twice.
+TEST(JobServer, FleetFullAndMemoCellsShareOneComputation) {
+  serve::FleetOptions fleet;
+  fleet.socs = {"d695"};
+  fleet.widths = {16};
+  fleet.backends = {"full", "memo"};
+  fleet.seeds = {1};
+  const std::vector<serve::FleetCell> cells = serve::build_fleet_grid(fleet);
+  ASSERT_EQ(cells.size(), 2u);
+
+  Recorder recorder;
+  serve::ServerOptions options;
+  options.threads = 2;
+  options.progress = false;
+  serve::JobServer server(options, std::ref(recorder));
+  for (const serve::FleetCell& cell : cells) {
+    ASSERT_TRUE(server.submit_line(serve::cell_request_line(fleet, cell)));
+  }
+  server.drain();
+
+  EXPECT_EQ(server.context_stats().result_misses, 1);
+  const std::map<std::string, std::string> results = recorder.results();
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(results.at(cells[0].scenario()), results.at(cells[1].scenario()));
 }
 
 TEST(JobServer, StatsLineAndSnapshotRecordArePinned) {

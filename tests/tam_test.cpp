@@ -527,8 +527,7 @@ TEST(OptimizerStats, CountsEveryEvaluation) {
   (void)evaluator.t_soc(arch);
   (void)evaluator.t_soc(arch);
   EXPECT_EQ(evaluator.stats().evaluations, 5);
-  EXPECT_EQ(evaluator.stats().cache_hits + evaluator.stats().cache_misses,
-            evaluator.stats().evaluations);
+  EXPECT_EQ(evaluator.stats().cache_misses, 5);  // every call is a full run
 
   // End-to-end: a full optimizer run reports a consistent, non-zero count.
   // The optimizer scores through the delta path by default, so the

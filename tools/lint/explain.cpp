@@ -116,11 +116,12 @@ constexpr Doc kDocs[] = {
      "leak. The heuristic: container fields of *Cache*/*Memo* classes\n"
      "(and member-style identifiers whose own name says cache/memo) that\n"
      "are inserted into somewhere in the TU must also be cleared, erased,\n"
-     "or reassigned somewhere in the TU. The evaluator memo's wholesale\n"
-     "clear at kMemoCapacity is the repo's reference pattern. Inside\n"
-     "src/store the rule also covers *index*/*idx*-named containers: the\n"
-     "result store's derived index grows per record and must keep a\n"
-     "clear/rebuild path (StoreIndex::clear is the reference).\n"},
+     "or reassigned somewhere in the TU. StageCache's LRU eviction\n"
+     "(src/core/stage_cache.h, trim_locked) is the repo's reference\n"
+     "pattern. Inside src/store the rule also covers *index*/*idx*-named\n"
+     "containers: the result store's derived index grows per record and\n"
+     "must keep a clear/rebuild path (StoreIndex::clear is the\n"
+     "reference).\n"},
     {"SL016",
      "Raw SIMD intrinsics anywhere in the tree.\n\n"
      "The compaction conflict probe (pattern/packed.h) is scalar-only.\n"

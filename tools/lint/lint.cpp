@@ -199,8 +199,7 @@ bool writes_output(const Stripped& file) {
       "pattern/io.h",  "sitest/io.h",      "soc/writer.h", "core/gantt.h"};
   static const char* kWords[] = {"ostream",  "ofstream", "ostringstream",
                                  "fprintf",  "printf",   "cout",
-                                 "to_json",  "to_csv",   "hash_combine",
-                                 "architecture_hash"};
+                                 "to_json",  "to_csv",   "hash_combine"};
   for (std::size_t li = 0; li < file.code.size(); ++li) {
     // Include targets live inside string literals, so match the raw line
     // (guarded by the stripped line: commented-out includes don't count).

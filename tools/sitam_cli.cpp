@@ -215,19 +215,16 @@ OptimizerConfig optimizer_config(const CliArgs& args) {
   config.restarts =
       static_cast<int>(args.get_or("restarts", std::int64_t{1}));
   config.threads = static_cast<int>(args.get_or("threads", std::int64_t{0}));
-  config.evaluator.memoize = !args.has("no-cache");
   config.delta_eval = !args.has("no-delta");
   return config;
 }
 
 void stats_json(JsonWriter& json, const EvaluatorStats& stats) {
   json.key("evaluations").value(stats.evaluations);
-  json.key("cache_hits").value(stats.cache_hits);
   json.key("delta_hits").value(stats.delta_hits);
   json.key("cache_misses").value(stats.cache_misses);
   json.key("full_evaluations").value(stats.full_evaluations());
   json.key("cache_hit_rate").value(stats.hit_rate());
-  json.key("memo_hit_rate").value(stats.memo_hit_rate());
   json.key("delta_hit_rate").value(stats.delta_hit_rate());
 }
 
@@ -548,7 +545,7 @@ int usage() {
          "  store-import --store=F --files=a.json,b.json\n"
          "                                  backfill BENCH_*.json artifacts\n"
          "  (optimize/sweep accept --json --trace-out=F --metrics-out=F;\n"
-         "   optimize/sweep/verify accept --restarts=N --no-cache --no-delta\n"
+         "   optimize/sweep/verify accept --restarts=N --no-delta\n"
          "   --threads=T (optimizer workers: default 0 = all cores, 1 = serial))\n";
   return 2;
 }
