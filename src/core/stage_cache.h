@@ -9,7 +9,8 @@
 //     concurrent requesters of that key wait for the same value.
 //   - A failed compute is never stored. If the leader threw Cancelled, the
 //     entry is dropped and one waiter becomes the new leader; any other
-//     error is rethrown to every waiter.
+//     error is rethrown to every waiter, each with its own exception object
+//     of the same type and message (StageFailure).
 //   - A waiter checks its own CancelToken when its wait ends.
 #pragma once
 
@@ -21,10 +22,56 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
+#include <string>
+#include <typeinfo>
+#include <utility>
 
 #include "util/cancel.h"
 
 namespace sitam {
+
+/// A failed compute as its waiters rethrow it: a fresh object of the same
+/// type and message per waiter. One shared object would be freed by
+/// whichever thread drops it last, ordered only by the C++ runtime's
+/// uninstrumented reference counts (a ThreadSanitizer race). Types other
+/// than the standard ones the computes throw are shared as thrown.
+struct StageFailure {
+  std::exception_ptr (*make)(const std::string&) = nullptr;
+  std::string message;
+  std::exception_ptr shared;
+
+  /// Call on the leader's thread only.
+  [[nodiscard]] static StageFailure of(const std::exception_ptr& thrown) {
+    StageFailure failure;
+    try {
+      std::rethrow_exception(thrown);
+    } catch (const std::exception& e) {
+      failure.message = e.what();
+      failure.recreate<std::invalid_argument, std::out_of_range,
+                       std::logic_error, std::runtime_error>(typeid(e));
+    } catch (...) {
+    }
+    if (failure.make == nullptr) failure.shared = thrown;
+    return failure;
+  }
+
+  /// The exception one waiter rethrows; null when nothing failed.
+  [[nodiscard]] std::exception_ptr copy() const {
+    return make != nullptr ? make(message) : shared;
+  }
+
+ private:
+  template <typename E>
+  static std::exception_ptr make_as(const std::string& message) {
+    return std::make_exception_ptr(E(message));
+  }
+
+  template <typename... Types>
+  void recreate(const std::type_info& type) {
+    ((type == typeid(Types) ? void(make = &make_as<Types>) : void()), ...);
+  }
+};
 
 template <typename Value>
 class StageCache {
@@ -54,7 +101,7 @@ class StageCache {
       done_.wait(lock, [&slot] { return !slot->pending; });
       check_cancel(cancel);
       if (slot->value != nullptr) return Lookup{slot->value, true};
-      if (slot->error != nullptr) std::rethrow_exception(slot->error);
+      if (const auto error = slot->error.copy()) std::rethrow_exception(error);
       // The leader was cancelled: claim the key unless a waiter already has.
     }
     const auto slot = std::make_shared<Slot>();
@@ -63,19 +110,20 @@ class StageCache {
     lock.unlock();
     std::shared_ptr<const Value> value;
     std::exception_ptr failure;
-    std::exception_ptr error;  // the failure, unless it was Cancelled
+    StageFailure error;  // the failure, unless it was Cancelled
     try {
       value = std::make_shared<const Value>(compute());
     } catch (const Cancelled&) {
       failure = std::current_exception();
     } catch (...) {
-      failure = error = std::current_exception();
+      failure = std::current_exception();
+      error = StageFailure::of(failure);
     }
 
     lock.lock();
     slot->pending = false;
     slot->value = value;
-    slot->error = error;
+    slot->error = std::move(error);
     slot->last_used = ++tick_;
     const auto it = entries_.find(key);
     if (it != entries_.end() && it->second == slot) {
@@ -109,7 +157,7 @@ class StageCache {
   struct Slot {
     bool pending = true;                  // guarded_by(mutex_)
     std::shared_ptr<const Value> value;   // guarded_by(mutex_)
-    std::exception_ptr error;             // guarded_by(mutex_)
+    StageFailure error;                   // guarded_by(mutex_)
     std::uint64_t last_used = 0;          // guarded_by(mutex_)
   };
 

@@ -76,11 +76,17 @@ void TestRail::erase_core(int core) {
 void TestRail::merge_cores_from(const TestRail& other) {
   SITAM_DCHECK_MSG(this != &other,
                    "merge_cores_from: rail merged with itself");
-  const std::size_t mid = cores.size();
-  cores.insert(cores.end(), other.cores.begin(), other.cores.end());
-  std::inplace_merge(cores.begin(),
-                     cores.begin() + static_cast<std::ptrdiff_t>(mid),
-                     cores.end());
+  // Backward merge in place: grow once, then fill from the back, taking the
+  // larger tail element each step. No temporary buffer, and a reused rail
+  // (the optimizer's candidate scratch) allocates nothing once warm.
+  std::size_t mine = cores.size();
+  std::size_t theirs = other.cores.size();
+  cores.resize(mine + theirs);
+  for (std::size_t out = cores.size(); theirs > 0;) {
+    cores[--out] = mine > 0 && cores[mine - 1] > other.cores[theirs - 1]
+                       ? cores[--mine]
+                       : other.cores[--theirs];
+  }
   if (hash_valid_ && other.hash_valid_) {
     hash_sum0_ += other.hash_sum0_;
     hash_sum1_ += other.hash_sum1_;

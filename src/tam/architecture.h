@@ -13,9 +13,10 @@
 // on every evaluation used to dominate the delta path, so each TestRail now
 // carries the hash as cached state: two commutative sums of per-core
 // SplitMix64 terms, updated in O(1) by the mutation helpers below and
-// carried along by copies (the optimizers build candidates by copying the
-// incumbent and touching 1–2 rails). The width deliberately does not enter
-// the sums — it is mixed in only by the final content_hash() step — so the
+// carried along by copies (the optimizers copy the incumbent into reused
+// candidate storage and touch 1–2 rails, or move a core in place and undo
+// the move, which restores the sums exactly). The width does not enter the
+// sums — it is mixed in only by the final content_hash() step — so the
 // optimizer's innermost move, the ±1-wire probe, needs no hash maintenance
 // at all. Code that mutates `cores` directly (bulk construction, tests)
 // must call invalidate_hash(); content_hash() cross-checks its cache
@@ -59,7 +60,7 @@ struct TestRail {
   /// Merges `other`'s cores into this rail (both stay sorted; the core
   /// sets must be disjoint, as rails of one architecture always are). The
   /// commutative hash sums make the merged cache the sum of the two caches
-  /// when both are warm.
+  /// when both are warm. Merges backward in place: no temporary buffer.
   void merge_cores_from(const TestRail& other);
 
   /// Content hash of (width, core set), served from the incremental cache;

@@ -70,6 +70,7 @@ void DeltaEvaluator::step(const TamArchitecture& arch) {
 
 const Evaluation& DeltaEvaluator::evaluate(const TamArchitecture& arch) {
   step(arch);
+  fresh_schedule(arch);
   materialize(arch);
   SITAM_DCHECK_MSG(eval_valid_, "evaluate returned a stale materialization");
   return base_eval_;
@@ -77,7 +78,8 @@ const Evaluation& DeltaEvaluator::evaluate(const TamArchitecture& arch) {
 
 std::int64_t DeltaEvaluator::t_soc(const TamArchitecture& arch) {
   step(arch);
-  SITAM_DCHECK_MSG(has_base_, "t_soc with no cached state");
+  fresh_schedule(arch);
+  SITAM_DCHECK_MSG(!schedule_stale_, "t_soc over a stale schedule");
   return t_soc_;
 }
 
@@ -87,7 +89,37 @@ const std::vector<RailTimes>& DeltaEvaluator::rail_times(
   materialize_rails();
   SITAM_DCHECK_MSG(base_eval_.rails.size() == arch.rails.size(),
                    "rail_times does not describe the architecture");
+#if SITAM_DCHECKS_ENABLED
+  SITAM_DCHECK_MSG(base_eval_.rails == full_->evaluate_reference(arch).rails,
+                   "delta/full divergence in the per-rail times");
+#endif
   return base_eval_.rails;
+}
+
+void DeltaEvaluator::fresh_schedule(
+    [[maybe_unused]] const TamArchitecture& arch) {
+  if (schedule_stale_) replay();
+#if SITAM_DCHECKS_ENABLED
+  materialize(arch);
+  const std::vector<std::string> problems =
+      verify_delta_consistency(base_eval_, full_->evaluate_reference(arch));
+  SITAM_DCHECK_MSG(problems.empty(),
+                   "delta/full divergence: "
+                       << (problems.empty() ? "" : problems.front()));
+#endif
+}
+
+void DeltaEvaluator::replay() {
+  SITAM_DCHECK_MSG(has_base_ && schedule_stale_,
+                   "replay without a stale cached schedule");
+  ++breakdown_.replays;
+  SITAM_COUNTER("tam.delta.replays", 1);
+  detail::schedule_pending(base_groups_, base_order_, full_->tests(),
+                           full_->options(), rail_time_in_, schedule_ws_,
+                           base_eval_.schedule);
+  makespan_ = base_eval_.schedule.makespan;
+  refresh_totals();
+  schedule_stale_ = false;
 }
 
 void DeltaEvaluator::invalidate() { has_base_ = false; }
@@ -165,77 +197,66 @@ bool DeltaEvaluator::try_delta(const TamArchitecture& arch) {
   const std::size_t rail_count = arch.rails.size();
   const std::size_t base_count = rail_sum0_.size();
 
-  // Pass A — identity shortcut: the architecture matches rail-for-rail to
-  // the cached base, so every cached field (including the schedule) already
-  // describes it. Scoring loops re-query the incumbent constantly; with the
-  // incremental hash cache warm this is pure loads and compares — no
-  // SplitMix64 at all.
-  if (rail_count == base_count) {
-    bool identity = true;
-    for (std::size_t r = 0; r < rail_count; ++r) {
-      const auto [sum0, sum1] = arch.rails[r].hash_sums();
-      if (sum0 != rail_sum0_[r] || sum1 != rail_sum1_[r] ||
-          rail_shape_word(arch.rails[r]) != rail_shape_[r]) {
-        identity = false;
-        break;
-      }
-    }
-    if (identity) {
-      ++local_.evaluations;
-      ++local_.delta_hits;
-      ++breakdown_.delta_hits;
-      ++breakdown_.identity_hits;
-      SITAM_COUNTER("tam.evaluator.evaluations", 1);
-      SITAM_COUNTER("tam.evaluator.delta_hits", 1);
-      SITAM_COUNTER("tam.delta.identity_hits", 1);
-      return true;
-    }
-  }
-
-  // Pass B — match every new rail against an unused cached rail: own
-  // position first (the overwhelmingly common case for optimizer moves),
-  // then the lowest-index unused cached rail with the same match key.
-  // Unmatched new rails are dirty.
+  // Match every new rail against an unused cached rail with the same key
+  // in O(1): its own position first (the common case for optimizer moves),
+  // then the cached rail holding its first core, the only other one it can
+  // match, since rails are disjoint. The rest are dirty.
   match_.assign(rail_count, -1);
   old2new_.assign(base_count, -1);
-  base_used_.assign(base_count, 0);
   sum0_scratch_.resize(rail_count);
   sum1_scratch_.resize(rail_count);
   shape_scratch_.resize(rail_count);
   int dirty_rails = 0;
+  int last_found = -1;
   bool positional = rail_count == base_count;
+  bool monotone = true;
   for (std::size_t r = 0; r < rail_count; ++r) {
     const auto [sum0, sum1] = arch.rails[r].hash_sums();
     const std::uint64_t shape = rail_shape_word(arch.rails[r]);
     sum0_scratch_[r] = sum0;
     sum1_scratch_[r] = sum1;
     shape_scratch_[r] = shape;
-    int found = -1;
-    if (r < base_count && base_used_[r] == 0 && rail_sum0_[r] == sum0 &&
-        rail_sum1_[r] == sum1 && rail_shape_[r] == shape) {
-      found = static_cast<int>(r);
-    } else {
-      for (std::size_t b = 0; b < base_count; ++b) {
-        if (base_used_[b] == 0 && rail_sum0_[b] == sum0 &&
-            rail_sum1_[b] == sum1 && rail_shape_[b] == shape) {
-          found = static_cast<int>(b);
-          break;
-        }
+    const auto matches = [&](int b) {
+      const auto i = static_cast<std::size_t>(b);
+      return b >= 0 && old2new_[i] < 0 && rail_sum0_[i] == sum0 &&
+             rail_sum1_[i] == sum1 && rail_shape_[i] == shape;
+    };
+    int found = static_cast<int>(r);
+    if (r >= base_count || !matches(found)) {
+      found = arch.rails[r].cores.empty()
+                  ? -1
+                  : rail_of_core_[static_cast<std::size_t>(
+                        arch.rails[r].cores.front())];
+      if (!matches(found)) {
+        ++dirty_rails;
+        continue;
       }
     }
-    if (found >= 0) {
-      match_[r] = found;
-      old2new_[static_cast<std::size_t>(found)] = static_cast<int>(r);
-      base_used_[static_cast<std::size_t>(found)] = 1;
-      if (found != static_cast<int>(r)) positional = false;
-    } else {
-      ++dirty_rails;
-    }
+    match_[r] = found;
+    old2new_[static_cast<std::size_t>(found)] = static_cast<int>(r);
+    positional = positional && found == static_cast<int>(r);
+    monotone = monotone && found > last_found;
+    last_found = found;
   }
-  if (dirty_rails > options_.max_dirty_rails) {
+  // Surviving rails that changed their relative order are a jump too:
+  // Algorithm 2 never reorders them, and annealing chains rarely do.
+  if (dirty_rails > options_.max_dirty_rails || !monotone) {
     ++breakdown_.dirty_fallbacks;
     SITAM_COUNTER("tam.delta.fallback_dirty_budget", 1);
     return false;
+  }
+  // Identity: every rail matched its own position, so every cached field,
+  // the schedule included, already describes the architecture. Scoring
+  // loops re-query the incumbent constantly.
+  if (positional && dirty_rails == 0) {
+    ++local_.evaluations;
+    ++local_.delta_hits;
+    ++breakdown_.delta_hits;
+    ++breakdown_.identity_hits;
+    SITAM_COUNTER("tam.evaluator.evaluations", 1);
+    SITAM_COUNTER("tam.evaluator.delta_hits", 1);
+    SITAM_COUNTER("tam.delta.identity_hits", 1);
+    return true;
   }
 
   // From here on the cached state is patched in place. A later fallback
@@ -250,7 +271,7 @@ bool DeltaEvaluator::try_delta(const TamArchitecture& arch) {
   // cores that merely stayed on a rail that lost or gained other members
   // affect nothing, which shrinks a single-core move's dirty set from
   // "every group touching either rail" to just the moved core's groups.
-  // A permutation falls back to the conservative rule (any core on a dirty
+  // A shift falls back to the conservative rule (any core on a dirty
   // rail), since rail identity itself is in flux there.
   dirty_groups_.clear();
   const auto mark_core_groups = [this](int core) {
@@ -304,10 +325,10 @@ bool DeltaEvaluator::try_delta(const TamArchitecture& arch) {
   };
 
   // Retire the dirty groups' SI busy contributions in the OLD rail index
-  // space, before any permutation. On the positional path clean groups may
+  // space, before any shift. On the positional path clean groups may
   // legitimately keep busy time on a dirty rail (a rail that lost or
   // gained other cores at unchanged width), and those contributions stay
-  // valid; on the permutation path the conservative marking above
+  // valid; on the shifted path the conservative marking above
   // guarantees clean groups touch only matched rails, so every retired
   // cached rail carries exactly zero residual busy time.
   for (const int g : dirty_groups_) {
@@ -322,9 +343,8 @@ bool DeltaEvaluator::try_delta(const TamArchitecture& arch) {
 
   // Bring the per-rail SoA arrays into the new rail index space. The
   // positional case (every matched rail at its own position — all small
-  // optimizer moves) needs no data movement at all; a permutation routes
-  // matched entries through the scratch arrays.
-  bool monotone_remap = true;
+  // optimizer moves) needs no data movement at all; a shift routes matched
+  // entries through the scratch arrays.
   if (positional) {
     for (std::size_t r = 0; r < rail_count; ++r) {
       if (match_[r] >= 0) continue;
@@ -338,12 +358,9 @@ bool DeltaEvaluator::try_delta(const TamArchitecture& arch) {
   } else {
     time_in_scratch_.assign(rail_count, 0);
     time_si_scratch_.assign(rail_count, 0);
-    int prev_new = -1;
     for (std::size_t b = 0; b < base_count; ++b) {
       const int r = old2new_[b];
       if (r < 0) continue;
-      if (r < prev_new) monotone_remap = false;
-      prev_new = r;
       time_in_scratch_[static_cast<std::size_t>(r)] = rail_time_in_[b];
       time_si_scratch_[static_cast<std::size_t>(r)] = rail_time_si_[b];
     }
@@ -357,7 +374,7 @@ bool DeltaEvaluator::try_delta(const TamArchitecture& arch) {
   // Patch the core -> rail map (si_group_timing_into and the next match
   // pass both consume it). Retired cached rails' cores are exactly the
   // dirty rails' cores, so rewriting the dirty rails' entries covers every
-  // stale slot; a permutation additionally renames the clean entries.
+  // stale slot; a shift additionally renames the clean entries.
   if (!positional) {
     for (int& rail : rail_of_core_) {
       rail = rail >= 0 ? old2new_[static_cast<std::size_t>(rail)] : -1;
@@ -386,66 +403,22 @@ bool DeltaEvaluator::try_delta(const TamArchitecture& arch) {
     rail_time_in_[r] = sum;
   }
 
-  // Clean groups keep their cached timing; a permutation only renames
-  // their rail indices. A monotone renaming (rail removal/insertion —
-  // merges and splits) preserves both the ascending rail order and the
-  // lowest-index-max bottleneck rule, so it is a straight in-place rewrite;
-  // a general permutation re-sorts the (rail, busy) pairs exactly like
-  // si_group_timing_into would have produced them.
+  // Clean groups keep their cached timing; a shift only renames their rail
+  // indices. The renaming is monotone (rails were removed or inserted, not
+  // reordered: the match pass rejects that), so it preserves both the
+  // ascending rail order and the lowest-index-max bottleneck rule.
   if (!positional) {
     for (const int g : active_groups_) {
       if (group_mark_[static_cast<std::size_t>(g)] != 0) continue;
       SiGroupTiming& cached = base_groups_[static_cast<std::size_t>(g)];
       SITAM_DCHECK_MSG(cached.group == g,
                        "cached timing missing for clean group " << g);
-      if (monotone_remap) {
-        for (int& rail : cached.rails) {
-          rail = old2new_[static_cast<std::size_t>(rail)];
-          SITAM_DCHECK_MSG(rail >= 0, "clean group " << g
-                                                     << " on a retired rail");
-        }
-        cached.bottleneck =
-            old2new_[static_cast<std::size_t>(cached.bottleneck)];
-      } else {
-        // Sort (remapped rail, source index) pairs, then permute every
-        // parallel array — busy times and the cached (shift, count)
-        // inputs — through the timing scratch in one pass.
-        remap_scratch_.clear();
-        for (std::size_t k = 0; k < cached.rails.size(); ++k) {
-          const int remapped =
-              old2new_[static_cast<std::size_t>(cached.rails[k])];
-          SITAM_DCHECK_MSG(remapped >= 0,
-                           "clean group " << g << " on a retired rail");
-          remap_scratch_.emplace_back(remapped,
-                                      static_cast<std::int64_t>(k));
-        }
-        std::sort(remap_scratch_.begin(), remap_scratch_.end());
-        const std::size_t n = remap_scratch_.size();
-        timing_scratch_.rails.resize(n);
-        timing_scratch_.rail_busy.resize(n);
-        timing_scratch_.rail_shift.resize(n);
-        timing_scratch_.rail_count.resize(n);
-        cached.bottleneck = -1;
-        std::int64_t best = 0;
-        for (std::size_t k = 0; k < n; ++k) {
-          const std::size_t src =
-              static_cast<std::size_t>(remap_scratch_[k].second);
-          timing_scratch_.rails[k] = remap_scratch_[k].first;
-          timing_scratch_.rail_busy[k] = cached.rail_busy[src];
-          timing_scratch_.rail_shift[k] = cached.rail_shift[src];
-          timing_scratch_.rail_count[k] = cached.rail_count[src];
-          if (cached.rail_busy[src] > best) {
-            best = cached.rail_busy[src];
-            cached.bottleneck = remap_scratch_[k].first;
-          }
-        }
-        cached.rails.swap(timing_scratch_.rails);
-        cached.rail_busy.swap(timing_scratch_.rail_busy);
-        cached.rail_shift.swap(timing_scratch_.rail_shift);
-        cached.rail_count.swap(timing_scratch_.rail_count);
-        SITAM_DCHECK_MSG(best == cached.duration,
-                         "remapped group " << g << " changed duration");
+      for (int& rail : cached.rails) {
+        rail = old2new_[static_cast<std::size_t>(rail)];
+        SITAM_DCHECK_MSG(rail >= 0,
+                         "clean group " << g << " on a retired rail");
       }
+      cached.bottleneck = old2new_[static_cast<std::size_t>(cached.bottleneck)];
     }
   }
 
@@ -601,38 +574,25 @@ bool DeltaEvaluator::try_delta(const TamArchitecture& arch) {
   t_in_ = 0;
   for (const std::int64_t t : rail_time_in_) t_in_ = std::max(t_in_, t);
 
-  // Replay the shared Algorithm-1 placement loop — or skip it when the
-  // move provably could not have changed the schedule: rail indices stable
-  // (positional), no dirty group changed its (duration, rails, bottleneck),
-  // and the release times unaffected (trivially so without interleaving,
-  // where every release is zero; with it, no dirty rail changed its InTest
-  // time — clean rails never do). The optimizer's ±1-wire probes often
-  // land on widths where no ceil(WOC/width) boundary moves, and those cost
-  // only the match pass and the dirty-group recompute here.
-  if (!structure_changed &&
-      (!full_->options().interleave_phases || !dirty_time_in_changed)) {
+  // The shared Algorithm-1 placement loop must run again (lazily, in
+  // fresh_schedule) unless the move provably could not have changed the
+  // schedule: rail indices stable (positional), no dirty group changed its
+  // (duration, rails, bottleneck), and the release times unaffected
+  // (trivially so without interleaving, where every release is zero; with
+  // it, no dirty rail changed its InTest time — clean rails never do). The
+  // optimizer's ±1-wire probes often land on widths where no
+  // ceil(WOC/width) boundary moves. A skip needs a fresh cached schedule;
+  // once stale it stays stale until replayed.
+  if (structure_changed ||
+      (full_->options().interleave_phases && dirty_time_in_changed)) {
+    schedule_stale_ = true;
+  } else if (!schedule_stale_) {
     ++breakdown_.replay_skips;
     SITAM_COUNTER("tam.delta.replay_skips", 1);
-  } else {
-    detail::schedule_pending(base_groups_, base_order_, full_->tests(),
-                             full_->options(), rail_time_in_, schedule_ws_,
-                             base_eval_.schedule);
-    makespan_ = base_eval_.schedule.makespan;
   }
-  refresh_totals();
+  if (!schedule_stale_) refresh_totals();
   rails_valid_ = false;
   eval_valid_ = false;
-
-#if SITAM_DCHECKS_ENABLED
-  {
-    materialize(arch);
-    const std::vector<std::string> problems = verify_delta_consistency(
-        base_eval_, full_->evaluate_reference(arch));
-    SITAM_DCHECK_MSG(problems.empty(),
-                     "delta/full divergence: "
-                         << (problems.empty() ? "" : problems.front()));
-  }
-#endif
 
   ++local_.evaluations;
   ++local_.delta_hits;
@@ -689,6 +649,7 @@ void DeltaEvaluator::rebase(const TamArchitecture& arch) {
   makespan_ = base_eval_.schedule.makespan;
   rails_valid_ = true;
   eval_valid_ = true;
+  schedule_stale_ = false;
   has_base_ = true;
 }
 

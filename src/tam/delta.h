@@ -13,9 +13,10 @@
 //     rails by its raw content-hash quadruple (sum0, sum1, width, |cores|)
 //     — TestRail::hash_sums, an O(1) query thanks to the incremental hash
 //     cache the optimizers maintain through the mutation helpers, with no
-//     SplitMix64 finalization at all on the warm path. Matched rails reuse
-//     their cached InTest time verbatim; only unmatched ("dirty") rails
-//     rerun the wrapper-table loop.
+//     SplitMix64 finalization at all on the warm path — at its own position,
+//     then at the cached rail holding its first core (rails are disjoint),
+//     so matching is O(R). Matched rails reuse their cached InTest time
+//     verbatim; only unmatched ("dirty") rails rerun the wrapper-table loop.
 //  2. A core is dirty iff it sits on a dirty rail (both architectures
 //     partition the same core set, so the dirty cores of the new
 //     architecture are exactly the cores of the retired cached rails).
@@ -41,6 +42,10 @@
 //     the optimizer's ±1-wire probes at widths where no scan-length
 //     ceiling moves — skips even the replay: the cached schedule is
 //     provably still the schedule.
+//  4. The replay is lazy: a step only marks the cached schedule stale, and
+//     the next t_soc() or evaluate() replays once. rail_times() reads
+//     per-rail state only, so the optimizer's wire-distribution loops never
+//     replay.
 //
 // Wall-clock engineering (DESIGN.md): the cached state is
 // structure-of-arrays — dense u64 hash arrays, dense per-rail time arrays,
@@ -50,15 +55,15 @@
 // schedule copy) is materialized lazily: t_soc() and rail_times() never
 // assemble the parts they do not return.
 //
-// Fallbacks (counted in DeltaBreakdown): no cached state yet, more dirty
-// rails than DeltaOptions::max_dirty_rails (a restart-sized jump, not a
-// move), or a changed pick order. Every evaluation — hit or fallback —
+// Fallbacks (counted in DeltaBreakdown): no cached state yet, or a jump, not
+// a move — more dirty rails than DeltaOptions::max_dirty_rails, or matched
+// rails in a new relative order. Every evaluation — hit or fallback —
 // rebases the cached state onto its result, so the next move diffs against
 // the newest architecture.
 //
-// Under SITAM_DCHECK every delta hit is verified field-by-field against
-// evaluate_reference (verify_delta_consistency), so Debug and sanitizer
-// runs cross-check the two paths on every single evaluation.
+// Under SITAM_DCHECK every result is verified against evaluate_reference
+// where it is handed out (t_soc()/evaluate() field by field, rail_times()
+// per rail), so Debug and sanitizer runs cross-check every evaluation.
 //
 // Not thread-safe; parallel restarts/chains each own a private
 // TamEvaluator + DeltaEvaluator pair, which is what keeps results
@@ -66,7 +71,6 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "tam/evaluator.h"
@@ -89,9 +93,10 @@ struct DeltaBreakdown {
   std::int64_t delta_hits = 0;       ///< Patched without a full run.
   std::int64_t identity_hits = 0;    ///< …of which: unchanged architecture.
   std::int64_t replay_skips = 0;     ///< …of which: cached schedule reused.
+  std::int64_t replays = 0;          ///< Deferred Algorithm 1 replays run.
   std::int64_t rebases = 0;          ///< Full-path evaluations (any reason).
   std::int64_t no_base = 0;          ///< No cached state (first call).
-  std::int64_t dirty_fallbacks = 0;  ///< > max_dirty_rails rails changed.
+  std::int64_t dirty_fallbacks = 0;  ///< Too many dirty rails, or reordered.
   std::int64_t order_resorts = 0;    ///< Cached pick order re-sorted.
 };
 
@@ -120,8 +125,8 @@ class DeltaEvaluator {
 
   /// Per-rail times only — the optimizer's wire-distribution and
   /// merge-ordering loops read nothing else, and this skips the InTest
-  /// slot and schedule materialization evaluate() pays for. Same lifetime
-  /// rule as evaluate(): invalidated by the next call.
+  /// slots and the (deferred) Algorithm 1 replay. Same lifetime rule as
+  /// evaluate(): invalidated by the next call.
   const std::vector<RailTimes>& rail_times(const TamArchitecture& arch);
 
   /// Drops the cached state; the next evaluation rebases via the full path.
@@ -132,8 +137,6 @@ class DeltaEvaluator {
   [[nodiscard]] EvaluatorStats stats() const;
 
   [[nodiscard]] const DeltaBreakdown& breakdown() const { return breakdown_; }
-  [[nodiscard]] const TamEvaluator& full() const { return *full_; }
-  [[nodiscard]] const DeltaOptions& options() const { return options_; }
 
  private:
   // Runs the patch-or-rebase step shared by every entry point.
@@ -146,6 +149,12 @@ class DeltaEvaluator {
   // Full evaluation through the wrapped evaluator, then rebuilds the SoA
   // state from scratch.
   void rebase(const TamArchitecture& arch);
+
+  // Replays a stale schedule; cross-checks `arch` under SITAM_DCHECK.
+  void fresh_schedule(const TamArchitecture& arch);
+
+  // Runs the deferred Algorithm 1 replay over the patched state.
+  void replay();
 
   // Derives t_si_/t_soc_ from t_in_ and makespan_ under the phase rule.
   void refresh_totals();
@@ -179,6 +188,8 @@ class DeltaEvaluator {
   std::vector<int> base_order_;  // active group ids in pick order
   // Core -> rail map of the base architecture, patched per move.
   std::vector<int> rail_of_core_;
+  // base_eval_.schedule, makespan_, t_si_ and t_soc_ await a replay.
+  bool schedule_stale_ = false;
   // Scalars of the base evaluation.
   std::int64_t t_in_ = 0;
   std::int64_t t_si_ = 0;
@@ -207,7 +218,6 @@ class DeltaEvaluator {
   // ---- Scratch reused across evaluations ----
   std::vector<int> match_;    // new rail -> cached rail (-1 = dirty)
   std::vector<int> old2new_;  // cached rail -> new rail (-1 = retired)
-  std::vector<std::uint8_t> base_used_;
   std::vector<std::uint8_t> group_mark_;  // per group: queued as dirty
   std::vector<int> dirty_groups_;
   std::vector<std::uint64_t> sum0_scratch_;
@@ -216,7 +226,6 @@ class DeltaEvaluator {
   std::vector<std::int64_t> time_in_scratch_;
   std::vector<std::int64_t> time_si_scratch_;
   SiGroupTiming timing_scratch_;
-  std::vector<std::pair<int, std::int64_t>> remap_scratch_;
   detail::ScheduleWorkspace schedule_ws_;
   // One entry per core whose (rail, width) inputs a positional move
   // changed: the inputs before and after. Drives the in-place patch of the

@@ -33,19 +33,6 @@ TamEvaluator::TamEvaluator(const Soc& soc, const TestTimeTable& table,
   }
 }
 
-std::int64_t TamEvaluator::rail_si_busy(std::int64_t shift,
-                                         std::int64_t involved_cores,
-                                         std::int64_t patterns) const {
-  if (options_.style == ArchitectureStyle::kTestBus) {
-    // One core connects to the bus at a time: per-pattern sequential loads
-    // with mux switches, no cross-pattern pipelining, one final shift-out.
-    return patterns * (shift + kBusSwitchCycles * involved_cores) + shift +
-           kSiApplyCycles * patterns;
-  }
-  // TestRail: daisy-chained boundaries, fully pipelined.
-  return (patterns + 1) * shift + kSiApplyCycles * patterns;
-}
-
 std::int64_t TamEvaluator::si_group_time(
     const TamArchitecture& arch, const SiTestGroup& group,
     const std::vector<int>& rail_of_core, int* bottleneck_rail) const {
@@ -77,14 +64,6 @@ std::int64_t TamEvaluator::si_group_time(
   }
   if (bottleneck_rail != nullptr) *bottleneck_rail = btn;
   return duration;
-}
-
-SiGroupTiming TamEvaluator::si_group_timing(
-    const TamArchitecture& arch, int group_index,
-    const std::vector<int>& rail_of_core) const {
-  SiGroupTiming item;
-  si_group_timing_into(arch, group_index, rail_of_core, item);
-  return item;
 }
 
 void TamEvaluator::si_group_timing_into(const TamArchitecture& arch,

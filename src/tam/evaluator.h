@@ -240,17 +240,11 @@ class TamEvaluator {
                                            int* bottleneck_rail) const;
 
   /// CalculateSITestTime with the full per-rail breakdown (the scheduler's
-  /// input for one group). `group_index` is recorded in the result;
-  /// `rail_of_core` must come from arch.rail_of_core(core_count()). This is
-  /// the building block the incremental DeltaEvaluator refreshes per dirty
-  /// group; it does not touch the counters.
-  [[nodiscard]] SiGroupTiming si_group_timing(
-      const TamArchitecture& arch, int group_index,
-      const std::vector<int>& rail_of_core) const;
-
-  /// In-place variant of si_group_timing: overwrites `out`, recycling its
-  /// vector capacity. The delta path refreshes one dirty group per move this
-  /// way, so the steady state allocates nothing.
+  /// input for one group), written into `out` with its vector capacity
+  /// recycled. `group_index` is recorded in the result; `rail_of_core` must
+  /// come from arch.rail_of_core(core_count()). This is the building block
+  /// the incremental DeltaEvaluator refreshes per dirty group; it does not
+  /// touch the counters.
   void si_group_timing_into(const TamArchitecture& arch, int group_index,
                             const std::vector<int>& rail_of_core,
                             SiGroupTiming& out) const;
@@ -273,7 +267,17 @@ class TamEvaluator {
   /// group's rail_busy from the cached (rail_shift, rail_count) inputs.
   [[nodiscard]] std::int64_t rail_si_busy(std::int64_t shift,
                                           std::int64_t involved_cores,
-                                          std::int64_t patterns) const;
+                                          std::int64_t patterns) const {
+    if (options_.style == ArchitectureStyle::kTestBus) {
+      // One core connects to the bus at a time: per-pattern sequential
+      // loads with mux switches, no cross-pattern pipelining, one final
+      // shift-out.
+      return patterns * (shift + kBusSwitchCycles * involved_cores) + shift +
+             kSiApplyCycles * patterns;
+    }
+    // TestRail: daisy-chained boundaries, fully pipelined.
+    return (patterns + 1) * shift + kSiApplyCycles * patterns;
+  }
 
  private:
   // Counts one full run in stats_ and the trace counters.

@@ -130,23 +130,23 @@ class Optimizer {
   // mergeTAMs
   // -------------------------------------------------------------------
 
-  /// Builds arch minus rails a and b plus their merger at `width`.
-  [[nodiscard]] TamArchitecture merged(const TamArchitecture& arch,
-                                       std::size_t a, std::size_t b,
-                                       int width, int id) const {
-    TamArchitecture out;
-    out.rails.reserve(arch.rails.size() - 1);
+  /// Builds arch minus rails a and b plus their merger at `width` into
+  /// `out`. Copy-assignment reuses the core storage of out's rails, and the
+  /// merged rail's hash sums are the parents' sums added in O(1).
+  static void merge_into(const TamArchitecture& arch, std::size_t a,
+                         std::size_t b, int width, int id,
+                         TamArchitecture& out) {
+    SITAM_DCHECK_MSG(a != b && &out != &arch, "merge_into: bad rail pair");
+    out.rails.resize(arch.rails.size() - 1);
+    std::size_t k = 0;
     for (std::size_t r = 0; r < arch.rails.size(); ++r) {
-      if (r != a && r != b) out.rails.push_back(arch.rails[r]);
+      if (r != a && r != b) out.rails[k++] = arch.rails[r];
     }
-    // Copy + merge_cores_from keeps the incremental hash cache warm: the
-    // merged rail's sums are the two parents' sums added in O(1).
-    TestRail merged_rail = arch.rails[a];
-    merged_rail.merge_cores_from(arch.rails[b]);
-    merged_rail.width = width;
-    merged_rail.id = id;
-    out.rails.push_back(std::move(merged_rail));
-    return out;
+    TestRail& merged = out.rails.back();
+    merged = arch.rails[a];
+    merged.merge_cores_from(arch.rails[b]);
+    merged.width = width;
+    merged.id = id;
   }
 
   /// The paper's mergeTAMs: tries to merge rail `r1` with every other rail
@@ -166,16 +166,16 @@ class Optimizer {
       const int width_min = std::max(w1, wj);
       const int width_max = w1 + wj;
       for (int w = width_min; w <= width_max; ++w) {
-        TamArchitecture cand = merged(arch, r1, rj, w, /*id=*/-2);
+        merge_into(arch, r1, rj, w, /*id=*/-2, cand_);
         const int leftover = width_max - w;
         if (leftover > 0) {
           if (config_.fast_candidate_scan) {
-            distribute_cheap(cand, leftover);
+            distribute_cheap(cand_, leftover);
           } else {
-            distribute_precise(cand, leftover);
+            distribute_precise(cand_, leftover);
           }
         }
-        const std::int64_t t = t_soc(cand);
+        const std::int64_t t = t_soc(cand_);
         if (t < best_t) {
           best_t = t;
           best_partner = rj;
@@ -188,8 +188,8 @@ class Optimizer {
     // Rebuild the winner; with fast scanning also try the precise
     // distribution and keep whichever really is better.
     const int id = fresh_id();
-    TamArchitecture winner =
-        merged(arch, r1, best_partner, best_width, id);
+    TamArchitecture winner;
+    merge_into(arch, r1, best_partner, best_width, id, winner);
     const int leftover =
         arch.rails[r1].width + arch.rails[best_partner].width - best_width;
     if (leftover > 0) {
@@ -214,6 +214,7 @@ class Optimizer {
   // -------------------------------------------------------------------
 
   TamArchitecture start_solution(const std::vector<int>& core_order) {
+    SITAM_TRACE_SPAN("tam.alg2.start");
     TamArchitecture arch;
     for (const int core : core_order) {
       TestRail rail;
@@ -235,16 +236,16 @@ class Optimizer {
         std::int64_t best_t = std::numeric_limits<std::int64_t>::max();
         for (int j = 0; j < w_max_; ++j) {
           const std::size_t partner = order[static_cast<std::size_t>(j)];
-          const TamArchitecture cand =
-              merged(arch, victim, partner, /*width=*/1, /*id=*/-2);
-          const std::int64_t t = t_soc(cand);
+          merge_into(arch, victim, partner, /*width=*/1, /*id=*/-2, cand_);
+          const std::int64_t t = t_soc(cand_);
           if (t < best_t) {
             best_t = t;
             best_partner = partner;
           }
         }
         SITAM_CHECK(best_partner != arch.rails.size());
-        arch = merged(arch, victim, best_partner, 1, fresh_id());
+        merge_into(arch, victim, best_partner, 1, fresh_id(), cand_);
+        std::swap(arch, cand_);
       }
     } else if (w_max_ > static_cast<int>(arch.rails.size())) {
       distribute_precise(arch,
@@ -255,6 +256,7 @@ class Optimizer {
 
   /// Lines 17-23: repeatedly merge the rail with the *lowest* time_used.
   void bottom_up(TamArchitecture& arch) {
+    SITAM_TRACE_SPAN("tam.alg2.bottom_up");
     int guard = config_.max_iterations;
     while (arch.rails.size() > 1 && guard-- > 0) {
       check_cancel(config_.cancel);
@@ -267,6 +269,7 @@ class Optimizer {
   /// Returns the id of the rail whose merge attempt finally failed (the
   /// initial R_skip member), or -1 if the loop never failed.
   int top_down(TamArchitecture& arch) {
+    SITAM_TRACE_SPAN("tam.alg2.top_down");
     int guard = config_.max_iterations;
     while (arch.rails.size() > 1 && guard-- > 0) {
       check_cancel(config_.cancel);
@@ -282,6 +285,7 @@ class Optimizer {
   /// attempts enter R_skip, successes reset nothing (merged rails carry
   /// fresh ids and so are eligible again).
   void sweep(TamArchitecture& arch, int initial_skip_id) {
+    SITAM_TRACE_SPAN("tam.alg2.sweep");
     std::set<int> skip;
     if (initial_skip_id >= 0) skip.insert(initial_skip_id);
     int guard = config_.max_iterations;
@@ -318,6 +322,7 @@ class Optimizer {
 
   /// Line 37: move single cores off bottleneck rails while it helps.
   void core_reshuffle(TamArchitecture& arch) {
+    SITAM_TRACE_SPAN("tam.alg2.reshuffle");
     int guard = config_.max_iterations;
     while (guard-- > 0) {
       check_cancel(config_.cancel);
@@ -329,14 +334,18 @@ class Optimizer {
       int best_core = -1;
 
       for (const std::size_t from : bottlenecks) {
-        if (arch.rails[from].cores.size() < 2) continue;  // rail must stay
-        for (const int core : arch.rails[from].cores) {
+        TestRail& source = arch.rails[from];
+        if (source.cores.size() < 2) continue;  // rail must stay
+        // Probe each move in place and undo it (which restores the rails
+        // exactly), indexing the cores rather than iterating them.
+        for (std::size_t i = 0; i < source.cores.size(); ++i) {
+          const int core = source.cores[i];
+          source.erase_core(core);
           for (std::size_t to = 0; to < arch.rails.size(); ++to) {
             if (to == from) continue;
-            TamArchitecture cand = arch;
-            cand.rails[from].erase_core(core);
-            cand.rails[to].insert_core(core);
-            const std::int64_t t = t_soc(cand);
+            arch.rails[to].insert_core(core);
+            const std::int64_t t = t_soc(arch);
+            arch.rails[to].erase_core(core);
             if (t < best_t) {
               best_t = t;
               best_from = from;
@@ -344,6 +353,7 @@ class Optimizer {
               best_core = core;
             }
           }
+          source.insert_core(core);
         }
       }
       if (best_core < 0) break;
@@ -363,6 +373,8 @@ class Optimizer {
   // Holds the last full evaluation behind rail_times() on the non-delta
   // path (assignment recycles its vector capacity).
   mutable Evaluation eval_scratch_;
+  // Candidate storage reused by every merge_into of the scans.
+  TamArchitecture cand_;
   int next_id_ = 0;
 };
 

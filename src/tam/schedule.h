@@ -9,7 +9,8 @@
 // pick-ordered index vector and never touches the wrapper tables, which is
 // exactly what makes the delta path cheap: it only has to refresh the
 // SiGroupTiming entries a move dirtied, check the cached index order is
-// still sorted (an O(G) scan), and replay the loop.
+// still sorted (an O(G) scan), and replay the loop — lazily, only when a
+// t_soc()/evaluate() reads the schedule.
 //
 // The index-vector interface is deliberate wall-clock engineering
 // (DESIGN.md §"wall-clock engineering"): ordering moves 4-byte indices

@@ -156,12 +156,13 @@ TEST(CancelSoak, MidRestartCancelReturnsPromptlyAndCachesStayClean) {
   // A deliberately long job: full p93791 width sweep with many restarts.
   const std::string long_job =
       R"({"op":"sweep","id":"soak","soc":"p93791","widths":[8,16,24,32,40,48,56,64],)"
-      R"("parts":[1,2,4],"nr":20000,"restarts":16})";
+      R"("parts":[1,2,4],"nr":20000,"restarts":64})";
   ASSERT_TRUE(server.submit_line(long_job));
   ASSERT_TRUE(collector.wait_for("\"stage\":\"running\""));
   // Let the job get past workload preparation so the token lands inside
-  // the optimizer restart loop (the full job runs ~8s; cancelling a job
-  // that somehow already finished would fail the wait below).
+  // the optimizer restart loop (the full job runs about 6 s on a 4-vCPU
+  // x86-64 host; cancelling a job that already finished would fail the
+  // wait below, so the job must stay several times longer than the sleep).
   std::this_thread::sleep_for(std::chrono::milliseconds(1500));
 
   // Cancel mid-flight and require the worker back within a bound that a

@@ -224,6 +224,61 @@ TEST_P(DeltaDifferentialTest, SchedulingOptionVariants) {
   }
 }
 
+// The Algorithm 1 replay is lazy: rail_times() patches the per-rail state
+// and never replays, and the next t_soc() or evaluate() replays once. Runs
+// of rail_times()-only steps are interleaved with t_soc() and evaluate(),
+// and every answer is checked against the full evaluator — under the
+// option variants whose schedules depend on more than the durations:
+// interleaved phases (releases from InTest times), shortest-first picks and
+// a power budget.
+TEST_P(DeltaDifferentialTest, LazyReplayAcrossRailTimesRuns) {
+  const Workbench wb = bench_for(GetParam());
+  std::int64_t max_power = 0;
+  for (const SiTestGroup& g : wb.tests.groups) {
+    max_power = std::max(max_power, g.power);
+  }
+  std::vector<EvaluatorOptions> variants(4);
+  variants[0].interleave_phases = true;
+  variants[1].pick = SchedulePick::kShortestFirst;
+  variants[2].power_budget = max_power + max_power / 2;
+  variants[3].interleave_phases = true;
+  variants[3].pick = SchedulePick::kShortestFirst;
+  variants[3].power_budget = max_power + max_power / 2;
+  for (std::size_t v = 0; v < variants.size(); ++v) {
+    SCOPED_TRACE("variant " + std::to_string(v));
+    const TamEvaluator evaluator(wb.soc, wb.table, wb.tests, variants[v]);
+    DeltaEvaluator delta(evaluator);
+    Rng rng(0x1a2e00ULL + v);
+    TamArchitecture arch = round_robin(wb.soc.core_count(), 16);
+    std::int64_t schedule_reads = 0;
+    for (int run = 0; run < 40; ++run) {
+      const int rail_steps = static_cast<int>(rng.below(5));
+      for (int step = 0; step < rail_steps; ++step) {
+        ASSERT_NO_FATAL_FAILURE(apply_some_move(arch, rng));
+        const std::vector<RailTimes> rails = delta.rail_times(arch);
+        ASSERT_EQ(rails, evaluator.evaluate_reference(arch).rails)
+            << "run " << run << ", rail_times step " << step;
+      }
+      if (rng.below(3) != 0) {
+        ASSERT_NO_FATAL_FAILURE(apply_some_move(arch, rng));
+      }
+      const Evaluation reference = evaluator.evaluate_reference(arch);
+      ++schedule_reads;
+      if (rng.below(2) == 0) {
+        ASSERT_EQ(delta.t_soc(arch), reference.t_soc) << "run " << run;
+      } else {
+        const auto mismatches =
+            verify_delta_consistency(delta.evaluate(arch), reference);
+        ASSERT_TRUE(mismatches.empty())
+            << "run " << run << ": " << mismatches.front();
+      }
+    }
+    // rail_times() never replays: at most one replay per schedule read.
+    EXPECT_GT(delta.breakdown().replays, 0);
+    EXPECT_LE(delta.breakdown().replays, schedule_reads);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Models, DeltaDifferentialTest,
                          ::testing::Values("synth12", "d695", "p34392"));
 

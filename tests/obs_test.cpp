@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -360,6 +361,43 @@ TEST(Obs, EvaluatorCountersReconcileWithReturnedStats) {
                 dump.metrics.counter("tam.evaluator.cache_misses"),
             dump.metrics.counter("tam.evaluator.evaluations"));
   EXPECT_EQ(dump.metrics.counter("tam.optimizer.restarts"), 2);
+}
+
+TEST(Obs, Alg2StageSpansOncePerRestartInsideIt) {
+  const OptimizerScenario s = optimizer_scenario();
+  OptimizerConfig config;
+  config.restarts = 3;
+  config.threads = 2;
+  obs::TraceSession session;
+  (void)optimize_tam(s.soc, s.table, s.tests, 12, config);
+  const TraceDump dump = session.stop();
+
+  const std::vector<std::string> stages = {
+      "tam.alg2.start", "tam.alg2.bottom_up", "tam.alg2.top_down",
+      "tam.alg2.sweep", "tam.alg2.reshuffle"};
+  std::map<std::string, int> inside_a_restart;
+  for (const obs::TrackDump& track : dump.tracks) {
+    for (const obs::SpanEvent& span : track.spans) {
+      const std::string name = span.name;
+      if (name.rfind("tam.alg2.", 0) != 0) continue;
+      for (const obs::SpanEvent& outer : track.spans) {
+        if (std::string_view(outer.name) == "tam.optimizer.restart" &&
+            outer.begin_ns <= span.begin_ns && span.end_ns <= outer.end_ns) {
+          ++inside_a_restart[name];
+          break;
+        }
+      }
+    }
+  }
+  ASSERT_EQ(inside_a_restart.size(), stages.size());
+  for (const std::string& stage : stages) {
+    EXPECT_EQ(inside_a_restart[stage], 3) << stage;
+  }
+  // Deferred Algorithm 1 replays run only for schedule reads, so there are
+  // some, and never more than delta hits.
+  EXPECT_GT(dump.metrics.counter("tam.delta.replays"), 0);
+  EXPECT_LE(dump.metrics.counter("tam.delta.replays"),
+            dump.metrics.counter("tam.evaluator.delta_hits"));
 }
 
 TEST(Obs, TracingDoesNotChangeOptimizationResults) {

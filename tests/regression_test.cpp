@@ -162,5 +162,31 @@ TEST(Regression, D695Experiment) {
   EXPECT_EQ(outcome.best_grouping, 2);
 }
 
+// Pins Algorithm 2's trajectory, not just its result: the winning
+// architecture and T_soc, and the evaluator counters summed over four
+// restarts. A change in which candidates are evaluated, or in what order,
+// moves the counters even where the result survives.
+TEST(Regression, P93791Alg2ResultAndEvaluationOrder) {
+  const Soc soc = load_benchmark("p93791");
+  SiWorkloadConfig config;
+  config.pattern_count = 2000;
+  config.groupings = {4};
+  const SiWorkload workload = SiWorkload::prepare(soc, config);
+  const TestTimeTable table(soc, 32);
+  OptimizerConfig optimizer;
+  optimizer.restarts = 4;
+  const OptimizeResult result =
+      optimize_tam(soc, table, workload.tests(4), 32, optimizer);
+  EXPECT_EQ(result.evaluation.t_soc, 890275);
+  EXPECT_EQ(result.evaluation.t_in, 879035);
+  EXPECT_EQ(result.architecture.describe(),
+            "{8,19,21,29,31|w=3} {1,9,10|w=4} {0,3,6,7,25|w=4} "
+            "{14,20,22,23,28,30|w=6} {4,5,11,12,24|w=8} "
+            "{2,13,15,16,17,18,26,27|w=7}");
+  EXPECT_EQ(result.stats.evaluations, 14468);
+  EXPECT_EQ(result.stats.delta_hits, 14464);
+  EXPECT_EQ(result.stats.cache_misses, 4);
+}
+
 }  // namespace
 }  // namespace sitam

@@ -11,6 +11,8 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <typeinfo>
+#include <utility>
 #include <vector>
 
 namespace sitam {
@@ -159,6 +161,73 @@ TEST(StageCache, FailureReachesEveryWaiterAndIsNotStored) {
   const Cache::Lookup retry = cache.get_or_compute(1, [] { return 9; });
   EXPECT_FALSE(retry.hit);
   EXPECT_EQ(*retry.value, 9);
+}
+
+// Each waiter rethrows its own exception object, of the leader's exact
+// type and message; a type outside the standard hierarchy keeps its type.
+TEST(StageCache, EachWaiterGetsItsOwnCopyOfTheFailure) {
+  struct Custom : std::runtime_error {
+    Custom() : std::runtime_error("custom") {}
+  };
+  const std::vector<std::function<void()>> throws = {
+      [] { throw std::invalid_argument("bad key"); },
+      [] { throw std::out_of_range("no such grouping"); },
+      [] { throw std::logic_error("check failed"); },
+      [] { throw Custom(); }};
+  for (std::size_t k = 0; k < throws.size(); ++k) {
+    Cache cache(4);
+    Gate gate;
+    std::thread leader = start_leader(cache, 1, [&]() -> int {
+      gate.wait_open();
+      throws[k]();
+      return 0;
+    });
+    constexpr int kWaiters = 3;
+    std::vector<std::exception_ptr> caught(kWaiters);
+    std::vector<std::thread> waiters;
+    for (int w = 0; w < kWaiters; ++w) {
+      waiters.emplace_back([&, w] {
+        try {
+          (void)cache.get_or_compute(1, [] { return -1; });
+        } catch (...) {
+          caught[static_cast<std::size_t>(w)] = std::current_exception();
+        }
+      });
+    }
+    let_waiters_block();
+    gate.open();
+    leader.join();
+    for (std::thread& waiter : waiters) waiter.join();
+
+    std::exception_ptr expected;
+    try {
+      throws[k]();
+    } catch (...) {
+      expected = std::current_exception();
+    }
+    const auto identity = [](const std::exception_ptr& error) {
+      try {
+        std::rethrow_exception(error);
+      } catch (const std::exception& e) {
+        return std::make_pair(std::string(typeid(e).name()) + ": " + e.what(),
+                              static_cast<const void*>(&e));
+      }
+    };
+    const std::string want = identity(expected).first;
+    for (int w = 0; w < kWaiters; ++w) {
+      ASSERT_NE(caught[static_cast<std::size_t>(w)], nullptr) << "waiter " << w;
+    }
+    for (int w = 0; w < kWaiters; ++w) {
+      const auto [got, object] = identity(caught[static_cast<std::size_t>(w)]);
+      EXPECT_EQ(got, want) << "waiter " << w;
+      if (k + 1 < throws.size()) {  // the custom type is shared by design
+        for (int v = 0; v < w; ++v) {
+          EXPECT_NE(object,
+                    identity(caught[static_cast<std::size_t>(v)]).second);
+        }
+      }
+    }
+  }
 }
 
 TEST(StageCache, WaiterChecksItsOwnTokenWhenTheWaitEnds) {

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
+#include <tuple>
+#include <vector>
 
 #include "sitest/group.h"
 #include "soc/benchmarks.h"
@@ -604,6 +607,95 @@ TEST(RailHash, IncrementalCacheMatchesReferenceUnderRandomizedMoves) {
     check_all();
   }
   arch.validate(kCores);
+}
+
+// The optimizers merge candidate rails into reused storage: copy-assign a
+// parent into a rail that held an earlier candidate, then merge the
+// partner's cores in place. The merged cores and hash must equal a merge
+// built from scratch, and a merge that fits the capacity must not move
+// the storage.
+TEST(RailHash, MergeIntoReusedStorageMatchesReference) {
+  constexpr int kCores = 40;
+  Rng rng(0x3e76edULL);
+  TestRail scratch;
+  scratch.cores.reserve(kCores);
+  for (int c = 0; c < kCores; ++c) scratch.insert_core(c);  // stale content
+  const int* const storage = scratch.cores.data();
+  for (int round = 0; round < 200; ++round) {
+    std::vector<int> order(kCores);
+    for (int c = 0; c < kCores; ++c) order[static_cast<std::size_t>(c)] = c;
+    rng.shuffle(order);
+    const auto split = static_cast<std::ptrdiff_t>(1 + rng.below(kCores - 2));
+    const auto used = split + 1 +
+                      static_cast<std::ptrdiff_t>(rng.below(
+                          static_cast<std::uint64_t>(kCores - split - 1)));
+    TestRail a;
+    TestRail b;
+    for (auto it = order.begin(); it != order.begin() + split; ++it) {
+      a.insert_core(*it);
+    }
+    for (auto it = order.begin() + split; it != order.begin() + used; ++it) {
+      b.insert_core(*it);
+    }
+    a.width = 1 + static_cast<int>(rng.below(16));
+    if (round % 3 == 0) a.invalidate_hash();  // cold parent cache
+
+    scratch = a;
+    scratch.merge_cores_from(b);
+    ASSERT_EQ(scratch.cores.data(), storage);
+
+    std::vector<int> expected(order.begin(), order.begin() + used);
+    std::sort(expected.begin(), expected.end());
+    ASSERT_EQ(scratch.cores, expected);
+    TestRail fresh;
+    fresh.cores = expected;
+    fresh.width = a.width;
+    ASSERT_EQ(scratch.content_hash(), rail_content_hash_reference(fresh));
+    ASSERT_EQ(scratch.hash_sums(), fresh.hash_sums());
+  }
+}
+
+// coreReshuffle probes each (core, target) move in place and undoes it.
+// After every probe the incumbent must be bit-identical: the same core
+// vectors and the same cached hash sums, although each probe's evaluation
+// read the moved rails' sums in between.
+TEST(RailHash, ReshuffleProbeRestoresTheIncumbent) {
+  constexpr int kCores = 18;
+  Rng rng(0x9e5u);
+  TamArchitecture arch;
+  arch.rails.resize(4);
+  for (int r = 0; r < 4; ++r) arch.rails[static_cast<std::size_t>(r)].width = 2;
+  for (int c = 0; c < kCores; ++c) {
+    arch.rails[rng.below(arch.rails.size())].insert_core(c);
+  }
+  for (const TestRail& rail : arch.rails) (void)rail.hash_sums();
+
+  const auto snapshot = [](const TamArchitecture& a) {
+    std::vector<std::tuple<std::vector<int>, std::uint64_t, std::uint64_t,
+                           bool>>
+        out;
+    for (const TestRail& rail : a.rails) {
+      out.emplace_back(rail.cores, rail.hash_sum0_, rail.hash_sum1_,
+                       rail.hash_valid_);
+    }
+    return out;
+  };
+  const auto before = snapshot(arch);
+  for (std::size_t from = 0; from < arch.rails.size(); ++from) {
+    TestRail& source = arch.rails[from];
+    for (std::size_t i = 0; i < source.cores.size(); ++i) {
+      const int core = source.cores[i];
+      source.erase_core(core);
+      for (std::size_t to = 0; to < arch.rails.size(); ++to) {
+        if (to == from) continue;
+        arch.rails[to].insert_core(core);
+        for (const TestRail& rail : arch.rails) (void)rail.hash_sums();
+        arch.rails[to].erase_core(core);
+      }
+      source.insert_core(core);
+      ASSERT_EQ(snapshot(arch), before) << "after probing core " << core;
+    }
+  }
 }
 
 }  // namespace
