@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -64,9 +65,15 @@ inline obs::TraceEmitter trace_emitter_from(const CliArgs& args,
                            std::move(manifest));
 }
 
+/// Flags outside the list above are rejected before any work starts. A
+/// rejected flag or value, like any std::invalid_argument the run raises,
+/// prints "error: ..." and returns 1.
 inline int run_table_bench(const std::string& soc_name, int argc,
-                           char** argv) {
+                           char** argv) try {
   const CliArgs args(argc, argv);
+  args.require_known({"nr", "widths", "seed", "csv", "fast", "cache",
+                      "restarts", "threads", "no-delta", "smoke", "trace-out",
+                      "metrics-out", "store-out"});
   const bool smoke = args.has("smoke");
   std::vector<std::int64_t> pattern_counts = args.get_list_or(
       "nr", smoke ? std::vector<std::int64_t>{400}
@@ -218,6 +225,9 @@ inline int run_table_bench(const std::string& soc_name, int argc,
     return 1;
   }
   return emitter.finish() ? 0 : 1;
+} catch (const std::invalid_argument& err) {
+  std::cerr << "error: " << err.what() << "\n";
+  return 1;
 }
 
 }  // namespace sitam::bench

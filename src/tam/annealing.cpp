@@ -34,9 +34,8 @@ TamArchitecture round_robin_start(int cores, int w_max) {
 }
 
 /// Applies one random mutation; returns false if the drawn move was not
-/// applicable to the current architecture (caller just retries). All core
-/// movement goes through the TestRail helpers so the incremental hash
-/// caches stay warm across the chain.
+/// applicable to the current architecture (caller just retries). Core
+/// movement goes through the TestRail helpers, which keep the rails sorted.
 bool mutate(TamArchitecture& arch, Rng& rng) {
   const auto rail_count = arch.rails.size();
   SITAM_DCHECK_MSG(rail_count > 0, "mutate on an empty architecture");

@@ -13,21 +13,15 @@ namespace sitam {
 
 namespace {
 
-// The non-sum half of the match key: width and core count packed into one
-// comparable word (both fit 32 bits by validate()'s range checks).
-inline std::uint64_t rail_shape_word(const TestRail& rail) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(rail.width))
-          << 32) |
-         static_cast<std::uint64_t>(rail.cores.size());
-}
+// Unmatched rails beyond which a step counts as a whole-architecture jump
+// and falls back to the full path. Optimizer moves dirty at most two
+// rails; the budget leaves headroom for compound moves without letting a
+// rebase masquerade as a delta.
+constexpr int kMaxDirtyRails = 6;
 
 }  // namespace
 
-DeltaEvaluator::DeltaEvaluator(const TamEvaluator& full,
-                               const DeltaOptions& options)
-    : full_(&full), options_(options) {
-  SITAM_CHECK_MSG(options_.max_dirty_rails >= 0,
-                  "DeltaEvaluator: max_dirty_rails must be non-negative");
+DeltaEvaluator::DeltaEvaluator(const TamEvaluator& full) : full_(&full) {
   const SiTestSet& tests = full_->tests();
   const int core_count = full_->soc().core_count();
   const std::size_t group_count = tests.groups.size();
@@ -195,38 +189,30 @@ bool DeltaEvaluator::try_delta(const TamArchitecture& arch) {
     return false;
   }
   const std::size_t rail_count = arch.rails.size();
-  const std::size_t base_count = rail_sum0_.size();
+  const std::size_t base_count = rail_width_.size();
 
-  // Match every new rail against an unused cached rail with the same key
-  // in O(1): its own position first (the common case for optimizer moves),
-  // then the cached rail holding its first core, the only other one it can
-  // match, since rails are disjoint. The rest are dirty.
+  // Match every new rail against an unused cached rail with the same width
+  // and cores: its own position first (the common case for optimizer
+  // moves), then the cached rail holding its first core, the only other one
+  // it can match, since rails are disjoint. The rest are dirty.
   match_.assign(rail_count, -1);
   old2new_.assign(base_count, -1);
-  sum0_scratch_.resize(rail_count);
-  sum1_scratch_.resize(rail_count);
-  shape_scratch_.resize(rail_count);
   int dirty_rails = 0;
   int last_found = -1;
   bool positional = rail_count == base_count;
   bool monotone = true;
   for (std::size_t r = 0; r < rail_count; ++r) {
-    const auto [sum0, sum1] = arch.rails[r].hash_sums();
-    const std::uint64_t shape = rail_shape_word(arch.rails[r]);
-    sum0_scratch_[r] = sum0;
-    sum1_scratch_[r] = sum1;
-    shape_scratch_[r] = shape;
+    const TestRail& rail = arch.rails[r];
     const auto matches = [&](int b) {
       const auto i = static_cast<std::size_t>(b);
-      return b >= 0 && old2new_[i] < 0 && rail_sum0_[i] == sum0 &&
-             rail_sum1_[i] == sum1 && rail_shape_[i] == shape;
+      return b >= 0 && old2new_[i] < 0 && rail_width_[i] == rail.width &&
+             rail_cores_[i] == rail.cores;
     };
     int found = static_cast<int>(r);
     if (r >= base_count || !matches(found)) {
-      found = arch.rails[r].cores.empty()
+      found = rail.cores.empty()
                   ? -1
-                  : rail_of_core_[static_cast<std::size_t>(
-                        arch.rails[r].cores.front())];
+                  : rail_of_core_[static_cast<std::size_t>(rail.cores.front())];
       if (!matches(found)) {
         ++dirty_rails;
         continue;
@@ -240,7 +226,7 @@ bool DeltaEvaluator::try_delta(const TamArchitecture& arch) {
   }
   // Surviving rails that changed their relative order are a jump too:
   // Algorithm 2 never reorders them, and annealing chains rarely do.
-  if (dirty_rails > options_.max_dirty_rails || !monotone) {
+  if (dirty_rails > kMaxDirtyRails || !monotone) {
     ++breakdown_.dirty_fallbacks;
     SITAM_COUNTER("tam.delta.fallback_dirty_budget", 1);
     return false;
@@ -266,8 +252,8 @@ bool DeltaEvaluator::try_delta(const TamArchitecture& arch) {
   // Dirty groups — the groups whose CalculateSITestTime inputs changed. A
   // group's timing depends only on each member core's (rail index, rail
   // width) pair, so a core is *affected* iff its rail assignment changed or
-  // its rail's width changed. On the positional path the cached shape word
-  // and the still-unpatched core -> rail map decide both tests per core:
+  // its rail's width changed. On the positional path the cached width and
+  // the still-unpatched core -> rail map decide both tests per core:
   // cores that merely stayed on a rail that lost or gained other members
   // affect nothing, which shrinks a single-core move's dirty set from
   // "every group touching either rail" to just the moved core's groups.
@@ -291,17 +277,14 @@ bool DeltaEvaluator::try_delta(const TamArchitecture& arch) {
   for (std::size_t r = 0; r < rail_count; ++r) {
     if (match_[r] >= 0) continue;
     const int new_width = arch.rails[r].width;
-    const bool width_changed =
-        !positional ||
-        (rail_shape_[r] >> 32) !=
-            static_cast<std::uint64_t>(static_cast<std::uint32_t>(new_width));
+    const bool width_changed = !positional || rail_width_[r] != new_width;
     for (const int core : arch.rails[r].cores) {
       const int prev = rail_of_core_[static_cast<std::size_t>(core)];
       if (width_changed || prev != static_cast<int>(r)) {
         mark_core_groups(core);
         if (positional) {
           // The core's previous rail lost it, so it is unmatched too and
-          // rail_shape_[prev] still holds its base width — the width the
+          // rail_width_[prev] still holds its base width — the width the
           // core's retired contribution was computed with.
           SITAM_DCHECK_MSG(prev >= 0 && match_[static_cast<std::size_t>(
                                             prev)] < 0,
@@ -309,9 +292,7 @@ bool DeltaEvaluator::try_delta(const TamArchitecture& arch) {
                                          << " left a matched rail " << prev);
           affected_scratch_.push_back(
               {core, prev, static_cast<int>(r),
-               static_cast<int>(rail_shape_[static_cast<std::size_t>(prev)] >>
-                                32),
-               new_width});
+               rail_width_[static_cast<std::size_t>(prev)], new_width});
         }
       }
     }
@@ -343,14 +324,14 @@ bool DeltaEvaluator::try_delta(const TamArchitecture& arch) {
 
   // Bring the per-rail SoA arrays into the new rail index space. The
   // positional case (every matched rail at its own position — all small
-  // optimizer moves) needs no data movement at all; a shift routes matched
-  // entries through the scratch arrays.
+  // optimizer moves) moves no time data and copies only the dirty rails'
+  // content; a shift routes matched times through the scratch arrays and
+  // recopies every rail's content (matched rails' content is unchanged).
   if (positional) {
     for (std::size_t r = 0; r < rail_count; ++r) {
       if (match_[r] >= 0) continue;
-      rail_sum0_[r] = sum0_scratch_[r];
-      rail_sum1_[r] = sum1_scratch_[r];
-      rail_shape_[r] = shape_scratch_[r];
+      rail_width_[r] = arch.rails[r].width;
+      rail_cores_[r] = arch.rails[r].cores;
       // rail_time_si_[r] keeps its clean-group residual; the dirty groups'
       // contributions were subtracted above and are re-added after their
       // recompute below.
@@ -366,9 +347,7 @@ bool DeltaEvaluator::try_delta(const TamArchitecture& arch) {
     }
     rail_time_in_.swap(time_in_scratch_);
     rail_time_si_.swap(time_si_scratch_);
-    rail_sum0_.swap(sum0_scratch_);
-    rail_sum1_.swap(sum1_scratch_);
-    rail_shape_.swap(shape_scratch_);
+    copy_rail_content(arch);
   }
 
   // Patch the core -> rail map (si_group_timing_into and the next match
@@ -602,6 +581,20 @@ bool DeltaEvaluator::try_delta(const TamArchitecture& arch) {
   return true;
 }
 
+void DeltaEvaluator::copy_rail_content(const TamArchitecture& arch) {
+  const std::size_t rail_count = arch.rails.size();
+  rail_width_.resize(rail_count);
+  if (rail_cores_.size() < rail_count) rail_cores_.resize(rail_count);
+  for (std::size_t r = 0; r < rail_count; ++r) {
+    // Sorted cores make the vector a canonical key for the core set.
+    SITAM_DCHECK_MSG(std::is_sorted(arch.rails[r].cores.begin(),
+                                    arch.rails[r].cores.end()),
+                     "rail " << r << " cores not sorted");
+    rail_width_[r] = arch.rails[r].width;
+    rail_cores_[r] = arch.rails[r].cores;
+  }
+}
+
 void DeltaEvaluator::rebase(const TamArchitecture& arch) {
   SITAM_TRACE_SPAN("tam.delta.rebase");
   ++breakdown_.rebases;
@@ -613,16 +606,10 @@ void DeltaEvaluator::rebase(const TamArchitecture& arch) {
   SITAM_CHECK_MSG(base_eval_.rails.size() == rail_count,
                   "full evaluation does not describe the architecture");
 
-  rail_sum0_.resize(rail_count);
-  rail_sum1_.resize(rail_count);
-  rail_shape_.resize(rail_count);
+  copy_rail_content(arch);
   rail_time_in_.resize(rail_count);
   rail_time_si_.resize(rail_count);
   for (std::size_t r = 0; r < rail_count; ++r) {
-    const auto [sum0, sum1] = arch.rails[r].hash_sums();
-    rail_sum0_[r] = sum0;
-    rail_sum1_[r] = sum1;
-    rail_shape_[r] = rail_shape_word(arch.rails[r]);
     rail_time_in_[r] = base_eval_.rails[r].time_in;
     rail_time_si_[r] = base_eval_.rails[r].time_si;
   }

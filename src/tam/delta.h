@@ -10,13 +10,14 @@
 // previous architecture's schedule state and patches it:
 //
 //  1. Every rail of the new architecture is matched against the cached
-//     rails by its raw content-hash quadruple (sum0, sum1, width, |cores|)
-//     — TestRail::hash_sums, an O(1) query thanks to the incremental hash
-//     cache the optimizers maintain through the mutation helpers, with no
-//     SplitMix64 finalization at all on the warm path — at its own position,
-//     then at the cached rail holding its first core (rails are disjoint),
-//     so matching is O(R). Matched rails reuse their cached InTest time
-//     verbatim; only unmatched ("dirty") rails rerun the wrapper-table loop.
+//     rails by exact content — its width and its sorted core vector,
+//     compared with the per-rail copy the evaluator keeps — at its own
+//     position, then at the cached rail holding its first core (rails are
+//     disjoint, so no other cached rail can hold the same cores). Matching
+//     is O(total cores) per evaluation and reads only the current rail
+//     content, so no edit of `cores` can stale it. Matched rails reuse
+//     their cached InTest time verbatim; only unmatched ("dirty") rails
+//     rerun the wrapper-table loop.
 //  2. A core is dirty iff it sits on a dirty rail (both architectures
 //     partition the same core set, so the dirty cores of the new
 //     architecture are exactly the cores of the retired cached rails).
@@ -48,18 +49,19 @@
 //     replay.
 //
 // Wall-clock engineering (DESIGN.md): the cached state is
-// structure-of-arrays — dense u64 hash arrays, dense per-rail time arrays,
-// a dense per-group duration array — so the match pass, the dirty updates
-// and the order scan are linear scans over flat memory, and the steady
-// state allocates nothing. The full Evaluation (rails table, InTest slots,
+// structure-of-arrays — dense per-rail width and time arrays, a dense
+// per-group duration array — so the dirty updates and the order scan are
+// linear scans over flat memory. The per-rail core copies are grow-only (a
+// slot keeps its storage when the rail count shrinks), so the steady state
+// allocates nothing. The full Evaluation (rails table, InTest slots,
 // schedule copy) is materialized lazily: t_soc() and rail_times() never
 // assemble the parts they do not return.
 //
 // Fallbacks (counted in DeltaBreakdown): no cached state yet, or a jump, not
-// a move — more dirty rails than DeltaOptions::max_dirty_rails, or matched
-// rails in a new relative order. Every evaluation — hit or fallback —
-// rebases the cached state onto its result, so the next move diffs against
-// the newest architecture.
+// a move — more dirty rails than the dirty-rail budget (kMaxDirtyRails in
+// delta.cpp), or matched rails in a new relative order. Every evaluation —
+// hit or fallback — rebases the cached state onto its result, so the next
+// move diffs against the newest architecture.
 //
 // Under SITAM_DCHECK every result is verified against evaluate_reference
 // where it is handed out (t_soc()/evaluate() field by field, rail_times()
@@ -77,15 +79,6 @@
 #include "tam/schedule_workspace.h"
 
 namespace sitam {
-
-struct DeltaOptions {
-  /// Maximum number of unmatched (recomputed-from-scratch) rails before the
-  /// move is treated as a whole-architecture jump and the evaluation falls
-  /// back to the full path. Optimizer moves dirty at most two rails; the
-  /// default leaves headroom for compound moves without letting a rebase
-  /// masquerade as a delta.
-  int max_dirty_rails = 6;
-};
 
 /// Fallback/rebase diagnostics, separate from EvaluatorStats (which only
 /// tracks the delta-hit/full-run accounting).
@@ -110,8 +103,7 @@ class DeltaEvaluator {
   /// `full` must outlive the DeltaEvaluator. The wrapped evaluator performs
   /// all fallback evaluations and supplies the per-group timing
   /// recomputation.
-  explicit DeltaEvaluator(const TamEvaluator& full,
-                          const DeltaOptions& options = {});
+  explicit DeltaEvaluator(const TamEvaluator& full);
 
   /// Evaluate `arch`, patching the cached state when possible. The returned
   /// reference is into the evaluator's cached state and is invalidated by
@@ -146,6 +138,9 @@ class DeltaEvaluator {
   // evaluation must fall back. On success the SoA state describes `arch`.
   bool try_delta(const TamArchitecture& arch);
 
+  // Copies every rail's width and cores into the match key arrays.
+  void copy_rail_content(const TamArchitecture& arch);
+
   // Full evaluation through the wrapped evaluator, then rebuilds the SoA
   // state from scratch.
   void rebase(const TamArchitecture& arch);
@@ -167,17 +162,16 @@ class DeltaEvaluator {
   void materialize(const TamArchitecture& arch);
 
   const TamEvaluator* full_;
-  DeltaOptions options_;
 
   bool has_base_ = false;
 
   // ---- SoA cached state describing the base architecture ----
-  // Per rail, dense and parallel: raw dual hash sums plus the packed
-  // (width << 32 | core count) shape word — together the exact match key —
-  // then InTest time and summed SI busy time.
-  std::vector<std::uint64_t> rail_sum0_;
-  std::vector<std::uint64_t> rail_sum1_;
-  std::vector<std::uint64_t> rail_shape_;
+  // Per rail, dense and parallel: width, InTest time and summed SI busy
+  // time; rail_width_.size() is the base rail count. rail_cores_ holds each
+  // rail's core vector — with the width, the exact match key — and is
+  // grow-only: entries past the rail count keep their storage for reuse.
+  std::vector<int> rail_width_;
+  std::vector<std::vector<int>> rail_cores_;
   std::vector<std::int64_t> rail_time_in_;
   std::vector<std::int64_t> rail_time_si_;
   // Per group, dense by group id: the cached SiGroupTiming (group == -1
@@ -220,9 +214,6 @@ class DeltaEvaluator {
   std::vector<int> old2new_;  // cached rail -> new rail (-1 = retired)
   std::vector<std::uint8_t> group_mark_;  // per group: queued as dirty
   std::vector<int> dirty_groups_;
-  std::vector<std::uint64_t> sum0_scratch_;
-  std::vector<std::uint64_t> sum1_scratch_;
-  std::vector<std::uint64_t> shape_scratch_;
   std::vector<std::int64_t> time_in_scratch_;
   std::vector<std::int64_t> time_si_scratch_;
   SiGroupTiming timing_scratch_;

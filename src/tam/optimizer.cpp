@@ -131,8 +131,7 @@ class Optimizer {
   // -------------------------------------------------------------------
 
   /// Builds arch minus rails a and b plus their merger at `width` into
-  /// `out`. Copy-assignment reuses the core storage of out's rails, and the
-  /// merged rail's hash sums are the parents' sums added in O(1).
+  /// `out`. Copy-assignment reuses the core storage of out's rails.
   static void merge_into(const TamArchitecture& arch, std::size_t a,
                          std::size_t b, int width, int id,
                          TamArchitecture& out) {

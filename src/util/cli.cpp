@@ -1,5 +1,6 @@
 #include "util/cli.h"
 
+#include <algorithm>
 #include <charconv>
 #include <stdexcept>
 #include <system_error>
@@ -47,6 +48,15 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
       values_[arg] = argv[++i];
     } else {
       values_[arg] = "true";
+    }
+  }
+}
+
+void CliArgs::require_known(const std::vector<std::string>& accepted) const {
+  for (const auto& entry : values_) {
+    if (std::find(accepted.begin(), accepted.end(), entry.first) ==
+        accepted.end()) {
+      throw std::invalid_argument("unknown flag --" + entry.first);
     }
   }
 }

@@ -16,6 +16,11 @@ class CliArgs {
   /// (anything not starting with "--").
   CliArgs(int argc, const char* const* argv);
 
+  /// Throws std::invalid_argument naming the first parsed flag (in name
+  /// order) that is not in `accepted`, e.g. "unknown flag --bogus". Each
+  /// binary calls it once with every flag it reads.
+  void require_known(const std::vector<std::string>& accepted) const;
+
   [[nodiscard]] bool has(const std::string& name) const;
 
   [[nodiscard]] std::optional<std::string> get(const std::string& name) const;

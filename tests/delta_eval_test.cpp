@@ -40,10 +40,8 @@ TamArchitecture round_robin(int cores, int w_max) {
 /// One random move: 0 = move a core, 1 = move a wire (width change),
 /// 2 = split a rail, 3 = merge two rails. Returns false when the drawn
 /// move does not apply to the current architecture (caller retries).
-/// Core movement goes through the TestRail mutation helpers — the same
-/// route the optimizers use — which keeps the incremental rail hash caches
-/// warm and exercises their O(1) maintenance under the delta evaluator's
-/// DCHECK cross-checks.
+/// Core movement goes through the TestRail mutation helpers, the same
+/// route the optimizers use.
 bool apply_move(TamArchitecture& arch, Rng& rng) {
   const auto rail_count = arch.rails.size();
   switch (rng.below(4)) {
@@ -144,11 +142,11 @@ void apply_some_move(TamArchitecture& arch, Rng& rng) {
 
 /// Runs `steps` random moves, checking delta == reference at every step.
 void drive(const Workbench& wb, const EvaluatorOptions& options,
-           const DeltaOptions& delta_options, std::uint64_t seed, int steps,
-           int w_max, DeltaBreakdown* breakdown_out = nullptr,
+           std::uint64_t seed, int steps, int w_max,
+           DeltaBreakdown* breakdown_out = nullptr,
            EvaluatorStats* stats_out = nullptr) {
   const TamEvaluator evaluator(wb.soc, wb.table, wb.tests, options);
-  DeltaEvaluator delta(evaluator, delta_options);
+  DeltaEvaluator delta(evaluator);
   Rng rng(seed);
   TamArchitecture arch = round_robin(wb.soc.core_count(), w_max);
 
@@ -179,8 +177,7 @@ TEST_P(DeltaDifferentialTest, RandomMoveSequenceMatchesFullEvaluation) {
   const Workbench wb = bench_for(GetParam());
   DeltaBreakdown breakdown;
   EvaluatorStats stats;
-  drive(wb, EvaluatorOptions{}, DeltaOptions{}, 0x5eedULL, 120, 16,
-        &breakdown, &stats);
+  drive(wb, EvaluatorOptions{}, 0x5eedULL, 120, 16, &breakdown, &stats);
   // The workload is move-shaped, so the delta path must carry some of it.
   EXPECT_GT(breakdown.delta_hits, 0);
   EXPECT_EQ(stats.cache_hits, 0);
@@ -220,7 +217,7 @@ TEST_P(DeltaDifferentialTest, SchedulingOptionVariants) {
   }
   for (std::size_t v = 0; v < variants.size(); ++v) {
     SCOPED_TRACE("variant " + std::to_string(v));
-    drive(wb, variants[v], DeltaOptions{}, 0xbeef00ULL + v, 60, 16);
+    drive(wb, variants[v], 0xbeef00ULL + v, 60, 16);
   }
 }
 
@@ -282,42 +279,30 @@ TEST_P(DeltaDifferentialTest, LazyReplayAcrossRailTimesRuns) {
 INSTANTIATE_TEST_SUITE_P(Models, DeltaDifferentialTest,
                          ::testing::Values("synth12", "d695", "p34392"));
 
-TEST(DeltaEvaluatorFallbacks, ZeroDirtyBudgetForcesFullPath) {
-  const Workbench wb = bench_for("d695");
-  DeltaOptions never;
-  never.max_dirty_rails = 0;
-  DeltaBreakdown breakdown;
-  EvaluatorStats stats;
-  drive(wb, EvaluatorOptions{}, never, 0xfa11ULL, 60, 16, &breakdown,
-        &stats);
-  // Every move dirties at least one rail, so the path must always fall
-  // back — and still be correct (checked inside drive()).
-  EXPECT_EQ(breakdown.delta_hits, 0);
-  EXPECT_GT(breakdown.dirty_fallbacks, 0);
-  EXPECT_EQ(stats.delta_hits, 0);
-}
-
 TEST(DeltaEvaluatorFallbacks, WholeArchitectureJumpsFallBack) {
   const Workbench wb = bench_for("d695");
   const TamEvaluator evaluator(wb.soc, wb.table, wb.tests);
   DeltaEvaluator delta(evaluator);
   Rng rng(0x1ab5ULL);
-  // Fresh random partitions (not moves): nearly every rail is dirty, so
-  // the dirty-rail budget rejects the patch path.
-  for (int round = 0; round < 12; ++round) {
+  // Fresh random partitions over 8 rails (not moves), with every rail's
+  // width changed each round: all 8 rails are dirty, more than the
+  // dirty-rail budget allows, so every jump after the first falls back.
+  constexpr int kRails = 8;
+  constexpr int kRounds = 12;
+  for (int round = 0; round < kRounds; ++round) {
     std::vector<int> order(static_cast<std::size_t>(wb.soc.core_count()));
     for (std::size_t i = 0; i < order.size(); ++i) {
       order[i] = static_cast<int>(i);
     }
     rng.shuffle(order);
     TamArchitecture arch;
-    arch.rails.resize(4);
+    arch.rails.resize(kRails);
     for (std::size_t i = 0; i < order.size(); ++i) {
-      arch.rails[i % 4].cores.push_back(order[i]);
+      arch.rails[i % kRails].cores.push_back(order[i]);
     }
-    for (std::size_t r = 0; r < 4; ++r) {
-      std::sort(arch.rails[r].cores.begin(), arch.rails[r].cores.end());
-      arch.rails[r].width = 4;
+    for (TestRail& rail : arch.rails) {
+      std::sort(rail.cores.begin(), rail.cores.end());
+      rail.width = 2 + round % 2;
     }
     arch.validate(wb.soc.core_count());
     const Evaluation& patched = delta.evaluate(arch);
@@ -325,8 +310,8 @@ TEST(DeltaEvaluatorFallbacks, WholeArchitectureJumpsFallBack) {
         patched, evaluator.evaluate_reference(arch));
     ASSERT_TRUE(mismatches.empty()) << mismatches.front();
   }
-  EXPECT_GT(delta.breakdown().dirty_fallbacks + delta.breakdown().rebases,
-            0);
+  EXPECT_EQ(delta.breakdown().dirty_fallbacks, kRounds - 1);
+  EXPECT_EQ(delta.breakdown().delta_hits, 0);
 }
 
 TEST(DeltaEvaluatorFallbacks, OrderInvalidationIsResortedInPlace) {
@@ -366,6 +351,43 @@ TEST(DeltaEvaluatorState, InvalidateDropsTheBase) {
   delta.invalidate();
   (void)delta.evaluate(arch);
   EXPECT_EQ(delta.breakdown().no_base, no_base_before + 1);
+}
+
+// TestRail caches nothing: rails whose cores are edited by plain
+// assignment, with no helper and no notification, are matched by their
+// current content. Each probe swaps the single cores of two rails of
+// different widths on a warm evaluator, then swaps them back.
+TEST(DeltaEvaluatorState, DirectCoreEditsNeedNoInvalidation) {
+  const Workbench wb = bench_for("d695");
+  const TamEvaluator evaluator(wb.soc, wb.table, wb.tests);
+  DeltaEvaluator delta(evaluator);
+  // d695 has 10 cores: one core per rail, rails 0-5 at width 2 and rails
+  // 6-9 at width 1.
+  TamArchitecture arch = round_robin(wb.soc.core_count(), 16);
+  ASSERT_EQ(arch.rails.size(), 10U);
+  const std::int64_t incumbent = delta.t_soc(arch);
+  int changed = 0;
+  for (std::size_t a = 0; a < 6; ++a) {
+    for (std::size_t b = 6; b < 10; ++b) {
+      ASSERT_NE(arch.rails[a].width, arch.rails[b].width);
+      const int core = arch.rails[a].cores[0];
+      arch.rails[a].cores[0] = arch.rails[b].cores[0];
+      arch.rails[b].cores[0] = core;
+      const Evaluation reference = evaluator.evaluate_reference(arch);
+      if (reference.t_soc != incumbent) ++changed;
+      ASSERT_EQ(delta.t_soc(arch), reference.t_soc)
+          << "swap of rails " << a << " and " << b;
+      const auto mismatches =
+          verify_delta_consistency(delta.evaluate(arch), reference);
+      ASSERT_TRUE(mismatches.empty()) << mismatches.front();
+
+      arch.rails[b].cores[0] = arch.rails[a].cores[0];
+      arch.rails[a].cores[0] = core;
+      ASSERT_EQ(delta.t_soc(arch), incumbent);
+    }
+  }
+  // The probe has teeth only if swaps change T_soc.
+  EXPECT_GT(changed, 0);
 }
 
 }  // namespace

@@ -6,7 +6,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "sitest/group.h"
@@ -547,74 +547,12 @@ TEST(OptimizerStats, CountsEveryEvaluation) {
   EXPECT_GT(result.stats.evaluations, soc.core_count());
 }
 
-// The incremental rail-hash cache must agree with the from-scratch
-// reference after any helper sequence — this is the invariant the delta
-// evaluator's raw-quadruple rail matching rests on. Random walk over the
-// exact move mix the optimizers perform: single-core moves between rails,
-// width changes (which never touch the cached sums), and rail merges.
-TEST(RailHash, IncrementalCacheMatchesReferenceUnderRandomizedMoves) {
-  constexpr int kCores = 24;
-  Rng rng(0x5117a4);
-  TamArchitecture arch;
-  arch.rails.resize(4);
-  for (int r = 0; r < 4; ++r) {
-    arch.rails[static_cast<std::size_t>(r)].width = 1 + r;
-    arch.rails[static_cast<std::size_t>(r)].id = r;
-  }
-  for (int c = 0; c < kCores; ++c) {
-    arch.rails[rng.below(arch.rails.size())].insert_core(c);
-  }
-
-  const auto check_all = [&arch] {
-    for (const TestRail& rail : arch.rails) {
-      const RailHash reference = rail_content_hash_reference(rail);
-      ASSERT_EQ(rail.content_hash(), reference);
-      // The raw sums the delta evaluator matches on must agree too, not
-      // just the finalized hash.
-      const auto [sum0, sum1] = rail.hash_sums();
-      TestRail cold;
-      cold.cores = rail.cores;
-      cold.width = rail.width;
-      const auto [ref0, ref1] = cold.hash_sums();
-      ASSERT_EQ(sum0, ref0);
-      ASSERT_EQ(sum1, ref1);
-    }
-  };
-  check_all();
-
-  for (int step = 0; step < 400; ++step) {
-    const std::uint64_t kind = rng.below(8);
-    if (kind < 5) {
-      // Move a random core to a random other rail (skipping no-ops and
-      // rails it would empty — the optimizers never produce either).
-      const std::size_t from = rng.below(arch.rails.size());
-      TestRail& src = arch.rails[from];
-      if (src.cores.size() < 2) continue;
-      const std::size_t to = rng.below(arch.rails.size());
-      if (to == from) continue;
-      const int core = src.cores[rng.below(src.cores.size())];
-      src.erase_core(core);
-      arch.rails[to].insert_core(core);
-    } else if (kind < 7) {
-      arch.rails[rng.below(arch.rails.size())].width =
-          1 + static_cast<int>(rng.below(64));
-    } else if (arch.rails.size() > 2) {
-      // Merge the last rail into a random survivor.
-      TestRail victim = std::move(arch.rails.back());
-      arch.rails.pop_back();
-      arch.rails[rng.below(arch.rails.size())].merge_cores_from(victim);
-    }
-    check_all();
-  }
-  arch.validate(kCores);
-}
-
 // The optimizers merge candidate rails into reused storage: copy-assign a
 // parent into a rail that held an earlier candidate, then merge the
-// partner's cores in place. The merged cores and hash must equal a merge
-// built from scratch, and a merge that fits the capacity must not move
-// the storage.
-TEST(RailHash, MergeIntoReusedStorageMatchesReference) {
+// partner's cores in place. The merged cores must equal a merge built
+// from scratch, and a merge that fits the capacity must not move the
+// storage.
+TEST(TestRail, MergeIntoReusedStorageMatchesReference) {
   constexpr int kCores = 40;
   Rng rng(0x3e76edULL);
   TestRail scratch;
@@ -638,7 +576,6 @@ TEST(RailHash, MergeIntoReusedStorageMatchesReference) {
       b.insert_core(*it);
     }
     a.width = 1 + static_cast<int>(rng.below(16));
-    if (round % 3 == 0) a.invalidate_hash();  // cold parent cache
 
     scratch = a;
     scratch.merge_cores_from(b);
@@ -647,19 +584,14 @@ TEST(RailHash, MergeIntoReusedStorageMatchesReference) {
     std::vector<int> expected(order.begin(), order.begin() + used);
     std::sort(expected.begin(), expected.end());
     ASSERT_EQ(scratch.cores, expected);
-    TestRail fresh;
-    fresh.cores = expected;
-    fresh.width = a.width;
-    ASSERT_EQ(scratch.content_hash(), rail_content_hash_reference(fresh));
-    ASSERT_EQ(scratch.hash_sums(), fresh.hash_sums());
+    ASSERT_EQ(scratch.width, a.width);
   }
 }
 
 // coreReshuffle probes each (core, target) move in place and undoes it.
-// After every probe the incumbent must be bit-identical: the same core
-// vectors and the same cached hash sums, although each probe's evaluation
-// read the moved rails' sums in between.
-TEST(RailHash, ReshuffleProbeRestoresTheIncumbent) {
+// After every probe the incumbent must be identical: the same core
+// vectors, in the same storage.
+TEST(TestRail, ReshuffleProbeRestoresTheIncumbent) {
   constexpr int kCores = 18;
   Rng rng(0x9e5u);
   TamArchitecture arch;
@@ -668,15 +600,12 @@ TEST(RailHash, ReshuffleProbeRestoresTheIncumbent) {
   for (int c = 0; c < kCores; ++c) {
     arch.rails[rng.below(arch.rails.size())].insert_core(c);
   }
-  for (const TestRail& rail : arch.rails) (void)rail.hash_sums();
+  for (TestRail& rail : arch.rails) rail.cores.reserve(kCores);
 
   const auto snapshot = [](const TamArchitecture& a) {
-    std::vector<std::tuple<std::vector<int>, std::uint64_t, std::uint64_t,
-                           bool>>
-        out;
+    std::vector<std::pair<std::vector<int>, const int*>> out;
     for (const TestRail& rail : a.rails) {
-      out.emplace_back(rail.cores, rail.hash_sum0_, rail.hash_sum1_,
-                       rail.hash_valid_);
+      out.emplace_back(rail.cores, rail.cores.data());
     }
     return out;
   };
@@ -689,7 +618,6 @@ TEST(RailHash, ReshuffleProbeRestoresTheIncumbent) {
       for (std::size_t to = 0; to < arch.rails.size(); ++to) {
         if (to == from) continue;
         arch.rails[to].insert_core(core);
-        for (const TestRail& rail : arch.rails) (void)rail.hash_sums();
         arch.rails[to].erase_core(core);
       }
       source.insert_core(core);

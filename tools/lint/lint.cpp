@@ -843,9 +843,9 @@ Report run(const Options& options) {
     const std::string sibling = sibling_header_path(entry.path, by_path);
     const std::string* sibling_text =
         sibling.empty() ? nullptr : &entries[by_path.at(sibling)].text;
-    std::uint64_t key = content_hash(entry.text);
+    std::uint64_t key = text_hash(entry.text);
     if (sibling_text != nullptr) {
-      key = key * 1099511628211ULL ^ content_hash(*sibling_text);
+      key = key * 1099511628211ULL ^ text_hash(*sibling_text);
     }
 
     if (incremental) {

@@ -655,7 +655,7 @@ std::vector<IncludeRef> scan_includes(const Stripped& file) {
 // ---------------------------------------------------------------------------
 // Content hashing (incremental cache key).
 
-std::uint64_t content_hash(const std::string& text) {
+std::uint64_t text_hash(const std::string& text) {
   std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a 64.
   for (const unsigned char c : text) {
     h ^= c;

@@ -173,8 +173,8 @@ void check_layering(const std::vector<FileIncludes>& files,
 // ---------------------------------------------------------------------------
 // Incremental lint cache.
 
-/// FNV-1a 64-bit content hash.
-[[nodiscard]] std::uint64_t content_hash(const std::string& text);
+/// FNV-1a 64-bit hash of a file's text.
+[[nodiscard]] std::uint64_t text_hash(const std::string& text);
 
 /// Per-file cached lint result, keyed by a combined content hash (own file
 /// mixed with its sibling header, since SL013/SL015 read the header's

@@ -3,7 +3,7 @@
 # tree, so the numbers in version control always correspond to a commit
 # someone can check out:
 #
-#   BENCH_delta.json       — bench/delta_eval_study (p93791 delta vs memo)
+#   BENCH_delta.json       — bench/delta_eval_study (p93791 delta vs full)
 #   BENCH_compaction.json  — bench/compaction_study (packed vs sparse sweep)
 #   BENCH_parallel.json    — bench/micro_benchmarks parallel report
 #
@@ -61,6 +61,8 @@ cmake --build "$build_dir" -j "$hardware_threads" \
 # Writers emit into the working directory; run from the repo root so the
 # artifacts land next to the ones under version control.
 echo "== BENCH_delta.json =="
+"$build_dir/bench/delta_eval_study"
+echo "== delta wall-clock gate (writes no artifact) =="
 "$build_dir/bench/delta_eval_study" --wallclock_gate
 echo "== BENCH_compaction.json =="
 "$build_dir/bench/compaction_study"

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "core/context.h"
 #include "core/flow.h"
@@ -550,25 +551,52 @@ int usage() {
   return 2;
 }
 
+/// A subcommand with the flags it reads; any other flag is rejected before
+/// the command runs.
+struct Command {
+  const char* name;
+  int (*run)(const CliArgs&);
+  std::vector<std::string> flags;
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  const std::vector<Command> commands = {
+      {"benchmarks", [](const CliArgs&) { return cmd_benchmarks(); }, {}},
+      {"info", cmd_info, {"soc", "module", "width"}},
+      {"generate", cmd_generate, {"cores", "name", "seed"}},
+      {"compact", cmd_compact, {"soc", "nr", "seed", "parts"}},
+      {"optimize",
+       cmd_optimize,
+       {"soc", "nr", "seed", "wmax", "parts", "restarts", "threads",
+        "no-delta", "json", "trace-out", "metrics-out"}},
+      {"sweep",
+       cmd_sweep,
+       {"soc", "nr", "seed", "widths", "restarts", "threads", "no-delta",
+        "json", "trace-out", "metrics-out"}},
+      {"gantt", cmd_gantt, {"soc", "nr", "seed", "wmax", "parts", "svg"}},
+      {"verify",
+       cmd_verify,
+       {"soc", "nr", "seed", "wmax", "parts", "restarts", "threads",
+        "no-delta"}},
+      {"serve", cmd_serve, {"threads", "cache-dir", "quiet"}},
+      {"sweep-fleet",
+       cmd_sweep_fleet,
+       {"socs", "wmax", "backends", "seeds", "nr", "parts", "restarts",
+        "threads", "store-out", "crash-after", "progress"}},
+      {"report", cmd_report, {"store", "scenario", "out-md", "out-json"}},
+      {"store-import", cmd_store_import, {"store", "files"}},
+  };
   if (argc < 2) return usage();
   const std::string command = argv[1];
   try {
     const CliArgs args(argc - 1, argv + 1);
-    if (command == "benchmarks") return cmd_benchmarks();
-    if (command == "info") return cmd_info(args);
-    if (command == "generate") return cmd_generate(args);
-    if (command == "compact") return cmd_compact(args);
-    if (command == "optimize") return cmd_optimize(args);
-    if (command == "sweep") return cmd_sweep(args);
-    if (command == "gantt") return cmd_gantt(args);
-    if (command == "verify") return cmd_verify(args);
-    if (command == "serve") return cmd_serve(args);
-    if (command == "sweep-fleet") return cmd_sweep_fleet(args);
-    if (command == "report") return cmd_report(args);
-    if (command == "store-import") return cmd_store_import(args);
+    for (const Command& entry : commands) {
+      if (command != entry.name) continue;
+      args.require_known(entry.flags);
+      return entry.run(args);
+    }
     std::cerr << "unknown command: " << command << "\n";
     return usage();
   } catch (const std::exception& err) {
