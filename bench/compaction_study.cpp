@@ -1,6 +1,8 @@
 // The §3 compaction study, three sections:
-//   (a) kernel: the bitset first-fit greedy sweep vs the sparse reference
-//       sweep — identical output, measured speedup (BENCH_compaction.json);
+//   (a) kernel: the staged first-fit greedy sweep vs the sparse reference
+//       sweep — identical output, measured speedup — and the staged count
+//       on the caller vs on a pool of every hardware thread — identical
+//       counts, measured speedup (both in BENCH_compaction.json);
 //   (b) quality: the greedy sweep achieves compaction ratios similar to a
 //       clique-covering approximation (first-fit coloring of the conflict
 //       graph) at a fraction of the runtime;
@@ -9,23 +11,29 @@
 //
 // `--smoke` runs a reduced version of all three sections (small N_r, one
 // timing repeat, no JSON artifact) — fast enough to live in the tier-1
-// ctest suite as a bench smoke check.
+// ctest suite as a bench smoke check. Any other flag is an error.
 #include <cstdint>
 #include <fstream>
+#include <future>
 #include <iostream>
+#include <numeric>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "compaction_oracle.h"
 #include "interconnect/terminal_space.h"
 #include "obs/manifest.h"
 #include "pattern/compaction.h"
 #include "pattern/generator.h"
 #include "sitest/group.h"
 #include "soc/benchmarks.h"
+#include "util/cli.h"
 #include "util/json.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 
 using namespace sitam;
 
@@ -35,7 +43,17 @@ struct KernelRow {
   std::string soc;
   std::int64_t n_r = 0;
   double reference_seconds = 0.0;
-  double bitset_seconds = 0.0;
+  double staged_seconds = 0.0;
+  std::size_t compacted = 0;
+  bool identical = false;
+};
+
+/// One staged count of a whole raw set: on the caller, then on the pool.
+struct StagedRow {
+  std::string soc;
+  std::int64_t n_r = 0;
+  double caller_seconds = 0.0;
+  double pool_seconds = 0.0;
   std::size_t compacted = 0;
   bool identical = false;
 };
@@ -55,17 +73,21 @@ double best_of(int repeats, const F& run) {
 }
 
 void write_kernel_report(const std::string& path,
-                         const std::vector<KernelRow>& rows, int repeats) {
+                         const std::vector<KernelRow>& rows,
+                         const std::vector<StagedRow>& staged, int repeats,
+                         int pool_threads) {
   obs::RunManifest manifest = obs::RunManifest::collect("compaction_study");
   manifest.seed = 0x20070604ULL;
-  manifest.threads = 1;
+  manifest.threads = pool_threads;
   manifest.add_extra("timing_repeats", std::to_string(repeats));
 
   JsonWriter json;
   json.begin_object();
   json.key("manifest");
   manifest.write(json);
-  json.key("benchmark").value("compact_greedy kernel: bitset vs reference");
+  json.key("benchmark")
+      .value("compact_greedy kernel: staged vs reference; staged count: "
+             "caller vs pool");
   json.key("generator_seed").value(std::int64_t{0x20070604LL});
   json.key("timing_repeats").value(std::int64_t{repeats});
   json.key("rows").begin_array();
@@ -74,14 +96,31 @@ void write_kernel_report(const std::string& path,
     json.key("soc").value(row.soc);
     json.key("n_r").value(row.n_r);
     json.key("reference_seconds").value(row.reference_seconds);
-    // The key predates the bitset kernel; kept so stored rows compare.
-    json.key("packed_seconds").value(row.bitset_seconds);
-    json.key("speedup").value(row.bitset_seconds > 0.0
-                                  ? row.reference_seconds / row.bitset_seconds
+    // The key predates the staged kernel; kept so stored rows compare.
+    json.key("packed_seconds").value(row.staged_seconds);
+    json.key("speedup").value(row.staged_seconds > 0.0
+                                  ? row.reference_seconds / row.staged_seconds
                                   : 0.0);
     json.key("compacted_count")
         .value(static_cast<std::int64_t>(row.compacted));
     json.key("output_identical").value(row.identical);
+    json.end_object();
+  }
+  json.end_array();
+  json.key("staged_rows").begin_array();
+  for (const StagedRow& row : staged) {
+    json.begin_object();
+    json.key("soc").value(row.soc);
+    json.key("n_r").value(row.n_r);
+    json.key("caller_seconds").value(row.caller_seconds);
+    json.key("pool_seconds").value(row.pool_seconds);
+    json.key("pool_threads").value(std::int64_t{pool_threads});
+    json.key("speedup").value(row.pool_seconds > 0.0
+                                  ? row.caller_seconds / row.pool_seconds
+                                  : 0.0);
+    json.key("compacted_count")
+        .value(static_cast<std::int64_t>(row.compacted));
+    json.key("results_identical").value(row.identical);
     json.end_object();
   }
   json.end_array();
@@ -92,24 +131,34 @@ void write_kernel_report(const std::string& path,
   std::cout << "wrote " << path << "\n";
 }
 
+/// Min-of-`repeats` staged counts of every pattern on `executor`.
+double time_staged_count(int repeats, std::span<const PatternView> views,
+                         std::span<const std::uint32_t> all,
+                         const TerminalSpace& ts, int bus_width,
+                         Executor& executor, std::size_t& count) {
+  return best_of(repeats, [&] {
+    count = start_greedy_count(views, all, ts.total(), bus_width, executor)
+                .get();
+  });
+}
+
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--smoke") smoke = true;
-  }
+int main(int argc, char** argv) try {
+  const CliArgs args(argc, argv);
+  args.require_known({"smoke"});
+  const bool smoke = args.has("smoke");
   const std::vector<std::int64_t> kernel_sizes =
       smoke ? std::vector<std::int64_t>{500, 2000}
             : std::vector<std::int64_t>{2000, 10000, 30000};
   const int repeats = smoke ? 1 : 3;
 
-  std::cout << "== Bitset first-fit kernel vs sparse reference sweep ==\n";
+  std::cout << "== Staged first-fit kernel vs sparse reference sweep ==\n";
   TextTable kernel;
   kernel.add_column("SOC", Align::kLeft);
   kernel.add_column("N_r");
   kernel.add_column("reference (s)");
-  kernel.add_column("bitset (s)");
+  kernel.add_column("staged (s)");
   kernel.add_column("speedup");
   kernel.add_column("compacted");
   kernel.add_column("identical");
@@ -125,29 +174,29 @@ int main(int argc, char** argv) {
 
       CompactionResult reference;
       const double reference_seconds = best_of(repeats, [&] {
-        reference =
-            compact_greedy_reference(patterns, ts.total(), config.bus_width);
+        reference = sitam::testing::compact_greedy_reference(
+            patterns, ts.total(), config.bus_width);
       });
-      CompactionResult bitset;
-      const double bitset_seconds = best_of(repeats, [&] {
-        bitset = compact_greedy(patterns, ts.total(), config.bus_width);
+      CompactionResult staged;
+      const double staged_seconds = best_of(repeats, [&] {
+        staged = compact_greedy(patterns, ts.total(), config.bus_width);
       });
 
       KernelRow row;
       row.soc = soc_name;
       row.n_r = n_r;
       row.reference_seconds = reference_seconds;
-      row.bitset_seconds = bitset_seconds;
-      row.compacted = bitset.patterns.size();
-      row.identical = reference.patterns == bitset.patterns;
+      row.staged_seconds = staged_seconds;
+      row.compacted = staged.patterns.size();
+      row.identical = reference.patterns == staged.patterns;
       kernel_rows.push_back(row);
 
       kernel.begin_row();
       kernel.cell(std::string(soc_name));
       kernel.cell(n_r);
       kernel.cell(reference_seconds, 3);
-      kernel.cell(bitset_seconds, 3);
-      kernel.cell(bitset_seconds > 0.0 ? reference_seconds / bitset_seconds
+      kernel.cell(staged_seconds, 3);
+      kernel.cell(staged_seconds > 0.0 ? reference_seconds / staged_seconds
                                        : 0.0,
                   2);
       kernel.cell(static_cast<std::int64_t>(row.compacted));
@@ -156,6 +205,61 @@ int main(int argc, char** argv) {
   }
   std::cout << kernel
             << "(same sweep decisions, 64 classes per conflict word)\n\n";
+
+  const int pool_threads = ThreadPool::hardware_threads();
+  std::cout << "== Staged count: caller vs pool of " << pool_threads
+            << " ==\n";
+  TextTable counts;
+  counts.add_column("SOC", Align::kLeft);
+  counts.add_column("N_r");
+  counts.add_column("caller (s)");
+  counts.add_column("pool (s)");
+  counts.add_column("speedup");
+  counts.add_column("compacted");
+  counts.add_column("identical");
+  std::vector<StagedRow> staged_rows;
+  std::vector<std::int64_t> staged_sizes = kernel_sizes;
+  if (!smoke) staged_sizes.push_back(100000);
+  Executor caller(1);
+  Executor pool(pool_threads);
+  for (const char* soc_name : {"p34392", "p93791"}) {
+    const Soc soc = load_benchmark(soc_name);
+    const TerminalSpace ts(soc);
+    for (const std::int64_t n_r : staged_sizes) {
+      Rng rng(0x20070604ULL);
+      const RandomPatternConfig config;
+      const auto patterns = generate_random_patterns(ts, n_r, config, rng);
+      const std::vector<PatternView> views = pattern_views(patterns);
+      std::vector<std::uint32_t> all(views.size());
+      std::iota(all.begin(), all.end(), std::uint32_t{0});
+
+      StagedRow row;
+      row.soc = soc_name;
+      row.n_r = n_r;
+      std::size_t on_pool = 0;
+      row.caller_seconds = time_staged_count(
+          repeats, views, all, ts, config.bus_width, caller, row.compacted);
+      row.pool_seconds = time_staged_count(repeats, views, all, ts,
+                                           config.bus_width, pool, on_pool);
+      row.identical = on_pool == row.compacted;
+      staged_rows.push_back(row);
+
+      counts.begin_row();
+      counts.cell(std::string(soc_name));
+      counts.cell(n_r);
+      counts.cell(row.caller_seconds, 3);
+      counts.cell(row.pool_seconds, 3);
+      counts.cell(row.pool_seconds > 0.0
+                      ? row.caller_seconds / row.pool_seconds
+                      : 0.0,
+                  2);
+      counts.cell(static_cast<std::int64_t>(row.compacted));
+      counts.cell(std::string(row.identical ? "yes" : "NO"));
+    }
+  }
+  std::cout << counts
+            << "(one count of every pattern; (stage, chunk) tasks on the "
+               "pool)\n\n";
 
   std::cout << "== Greedy sweep vs clique-cover approximation ==\n";
   TextTable quality;
@@ -237,15 +341,29 @@ int main(int argc, char** argv) {
   }
   std::cout << volume;
 
-  if (!smoke) write_kernel_report("BENCH_compaction.json", kernel_rows, repeats);
+  if (!smoke) {
+    write_kernel_report("BENCH_compaction.json", kernel_rows, staged_rows,
+                        repeats, pool_threads);
+  }
 
   for (const KernelRow& row : kernel_rows) {
     if (!row.identical) {
-      std::cerr << "FAIL: bitset kernel output diverged from the reference "
+      std::cerr << "FAIL: staged kernel output diverged from the reference "
                    "sweep on "
                 << row.soc << " N_r=" << row.n_r << "\n";
       return 1;
     }
   }
+  for (const StagedRow& row : staged_rows) {
+    if (!row.identical) {
+      std::cerr << "FAIL: the staged count on the pool differs from the "
+                   "count on the caller on "
+                << row.soc << " N_r=" << row.n_r << "\n";
+      return 1;
+    }
+  }
   return 0;
+} catch (const std::invalid_argument& err) {
+  std::cerr << "error: " << err.what() << "\n";
+  return 1;
 }

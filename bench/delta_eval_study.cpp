@@ -14,12 +14,15 @@
 // runs per mode, the modes interleaved, warm-ups excluded) and exits
 // nonzero otherwise — registered as the `bench_wallclock_gate` ctest
 // label. Neither mode writes the artifact, so running a gate from the
-// repository root leaves the tracked BENCH_delta.json untouched.
+// repository root leaves the tracked BENCH_delta.json untouched. Any other
+// flag is an error, so a mistyped gate flag cannot fall back to the plain
+// run.
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -27,6 +30,7 @@
 #include "core/report.h"
 #include "obs/manifest.h"
 #include "soc/benchmarks.h"
+#include "util/cli.h"
 #include "util/json.h"
 #include "util/stopwatch.h"
 #include "util/table.h"
@@ -171,14 +175,11 @@ void write_report(const std::string& path, std::int64_t n_r,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool smoke = false;
-  bool wallclock_gate = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg(argv[i]);
-    if (arg == "--smoke") smoke = true;
-    if (arg == "--wallclock_gate") wallclock_gate = true;
-  }
+int main(int argc, char** argv) try {
+  const CliArgs args(argc, argv);
+  args.require_known({"smoke", "wallclock_gate"});
+  const bool smoke = args.has("smoke");
+  const bool wallclock_gate = args.has("wallclock_gate");
   const std::int64_t n_r = smoke ? 500 : 10000;
   const std::vector<int> widths =
       smoke ? std::vector<int>{16} : std::vector<int>{16, 32, 48, 64};
@@ -253,4 +254,7 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+} catch (const std::invalid_argument& err) {
+  std::cerr << "error: " << err.what() << "\n";
+  return 1;
 }

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "compaction_oracle.h"
 #include "core/flow.h"
 #include "obs/manifest.h"
 #include "obs/obs.h"
@@ -105,8 +106,8 @@ void BM_CompactGreedyReference(benchmark::State& state) {
   const auto patterns = generate_random_patterns(
       ts, static_cast<std::int64_t>(state.range(0)), config, rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        compact_greedy_reference(patterns, ts.total(), config.bus_width));
+    benchmark::DoNotOptimize(sitam::testing::compact_greedy_reference(
+        patterns, ts.total(), config.bus_width));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

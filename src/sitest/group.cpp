@@ -388,13 +388,6 @@ std::vector<SiTestSet> finish_pass(std::span<const PatternView> patterns,
   // Reserved so that no job moves while a worker reads its members.
   std::vector<CompactionJob> jobs;
   jobs.reserve(max_jobs);
-  const auto compact = [&](std::span<const std::uint32_t> members) {
-    check_cancel(cancel);
-    SITAM_TRACE_SPAN_ARG("sitest.compact",
-                         static_cast<std::int64_t>(members.size()));
-    return compact_greedy_count(patterns, members, terminals.total(),
-                                config.bus_width);
-  };
   StartedJobs started;
   started.single = std::move(single);
 
@@ -414,8 +407,8 @@ std::vector<SiTestSet> finish_pass(std::span<const PatternView> patterns,
     if (groupings[g] == 1) continue;
     add_grouping(index, started.partitions[g].get(), g, sets[g], jobs);
   }
-  // Longest first, so the biggest compactions do not wait behind small
-  // ones.
+  // Longest first, so the first stage tasks of the biggest compactions are
+  // queued ahead of the small ones.
   std::vector<std::size_t> order(jobs.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(),
@@ -424,9 +417,10 @@ std::vector<SiTestSet> finish_pass(std::span<const PatternView> patterns,
                    });
   started.counts.resize(jobs.size());
   for (const std::size_t j : order) {
-    started.counts[j] = executor.submit(
-        [&compact, members = std::span<const std::uint32_t>(
-                       jobs[j].members)] { return compact(members); });
+    started.counts[j] =
+        start_greedy_count(patterns, jobs[j].members, terminals.total(),
+                           config.bus_width, executor, cancel,
+                           "sitest.compact");
   }
 
   if (started.single.valid()) {
@@ -469,19 +463,16 @@ std::vector<SiTestSet> build_si_test_sets(std::span<const SiPattern> patterns,
   const CareIndex index =
       index_care_sets(views, terminals, config.bus_width);
   Executor executor(ThreadPool::workers_for(threads, max_jobs));
+  std::vector<std::uint32_t> all;
   StartedJobs started;
   if (std::find(groupings.begin(), groupings.end(), 1) != groupings.end()) {
     // i = 1 needs no partition, and its job holds every pattern: it starts
     // first, while the other groupings are partitioned beside it.
-    started.single = executor.submit([&] {
-      check_cancel(cancel);
-      SITAM_TRACE_SPAN_ARG("sitest.compact",
-                           static_cast<std::int64_t>(views.size()));
-      std::vector<std::uint32_t> members(views.size());
-      std::iota(members.begin(), members.end(), std::uint32_t{0});
-      return compact_greedy_count(views, members, terminals.total(),
-                                  config.bus_width);
-    });
+    all.resize(views.size());
+    std::iota(all.begin(), all.end(), std::uint32_t{0});
+    started.single =
+        start_greedy_count(views, all, terminals.total(), config.bus_width,
+                           executor, cancel, "sitest.compact");
   }
   return finish_pass(views, index, terminals, groupings, config, max_jobs,
                      executor, cancel, started.single);
@@ -500,19 +491,15 @@ std::vector<SiTestSet> build_si_test_sets(
   // The i = 1 count and the care-set index each read the chunks in store
   // order as `draw` publishes them; their spans' args are set once the
   // store is complete.
-  const auto count_all = [&store, &terminals, &config, cancel] {
-    check_cancel(cancel);
-    obs::ScopedSpan span("sitest.compact");
-    const std::size_t count = compact_greedy_count(
-        store, terminals.total(), config.bus_width, cancel);
-    span.set_arg(static_cast<std::int64_t>(store.size()));
-    return count;
-  };
   const auto index_all = [&store, &terminals, &config, cancel] {
     return index_care_sets(store, terminals, config.bus_width, cancel);
   };
   const auto start_readers = [&] {
-    if (single) started.single = executor.submit(count_all);
+    if (single) {
+      started.single =
+          start_greedy_count(store, terminals.total(), config.bus_width,
+                             executor, cancel, "sitest.compact");
+    }
     started.index = executor.submit(index_all);
   };
   // On a pool both start before the first chunk is drawn, beside the

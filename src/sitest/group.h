@@ -93,11 +93,12 @@ void assign_si_power(SiTestSet& set, const Soc& soc,
 /// compaction with a single group spanning all cores.
 ///
 /// The i = 1 count starts first; the partitions of every grouping i >= 2
-/// run beside it, then their groups' compactions run longest first. All of
-/// it runs on min(`threads`, jobs) pool workers; threads == 1 runs it on
-/// the caller. The result does not depend on `threads`. `cancel` is
-/// checked before each partition and compaction starts (nullptr = never
-/// cancelled).
+/// run beside it, then their groups' compactions start longest first, each
+/// as (stage, chunk) tasks (start_greedy_count). All of it runs on
+/// min(`threads`, jobs) pool workers; threads == 1 runs it on the caller.
+/// The result does not depend on `threads`. `cancel` is checked before
+/// each partition and compaction starts and before each stage task
+/// (nullptr = never cancelled).
 ///
 /// Throws std::invalid_argument for parts < 1, threads < 1 or
 /// config.compaction.threads < 1, std::out_of_range for a terminal, bus
@@ -112,9 +113,10 @@ void assign_si_power(SiTestSet& set, const Soc& soc,
 /// closed here), with its jobs on `executor` — the workload prepare's
 /// pipeline. Three jobs share the store: `draw` writes it, and the i = 1
 /// count and the care-set index read it. On a pool (executor.size() > 1) the
-/// count and the index start before `draw` is called and each reads every
-/// chunk as soon as the store publishes it, so once the store is closed
-/// only the index's renumbering is left; on the caller both run the same
+/// count and the index start before `draw` is called and each takes every
+/// chunk as soon as the store publishes it (the count queues it for its
+/// stage tasks), so once the store is closed only the index's renumbering
+/// and the count's queued tasks are left; on the caller both run the same
 /// chunks in the same order once `draw` returns. The partitions and the
 /// i >= 2 jobs follow as in the span form, which this matches for any
 /// executor. Ids are checked by the index in store order, with the span

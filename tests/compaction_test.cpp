@@ -1,13 +1,15 @@
 // Tests for the vertical SI compaction engines (§3): soundness (coverage of
 // every original pattern), bus-line conflict handling, determinism, the
 // greedy-vs-first-fit comparison the paper alludes to, and the edges of the
-// 64-class block kernel (block boundaries, bus drivers, wide buses, the
-// declared terminal space) against the sparse reference sweep.
+// staged 64-class block kernel (block and stage boundaries, bus drivers,
+// wide buses, the declared terminal space) against the sparse reference
+// sweep (tests/compaction_oracle.h).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <numeric>
 
+#include "compaction_oracle.h"
 #include "interconnect/terminal_space.h"
 #include "pattern/compaction.h"
 #include "pattern/generator.h"
@@ -146,28 +148,32 @@ std::size_t expect_matches_reference(const std::vector<SiPattern>& input,
                                      int total_terminals, int bus_width) {
   const auto kernel = compact_greedy(input, total_terminals, bus_width);
   const auto reference =
-      compact_greedy_reference(input, total_terminals, bus_width);
+      testing::compact_greedy_reference(input, total_terminals, bus_width);
   EXPECT_EQ(kernel.patterns, reference.patterns);
   EXPECT_EQ(first_uncovered(input, kernel.patterns), -1);
   return kernel.patterns.size();
 }
 
-/// Base-4 digits of the seeds of exact_class_input: up to 4^5 = 1024
+/// Base-4 digits of the seeds of exact_class_input: up to 4^6 = 4096
 /// pairwise-conflicting classes.
-constexpr int kSeedDigits = 5;
+constexpr int kSeedDigits = 6;
 
 /// `classes` pairwise-conflicting seeds (the base-4 digits of k on
 /// terminals 0..kSeedDigits-1), then fillers that each agree with some seed
 /// on a few digits and add a private terminal. A filler fits its seed's
 /// class and often earlier ones, so fillers spread across blocks but never
-/// open a class.
-std::vector<SiPattern> exact_class_input(int classes, Rng& rng) {
+/// open a class. With `bus_width` > 0 each seed also drives line
+/// k % bus_width from driver k % 3 (fillers use no bus line), so every
+/// class holds bus rows too.
+std::vector<SiPattern> exact_class_input(int classes, Rng& rng,
+                                         int bus_width = 0) {
   std::vector<SiPattern> input;
   for (int k = 0; k < classes; ++k) {
     SiPattern p;
     for (int d = 0, rest = k; d < kSeedDigits; ++d, rest /= 4) {
       p.set(d, kCareValues[rest % 4]);
     }
+    if (bus_width > 0) p.set_bus(k % bus_width, k % 3);
     input.push_back(p);
   }
   for (int f = 0; f < 3 * classes; ++f) {
@@ -185,8 +191,8 @@ std::vector<SiPattern> exact_class_input(int classes, Rng& rng) {
 
 TEST(BlockKernel, ClassCountsAroundBlockBoundaries) {
   // Around one, two, four and eight blocks: the kernel probes strips of
-  // four blocks, then the blocks left one at a time, so 255/256/257 and
-  // 511/512/513 classes end a strip, fill it or open a tail block.
+  // four blocks, the last one partly open, so 255/256/257 and 511/512/513
+  // classes fill a strip, end it or open the next one.
   Rng rng(0xb10c5ULL);
   for (const int classes :
        {63, 64, 65, 128, 129, 255, 256, 257, 511, 512, 513}) {
@@ -197,10 +203,45 @@ TEST(BlockKernel, ClassCountsAroundBlockBoundaries) {
   }
 }
 
-TEST(BlockKernel, FewOpenBlocksRunOnlyTheOneBlockProbe) {
+TEST(BlockKernel, ClassCountsAroundStageBoundaries) {
+  // One class below, at and one above the first three stage boundaries:
+  // the candidates that stage 0 (and then 1, 2) rejects once it is full go
+  // on to the next stage, in order, which must give the serial sweep's
+  // classes, byte for byte, bus rows included.
+  Rng rng(0x57a9eULL);
+  constexpr int kStage = static_cast<int>(kCompactionStageClasses);
+  for (const int boundary : {kStage, 2 * kStage, 3 * kStage}) {
+    for (const int classes : {boundary - 1, boundary, boundary + 1}) {
+      SCOPED_TRACE(classes);
+      const auto input = exact_class_input(classes, rng, 8);
+      EXPECT_EQ(expect_matches_reference(input, kSeedDigits + 3 * classes, 8),
+                static_cast<std::size_t>(classes));
+    }
+  }
+}
+
+TEST(BlockKernel, AllConflictingSetFillsStageZeroAndForwardsTheRest) {
+  // No two patterns merge (distinct base-4 codes, and each drives bus line
+  // 5 from its own driver): stage 0 opens its classes for the first
+  // patterns, then forwards every later one, and so does each later stage.
+  std::vector<SiPattern> input;
+  const int count = static_cast<int>(2 * kCompactionStageClasses) + 100;
+  for (int i = 0; i < count; ++i) {
+    SiPattern p;
+    for (int d = 0, rest = i; d < kSeedDigits; ++d, rest /= 4) {
+      p.set(d, kCareValues[rest % 4]);
+    }
+    p.set_bus(5, i);
+    input.push_back(p);
+  }
+  EXPECT_EQ(expect_matches_reference(input, kSeedDigits, 8),
+            static_cast<std::size_t>(count));
+}
+
+TEST(BlockKernel, FewOpenBlocksProbeOnePartlyOpenStrip) {
   // Dense §5 patterns with bus bits that compact into one to three
-  // blocks: no strip of four blocks ever exists, so every candidate takes
-  // the one-block-at-a-time probe.
+  // blocks: no strip of four blocks is ever full, so every candidate
+  // probes one strip whose unopened columns are empty.
   const Soc soc = load_benchmark("d695");
   const TerminalSpace ts(soc);
   const RandomPatternConfig config;
@@ -434,7 +475,7 @@ TEST_P(CompactionPropertyTest, PackedSweepMatchesReferenceByteForByte) {
       generate_random_patterns(ts, param.count, config, rng);
   const auto packed = compact_greedy(patterns, ts.total(), config.bus_width);
   const auto reference =
-      compact_greedy_reference(patterns, ts.total(), config.bus_width);
+      testing::compact_greedy_reference(patterns, ts.total(), config.bus_width);
   EXPECT_EQ(packed.patterns, reference.patterns);
 }
 

@@ -6,7 +6,6 @@
 #include <iterator>
 #include <string>
 
-#include "pattern/io.h"
 #include "sitest/io.h"
 #include "soc/benchmarks.h"
 #include "soc/itc02.h"
@@ -79,17 +78,6 @@ TEST(Fuzz, Itc02Parser) {
       " ScanChains 2 : 10 12\n TestPatterns 9\n";
   fuzz(doc, 400, 1002, [](const std::string& text) {
     (void)parse_itc02(text);
-  });
-}
-
-TEST(Fuzz, PatternParser) {
-  const std::string doc =
-      "SiPatterns terminals=30 bus=8 count=3\n"
-      "3r 7f 12:0 | 2@5 6@5\n"
-      "0:1 29f\n"
-      "-\n";
-  fuzz(doc, 400, 1003, [](const std::string& text) {
-    (void)patterns_from_text(text);
   });
 }
 

@@ -1,81 +1,14 @@
-// Tests for pattern-set and SI-test-set text serialization.
+// Tests for SI-test-set text serialization.
 #include <gtest/gtest.h>
 
 #include "interconnect/terminal_space.h"
 #include "pattern/generator.h"
-#include "pattern/io.h"
 #include "sitest/io.h"
 #include "soc/benchmarks.h"
 #include "util/rng.h"
 
 namespace sitam {
 namespace {
-
-TEST(PatternIo, RoundTripsHandMadePatterns) {
-  std::vector<SiPattern> patterns(3);
-  patterns[0].set(3, SigValue::kRise);
-  patterns[0].set(7, SigValue::kFall);
-  patterns[0].set(12, SigValue::kStable0);
-  patterns[0].set_bus(2, 5);
-  patterns[1].set(0, SigValue::kStable1);
-  // patterns[2] stays empty.
-
-  const std::string text = patterns_to_text(patterns, 20, 8);
-  const ParsedPatterns parsed = patterns_from_text(text);
-  EXPECT_EQ(parsed.total_terminals, 20);
-  EXPECT_EQ(parsed.bus_width, 8);
-  ASSERT_EQ(parsed.patterns.size(), 3u);
-  EXPECT_EQ(parsed.patterns[0], patterns[0]);
-  EXPECT_EQ(parsed.patterns[1], patterns[1]);
-  EXPECT_EQ(parsed.patterns[2], patterns[2]);
-}
-
-TEST(PatternIo, RoundTripsGeneratedWorkload) {
-  const Soc soc = load_benchmark("d695");
-  const TerminalSpace ts(soc);
-  Rng rng(3);
-  const RandomPatternConfig config;
-  const auto patterns = generate_random_patterns(ts, 500, config, rng);
-  const std::string text =
-      patterns_to_text(patterns, ts.total(), config.bus_width);
-  const ParsedPatterns parsed = patterns_from_text(text);
-  ASSERT_EQ(parsed.patterns.size(), patterns.size());
-  for (std::size_t i = 0; i < patterns.size(); ++i) {
-    EXPECT_EQ(parsed.patterns[i], patterns[i]) << "pattern " << i;
-  }
-}
-
-TEST(PatternIo, FormatIsStable) {
-  std::vector<SiPattern> patterns(1);
-  patterns[0].set(3, SigValue::kRise);
-  patterns[0].set(5, SigValue::kStable1);
-  patterns[0].set_bus(1, 4);
-  EXPECT_EQ(patterns_to_text(patterns, 10, 4),
-            "SiPatterns terminals=10 bus=4 count=1\n3r 5:1 | 1@4\n");
-}
-
-TEST(PatternIo, ParserRejectsMalformedInput) {
-  EXPECT_THROW((void)patterns_from_text(""), std::runtime_error);
-  EXPECT_THROW((void)patterns_from_text("bogus\n"), std::runtime_error);
-  EXPECT_THROW(
-      (void)patterns_from_text("SiPatterns terminals=5 bus=2 count=1\n"),
-      std::runtime_error);  // count mismatch
-  EXPECT_THROW(
-      (void)patterns_from_text(
-          "SiPatterns terminals=5 bus=2 count=1\n9r\n"),
-      std::runtime_error);  // terminal out of range
-  EXPECT_THROW(
-      (void)patterns_from_text(
-          "SiPatterns terminals=5 bus=2 count=1\n3z\n"),
-      std::runtime_error);  // bad code
-  EXPECT_THROW(
-      (void)patterns_from_text(
-          "SiPatterns terminals=5 bus=2 count=1\n| 3-4\n"),
-      std::runtime_error);  // bad bus token
-  EXPECT_THROW(
-      (void)patterns_from_text("SiPatterns terminals=5 count=1\n1r\n"),
-      std::runtime_error);  // missing bus field
-}
 
 TEST(TestSetIo, RoundTrips) {
   SiTestSet set;

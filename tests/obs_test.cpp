@@ -436,6 +436,11 @@ TEST(Obs, CompactionCountersReconcileWithTheResult) {
   EXPECT_EQ(dump.metrics.counter("pattern.compaction.patterns_out"), out);
   EXPECT_EQ(dump.metrics.counter("pattern.compaction.rounds"),
             dump.metrics.counter("pattern.compaction.patterns_out"));
+  // One class-range stage per kCompactionStageClasses classes, at least
+  // one.
+  const auto stage = static_cast<std::int64_t>(kCompactionStageClasses);
+  EXPECT_EQ(dump.metrics.counter("pattern.compaction.stages"),
+            std::max<std::int64_t>(1, (out + stage - 1) / stage));
   // Every candidate after the first tests at least one block and at most
   // all of them.
   const std::int64_t probes =

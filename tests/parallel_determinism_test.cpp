@@ -3,8 +3,8 @@
 // optimize_tam_annealing's chains must return bit-identical winners for
 // every thread count, across many seeds, on d695-style synthetic SOCs and
 // the ITC'02 benchmarks. Also covers evaluator-stats consistency, cancelling a
-// pooled sweep, and the streamed prepare pipeline against the per-grouping
-// oracle.
+// pooled sweep, the streamed prepare pipeline against the per-grouping
+// oracle, and the staged compaction count's (stage, chunk) tasks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +15,9 @@
 #include <map>
 #include <memory>
 #include <numeric>
+#include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -142,9 +144,9 @@ TEST(ParallelDeterminism, AnnealingMatchesAcrossThreadCounts) {
 }
 
 TEST(ParallelDeterminism, CompactGreedySweepMatchesAcrossThreadCounts) {
-  // CompactionConfig::threads is accepted but the sweep is one serial
-  // first-fit pass: the output must not depend on it. The default-config
-  // result doubles as the oracle.
+  // CompactionConfig::threads is accepted but compact_greedy runs its
+  // stages on the caller: the output must not depend on it. The
+  // default-config result doubles as the oracle.
   const Soc soc = load_benchmark("d695");
   const TerminalSpace ts(soc);
   Rng rng(0x51717ULL);
@@ -213,10 +215,12 @@ void expect_same_set(const SiTestSet& got, const SiTestSet& want,
 
 TEST(PreparePipeline, StreamedPassMatchesTheOracle) {
   // The prepare pipeline draws the raw set into a RawPatternStore while
-  // the i = 1 count places its chunks on a pool worker. For every SOC,
+  // the i = 1 count places its chunks on pool workers. For every SOC,
   // N_r around the 4 096-pattern chunk, grouping list and thread count
   // (0 = all cores) it gives the test sets the oracle builds, grouping by
-  // grouping, from generate_random_patterns output.
+  // grouping, from generate_random_patterns output. p34392 at N_r = 20 000
+  // compacts to more than one stage of classes (1 248 at i = 1), so stage
+  // tasks run side by side there.
   const std::vector<std::vector<int>> grouping_lists = {
       {1}, {2, 4}, {1, 2, 4, 8}};
   constexpr std::uint64_t kSeed = 0x5e75ULL;
@@ -226,7 +230,8 @@ TEST(PreparePipeline, StreamedPassMatchesTheOracle) {
   for (const char* soc_name : {"d695", "p22810", "p34392"}) {
     const Soc soc = load_benchmark(soc_name);
     const TerminalSpace ts(soc);
-    for (const std::int64_t nr : {0, 1, 4095, 4097, 10000}) {
+    for (const std::int64_t nr : {0, 1, 4095, 4097, 10000, 20000}) {
+      if (nr == 20000 && std::string_view(soc_name) != "p34392") continue;
       Rng rng(kSeed);
       const std::vector<SiPattern> raw =
           generate_random_patterns(ts, nr, pattern_config, rng);
@@ -404,6 +409,163 @@ TEST(PreparePipeline, CancelDuringTheDrawUnwindsWithCancelled) {
                      },
                      ts, groupings, config, executor, &token),
                  Cancelled);
+  }
+}
+
+/// About `classes` classes over several stages: pairwise-conflicting seeds
+/// (the base-4 digits of k on terminals 0..5, each driving bus line k % 8
+/// from driver k % 3) shuffled with three times as many fillers, each a few
+/// of some seed's digits plus a private terminal. Uses terminals below
+/// 6 + 3 * classes and bus lines below 8.
+std::vector<SiPattern> many_class_patterns(int classes, std::uint64_t seed) {
+  constexpr SigValue kValues[] = {SigValue::kStable0, SigValue::kStable1,
+                                  SigValue::kRise, SigValue::kFall};
+  Rng rng(seed);
+  std::vector<SiPattern> patterns;
+  for (int k = 0; k < classes; ++k) {
+    SiPattern p;
+    for (int d = 0, rest = k; d < 6; ++d, rest /= 4) {
+      p.set(d, kValues[rest % 4]);
+    }
+    p.set_bus(k % 8, k % 3);
+    patterns.push_back(std::move(p));
+  }
+  for (int f = 0; f < 3 * classes; ++f) {
+    const auto k = static_cast<int>(
+        rng.below(static_cast<std::uint64_t>(classes)));
+    SiPattern p;
+    for (int d = 0, rest = k; d < 6; ++d, rest /= 4) {
+      if (rng.below(2) == 0) p.set(d, kValues[rest % 4]);
+    }
+    p.set(6 + f, kValues[rng.below(4)]);
+    patterns.push_back(std::move(p));
+  }
+  rng.shuffle(std::span<SiPattern>(patterns));
+  return patterns;
+}
+
+/// Appends `patterns` to `store`, one pattern at a time.
+void write_patterns(std::span<const SiPattern> patterns,
+                    RawPatternStore& store) {
+  for (const SiPattern& p : patterns) {
+    for (const auto& [terminal, value] : p.assignments()) {
+      store.add_care(terminal, value);
+    }
+    for (const BusBit& bit : p.bus_bits()) store.add_bus(bit);
+    store.end_pattern();
+  }
+}
+
+constexpr int kManyClasses = 2600;  // over three stages
+constexpr int kManyTerminals = 6 + 3 * kManyClasses;
+
+TEST(StagedCount, MatchesAcrossExecutorSizesAndChunks) {
+  // The (stage, chunk) tasks of one count, on the caller and on pools of
+  // 2, 3 and every hardware thread, over member lists and over a store
+  // streamed in small and full chunks: every count is the serial sweep's.
+  const std::vector<SiPattern> patterns =
+      many_class_patterns(kManyClasses, 0x57a6edULL);
+  const std::vector<PatternView> views = pattern_views(patterns);
+  std::vector<std::uint32_t> all(views.size());
+  std::iota(all.begin(), all.end(), std::uint32_t{0});
+  std::vector<std::uint32_t> odd;
+  std::vector<SiPattern> odd_copies;
+  for (std::uint32_t i = 1; i < views.size(); i += 2) {
+    odd.push_back(i);
+    odd_copies.push_back(patterns[i]);
+  }
+  const std::size_t expected =
+      compact_greedy(patterns, kManyTerminals, 8).patterns.size();
+  const std::size_t expected_odd =
+      compact_greedy(odd_copies, kManyTerminals, 8).patterns.size();
+  ASSERT_GT(expected, 3 * kCompactionStageClasses);
+  for (const int threads : {1, 2, 3, ThreadPool::hardware_threads()}) {
+    SCOPED_TRACE(threads);
+    Executor executor(threads);
+    EXPECT_EQ(
+        start_greedy_count(views, all, kManyTerminals, 8, executor).get(),
+        expected);
+    EXPECT_EQ(
+        start_greedy_count(views, odd, kManyTerminals, 8, executor).get(),
+        expected_odd);
+    for (const std::size_t chunk : {std::size_t{64}, std::size_t{4096}}) {
+      RawPatternStore store(chunk);
+      std::future<std::size_t> streamed;
+      // On the caller the count runs at the call, so after the writes.
+      if (threads > 1) {
+        streamed = start_greedy_count(store, kManyTerminals, 8, executor);
+      }
+      write_patterns(patterns, store);
+      store.close();
+      if (threads == 1) {
+        streamed = start_greedy_count(store, kManyTerminals, 8, executor);
+      }
+      EXPECT_EQ(streamed.get(), expected) << "chunk=" << chunk;
+    }
+  }
+}
+
+TEST(StagedCount, BadIdInALaterChunkThrowsAfterEveryStageTaskReturns) {
+  // A bad terminal id well after stage 0 has filled: stage 0's task throws
+  // while later stages still place earlier chunks. The future carries the
+  // error only once every task has returned — the store, the patterns and
+  // the executor are destroyed right after, which asan and tsan would
+  // catch if a task still ran.
+  std::vector<SiPattern> patterns =
+      many_class_patterns(kManyClasses, 0xbad57a9ULL);
+  patterns[8000].set(kManyTerminals, SigValue::kRise);
+  const std::string expected = "compaction: terminal id " +
+                               std::to_string(kManyTerminals) +
+                               " outside declared terminal space";
+  for (const int threads : {2, 3, ThreadPool::hardware_threads()}) {
+    SCOPED_TRACE(threads);
+    auto executor = std::make_unique<Executor>(threads);
+    auto store = std::make_unique<RawPatternStore>(64);
+    auto views = std::make_unique<std::vector<PatternView>>(
+        pattern_views(patterns));
+    std::vector<std::uint32_t> all(views->size());
+    std::iota(all.begin(), all.end(), std::uint32_t{0});
+    std::future<std::size_t> listed =
+        start_greedy_count(*views, all, kManyTerminals, 8, *executor);
+    std::future<std::size_t> streamed =
+        start_greedy_count(*store, kManyTerminals, 8, *executor);
+    write_patterns(patterns, *store);
+    store->close();
+    for (std::future<std::size_t>* count : {&listed, &streamed}) {
+      try {
+        (void)count->get();
+        ADD_FAILURE() << "no throw";
+      } catch (const std::out_of_range& e) {
+        EXPECT_EQ(std::string(e.what()), expected);
+      }
+    }
+    views.reset();
+    store.reset();
+    executor.reset();
+  }
+}
+
+TEST(StagedCount, CancelWhileStagesRunUnwindsAfterEveryStageTask) {
+  // The token fires after stage 0 has filled and forwards to later
+  // stages; the next task to start sees it. The count unwinds with
+  // Cancelled once every task has returned.
+  const std::vector<SiPattern> patterns =
+      many_class_patterns(kManyClasses, 0xca9ce1ULL);
+  const std::span<const SiPattern> all(patterns);
+  for (const int threads : {2, 3, ThreadPool::hardware_threads()}) {
+    SCOPED_TRACE(threads);
+    CancelToken token;
+    auto executor = std::make_unique<Executor>(threads);
+    auto store = std::make_unique<RawPatternStore>(64);
+    std::future<std::size_t> streamed =
+        start_greedy_count(*store, kManyTerminals, 8, *executor, &token);
+    write_patterns(all.first(6000), *store);
+    token.request();
+    write_patterns(all.subspan(6000), *store);
+    store->close();
+    EXPECT_THROW((void)streamed.get(), Cancelled);
+    store.reset();
+    executor.reset();
   }
 }
 
