@@ -73,15 +73,15 @@ int main() {
   // testing time differs because the bottleneck rail differs.
   const auto map_a = design_a.rail_of_core(soc.core_count());
   const auto map_b = design_b.rail_of_core(soc.core_count());
-  int btn_a = -1;
-  int btn_b = -1;
-  const std::int64_t t_a =
-      evaluator.si_group_time(design_a, tests.groups[0], map_a, &btn_a);
-  const std::int64_t t_b =
-      evaluator.si_group_time(design_b, tests.groups[0], map_b, &btn_b);
+  SiGroupTiming si1_a;
+  SiGroupTiming si1_b;
+  evaluator.si_group_timing_into(design_a, 0, map_a, si1_a);
+  evaluator.si_group_timing_into(design_b, 0, map_b, si1_b);
+  const std::int64_t t_a = si1_a.duration;
+  const std::int64_t t_b = si1_b.duration;
   std::cout << "Example 1: T_si1 under (a) = " << t_a << " cc (bottleneck TAM"
-            << btn_a + 1 << "), under (b) = " << t_b << " cc (bottleneck TAM"
-            << btn_b + 1 << ")\n";
+            << si1_a.bottleneck + 1 << "), under (b) = " << t_b
+            << " cc (bottleneck TAM" << si1_b.bottleneck + 1 << ")\n";
   std::cout << "same SI test, same total TAM width, different durations: "
             << (t_a != t_b ? "confirmed" : "NOT confirmed — check the model!")
             << "\n";

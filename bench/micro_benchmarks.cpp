@@ -399,7 +399,7 @@ void write_parallel_report(const std::string& path) {
 
   obs::RunManifest manifest = obs::RunManifest::collect("micro_benchmarks");
   manifest.scenario = soc.name;
-  manifest.seed = serial.restart_seed;
+  manifest.seed = kRestartSeed;
   manifest.threads = parallel.threads;
   manifest.add_extra("restarts", std::to_string(restarts));
 

@@ -15,6 +15,7 @@
 #include <iostream>
 #include <map>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -33,8 +34,9 @@ int fail(const std::string& message) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const CliArgs args(argc, argv);
+  args.require_known({"threads", "nr"});
   const int threads = static_cast<int>(args.get_or("threads", std::int64_t{2}));
   const std::int64_t nr = args.get_or("nr", std::int64_t{2000});
 
@@ -131,4 +133,7 @@ int main(int argc, char** argv) {
             << stats.followers << " follower(s), "
             << context.result_hits << " memo hit(s))\n";
   return 0;
+} catch (const std::invalid_argument& err) {
+  std::cerr << "error: " << err.what() << "\n";
+  return 1;
 }

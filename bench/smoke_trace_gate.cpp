@@ -11,6 +11,7 @@
 // Flags: --nr=N --trace-out=FILE --metrics-out=FILE
 #include <cstdint>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -31,8 +32,9 @@ int fail(const std::string& message) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const CliArgs args(argc, argv);
+  args.require_known({"trace-out", "metrics-out", "nr"});
   const std::string trace_path =
       args.get_or("trace-out", std::string("smoke_trace.json"));
   const std::string metrics_path =
@@ -109,4 +111,7 @@ int main(int argc, char** argv) {
             << " active tracks, " << evaluations
             << " evaluations reconciled)\n";
   return 0;
+} catch (const std::invalid_argument& err) {
+  std::cerr << "error: " << err.what() << "\n";
+  return 1;
 }

@@ -10,7 +10,6 @@
 //   --seed=N            workload seed
 //   --csv               also dump CSV after each table
 //   --fast              shrink N_r by 10x (CI-friendly smoke run)
-//   --cache=DIR         reuse compacted test sets across runs
 //   --restarts=N        Algorithm 2 restarts per optimization
 //   --threads=T         sweep job-list workers (default 0 = all cores,
 //                       1 = serial; results are identical either way)
@@ -31,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "core/cache.h"
 #include "core/flow.h"
 #include "core/report.h"
 #include "obs/export.h"
@@ -71,8 +69,8 @@ inline obs::TraceEmitter trace_emitter_from(const CliArgs& args,
 inline int run_table_bench(const std::string& soc_name, int argc,
                            char** argv) try {
   const CliArgs args(argc, argv);
-  args.require_known({"nr", "widths", "seed", "csv", "fast", "cache",
-                      "restarts", "threads", "no-delta", "smoke", "trace-out",
+  args.require_known({"nr", "widths", "seed", "csv", "fast", "restarts",
+                      "threads", "no-delta", "smoke", "trace-out",
                       "metrics-out", "store-out"});
   const bool smoke = args.has("smoke");
   std::vector<std::int64_t> pattern_counts = args.get_list_or(
@@ -137,11 +135,7 @@ inline int run_table_bench(const std::string& soc_name, int argc,
     config.seed = seed;
 
     Stopwatch prep_watch;
-    const SiWorkload workload =
-        args.has("cache")
-            ? prepare_cached(soc, config,
-                             args.get_or("cache", std::string(".")))
-            : SiWorkload::prepare(soc, config);
+    const SiWorkload workload = SiWorkload::prepare(soc, config);
     const double prep_seconds = prep_watch.seconds();
 
     std::cout << "--- N_r = " << n_r << " ---\n";

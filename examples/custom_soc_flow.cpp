@@ -7,6 +7,7 @@
 // documents the format.
 #include <cstdint>
 #include <iostream>
+#include <stdexcept>
 
 #include "core/flow.h"
 #include "core/report.h"
@@ -71,9 +72,10 @@ End
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace sitam;
   const CliArgs args(argc, argv);
+  args.require_known({"wmax", "nr", "file"});
   const int w_max = static_cast<int>(args.get_or("wmax", std::int64_t{12}));
   const std::int64_t n_r = args.get_or("nr", std::int64_t{3000});
 
@@ -108,4 +110,7 @@ int main(int argc, char** argv) {
                                      workload.tests(mid.best_grouping));
   }
   return 0;
+} catch (const std::invalid_argument& err) {
+  std::cerr << "error: " << err.what() << "\n";
+  return 1;
 }

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 
 #include "core/flow.h"
 #include "core/gantt.h"
@@ -45,8 +46,9 @@ std::string html_escape(const std::string& text) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const CliArgs args(argc, argv);
+  args.require_known({"soc", "nr", "widths", "out"});
   const std::string soc_name = args.get_or("soc", std::string("d695"));
   const std::int64_t n_r = args.get_or("nr", std::int64_t{4000});
   const auto width_args = args.get_list_or("widths", {8, 16, 32});
@@ -125,4 +127,7 @@ int main(int argc, char** argv) {
   std::cout << "wrote " << out_path << " (" << html.str().size()
             << " bytes)\n";
   return 0;
+} catch (const std::invalid_argument& err) {
+  std::cerr << "error: " << err.what() << "\n";
+  return 1;
 }

@@ -9,15 +9,17 @@
 // SI-oblivious TR-Architect baseline.
 #include <cstdint>
 #include <iostream>
+#include <stdexcept>
 
 #include "core/flow.h"
 #include "core/report.h"
 #include "soc/benchmarks.h"
 #include "util/cli.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace sitam;
   const CliArgs args(argc, argv);
+  args.require_known({"soc", "wmax", "nr", "seed"});
   const std::string soc_name = args.get_or("soc", std::string("d695"));
   const int w_max = static_cast<int>(args.get_or("wmax", std::int64_t{16}));
   const std::int64_t n_r = args.get_or("nr", std::int64_t{2000});
@@ -62,4 +64,7 @@ int main(int argc, char** argv) {
                                      workload.tests(outcome.best_grouping));
   }
   return 0;
+} catch (const std::invalid_argument& err) {
+  std::cerr << "error: " << err.what() << "\n";
+  return 1;
 }

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <cstdint>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "core/flow.h"
@@ -18,9 +19,10 @@
 #include "tam/optimizer.h"
 #include "util/cli.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace sitam;
   const CliArgs args(argc, argv);
+  args.require_known({"soc", "wmax", "nr", "svg"});
   const std::string soc_name = args.get_or("soc", std::string("d695"));
   const int w_max = static_cast<int>(args.get_or("wmax", std::int64_t{16}));
   const std::int64_t n_r = args.get_or("nr", std::int64_t{4000});
@@ -71,4 +73,7 @@ int main(int argc, char** argv) {
     std::cout << "\nwrote " << *svg_path << "\n";
   }
   return 0;
+} catch (const std::invalid_argument& err) {
+  std::cerr << "error: " << err.what() << "\n";
+  return 1;
 }

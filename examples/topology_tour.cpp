@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <iostream>
 #include <map>
+#include <stdexcept>
 
 #include "interconnect/terminal_space.h"
 #include "interconnect/topology.h"
@@ -16,9 +17,10 @@
 #include "util/cli.h"
 #include "util/rng.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace sitam;
   const CliArgs args(argc, argv);
+  args.require_known({"seed", "fanout", "wires", "k"});
 
   const Soc soc = load_benchmark("d695");
   const TerminalSpace terminals(soc);
@@ -82,4 +84,7 @@ int main(int argc, char** argv) {
             << mt_compact.patterns.size() << " (ratio "
             << mt_compact.stats.ratio() << ")\n";
   return 0;
+} catch (const std::invalid_argument& err) {
+  std::cerr << "error: " << err.what() << "\n";
+  return 1;
 }

@@ -3,15 +3,12 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/cache.h"
 #include "obs/obs.h"
 #include "tam/bounds.h"
 #include "util/check.h"
 #include "util/rng.h"
 
 namespace sitam {
-
-SitamContext::SitamContext(Options options) : options_(std::move(options)) {}
 
 std::shared_ptr<const Soc> SitamContext::intern(Soc soc) {
   const auto interned = arena_.get_or_compute(
@@ -38,16 +35,19 @@ std::uint64_t SitamContext::request_key(const FlowRequest& request) {
   mix(opt.delta_eval ? 1 : 0);
   mix(opt.core_reshuffle ? 1 : 0);
   mix(opt.fast_candidate_scan ? 1 : 0);
-  mix(static_cast<std::uint64_t>(opt.max_iterations));
+  // The iteration guard and the restart seed are constants, mixed in
+  // their old slots so pinned keys stay put.
+  mix(static_cast<std::uint64_t>(kMaxIterations));
   mix(static_cast<std::uint64_t>(opt.restarts));
-  mix(opt.restart_seed);
+  mix(kRestartSeed);
   mix(static_cast<std::uint64_t>(opt.evaluator.pick));
   mix(static_cast<std::uint64_t>(opt.evaluator.style));
   // A constant in the removed memo switch's slot keeps the keys of default
   // requests unchanged.
   mix(1);
   mix(static_cast<std::uint64_t>(opt.evaluator.power_budget));
-  mix(opt.evaluator.exclusive_bus ? 1 : 0);
+  // A constant in the removed exclusive-bus switch's slot, likewise.
+  mix(0);
   mix(opt.evaluator.interleave_phases ? 1 : 0);
   return h;
 }
@@ -97,14 +97,11 @@ FlowResult SitamContext::run(const FlowRequest& request) {
 FlowResult SitamContext::compute(const FlowRequest& request) {
   const Soc& soc = *request.soc;
 
-  // Workload tier: memory, then (if configured) disk, then prepare.
+  // Workload tier: shared in memory, else prepared.
   const auto [workload, hit] = workloads_.get_or_compute(
       workload_config_hash(soc, request.workload),
       [&] {
-        return options_.cache_directory.empty()
-                   ? SiWorkload::prepare(soc, request.workload, request.cancel)
-                   : prepare_cached(soc, request.workload,
-                                    options_.cache_directory, request.cancel);
+        return SiWorkload::prepare(soc, request.workload, request.cancel);
       },
       request.cancel);
   {

@@ -30,7 +30,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "core/flow.h"
@@ -104,13 +103,7 @@ struct ContextStats {
 /// the same result wait for one computation instead of repeating it.
 class SitamContext {
  public:
-  struct Options {
-    /// Disk tier for prepared workloads; "" = memory-only (the default —
-    /// a long-running context should not touch the filesystem per miss).
-    std::string cache_directory;
-  };
-
-  explicit SitamContext(Options options = {});
+  SitamContext() = default;
 
   SitamContext(const SitamContext&) = delete;
   SitamContext& operator=(const SitamContext&) = delete;
@@ -145,7 +138,6 @@ class SitamContext {
   /// Computes a FlowResult end to end (workload tier + optimize/sweep).
   [[nodiscard]] FlowResult compute(const FlowRequest& request);
 
-  const Options options_;
   // Capacities, in finished entries (LRU beyond them):
   StageCache<Soc> arena_{64};             ///< Interned SOC models.
   StageCache<SiWorkload> workloads_{16};  ///< Prepared workloads.

@@ -14,6 +14,40 @@
 
 namespace sitam {
 
+std::uint64_t workload_config_hash(const Soc& soc,
+                                   const SiWorkloadConfig& config) {
+  // Hash the generator parameters so any change invalidates the key.
+  std::uint64_t h = config.seed;
+  const auto mix = [&h](std::uint64_t value) { hash_mix(h, value); };
+  mix(static_cast<std::uint64_t>(config.pattern_count));
+  mix(static_cast<std::uint64_t>(config.patterns.min_aggressors));
+  mix(static_cast<std::uint64_t>(config.patterns.max_aggressors));
+  mix(static_cast<std::uint64_t>(config.patterns.min_external_aggressors));
+  mix(static_cast<std::uint64_t>(config.patterns.max_external_aggressors));
+  mix(static_cast<std::uint64_t>(config.patterns.locality_window));
+  mix(static_cast<std::uint64_t>(config.patterns.external_core_ring));
+  mix(config.patterns.quiet_neighbors ? 1 : 0);
+  mix(static_cast<std::uint64_t>(config.patterns.bus_width));
+  mix(static_cast<std::uint64_t>(config.patterns.bus_use_probability *
+                                 1e6));
+  // The groupings and the grouping/partition knobs change the compacted
+  // test sets, so SitamContext's workload tier, keyed by this hash alone,
+  // must not serve a workload prepared under different ones.
+  mix(config.groupings.size());
+  for (const int parts : config.groupings) {
+    mix(static_cast<std::uint64_t>(parts));
+  }
+  mix(static_cast<std::uint64_t>(config.grouping.bus_width));
+  mix(static_cast<std::uint64_t>(config.grouping.partition.epsilon * 1e6));
+  mix(static_cast<std::uint64_t>(config.grouping.partition.random_starts));
+  mix(static_cast<std::uint64_t>(config.grouping.partition.max_fm_passes));
+  mix(static_cast<std::uint64_t>(config.grouping.partition.coarsen_limit));
+  mix(config.grouping.partition.seed);
+  // Include the SOC's structure, not just its name.
+  mix(soc_structure_hash(soc));
+  return h;
+}
+
 SiWorkload::SiWorkload(Soc soc, SiWorkloadConfig config)
     : soc_(std::move(soc)), config_(std::move(config)), terminals_(soc_) {}
 
@@ -68,27 +102,6 @@ SiWorkload SiWorkload::prepare(const Soc& soc, const SiWorkloadConfig& config,
                << " compacted patterns in "
                << workload.test_sets_[i].groups.size() << " groups";
   }
-  return workload;
-}
-
-SiWorkload SiWorkload::from_prepared(const Soc& soc,
-                                     const SiWorkloadConfig& config,
-                                     std::vector<SiTestSet> test_sets) {
-  validate(soc);
-  if (test_sets.size() != config.groupings.size()) {
-    throw std::invalid_argument(
-        "SiWorkload::from_prepared: one test set per grouping required");
-  }
-  for (std::size_t i = 0; i < test_sets.size(); ++i) {
-    if (test_sets[i].parts != config.groupings[i]) {
-      throw std::invalid_argument(
-          "SiWorkload::from_prepared: test set " + std::to_string(i) +
-          " has parts=" + std::to_string(test_sets[i].parts) +
-          ", expected " + std::to_string(config.groupings[i]));
-    }
-  }
-  SiWorkload workload(soc, config);
-  workload.test_sets_ = std::move(test_sets);
   return workload;
 }
 

@@ -37,6 +37,15 @@ struct SiWorkloadConfig {
   bool parallel_prepare = true;
 };
 
+/// 64-bit hash of everything a prepared workload depends on: the SOC
+/// structure and every result-affecting SiWorkloadConfig field (generator
+/// knobs, groupings, grouping/partition parameters, seed). Excludes the
+/// bit-identical throughput switches (parallel_prepare, compaction
+/// threads). SitamContext keys its workload tier and its request keys by
+/// it.
+[[nodiscard]] std::uint64_t workload_config_hash(const Soc& soc,
+                                                const SiWorkloadConfig& config);
+
 /// Prepared SI workload: the compacted test sets per grouping parameter of
 /// one raw pattern set.
 class SiWorkload {
@@ -50,13 +59,6 @@ class SiWorkload {
   /// sitam::Cancelled before any cache sees the partial workload.
   static SiWorkload prepare(const Soc& soc, const SiWorkloadConfig& config,
                             const CancelToken* cancel = nullptr);
-
-  /// Rebuilds a workload from previously-prepared test sets (one per
-  /// grouping, in config order) — the cache path; see core/cache.h.
-  /// Throws std::invalid_argument if the counts mismatch.
-  static SiWorkload from_prepared(const Soc& soc,
-                                  const SiWorkloadConfig& config,
-                                  std::vector<SiTestSet> test_sets);
 
   [[nodiscard]] const Soc& soc() const { return soc_; }
   [[nodiscard]] const TerminalSpace& terminals() const { return terminals_; }

@@ -98,7 +98,6 @@ bool read_bounded_line(std::istream& in, std::string& line, bool& overlong) {
 JobServer::JobServer(ServerOptions options, Sink sink)
     : options_(options),
       sink_(std::move(sink)),
-      context_(options.context),
       pool_(options.threads == 0 ? ThreadPool::hardware_threads()
                                  : std::max(1, options.threads)) {
   if (!options_.stats_store_path.empty() && options_.stats_store_every > 0) {

@@ -52,8 +52,6 @@ namespace sitam::serve {
 struct ServerOptions {
   /// Worker threads (0 = one per hardware thread).
   int threads = 2;
-  /// Caches of the shared SitamContext.
-  SitamContext::Options context;
   /// Emit a "progress" line when a worker picks a job up.
   bool progress = true;
   /// When non-empty (and stats_store_every > 0), the server appends a

@@ -55,7 +55,6 @@ struct CareIndex {
   std::vector<std::uint32_t> set_of;       ///< Set id per pattern.
   std::vector<std::vector<int>> sets;      ///< Sorted cores per set id.
   std::vector<std::int64_t> multiplicity;  ///< Patterns per set id.
-  std::vector<bool> bus;  ///< Per set id: some pattern drives a bus line.
 };
 
 /// Interns each pattern's care-core set, held as a bitmask over the cores,
@@ -110,7 +109,6 @@ class CareInterner {
       slots_[s] = static_cast<std::uint32_t>(counts_.size());
       keys_.insert(keys_.end(), mask_.begin(), mask_.end());
       counts_.push_back(0);
-      bus_.push_back(false);
       if (2 * counts_.size() > slots_.size()) {  // keep the load <= 1/2
         slots_.assign(2 * slots_.size(), kFree);
         for (std::uint32_t id = 0; id < counts_.size(); ++id) {
@@ -122,7 +120,6 @@ class CareInterner {
     const std::uint32_t id = slots_[s];
     set_of_.push_back(id);
     ++counts_[id];
-    if (!p.bus_bits().empty()) bus_[id] = true;
   }
 
   /// The index of every pattern added, its sets renumbered
@@ -150,7 +147,6 @@ class CareInterner {
       rank[order[r]] = r;
       index.sets.push_back(std::move(lists[order[r]]));
       index.multiplicity.push_back(counts_[order[r]]);
-      index.bus.push_back(bus_[order[r]]);
     }
     index.set_of = std::move(set_of_);
     for (std::uint32_t& id : index.set_of) id = rank[id];
@@ -186,7 +182,6 @@ class CareInterner {
   std::vector<int> core_of_;             // terminal -> core
   std::vector<std::uint64_t> keys_;      // words_ per first-seen set
   std::vector<std::int64_t> counts_;     // per first-seen set
-  std::vector<bool> bus_;                // per first-seen set
   std::vector<std::uint32_t> slots_;     // mask hash -> first-seen id
   std::vector<std::uint64_t> mask_;      // add() scratch
   std::vector<std::uint32_t> set_of_;    // first-seen id per pattern
@@ -256,8 +251,6 @@ void add_single_group(const CareIndex& index, int cores, SiTestSet& set) {
   group.cores.resize(static_cast<std::size_t>(cores));
   std::iota(group.cores.begin(), group.cores.end(), 0);
   group.raw_patterns = static_cast<std::int64_t>(index.set_of.size());
-  group.uses_bus =
-      std::find(index.bus.begin(), index.bus.end(), true) != index.bus.end();
   set.groups.push_back(std::move(group));
 }
 
@@ -277,7 +270,6 @@ void add_grouping(const CareIndex& index, const Partition& partition,
       static_cast<std::size_t>(std::min(partition.parts, cores));
   std::vector<std::size_t> home(index.sets.size(), remainder);
   std::vector<std::int64_t> raw(remainder + 1, 0);
-  std::vector<bool> bus(remainder + 1, false);
   for (std::size_t k = 0; k < index.sets.size(); ++k) {
     const std::vector<int>& care = index.sets[k];
     if (!care.empty()) {
@@ -288,7 +280,6 @@ void add_grouping(const CareIndex& index, const Partition& partition,
       if (local) home[k] = static_cast<std::size_t>(part);
     }
     raw[home[k]] += index.multiplicity[k];
-    if (index.bus[k]) bus[home[k]] = true;
   }
   std::vector<std::vector<std::uint32_t>> buckets(remainder + 1);
   for (std::size_t b = 0; b <= remainder; ++b) {
@@ -317,7 +308,6 @@ void add_grouping(const CareIndex& index, const Partition& partition,
       }
     }
     group.raw_patterns = raw[b];
-    group.uses_bus = bus[b];
     jobs.push_back(
         CompactionJob{set_index, set.groups.size(), std::move(buckets[b])});
     set.groups.push_back(std::move(group));

@@ -46,10 +46,6 @@ struct SiTestGroup {
   /// Peak test power while this group applies patterns (arbitrary units;
   /// 0 = not modelled). See assign_si_power().
   std::int64_t power = 0;
-  /// True iff any pattern of this group occupies shared-bus lines; with
-  /// EvaluatorOptions::exclusive_bus the bus becomes a scheduling resource
-  /// (at most one bus-using SI test at a time).
-  bool uses_bus = false;
 };
 
 struct SiTestSet {

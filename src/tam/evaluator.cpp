@@ -33,39 +33,6 @@ TamEvaluator::TamEvaluator(const Soc& soc, const TestTimeTable& table,
   }
 }
 
-std::int64_t TamEvaluator::si_group_time(
-    const TamArchitecture& arch, const SiTestGroup& group,
-    const std::vector<int>& rail_of_core, int* bottleneck_rail) const {
-  rail_shift_.assign(arch.rails.size(), 0);
-  rail_cores_.assign(arch.rails.size(), 0);
-  touched_rails_.clear();
-  for (const int core : group.cores) {
-    const int rail = rail_of_core[static_cast<std::size_t>(core)];
-    SITAM_CHECK_MSG(rail >= 0, "core " << core << " on no rail");
-    if (rail_cores_[static_cast<std::size_t>(rail)] == 0) {
-      touched_rails_.push_back(rail);
-    }
-    ++rail_cores_[static_cast<std::size_t>(rail)];
-    rail_shift_[static_cast<std::size_t>(rail)] +=
-        table_->woc_shift(core, arch.rails[static_cast<std::size_t>(rail)]
-                                    .width);
-  }
-  std::int64_t duration = 0;
-  int btn = -1;
-  for (const int rail : touched_rails_) {
-    const std::int64_t t =
-        rail_si_busy(rail_shift_[static_cast<std::size_t>(rail)],
-                     rail_cores_[static_cast<std::size_t>(rail)],
-                     group.patterns);
-    if (t > duration || (t == duration && (btn < 0 || rail < btn))) {
-      duration = t;
-      btn = rail;
-    }
-  }
-  if (bottleneck_rail != nullptr) *bottleneck_rail = btn;
-  return duration;
-}
-
 void TamEvaluator::si_group_timing_into(const TamArchitecture& arch,
                                         int group_index,
                                         const std::vector<int>& rail_of_core,

@@ -67,11 +67,6 @@ struct EvaluatorOptions {
   /// evaluator rejects test sets containing a group whose own power already
   /// exceeds the budget (it could never be scheduled).
   std::int64_t power_budget = 0;
-  /// Treat the shared functional bus as a scheduling resource: at most one
-  /// bus-using SI test (SiTestGroup::uses_bus) runs at a time — two
-  /// concurrent tests cannot both drive the same bus lines. Off by default
-  /// (the paper's Algorithm 1 only tracks TAM conflicts).
-  bool exclusive_bus = false;
   /// Interleave the InTest and SI phases (extension beyond the paper): an
   /// SI test may start once every rail it involves has finished its own
   /// InTest, instead of waiting for the global InTest makespan. The wrapper
@@ -232,15 +227,8 @@ class TamEvaluator {
   /// Convenience: just T_soc, counted like evaluate().
   [[nodiscard]] std::int64_t t_soc(const TamArchitecture& arch) const;
 
-  /// CalculateSITestTime for one group: duration and bottleneck rail.
-  /// `rail_of_core` must come from arch.rail_of_core(core_count()).
-  [[nodiscard]] std::int64_t si_group_time(const TamArchitecture& arch,
-                                           const SiTestGroup& group,
-                                           const std::vector<int>& rail_of_core,
-                                           int* bottleneck_rail) const;
-
-  /// CalculateSITestTime with the full per-rail breakdown (the scheduler's
-  /// input for one group), written into `out` with its vector capacity
+  /// CalculateSITestTime for one group with its per-rail breakdown (the
+  /// scheduler's input), written into `out` with its vector capacity
   /// recycled. `group_index` is recorded in the result; `rail_of_core` must
   /// come from arch.rail_of_core(core_count()). This is the building block
   /// the incremental DeltaEvaluator refreshes per dirty group; it does not

@@ -256,7 +256,7 @@ class Optimizer {
   /// Lines 17-23: repeatedly merge the rail with the *lowest* time_used.
   void bottom_up(TamArchitecture& arch) {
     SITAM_TRACE_SPAN("tam.alg2.bottom_up");
-    int guard = config_.max_iterations;
+    int guard = kMaxIterations;
     while (arch.rails.size() > 1 && guard-- > 0) {
       check_cancel(config_.cancel);
       const auto order = order_by_time_used(arch);
@@ -269,7 +269,7 @@ class Optimizer {
   /// initial R_skip member), or -1 if the loop never failed.
   int top_down(TamArchitecture& arch) {
     SITAM_TRACE_SPAN("tam.alg2.top_down");
-    int guard = config_.max_iterations;
+    int guard = kMaxIterations;
     while (arch.rails.size() > 1 && guard-- > 0) {
       check_cancel(config_.cancel);
       const auto order = order_by_time_used(arch);
@@ -287,7 +287,7 @@ class Optimizer {
     SITAM_TRACE_SPAN("tam.alg2.sweep");
     std::set<int> skip;
     if (initial_skip_id >= 0) skip.insert(initial_skip_id);
-    int guard = config_.max_iterations;
+    int guard = kMaxIterations;
     while (guard-- > 0) {
       check_cancel(config_.cancel);
       std::size_t pick = arch.rails.size();
@@ -322,7 +322,7 @@ class Optimizer {
   /// Line 37: move single cores off bottleneck rails while it helps.
   void core_reshuffle(TamArchitecture& arch) {
     SITAM_TRACE_SPAN("tam.alg2.reshuffle");
-    int guard = config_.max_iterations;
+    int guard = kMaxIterations;
     while (guard-- > 0) {
       check_cancel(config_.cancel);
       const std::int64_t current = t_soc(arch);
@@ -396,8 +396,7 @@ OptimizeResult run_restart(const Soc& soc, const TestTimeTable& table,
   std::vector<int> order(static_cast<std::size_t>(soc.core_count()));
   std::iota(order.begin(), order.end(), 0);
   if (index > 0) {
-    Rng rng(split_stream(config.restart_seed,
-                         static_cast<std::uint64_t>(index)));
+    Rng rng(split_stream(kRestartSeed, static_cast<std::uint64_t>(index)));
     rng.shuffle(order);
   }
   Optimizer attempt(soc, table, tests, w_max, config);

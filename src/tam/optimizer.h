@@ -25,6 +25,16 @@
 
 namespace sitam {
 
+/// Safety valve on each Algorithm 2 improvement loop: at most this many
+/// accepted moves per loop.
+inline constexpr int kMaxIterations = 100000;
+
+/// Seed for the restart permutations. Restart i > 0 shuffles the identity
+/// core order with an Rng seeded from split_stream(kRestartSeed, i), so
+/// every restart's trajectory is independent of how the others are
+/// scheduled.
+inline constexpr std::uint64_t kRestartSeed = 0x5eedULL;
+
 struct OptimizerConfig {
   /// Time model / scheduling options used for every candidate evaluation.
   EvaluatorOptions evaluator;
@@ -43,18 +53,11 @@ struct OptimizerConfig {
   /// with the precise minimum-T_soc rule. Disabling uses precise
   /// distribution everywhere (slower, rarely better).
   bool fast_candidate_scan = true;
-  /// Safety valve on the improvement loops.
-  int max_iterations = 100000;
   /// Run the whole Algorithm 2 pipeline this many times — the first run is
   /// the paper's deterministic order, later runs permute the initial core
   /// order (different tie-breaks => different trajectories) — and keep the
   /// best result. 1 = the paper's single pass.
   int restarts = 1;
-  /// Seed for the restart permutations. Restart i > 0 shuffles the
-  /// identity order with an Rng seeded from split_stream(restart_seed, i),
-  /// so every restart's trajectory is independent of how the others are
-  /// scheduled.
-  std::uint64_t restart_seed = 0x5eedULL;
   /// Worker threads for the (job, restart) units of one call: 1 = serial
   /// on the caller, 0 = one per hardware thread. optimize_tam runs its
   /// restarts on them; run_sweep runs every restart of every width and

@@ -91,11 +91,6 @@ void schedule_pending(const std::vector<SiGroupTiming>& pending,
     return tests.groups[static_cast<std::size_t>(entry(k).group)].power;
   };
 
-  bool bus_busy = false;
-  const auto group_uses_bus = [&](std::size_t k) {
-    return tests.groups[static_cast<std::size_t>(entry(k).group)].uses_bus;
-  };
-
   while (remaining > 0) {
     // Find s* whose rails are all free at curr_time and whose power fits
     // within the remaining budget.
@@ -110,10 +105,8 @@ void schedule_pending(const std::vector<SiGroupTiming>& pending,
       const bool power_ok =
           options.power_budget <= 0 ||
           running_power + group_power(k) <= options.power_budget;
-      const bool bus_ok =
-          !options.exclusive_bus || !bus_busy || !group_uses_bus(k);
       const std::int64_t release = interleave ? ws.release[k] : 0;
-      if (release <= curr_time && free && power_ok && bus_ok) {
+      if (release <= curr_time && free && power_ok) {
         pick = k;
         break;
       }
@@ -130,7 +123,6 @@ void schedule_pending(const std::vector<SiGroupTiming>& pending,
       out.makespan = std::max(out.makespan, item.end);
       ws.running.emplace_back(item.end, static_cast<int>(pick));
       running_power += group_power(pick);
-      if (group_uses_bus(pick)) bus_busy = true;
       for (const int rail : chosen.rails) {
         ws.occupied[static_cast<std::size_t>(rail)] = 1;
       }
@@ -174,16 +166,6 @@ void schedule_pending(const std::vector<SiGroupTiming>& pending,
           ws.running.pop_back();
         } else {
           ++it;
-        }
-      }
-      if (bus_busy) {
-        bus_busy = false;
-        for (const auto& [end, k] : ws.running) {
-          (void)end;
-          if (group_uses_bus(static_cast<std::size_t>(k))) {
-            bus_busy = true;
-            break;
-          }
         }
       }
     }

@@ -77,7 +77,7 @@ void pick_order(const std::vector<SiGroupTiming>& pending, SchedulePick pick,
 
 /// The greedy placement loop of Algorithm 1 (ScheduleSITest): schedules
 /// `pending[order[k]]` for k = 0.. in that exact sequence preference,
-/// subject to rail exclusivity and the optional power/bus constraints.
+/// subject to rail exclusivity and the optional power budget.
 /// `order` must hold distinct indices into `pending`, already in pick
 /// order; entries of `pending` not named by `order` are ignored (the delta
 /// path keeps inactive groups in its dense table). `rail_time_in` supplies

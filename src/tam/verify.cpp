@@ -173,16 +173,6 @@ class Verifier {
         if (share) {
           fail("SI tests ", i, " and ", j, " overlap on a shared rail");
         }
-        if (options_.exclusive_bus) {
-          const bool both_bus =
-              tests_.groups[static_cast<std::size_t>(items[i].group)]
-                  .uses_bus &&
-              tests_.groups[static_cast<std::size_t>(items[j].group)]
-                  .uses_bus;
-          if (both_bus) {
-            fail("bus-using SI tests ", i, " and ", j, " overlap");
-          }
-        }
       }
       if (options_.power_budget > 0) {
         std::int64_t concurrent = 0;

@@ -10,7 +10,7 @@
 //    duration, on exactly the rails hosting its cores,
 //  * no rail hosts two overlapping SI tests; with interleaving, no SI test
 //    overlaps the InTest of a rail it occupies,
-//  * power budget and exclusive-bus constraints hold at every start time,
+//  * the power budget holds at every start time,
 //  * the reported totals (t_in, t_si, t_soc, makespan) are consistent.
 //
 // Returns a list of human-readable violations (empty = verified). Used as

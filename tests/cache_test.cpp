@@ -1,9 +1,8 @@
-// Tests for the workload cache and the evaluator's counters.
+// Tests for the workload config hash that keys SitamContext's caches, and
+// for the evaluator's counters.
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
-#include "core/cache.h"
+#include "core/flow.h"
 #include "soc/benchmarks.h"
 #include "tam/delta.h"
 #include "tam/evaluator.h"
@@ -12,123 +11,44 @@
 namespace sitam {
 namespace {
 
-class CacheTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = (std::filesystem::temp_directory_path() /
-            ("sitam_cache_test_" +
-             std::to_string(::testing::UnitTest::GetInstance()
-                                ->random_seed())))
-               .string();
-    std::filesystem::remove_all(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
-  SiWorkloadConfig config() const {
-    SiWorkloadConfig c;
-    c.pattern_count = 300;
-    c.groupings = {1, 2};
-    c.seed = 77;
-    return c;
-  }
-
-  std::string dir_;
-};
-
-TEST_F(CacheTest, MissThenHitRoundTrips) {
-  const Soc soc = load_benchmark("mini5");
-  EXPECT_FALSE(load_workload(soc, config(), dir_).has_value());
-
-  const SiWorkload prepared = SiWorkload::prepare(soc, config());
-  save_workload(prepared, dir_);
-
-  const auto loaded = load_workload(soc, config(), dir_);
-  ASSERT_TRUE(loaded.has_value());
-  for (const int parts : prepared.groupings()) {
-    const SiTestSet& a = prepared.tests(parts);
-    const SiTestSet& b = loaded->tests(parts);
-    ASSERT_EQ(a.groups.size(), b.groups.size());
-    EXPECT_EQ(a.total_patterns(), b.total_patterns());
-    EXPECT_EQ(a.total_raw_patterns(), b.total_raw_patterns());
-    for (std::size_t g = 0; g < a.groups.size(); ++g) {
-      EXPECT_EQ(a.groups[g].cores, b.groups[g].cores);
-      EXPECT_EQ(a.groups[g].patterns, b.groups[g].patterns);
-      EXPECT_EQ(a.groups[g].is_remainder, b.groups[g].is_remainder);
-    }
-  }
-}
-
-TEST_F(CacheTest, PrepareCachedIsTransparent) {
-  const Soc soc = load_benchmark("mini5");
-  const SiWorkload first = prepare_cached(soc, config(), dir_);
-  const SiWorkload second = prepare_cached(soc, config(), dir_);
-  for (const int parts : first.groupings()) {
-    EXPECT_EQ(first.tests(parts).total_patterns(),
-              second.tests(parts).total_patterns());
-  }
-  // Experiments on the cached workload behave identically.
-  const auto a = run_experiment(first, 4);
-  const auto b = run_experiment(second, 4);
-  EXPECT_EQ(a.t_min, b.t_min);
-  EXPECT_EQ(a.t_baseline, b.t_baseline);
-}
-
-TEST_F(CacheTest, KeyDependsOnParameters) {
+TEST(WorkloadConfigHash, DependsOnParameters) {
   const Soc soc = load_benchmark("mini5");
   const Soc other = load_benchmark("d695");
-  SiWorkloadConfig base = config();
-  const std::string key = workload_cache_key(soc, base);
+  SiWorkloadConfig base;
+  base.pattern_count = 300;
+  base.groupings = {1, 2};
+  base.seed = 77;
+  const std::uint64_t key = workload_config_hash(soc, base);
 
   SiWorkloadConfig different_seed = base;
   different_seed.seed = 78;
-  EXPECT_NE(workload_cache_key(soc, different_seed), key);
+  EXPECT_NE(workload_config_hash(soc, different_seed), key);
 
   SiWorkloadConfig different_count = base;
   different_count.pattern_count = 301;
-  EXPECT_NE(workload_cache_key(soc, different_count), key);
+  EXPECT_NE(workload_config_hash(soc, different_count), key);
 
   SiWorkloadConfig different_window = base;
   different_window.patterns.locality_window += 1;
-  EXPECT_NE(workload_cache_key(soc, different_window), key);
+  EXPECT_NE(workload_config_hash(soc, different_window), key);
 
-  EXPECT_NE(workload_cache_key(other, base), key);
+  SiWorkloadConfig different_groupings = base;
+  different_groupings.groupings = {1, 4};
+  EXPECT_NE(workload_config_hash(soc, different_groupings), key);
+
+  EXPECT_NE(workload_config_hash(other, base), key);
 }
 
-// Disk-cache filenames and SitamContext request keys are built from these
-// hashes; a change to the mixing would silently orphan every cache
-// directory, so the values are pinned.
-TEST(CacheKey, PinnedForAFixedD695Config) {
+// SitamContext keys its workload tier and its request keys by these
+// hashes; the values are pinned so a change to the mixing shows here.
+TEST(WorkloadConfigHash, PinnedForAFixedD695Config) {
   const Soc soc = load_benchmark("d695");
   EXPECT_EQ(soc_structure_hash(soc), 0x0b0630b4a419ed27ULL);
   SiWorkloadConfig config;
   config.pattern_count = 2000;
   config.groupings = {1, 2, 4};
   config.seed = 7;
-  EXPECT_EQ(workload_cache_key(soc, config), "d695_nr2000_s9eddfcd879b1ead3");
-}
-
-TEST_F(CacheTest, PartialCacheIsAMiss) {
-  const Soc soc = load_benchmark("mini5");
-  const SiWorkload prepared = SiWorkload::prepare(soc, config());
-  save_workload(prepared, dir_);
-  // Remove one grouping's file: the load must treat the entry as absent.
-  const std::string key = workload_cache_key(soc, config());
-  std::filesystem::remove(std::filesystem::path(dir_) /
-                          (key + "_g2.sitest"));
-  EXPECT_FALSE(load_workload(soc, config(), dir_).has_value());
-}
-
-TEST_F(CacheTest, FromPreparedValidatesShape) {
-  const Soc soc = load_benchmark("mini5");
-  EXPECT_THROW(
-      (void)SiWorkload::from_prepared(soc, config(), {}),
-      std::invalid_argument);
-  std::vector<SiTestSet> wrong(2);
-  wrong[0].parts = 1;
-  wrong[1].parts = 3;  // config says 2
-  EXPECT_THROW((void)SiWorkload::from_prepared(soc, config(),
-                                               std::move(wrong)),
-               std::invalid_argument);
+  EXPECT_EQ(workload_config_hash(soc, config), 0x9eddfcd879b1ead3ULL);
 }
 
 // ---------------------------------------------------------------------------

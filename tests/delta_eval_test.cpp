@@ -211,9 +211,6 @@ TEST_P(DeltaDifferentialTest, SchedulingOptionVariants) {
     EvaluatorOptions powered;
     powered.power_budget = max_power + max_power / 2;
     variants.push_back(powered);
-    EvaluatorOptions serial_bus;
-    serial_bus.exclusive_bus = true;
-    variants.push_back(serial_bus);
   }
   for (std::size_t v = 0; v < variants.size(); ++v) {
     SCOPED_TRACE("variant " + std::to_string(v));

@@ -71,7 +71,6 @@ TEST(SiWorkload, ParallelPrepareMatchesSequential) {
       EXPECT_EQ(a.groups[g].cores, b.groups[g].cores);
       EXPECT_EQ(a.groups[g].patterns, b.groups[g].patterns);
       EXPECT_EQ(a.groups[g].raw_patterns, b.groups[g].raw_patterns);
-      EXPECT_EQ(a.groups[g].uses_bus, b.groups[g].uses_bus);
     }
   }
 }

@@ -209,7 +209,6 @@ void expect_same_set(const SiTestSet& got, const SiTestSet& want,
     EXPECT_EQ(a.patterns, b.patterns) << where << " group " << k;
     EXPECT_EQ(a.raw_patterns, b.raw_patterns) << where << " group " << k;
     EXPECT_EQ(a.is_remainder, b.is_remainder) << where << " group " << k;
-    EXPECT_EQ(a.uses_bus, b.uses_bus) << where << " group " << k;
   }
 }
 

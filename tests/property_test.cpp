@@ -159,7 +159,6 @@ TEST_P(OptionsMatrixTest, OptimizerOutputVerifiesUnderAllOptions) {
         options.style = style;
         options.pick = pick;
         options.interleave_phases = interleave;
-        options.exclusive_bus = true;
         options.power_budget = max_power * 3 / 2;
         OptimizerConfig config;
         config.evaluator = options;

@@ -41,9 +41,6 @@ inline SiTestSet oracle_si_test_set(std::span<const SiPattern> patterns,
     group.patterns = static_cast<std::int64_t>(
         compact_greedy(bucket, terminals.total(), config.bus_width)
             .patterns.size());
-    group.uses_bus = std::any_of(
-        bucket.begin(), bucket.end(),
-        [](const SiPattern& p) { return !p.bus_bits().empty(); });
     set.groups.push_back(std::move(group));
   };
 

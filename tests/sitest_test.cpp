@@ -226,7 +226,6 @@ void expect_same_set(const SiTestSet& got, const SiTestSet& want,
     EXPECT_EQ(a.patterns, b.patterns) << at;
     EXPECT_EQ(a.raw_patterns, b.raw_patterns) << at;
     EXPECT_EQ(a.is_remainder, b.is_remainder) << at;
-    EXPECT_EQ(a.uses_bus, b.uses_bus) << at;
     EXPECT_EQ(a.power, b.power) << at;
   }
 }

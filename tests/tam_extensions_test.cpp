@@ -7,7 +7,6 @@
 #include <memory>
 
 #include "core/context.h"
-#include "interconnect/terminal_space.h"
 #include "sitest/group.h"
 #include "soc/benchmarks.h"
 #include "tam/bounds.h"
@@ -375,69 +374,6 @@ TEST(InterleavePhases, RescoringAFixedArchitectureNeverHurts) {
   config.evaluator.interleave_phases = true;
   const auto inter = optimize_tam(soc, table, tests, 16, config);
   EXPECT_NO_THROW(inter.architecture.validate(soc.core_count()));
-}
-
-// ---------------------------------------------------------------------------
-// Exclusive shared bus
-// ---------------------------------------------------------------------------
-
-TEST(ExclusiveBus, BusUsersSerializeOthersDoNot) {
-  const Soc soc = load_benchmark("mini5");
-  const TestTimeTable table(soc, 8);
-  // Three tests on pairwise-disjoint rails; two of them use the bus.
-  SiTestSet tests;
-  tests.groups = {group("a", {0, 1}, 25), group("b", {2, 3}, 25),
-                  group("c", {4}, 25)};
-  tests.groups[0].uses_bus = true;
-  tests.groups[1].uses_bus = true;
-  TamArchitecture arch;
-  arch.rails = {TestRail{{0, 1}, 2, -1}, TestRail{{2, 3}, 2, -1},
-                TestRail{{4}, 4, -1}};
-
-  const TamEvaluator plain(soc, table, tests);
-  const Evaluation free_ev = plain.evaluate(arch);
-
-  EvaluatorOptions options;
-  options.exclusive_bus = true;
-  const TamEvaluator exclusive(soc, table, tests, options);
-  const Evaluation bus_ev = exclusive.evaluate(arch);
-
-  EXPECT_GT(bus_ev.t_si, free_ev.t_si);
-  // The two bus users never overlap under the exclusive policy...
-  const SiScheduleItem* item_a = nullptr;
-  const SiScheduleItem* item_b = nullptr;
-  const SiScheduleItem* item_c = nullptr;
-  for (const SiScheduleItem& item : bus_ev.schedule.items) {
-    if (item.group == 0) item_a = &item;
-    if (item.group == 1) item_b = &item;
-    if (item.group == 2) item_c = &item;
-  }
-  ASSERT_TRUE(item_a && item_b && item_c);
-  EXPECT_FALSE(item_a->begin < item_b->end && item_b->begin < item_a->end);
-  // ...but the non-bus test still overlaps one of them.
-  const bool c_overlaps =
-      (item_c->begin < item_a->end && item_a->begin < item_c->end) ||
-      (item_c->begin < item_b->end && item_b->begin < item_c->end);
-  EXPECT_TRUE(c_overlaps);
-}
-
-TEST(ExclusiveBus, GroupFlagComesFromPatterns) {
-  const Soc soc = load_benchmark("mini5");
-  const TerminalSpace ts(soc);
-  SiPattern with_bus;
-  with_bus.set(ts.terminal(0, 0), SigValue::kRise);
-  with_bus.set_bus(3, 0);
-  SiPattern without;
-  without.set(ts.terminal(2, 0), SigValue::kFall);
-  const std::vector<SiPattern> patterns = {with_bus, without};
-  const SiTestSet set = build_si_test_set(patterns, ts, 1, GroupingConfig{});
-  ASSERT_EQ(set.groups.size(), 1u);
-  EXPECT_TRUE(set.groups[0].uses_bus);
-
-  const std::vector<SiPattern> clean = {without};
-  const SiTestSet clean_set =
-      build_si_test_set(clean, ts, 1, GroupingConfig{});
-  EXPECT_FALSE(clean_set.groups[0].uses_bus);
 }
 
 // ---------------------------------------------------------------------------

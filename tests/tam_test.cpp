@@ -162,15 +162,15 @@ TEST_F(EvaluatorTest, Example1Fig3aArithmetic) {
   const TamEvaluator evaluator(soc_, table_, tests);
   const auto map = arch.rail_of_core(soc_.core_count());
 
-  int btn = -1;
-  const std::int64_t t =
-      evaluator.si_group_time(arch, tests.groups[0], map, &btn);
+  SiGroupTiming timing;
+  evaluator.si_group_timing_into(arch, 0, map, timing);
+  const std::int64_t t = timing.duration;
   const std::int64_t t1 = rail_si_time({0, 1}, 2, 40);
   const std::int64_t t2 = rail_si_time({2, 3}, 2, 40);
   const std::int64_t t3 = rail_si_time({4}, 1, 40);
   EXPECT_EQ(t, std::max({t1, t2, t3}));
   // mini5 wocs: {10,8} vs {12,14} vs {6}: rail with cores 2,3 dominates.
-  EXPECT_EQ(btn, 1);
+  EXPECT_EQ(timing.bottleneck, 1);
 }
 
 TEST_F(EvaluatorTest, Example1DifferentArchitecturesDifferentSiTimes) {

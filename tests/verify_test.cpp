@@ -37,23 +37,20 @@ TEST(VerifyEvaluation, RealEvaluationsPassUnderAllOptions) {
   }
 
   for (const bool interleave : {false, true}) {
-    for (const bool bus : {false, true}) {
-      for (const std::int64_t budget : {std::int64_t{0}, max_power * 2}) {
-        EvaluatorOptions options;
-        options.interleave_phases = interleave;
-        options.exclusive_bus = bus;
-        options.power_budget = budget;
-        OptimizerConfig config;
-        config.evaluator = options;
-        const OptimizeResult result =
-            optimize_tam(f.soc, f.table, f.tests, 16, config);
-        const auto problems =
-            verify_evaluation(f.soc, f.table, f.tests, result.architecture,
-                              result.evaluation, options);
-        EXPECT_TRUE(problems.empty())
-            << "interleave=" << interleave << " bus=" << bus
-            << " budget=" << budget << ": " << problems.front();
-      }
+    for (const std::int64_t budget : {std::int64_t{0}, max_power * 2}) {
+      EvaluatorOptions options;
+      options.interleave_phases = interleave;
+      options.power_budget = budget;
+      OptimizerConfig config;
+      config.evaluator = options;
+      const OptimizeResult result =
+          optimize_tam(f.soc, f.table, f.tests, 16, config);
+      const auto problems =
+          verify_evaluation(f.soc, f.table, f.tests, result.architecture,
+                            result.evaluation, options);
+      EXPECT_TRUE(problems.empty())
+          << "interleave=" << interleave << " budget=" << budget << ": "
+          << problems.front();
     }
   }
 }

@@ -195,8 +195,8 @@ void check_pointer_keys(Context& ctx) {
 
 bool writes_output(const Stripped& file) {
   static const char* kIncludes[] = {
-      "core/report.h", "wrapper/report.h", "util/json.h", "util/table.h",
-      "sitest/io.h",   "soc/writer.h",     "core/gantt.h"};
+      "core/report.h", "wrapper/report.h", "util/json.h",
+      "util/table.h",  "soc/writer.h",     "core/gantt.h"};
   static const char* kWords[] = {"ostream",  "ofstream", "ostringstream",
                                  "fprintf",  "printf",   "cout",
                                  "to_json",  "to_csv",   "hash_combine"};

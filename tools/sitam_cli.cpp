@@ -412,8 +412,6 @@ int cmd_serve(const CliArgs& args) {
   serve::ServerOptions options;
   options.threads =
       static_cast<int>(args.get_or("threads", std::int64_t{2}));
-  options.context.cache_directory =
-      args.get_or("cache-dir", std::string());
   options.progress = !args.has("quiet");
   return serve::serve_stream(std::cin, std::cout, options);
 }
@@ -536,7 +534,7 @@ int usage() {
          "  gantt    --soc=... --wmax=W     schedule chart [--svg=out.svg]\n"
          "  verify   --soc=... --wmax=W     optimize + independent check\n"
          "  serve    [--threads=T --quiet]  JSON job server on stdin/stdout\n"
-         "           [--cache-dir=D]        (see docs/SERVER.md)\n"
+         "                                  (see docs/SERVER.md)\n"
          "  sweep-fleet --store-out=F       resumable experiment grid ->\n"
          "           [--socs=a,b --wmax=8,16 --backends=full,memo,delta\n"
          "            --seeds=1,2 --nr=N --parts=K --threads=T --progress]\n"
@@ -580,7 +578,7 @@ int main(int argc, char** argv) {
        cmd_verify,
        {"soc", "nr", "seed", "wmax", "parts", "restarts", "threads",
         "no-delta"}},
-      {"serve", cmd_serve, {"threads", "cache-dir", "quiet"}},
+      {"serve", cmd_serve, {"threads", "quiet"}},
       {"sweep-fleet",
        cmd_sweep_fleet,
        {"socs", "wmax", "backends", "seeds", "nr", "parts", "restarts",
