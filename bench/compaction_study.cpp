@@ -1,8 +1,10 @@
 // The §3 compaction study, three sections:
 //   (a) kernel: the staged first-fit greedy sweep vs the sparse reference
 //       sweep — identical output, measured speedup — and the staged count
-//       on the caller vs on a pool of every hardware thread — identical
-//       counts, measured speedup (both in BENCH_compaction.json);
+//       of a set's shared rows (encoded once, as the workload prepare
+//       does; the encode is timed apart) on the caller vs on a pool of
+//       every hardware thread — identical counts, measured speedup (both
+//       in BENCH_compaction.json);
 //   (b) quality: the greedy sweep achieves compaction ratios similar to a
 //       clique-covering approximation (first-fit coloring of the conflict
 //       graph) at a fraction of the runtime;
@@ -16,7 +18,8 @@
 #include <fstream>
 #include <future>
 #include <iostream>
-#include <numeric>
+#include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -48,10 +51,12 @@ struct KernelRow {
   bool identical = false;
 };
 
-/// One staged count of a whole raw set: on the caller, then on the pool.
+/// One staged count of a whole raw set's rows: on the caller, then on the
+/// pool; and the one encode of those rows.
 struct StagedRow {
   std::string soc;
   std::int64_t n_r = 0;
+  double encode_seconds = 0.0;
   double caller_seconds = 0.0;
   double pool_seconds = 0.0;
   std::size_t compacted = 0;
@@ -112,6 +117,7 @@ void write_kernel_report(const std::string& path,
     json.begin_object();
     json.key("soc").value(row.soc);
     json.key("n_r").value(row.n_r);
+    json.key("encode_seconds").value(row.encode_seconds);
     json.key("caller_seconds").value(row.caller_seconds);
     json.key("pool_seconds").value(row.pool_seconds);
     json.key("pool_threads").value(std::int64_t{pool_threads});
@@ -131,15 +137,23 @@ void write_kernel_report(const std::string& path,
   std::cout << "wrote " << path << "\n";
 }
 
-/// Min-of-`repeats` staged counts of every pattern on `executor`.
-double time_staged_count(int repeats, std::span<const PatternView> views,
-                         std::span<const std::uint32_t> all,
-                         const TerminalSpace& ts, int bus_width,
+/// Min-of-`repeats` staged counts of every pattern of `rows` on
+/// `executor`.
+double time_staged_count(int repeats, const PatternRows& rows,
                          Executor& executor, std::size_t& count) {
   return best_of(repeats, [&] {
-    count = start_greedy_count(views, all, ts.total(), bus_width, executor)
-                .get();
+    count = start_greedy_count(rows, executor).get();
   });
+}
+
+/// `patterns` encoded into closed rows.
+std::unique_ptr<PatternRows> encode_rows(std::span<const SiPattern> patterns,
+                                         const TerminalSpace& ts,
+                                         int bus_width) {
+  auto rows = std::make_unique<PatternRows>(ts.total(), bus_width);
+  for (const SiPattern& p : patterns) rows->add(p);
+  rows->close();
+  return rows;
 }
 
 }  // namespace
@@ -212,6 +226,7 @@ int main(int argc, char** argv) try {
   TextTable counts;
   counts.add_column("SOC", Align::kLeft);
   counts.add_column("N_r");
+  counts.add_column("encode (s)");
   counts.add_column("caller (s)");
   counts.add_column("pool (s)");
   counts.add_column("speedup");
@@ -229,24 +244,24 @@ int main(int argc, char** argv) try {
       Rng rng(0x20070604ULL);
       const RandomPatternConfig config;
       const auto patterns = generate_random_patterns(ts, n_r, config, rng);
-      const std::vector<PatternView> views = pattern_views(patterns);
-      std::vector<std::uint32_t> all(views.size());
-      std::iota(all.begin(), all.end(), std::uint32_t{0});
-
       StagedRow row;
       row.soc = soc_name;
       row.n_r = n_r;
+      std::unique_ptr<PatternRows> rows;
+      row.encode_seconds = best_of(repeats, [&] {
+        rows = encode_rows(patterns, ts, config.bus_width);
+      });
       std::size_t on_pool = 0;
-      row.caller_seconds = time_staged_count(
-          repeats, views, all, ts, config.bus_width, caller, row.compacted);
-      row.pool_seconds = time_staged_count(repeats, views, all, ts,
-                                           config.bus_width, pool, on_pool);
+      row.caller_seconds =
+          time_staged_count(repeats, *rows, caller, row.compacted);
+      row.pool_seconds = time_staged_count(repeats, *rows, pool, on_pool);
       row.identical = on_pool == row.compacted;
       staged_rows.push_back(row);
 
       counts.begin_row();
       counts.cell(std::string(soc_name));
       counts.cell(n_r);
+      counts.cell(row.encode_seconds, 3);
       counts.cell(row.caller_seconds, 3);
       counts.cell(row.pool_seconds, 3);
       counts.cell(row.pool_seconds > 0.0
@@ -258,8 +273,8 @@ int main(int argc, char** argv) try {
     }
   }
   std::cout << counts
-            << "(one count of every pattern; (stage, chunk) tasks on the "
-               "pool)\n\n";
+            << "(one count of every pattern's encoded rows; (stage, chunk) "
+               "tasks on the pool)\n\n";
 
   std::cout << "== Greedy sweep vs clique-cover approximation ==\n";
   TextTable quality;

@@ -74,9 +74,10 @@ SiWorkload SiWorkload::prepare(const Soc& soc, const SiWorkloadConfig& config,
 
   {
     // One pipeline over the raw set for all groupings: the §5 draw writes
-    // chunks on this thread while the i = 1 compaction places them and the
-    // care-set index interns them on pool workers. A single grouping's
-    // pipeline stays on this thread.
+    // chunks on a pool worker while this thread's care-set index interns
+    // them and encodes their kernel rows, and the i = 1 compaction places
+    // the rows on the other workers. A single grouping's pipeline stays on
+    // this thread.
     SITAM_TRACE_SPAN_ARG("flow.workload.compact",
                          static_cast<std::int64_t>(config.groupings.size()));
     RawPatternStore raw;
@@ -159,8 +160,10 @@ SweepResult run_sweep(const SiWorkload& workload,
     std::vector<std::future<TestTimeTable>> built;
     built.reserve(widths.size());
     for (const int w : widths) {
-      built.push_back(
-          executor.submit([&soc, w] { return TestTimeTable(soc, w); }));
+      built.push_back(executor.submit([&soc, w] {
+        SITAM_TRACE_SPAN_ARG("wrapper.table", w);
+        return TestTimeTable(soc, w);
+      }));
     }
     for (std::future<TestTimeTable>& table : built) {
       tables.push_back(table.get());

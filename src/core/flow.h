@@ -27,10 +27,11 @@ struct SiWorkloadConfig {
   GroupingConfig grouping;             ///< Partitioner + bus width.
   std::uint64_t seed = 0x20070604ULL;  ///< Drives all randomness.
   /// With more than one grouping, run the prepare pipeline on one pool of
-  /// hardware_threads() workers: the calling thread draws each chunk of
-  /// the raw set while the i = 1 compaction places it and the care-set
-  /// index interns it on workers, then the partitions and the other
-  /// groups' compactions run beside the i = 1 tail. Off, or with one
+  /// hardware_threads() workers: a worker draws each chunk of the raw
+  /// set while the calling thread's care-set index interns it and encodes
+  /// its kernel rows, and the i = 1 compaction places those rows on the
+  /// other workers; then the partitions and the other groups' compactions
+  /// run beside the i = 1 tail. Off, or with one
   /// grouping, the same chunks run in the same order on the calling
   /// thread. Results are identical either way: each compaction is an
   /// independent deterministic job.

@@ -26,33 +26,162 @@ namespace {
 constexpr SigValue kCareValues[] = {SigValue::kStable0, SigValue::kStable1,
                                     SigValue::kRise, SigValue::kFall};
 
-/// Index of a cared-for value in kCareValues.
-[[nodiscard]] std::uint32_t care_index(SigValue v) {
-  return static_cast<std::uint32_t>(v) - 1;
-}
-
-/// The std::out_of_range every entry point throws for the first id of `p`
-/// outside [0, total_terminals) or [0, bus_width): terminals, then bus
-/// lines.
-void check_ids(const PatternView& p, int total_terminals, int bus_width) {
-  for (const auto& [terminal, value] : p.assignments()) {
-    (void)value;
-    if (terminal < 0 || terminal >= total_terminals) {
-      throw_terminal_out_of_range(terminal);
-    }
-  }
-  for (const BusBit& bit : p.bus_bits()) {
-    if (bit.line < 0 || bit.line >= bus_width) {
-      throw_bus_out_of_range(bit.line);
-    }
-  }
-}
-
 void check_dimensions(int total_terminals, int bus_width) {
   if (total_terminals < 0 || bus_width < 0) {
     throw std::invalid_argument("compact_greedy: negative dimensions");
   }
 }
+
+}  // namespace
+
+PatternRows::PatternRows(int total_terminals, int bus_width,
+                         std::size_t chunk_patterns)
+    : total_terminals_(total_terminals),
+      bus_width_(bus_width),
+      chunk_patterns_(static_cast<std::uint32_t>(chunk_patterns)) {
+  if (total_terminals < 0 || bus_width < 0) {
+    throw std::invalid_argument("PatternRows: negative dimensions");
+  }
+  if (chunk_patterns == 0 || chunk_patterns >= UINT32_MAX) {
+    throw std::invalid_argument("PatternRows: chunk size out of range");
+  }
+  // One entry more, so an empty space still gets a table.
+  ranks_.reset(static_cast<std::uint32_t*>(std::calloc(
+      static_cast<std::size_t>(total_terminals) + 1, sizeof(std::uint32_t))));
+  lines_.reset(static_cast<Line*>(
+      std::calloc(static_cast<std::size_t>(bus_width) + 1, sizeof(Line))));
+  if (!ranks_ || !lines_) throw std::bad_alloc();
+}
+
+std::uint32_t PatternRows::add_rank(int terminal) {
+  SITAM_CHECK_MSG(4 * terminals_.size() + 4 <= UINT32_MAX,
+                  "compaction: too many kernel rows");
+  terminals_.push_back(terminal);
+  const auto entry = static_cast<std::uint32_t>(terminals_.size());
+  ranks_[static_cast<std::size_t>(terminal)] = entry;
+  return entry;
+}
+
+std::uint32_t PatternRows::add_bus_row() {
+  SITAM_CHECK_MSG(bus_rows_ < UINT32_MAX, "compaction: too many kernel rows");
+  return bus_rows_++;
+}
+
+std::uint32_t PatternRows::pair_row(Line& line, const BusBit& bit) {
+  std::uint32_t* link = &line.pairs;
+  while (*link != 0) {
+    PairNode& node = pairs_[*link - 1];
+    if (node.pair.bit.driver_core == bit.driver_core) return node.pair.row;
+    link = &node.next;
+  }
+  pairs_.push_back(PairNode{PairRow{bit, add_bus_row()}, 0});
+  *link = static_cast<std::uint32_t>(pairs_.size());
+  return pairs_.back().pair.row;
+}
+
+std::vector<std::uint32_t>& PatternRows::segment_for(std::size_t words) {
+  if (open_ == nullptr) {
+    const std::size_t k = published_;
+    const auto j = static_cast<std::size_t>(std::bit_width(k + 1)) - 1;
+    if (k + 1 == std::size_t{1} << j) {
+      slots_[j] = std::make_unique<Slot[]>(std::size_t{1} << j);
+    }
+    open_ = &slots_[j][k + 1 - (std::size_t{1} << j)];
+    open_->start.reserve(std::min<std::size_t>(
+        chunk_patterns_, kCompactionChunkPatterns));
+  }
+  std::vector<std::vector<std::uint32_t>>& segments = open_->segments;
+  if (segments.empty() ||
+      segments.back().capacity() - segments.back().size() < words) {
+    segments.emplace_back().reserve(std::max(
+        segments.empty() ? first_segment_ : kSegmentWords, words));
+  }
+  return segments.back();
+}
+
+void PatternRows::publish() {
+  std::size_t words = 0;
+  for (const std::vector<std::uint32_t>& segment : open_->segments) {
+    words += segment.size();
+  }
+  first_segment_ = std::clamp<std::size_t>(2 * words, 64, kSegmentWords);
+  words_ += words;
+  const auto size = static_cast<std::uint32_t>(open_->start.size());
+  open_->chunk = Chunk{next_ - size, size, 4 * terminals_.size(), bus_rows_};
+  open_ = nullptr;
+  ++published_;
+  {
+    const std::lock_guard lock(mutex_);
+    ready_chunks_ = published_;
+  }
+  ready_.notify_all();
+}
+
+void PatternRows::close() {
+  if (sealed_) return;
+  sealed_ = true;
+  if (open_ != nullptr && !open_->start.empty()) publish();
+  {
+    const std::lock_guard lock(mutex_);
+    closed_ = true;
+  }
+  ready_.notify_all();
+}
+
+const PatternRows::Chunk* PatternRows::wait_chunk(std::size_t k) const {
+  std::unique_lock lock(mutex_);
+  ready_.wait(lock, [&] { return k < ready_chunks_ || closed_; });
+  return k < ready_chunks_ ? &slot(k).chunk : nullptr;
+}
+
+std::size_t PatternRows::size() const {
+  const std::lock_guard lock(mutex_);
+  SITAM_CHECK_MSG(closed_, "PatternRows: read before close()");
+  return next_;
+}
+
+std::size_t PatternRows::care_rows() const {
+  const std::lock_guard lock(mutex_);
+  SITAM_CHECK_MSG(closed_, "PatternRows: read before close()");
+  return 4 * terminals_.size();
+}
+
+std::size_t PatternRows::words() const {
+  const std::lock_guard lock(mutex_);
+  SITAM_CHECK_MSG(closed_, "PatternRows: read before close()");
+  return words_;
+}
+
+std::size_t PatternRows::bus_rows() const {
+  const std::lock_guard lock(mutex_);
+  SITAM_CHECK_MSG(closed_, "PatternRows: read before close()");
+  return bus_rows_;
+}
+
+const std::vector<int>& PatternRows::terminals() const {
+  const std::lock_guard lock(mutex_);
+  SITAM_CHECK_MSG(closed_, "PatternRows: read before close()");
+  return terminals_;
+}
+
+std::vector<PatternRows::PairRow> PatternRows::sorted_pairs() const {
+  {
+    const std::lock_guard lock(mutex_);
+    SITAM_CHECK_MSG(closed_, "PatternRows: read before close()");
+  }
+  std::vector<PairRow> pairs;
+  pairs.reserve(pairs_.size());
+  for (const PairNode& node : pairs_) pairs.push_back(node.pair);
+  std::sort(pairs.begin(), pairs.end(),
+            [](const PairRow& a, const PairRow& b) {
+              return a.bit.line != b.bit.line
+                         ? a.bit.line < b.bit.line
+                         : a.bit.driver_core < b.bit.driver_core;
+            });
+  return pairs;
+}
+
+namespace {
 
 /// Blocks probed together: a row's words for one strip are contiguous.
 constexpr std::size_t kStrip = 4;
@@ -63,159 +192,18 @@ constexpr std::size_t kStageClasses = kCompactionStageClasses;
 constexpr std::size_t kStageBlocks = kStageClasses / 64;
 static_assert(kStageClasses % (64 * kStrip) == 0);
 
-/// Patterns per stage-0 chunk when the input is a member list (a store
-/// brings its own chunks).
-constexpr std::size_t kChunkPatterns = RawPatternStore::kChunkPatterns;
+/// Patterns per stage-0 chunk when the input is a member list (published
+/// rows bring their own chunks).
+constexpr std::size_t kChunkPatterns = kCompactionChunkPatterns;
 
-/// Candidates on their way from one stage to the next: per candidate its
-/// care-row count n, its bus-bit count m, its n care rows (transitions
-/// first) and m (line row, pair row) pairs. No row of the list lies at or
-/// beyond `care_rows` / `bus_rows`, the rows stage 0 had numbered when it
-/// wrote the candidates.
+/// Candidates on their way into a stage: their pattern ids, in sweep
+/// order, and the row counts of the set when they were written; no row of
+/// theirs lies at or beyond `care_rows` / `bus_rows`.
 struct Forward {
   std::size_t care_rows = 0;
   std::size_t bus_rows = 0;
-  std::vector<std::uint32_t> rows;
+  std::vector<std::uint32_t> ids;
 };
-
-/// One chunk of stage 0's input: patterns[members[i]] for i < size, or
-/// patterns[i] when `members` is null. Borrowed from the caller.
-struct Chunk {
-  const PatternView* patterns = nullptr;
-  const std::uint32_t* members = nullptr;
-  std::size_t size = 0;
-
-  [[nodiscard]] const PatternView& operator[](std::size_t i) const {
-    return patterns[members != nullptr ? members[i] : i];
-  }
-};
-
-/// Stage 0's row numbering. A used terminal gets care rows 4u..4u+3 (u its
-/// rank), and a used bus line and each (line, driver) pair a bus row, the
-/// first time a candidate uses it. Row numbers never reach the output:
-/// materialize() walks terminals and pairs in ascending id order.
-class RowIndex {
- public:
-  struct PairRow {
-    BusBit bit;
-    std::uint32_t row = 0;
-  };
-
-  RowIndex(int total_terminals, int bus_width)
-      : total_terminals_(total_terminals), bus_width_(bus_width) {}
-
-  /// Checks `p`'s ids (as check_ids does) and writes its care rows
-  /// (transitions first: their rows reject most classes, so a probe can
-  /// usually stop reading a strip after them) and its (line, pair) rows.
-  void encode(const PatternView& p, std::vector<std::uint32_t>& care,
-              std::vector<std::uint32_t>& bus);
-
-  [[nodiscard]] std::size_t care_rows() const { return 4 * terminals_.size(); }
-  [[nodiscard]] std::size_t bus_rows() const { return bus_rows_; }
-  /// Terminal id per rank.
-  [[nodiscard]] const std::vector<int>& terminals() const {
-    return terminals_;
-  }
-  /// Every (line, driver) pair with its row, in (line, driver) order.
-  [[nodiscard]] std::vector<PairRow> sorted_pairs() const;
-
- private:
-  static constexpr std::uint32_t kNoRow = UINT32_MAX;
-
-  [[nodiscard]] std::uint32_t rank(int terminal);
-  [[nodiscard]] std::uint32_t add_bus_row();
-
-  int total_terminals_ = 0;
-  int bus_width_ = 0;
-  std::vector<std::uint32_t> rank_of_;       // terminal id -> rank or kNoRow
-  std::vector<int> terminals_;               // rank -> terminal id
-  std::vector<std::uint32_t> line_row_;      // line -> bus row or kNoRow
-  std::vector<std::vector<PairRow>> pairs_;  // line -> its pairs' rows
-  std::uint32_t bus_rows_ = 0;
-};
-
-std::uint32_t RowIndex::rank(int terminal) {
-  const auto t = static_cast<std::size_t>(terminal);
-  if (t >= rank_of_.size()) {
-    rank_of_.resize(
-        std::clamp(2 * rank_of_.size(), t + 1,
-                   static_cast<std::size_t>(total_terminals_)),
-        kNoRow);
-  }
-  std::uint32_t& rank = rank_of_[t];
-  if (rank == kNoRow) {
-    SITAM_CHECK_MSG(4 * terminals_.size() + 4 <= UINT32_MAX,
-                    "compaction: too many kernel rows");
-    rank = static_cast<std::uint32_t>(terminals_.size());
-    terminals_.push_back(terminal);
-  }
-  return rank;
-}
-
-std::uint32_t RowIndex::add_bus_row() {
-  SITAM_CHECK_MSG(bus_rows_ < UINT32_MAX, "compaction: too many kernel rows");
-  return bus_rows_++;
-}
-
-void RowIndex::encode(const PatternView& p, std::vector<std::uint32_t>& care,
-                      std::vector<std::uint32_t>& bus) {
-  const auto cares = p.assignments();
-  care.resize(cares.size());
-  // Locals, so the stores into `care` need not reload the members.
-  const int total_terminals = total_terminals_;
-  std::uint32_t* const out = care.data();
-  // Transitions fill from the front, stable values from the back.
-  std::size_t front = 0;
-  std::size_t back = cares.size();
-  for (const auto& [terminal, value] : cares) {
-    if (terminal < 0 || terminal >= total_terminals) {
-      throw_terminal_out_of_range(terminal);
-    }
-    const auto t = static_cast<std::size_t>(terminal);
-    std::uint32_t u = t < rank_of_.size() ? rank_of_[t] : kNoRow;
-    if (u == kNoRow) u = rank(terminal);
-    const bool transition = is_transition(value);
-    out[transition ? front : back - 1] = 4 * u + care_index(value);
-    front += transition ? 1 : 0;
-    back -= transition ? 0 : 1;
-  }
-  bus.clear();
-  for (const BusBit& bit : p.bus_bits()) {
-    if (bit.line < 0 || bit.line >= bus_width_) {
-      throw_bus_out_of_range(bit.line);
-    }
-    const auto l = static_cast<std::size_t>(bit.line);
-    if (l >= line_row_.size()) {
-      line_row_.resize(l + 1, kNoRow);
-      pairs_.resize(l + 1);
-    }
-    if (line_row_[l] == kNoRow) line_row_[l] = add_bus_row();
-    std::vector<PairRow>& pairs = pairs_[l];
-    auto pair = std::find_if(pairs.begin(), pairs.end(), [&](const PairRow& r) {
-      return r.bit.driver_core == bit.driver_core;
-    });
-    if (pair == pairs.end()) {
-      pairs.push_back(PairRow{bit, add_bus_row()});
-      pair = pairs.end() - 1;
-    }
-    bus.push_back(line_row_[l]);
-    bus.push_back(pair->row);
-  }
-}
-
-std::vector<RowIndex::PairRow> RowIndex::sorted_pairs() const {
-  std::vector<PairRow> pairs;
-  for (const std::vector<PairRow>& line : pairs_) {
-    pairs.insert(pairs.end(), line.begin(), line.end());
-  }
-  std::sort(pairs.begin(), pairs.end(),
-            [](const PairRow& a, const PairRow& b) {
-              return a.bit.line != b.bit.line
-                         ? a.bit.line < b.bit.line
-                         : a.bit.driver_core < b.bit.driver_core;
-            });
-  return pairs;
-}
 
 /// One class-range stage: up to kStageBlocks blocks of 64 classes, bit c of
 /// block b standing for the stage's class 64b + c. Each row answers one
@@ -244,11 +232,14 @@ class Stage {
   [[nodiscard]] bool place(std::span<const std::uint32_t> care,
                            std::span<const std::uint32_t> bus);
 
-  /// Places every candidate of `in` in order; appends the ones it rejects
-  /// to `out`.
-  void place_all(const Forward& in, Forward& out);
+  /// Places every candidate of `in`, reading its rows from `rows`, in
+  /// order; appends the ids of the ones it rejects to `out`.
+  void place_all(const PatternRows& rows, const Forward& in, Forward& out);
 
   [[nodiscard]] std::size_t classes() const { return classes_; }
+  /// Candidates given to place_all(), and the ones it forwarded.
+  [[nodiscard]] std::uint64_t candidates() const { return candidates_; }
+  [[nodiscard]] std::uint64_t forwarded() const { return forwarded_; }
   /// Blocks tested over all place() calls.
   [[nodiscard]] std::uint64_t block_probes() const { return block_probes_; }
 
@@ -259,7 +250,7 @@ class Stage {
   /// set()/set_bus() is an append.
   void materialize(std::span<const std::uint32_t> by_id,
                    const std::vector<int>& terminals,
-                   std::span<const RowIndex::PairRow> pairs,
+                   std::span<const PatternRows::PairRow> pairs,
                    SiPattern* out) const;
 
  private:
@@ -278,6 +269,8 @@ class Stage {
   std::size_t care_rows_ = 0;
   std::size_t bus_rows_ = 0;
   std::size_t classes_ = 0;
+  std::uint64_t candidates_ = 0;
+  std::uint64_t forwarded_ = 0;
   std::uint64_t block_probes_ = 0;
 };
 
@@ -356,26 +349,26 @@ bool Stage::place(std::span<const std::uint32_t> care,
   return true;
 }
 
-void Stage::place_all(const Forward& in, Forward& out) {
+void Stage::place_all(const PatternRows& rows, const Forward& in,
+                      Forward& out) {
   grow(in.care_rows, in.bus_rows);
   out.care_rows = in.care_rows;
   out.bus_rows = in.bus_rows;
-  const std::uint32_t* at = in.rows.data();
-  const std::uint32_t* const end = at + in.rows.size();
-  while (at != end) {
+  const std::size_t before = out.ids.size();
+  for (const std::uint32_t id : in.ids) {
+    const std::uint32_t* const at = rows.record(id);
     const std::size_t care = at[0];
-    const std::size_t bus = 2 * static_cast<std::size_t>(at[1]);
-    const std::uint32_t* const next = at + 2 + care + bus;
-    if (!place({at + 2, care}, {at + 2 + care, bus})) {
-      out.rows.insert(out.rows.end(), at, next);
+    if (!place({at + 2, care}, {at + 2 + care, 2 * std::size_t{at[1]}})) {
+      out.ids.push_back(id);
     }
-    at = next;
   }
+  candidates_ += in.ids.size();
+  forwarded_ += out.ids.size() - before;
 }
 
 void Stage::materialize(std::span<const std::uint32_t> by_id,
                         const std::vector<int>& terminals,
-                        std::span<const RowIndex::PairRow> pairs,
+                        std::span<const PatternRows::PairRow> pairs,
                         SiPattern* out) const {
   // Block by block, so the appends go to 64 patterns at a time.
   for (std::size_t b = 0; 64 * b < classes_; ++b) {
@@ -398,7 +391,7 @@ void Stage::materialize(std::span<const std::uint32_t> by_id,
         block[c].set(terminals[u], kCareValues[v]);
       }
     }
-    for (const RowIndex::PairRow& pair : pairs) {
+    for (const PatternRows::PairRow& pair : pairs) {
       if (pair.row >= bus_rows_) continue;
       for (std::uint64_t drives = strip.bus[kStrip * pair.row + j];
            drives != 0; drives &= drives - 1) {
@@ -409,82 +402,59 @@ void Stage::materialize(std::span<const std::uint32_t> by_id,
   }
 }
 
-/// The greedy sweep as a chain of stages: stage 0 numbers the rows and
-/// places every candidate; each stage forwards what it rejects once it is
-/// full. First-fit in sweep order *is* the sweep: class k holds exactly
-/// what round k would absorb, because a pattern reaches round k's sweep iff
+/// The greedy sweep over the rows of one pattern set, as a chain of
+/// stages: each stage forwards the ids it rejects once it is full.
+/// First-fit in sweep order *is* the sweep: class k holds exactly what
+/// round k would absorb, because a pattern reaches round k's sweep iff
 /// rounds 0..k-1 rejected it, and each round's accumulator at pattern i is
 /// the union of its members before i. Staging keeps that, since a stage
 /// sees exactly the candidates every lower class rejected, in order.
 ///
 /// place() runs one chunk through every stage on the caller. A pool runs
-/// the same work as (stage, chunk) tasks (PooledSweep): place_first() is
-/// task (0, c) and stage(s).place_all() task (s, c), each stage's tasks in
+/// the same work as (stage, chunk) tasks (PooledSweep): task (s, c) is
+/// stage(s).place_all() on chunk c's candidates, each stage's tasks in
 /// chunk order.
 class Sweep {
  public:
-  Sweep(int total_terminals, int bus_width)
-      : index_(total_terminals, bus_width), first_(&stages_.emplace_back()) {}
-  // first_ points into stages_.
-  Sweep(const Sweep&) = delete;
-  Sweep& operator=(const Sweep&) = delete;
-
-  /// Task (0, c): numbers, checks and places the candidates of `in` in
-  /// stage 0; `out` gets the ones it forwards.
-  void place_first(const Chunk& in, Forward& out);
+  explicit Sweep(const PatternRows& rows) : rows_(rows) {
+    stages_.emplace_back();
+  }
 
   /// Stage s. Its address is stable while later stages are added.
   [[nodiscard]] Stage& stage(std::size_t s) { return stages_[s]; }
   /// Appends the next stage.
   void add_stage() { stages_.emplace_back(); }
+  [[nodiscard]] const PatternRows& rows() const { return rows_; }
 
   /// Task (0, c), then (1, c), ... while candidates are forwarded, on the
   /// caller.
-  void place(const Chunk& in);
+  void place(const Forward& in);
 
   [[nodiscard]] std::size_t classes() const;
-  [[nodiscard]] std::size_t patterns_in() const { return patterns_in_; }
+  [[nodiscard]] std::size_t patterns_in() const {
+    return stages_.front().candidates();
+  }
   [[nodiscard]] std::vector<SiPattern> materialize() const;
   /// Records the sweep's counters; call once every chunk is placed.
   void count() const;
 
  private:
-  RowIndex index_;
+  const PatternRows& rows_;
   std::deque<Stage> stages_;
-  Stage* first_;  // stage 0, read without touching the deque
-  std::size_t patterns_in_ = 0;
-  std::vector<std::uint32_t> care_;  // place_first() scratch: care rows
-  std::vector<std::uint32_t> bus_;   // place_first() scratch: bus rows
 };
 
-void Sweep::place_first(const Chunk& in, Forward& out) {
-  for (std::size_t i = 0; i < in.size; ++i) {
-    index_.encode(in[i], care_, bus_);
-    first_->grow(index_.care_rows(), index_.bus_rows());
-    if (!first_->place(care_, bus_)) {
-      out.rows.push_back(static_cast<std::uint32_t>(care_.size()));
-      out.rows.push_back(static_cast<std::uint32_t>(bus_.size() / 2));
-      out.rows.insert(out.rows.end(), care_.begin(), care_.end());
-      out.rows.insert(out.rows.end(), bus_.begin(), bus_.end());
-    }
-  }
-  patterns_in_ += in.size;
-  out.care_rows = index_.care_rows();
-  out.bus_rows = index_.bus_rows();
-}
-
-void Sweep::place(const Chunk& in) {
+void Sweep::place(const Forward& in) {
   Forward rows;
   {
     SITAM_TRACE_SPAN_ARG("pattern.compaction.stage", 0);
-    place_first(in, rows);
+    stages_.front().place_all(rows_, in, rows);
   }
-  for (std::size_t s = 1; !rows.rows.empty(); ++s) {
+  for (std::size_t s = 1; !rows.ids.empty(); ++s) {
     if (s == stages_.size()) add_stage();
     SITAM_TRACE_SPAN_ARG("pattern.compaction.stage",
                          static_cast<std::int64_t>(s));
     Forward next;
-    stages_[s].place_all(rows, next);
+    stages_[s].place_all(rows_, rows, next);
     rows = std::move(next);
   }
 }
@@ -496,14 +466,14 @@ std::size_t Sweep::classes() const {
 }
 
 std::vector<SiPattern> Sweep::materialize() const {
-  const std::vector<int>& terminals = index_.terminals();
+  const std::vector<int>& terminals = rows_.terminals();
   std::vector<std::uint32_t> by_id(terminals.size());
   std::iota(by_id.begin(), by_id.end(), std::uint32_t{0});
   std::sort(by_id.begin(), by_id.end(),
             [&terminals](std::uint32_t a, std::uint32_t b) {
               return terminals[a] < terminals[b];
             });
-  const std::vector<RowIndex::PairRow> pairs = index_.sorted_pairs();
+  const std::vector<PatternRows::PairRow> pairs = rows_.sorted_pairs();
   std::vector<SiPattern> out(classes());
   for (std::size_t s = 0; s < stages_.size(); ++s) {
     stages_[s].materialize(by_id, terminals, pairs,
@@ -514,30 +484,44 @@ std::vector<SiPattern> Sweep::materialize() const {
 
 void Sweep::count() const {
   std::uint64_t probes = 0;
-  for (const Stage& stage : stages_) probes += stage.block_probes();
+  std::uint64_t forwarded = 0;
+  for (const Stage& stage : stages_) {
+    probes += stage.block_probes();
+    forwarded += stage.forwarded();
+  }
   // One class per sweep round; the probe count shows how far candidates
-  // scan before they find their class.
+  // scan before they find their class, and the forward count what the
+  // stage boundaries hand on.
   SITAM_COUNTER("pattern.compaction.rounds", classes());
   SITAM_COUNTER("pattern.compaction.block_probes", probes);
-  SITAM_COUNTER("pattern.compaction.patterns_in", patterns_in_);
+  SITAM_COUNTER("pattern.compaction.forwarded", forwarded);
+  SITAM_COUNTER("pattern.compaction.patterns_in", patterns_in());
   SITAM_COUNTER("pattern.compaction.patterns_out", classes());
   SITAM_COUNTER("pattern.compaction.stages", stages_.size());
 }
 
-/// `members` in chunks: ⌈size / kChunkPatterns⌉ equal slices.
-[[nodiscard]] std::vector<Chunk> member_chunks(
-    std::span<const PatternView> patterns,
-    std::span<const std::uint32_t> members) {
-  std::vector<Chunk> chunks;
+/// `members` of closed `rows` as stage-0 inputs: ⌈size / kChunkPatterns⌉
+/// equal slices.
+[[nodiscard]] std::vector<Forward> member_chunks(
+    const PatternRows& rows, std::span<const std::uint32_t> members) {
+  std::vector<Forward> chunks;
   const std::size_t n = members.size();
   const std::size_t count = (n + kChunkPatterns - 1) / kChunkPatterns;
   for (std::size_t c = 0; c < count; ++c) {
-    const std::size_t begin = n * c / count;
-    const std::size_t end = n * (c + 1) / count;
-    chunks.push_back(
-        Chunk{patterns.data(), members.data() + begin, end - begin});
+    const auto begin = members.begin() + static_cast<std::ptrdiff_t>(n * c / count);
+    const auto end =
+        members.begin() + static_cast<std::ptrdiff_t>(n * (c + 1) / count);
+    chunks.push_back(Forward{rows.care_rows(), rows.bus_rows(), {begin, end}});
   }
   return chunks;
+}
+
+/// Published chunk `chunk` as a stage-0 input: every id it holds.
+[[nodiscard]] Forward chunk_input(const PatternRows::Chunk& chunk) {
+  Forward in{chunk.care_rows, chunk.bus_rows,
+             std::vector<std::uint32_t>(chunk.size)};
+  std::iota(in.ids.begin(), in.ids.end(), chunk.first);
+  return in;
 }
 
 /// A Sweep run as (stage, chunk) tasks on a pool. Stage s's queued inputs
@@ -556,12 +540,9 @@ void Sweep::count() const {
 /// uninstrumented reference counts: a ThreadSanitizer race).
 class PooledSweep : public std::enable_shared_from_this<PooledSweep> {
  public:
-  PooledSweep(int total_terminals, int bus_width, Executor& executor,
+  PooledSweep(const PatternRows& rows, Executor& executor,
               const CancelToken* cancel, const char* span)
-      : sweep_(total_terminals, bus_width),
-        executor_(executor),
-        cancel_(cancel),
-        lanes_(1) {
+      : sweep_(rows), executor_(executor), cancel_(cancel), lanes_(1) {
     if (span != nullptr) span_.emplace(span);
   }
 
@@ -572,14 +553,13 @@ class PooledSweep : public std::enable_shared_from_this<PooledSweep> {
                       [self = shared_from_this()] { return self->wait(); });
   }
 
-  /// Queues `chunk` for stage 0; it must stay valid until the future's
-  /// get() or wait() returns. Dropped after a failure.
-  void feed(const Chunk& chunk);
+  /// Queues `in` for stage 0. Dropped after a failure.
+  void feed(Forward in);
   /// No more chunks.
   void close();
 
  private:
-  /// The queued inputs of one stage (stage 0's are `chunks_`).
+  /// The queued inputs of one stage.
   struct Lane {
     std::deque<Forward> inbox;
     bool busy = false;  ///< A task of this stage is queued or running.
@@ -605,7 +585,6 @@ class PooledSweep : public std::enable_shared_from_this<PooledSweep> {
   std::optional<obs::ScopedSpan> span_;
   std::mutex mutex_;
   std::condition_variable finished_;
-  std::deque<Chunk> chunks_;       // guarded_by(mutex_)
   std::deque<Lane> lanes_;         // guarded_by(mutex_)
   std::size_t busy_ = 0;           // guarded_by(mutex_): lanes busy
   bool closed_ = false;            // guarded_by(mutex_)
@@ -627,20 +606,20 @@ void PooledSweep::submit(std::size_t s) {
 }
 
 bool PooledSweep::release_locked(std::size_t s) {
-  if (s == 0) chunks_.clear();
   lanes_[s].inbox.clear();
   lanes_[s].busy = false;
   --busy_;
   return busy_ == 0 && closed_;
 }
 
-void PooledSweep::feed(const Chunk& chunk) {
+void PooledSweep::feed(Forward in) {
   {
     const std::lock_guard lock(mutex_);
     if (error_ || closed_) return;
-    chunks_.push_back(chunk);
-    if (lanes_.front().busy) return;
-    lanes_.front().busy = true;
+    Lane& first = lanes_.front();
+    first.inbox.push_back(std::move(in));
+    if (first.busy) return;
+    first.busy = true;
     ++busy_;
   }
   submit(0);
@@ -656,19 +635,13 @@ void PooledSweep::close() {
 }
 
 void PooledSweep::run(std::size_t s) {
-  Chunk chunk;
   Forward in;
   Stage* stage = nullptr;
   bool failed = false;
   {
     const std::lock_guard lock(mutex_);
-    if (s == 0) {
-      chunk = chunks_.front();
-      chunks_.pop_front();
-    } else {
-      in = std::move(lanes_[s].inbox.front());
-      lanes_[s].inbox.pop_front();
-    }
+    in = std::move(lanes_[s].inbox.front());
+    lanes_[s].inbox.pop_front();
     stage = &sweep_.stage(s);
     failed = error_ != nullptr;
   }
@@ -679,11 +652,7 @@ void PooledSweep::run(std::size_t s) {
                          static_cast<std::int64_t>(s));
     try {
       check_cancel(cancel_);
-      if (s == 0) {
-        sweep_.place_first(chunk, out);
-      } else {
-        stage->place_all(in, out);
-      }
+      stage->place_all(sweep_.rows(), in, out);
     } catch (...) {
       error = std::current_exception();
     }
@@ -697,7 +666,7 @@ void PooledSweep::run(std::size_t s) {
     const std::lock_guard lock(mutex_);
     if (error && !error_) error_ = error;
     error = nullptr;  // the sweep's copy is the only one left here
-    if (!error_ && !out.rows.empty()) {
+    if (!error_ && !out.ids.empty()) {
       if (lanes_.size() == s + 1) {
         lanes_.emplace_back();
         sweep_.add_stage();
@@ -710,8 +679,7 @@ void PooledSweep::run(std::size_t s) {
         next[submits++] = s + 1;
       }
     }
-    const bool more = s == 0 ? !chunks_.empty() : !lanes_[s].inbox.empty();
-    if (more && !error_) {
+    if (!lanes_[s].inbox.empty() && !error_) {
       next[submits++] = s;
     } else {
       last = release_locked(s);
@@ -753,38 +721,17 @@ std::size_t PooledSweep::wait() {
   std::rethrow_exception(error);
 }
 
-/// Places every chunk of `chunks` on the caller, chunk by chunk through
-/// every stage; `cancel` is checked before each chunk.
-void place_all(Sweep& sweep, std::span<const Chunk> chunks,
-               const CancelToken* cancel) {
-  for (const Chunk& chunk : chunks) {
-    check_cancel(cancel);
-    sweep.place(chunk);
-  }
-}
-
-/// Every chunk of `store` as it is published, on the caller.
-void place_all(Sweep& sweep, const RawPatternStore& store,
-               const CancelToken* cancel) {
-  for (std::size_t k = 0;; ++k) {
-    const RawPatternStore::Chunk* chunk = store.wait_chunk(k);
-    if (chunk == nullptr) return;
-    check_cancel(cancel);
-    sweep.place(Chunk{chunk->data(), nullptr, chunk->size()});
-  }
-}
-
-/// The count of a sweep that `place` feeds on the caller, as a ready
-/// future holding the count or the exception; a non-null `span` names a
-/// trace span over it (arg: the patterns placed).
+/// The count of a sweep over `rows` that `place` feeds on the caller, as
+/// a ready future holding the count or the exception; a non-null `span`
+/// names a trace span over it (arg: the patterns placed).
 template <typename Place>
 [[nodiscard]] std::future<std::size_t> count_on_caller(
-    int total_terminals, int bus_width, const char* span, const Place& place) {
+    const PatternRows& rows, const char* span, const Place& place) {
   std::promise<std::size_t> done;
   try {
     std::optional<obs::ScopedSpan> scope;
     if (span != nullptr) scope.emplace(span);
-    Sweep sweep(total_terminals, bus_width);
+    Sweep sweep(rows);
     place(sweep);
     sweep.count();
     if (scope) scope->set_arg(static_cast<std::int64_t>(sweep.patterns_in()));
@@ -803,23 +750,34 @@ template <typename Place>
   return members;
 }
 
-void check_members(std::span<const PatternView> patterns,
-                   std::span<const std::uint32_t> members) {
+void check_members(std::size_t size, std::span<const std::uint32_t> members) {
   for (const std::uint32_t i : members) {
-    if (i >= patterns.size()) {
+    if (i >= size) {
       throw std::out_of_range("compact_greedy_count: member " +
                               std::to_string(i) + " outside the pattern set");
     }
   }
 }
 
-/// The materialized sweep of `members` of `patterns`, on the caller.
+/// Encodes `patterns` into `rows`, in order, and closes them.
+void encode(std::span<const PatternView> patterns, PatternRows& rows) {
+  for (const PatternView& p : patterns) rows.add(p);
+  rows.close();
+  SITAM_COUNTER("pattern.rows.words", rows.words());
+}
+
+/// The materialized sweep of `members` of `patterns`, encoded in input
+/// order (so ids are checked in input order), on the caller.
 [[nodiscard]] std::vector<SiPattern> sweep_patterns(
-    std::span<const PatternView> patterns,
+    std::span<const SiPattern> patterns,
     std::span<const std::uint32_t> members, int total_terminals,
     int bus_width) {
-  Sweep sweep(total_terminals, bus_width);
-  place_all(sweep, member_chunks(patterns, members), nullptr);
+  PatternRows rows(total_terminals, bus_width);
+  encode(pattern_views(patterns), rows);
+  Sweep sweep(rows);
+  for (const Forward& chunk : member_chunks(rows, members)) {
+    sweep.place(chunk);
+  }
   sweep.count();
   return sweep.materialize();
 }
@@ -836,59 +794,59 @@ CompactionResult compact_greedy(std::span<const SiPattern> patterns,
   Stopwatch watch;
   CompactionResult result;
   result.stats.original_count = patterns.size();
-  result.patterns =
-      sweep_patterns(pattern_views(patterns), all_members(patterns.size()),
-                     total_terminals, bus_width);
+  result.patterns = sweep_patterns(patterns, all_members(patterns.size()),
+                                   total_terminals, bus_width);
   result.stats.compacted_count = result.patterns.size();
   result.stats.seconds = watch.seconds();
   return result;
 }
 
 std::future<std::size_t> start_greedy_count(
-    std::span<const PatternView> patterns,
-    std::span<const std::uint32_t> members, int total_terminals,
-    int bus_width, Executor& executor, const CancelToken* cancel,
-    const char* span) {
-  check_dimensions(total_terminals, bus_width);
-  check_members(patterns, members);
+    const PatternRows& rows, std::span<const std::uint32_t> members,
+    Executor& executor, const CancelToken* cancel, const char* span) {
+  check_members(rows.size(), members);
   check_cancel(cancel);
-  const std::vector<Chunk> chunks = member_chunks(patterns, members);
+  std::vector<Forward> chunks = member_chunks(rows, members);
   if (executor.size() == 1) {
-    return count_on_caller(total_terminals, bus_width, span,
-                           [&](Sweep& sweep) {
-                             place_all(sweep, chunks, cancel);
-                           });
+    return count_on_caller(rows, span, [&](Sweep& sweep) {
+      for (const Forward& chunk : chunks) {
+        check_cancel(cancel);
+        sweep.place(chunk);
+      }
+    });
   }
-  const auto pooled = std::make_shared<PooledSweep>(
-      total_terminals, bus_width, executor, cancel, span);
+  const auto pooled =
+      std::make_shared<PooledSweep>(rows, executor, cancel, span);
   std::future<std::size_t> result = pooled->result();
-  for (const Chunk& chunk : chunks) pooled->feed(chunk);
+  for (Forward& chunk : chunks) pooled->feed(std::move(chunk));
   pooled->close();
   return result;
 }
 
-std::future<std::size_t> start_greedy_count(const RawPatternStore& store,
-                                            int total_terminals,
-                                            int bus_width, Executor& executor,
+std::future<std::size_t> start_greedy_count(const PatternRows& rows,
+                                            Executor& executor,
                                             const CancelToken* cancel,
                                             const char* span) {
-  check_dimensions(total_terminals, bus_width);
   check_cancel(cancel);
   if (executor.size() == 1) {
-    return count_on_caller(total_terminals, bus_width, span,
-                           [&](Sweep& sweep) {
-                             place_all(sweep, store, cancel);
-                           });
+    return count_on_caller(rows, span, [&](Sweep& sweep) {
+      for (std::size_t k = 0;; ++k) {
+        const PatternRows::Chunk* chunk = rows.wait_chunk(k);
+        if (chunk == nullptr) return;
+        check_cancel(cancel);
+        sweep.place(chunk_input(*chunk));
+      }
+    });
   }
-  const auto pooled = std::make_shared<PooledSweep>(
-      total_terminals, bus_width, executor, cancel, span);
+  const auto pooled =
+      std::make_shared<PooledSweep>(rows, executor, cancel, span);
   std::future<std::size_t> result = pooled->result();
   // The feeder waits on the writer, never on a stage.
-  (void)executor.submit([pooled, &store] {
+  (void)executor.submit([pooled, &rows] {
     for (std::size_t k = 0;; ++k) {
-      const RawPatternStore::Chunk* chunk = store.wait_chunk(k);
+      const PatternRows::Chunk* chunk = rows.wait_chunk(k);
       if (chunk == nullptr) break;
-      pooled->feed(Chunk{chunk->data(), nullptr, chunk->size()});
+      pooled->feed(chunk_input(*chunk));
     }
     pooled->close();
   });
@@ -898,10 +856,14 @@ std::future<std::size_t> start_greedy_count(const RawPatternStore& store,
 std::size_t compact_greedy_count(std::span<const PatternView> patterns,
                                  std::span<const std::uint32_t> members,
                                  int total_terminals, int bus_width) {
+  check_dimensions(total_terminals, bus_width);
+  check_members(patterns.size(), members);
+  PatternRows rows(total_terminals, bus_width);
+  for (const std::uint32_t i : members) rows.add(patterns[i]);
+  rows.close();
+  SITAM_COUNTER("pattern.rows.words", rows.words());
   Executor caller(1);
-  return start_greedy_count(patterns, members, total_terminals, bus_width,
-                            caller)
-      .get();
+  return start_greedy_count(rows, caller).get();
 }
 
 std::size_t compact_greedy_count(std::span<const SiPattern> patterns,
@@ -909,17 +871,6 @@ std::size_t compact_greedy_count(std::span<const SiPattern> patterns,
                                  int total_terminals, int bus_width) {
   return compact_greedy_count(pattern_views(patterns), members,
                               total_terminals, bus_width);
-}
-
-std::size_t compact_greedy_count(const RawPatternStore& store,
-                                 int total_terminals, int bus_width,
-                                 const CancelToken* cancel) {
-  check_dimensions(total_terminals, bus_width);
-  return count_on_caller(total_terminals, bus_width, nullptr,
-                         [&](Sweep& sweep) {
-                           place_all(sweep, store, cancel);
-                         })
-      .get();
 }
 
 CompactionResult compact_first_fit(std::span<const SiPattern> patterns,
@@ -931,14 +882,11 @@ CompactionResult compact_first_fit(std::span<const SiPattern> patterns,
   CompactionResult result;
   result.stats.original_count = patterns.size();
 
-  // Ids are checked in input order, so a bad id throws the same error
-  // whichever order the patterns are then placed in.
-  for (const SiPattern& p : patterns) {
-    check_ids(p, total_terminals, bus_width);
-  }
   // Welsh-Powell order: densest (hardest to place) patterns first. The
   // density keys are computed once up front — not inside the comparator,
   // which would recompute them on every one of the O(n log n) comparisons.
+  // The patterns are encoded in input order, so a bad id throws the same
+  // error whichever order they are then placed in.
   std::vector<int> density(patterns.size());
   for (std::size_t i = 0; i < patterns.size(); ++i) {
     density[i] = patterns[i].care_count() +
@@ -949,8 +897,8 @@ CompactionResult compact_first_fit(std::span<const SiPattern> patterns,
                    [&density](std::uint32_t a, std::uint32_t b) {
                      return density[a] > density[b];
                    });
-  result.patterns = sweep_patterns(pattern_views(patterns), order,
-                                   total_terminals, bus_width);
+  result.patterns =
+      sweep_patterns(patterns, order, total_terminals, bus_width);
 
   result.stats.compacted_count = result.patterns.size();
   result.stats.seconds = watch.seconds();

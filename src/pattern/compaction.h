@@ -27,18 +27,29 @@
 // class counts and the materialized patterns are those of the serial
 // kernel, byte for byte, whatever runs the stages.
 //
-// Stage 0 numbers the rows: a terminal, line or pair gets its rows the
-// first time a candidate uses it, and each forwarded candidate carries its
-// row ids, so later stages never read a pattern. A sweep of C classes over
-// U used terminals, B used bus lines and P ≤ B·D distinct (line, driver)
-// pairs holds ⌈C/64⌉ × (4·U + B + P) words (rounded up to whole strips),
-// independent of the declared terminal space, plus the forwarded row lists
-// in flight, each freed once the next stage has placed it. Nothing reads a
-// care list in order, so the kernel takes PatternViews of unsorted store
-// patterns and of SiPatterns alike.
+// Rows are numbered once per pattern set, by the one writer of a
+// PatternRows, never by the kernel: a terminal gets care rows 4u..4u+3 (u
+// its rank in first-use order over the whole set, the cares of each
+// pattern written transitions first), and a bus line and each (line,
+// driver) pair a bus row, the first time a pattern uses it. In the
+// workload prepare that writer is the care-set index (sitest/group.cpp),
+// which encodes each RawPatternStore chunk beside the draw, publishes row
+// chunk k with the row counts numbered so far, and then frees pair chunk
+// k; compact_greedy, compact_first_fit and the SiPattern form of
+// build_si_test_sets encode their span the same way first. Every count of
+// the set — the streamed i = 1 count and every group's member-list count —
+// then reads the same rows. A forward between stages carries pattern ids
+// and the row bound, not rows, so stage s reads a candidate's rows by id.
+// A sweep of C classes over U used terminals, B used bus lines and P ≤ B·D
+// distinct (line, driver) pairs holds ⌈C/64⌉ × (4·U + B + P) words
+// (rounded up to whole strips), counted over the whole set's rows,
+// independent of the declared terminal space, plus the forwarded ids in
+// flight, each list freed once the next stage has placed it. Nothing reads
+// a care list in order, so the encoder takes PatternViews of unsorted
+// store patterns and of SiPatterns alike.
 //
-// Input arrives in chunks: a RawPatternStore chunk, or one of
-// ⌈n / RawPatternStore::kChunkPatterns⌉ equal slices of a member list. On
+// Input arrives in chunks: a published PatternRows chunk, or one of
+// ⌈n / kCompactionChunkPatterns⌉ equal slices of a member list. On
 // a pool the unit of work is one (stage, chunk) task, started as a
 // continuation once (stage, chunk − 1) and (stage − 1, chunk) are done, so
 // stages run side by side on different chunks and no task waits on
@@ -53,11 +64,12 @@
 //    accumulator at pattern i is the union of its members before i). So
 //    each candidate is placed once instead of re-probed every round.
 //
-//    compact_greedy_count runs the same sweep over a member list of a
-//    larger set, or over a whole RawPatternStore as its chunks are
-//    published, and returns only the class count: the 2-D compaction
-//    (sitest) needs nothing else, and skips building the patterns.
-//    start_greedy_count is the same count as stage tasks on an Executor.
+//    start_greedy_count runs the same sweep over a member list of an
+//    encoded set, or over every pattern of a PatternRows as its chunks are
+//    published, as stage tasks on an Executor, and returns only the class
+//    count: the 2-D compaction (sitest) needs nothing else, and skips
+//    building the patterns. compact_greedy_count is that count over a
+//    member list of a span, on the caller.
 //
 //  * compact_first_fit — a classical clique-cover approximation:
 //    Welsh-Powell-style first-fit coloring of the conflict graph. The same
@@ -70,15 +82,25 @@
 // lives with the tests (tests/compaction_oracle.h).
 #pragma once
 
+#include <array>
+#include <bit>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <deque>
 #include <future>
+#include <memory>
+#include <mutex>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
+#include "pattern/packed.h"
 #include "pattern/pattern.h"
 #include "pattern/raw_store.h"
 #include "util/cancel.h"
+#include "util/check.h"
 #include "util/thread_pool.h"
 
 namespace sitam {
@@ -86,6 +108,8 @@ namespace sitam {
 /// Classes per stage of the first-fit kernel (12 blocks of 64; see the
 /// header comment).
 inline constexpr std::size_t kCompactionStageClasses = 12 * 64;
+/// Most members per stage-0 chunk of a member-list count.
+inline constexpr std::size_t kCompactionChunkPatterns = 4096;
 
 struct CompactionStats {
   std::size_t original_count = 0;
@@ -122,11 +146,237 @@ struct CompactionConfig {
     std::span<const SiPattern> patterns, int total_terminals, int bus_width,
     const CompactionConfig& config = {});
 
-/// Compacted count of the greedy sweep over the `members` of `patterns`
-/// (indices, in sweep order): compact_greedy(those patterns, ...)
-/// .patterns.size(), without building the compacted patterns. Same
-/// dimension and id checks as compact_greedy, in member order; a member
-/// outside `patterns` throws std::out_of_range.
+/// The kernel rows of one pattern set (see the header comment), written
+/// once by one thread and read by every compaction of the set. Every
+/// `chunk_patterns` patterns form a chunk, published with the row counts
+/// numbered so far; a published chunk never moves, so readers on other
+/// threads read its rows (wait_chunk, record) while the writer encodes
+/// the next one. The rank and line tables are allocated once and the pair
+/// list only appends, so none of them moves either. After close() the
+/// whole set reads by id.
+class PatternRows {
+ public:
+  /// One published chunk: patterns [first, first + size), whose rows all
+  /// lie below `care_rows` and `bus_rows`.
+  struct Chunk {
+    std::uint32_t first = 0;
+    std::uint32_t size = 0;
+    std::size_t care_rows = 0;
+    std::size_t bus_rows = 0;
+  };
+  /// A (line, driver) pair and its bus row.
+  struct PairRow {
+    BusBit bit;
+    std::uint32_t row = 0;
+  };
+
+  /// Rows of patterns over terminals [0, total_terminals) and bus lines
+  /// [0, bus_width). Throws std::invalid_argument for negative dimensions
+  /// or a chunk_patterns of 0 or UINT32_MAX and up.
+  PatternRows(int total_terminals, int bus_width,
+              std::size_t chunk_patterns = RawPatternStore::kChunkPatterns);
+
+  PatternRows(const PatternRows&) = delete;
+  PatternRows& operator=(const PatternRows&) = delete;
+
+  // Writer side: one thread, before close().
+
+  /// Checks `p`'s ids and appends its rows as the next pattern; publishes
+  /// the open chunk when it is full. Throws std::out_of_range for the
+  /// first terminal, then bus line, outside the declared space (adding
+  /// nothing), std::logic_error after close().
+  void add(const PatternView& p) {
+    add(p, [](int) {}, [](const BusBit&) {});
+  }
+  /// The same, handing each id to the caller in the same pass once it is
+  /// checked: `on_care(terminal)` per care, then `on_bus(bit)` per bus
+  /// bit, in input order. Whatever they throw adds nothing either.
+  template <typename OnCare, typename OnBus>
+  void add(const PatternView& p, const OnCare& on_care, const OnBus& on_bus);
+  /// Publishes the open chunk, if it holds any pattern, and marks the
+  /// end of the set. Idempotent.
+  void close();
+
+  // Reader side.
+
+  /// Blocks until chunk `k` is published (returns it) or the set is
+  /// closed with fewer chunks (returns nullptr). Safe on any thread while
+  /// the writer adds.
+  [[nodiscard]] const Chunk* wait_chunk(std::size_t k) const;
+
+  /// Pattern `id`'s record: its care-row count c, its bus-bit count b,
+  /// its c care rows (transitions first), then b (line row, pair row)
+  /// pairs. The pattern's chunk must be published to the calling thread
+  /// (through wait_chunk, or close()).
+  [[nodiscard]] const std::uint32_t* record(std::uint32_t id) const {
+    return slot(id / chunk_patterns_).start[id % chunk_patterns_];
+  }
+
+  /// After close(): the number of patterns and rows, the terminal id per
+  /// rank, and every (line, driver) pair with its row in (line, driver)
+  /// order.
+  [[nodiscard]] std::size_t size() const;
+  [[nodiscard]] std::size_t care_rows() const;
+  [[nodiscard]] std::size_t bus_rows() const;
+  /// The words of every record (2 + c + 2·b per pattern).
+  [[nodiscard]] std::size_t words() const;
+  [[nodiscard]] const std::vector<int>& terminals() const;
+  [[nodiscard]] std::vector<PairRow> sorted_pairs() const;
+
+ private:
+  /// Frees what calloc() allocated.
+  struct Free {
+    void operator()(void* p) const { std::free(p); }
+  };
+  /// A bus line's row + 1 and the head of its pair list + 1 (0: none).
+  struct Line {
+    std::uint32_t row = 0;
+    std::uint32_t pairs = 0;
+  };
+  /// Words per row segment (64 KiB, as the store's): allocations below
+  /// the size the allocator maps and unmaps, so they reuse freed heap.
+  static constexpr std::size_t kSegmentWords = 16384;
+
+  /// A chunk's rows: its records in segments that never move (a record
+  /// never straddles two; a chunk's first segment is sized to about twice
+  /// what the previous chunk held), and each pattern's record.
+  struct Slot {
+    Chunk chunk;
+    std::vector<std::vector<std::uint32_t>> segments;
+    std::vector<const std::uint32_t*> start;
+  };
+  /// A pair row, and the next pair of its line + 1 (0: the last).
+  struct PairNode {
+    PairRow pair;
+    std::uint32_t next = 0;
+  };
+
+  /// Slot of chunk k: slot group j = bit_width(k + 1) − 1 holds the 2^j
+  /// chunks from 2^j − 1 on, so a slot never moves once allocated and a
+  /// reader indexes it without the lock.
+  [[nodiscard]] const Slot& slot(std::size_t k) const {
+    const auto j = static_cast<std::size_t>(std::bit_width(k + 1)) - 1;
+    return slots_[j][k + 1 - (std::size_t{1} << j)];
+  }
+  [[nodiscard]] std::uint32_t add_rank(int terminal);
+  [[nodiscard]] std::uint32_t pair_row(Line& line, const BusBit& bit);
+  [[nodiscard]] std::uint32_t add_bus_row();
+  /// Room for `words` more words of the open chunk, which it opens.
+  [[nodiscard]] std::vector<std::uint32_t>& segment_for(std::size_t words);
+  void publish();
+
+  const int total_terminals_;
+  const int bus_width_;
+  const std::uint32_t chunk_patterns_;
+  std::array<std::unique_ptr<Slot[]>, 33> slots_;
+  // Writer only (readable after close()). The rank and line tables are
+  // zero-filled by calloc() and allocated once: pages never written stay
+  // unbacked, so a large declared space costs only the ids in use.
+  std::unique_ptr<std::uint32_t[], Free> ranks_;  // terminal -> rank + 1
+  std::unique_ptr<Line[], Free> lines_;
+  std::deque<PairNode> pairs_;
+  std::vector<int> terminals_;  // rank -> terminal id
+  std::uint32_t bus_rows_ = 0;
+  Slot* open_ = nullptr;         // the chunk being written, if any
+  std::size_t first_segment_ = kSegmentWords;  // its first one's size
+  std::size_t published_ = 0;  // chunks
+  std::uint32_t next_ = 0;     // patterns added
+  std::size_t words_ = 0;      // record words published
+  bool sealed_ = false;
+  mutable std::mutex mutex_;
+  mutable std::condition_variable ready_;
+  std::size_t ready_chunks_ = 0;  // guarded_by(mutex_)
+  bool closed_ = false;           // guarded_by(mutex_)
+};
+
+template <typename OnCare, typename OnBus>
+void PatternRows::add(const PatternView& p, const OnCare& on_care,
+                      const OnBus& on_bus) {
+  if (sealed_) throw std::logic_error("PatternRows: rows are closed");
+  SITAM_CHECK_MSG(next_ < UINT32_MAX, "compaction: too many patterns");
+  const auto cares = p.assignments();
+  const auto bus = p.bus_bits();
+  std::vector<std::uint32_t>& segment =
+      segment_for(2 + cares.size() + 2 * bus.size());
+  const std::size_t at = segment.size();
+  segment.resize(at + 2 + cares.size() + 2 * bus.size());
+  try {
+    // Locals, so the stores into the record need not reload the members.
+    const int total_terminals = total_terminals_;
+    const std::uint32_t* const ranks = ranks_.get();
+    std::uint32_t* const out = segment.data() + at;
+    out[0] = static_cast<std::uint32_t>(cares.size());
+    out[1] = static_cast<std::uint32_t>(bus.size());
+    // Transitions fill from the front, stable values from the back:
+    // transition rows reject most classes, so a probe can usually stop
+    // reading a strip after them.
+    std::size_t front = 2;
+    std::size_t back = 2 + cares.size();
+    for (const auto& [terminal, value] : cares) {
+      if (terminal < 0 || terminal >= total_terminals) {
+        throw_terminal_out_of_range(terminal);
+      }
+      on_care(terminal);
+      std::uint32_t entry = ranks[terminal];
+      if (entry == 0) entry = add_rank(terminal);
+      const bool transition = is_transition(value);
+      // Row 4u + v of rank u = entry - 1 and care value v = value - 1.
+      out[transition ? front : back - 1] =
+          4 * entry - 5 + static_cast<std::uint32_t>(value);
+      front += transition ? 1 : 0;
+      back -= transition ? 0 : 1;
+    }
+    std::uint32_t* row = out + 2 + cares.size();
+    for (const BusBit& bit : bus) {
+      if (bit.line < 0 || bit.line >= bus_width_) {
+        throw_bus_out_of_range(bit.line);
+      }
+      on_bus(bit);
+      Line& line = lines_[static_cast<std::size_t>(bit.line)];
+      if (line.row == 0) line.row = add_bus_row() + 1;
+      *row++ = line.row - 1;
+      *row++ = pair_row(line, bit);
+    }
+    open_->start.push_back(out);
+  } catch (...) {
+    segment.resize(at);
+    throw;
+  }
+  ++next_;
+  if (open_->start.size() == chunk_patterns_) publish();
+}
+
+/// The greedy sweep's compacted count over the `members` of closed
+/// `rows` (ids, in sweep order), run as (stage, chunk) tasks on
+/// `executor`: compact_greedy(those patterns, ...).patterns.size(),
+/// without building the compacted patterns. On a pool it returns at once;
+/// on one thread (executor.size() == 1) the count runs before it returns.
+/// The future holds the count or the first exception a task threw
+/// (sitam::Cancelled: `cancel` is checked before every task); its get()
+/// and wait() return only once every task has returned, so `rows` and
+/// `members` must outlive that wait. A member outside `rows` throws
+/// std::out_of_range and a cancelled `cancel` sitam::Cancelled here,
+/// before anything starts. A non-null `span` names a trace span over the
+/// whole count (arg: the patterns placed), closed on the thread that
+/// finishes it.
+[[nodiscard]] std::future<std::size_t> start_greedy_count(
+    const PatternRows& rows, std::span<const std::uint32_t> members,
+    Executor& executor, const CancelToken* cancel = nullptr,
+    const char* span = nullptr);
+
+/// The same over every pattern of `rows`, in id order. On a pool one task
+/// waits for each chunk as `rows` publishes it and queues it for stage 0,
+/// so this may start before `rows` is written, and the future's wait ends
+/// once `rows` is closed and every chunk is placed. On one thread `rows`
+/// must be closed, or written by another thread.
+[[nodiscard]] std::future<std::size_t> start_greedy_count(
+    const PatternRows& rows, Executor& executor,
+    const CancelToken* cancel = nullptr, const char* span = nullptr);
+
+/// The compacted count of the `members` of `patterns` (indices, in sweep
+/// order) on the caller: the members are encoded, in member order, into
+/// rows of their own. Same dimension and id checks as compact_greedy, in
+/// member order; a member outside `patterns` throws std::out_of_range.
 [[nodiscard]] std::size_t compact_greedy_count(
     std::span<const PatternView> patterns,
     std::span<const std::uint32_t> members, int total_terminals,
@@ -135,42 +385,6 @@ struct CompactionConfig {
     std::span<const SiPattern> patterns,
     std::span<const std::uint32_t> members, int total_terminals,
     int bus_width);
-
-/// Compacted count of the greedy sweep over every pattern of `store`, in
-/// store order. Places each chunk as soon as it is published, so it can
-/// run on another thread while the store is being written; returns once
-/// the store is closed and every chunk is placed. Same checks as
-/// compact_greedy; `cancel` is checked before each chunk (nullptr = never
-/// cancelled) and throws sitam::Cancelled.
-[[nodiscard]] std::size_t compact_greedy_count(
-    const RawPatternStore& store, int total_terminals, int bus_width,
-    const CancelToken* cancel = nullptr);
-
-/// compact_greedy_count over the `members` of `patterns`, run as (stage,
-/// chunk) tasks on `executor`. On a pool it returns at once; on one thread
-/// (executor.size() == 1) the count runs before it returns. The future
-/// holds the count or the first exception a task threw (an id outside the
-/// declared space, or sitam::Cancelled: `cancel` is checked before every
-/// task); its get() and wait() return only once every task has returned,
-/// so `patterns` and `members` must outlive that wait. Dimensions,
-/// members and `cancel` are also checked before anything starts, and
-/// throw here. A non-null `span` names a trace span over the whole count
-/// (arg: the patterns placed), closed on the thread that finishes it.
-[[nodiscard]] std::future<std::size_t> start_greedy_count(
-    std::span<const PatternView> patterns,
-    std::span<const std::uint32_t> members, int total_terminals,
-    int bus_width, Executor& executor, const CancelToken* cancel = nullptr,
-    const char* span = nullptr);
-
-/// The same over every pattern of `store`, in store order. On a pool one
-/// task waits for each chunk as the store publishes it and queues it for
-/// stage 0, so this may start before the store is written, and the
-/// future's wait ends once the store is closed and every chunk is placed.
-/// On one thread the store must already be closed.
-[[nodiscard]] std::future<std::size_t> start_greedy_count(
-    const RawPatternStore& store, int total_terminals, int bus_width,
-    Executor& executor, const CancelToken* cancel = nullptr,
-    const char* span = nullptr);
 
 /// First-fit clique-cover approximation (reference quality bar). Same
 /// dimension and id checks as compact_greedy.

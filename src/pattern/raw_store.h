@@ -1,20 +1,27 @@
 // Append-only, chunked store of raw SI patterns, and the read-only pattern
 // view the care-set index and the compaction kernel read.
 //
-// A raw §5 set is written once, read by index a few times, and never
-// mutated, so it needs neither SiPattern's two heap lists per pattern nor
-// sorted care lists: nothing that reads a raw set walks a care list in
-// order. The store appends every pattern's (terminal, value) cares and bus
-// bits to fixed-size segments (a pattern never straddles two), so nothing
-// is ever copied or regrown and the only slack is the unfilled tail of the
-// last segment. Segments are 64 KiB, below the size at which the allocator
-// maps and unmaps blocks, so a store's memory is recycled by the next one
-// instead of being held as free space of a larger heap.
+// A raw §5 set is written once, read once in order, and never mutated, so
+// it needs neither SiPattern's two heap lists per pattern nor sorted care
+// lists: nothing that reads a raw set walks a care list in order. The
+// store appends every pattern's (terminal, value) cares and bus bits to
+// fixed-size segments (a pattern never straddles two), so nothing is ever
+// copied or regrown and the only slack is the unfilled tail of each
+// chunk's last segment. Segments are at most 64 KiB, below the size at
+// which the allocator maps and unmaps blocks, so a store's memory is
+// recycled by the next one instead of being held as free space of a
+// larger heap.
 //
 // One writer appends patterns; every `chunk_patterns` patterns form a
-// chunk, published with one view per pattern. Published chunks never move,
-// so a reader on another thread can walk chunk k (wait_chunk) while the
-// writer fills chunk k + 1. After close() the whole store reads by index.
+// chunk, published with one view per pattern and owning the segments its
+// patterns were written to. Published chunks never move, so a reader on
+// another thread can walk chunk k (wait_chunk) while the writer fills
+// chunk k + 1. In the workload prepare the one reader is the care-set
+// index, which also numbers each pattern's kernel rows (PatternRows,
+// pattern/compaction.h): once it has read chunk k and published row chunk
+// k it frees pair chunk k (release), so a raw set's pairs and its rows
+// never both hold the whole set. Before any release, and after close(),
+// the whole store also reads by index.
 #pragma once
 
 #include <algorithm>
@@ -68,10 +75,16 @@ class PatternView {
 
 class RawPatternStore {
  public:
-  /// Patterns per published chunk in the workload prepare.
-  static constexpr std::size_t kChunkPatterns = 4096;
+  /// Patterns per published chunk in the workload prepare. A quarter of
+  /// the member-list chunk of the compaction kernel: the store's pool
+  /// worker holds the chunks its reader has not released yet, about
+  /// three, and at 4 096 patterns a p93791 N_r = 10 000 prepare held
+  /// 4–5 MB more peak RSS than at 1 024.
+  static constexpr std::size_t kChunkPatterns = 1024;
   /// Entries per storage segment (64 KiB of cares or of bus bits); a
-  /// longer pattern gets a segment of its own size.
+  /// longer pattern gets a segment of its own size, and a chunk's first
+  /// segment is sized to about twice what the previous chunk held, so
+  /// small chunks keep small segments.
   static constexpr std::size_t kSegmentEntries = 8192;
 
   /// One published chunk: the views of patterns k * chunk_patterns()
@@ -104,11 +117,19 @@ class RawPatternStore {
 
   /// Blocks until chunk `k` is published (returns it) or the store is
   /// closed with fewer chunks (returns nullptr). Safe on any thread while
-  /// the writer appends; the chunk stays valid for the store's lifetime.
+  /// the writer appends; the chunk stays valid until release(k).
   [[nodiscard]] const Chunk* wait_chunk(std::size_t k) const;
 
-  /// After close(): the number of patterns, and one view per pattern in
-  /// store order.
+  /// Frees published chunk `k`'s views and entries, for a reader that is
+  /// done with them: while the store is open the writer reuses its
+  /// full-size segments for later chunks, so a store read as it is
+  /// written holds only the chunks not yet released; once it is closed
+  /// they go back to the allocator. The chunk reads as empty afterwards, and views() may no
+  /// longer be called. Safe while the writer appends.
+  void release(std::size_t k);
+
+  /// After close(): the number of patterns, and (before any release) one
+  /// view per pattern in store order.
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::vector<PatternView> views() const;
 
@@ -123,6 +144,8 @@ class RawPatternStore {
   template <typename T>
   class Segments {
    public:
+    using List = std::vector<std::vector<T>>;
+
     void push(const T& entry) {
       if (segments_.empty() ||
           segments_.back().size() == segments_.back().capacity()) {
@@ -142,13 +165,33 @@ class RawPatternStore {
     void drop_pattern() {
       if (!segments_.empty()) segments_.back().resize(begin_);
     }
+    /// Hands over every segment, between patterns: the entries of the
+    /// chunk just ended. The next chunk starts a fresh segment.
+    [[nodiscard]] List take() {
+      std::size_t entries = 0;
+      for (const std::vector<T>& segment : segments_) entries += segment.size();
+      first_capacity_ = std::clamp<std::size_t>(2 * entries, 64, kSegmentEntries);
+      begin_ = 0;
+      return std::exchange(segments_, {});
+    }
+    /// Adds emptied full-size segments for grow() to reuse.
+    void recycle(List&& spare) {
+      for (std::vector<T>& segment : spare) spare_.push_back(std::move(segment));
+    }
 
    private:
     void grow() {
       const std::size_t pending =
           segments_.empty() ? 0 : segments_.back().size() - begin_;
+      const std::size_t capacity = std::max(
+          segments_.empty() ? first_capacity_ : kSegmentEntries, 2 * pending);
       std::vector<T> segment;
-      segment.reserve(std::max(kSegmentEntries, 2 * pending));
+      if (!spare_.empty() && capacity <= kSegmentEntries) {
+        segment = std::move(spare_.back());
+        spare_.pop_back();
+      } else {
+        segment.reserve(capacity);
+      }
       if (pending > 0) {
         std::vector<T>& last = segments_.back();
         segment.assign(last.begin() + static_cast<std::ptrdiff_t>(begin_),
@@ -159,12 +202,21 @@ class RawPatternStore {
       begin_ = 0;
     }
 
-    std::vector<std::vector<T>> segments_;
+    List segments_;
+    List spare_;             ///< Empty, kSegmentEntries capacity each.
     std::size_t begin_ = 0;  ///< First entry of the pattern being written.
+    std::size_t first_capacity_ = kSegmentEntries;  ///< A chunk's first.
+  };
+
+  /// A published chunk: its views, and the segments that hold their
+  /// entries.
+  struct Published {
+    Chunk views;
+    Segments<std::pair<int, SigValue>>::List cares;
+    Segments<BusBit>::List bus;
   };
 
   void publish();
-  [[nodiscard]] std::size_t size_locked() const;
 
   const std::size_t chunk_patterns_;
   // Writer only.
@@ -174,8 +226,13 @@ class RawPatternStore {
   bool sealed_ = false;  // close() has run
   mutable std::mutex mutex_;
   mutable std::condition_variable published_;
-  std::deque<Chunk> chunks_;  // guarded_by(mutex_)
-  bool closed_ = false;       // guarded_by(mutex_)
+  std::deque<Published> chunks_;  // guarded_by(mutex_)
+  /// Emptied full-size segments of released chunks, for the writer.
+  Segments<std::pair<int, SigValue>>::List spare_cares_;  // guarded_by(mutex_)
+  Segments<BusBit>::List spare_bus_;                      // guarded_by(mutex_)
+  std::size_t patterns_ = 0;      // guarded_by(mutex_): in chunks_
+  bool released_ = false;         // guarded_by(mutex_): some chunk freed
+  bool closed_ = false;           // guarded_by(mutex_)
 };
 
 }  // namespace sitam

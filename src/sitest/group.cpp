@@ -6,6 +6,7 @@
 #include <future>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -61,7 +62,8 @@ struct CareIndex {
 /// one pattern at a time: a dense terminal -> core table maps assignments
 /// and an open-addressing table maps masks to first-seen ids. finish()
 /// renumbers the distinct sets lexicographically. add() validates every id
-/// of its pattern; `bus_width` bounds the bus lines.
+/// of its pattern (in PatternRows::add's pass when it also encodes the
+/// rows); `bus_width` bounds the bus lines.
 class CareInterner {
  public:
   CareInterner(const TerminalSpace& terminals, int bus_width)
@@ -79,30 +81,41 @@ class CareInterner {
     }
   }
 
-  /// Interns the care set of `p`, the next pattern. Throws
+  /// Interns the care set of `p`, the next pattern, and with `rows`
+  /// encodes its kernel rows there in the same pass. Throws
   /// std::out_of_range for a terminal, bus line or bus driver outside the
-  /// declared space (terminals first).
-  void add(const PatternView& p) {
+  /// declared space (terminals first), adding nothing to either.
+  void add(const PatternView& p, PatternRows* rows) {
     SITAM_CHECK_MSG(set_of_.size() < UINT32_MAX - 1,
                     "sitest: too many patterns");
     std::fill(mask_.begin(), mask_.end(), 0);
-    for (const auto& [terminal, value] : p.assignments()) {
-      (void)value;
-      if (terminal < 0 || terminal >= terminals_) {
-        throw_terminal_out_of_range(terminal);
-      }
+    const auto on_care = [this](int terminal) {
       set_core(core_of_[static_cast<std::size_t>(terminal)]);
-    }
-    for (const BusBit& bit : p.bus_bits()) {
-      if (bit.line < 0 || bit.line >= bus_width_) {
-        throw_bus_out_of_range(bit.line);
-      }
+    };
+    const auto on_bus = [this](const BusBit& bit) {
       if (bit.driver_core < 0 || bit.driver_core >= cores_) {
         throw std::out_of_range("sitest: bus driver core " +
                                 std::to_string(bit.driver_core) +
                                 " outside the SOC");
       }
       set_core(bit.driver_core);
+    };
+    if (rows != nullptr) {
+      rows->add(p, on_care, on_bus);
+    } else {
+      for (const auto& [terminal, value] : p.assignments()) {
+        (void)value;
+        if (terminal < 0 || terminal >= terminals_) {
+          throw_terminal_out_of_range(terminal);
+        }
+        on_care(terminal);
+      }
+      for (const BusBit& bit : p.bus_bits()) {
+        if (bit.line < 0 || bit.line >= bus_width_) {
+          throw_bus_out_of_range(bit.line);
+        }
+        on_bus(bit);
+      }
     }
     std::size_t s = slot_of(mask_);
     if (slots_[s] == kFree) {
@@ -188,32 +201,52 @@ class CareInterner {
 };
 
 /// The care-set index of `patterns`, validating every id in input order.
+/// With `rows`, also encodes each pattern's kernel rows there, in the same
+/// pass, and closes them.
 CareIndex index_care_sets(std::span<const PatternView> patterns,
-                          const TerminalSpace& terminals, int bus_width) {
+                          const TerminalSpace& terminals, int bus_width,
+                          PatternRows* rows) {
   SITAM_TRACE_SPAN_ARG("sitest.index",
                        static_cast<std::int64_t>(patterns.size()));
   CareInterner interner(terminals, bus_width);
-  for (const PatternView& p : patterns) interner.add(p);
+  for (const PatternView& p : patterns) interner.add(p, rows);
+  if (rows != nullptr) {
+    rows->close();
+    SITAM_COUNTER("pattern.rows.words", rows->words());
+  }
   return std::move(interner).finish();
 }
 
-/// The care-set index of every pattern of `store`, in store order. Reads
-/// each chunk as soon as it is published, so it can run beside the
-/// writer; returns once the store is closed. `cancel` is checked before
-/// each chunk.
-CareIndex index_care_sets(const RawPatternStore& store,
+/// The care-set index of every pattern of `store`, in store order, and
+/// the kernel rows of each pattern, encoded into `rows` (chunked as the
+/// store is). Reads each chunk as soon as it is published, so it can run
+/// beside the writer: row chunk k is published once store chunk k is read,
+/// and store chunk k is then freed. Returns once the store is closed;
+/// `rows` is closed on return and on every exception, so its readers
+/// finish. `cancel` is checked before each chunk.
+CareIndex index_care_sets(RawPatternStore& store,
                           const TerminalSpace& terminals, int bus_width,
-                          const CancelToken* cancel) {
+                          PatternRows& rows, const CancelToken* cancel) {
   obs::ScopedSpan span("sitest.index");
-  CareInterner interner(terminals, bus_width);
-  for (std::size_t k = 0;; ++k) {
-    const RawPatternStore::Chunk* chunk = store.wait_chunk(k);
-    if (chunk == nullptr) break;
-    check_cancel(cancel);
-    for (const PatternView& p : *chunk) interner.add(p);
+  try {
+    CareInterner interner(terminals, bus_width);
+    for (std::size_t k = 0;; ++k) {
+      const RawPatternStore::Chunk* chunk = store.wait_chunk(k);
+      if (chunk == nullptr) break;
+      check_cancel(cancel);
+      for (const PatternView& p : *chunk) interner.add(p, &rows);
+      // Row chunk k is published (a full chunk by its last add(), the
+      // last one by close()); pair chunk k is read and goes.
+      store.release(k);
+    }
+    rows.close();
+    SITAM_COUNTER("pattern.rows.words", rows.words());
+    span.set_arg(static_cast<std::int64_t>(store.size()));
+    return std::move(interner).finish();
+  } catch (...) {
+    rows.close();
+    throw;
   }
-  span.set_arg(static_cast<std::int64_t>(store.size()));
-  return std::move(interner).finish();
 }
 
 /// The §3 hypergraph of an index: its non-empty sets, in set-id order, are
@@ -235,8 +268,7 @@ Hypergraph core_hypergraph(const CareIndex& index,
 
 /// One vertical compaction: the members of one group of one grouping.
 struct CompactionJob {
-  std::size_t set = 0;    ///< Index into the result (grouping).
-  std::size_t group = 0;  ///< Index into that test set's groups.
+  std::size_t group = 0;  ///< Index into the grouping's groups.
   std::vector<std::uint32_t> members;
 };
 
@@ -259,8 +291,7 @@ void add_single_group(const CareIndex& index, int cores, SiTestSet& set) {
 /// in part k, else (and the empty set always) to the remainder, so the
 /// buckets are decided once per distinct set.
 void add_grouping(const CareIndex& index, const Partition& partition,
-                  std::size_t set_index, SiTestSet& set,
-                  std::vector<CompactionJob>& jobs) {
+                  SiTestSet& set, std::vector<CompactionJob>& jobs) {
   const auto cores = static_cast<int>(partition.part_of.size());
   SITAM_CHECK(partition.parts >= 2 && set.groups.empty());
   set.parts = partition.parts;
@@ -308,8 +339,7 @@ void add_grouping(const CareIndex& index, const Partition& partition,
       }
     }
     group.raw_patterns = raw[b];
-    jobs.push_back(
-        CompactionJob{set_index, set.groups.size(), std::move(buckets[b])});
+    jobs.push_back(CompactionJob{set.groups.size(), std::move(buckets[b])});
     set.groups.push_back(std::move(group));
   }
 }
@@ -336,38 +366,44 @@ std::size_t check_pass(std::span<const int> groupings, int cores,
 /// executor may outlive the pass, so an unwinding pass first waits for
 /// every job it started.
 struct StartedJobs {
+  std::future<void> draw;           ///< The draw, on a pool worker.
   std::future<std::size_t> single;  ///< The i = 1 count, if any.
-  std::future<CareIndex> index;     ///< The streamed care-set index.
-  std::vector<std::future<Partition>> partitions;
-  std::vector<std::future<std::size_t>> counts;
+  /// Per grouping: its partition, which then starts its counts.
+  std::vector<std::future<void>> partitions;
+  std::vector<std::vector<std::future<std::size_t>>> counts;
 
   StartedJobs() = default;
   StartedJobs(const StartedJobs&) = delete;
   StartedJobs& operator=(const StartedJobs&) = delete;
   ~StartedJobs() {
+    if (draw.valid()) draw.wait();
     if (single.valid()) single.wait();
-    if (index.valid()) index.wait();
+    // A partition's job writes its grouping's counts: wait for it first.
     for (const auto& p : partitions) {
       if (p.valid()) p.wait();
     }
-    for (const auto& c : counts) {
-      if (c.valid()) c.wait();
+    for (const auto& grouping : counts) {
+      for (const auto& c : grouping) {
+        if (c.valid()) c.wait();
+      }
     }
   }
 };
 
-/// The rest of a pass once its raw set is complete and indexed, with the
-/// i = 1 count already started in `single` (valid iff some grouping is 1;
-/// taken over and waited for here, like every job this starts): partitions
-/// every grouping i >= 2 on `executor` beside it, buckets the patterns and
-/// runs those groups' compactions longest first. Results land by job
-/// index, so neither the order nor the thread count changes them.
-std::vector<SiTestSet> finish_pass(std::span<const PatternView> patterns,
+/// The rest of a pass once its raw set is indexed and its `rows` closed,
+/// with the i = 1 count already started in `single` (valid iff some
+/// grouping is 1; taken over and waited for here, like every job this
+/// starts): partitions every grouping i >= 2 on `executor` beside it, and
+/// as each partition returns, buckets the patterns and starts that
+/// grouping's compactions, longest first, so no grouping waits for a
+/// slower one's partition. Results land by job index, so neither the order
+/// nor the thread count changes them.
+std::vector<SiTestSet> finish_pass(const PatternRows& rows,
                                    const CareIndex& index,
                                    const TerminalSpace& terminals,
                                    std::span<const int> groupings,
                                    const GroupingConfig& config,
-                                   std::size_t max_jobs, Executor& executor,
+                                   Executor& executor,
                                    const CancelToken* cancel,
                                    std::future<std::size_t>& single) {
   SITAM_CHECK(single.valid() ==
@@ -375,42 +411,49 @@ std::vector<SiTestSet> finish_pass(std::span<const PatternView> patterns,
                groupings.end()));
   const Hypergraph hg = core_hypergraph(index, terminals);
   std::vector<SiTestSet> sets(groupings.size());
-  // Reserved so that no job moves while a worker reads its members.
-  std::vector<CompactionJob> jobs;
-  jobs.reserve(max_jobs);
+  // Per grouping, written by its partition's job: reserved so that no job
+  // moves while a worker reads its members.
+  std::vector<std::vector<CompactionJob>> jobs(groupings.size());
   StartedJobs started;
   started.single = std::move(single);
 
   started.partitions.resize(groupings.size());
+  started.counts.resize(groupings.size());
   for (std::size_t g = 0; g < groupings.size(); ++g) {
-    if (groupings[g] == 1) {
+    const int parts = groupings[g];
+    if (parts == 1) {
       add_single_group(index, terminals.core_count(), sets[g]);
       continue;
     }
-    started.partitions[g] = executor.submit([&, parts = groupings[g]] {
+    jobs[g].reserve(
+        static_cast<std::size_t>(std::min(parts, terminals.core_count())) +
+        1);
+    started.partitions[g] = executor.submit([&, g, parts] {
       check_cancel(cancel);
-      SITAM_TRACE_SPAN_ARG("sitest.partition", parts);
-      return partition_hypergraph(hg, parts, config.partition);
+      Partition partition;
+      {
+        SITAM_TRACE_SPAN_ARG("sitest.partition", parts);
+        partition = partition_hypergraph(hg, parts, config.partition);
+      }
+      add_grouping(index, partition, sets[g], jobs[g]);
+      // Longest first, so the first stage tasks of the biggest
+      // compactions are queued ahead of the small ones.
+      std::vector<std::size_t> order(jobs[g].size());
+      std::iota(order.begin(), order.end(), std::size_t{0});
+      std::stable_sort(order.begin(), order.end(),
+                       [&](std::size_t a, std::size_t b) {
+                         return jobs[g][a].members.size() >
+                                jobs[g][b].members.size();
+                       });
+      started.counts[g].resize(jobs[g].size());
+      for (const std::size_t j : order) {
+        started.counts[g][j] = start_greedy_count(
+            rows, jobs[g][j].members, executor, cancel, "sitest.compact");
+      }
     });
   }
-  for (std::size_t g = 0; g < groupings.size(); ++g) {
-    if (groupings[g] == 1) continue;
-    add_grouping(index, started.partitions[g].get(), g, sets[g], jobs);
-  }
-  // Longest first, so the first stage tasks of the biggest compactions are
-  // queued ahead of the small ones.
-  std::vector<std::size_t> order(jobs.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&jobs](std::size_t a, std::size_t b) {
-                     return jobs[a].members.size() > jobs[b].members.size();
-                   });
-  started.counts.resize(jobs.size());
-  for (const std::size_t j : order) {
-    started.counts[j] =
-        start_greedy_count(patterns, jobs[j].members, terminals.total(),
-                           config.bus_width, executor, cancel,
-                           "sitest.compact");
+  for (std::future<void>& partition : started.partitions) {
+    if (partition.valid()) partition.get();
   }
 
   if (started.single.valid()) {
@@ -421,9 +464,11 @@ std::vector<SiTestSet> finish_pass(std::span<const PatternView> patterns,
       }
     }
   }
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    sets[jobs[j].set].groups[jobs[j].group].patterns =
-        static_cast<std::int64_t>(started.counts[j].get());
+  for (std::size_t g = 0; g < groupings.size(); ++g) {
+    for (std::size_t j = 0; j < jobs[g].size(); ++j) {
+      sets[g].groups[jobs[g][j].group].patterns =
+          static_cast<std::int64_t>(started.counts[g][j].get());
+    }
   }
   return sets;
 }
@@ -434,7 +479,7 @@ Hypergraph build_core_hypergraph(std::span<const SiPattern> patterns,
                                  const TerminalSpace& terminals) {
   return core_hypergraph(
       index_care_sets(pattern_views(patterns), terminals,
-                      std::numeric_limits<int>::max()),
+                      std::numeric_limits<int>::max(), nullptr),
       terminals);
 }
 
@@ -449,23 +494,18 @@ std::vector<SiTestSet> build_si_test_sets(std::span<const SiPattern> patterns,
   if (threads < 1) {
     throw std::invalid_argument("build_si_test_sets: threads must be >= 1");
   }
-  const std::vector<PatternView> views = pattern_views(patterns);
-  const CareIndex index =
-      index_care_sets(views, terminals, config.bus_width);
+  PatternRows rows(terminals.total(), config.bus_width);
+  const CareIndex index = index_care_sets(pattern_views(patterns), terminals,
+                                          config.bus_width, &rows);
   Executor executor(ThreadPool::workers_for(threads, max_jobs));
-  std::vector<std::uint32_t> all;
-  StartedJobs started;
+  std::future<std::size_t> single;
   if (std::find(groupings.begin(), groupings.end(), 1) != groupings.end()) {
     // i = 1 needs no partition, and its job holds every pattern: it starts
     // first, while the other groupings are partitioned beside it.
-    all.resize(views.size());
-    std::iota(all.begin(), all.end(), std::uint32_t{0});
-    started.single =
-        start_greedy_count(views, all, terminals.total(), config.bus_width,
-                           executor, cancel, "sitest.compact");
+    single = start_greedy_count(rows, executor, cancel, "sitest.compact");
   }
-  return finish_pass(views, index, terminals, groupings, config, max_jobs,
-                     executor, cancel, started.single);
+  return finish_pass(rows, index, terminals, groupings, config, executor,
+                     cancel, single);
 }
 
 std::vector<SiTestSet> build_si_test_sets(
@@ -473,42 +513,49 @@ std::vector<SiTestSet> build_si_test_sets(
     const TerminalSpace& terminals, std::span<const int> groupings,
     const GroupingConfig& config, Executor& executor,
     const CancelToken* cancel) {
-  const std::size_t max_jobs =
-      check_pass(groupings, terminals.core_count(), config);
+  (void)check_pass(groupings, terminals.core_count(), config);
+  // Declared before `started`, whose jobs read them.
+  PatternRows rows(terminals.total(), config.bus_width,
+                   store.chunk_patterns());
   StartedJobs started;
   const bool single =
       std::find(groupings.begin(), groupings.end(), 1) != groupings.end();
-  // The i = 1 count and the care-set index each read the chunks in store
-  // order as `draw` publishes them; their spans' args are set once the
-  // store is complete.
-  const auto index_all = [&store, &terminals, &config, cancel] {
-    return index_care_sets(store, terminals, config.bus_width, cancel);
+  const auto draw_all = [&store, &draw] {
+    try {
+      draw();
+    } catch (...) {
+      store.close();  // lets the index finish
+      throw;
+    }
+    store.close();
   };
-  const auto start_readers = [&] {
+  // The index reads the store's chunks in order as `draw` publishes them,
+  // encodes their rows and frees them; the i = 1 count reads the rows as
+  // the index publishes them. On a pool the draw runs on a worker and the
+  // index on this thread, so the rows are allocated where the pass (and
+  // the next one) frees them. On the caller each runs in turn.
+  std::optional<CareIndex> index;
+  if (executor.size() > 1) {
+    started.draw = executor.submit(draw_all);
     if (single) {
       started.single =
-          start_greedy_count(store, terminals.total(), config.bus_width,
-                             executor, cancel, "sitest.compact");
+          start_greedy_count(rows, executor, cancel, "sitest.compact");
     }
-    started.index = executor.submit(index_all);
-  };
-  // On a pool both start before the first chunk is drawn, beside the
-  // writer; on the caller they run once the store is closed.
-  const bool streamed = executor.size() > 1;
-  if (streamed) start_readers();
-  try {
-    draw();
-  } catch (...) {
-    store.close();  // lets the streaming readers finish before `started`
-    throw;          // waits for them
+    index.emplace(index_care_sets(store, terminals, config.bus_width, rows,
+                                  cancel));
+    started.draw.get();
+  } else {
+    draw_all();
+    index.emplace(index_care_sets(store, terminals, config.bus_width, rows,
+                                  cancel));
+    if (single) {
+      started.single =
+          start_greedy_count(rows, executor, cancel, "sitest.compact");
+    }
   }
-  store.close();
   check_cancel(cancel);
-  if (!streamed) start_readers();
-  const CareIndex index = started.index.get();
-  const std::vector<PatternView> views = store.views();
-  return finish_pass(views, index, terminals, groupings, config, max_jobs,
-                     executor, cancel, started.single);
+  return finish_pass(rows, *index, terminals, groupings, config, executor,
+                     cancel, started.single);
 }
 
 SiTestSet build_si_test_set(std::span<const SiPattern> patterns,

@@ -9,14 +9,15 @@
 // form a *remainder* group that still loads every core's WOCs. Each group is
 // then compacted independently with the greedy clique-cover heuristic.
 //
-// The hypergraph and each pattern's care-core set depend only on the raw
-// pattern set, so build_si_test_sets computes them once for a list of
-// groupings: care sets are interned to ids pattern by pattern (so the
-// index can read a store while it is drawn), every grouping's buckets are
-// index lists decided once per distinct set, and all groups' compactions
-// run as one longest-first job list. A pattern with no care core (all
-// don't-care, no bus line) loads no boundary; at i >= 2 it goes to the
-// remainder group (at i = 1 the single group, as every pattern does).
+// The hypergraph, each pattern's care-core set and each pattern's kernel
+// rows depend only on the raw pattern set, so build_si_test_sets computes
+// them once for a list of groupings: one pass interns each care set to an
+// id and encodes the pattern's rows (PatternRows, pattern/compaction.h),
+// pattern by pattern, so it can read a store while it is drawn; every
+// grouping's buckets are id lists decided once per distinct set, and every
+// group's compaction reads the shared rows. A pattern with no care core
+// (all don't-care, no bus line) loads no boundary; at i >= 2 it goes to
+// the remainder group (at i = 1 the single group, as every pattern does).
 #pragma once
 
 #include <cstdint>
@@ -89,8 +90,9 @@ void assign_si_power(SiTestSet& set, const Soc& soc,
 /// compaction with a single group spanning all cores.
 ///
 /// The i = 1 count starts first; the partitions of every grouping i >= 2
-/// run beside it, then their groups' compactions start longest first, each
-/// as (stage, chunk) tasks (start_greedy_count). All of it runs on
+/// run beside it, and as each returns, that grouping's compactions start
+/// longest first, each as (stage, chunk) tasks (start_greedy_count). All
+/// of it runs on
 /// min(`threads`, jobs) pool workers; threads == 1 runs it on the caller.
 /// The result does not depend on `threads`. `cancel` is checked before
 /// each partition and compaction starts and before each stage task
@@ -107,18 +109,20 @@ void assign_si_power(SiTestSet& set, const Soc& soc,
 
 /// The same pass over a raw set that `draw` writes into `store` (open, and
 /// closed here), with its jobs on `executor` — the workload prepare's
-/// pipeline. Three jobs share the store: `draw` writes it, and the i = 1
-/// count and the care-set index read it. On a pool (executor.size() > 1) the
-/// count and the index start before `draw` is called and each takes every
-/// chunk as soon as the store publishes it (the count queues it for its
-/// stage tasks), so once the store is closed only the index's renumbering
-/// and the count's queued tasks are left; on the caller both run the same
-/// chunks in the same order once `draw` returns. The partitions and the
-/// i >= 2 jobs follow as in the span form, which this matches for any
-/// executor. Ids are checked by the index in store order, with the span
-/// form's exceptions. `cancel` is also checked after `draw` and before
-/// each chunk the count or the index reads. Every started job has
-/// finished when this returns or throws.
+/// pipeline. Three jobs share the set: `draw` writes the store; the index
+/// reads each store chunk as it is published, interns its care sets,
+/// encodes its rows and frees it; and the i = 1 count places each row
+/// chunk the index publishes. On a pool (executor.size() > 1) `draw` runs
+/// on a worker while the index runs on the calling thread and the count's
+/// stage tasks on the other workers, so once the store is closed only the
+/// index's renumbering and the count's queued tasks are left; with no
+/// workers the three run one after another on the caller, over the same
+/// chunks in the same order. The store's chunks are freed as they are read, so it cannot be
+/// read again. The partitions and the i >= 2 jobs follow as in the span
+/// form, which this matches for any executor. Ids are checked by the index
+/// in store order, with the span form's exceptions. `cancel` is also
+/// checked after `draw` and before each chunk the count or the index
+/// reads. Every started job has finished when this returns or throws.
 [[nodiscard]] std::vector<SiTestSet> build_si_test_sets(
     RawPatternStore& store, const std::function<void()>& draw,
     const TerminalSpace& terminals, std::span<const int> groupings,

@@ -129,6 +129,53 @@ TEST(CompactGreedyCount, ChecksMembersAndIds) {
                std::invalid_argument);
 }
 
+TEST(PatternRows, NumbersRowsOnceInFirstUseOrder) {
+  // Care rows 4u + v with u the terminal's first-use rank over the whole
+  // set and v = value - 1, transitions first; then a (line, pair) row
+  // pair per bus bit, numbered in first-use order too. Chunks publish
+  // every two patterns with the counts numbered so far.
+  PatternRows rows(10, 4, 2);
+  rows.add(make({{7, SigValue::kStable1}, {3, SigValue::kRise}},
+                {{2, 5}}));
+  rows.add(make({{3, SigValue::kStable0}, {9, SigValue::kFall}},
+                {{2, 6}, {1, 5}}));
+  rows.add(make({{7, SigValue::kFall}}, {{2, 5}}));
+  const PatternRows::Chunk* first = rows.wait_chunk(0);
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(first->first, 0u);
+  EXPECT_EQ(first->size, 2u);
+  EXPECT_EQ(first->care_rows, 12u);  // terminals 7, 3, 9
+  EXPECT_EQ(first->bus_rows, 5u);    // line 2, (2,5), (2,6), line 1, (1,5)
+  // Ids are checked first, and a bad pattern adds nothing.
+  EXPECT_THROW(rows.add(make({{10, SigValue::kRise}})), std::out_of_range);
+  EXPECT_THROW(rows.add(make({}, {{4, 0}})), std::out_of_range);
+  rows.close();
+  EXPECT_THROW(rows.add(make({})), std::logic_error);
+  ASSERT_EQ(rows.size(), 3u);
+  const auto record = [&rows](std::uint32_t id) {
+    const std::uint32_t* at = rows.record(id);
+    return std::vector<std::uint32_t>(at, at + 2 + at[0] + 2 * at[1]);
+  };
+  // SiPatterns list cares by terminal, so terminal 3 is rank 0, 7 rank 1
+  // and 9 rank 2; kRise (v = 2) of rank 0 is row 2, kStable1 of rank 1
+  // row 5, and bus bits come by line: line 1 gets rows 2 (line) and 3.
+  EXPECT_EQ(record(0), (std::vector<std::uint32_t>{2, 1, 2, 5, 0, 1}));
+  EXPECT_EQ(record(1),
+            (std::vector<std::uint32_t>{2, 2, 11, 0, 2, 3, 0, 4}));
+  EXPECT_EQ(record(2), (std::vector<std::uint32_t>{1, 1, 7, 0, 1}));
+  EXPECT_EQ(rows.terminals(), (std::vector<int>{3, 7, 9}));
+  const std::vector<PatternRows::PairRow> pairs = rows.sorted_pairs();
+  ASSERT_EQ(pairs.size(), 3u);
+  EXPECT_EQ(pairs[0].bit.line, 1);
+  EXPECT_EQ(pairs[0].row, 3u);
+  EXPECT_EQ(pairs[1].bit.driver_core, 5);
+  EXPECT_EQ(pairs[1].row, 1u);
+  EXPECT_EQ(pairs[2].bit.driver_core, 6);
+  EXPECT_EQ(pairs[2].row, 4u);
+  EXPECT_THROW(PatternRows(-1, 4), std::invalid_argument);
+  EXPECT_THROW(PatternRows(4, 4, 0), std::invalid_argument);
+}
+
 TEST(CompactGreedy, InvalidThreadCountThrows) {
   CompactionConfig config;
   config.threads = 0;

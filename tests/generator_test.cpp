@@ -363,6 +363,46 @@ TEST(RawPatternStore, PatternsLongerThanASegmentStayContiguous) {
   }
 }
 
+TEST(RawPatternStore, ReleasedChunksAreRefilledByTheWriter) {
+  // A chunk of 4 096 four-care patterns fills two full segments. Once its
+  // reader releases it, the writer takes its segments at its next publish
+  // and refills them for the chunk after, instead of allocating; the
+  // released chunk reads as empty.
+  constexpr std::size_t kPatterns = 4096;
+  RawPatternStore store(kPatterns);
+  const auto write_chunk = [&store](int base) {
+    for (std::size_t n = 0; n < kPatterns; ++n) {
+      for (int k = 0; k < 4; ++k) {
+        store.add_care(base + k, SigValue::kStable0);
+      }
+      store.end_pattern();
+    }
+  };
+  write_chunk(0);
+  const RawPatternStore::Chunk* first = store.wait_chunk(0);
+  ASSERT_NE(first, nullptr);
+  ASSERT_EQ(RawPatternStore::kSegmentEntries, 2 * kPatterns);
+  const std::pair<int, SigValue>* segments[] = {
+      (*first)[0].assignments().data(),
+      (*first)[kPatterns / 2].assignments().data()};
+  EXPECT_EQ(segments[0] + RawPatternStore::kSegmentEntries - 4,
+            (*first)[kPatterns / 2 - 1].assignments().data());
+  store.release(0);
+  EXPECT_TRUE(store.wait_chunk(0)->empty());
+  write_chunk(100);  // its publish hands chunk 0's segments to the writer
+  write_chunk(200);
+  store.close();
+  const RawPatternStore::Chunk* third = store.wait_chunk(2);
+  ASSERT_NE(third, nullptr);
+  ASSERT_EQ(third->size(), kPatterns);
+  for (const std::size_t i : {std::size_t{0}, kPatterns / 2}) {
+    const std::pair<int, SigValue>* data = (*third)[i].assignments().data();
+    EXPECT_TRUE(data == segments[0] || data == segments[1]) << i;
+    EXPECT_EQ(data->first, 200);
+  }
+  EXPECT_EQ(store.size(), 3 * kPatterns);
+}
+
 // ---------------------------------------------------------------------------
 // MA model
 // ---------------------------------------------------------------------------

@@ -447,6 +447,45 @@ TEST(Obs, CompactionCountersReconcileWithTheResult) {
       dump.metrics.counter("pattern.compaction.block_probes");
   EXPECT_GE(probes, 1500 - 1);
   EXPECT_LE(probes, 1500 * ((out + 63) / 64));
+  // compact_greedy encodes its span once: 2 + c + 2·b words per pattern.
+  std::int64_t words = 0;
+  for (const SiPattern& p : patterns) {
+    words += 2 + p.care_count() +
+             2 * static_cast<std::int64_t>(p.bus_bits().size());
+  }
+  EXPECT_EQ(dump.metrics.counter("pattern.rows.words"), words);
+  if (out <= stage) {
+    EXPECT_EQ(dump.metrics.counter("pattern.compaction.forwarded"), 0);
+  }
+}
+
+TEST(Obs, ForwardedCountsTheIdsHandedBetweenStages) {
+  // No two patterns merge (distinct base-4 codes on six terminals, each
+  // driving bus line 0 from its own driver), so pattern i opens class i
+  // in stage i / 768 and was handed on once per stage below it.
+  constexpr SigValue kValues[] = {SigValue::kStable0, SigValue::kStable1,
+                                  SigValue::kRise, SigValue::kFall};
+  const int count = static_cast<int>(2 * kCompactionStageClasses) + 100;
+  std::vector<SiPattern> patterns;
+  std::int64_t forwarded = 0;
+  std::int64_t words = 0;
+  for (int i = 0; i < count; ++i) {
+    SiPattern p;
+    for (int d = 0, rest = i; d < 6; ++d, rest /= 4) {
+      p.set(d, kValues[rest % 4]);
+    }
+    p.set_bus(0, i);
+    patterns.push_back(std::move(p));
+    forwarded += i / static_cast<int>(kCompactionStageClasses);
+    words += 2 + 6 + 2;
+  }
+  obs::TraceSession session;
+  const CompactionResult result = compact_greedy(patterns, 6, 1);
+  const TraceDump dump = session.stop();
+  EXPECT_EQ(result.patterns.size(), patterns.size());
+  EXPECT_EQ(dump.metrics.counter("pattern.compaction.forwarded"), forwarded);
+  EXPECT_EQ(dump.metrics.counter("pattern.compaction.stages"), 3);
+  EXPECT_EQ(dump.metrics.counter("pattern.rows.words"), words);
 }
 
 TEST(Obs, TracedPrepareShowsTheGroupingSchedule) {
@@ -496,6 +535,16 @@ TEST(Obs, TracedPrepareShowsTheGroupingSchedule) {
   ASSERT_EQ(generate.size(), 1u);
   EXPECT_EQ(generate.front().arg, config.pattern_count);
   ASSERT_EQ(single.size(), 1u);
+  // The raw set is encoded once, for every grouping's compactions.
+  const TerminalSpace ts(soc);
+  Rng rng(config.seed);
+  std::int64_t words = 0;
+  for (const SiPattern& p : generate_random_patterns(
+           ts, config.pattern_count, config.patterns, rng)) {
+    words += 2 + p.care_count() +
+             2 * static_cast<std::int64_t>(p.bus_bits().size());
+  }
+  EXPECT_EQ(dump.metrics.counter("pattern.rows.words"), words);
   if (ThreadPool::hardware_threads() >= 2) {
     EXPECT_LT(single.front().begin_ns, generate.front().end_ns)
         << "the i = 1 compaction waited for the whole draw";
@@ -506,7 +555,8 @@ TEST(Obs, TracedPrepareShowsTheGroupingSchedule) {
 
 TEST(Obs, TracedSweepShowsOneJobSpanPerJobOnItsWorker) {
   // run_sweep's job list: one flow.sweep.tables span for the wrapper
-  // tables, then one flow.sweep.job span per (width, job) at one restart,
+  // tables, holding one wrapper.table span per width (arg W), then one
+  // flow.sweep.job span per (width, job) at one restart,
   // arg = grouping i (0 = the baseline), each wrapping its restart span on
   // the same track.
   const Soc soc = load_benchmark("d695");
@@ -522,12 +572,18 @@ TEST(Obs, TracedSweepShowsOneJobSpanPerJobOnItsWorker) {
   ASSERT_EQ(sweep.rows.size(), 3u);
 
   std::vector<std::int64_t> tables;
+  std::vector<obs::SpanEvent> table_spans;
+  std::vector<obs::SpanEvent> widths;
   std::vector<std::int64_t> jobs;
   std::int64_t jobs_with_a_restart = 0;
   for (const obs::TrackDump& track : dump.tracks) {
     for (const obs::SpanEvent& span : track.spans) {
       const std::string_view name = span.name;
-      if (name == "flow.sweep.tables") tables.push_back(span.arg);
+      if (name == "flow.sweep.tables") {
+        tables.push_back(span.arg);
+        table_spans.push_back(span);
+      }
+      if (name == "wrapper.table") widths.push_back(span);
       if (name != "flow.sweep.job") continue;
       jobs.push_back(span.arg);
       for (const obs::SpanEvent& inner : track.spans) {
@@ -540,6 +596,15 @@ TEST(Obs, TracedSweepShowsOneJobSpanPerJobOnItsWorker) {
     }
   }
   EXPECT_EQ(tables, (std::vector<std::int64_t>{3}));
+  // One wrapper.table span per width, inside the tables span.
+  std::vector<std::int64_t> width_args;
+  for (const obs::SpanEvent& span : widths) {
+    width_args.push_back(span.arg);
+    EXPECT_GE(span.begin_ns, table_spans.front().begin_ns);
+    EXPECT_LE(span.end_ns, table_spans.front().end_ns);
+  }
+  std::sort(width_args.begin(), width_args.end());
+  EXPECT_EQ(width_args, (std::vector<std::int64_t>{8, 16, 24}));
   std::sort(jobs.begin(), jobs.end());
   EXPECT_EQ(jobs, (std::vector<std::int64_t>{0, 0, 0, 1, 1, 1, 2, 2, 2}));
   EXPECT_EQ(jobs_with_a_restart, 9);

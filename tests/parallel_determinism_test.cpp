@@ -215,7 +215,8 @@ void expect_same_set(const SiTestSet& got, const SiTestSet& want,
 TEST(PreparePipeline, StreamedPassMatchesTheOracle) {
   // The prepare pipeline draws the raw set into a RawPatternStore while
   // the i = 1 count places its chunks on pool workers. For every SOC,
-  // N_r around the 4 096-pattern chunk, grouping list and thread count
+  // N_r around the 4 096-pattern member-list chunk (the store publishes
+  // every 1 024), grouping list and thread count
   // (0 = all cores) it gives the test sets the oracle builds, grouping by
   // grouping, from generate_random_patterns output. p34392 at N_r = 20 000
   // compacts to more than one stage of classes (1 248 at i = 1), so stage
@@ -292,10 +293,25 @@ TEST(PreparePipeline, PrepareMatchesTheOracle) {
   }
 }
 
-TEST(PreparePipeline, StoreCountMatchesPatternCountAtAnyChunkSize) {
-  // compact_greedy_count over a store — streamed while it is drawn on
-  // another thread, and over its views once closed — equals the count of
-  // the same patterns as SiPatterns, whatever the chunk size.
+/// Encodes every chunk of `store` into `rows` as it is published and frees
+/// it, as the prepare's care-set index does; closes `rows`.
+void encode_store(RawPatternStore& store, PatternRows& rows) {
+  for (std::size_t k = 0;; ++k) {
+    const RawPatternStore::Chunk* chunk = store.wait_chunk(k);
+    if (chunk == nullptr) break;
+    for (const PatternView& p : *chunk) rows.add(p);
+    store.release(k);
+  }
+  rows.close();
+}
+
+TEST(PreparePipeline, StreamedRowsCountAtAnyChunkSize) {
+  // The writer draws into a store while an encoder thread reads each
+  // chunk, publishes its rows and frees it, and the streamed counts (on a
+  // pool and on a third thread) and a reader of every published record
+  // follow the rows: every count equals the count of the same patterns as
+  // SiPatterns, whatever the chunk size, and every record is the encoding
+  // of its pattern once the pairs behind it are gone.
   const Soc soc = load_benchmark("p34392");
   const TerminalSpace ts(soc);
   const RandomPatternConfig pattern_config;
@@ -311,20 +327,42 @@ TEST(PreparePipeline, StoreCountMatchesPatternCountAtAnyChunkSize) {
   for (const std::size_t chunk :
        {std::size_t{1}, std::size_t{7}, std::size_t{4096},
         static_cast<std::size_t>(kCount)}) {
+    SCOPED_TRACE(chunk);
     RawPatternStore store(chunk);
-    Executor executor(2);
-    std::future<std::size_t> streamed = executor.submit([&] {
-      return compact_greedy_count(store, ts.total(),
-                                  pattern_config.bus_width);
-    });
+    PatternRows rows(ts.total(), pattern_config.bus_width, chunk);
+    Executor executor(3);
+    std::future<std::size_t> pooled = start_greedy_count(rows, executor);
+    std::future<std::size_t> on_caller = std::async(
+        std::launch::async, [&rows] {
+          Executor caller(1);
+          return start_greedy_count(rows, caller).get();
+        });
+    std::future<std::size_t> records =
+        std::async(std::launch::async, [&rows] {
+          // Sums every record's care and bus counts as its chunk appears.
+          std::size_t bits = 0;
+          for (std::size_t k = 0;; ++k) {
+            const PatternRows::Chunk* c = rows.wait_chunk(k);
+            if (c == nullptr) return bits;
+            for (std::uint32_t i = 0; i < c->size; ++i) {
+              const std::uint32_t* at = rows.record(c->first + i);
+              bits += at[0] + at[1];
+            }
+          }
+        });
+    std::thread encoder([&] { encode_store(store, rows); });
     Rng draw_rng(0xc0ffeeULL);
     draw_random_patterns(ts, kCount, pattern_config, draw_rng, store);
     store.close();
-    EXPECT_EQ(streamed.get(), expected) << "chunk=" << chunk;
-    EXPECT_EQ(compact_greedy_count(store.views(), all, ts.total(),
-                                   pattern_config.bus_width),
-              expected)
-        << "chunk=" << chunk;
+    encoder.join();
+    EXPECT_EQ(pooled.get(), expected);
+    EXPECT_EQ(on_caller.get(), expected);
+    std::size_t bits = 0;
+    for (const SiPattern& p : raw) {
+      bits += p.assignments().size() + p.bus_bits().size();
+    }
+    EXPECT_EQ(records.get(), bits);
+    EXPECT_EQ(rows.size(), raw.size());
   }
 }
 
@@ -443,33 +481,29 @@ std::vector<SiPattern> many_class_patterns(int classes, std::uint64_t seed) {
   return patterns;
 }
 
-/// Appends `patterns` to `store`, one pattern at a time.
-void write_patterns(std::span<const SiPattern> patterns,
-                    RawPatternStore& store) {
-  for (const SiPattern& p : patterns) {
-    for (const auto& [terminal, value] : p.assignments()) {
-      store.add_care(terminal, value);
-    }
-    for (const BusBit& bit : p.bus_bits()) store.add_bus(bit);
-    store.end_pattern();
-  }
-}
-
 constexpr int kManyClasses = 2600;  // over three stages
 constexpr int kManyTerminals = 6 + 3 * kManyClasses;
 
+/// Rows of `patterns`, in order, chunked by `chunk`, closed.
+std::unique_ptr<PatternRows> encoded(std::span<const SiPattern> patterns,
+                                     std::size_t chunk) {
+  auto rows = std::make_unique<PatternRows>(kManyTerminals, 8, chunk);
+  for (const SiPattern& p : patterns) rows->add(p);
+  rows->close();
+  return rows;
+}
+
 TEST(StagedCount, MatchesAcrossExecutorSizesAndChunks) {
   // The (stage, chunk) tasks of one count, on the caller and on pools of
-  // 2, 3 and every hardware thread, over member lists and over a store
+  // 2, 3 and every hardware thread, over member lists and over rows
   // streamed in small and full chunks: every count is the serial sweep's.
   const std::vector<SiPattern> patterns =
       many_class_patterns(kManyClasses, 0x57a6edULL);
-  const std::vector<PatternView> views = pattern_views(patterns);
-  std::vector<std::uint32_t> all(views.size());
+  std::vector<std::uint32_t> all(patterns.size());
   std::iota(all.begin(), all.end(), std::uint32_t{0});
   std::vector<std::uint32_t> odd;
   std::vector<SiPattern> odd_copies;
-  for (std::uint32_t i = 1; i < views.size(); i += 2) {
+  for (std::uint32_t i = 1; i < patterns.size(); i += 2) {
     odd.push_back(i);
     odd_copies.push_back(patterns[i]);
   }
@@ -478,68 +512,59 @@ TEST(StagedCount, MatchesAcrossExecutorSizesAndChunks) {
   const std::size_t expected_odd =
       compact_greedy(odd_copies, kManyTerminals, 8).patterns.size();
   ASSERT_GT(expected, 3 * kCompactionStageClasses);
+  const std::unique_ptr<PatternRows> rows =
+      encoded(patterns, RawPatternStore::kChunkPatterns);
   for (const int threads : {1, 2, 3, ThreadPool::hardware_threads()}) {
     SCOPED_TRACE(threads);
     Executor executor(threads);
-    EXPECT_EQ(
-        start_greedy_count(views, all, kManyTerminals, 8, executor).get(),
-        expected);
-    EXPECT_EQ(
-        start_greedy_count(views, odd, kManyTerminals, 8, executor).get(),
-        expected_odd);
+    EXPECT_EQ(start_greedy_count(*rows, all, executor).get(), expected);
+    EXPECT_EQ(start_greedy_count(*rows, odd, executor).get(), expected_odd);
     for (const std::size_t chunk : {std::size_t{64}, std::size_t{4096}}) {
-      RawPatternStore store(chunk);
+      PatternRows streamed_rows(kManyTerminals, 8, chunk);
       std::future<std::size_t> streamed;
       // On the caller the count runs at the call, so after the writes.
-      if (threads > 1) {
-        streamed = start_greedy_count(store, kManyTerminals, 8, executor);
-      }
-      write_patterns(patterns, store);
-      store.close();
-      if (threads == 1) {
-        streamed = start_greedy_count(store, kManyTerminals, 8, executor);
-      }
+      if (threads > 1) streamed = start_greedy_count(streamed_rows, executor);
+      for (const SiPattern& p : patterns) streamed_rows.add(p);
+      streamed_rows.close();
+      if (threads == 1) streamed = start_greedy_count(streamed_rows, executor);
       EXPECT_EQ(streamed.get(), expected) << "chunk=" << chunk;
     }
   }
 }
 
-TEST(StagedCount, BadIdInALaterChunkThrowsAfterEveryStageTaskReturns) {
-  // A bad terminal id well after stage 0 has filled: stage 0's task throws
-  // while later stages still place earlier chunks. The future carries the
-  // error only once every task has returned — the store, the patterns and
-  // the executor are destroyed right after, which asan and tsan would
-  // catch if a task still ran.
+TEST(StagedCount, BadIdStopsTheEncoderAndTheCountEndsWithItsRows) {
+  // A bad terminal id well after stage 0 has filled: add() throws the
+  // kernel's std::out_of_range and adds nothing, the writer closes the
+  // rows, and a streamed count that was placing earlier chunks on a pool
+  // ends with exactly the patterns before the bad one. The rows, the
+  // patterns and the executor are destroyed right after, which asan and
+  // tsan would catch if a task still ran.
   std::vector<SiPattern> patterns =
       many_class_patterns(kManyClasses, 0xbad57a9ULL);
-  patterns[8000].set(kManyTerminals, SigValue::kRise);
+  constexpr std::size_t kBad = 8000;
+  patterns[kBad].set(kManyTerminals, SigValue::kRise);
   const std::string expected = "compaction: terminal id " +
                                std::to_string(kManyTerminals) +
                                " outside declared terminal space";
+  const std::size_t before =
+      compact_greedy(std::span<const SiPattern>(patterns).first(kBad),
+                     kManyTerminals, 8)
+          .patterns.size();
   for (const int threads : {2, 3, ThreadPool::hardware_threads()}) {
     SCOPED_TRACE(threads);
     auto executor = std::make_unique<Executor>(threads);
-    auto store = std::make_unique<RawPatternStore>(64);
-    auto views = std::make_unique<std::vector<PatternView>>(
-        pattern_views(patterns));
-    std::vector<std::uint32_t> all(views->size());
-    std::iota(all.begin(), all.end(), std::uint32_t{0});
-    std::future<std::size_t> listed =
-        start_greedy_count(*views, all, kManyTerminals, 8, *executor);
-    std::future<std::size_t> streamed =
-        start_greedy_count(*store, kManyTerminals, 8, *executor);
-    write_patterns(patterns, *store);
-    store->close();
-    for (std::future<std::size_t>* count : {&listed, &streamed}) {
-      try {
-        (void)count->get();
-        ADD_FAILURE() << "no throw";
-      } catch (const std::out_of_range& e) {
-        EXPECT_EQ(std::string(e.what()), expected);
-      }
+    auto rows = std::make_unique<PatternRows>(kManyTerminals, 8, 64);
+    std::future<std::size_t> streamed = start_greedy_count(*rows, *executor);
+    try {
+      for (const SiPattern& p : patterns) rows->add(p);
+      ADD_FAILURE() << "no throw";
+    } catch (const std::out_of_range& e) {
+      EXPECT_EQ(std::string(e.what()), expected);
     }
-    views.reset();
-    store.reset();
+    rows->close();
+    EXPECT_EQ(streamed.get(), before);
+    EXPECT_EQ(rows->size(), kBad);
+    rows.reset();
     executor.reset();
   }
 }
@@ -550,20 +575,20 @@ TEST(StagedCount, CancelWhileStagesRunUnwindsAfterEveryStageTask) {
   // Cancelled once every task has returned.
   const std::vector<SiPattern> patterns =
       many_class_patterns(kManyClasses, 0xca9ce1ULL);
-  const std::span<const SiPattern> all(patterns);
   for (const int threads : {2, 3, ThreadPool::hardware_threads()}) {
     SCOPED_TRACE(threads);
     CancelToken token;
     auto executor = std::make_unique<Executor>(threads);
-    auto store = std::make_unique<RawPatternStore>(64);
+    auto rows = std::make_unique<PatternRows>(kManyTerminals, 8, 64);
     std::future<std::size_t> streamed =
-        start_greedy_count(*store, kManyTerminals, 8, *executor, &token);
-    write_patterns(all.first(6000), *store);
-    token.request();
-    write_patterns(all.subspan(6000), *store);
-    store->close();
+        start_greedy_count(*rows, *executor, &token);
+    for (std::size_t i = 0; i < patterns.size(); ++i) {
+      if (i == 6000) token.request();
+      rows->add(patterns[i]);
+    }
+    rows->close();
     EXPECT_THROW((void)streamed.get(), Cancelled);
-    store.reset();
+    rows.reset();
     executor.reset();
   }
 }

@@ -3,18 +3,24 @@
 // the direct per-grouping oracle in sitest_oracle.h.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <numeric>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "compaction_oracle.h"
 #include "interconnect/terminal_space.h"
+#include "interconnect/topology.h"
 #include "pattern/generator.h"
+#include "pattern/raw_store.h"
 #include "sitest/group.h"
 #include "sitest_oracle.h"
 #include "soc/benchmarks.h"
+#include "soc/synth.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -327,6 +333,115 @@ TEST(SitestShared, MatchesTheOracleForEveryGroupingAndThreadCount) {
   }
 }
 
+/// The patterns of `group` of `set`: at i = 1 all of them; else those
+/// whose non-empty care-core set lies in the group's cores, or, for the
+/// remainder, those no other group of the set holds.
+std::vector<SiPattern> group_patterns(std::span<const SiPattern> patterns,
+                                      const TerminalSpace& ts,
+                                      const SiTestSet& set,
+                                      const SiTestGroup& group) {
+  std::vector<SiPattern> out;
+  for (const SiPattern& p : patterns) {
+    const std::vector<int> care = p.care_cores(ts);
+    const auto inside = [&care](const SiTestGroup& g) {
+      return !care.empty() &&
+             std::includes(g.cores.begin(), g.cores.end(), care.begin(),
+                           care.end());
+    };
+    bool member = set.parts == 1;
+    if (!member && !group.is_remainder) member = inside(group);
+    if (!member && group.is_remainder) {
+      member = std::none_of(set.groups.begin(), set.groups.end(),
+                            [&](const SiTestGroup& g) {
+                              return !g.is_remainder && inside(g);
+                            });
+    }
+    if (member) out.push_back(p);
+  }
+  return out;
+}
+
+TEST(SitestShared, SharedRowCountsMatchTheReferenceOnSyntheticSocs) {
+  // Synthetic SOCs with Fig. 1 topologies from src/interconnect: each
+  // raw set (topology patterns, then §5 random ones) is encoded once and
+  // every group's count reads those shared rows, in the span form and in
+  // the streamed store form, at 1, 2, 3 and every thread. Each count
+  // equals the frozen sparse sweep on the group's own SiPatterns, and
+  // compact_greedy on them is byte-identical to it.
+  const std::vector<int> groupings = {1, 2, 4, 8};
+  const GroupingConfig config;
+  for (const int cores : {6, 12, 20}) {
+    SCOPED_TRACE(cores);
+    Rng rng(0x5ca1e + static_cast<std::uint64_t>(cores));
+    SynthSocConfig soc_config;
+    soc_config.cores = cores;
+    const Soc soc = generate_soc(soc_config, rng);
+    const TerminalSpace ts(soc);
+    TopologyConfig topology_config;
+    topology_config.wires_per_link = 8;
+    const Topology topology = generate_topology(ts, topology_config, rng);
+    std::vector<SiPattern> patterns = generate_topology_patterns(
+        topology, ts, 1200, TopologyPatternConfig{}, rng);
+    for (SiPattern& p :
+         generate_random_patterns(ts, 1200, RandomPatternConfig{}, rng)) {
+      patterns.push_back(std::move(p));
+    }
+
+    // The reference per (grouping, group), from the span form at one
+    // thread; every other run must give the same sets.
+    const std::vector<SiTestSet> expected =
+        build_si_test_sets(patterns, ts, groupings, config, 1);
+    for (const SiTestSet& set : expected) {
+      for (const SiTestGroup& group : set.groups) {
+        const std::vector<SiPattern> members =
+            group_patterns(patterns, ts, set, group);
+        ASSERT_EQ(static_cast<std::int64_t>(members.size()),
+                  group.raw_patterns)
+            << "i=" << set.parts << " " << group.label;
+        const CompactionResult reference =
+            testing::compact_greedy_reference(members, ts.total(),
+                                              config.bus_width);
+        EXPECT_EQ(group.patterns,
+                  static_cast<std::int64_t>(reference.patterns.size()))
+            << "i=" << set.parts << " " << group.label;
+        EXPECT_EQ(compact_greedy(members, ts.total(), config.bus_width)
+                      .patterns,
+                  reference.patterns)
+            << "i=" << set.parts << " " << group.label;
+      }
+    }
+    for (const int threads : {1, 2, 3, 0}) {
+      SCOPED_TRACE(threads);
+      const int span_threads =
+          threads == 0 ? ThreadPool::hardware_threads() : threads;
+      const std::vector<SiTestSet> spanned =
+          build_si_test_sets(patterns, ts, groupings, config, span_threads);
+      RawPatternStore store(256);
+      Executor executor(ThreadPool::workers_for(threads, 16));
+      const std::vector<SiTestSet> streamed = build_si_test_sets(
+          store,
+          [&] {
+            for (const SiPattern& p : patterns) {
+              for (const auto& [terminal, value] : p.assignments()) {
+                store.add_care(terminal, value);
+              }
+              for (const BusBit& bit : p.bus_bits()) store.add_bus(bit);
+              store.end_pattern();
+            }
+          },
+          ts, groupings, config, executor);
+      ASSERT_EQ(spanned.size(), expected.size());
+      ASSERT_EQ(streamed.size(), expected.size());
+      for (std::size_t g = 0; g < expected.size(); ++g) {
+        expect_same_set(spanned[g], expected[g],
+                        "span i=" + std::to_string(groupings[g]));
+        expect_same_set(streamed[g], expected[g],
+                        "store i=" + std::to_string(groupings[g]));
+      }
+    }
+  }
+}
+
 TEST(SitestShared, OutOfRangeIdsThrowBeforeAnyCompaction) {
   const Soc soc = load_benchmark("d695");
   const TerminalSpace ts(soc);
@@ -356,6 +471,83 @@ TEST(SitestShared, OutOfRangeIdsThrowBeforeAnyCompaction) {
   EXPECT_EQ(build_si_test_sets(patterns, ts, groupings, config, threads)
                 .size(),
             groupings.size());
+}
+
+TEST(SitestShared, EncodePassReportsTheFirstBadIdInInputOrder) {
+  // Every id is checked once, by the pass that interns the care sets and
+  // encodes the rows: the first offender in input order wins, and within
+  // a pattern its terminals come before its bus bits, each bit's line
+  // before its driver. The span form and the streamed store form (a bad pattern
+  // in a later chunk) throw the same std::out_of_range message at every
+  // thread count.
+  const Soc soc = load_benchmark("d695");
+  const TerminalSpace ts(soc);
+  Rng rng(15);
+  const auto good =
+      generate_random_patterns(ts, 700, RandomPatternConfig{}, rng);
+  const std::vector<int> groupings = {1, 2, 4, 8};
+  const GroupingConfig config;
+  const std::string terminal = "compaction: terminal id " +
+                               std::to_string(ts.total()) +
+                               " outside declared terminal space";
+  const std::string line = "compaction: bus line " +
+                           std::to_string(config.bus_width) +
+                           " outside declared bus width";
+  const std::string driver = "sitest: bus driver core " +
+                             std::to_string(soc.core_count()) +
+                             " outside the SOC";
+  struct Case {
+    std::vector<SiPattern> patterns;
+    std::string expected;
+  };
+  std::vector<Case> cases;
+  // A bad driver at 300 before a bad terminal at 500.
+  cases.push_back({good, driver});
+  cases.back().patterns[300].set_bus(1, soc.core_count());
+  cases.back().patterns[500].set(ts.total(), SigValue::kRise);
+  // A bad bus line at 300 before a bad driver at 500.
+  cases.push_back({good, line});
+  cases.back().patterns[300].set_bus(config.bus_width, 0);
+  cases.back().patterns[500].set_bus(1, soc.core_count());
+  // One pattern with all three: its terminal wins.
+  cases.push_back({good, terminal});
+  cases.back().patterns[400].set_bus(config.bus_width, soc.core_count());
+  cases.back().patterns[400].set(ts.total(), SigValue::kFall);
+  // One bus bit with a bad line and a bad driver: the line wins.
+  cases.push_back({good, line});
+  cases.back().patterns[400].set_bus(config.bus_width, soc.core_count());
+  for (const Case& c : cases) {
+    for (const int threads : {1, 2, 0}) {
+      SCOPED_TRACE(c.expected + " threads=" + std::to_string(threads));
+      try {
+        (void)build_si_test_sets(
+            c.patterns, ts, groupings, config,
+            threads == 0 ? ThreadPool::hardware_threads() : threads);
+        ADD_FAILURE() << "span form: no throw";
+      } catch (const std::out_of_range& e) {
+        EXPECT_EQ(std::string(e.what()), c.expected);
+      }
+      RawPatternStore store(64);
+      Executor executor(ThreadPool::workers_for(threads, 16));
+      try {
+        (void)build_si_test_sets(
+            store,
+            [&] {
+              for (const SiPattern& p : c.patterns) {
+                for (const auto& [t, value] : p.assignments()) {
+                  store.add_care(t, value);
+                }
+                for (const BusBit& bit : p.bus_bits()) store.add_bus(bit);
+                store.end_pattern();
+              }
+            },
+            ts, groupings, config, executor);
+        ADD_FAILURE() << "store form: no throw";
+      } catch (const std::out_of_range& e) {
+        EXPECT_EQ(std::string(e.what()), c.expected);
+      }
+    }
+  }
 }
 
 TEST(SitestShared, HugeGroupingCostsNoMoreThanOnePartPerCore) {
