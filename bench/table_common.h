@@ -2,7 +2,10 @@
 //
 // Runs the full §5 protocol for one benchmark SOC: for each N_r it prepares
 // the random SI workload, compacts it for every grouping i in {1,2,4,8},
-// sweeps W_max over 8..64 (step 8) and prints the paper-style table.
+// sweeps W_max over 8..64 (step 8) and prints the paper-style table. Every
+// N_r cell runs in one job graph (run_protocol): the SOC's wrapper table
+// and baseline jobs are built once, and the next cell's draw overlaps this
+// cell's Algorithm 2 jobs.
 //
 // Flags:
 //   --nr=10000,100000   initial interconnect pattern counts
@@ -11,7 +14,7 @@
 //   --csv               also dump CSV after each table
 //   --fast              shrink N_r by 10x (CI-friendly smoke run)
 //   --restarts=N        Algorithm 2 restarts per optimization
-//   --threads=T         sweep job-list workers (default 0 = all cores,
+//   --threads=T         job-graph workers (default 0 = all cores,
 //                       1 = serial; results are identical either way)
 //   --no-delta          disable the incremental delta evaluator
 //   --smoke             tiny traced-friendly run: N_r=400, widths {8,16},
@@ -19,7 +22,8 @@
 //   --trace-out=FILE    write a Chrome trace-event JSON of the run
 //   --metrics-out=FILE  write the counter/histogram metrics JSON
 //   --store-out=FILE    append one result-store record per N_r sweep
-//                       (see docs/RESULT_STORE.md); a failed append is a
+//                       (see docs/RESULT_STORE.md; its `seconds` is the
+//                       whole run's wall time); a failed append is a
 //                       hard error, not a warning
 #pragma once
 
@@ -39,6 +43,7 @@
 #include "util/cli.h"
 #include "util/json.h"
 #include "util/stopwatch.h"
+#include "util/thread_pool.h"
 
 namespace sitam::bench {
 
@@ -129,15 +134,35 @@ inline int run_table_bench(const std::string& soc_name, int argc,
             << " bits, InTest volume: " << soc.total_test_data_volume()
             << " bits\n\n";
 
+  std::vector<ProtocolCell> cells;
   for (const std::int64_t n_r : pattern_counts) {
     SiWorkloadConfig config;
     config.pattern_count = n_r;
     config.seed = seed;
+    cells.push_back({soc, config});
+  }
+  Stopwatch watch;
+  std::vector<ProtocolResult> protocol;
+  {
+    // Never more workers than Algorithm 2 units: per cell and width, the
+    // baseline job and one job per grouping. Joined here, before the
+    // trace session stops.
+    Executor executor(ThreadPool::workers_for(
+        optimizer.threads,
+        cells.size() * widths.size() *
+            (SiWorkloadConfig{}.groupings.size() + 1) *
+            static_cast<std::size_t>(std::max(1, optimizer.restarts))));
+    protocol = run_protocol(cells, widths, optimizer, executor);
+  }
+  const double seconds = watch.seconds();
+  std::cout << "(one job graph for every N_r: workload generation, 2-D "
+               "compaction and TAM optimization in "
+            << seconds << " s)\n\n";
 
-    Stopwatch prep_watch;
-    const SiWorkload workload = SiWorkload::prepare(soc, config);
-    const double prep_seconds = prep_watch.seconds();
-
+  for (const ProtocolResult& cell : protocol) {
+    const SiWorkload& workload = cell.workload;
+    const SweepResult& sweep = cell.sweep;
+    const std::int64_t n_r = workload.raw_pattern_count();
     std::cout << "--- N_r = " << n_r << " ---\n";
     for (const int parts : workload.groupings()) {
       const SiTestSet& tests = workload.tests(parts);
@@ -145,12 +170,8 @@ inline int run_table_bench(const std::string& soc_name, int argc,
                 << tests.total_patterns() << " compacted SI patterns in "
                 << tests.groups.size() << " groups\n";
     }
-    std::cout << "  (workload generation + 2-D compaction: " << prep_seconds
-              << " s)\n\n";
+    std::cout << "\n";
 
-    Stopwatch sweep_watch;
-    const SweepResult sweep = run_sweep(workload, widths, optimizer);
-    const double sweep_seconds = sweep_watch.seconds();
     EvaluatorStats evals;
     for (const ExperimentOutcome& row : sweep.rows) {
       for (const OptimizeResult& result : row.per_grouping) {
@@ -158,9 +179,8 @@ inline int run_table_bench(const std::string& soc_name, int argc,
       }
     }
     std::cout << sweep_caption(sweep) << "\n"
-              << render_paper_table(sweep)
-              << "(TAM optimization for all rows: " << sweep_seconds
-              << " s; " << render_evaluator_stats(evals) << ")\n\n";
+              << render_paper_table(sweep) << "("
+              << render_evaluator_stats(evals) << ")\n\n";
     if (args.has("csv")) {
       std::cout << render_paper_table(sweep).csv() << "\n";
     }
@@ -185,8 +205,7 @@ inline int run_table_bench(const std::string& soc_name, int argc,
         for (const int w : widths) config += std::to_string(w) + ",";
         record.config_hash = store::store_hash_hex(config);
       }
-      record.metrics["prep_seconds"] = prep_seconds;
-      record.metrics["seconds"] = sweep_seconds;
+      record.metrics["seconds"] = seconds;
       record.metrics["evaluations"] =
           static_cast<double>(evals.evaluations);
       record.metrics["cache_misses"] =

@@ -4,10 +4,13 @@
 // for each grouping parameter i, the two-dimensionally compacted SI test set
 // of one random SI pattern set (drawn per §5, then dropped). run_experiment /
 // run_sweep then optimize TAM architectures per width and produce rows in
-// the exact shape of the paper's Tables 2 and 3.
+// the exact shape of the paper's Tables 2 and 3. run_protocol does both for
+// every (SOC, N_r) cell of a table as one job graph; prepare and run_sweep
+// are its one-cell cases.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -17,6 +20,7 @@
 #include "soc/soc.h"
 #include "tam/optimizer.h"
 #include "util/cancel.h"
+#include "util/thread_pool.h"
 
 namespace sitam {
 
@@ -47,12 +51,16 @@ struct SiWorkloadConfig {
 [[nodiscard]] std::uint64_t workload_config_hash(const Soc& soc,
                                                 const SiWorkloadConfig& config);
 
+struct ProtocolCell;
+struct ProtocolResult;
+
 /// Prepared SI workload: the compacted test sets per grouping parameter of
 /// one raw pattern set.
 class SiWorkload {
  public:
   /// Draws the raw set into a RawPatternStore and compacts it (see
-  /// parallel_prepare); the SOC is copied in.
+  /// parallel_prepare): run_protocol's pass of one cell, with no widths;
+  /// the SOC is copied in.
   /// Throws std::invalid_argument on bad config (empty groupings,
   /// non-positive grouping values, negative pattern count). `cancel` is a
   /// cooperative cancellation token checked before each compaction job
@@ -75,7 +83,12 @@ class SiWorkload {
   [[nodiscard]] const SiTestSet& tests(int parts) const;
 
  private:
-  SiWorkload(Soc soc, SiWorkloadConfig config);
+  friend std::vector<ProtocolResult> run_protocol(
+      std::span<const ProtocolCell> cells, const std::vector<int>& widths,
+      const OptimizerConfig& optimizer, Executor& executor);
+
+  SiWorkload(Soc soc, SiWorkloadConfig config,
+             std::vector<SiTestSet> test_sets);
 
   Soc soc_;
   SiWorkloadConfig config_;
@@ -112,15 +125,53 @@ struct SweepResult {
 };
 
 /// Runs the §5 protocol for every width (the paper uses 8..64 step 8) as
-/// one job list on one Executor of config.threads workers: the wrapper
-/// table of each width, then the baseline job and one job per grouping for
-/// every width, every restart of every job a unit of the same pool
-/// (optimize_tam_batch). Rows come back in width order and are identical
-/// for every thread count. Throws std::invalid_argument for a width < 1;
-/// a cancelled config.cancel unwinds with sitam::Cancelled once every
-/// started unit has returned.
+/// one job graph on one Executor of config.threads workers: run_protocol's
+/// graph for one prepared cell. The SOC's wrapper table is built once, at
+/// the largest width, one task per core; then the baseline job and one job
+/// per grouping for every width start, widest first, every restart of
+/// every job a unit of the same pool (OptimizeBatch). Rows come back in
+/// the order of `widths` and are identical for every thread count. Throws
+/// std::invalid_argument for a width < 1; a cancelled config.cancel
+/// unwinds with sitam::Cancelled once every started unit has returned.
 [[nodiscard]] SweepResult run_sweep(const SiWorkload& workload,
                                     const std::vector<int>& widths,
                                     const OptimizerConfig& config = {});
+
+/// One (SOC, N_r) cell of a protocol run.
+struct ProtocolCell {
+  Soc soc;
+  SiWorkloadConfig config;
+};
+
+/// One cell's prepared workload and its sweep.
+struct ProtocolResult {
+  SiWorkload workload;
+  SweepResult sweep;
+};
+
+/// Runs the §5 protocol for every cell (Tables 2 and 3 are the grid of
+/// (SOC, N_r) cells) and every width as one job graph on `executor`, each
+/// job started by data, not by phase:
+///  - at t = 0, each distinct SOC's wrapper table, at the largest width,
+///    one task per core; once it is built, that SOC's baseline jobs, one
+///    per width, shared by every cell of the SOC (each cell scores the
+///    baseline architecture against its own groupings);
+///  - the cells' prepare passes (start_si_test_sets) in cell order, each
+///    draw on a worker and each care-set index on the calling thread; the
+///    next cell's draw starts once the previous pass has freed its rows,
+///    so one cell's rows are alive at a time;
+///  - as a grouping's last count lands (and the table is built), its
+///    Algorithm 2 jobs for every width, widest first, queued behind the
+///    prepare tasks.
+/// No task waits on another. Results land by index, so they equal
+/// SiWorkload::prepare + run_sweep per cell, byte for byte, for every
+/// executor size; on one thread the graph runs on the caller in a fixed
+/// topological order. optimizer.cancel also cancels the passes;
+/// optimizer.threads is not read. Throws std::invalid_argument, before
+/// any job runs, for a width < 1 or a cell prepare would reject; a job's
+/// error is rethrown once every started job has returned.
+[[nodiscard]] std::vector<ProtocolResult> run_protocol(
+    std::span<const ProtocolCell> cells, const std::vector<int>& widths,
+    const OptimizerConfig& optimizer, Executor& executor);
 
 }  // namespace sitam

@@ -530,27 +530,23 @@ void Sweep::count() const {
 /// queued. Each task takes its input and puts its forward list under the
 /// mutex, so the tasks synchronize once per (stage, chunk). The tasks
 /// share ownership; the one that leaves nothing running after close()
-/// marks the sweep done. After a task throws, queued inputs are dropped
-/// and no task is submitted, so the exception reaches the caller once the
-/// tasks already running return. The caller's future is deferred: its
-/// get() waits for done on the caller's thread and takes the exception
-/// over from the sweep there, so no worker holds the exception object
-/// once the caller can see it (one shared object would be freed by
-/// whichever thread drops it last, ordered only by the C++ runtime's
-/// uninstrumented reference counts: a ThreadSanitizer race).
+/// hands `then` the count or the exception. After a task throws, queued
+/// inputs are dropped and no task is submitted, so the exception reaches
+/// `then` once the tasks already running return. It is moved out under
+/// the mutex, so no other worker holds the exception object once `then`
+/// passes it on (one shared object would be freed by whichever thread
+/// drops it last, ordered only by the C++ runtime's uninstrumented
+/// reference counts: a ThreadSanitizer race).
 class PooledSweep : public std::enable_shared_from_this<PooledSweep> {
  public:
   PooledSweep(const PatternRows& rows, Executor& executor,
-              const CancelToken* cancel, const char* span)
-      : sweep_(rows), executor_(executor), cancel_(cancel), lanes_(1) {
+              const CancelToken* cancel, const char* span, CountDone then)
+      : sweep_(rows),
+        executor_(executor),
+        cancel_(cancel),
+        then_(std::move(then)),
+        lanes_(1) {
     if (span != nullptr) span_.emplace(span);
-  }
-
-  /// The count, or the first exception, once the sweep is done; get()
-  /// waits on the calling thread.
-  [[nodiscard]] std::future<std::size_t> result() {
-    return std::async(std::launch::deferred,
-                      [self = shared_from_this()] { return self->wait(); });
   }
 
   /// Queues `in` for stage 0. Dropped after a failure.
@@ -572,24 +568,19 @@ class PooledSweep : public std::enable_shared_from_this<PooledSweep> {
   /// Marks stage s idle and drops its queued inputs; true when that
   /// leaves nothing running after close(). Caller holds mutex_.
   [[nodiscard]] bool release_locked(std::size_t s);
-  /// Closes the span, records the counters and marks the sweep done;
-  /// once, after the last task.
+  /// Closes the span, records the counters and hands `then_` the count
+  /// or the exception; once, after the last task.
   void finish();
-  /// Waits until the sweep is done; returns its count or rethrows its
-  /// exception.
-  [[nodiscard]] std::size_t wait();
 
   Sweep sweep_;
   Executor& executor_;
   const CancelToken* cancel_;
+  CountDone then_;
   std::optional<obs::ScopedSpan> span_;
   std::mutex mutex_;
-  std::condition_variable finished_;
   std::deque<Lane> lanes_;         // guarded_by(mutex_)
   std::size_t busy_ = 0;           // guarded_by(mutex_): lanes busy
   bool closed_ = false;            // guarded_by(mutex_)
-  bool done_ = false;              // guarded_by(mutex_)
-  std::size_t classes_ = 0;        // guarded_by(mutex_): once done_
   std::exception_ptr error_;       // guarded_by(mutex_)
 };
 
@@ -690,44 +681,28 @@ void PooledSweep::run(std::size_t s) {
 }
 
 void PooledSweep::finish() {
-  bool failed = false;
+  std::exception_ptr error;
   {
     const std::lock_guard lock(mutex_);
-    failed = error_ != nullptr;
+    error = std::exchange(error_, nullptr);
   }
   // Nothing runs any more: the sweep is this thread's to read.
-  if (!failed) {
+  if (!error) {
     sweep_.count();
     if (span_) span_->set_arg(static_cast<std::int64_t>(sweep_.patterns_in()));
   }
   span_.reset();
-  {
-    const std::lock_guard lock(mutex_);
-    classes_ = sweep_.classes();
-    done_ = true;
-  }
-  finished_.notify_all();
+  then_(error ? 0 : sweep_.classes(), std::move(error));
 }
 
-std::size_t PooledSweep::wait() {
-  std::exception_ptr error;
-  {
-    std::unique_lock lock(mutex_);
-    finished_.wait(lock, [this] { return done_; });
-    if (!error_) return classes_;
-    error = std::move(error_);
-    error_ = nullptr;
-  }
-  std::rethrow_exception(error);
-}
-
-/// The count of a sweep over `rows` that `place` feeds on the caller, as
-/// a ready future holding the count or the exception; a non-null `span`
+/// The count of a sweep over `rows` that `place` feeds on the caller,
+/// handed to `done` with the count or the exception; a non-null `span`
 /// names a trace span over it (arg: the patterns placed).
 template <typename Place>
-[[nodiscard]] std::future<std::size_t> count_on_caller(
-    const PatternRows& rows, const char* span, const Place& place) {
-  std::promise<std::size_t> done;
+void count_on_caller(const PatternRows& rows, const char* span,
+                     const Place& place, const CountDone& done) {
+  std::size_t count = 0;
+  std::exception_ptr error;
   try {
     std::optional<obs::ScopedSpan> scope;
     if (span != nullptr) scope.emplace(span);
@@ -735,11 +710,39 @@ template <typename Place>
     place(sweep);
     sweep.count();
     if (scope) scope->set_arg(static_cast<std::int64_t>(sweep.patterns_in()));
-    done.set_value(sweep.classes());
+    count = sweep.classes();
   } catch (...) {
-    done.set_exception(std::current_exception());
+    error = std::current_exception();
   }
-  return done.get_future();
+  done(count, std::move(error));
+}
+
+/// The future form of a count that `start` starts with a CountDone: a
+/// deferred future whose get() waits, on the calling thread, for the
+/// count's group and takes its count or its exception over there.
+template <typename Start>
+[[nodiscard]] std::future<std::size_t> count_future(Executor& executor,
+                                                    const Start& start) {
+  struct Waited {
+    explicit Waited(Executor& executor) : group(executor) {}
+    TaskGroup group;
+    std::size_t count = 0;  // written before the group's release
+  };
+  const auto waited = std::make_shared<Waited>(executor);
+  waited->group.hold();
+  try {
+    start([waited](std::size_t count, std::exception_ptr error) {
+      waited->count = count;
+      waited->group.release(std::move(error));
+    });
+  } catch (...) {
+    waited->group.release();
+    throw;
+  }
+  return std::async(std::launch::deferred, [waited] {
+    waited->group.wait();
+    return waited->count;
+  });
 }
 
 /// 0, 1, ..., n-1: every pattern, in input order.
@@ -801,46 +804,51 @@ CompactionResult compact_greedy(std::span<const SiPattern> patterns,
   return result;
 }
 
-std::future<std::size_t> start_greedy_count(
-    const PatternRows& rows, std::span<const std::uint32_t> members,
-    Executor& executor, const CancelToken* cancel, const char* span) {
+void start_greedy_count(const PatternRows& rows,
+                        std::span<const std::uint32_t> members,
+                        Executor& executor, const CancelToken* cancel,
+                        const char* span, CountDone done) {
   check_members(rows.size(), members);
   check_cancel(cancel);
   std::vector<Forward> chunks = member_chunks(rows, members);
   if (executor.size() == 1) {
-    return count_on_caller(rows, span, [&](Sweep& sweep) {
-      for (const Forward& chunk : chunks) {
-        check_cancel(cancel);
-        sweep.place(chunk);
-      }
-    });
+    count_on_caller(
+        rows, span,
+        [&](Sweep& sweep) {
+          for (const Forward& chunk : chunks) {
+            check_cancel(cancel);
+            sweep.place(chunk);
+          }
+        },
+        done);
+    return;
   }
-  const auto pooled =
-      std::make_shared<PooledSweep>(rows, executor, cancel, span);
-  std::future<std::size_t> result = pooled->result();
+  const auto pooled = std::make_shared<PooledSweep>(rows, executor, cancel,
+                                                    span, std::move(done));
   for (Forward& chunk : chunks) pooled->feed(std::move(chunk));
   pooled->close();
-  return result;
 }
 
-std::future<std::size_t> start_greedy_count(const PatternRows& rows,
-                                            Executor& executor,
-                                            const CancelToken* cancel,
-                                            const char* span) {
+void start_greedy_count(const PatternRows& rows, Executor& executor,
+                        const CancelToken* cancel, const char* span,
+                        CountDone done) {
   check_cancel(cancel);
   if (executor.size() == 1) {
-    return count_on_caller(rows, span, [&](Sweep& sweep) {
-      for (std::size_t k = 0;; ++k) {
-        const PatternRows::Chunk* chunk = rows.wait_chunk(k);
-        if (chunk == nullptr) return;
-        check_cancel(cancel);
-        sweep.place(chunk_input(*chunk));
-      }
-    });
+    count_on_caller(
+        rows, span,
+        [&](Sweep& sweep) {
+          for (std::size_t k = 0;; ++k) {
+            const PatternRows::Chunk* chunk = rows.wait_chunk(k);
+            if (chunk == nullptr) return;
+            check_cancel(cancel);
+            sweep.place(chunk_input(*chunk));
+          }
+        },
+        done);
+    return;
   }
-  const auto pooled =
-      std::make_shared<PooledSweep>(rows, executor, cancel, span);
-  std::future<std::size_t> result = pooled->result();
+  const auto pooled = std::make_shared<PooledSweep>(rows, executor, cancel,
+                                                    span, std::move(done));
   // The feeder waits on the writer, never on a stage.
   (void)executor.submit([pooled, &rows] {
     for (std::size_t k = 0;; ++k) {
@@ -850,7 +858,24 @@ std::future<std::size_t> start_greedy_count(const PatternRows& rows,
     }
     pooled->close();
   });
-  return result;
+}
+
+std::future<std::size_t> start_greedy_count(
+    const PatternRows& rows, std::span<const std::uint32_t> members,
+    Executor& executor, const CancelToken* cancel, const char* span) {
+  return count_future(executor, [&](CountDone done) {
+    start_greedy_count(rows, members, executor, cancel, span,
+                       std::move(done));
+  });
+}
+
+std::future<std::size_t> start_greedy_count(const PatternRows& rows,
+                                            Executor& executor,
+                                            const CancelToken* cancel,
+                                            const char* span) {
+  return count_future(executor, [&](CountDone done) {
+    start_greedy_count(rows, executor, cancel, span, std::move(done));
+  });
 }
 
 std::size_t compact_greedy_count(std::span<const PatternView> patterns,

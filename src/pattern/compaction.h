@@ -89,6 +89,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <deque>
+#include <exception>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -353,8 +355,8 @@ void PatternRows::add(const PatternView& p, const OnCare& on_care,
 /// on one thread (executor.size() == 1) the count runs before it returns.
 /// The future holds the count or the first exception a task threw
 /// (sitam::Cancelled: `cancel` is checked before every task); its get()
-/// and wait() return only once every task has returned, so `rows` and
-/// `members` must outlive that wait. A member outside `rows` throws
+/// and wait() return only once nothing of the count runs any more, so
+/// `rows` and `members` must outlive that wait. A member outside `rows` throws
 /// std::out_of_range and a cancelled `cancel` sitam::Cancelled here,
 /// before anything starts. A non-null `span` names a trace span over the
 /// whole count (arg: the patterns placed), closed on the thread that
@@ -372,6 +374,23 @@ void PatternRows::add(const PatternView& p, const OnCare& on_care,
 [[nodiscard]] std::future<std::size_t> start_greedy_count(
     const PatternRows& rows, Executor& executor,
     const CancelToken* cancel = nullptr, const char* span = nullptr);
+
+/// Receives a count: the class count, or (count 0) the first exception
+/// one of its tasks threw. Must not throw.
+using CountDone = std::function<void(std::size_t, std::exception_ptr)>;
+
+/// The two counts above as nodes of a job graph: each reports to `done`
+/// instead of a future. `done` runs once, on the thread that finishes the
+/// count (on one thread, before this returns), and nothing of the count
+/// runs after it, so `done` may free `rows` and `members`. The same
+/// checks throw here, before anything starts, and `done` is not called.
+void start_greedy_count(const PatternRows& rows,
+                        std::span<const std::uint32_t> members,
+                        Executor& executor, const CancelToken* cancel,
+                        const char* span, CountDone done);
+void start_greedy_count(const PatternRows& rows, Executor& executor,
+                        const CancelToken* cancel, const char* span,
+                        CountDone done);
 
 /// The compacted count of the `members` of `patterns` (indices, in sweep
 /// order) on the caller: the members are encoded, in member order, into

@@ -5,8 +5,9 @@
 #include <functional>
 #include <future>
 #include <limits>
+#include <memory>
+#include <mutex>
 #include <numeric>
-#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -362,115 +363,247 @@ std::size_t check_pass(std::span<const int> groupings, int cores,
   return max_jobs;
 }
 
-/// The jobs a pass has started. Each borrows the pass's state and the
-/// executor may outlive the pass, so an unwinding pass first waits for
-/// every job it started.
-struct StartedJobs {
-  std::future<void> draw;           ///< The draw, on a pool worker.
-  std::future<std::size_t> single;  ///< The i = 1 count, if any.
-  /// Per grouping: its partition, which then starts its counts.
-  std::vector<std::future<void>> partitions;
-  std::vector<std::vector<std::future<std::size_t>>> counts;
+/// Ready once the object holding it is destroyed: declared first in a
+/// class, after every other member is freed.
+class FreedSignal {
+ public:
+  FreedSignal() = default;
+  FreedSignal(const FreedSignal&) = delete;
+  FreedSignal& operator=(const FreedSignal&) = delete;
+  ~FreedSignal() { freed_.set_value(); }
+  [[nodiscard]] std::future<void> future() { return freed_.get_future(); }
 
-  StartedJobs() = default;
-  StartedJobs(const StartedJobs&) = delete;
-  StartedJobs& operator=(const StartedJobs&) = delete;
-  ~StartedJobs() {
-    if (draw.valid()) draw.wait();
-    if (single.valid()) single.wait();
-    // A partition's job writes its grouping's counts: wait for it first.
-    for (const auto& p : partitions) {
-      if (p.valid()) p.wait();
+ private:
+  std::promise<void> freed_;
+};
+
+/// One pass over a raw set as nodes of a job graph. Every job of the pass
+/// shares ownership of it, so its rows and index are freed, and `freed`
+/// is ready, once the last job is gone. A grouping's set is handed to
+/// `on_set` once each of its pieces is done: its set-up (the caller's
+/// group for i = 1, the partition task for i >= 2) and every count.
+struct Pass {
+  Pass(const TerminalSpace& terminals, std::span<const int> groupings_in,
+       const GroupingConfig& config, TaskGroup& group_in,
+       const CancelToken* cancel_in, SetDone on_set_in,
+       std::size_t chunk_patterns)
+      : rows(terminals.total(), config.bus_width, chunk_patterns),
+        groupings(groupings_in.begin(), groupings_in.end()),
+        partition_config(config.partition),
+        cores(terminals.core_count()),
+        group(group_in),
+        cancel(cancel_in),
+        on_set(std::move(on_set_in)),
+        sets(groupings.size()),
+        jobs(groupings.size()),
+        left(groupings.size(), 1) {
+    for (std::size_t g = 0; g < groupings.size(); ++g) {
+      // The i = 1 count is one more piece of each i = 1 grouping.
+      if (groupings[g] == 1) ++left[g];
     }
-    for (const auto& grouping : counts) {
-      for (const auto& c : grouping) {
-        if (c.valid()) c.wait();
+  }
+
+  FreedSignal freed;
+  PatternRows rows;
+  CareIndex index;
+  Hypergraph hg;
+  std::vector<int> groupings;
+  PartitionConfig partition_config;
+  int cores = 0;
+  TaskGroup& group;
+  const CancelToken* cancel = nullptr;
+  SetDone on_set;
+  std::vector<SiTestSet> sets;
+  /// Per grouping, written by its set-up: the set's group of each job.
+  std::vector<std::vector<CompactionJob>> jobs;
+  std::mutex mutex;
+  std::vector<std::size_t> left;  // guarded_by(mutex): pieces per grouping
+  std::size_t single = 0;         // guarded_by(mutex): the i = 1 count
+
+  [[nodiscard]] bool has_single() const {
+    return std::find(groupings.begin(), groupings.end(), 1) !=
+           groupings.end();
+  }
+
+  /// Starts the i = 1 count over every row as the rows are written.
+  static void start_single(const std::shared_ptr<Pass>& pass) {
+    pass->start_count([&](CountDone done) {
+      start_greedy_count(pass->rows, pass->group.executor(), pass->cancel,
+                         "sitest.compact", std::move(done));
+    }, [pass](std::size_t count) {
+      std::vector<std::size_t> done;
+      {
+        const std::lock_guard<std::mutex> lock(pass->mutex);
+        pass->single = count;
+        for (std::size_t g = 0; g < pass->groupings.size(); ++g) {
+          if (pass->groupings[g] == 1 && --pass->left[g] == 0) {
+            done.push_back(g);
+          }
+        }
       }
+      for (const std::size_t g : done) pass->hand_over(g);
+    });
+  }
+
+  /// Once the index is closed: the i = 1 groups on this thread, and one
+  /// partition task per grouping i >= 2.
+  static void start_groupings(const std::shared_ptr<Pass>& pass,
+                              const TerminalSpace& terminals) {
+    pass->hg = core_hypergraph(pass->index, terminals);
+    for (std::size_t g = 0; g < pass->groupings.size(); ++g) {
+      if (pass->groupings[g] == 1) {
+        add_single_group(pass->index, pass->cores, pass->sets[g]);
+        pass->piece_done(g);
+        continue;
+      }
+      pass->group.run(JobPriority::kNormal,
+                      [pass, g] { partition(pass, g); });
     }
+  }
+
+  /// Partitions grouping g, buckets its patterns and starts its counts,
+  /// longest first, so the first stage tasks of the biggest compactions
+  /// are queued ahead of the small ones.
+  static void partition(const std::shared_ptr<Pass>& pass, std::size_t g) {
+    check_cancel(pass->cancel);
+    const int parts = pass->groupings[g];
+    Partition partition;
+    {
+      SITAM_TRACE_SPAN_ARG("sitest.partition", parts);
+      partition = partition_hypergraph(pass->hg, parts,
+                                       pass->partition_config);
+    }
+    std::vector<CompactionJob>& jobs = pass->jobs[g];
+    add_grouping(pass->index, partition, pass->sets[g], jobs);
+    std::vector<std::size_t> order(jobs.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return jobs[a].members.size() > jobs[b].members.size();
+                     });
+    {
+      const std::lock_guard<std::mutex> lock(pass->mutex);
+      pass->left[g] += jobs.size();
+    }
+    for (const std::size_t j : order) {
+      const std::size_t at = jobs[j].group;
+      pass->start_count([&](CountDone done) {
+        start_greedy_count(pass->rows, jobs[j].members,
+                           pass->group.executor(), pass->cancel,
+                           "sitest.compact", std::move(done));
+        // The count holds its own copy of the members.
+        jobs[j].members = {};
+      }, [pass, g, at](std::size_t count) {
+        bool last = false;
+        {
+          const std::lock_guard<std::mutex> lock(pass->mutex);
+          pass->sets[g].groups[at].patterns =
+              static_cast<std::int64_t>(count);
+          last = --pass->left[g] == 0;
+        }
+        if (last) pass->hand_over(g);
+      });
+    }
+    pass->piece_done(g);
+  }
+
+  /// Starts one count through `start`, held in the group until it lands;
+  /// `landed` gets its count, and an error (the count's or landed's)
+  /// goes to the group.
+  template <typename Start, typename Landed>
+  void start_count(const Start& start, Landed landed) {
+    group.hold();
+    try {
+      start([held = &group, landed = std::move(landed)](
+                std::size_t count, std::exception_ptr error) mutable {
+        if (!error) {
+          try {
+            landed(count);
+          } catch (...) {
+            error = std::current_exception();
+          }
+        }
+        held->release(std::move(error));
+      });
+    } catch (...) {
+      group.release();
+      throw;
+    }
+  }
+
+  void piece_done(std::size_t g) {
+    bool last = false;
+    {
+      const std::lock_guard<std::mutex> lock(mutex);
+      last = --left[g] == 0;
+    }
+    if (last) hand_over(g);
+  }
+
+  /// Grouping g is complete: its set goes to on_set.
+  void hand_over(std::size_t g) {
+    if (groupings[g] == 1 && !sets[g].groups.empty()) {
+      const std::lock_guard<std::mutex> lock(mutex);
+      sets[g].groups.front().patterns = static_cast<std::int64_t>(single);
+    }
+    on_set(g, std::move(sets[g]));
   }
 };
 
-/// The rest of a pass once its raw set is indexed and its `rows` closed,
-/// with the i = 1 count already started in `single` (valid iff some
-/// grouping is 1; taken over and waited for here, like every job this
-/// starts): partitions every grouping i >= 2 on `executor` beside it, and
-/// as each partition returns, buckets the patterns and starts that
-/// grouping's compactions, longest first, so no grouping waits for a
-/// slower one's partition. Results land by job index, so neither the order
-/// nor the thread count changes them.
-std::vector<SiTestSet> finish_pass(const PatternRows& rows,
-                                   const CareIndex& index,
-                                   const TerminalSpace& terminals,
-                                   std::span<const int> groupings,
-                                   const GroupingConfig& config,
-                                   Executor& executor,
-                                   const CancelToken* cancel,
-                                   std::future<std::size_t>& single) {
-  SITAM_CHECK(single.valid() ==
-              (std::find(groupings.begin(), groupings.end(), 1) !=
-               groupings.end()));
-  const Hypergraph hg = core_hypergraph(index, terminals);
-  std::vector<SiTestSet> sets(groupings.size());
-  // Per grouping, written by its partition's job: reserved so that no job
-  // moves while a worker reads its members.
-  std::vector<std::vector<CompactionJob>> jobs(groupings.size());
-  StartedJobs started;
-  started.single = std::move(single);
+}  // namespace
 
-  started.partitions.resize(groupings.size());
-  started.counts.resize(groupings.size());
-  for (std::size_t g = 0; g < groupings.size(); ++g) {
-    const int parts = groupings[g];
-    if (parts == 1) {
-      add_single_group(index, terminals.core_count(), sets[g]);
-      continue;
+std::future<void> start_si_test_sets(
+    RawPatternStore& store, const std::function<void()>& draw,
+    const TerminalSpace& terminals, std::span<const int> groupings,
+    const GroupingConfig& config, TaskGroup& group,
+    const CancelToken* cancel, SetDone on_set) {
+  (void)check_pass(groupings, terminals.core_count(), config);
+  const auto pass =
+      std::make_shared<Pass>(terminals, groupings, config, group, cancel,
+                             std::move(on_set), store.chunk_patterns());
+  std::future<void> freed = pass->freed.future();
+  const auto draw_all = [&store, &draw] {
+    try {
+      draw();
+    } catch (...) {
+      store.close();  // lets the index finish
+      throw;
     }
-    jobs[g].reserve(
-        static_cast<std::size_t>(std::min(parts, terminals.core_count())) +
-        1);
-    started.partitions[g] = executor.submit([&, g, parts] {
-      check_cancel(cancel);
-      Partition partition;
-      {
-        SITAM_TRACE_SPAN_ARG("sitest.partition", parts);
-        partition = partition_hypergraph(hg, parts, config.partition);
-      }
-      add_grouping(index, partition, sets[g], jobs[g]);
-      // Longest first, so the first stage tasks of the biggest
-      // compactions are queued ahead of the small ones.
-      std::vector<std::size_t> order(jobs[g].size());
-      std::iota(order.begin(), order.end(), std::size_t{0});
-      std::stable_sort(order.begin(), order.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         return jobs[g][a].members.size() >
-                                jobs[g][b].members.size();
-                       });
-      started.counts[g].resize(jobs[g].size());
-      for (const std::size_t j : order) {
-        started.counts[g][j] = start_greedy_count(
-            rows, jobs[g][j].members, executor, cancel, "sitest.compact");
-      }
-    });
+    store.close();
+  };
+  // The index reads the store's chunks in order as `draw` publishes them,
+  // encodes their rows and frees them; the i = 1 count reads the rows as
+  // the index publishes them. On a pool the draw runs on a worker and the
+  // index on this thread, so the rows are allocated where the next pass
+  // allocates its own. On the caller each runs in turn.
+  Executor& executor = group.executor();
+  if (executor.size() > 1) {
+    std::future<void> drawn = executor.submit(draw_all);
+    try {
+      if (pass->has_single()) Pass::start_single(pass);
+      pass->index = index_care_sets(store, terminals, config.bus_width,
+                                    pass->rows, cancel);
+    } catch (...) {
+      drawn.wait();  // it writes `store`
+      throw;
+    }
+    drawn.get();
+  } else {
+    draw_all();
+    pass->index = index_care_sets(store, terminals, config.bus_width,
+                                  pass->rows, cancel);
+    if (pass->has_single()) Pass::start_single(pass);
   }
-  for (std::future<void>& partition : started.partitions) {
-    if (partition.valid()) partition.get();
-  }
+  check_cancel(cancel);
+  Pass::start_groupings(pass, terminals);
+  return freed;
+}
 
-  if (started.single.valid()) {
-    const auto count = static_cast<std::int64_t>(started.single.get());
-    for (std::size_t g = 0; g < groupings.size(); ++g) {
-      if (groupings[g] == 1 && !sets[g].groups.empty()) {
-        sets[g].groups.front().patterns = count;
-      }
-    }
-  }
-  for (std::size_t g = 0; g < groupings.size(); ++g) {
-    for (std::size_t j = 0; j < jobs[g].size(); ++j) {
-      sets[g].groups[jobs[g][j].group].patterns =
-          static_cast<std::int64_t>(started.counts[g][j].get());
-    }
-  }
-  return sets;
+namespace {
+
+/// Collects each grouping's set into `sets` by index.
+[[nodiscard]] SetDone collect_into(std::vector<SiTestSet>& sets) {
+  return [&sets](std::size_t g, SiTestSet set) { sets[g] = std::move(set); };
 }
 
 }  // namespace
@@ -494,68 +627,36 @@ std::vector<SiTestSet> build_si_test_sets(std::span<const SiPattern> patterns,
   if (threads < 1) {
     throw std::invalid_argument("build_si_test_sets: threads must be >= 1");
   }
-  PatternRows rows(terminals.total(), config.bus_width);
-  const CareIndex index = index_care_sets(pattern_views(patterns), terminals,
-                                          config.bus_width, &rows);
   Executor executor(ThreadPool::workers_for(threads, max_jobs));
-  std::future<std::size_t> single;
-  if (std::find(groupings.begin(), groupings.end(), 1) != groupings.end()) {
+  std::vector<SiTestSet> sets(groupings.size());
+  TaskGroup group(executor);
+  {
+    const auto pass = std::make_shared<Pass>(
+        terminals, groupings, config, group, cancel, collect_into(sets),
+        RawPatternStore::kChunkPatterns);
+    pass->index = index_care_sets(pattern_views(patterns), terminals,
+                                  config.bus_width, &pass->rows);
     // i = 1 needs no partition, and its job holds every pattern: it starts
     // first, while the other groupings are partitioned beside it.
-    single = start_greedy_count(rows, executor, cancel, "sitest.compact");
+    if (pass->has_single()) Pass::start_single(pass);
+    Pass::start_groupings(pass, terminals);
   }
-  return finish_pass(rows, index, terminals, groupings, config, executor,
-                     cancel, single);
+  group.wait();
+  return sets;
 }
 
+// sitam-lint: allow(SL005) — start_si_test_sets validates.
 std::vector<SiTestSet> build_si_test_sets(
     RawPatternStore& store, const std::function<void()>& draw,
     const TerminalSpace& terminals, std::span<const int> groupings,
     const GroupingConfig& config, Executor& executor,
     const CancelToken* cancel) {
-  (void)check_pass(groupings, terminals.core_count(), config);
-  // Declared before `started`, whose jobs read them.
-  PatternRows rows(terminals.total(), config.bus_width,
-                   store.chunk_patterns());
-  StartedJobs started;
-  const bool single =
-      std::find(groupings.begin(), groupings.end(), 1) != groupings.end();
-  const auto draw_all = [&store, &draw] {
-    try {
-      draw();
-    } catch (...) {
-      store.close();  // lets the index finish
-      throw;
-    }
-    store.close();
-  };
-  // The index reads the store's chunks in order as `draw` publishes them,
-  // encodes their rows and frees them; the i = 1 count reads the rows as
-  // the index publishes them. On a pool the draw runs on a worker and the
-  // index on this thread, so the rows are allocated where the pass (and
-  // the next one) frees them. On the caller each runs in turn.
-  std::optional<CareIndex> index;
-  if (executor.size() > 1) {
-    started.draw = executor.submit(draw_all);
-    if (single) {
-      started.single =
-          start_greedy_count(rows, executor, cancel, "sitest.compact");
-    }
-    index.emplace(index_care_sets(store, terminals, config.bus_width, rows,
-                                  cancel));
-    started.draw.get();
-  } else {
-    draw_all();
-    index.emplace(index_care_sets(store, terminals, config.bus_width, rows,
-                                  cancel));
-    if (single) {
-      started.single =
-          start_greedy_count(rows, executor, cancel, "sitest.compact");
-    }
-  }
-  check_cancel(cancel);
-  return finish_pass(rows, *index, terminals, groupings, config, executor,
-                     cancel, started.single);
+  std::vector<SiTestSet> sets(groupings.size());
+  TaskGroup group(executor);
+  (void)start_si_test_sets(store, draw, terminals, groupings, config, group,
+                           cancel, collect_into(sets));
+  group.wait();
+  return sets;
 }
 
 SiTestSet build_si_test_set(std::span<const SiPattern> patterns,

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <future>
 #include <span>
 #include <string>
 #include <vector>
@@ -91,8 +92,9 @@ void assign_si_power(SiTestSet& set, const Soc& soc,
 ///
 /// The i = 1 count starts first; the partitions of every grouping i >= 2
 /// run beside it, and as each returns, that grouping's compactions start
-/// longest first, each as (stage, chunk) tasks (start_greedy_count). All
-/// of it runs on
+/// longest first, each as (stage, chunk) tasks (start_greedy_count). No
+/// job waits on another: each partition starts its counts, and each
+/// count lands its group's size. All of it runs on
 /// min(`threads`, jobs) pool workers; threads == 1 runs it on the caller.
 /// The result does not depend on `threads`. `cancel` is checked before
 /// each partition and compaction starts and before each stage task
@@ -107,22 +109,43 @@ void assign_si_power(SiTestSet& set, const Soc& soc,
     std::span<const int> groupings, const GroupingConfig& config,
     int threads, const CancelToken* cancel = nullptr);
 
+/// Receives grouping g's finished test set (g indexes the groupings).
+using SetDone = std::function<void(std::size_t, SiTestSet)>;
+
+/// The pass of the store form below as nodes of `group`'s job graph, on
+/// group.executor(). On the calling thread it runs the index (and, with
+/// no pool, the draw first); it returns once the store is read and
+/// indexed, with the partitions and counts left running in `group`. As
+/// the last piece of groupings[g] lands, `on_set(g, set)` runs on the
+/// thread that landed it (on one thread, before this returns). The
+/// returned future is ready once no job of the pass is left, and so its
+/// encoded rows and care-set index are freed: a caller that waits on it
+/// before it draws again holds one pass's rows at a time. The draw's and
+/// the index's errors are thrown here, once the draw has returned; the
+/// jobs' errors go to `group`, whose wait() rethrows the first.
+[[nodiscard]] std::future<void> start_si_test_sets(
+    RawPatternStore& store, const std::function<void()>& draw,
+    const TerminalSpace& terminals, std::span<const int> groupings,
+    const GroupingConfig& config, TaskGroup& group,
+    const CancelToken* cancel, SetDone on_set);
+
 /// The same pass over a raw set that `draw` writes into `store` (open, and
-/// closed here), with its jobs on `executor` — the workload prepare's
-/// pipeline. Three jobs share the set: `draw` writes the store; the index
-/// reads each store chunk as it is published, interns its care sets,
-/// encodes its rows and frees it; and the i = 1 count places each row
-/// chunk the index publishes. On a pool (executor.size() > 1) `draw` runs
-/// on a worker while the index runs on the calling thread and the count's
-/// stage tasks on the other workers, so once the store is closed only the
-/// index's renumbering and the count's queued tasks are left; with no
-/// workers the three run one after another on the caller, over the same
-/// chunks in the same order. The store's chunks are freed as they are read, so it cannot be
-/// read again. The partitions and the i >= 2 jobs follow as in the span
-/// form, which this matches for any executor. Ids are checked by the index
-/// in store order, with the span form's exceptions. `cancel` is also
-/// checked after `draw` and before each chunk the count or the index
-/// reads. Every started job has finished when this returns or throws.
+/// closed here), with its jobs on `executor`: start_si_test_sets, then
+/// its group's wait. Three jobs share the set: `draw` writes the store;
+/// the index reads each store chunk as it is published, interns its care
+/// sets, encodes its rows and frees it; and the i = 1 count places each
+/// row chunk the index publishes. On a pool (executor.size() > 1) `draw`
+/// runs on a worker while the index runs on the calling thread and the
+/// count's stage tasks on the other workers, so once the store is closed
+/// only the index's renumbering and the count's queued tasks are left;
+/// with no workers the three run one after another on the caller, over
+/// the same chunks in the same order. The store's chunks are freed as
+/// they are read, so it cannot be read again. The partitions and the
+/// i >= 2 jobs follow as in the span form, which this matches for any
+/// executor. Ids are checked by the index in store order, with the span
+/// form's exceptions. `cancel` is also checked after `draw` and before
+/// each chunk the count or the index reads. Every started job has
+/// finished when this returns or throws.
 [[nodiscard]] std::vector<SiTestSet> build_si_test_sets(
     RawPatternStore& store, const std::function<void()>& draw,
     const TerminalSpace& terminals, std::span<const int> groupings,

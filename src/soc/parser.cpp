@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <vector>
@@ -42,27 +43,52 @@ std::int64_t parse_int(std::string_view token, int line) {
   return value;
 }
 
+/// parse_int for a field held in an int: a value the int cannot hold is
+/// an error, never a wrapped number.
+int parse_int32(std::string_view token, int line) {
+  const std::int64_t value = parse_int(token, line);
+  if (value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    throw SocParseError(line, "integer " + std::string(token) +
+                                  " is out of range");
+  }
+  return static_cast<int>(value);
+}
+
 /// Parses a scan-chain spec token: either "L" or "NxL".
 void parse_chain_spec(std::string_view token, int line,
                       std::vector<int>& chains) {
   const auto x = token.find('x');
   if (x == std::string_view::npos) {
-    chains.push_back(static_cast<int>(parse_int(token, line)));
+    chains.push_back(parse_int32(token, line));
     return;
   }
   const std::int64_t count = parse_int(token.substr(0, x), line);
-  const std::int64_t length = parse_int(token.substr(x + 1), line);
+  const int length = parse_int32(token.substr(x + 1), line);
   if (count <= 0) {
     throw SocParseError(line, "chain repeat count must be positive");
   }
   // No real core has a six-figure scan-chain count; reject rather than
   // allocate unbounded memory on malformed/hostile input.
-  if (count > 100000) {
+  if (count > kMaxChainRepeat) {
     throw SocParseError(line, "chain repeat count " + std::to_string(count) +
                                   " is implausibly large");
   }
-  for (std::int64_t i = 0; i < count; ++i) {
-    chains.push_back(static_cast<int>(length));
+  chains.insert(chains.end(), static_cast<std::size_t>(count), length);
+}
+
+/// Rejects a module, or a SOC, whose terminals exceed the implausibility
+/// bounds: they size a prepare's per-terminal tables.
+void check_terminals(const Module& m, std::int64_t soc_terminals, int line) {
+  const std::int64_t terminals = std::int64_t{m.inputs} + m.outputs + m.bidirs;
+  if (terminals > kMaxModuleTerminals) {
+    throw SocParseError(line, "module " + std::to_string(m.id) + " has " +
+                                  std::to_string(terminals) +
+                                  " terminals, implausibly many");
+  }
+  if (soc_terminals + terminals > kMaxSocTerminals) {
+    throw SocParseError(line, "the SOC's terminals exceed " +
+                                  std::to_string(kMaxSocTerminals));
   }
 }
 
@@ -72,6 +98,7 @@ Soc parse_soc(std::string_view text) {
   Soc soc;
   std::optional<Module> current;
   bool saw_soc_line = false;
+  std::int64_t soc_terminals = 0;  // of the modules ended so far
 
   int line_no = 0;
   std::size_t pos = 0;
@@ -105,12 +132,14 @@ Soc parse_soc(std::string_view text) {
         throw SocParseError(line_no, "Module expects: Module <id> [<name>]");
       }
       Module m;
-      m.id = static_cast<int>(parse_int(tokens[1], line_no));
+      m.id = parse_int32(tokens[1], line_no);
       m.name = tokens.size() == 3 ? std::string(tokens[2])
                                   : "module" + std::to_string(m.id);
       current = std::move(m);
     } else if (keyword == "End") {
       if (!current) throw SocParseError(line_no, "End without Module");
+      soc_terminals += std::int64_t{current->inputs} + current->outputs +
+                       current->bidirs;
       soc.modules.push_back(std::move(*current));
       current.reset();
     } else if (keyword == "Inputs" || keyword == "Outputs" ||
@@ -124,18 +153,18 @@ Soc parse_soc(std::string_view text) {
         throw SocParseError(line_no,
                             std::string(keyword) + " expects one integer");
       }
-      const std::int64_t value = parse_int(tokens[1], line_no);
       if (keyword == "Inputs") {
-        current->inputs = static_cast<int>(value);
+        current->inputs = parse_int32(tokens[1], line_no);
       } else if (keyword == "Outputs") {
-        current->outputs = static_cast<int>(value);
+        current->outputs = parse_int32(tokens[1], line_no);
       } else if (keyword == "Bidirs") {
-        current->bidirs = static_cast<int>(value);
+        current->bidirs = parse_int32(tokens[1], line_no);
       } else if (keyword == "BistPatterns") {
-        current->bist_patterns = value;
+        current->bist_patterns = parse_int(tokens[1], line_no);
       } else {
-        current->patterns = value;
+        current->patterns = parse_int(tokens[1], line_no);
       }
+      check_terminals(*current, soc_terminals, line_no);
     } else if (keyword == "ScanChains") {
       if (!current) {
         throw SocParseError(line_no, "ScanChains outside of a Module block");

@@ -18,6 +18,7 @@
 // benchmark data).
 #pragma once
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -26,9 +27,19 @@
 
 namespace sitam {
 
+/// Implausibility bounds of the parser: no real core or SOC comes near
+/// them (the ITC'02 SOCs have at most a few thousand boundary cells), and
+/// they keep a hostile file from sizing allocations without bound — a
+/// chain list, or a prepare's per-terminal tables (the kernel rows' rank
+/// table, the care-set index's terminal -> core map).
+inline constexpr std::int64_t kMaxChainRepeat = 100000;  ///< N of "NxL".
+inline constexpr std::int64_t kMaxModuleTerminals = 100000;
+inline constexpr std::int64_t kMaxSocTerminals = 1000000;
+
 /// Parses a SOC description from text. Throws SocParseError (derived from
-/// std::runtime_error) with a line number on any syntax or semantic problem;
-/// the result always passes validate().
+/// std::runtime_error) with a line number on any syntax or semantic
+/// problem, an integer its field cannot hold, or a count beyond the bounds
+/// above; the result always passes validate().
 [[nodiscard]] Soc parse_soc(std::string_view text);
 
 /// Reads and parses a `.soc` file; throws std::runtime_error when the file

@@ -41,6 +41,8 @@ struct Module {
   [[nodiscard]] std::int64_t test_data_volume() const {
     return (scan_flops() + boundary_cells()) * patterns;
   }
+
+  friend bool operator==(const Module&, const Module&) = default;
 };
 
 /// A system chip: a named set of wrapped modules.
@@ -58,6 +60,8 @@ struct Soc {
   [[nodiscard]] std::int64_t total_wic() const;
   /// Total InTest data volume (serial, 1-bit TAM).
   [[nodiscard]] std::int64_t total_test_data_volume() const;
+
+  friend bool operator==(const Soc&, const Soc&) = default;
 };
 
 /// Structural validation; throws std::invalid_argument with a precise

@@ -42,21 +42,21 @@ std::int64_t file_size_or_zero(const std::string& path) {
   return ec ? 0 : static_cast<std::int64_t>(size);
 }
 
-/// Writes `text` fully, retrying on EINTR / short writes. With O_APPEND
-/// the first write lands atomically at the end of file; the retry loop
-/// only matters for exotic filesystems that short-write regular files.
-bool write_fully(int fd, const std::string& text) {
+/// Writes `text`, retrying on EINTR and short writes, and returns how
+/// many bytes landed: all of them, or fewer when a write fails (ENOSPC,
+/// EFBIG, ...) or makes no progress. With O_APPEND the first write lands
+/// atomically at the end of file; a short write is what a full disk or a
+/// file-size limit leaves.
+std::size_t write_fully(int fd, const std::string& text) {
   std::size_t done = 0;
   while (done < text.size()) {
     const ssize_t n =
         ::write(fd, text.data() + done, text.size() - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
     done += static_cast<std::size_t>(n);
   }
-  return true;
+  return done;
 }
 
 }  // namespace
@@ -169,7 +169,11 @@ bool ResultStore::append(const StoreRecord& record) {
   if (needs_leading_newline_) buffer += '\n';
   buffer += line;
   buffer += '\n';
-  if (!write_fully(fd_, buffer)) {
+  const std::size_t written = write_fully(fd_, buffer);
+  if (written < buffer.size()) {
+    // The bytes that landed end the file now: unless they end a line,
+    // the next append must start a fresh one, or it is glued onto them.
+    if (written > 0) needs_leading_newline_ = buffer[written - 1] != '\n';
     SITAM_WARN << "result store append to " << path_ << " failed";
     return false;
   }

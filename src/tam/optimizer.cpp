@@ -403,6 +403,8 @@ OptimizeResult run_restart(const Soc& soc, const TestTimeTable& table,
   return attempt.run(order);
 }
 
+}  // namespace
+
 /// The running reduction of one job's restarts: the winner so far (lowest
 /// t_soc, ties to the lowest restart index) and the stats summed over the
 /// restarts folded in. Both are independent of the folding order.
@@ -435,8 +437,6 @@ class JobWinner {
   EvaluatorStats total_;                // guarded_by(mutex_)
 };
 
-}  // namespace
-
 OptimizeResult optimize_tam(const Soc& soc, const TestTimeTable& table,
                             const SiTestSet& tests, int w_max,
                             const OptimizerConfig& config) {
@@ -448,13 +448,13 @@ OptimizeResult optimize_tam(const Soc& soc, const TestTimeTable& table,
                        .front());
 }
 
-std::vector<OptimizeResult> optimize_tam_batch(
-    const Soc& soc, std::span<const OptimizeJob> jobs,
-    const OptimizerConfig& config, Executor& executor) {
+OptimizeBatch::OptimizeBatch(const Soc& soc, std::vector<OptimizeJob> jobs,
+                             const OptimizerConfig& config)
+    : soc_(soc), jobs_(std::move(jobs)), config_(config) {
   if (soc.core_count() == 0) {
     throw std::invalid_argument("optimize_tam: SOC has no cores");
   }
-  for (const OptimizeJob& job : jobs) {
+  for (const OptimizeJob& job : jobs_) {
     if (job.w_max < 1) {
       throw std::invalid_argument("optimize_tam: w_max must be >= 1");
     }
@@ -462,40 +462,49 @@ std::vector<OptimizeResult> optimize_tam_batch(
       throw std::invalid_argument("optimize_tam: job without table or tests");
     }
   }
-  const int restarts = std::max(1, config.restarts);
+  winners_.reserve(jobs_.size());
+  for (std::size_t j = 0; j < jobs_.size(); ++j) {
+    winners_.push_back(std::make_unique<JobWinner>());
+  }
+}
 
-  // Units in job-major order, started in submission order; each folds its
-  // result into its job's winner, so the finishing order changes nothing.
-  std::vector<JobWinner> winners(jobs.size());
-  std::vector<std::future<void>> units;
-  units.reserve(jobs.size() * static_cast<std::size_t>(restarts));
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    for (int restart = 0; restart < restarts; ++restart) {
-      units.push_back(executor.submit([&, j, restart] {
-        const OptimizeJob& job = jobs[j];
-        const obs::ScopedSpan span(job.span, job.span_arg);
-        winners[j].fold(run_restart(soc, *job.table, *job.tests, job.w_max,
-                                    config, restart),
+OptimizeBatch::~OptimizeBatch() = default;
+
+void OptimizeBatch::start(std::size_t j, TaskGroup& group,
+                          JobPriority priority) {
+  SITAM_CHECK_MSG(j < jobs_.size(), "batch job " << j << " out of range");
+  for (int restart = 0; restart < std::max(1, config_.restarts); ++restart) {
+    group.run(priority, [this, j, restart] {
+      const OptimizeJob& job = jobs_[j];
+      const obs::ScopedSpan span(job.span, job.span_arg);
+      winners_[j]->fold(run_restart(soc_, *job.table, *job.tests, job.w_max,
+                                    config_, restart),
                         restart);
-      }));
-    }
+    });
   }
-  // Collect every unit before rethrowing: a cancelled (or otherwise
-  // throwing) unit must not leave siblings running against state the
-  // caller is about to unwind.
-  std::exception_ptr first_error;
-  for (std::future<void>& unit : units) {
-    try {
-      unit.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
+}
 
+OptimizeResult OptimizeBatch::take(std::size_t j) {
+  return winners_[j]->take();
+}
+
+// sitam-lint: allow(SL005) — OptimizeBatch's constructor validates.
+std::vector<OptimizeResult> optimize_tam_batch(
+    const Soc& soc, std::span<const OptimizeJob> jobs,
+    const OptimizerConfig& config, Executor& executor) {
+  OptimizeBatch batch(soc, std::vector<OptimizeJob>(jobs.begin(), jobs.end()),
+                      config);
+  {
+    // Units in job-major order, started in submission order.
+    TaskGroup group(executor);
+    for (std::size_t j = 0; j < batch.size(); ++j) batch.start(j, group);
+    group.wait();
+  }
   std::vector<OptimizeResult> results;
-  results.reserve(jobs.size());
-  for (JobWinner& winner : winners) results.push_back(winner.take());
+  results.reserve(batch.size());
+  for (std::size_t j = 0; j < batch.size(); ++j) {
+    results.push_back(batch.take(j));
+  }
   return results;
 }
 

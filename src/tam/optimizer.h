@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -105,15 +106,51 @@ struct OptimizeJob {
   std::int64_t span_arg = 0;
 };
 
-/// Runs config.restarts Algorithm 2 restarts of every job, all
-/// (job, restart) units on `executor` (config.threads is not read), and
-/// returns one result per job in job order: each equals optimize_tam of that job alone. A finished
-/// restart is folded into its job's winner at once (lowest t_soc, then
-/// lowest restart index; stats summed), so no more than one result per
-/// job is held. Every unit is waited for before the call returns or
-/// throws (a cancelled unit throws sitam::Cancelled; the first error in
-/// unit order is rethrown). Throws std::invalid_argument, before any unit
-/// runs, for a job with w_max < 1 or a null table/tests, or an empty SOC.
+class JobWinner;
+
+/// The (job, restart) units of a batch of jobs, started job by job as
+/// nodes of a job graph: config.restarts Algorithm 2 restarts per job
+/// (config.threads is not read). A finished restart is folded into its
+/// job's winner at once (lowest t_soc, then lowest restart index; stats
+/// summed), so no more than one result per job is held and the finishing
+/// order changes nothing: each job's result equals optimize_tam of that
+/// job alone.
+class OptimizeBatch {
+ public:
+  /// Throws std::invalid_argument for a job with w_max < 1 or a null
+  /// table/tests, or an empty SOC. Borrows `soc` and the jobs' tables
+  /// and tests.
+  OptimizeBatch(const Soc& soc, std::vector<OptimizeJob> jobs,
+                const OptimizerConfig& config);
+  OptimizeBatch(const OptimizeBatch&) = delete;
+  OptimizeBatch& operator=(const OptimizeBatch&) = delete;
+  ~OptimizeBatch();
+
+  [[nodiscard]] const OptimizeJob& job(std::size_t j) const {
+    return jobs_[j];
+  }
+  [[nodiscard]] std::size_t size() const { return jobs_.size(); }
+
+  /// Starts every restart of job j in `group` at `priority`, once job j's
+  /// table and tests are complete; at most once per job. A cancelled unit
+  /// throws sitam::Cancelled into the group.
+  void start(std::size_t j, TaskGroup& group,
+             JobPriority priority = JobPriority::kNormal);
+
+  /// Job j's winner with the summed stats; once, after the group's wait.
+  [[nodiscard]] OptimizeResult take(std::size_t j);
+
+ private:
+  const Soc& soc_;
+  std::vector<OptimizeJob> jobs_;
+  OptimizerConfig config_;
+  std::vector<std::unique_ptr<JobWinner>> winners_;
+};
+
+/// Starts every job of an OptimizeBatch on `executor` and returns one
+/// result per job in job order. Every unit is waited for before the call
+/// returns or throws (the first error a unit raised is rethrown). Throws
+/// std::invalid_argument, before any unit runs, as OptimizeBatch does.
 [[nodiscard]] std::vector<OptimizeResult> optimize_tam_batch(
     const Soc& soc, std::span<const OptimizeJob> jobs,
     const OptimizerConfig& config, Executor& executor);

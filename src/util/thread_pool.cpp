@@ -109,4 +109,32 @@ void ThreadPool::worker_loop() {
   }
 }
 
+TaskGroup::~TaskGroup() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  idle_.wait(lock, [this] { return pending_ == 0; });
+}
+
+void TaskGroup::hold() {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  ++pending_;
+}
+
+void TaskGroup::release(std::exception_ptr error) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (error && !error_) error_ = std::move(error);
+  error = nullptr;
+  if (--pending_ == 0) idle_.notify_all();
+}
+
+void TaskGroup::wait() {
+  std::exception_ptr error;
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
+    idle_.wait(lock, [this] { return pending_ == 0; });
+    error = std::move(error_);
+    error_ = nullptr;
+  }
+  if (error) std::rethrow_exception(error);
+}
+
 }  // namespace sitam

@@ -25,6 +25,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <future>
 #include <memory>
@@ -138,7 +139,14 @@ class Executor {
 
   template <typename F>
   auto submit(F task) -> std::future<std::invoke_result_t<F>> {
-    if (pool_) return pool_->submit(std::move(task));
+    return submit(JobPriority::kNormal, std::move(task));
+  }
+
+  /// On a pool, queued at `priority`; on the caller, run at once.
+  template <typename F>
+  auto submit(JobPriority priority, F task)
+      -> std::future<std::invoke_result_t<F>> {
+    if (pool_) return pool_->submit(priority, std::move(task));
     std::packaged_task<std::invoke_result_t<F>()> now(std::move(task));
     auto result = now.get_future();
     now();
@@ -147,6 +155,64 @@ class Executor {
 
  private:
   std::optional<ThreadPool> pool_;
+};
+
+/// The tasks of one job graph on an Executor. A task may start more tasks
+/// (run() from inside a task), so the graph chains by continuation and no
+/// task waits on another; on an Executor of one thread every run() runs
+/// its task at once, so the graph runs depth-first on the caller in the
+/// order the tasks are started. Work that is not one task (a count's
+/// stage tasks) joins the graph with hold() and leaves it with release().
+/// wait() returns once every task and every hold has ended, and rethrows
+/// the first exception recorded. The destructor waits too (without
+/// rethrowing), so a caller that unwinds leaves no task running.
+class TaskGroup {
+ public:
+  explicit TaskGroup(Executor& executor) : executor_(executor) {}
+  TaskGroup(const TaskGroup&) = delete;
+  TaskGroup& operator=(const TaskGroup&) = delete;
+  ~TaskGroup();
+
+  [[nodiscard]] Executor& executor() const { return executor_; }
+
+  /// Starts `task` at `priority`. An exception it throws is recorded.
+  template <typename F>
+  void run(JobPriority priority, F task) {
+    hold();
+    std::exception_ptr error;
+    try {
+      (void)executor_.submit(
+          priority, [this, task = std::move(task)]() mutable {
+            std::exception_ptr failure;
+            try {
+              task();
+            } catch (...) {
+              failure = std::current_exception();
+            }
+            release(std::move(failure));
+          });
+    } catch (...) {
+      error = std::current_exception();
+    }
+    // Outside the handler, so this thread holds no other reference.
+    if (error) release(std::move(error));
+  }
+
+  /// One more piece of pending work.
+  void hold();
+  /// Ends one hold() or task; a non-null `error` is recorded if it is the
+  /// first. Taken by value and dropped here, so the caller keeps no copy
+  /// of an exception another thread may rethrow.
+  void release(std::exception_ptr error = nullptr);
+  /// Waits until nothing is pending; rethrows the first recorded error.
+  void wait();
+
+ private:
+  Executor& executor_;
+  std::mutex mutex_;
+  std::condition_variable idle_;
+  std::size_t pending_ = 0;   // guarded_by(mutex_)
+  std::exception_ptr error_;  // guarded_by(mutex_)
 };
 
 }  // namespace sitam

@@ -170,6 +170,11 @@ int pareto_width(const Module& module, int width) {
 }
 
 TestTimeTable::TestTimeTable(const Soc& soc, int max_width)
+    : TestTimeTable(soc, max_width, kRowsLater) {
+  for (int c = 0; c < core_count_; ++c) fill_row(soc, c);
+}
+
+TestTimeTable::TestTimeTable(const Soc& soc, int max_width, RowsLater)
     : max_width_(max_width),
       core_count_(static_cast<int>(soc.modules.size())) {
   if (max_width <= 0) {
@@ -178,18 +183,21 @@ TestTimeTable::TestTimeTable(const Soc& soc, int max_width)
   const auto widths = static_cast<std::size_t>(max_width);
   intest_.resize(soc.modules.size() * widths);
   woc_shift_.resize(soc.modules.size() * widths);
-  woc_.reserve(soc.modules.size());
-  for (std::size_t c = 0; c < soc.modules.size(); ++c) {
-    const Module& m = soc.modules[c];
-    const std::int64_t woc = m.woc();
-    for (int w = 1; w <= max_width; ++w) {
-      intest_[c * widths + static_cast<std::size_t>(w - 1)] =
-          intest_time(m, w);
-      woc_shift_[c * widths + static_cast<std::size_t>(w - 1)] =
-          (woc + w - 1) / w;
-    }
-    woc_.push_back(m.woc());
+  woc_.resize(soc.modules.size());
+}
+
+void TestTimeTable::fill_row(const Soc& soc, int core) {
+  check_core(core);
+  const auto c = static_cast<std::size_t>(core);
+  const auto widths = static_cast<std::size_t>(max_width_);
+  const Module& m = soc.modules[c];
+  const std::int64_t woc = m.woc();
+  for (int w = 1; w <= max_width_; ++w) {
+    intest_[c * widths + static_cast<std::size_t>(w - 1)] = intest_time(m, w);
+    woc_shift_[c * widths + static_cast<std::size_t>(w - 1)] =
+        (woc + w - 1) / w;
   }
+  woc_[c] = m.woc();
 }
 
 }  // namespace sitam

@@ -89,10 +89,23 @@ struct WrapperDesign {
 /// evaluator's dirty-rail InTest sums and CalculateSITestTime's per-core
 /// WOC shifts), where an out-of-line call plus a 64-bit division per core
 /// was a measurable slice of the evaluation.
+///
+/// A table holds every width up to max_width exactly, so one table at the
+/// largest width of a sweep serves every smaller width. Its rows (one per
+/// core) are independent: a table built with kRowsLater has each row
+/// filled by fill_row, on any thread, before the first lookup.
 class TestTimeTable {
  public:
+  struct RowsLater {};
+  static constexpr RowsLater kRowsLater{};
+
   /// Throws std::invalid_argument if max_width <= 0.
   TestTimeTable(const Soc& soc, int max_width);
+  /// The same table with no row filled yet.
+  TestTimeTable(const Soc& soc, int max_width, RowsLater);
+
+  /// Computes core `core`'s row (`soc` is the SOC the table was made for).
+  void fill_row(const Soc& soc, int core);
 
   [[nodiscard]] int core_count() const { return core_count_; }
   [[nodiscard]] int max_width() const { return max_width_; }

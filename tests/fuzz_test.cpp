@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "soc/benchmarks.h"
 #include "soc/itc02.h"
@@ -66,6 +67,45 @@ TEST(Fuzz, SocParser) {
   fuzz(doc, 400, 1001, [](const std::string& text) {
     (void)parse_soc(text);
   });
+}
+
+TEST(Fuzz, SocParserRejectsOutOfRangeAndImplausibleCounts) {
+  // Each document would once have parsed: its integer wrapped into an int
+  // (4294967297 reads as 1), or its terminal count sized a prepare's
+  // per-terminal tables without bound. Each must end in a typed error at
+  // parse time, before any workload is prepared from it.
+  const auto module = [](const std::string& body) {
+    return "Soc bomb\nModule 1\nInputs 2\nOutputs 3\n" + body +
+           "Patterns 10\nEnd\n";
+  };
+  std::string many_modules = "Soc bomb\n";
+  for (int id = 1; id <= 11; ++id) {
+    many_modules += "Module " + std::to_string(id) + "\nOutputs " +
+                    std::to_string(kMaxModuleTerminals) + "\nEnd\n";
+  }
+  const std::vector<std::string> bombs = {
+      module("Outputs 4294967297\n"),
+      module("Inputs -4294967297\n"),
+      module("Bidirs 2147483648\n"),
+      module("ScanChains 4294967297\n"),
+      module("ScanChains 2x4294967297\n"),
+      module("ScanChains 100001x5\n"),
+      "Soc bomb\nModule 4294967297\nInputs 1\nEnd\n",
+      module("Outputs " + std::to_string(kMaxModuleTerminals) + "\n"),
+      module("Inputs 60000\nBidirs 60000\n"),
+      many_modules,
+  };
+  for (const std::string& doc : bombs) {
+    EXPECT_THROW((void)parse_soc(doc), SocParseError) << doc;
+  }
+  // At the bounds, a document still parses.
+  const Soc edge = parse_soc(
+      "Soc edge\nModule 1\nInputs 0\nOutputs " +
+      std::to_string(kMaxModuleTerminals) +
+      "\nScanChains 2x2147483647\nEnd\n");
+  EXPECT_EQ(edge.modules.front().outputs, kMaxModuleTerminals);
+  EXPECT_EQ(edge.modules.front().scan_chains,
+            (std::vector<int>{2147483647, 2147483647}));
 }
 
 TEST(Fuzz, Itc02Parser) {

@@ -554,11 +554,11 @@ TEST(Obs, TracedPrepareShowsTheGroupingSchedule) {
 }
 
 TEST(Obs, TracedSweepShowsOneJobSpanPerJobOnItsWorker) {
-  // run_sweep's job list: one flow.sweep.tables span for the wrapper
-  // tables, holding one wrapper.table span per width (arg W), then one
-  // flow.sweep.job span per (width, job) at one restart,
-  // arg = grouping i (0 = the baseline), each wrapping its restart span on
-  // the same track.
+  // run_sweep's job graph: one wrapper.table span for the SOC's one table
+  // (arg: the largest width), then one flow.sweep.job span per
+  // (width, job) at one restart, arg = grouping i (0 = the baseline), each
+  // wrapping its restart span on the same track and starting once the
+  // table is built.
   const Soc soc = load_benchmark("d695");
   SiWorkloadConfig config;
   config.pattern_count = 500;
@@ -571,21 +571,18 @@ TEST(Obs, TracedSweepShowsOneJobSpanPerJobOnItsWorker) {
   const TraceDump dump = session.stop();
   ASSERT_EQ(sweep.rows.size(), 3u);
 
-  std::vector<std::int64_t> tables;
-  std::vector<obs::SpanEvent> table_spans;
-  std::vector<obs::SpanEvent> widths;
+  std::vector<obs::SpanEvent> tables;
+  std::vector<obs::SpanEvent> job_spans;
   std::vector<std::int64_t> jobs;
   std::int64_t jobs_with_a_restart = 0;
   for (const obs::TrackDump& track : dump.tracks) {
     for (const obs::SpanEvent& span : track.spans) {
       const std::string_view name = span.name;
-      if (name == "flow.sweep.tables") {
-        tables.push_back(span.arg);
-        table_spans.push_back(span);
-      }
-      if (name == "wrapper.table") widths.push_back(span);
+      EXPECT_NE(name, "flow.sweep.tables");
+      if (name == "wrapper.table") tables.push_back(span);
       if (name != "flow.sweep.job") continue;
       jobs.push_back(span.arg);
+      job_spans.push_back(span);
       for (const obs::SpanEvent& inner : track.spans) {
         if (std::string_view(inner.name) == "tam.optimizer.restart" &&
             inner.begin_ns >= span.begin_ns && inner.end_ns <= span.end_ns) {
@@ -595,16 +592,11 @@ TEST(Obs, TracedSweepShowsOneJobSpanPerJobOnItsWorker) {
       }
     }
   }
-  EXPECT_EQ(tables, (std::vector<std::int64_t>{3}));
-  // One wrapper.table span per width, inside the tables span.
-  std::vector<std::int64_t> width_args;
-  for (const obs::SpanEvent& span : widths) {
-    width_args.push_back(span.arg);
-    EXPECT_GE(span.begin_ns, table_spans.front().begin_ns);
-    EXPECT_LE(span.end_ns, table_spans.front().end_ns);
+  ASSERT_EQ(tables.size(), 1u);
+  EXPECT_EQ(tables.front().arg, 24);
+  for (const obs::SpanEvent& span : job_spans) {
+    EXPECT_GE(span.begin_ns, tables.front().end_ns);
   }
-  std::sort(width_args.begin(), width_args.end());
-  EXPECT_EQ(width_args, (std::vector<std::int64_t>{8, 16, 24}));
   std::sort(jobs.begin(), jobs.end());
   EXPECT_EQ(jobs, (std::vector<std::int64_t>{0, 0, 0, 1, 1, 1, 2, 2, 2}));
   EXPECT_EQ(jobs_with_a_restart, 9);

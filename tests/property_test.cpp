@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <numeric>
+#include <vector>
 
 #include "core/flow.h"
 #include "pattern/compaction.h"
@@ -13,6 +16,7 @@
 #include "soc/synth.h"
 #include "tam/bounds.h"
 #include "tam/evaluator.h"
+#include "tam/exhaustive.h"
 #include "tam/optimizer.h"
 #include "tam/verify.h"
 #include "util/rng.h"
@@ -178,6 +182,89 @@ TEST_P(OptionsMatrixTest, OptimizerOutputVerifiesUnderAllOptions) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OptionsMatrixTest,
                          ::testing::Values(31, 32, 33));
+
+// Exact-reference properties on synthetic SOCs of at most eight cores,
+// with SI tests built by the pipeline (SiWorkload::prepare), widths 1..8
+// on one table at the largest width:
+//  - the exhaustive optimum is never worse than Algorithm 2 (it searches
+//    every architecture under the same evaluation);
+//  - the exhaustive optimum is non-increasing in W: one more wire on any
+//    rail of the W optimum never lengthens the test. Algorithm 2 is not
+//    held to this; it breaks it in some table cells (ROADMAP item 1);
+//  - relabelling the cores (the modules in another order, every SI group
+//    mapped along) leaves the exhaustive optimum unchanged, and Algorithm
+//    2's result on the relabelled SOC verifies.
+struct ExactCase {
+  int cores;
+  int parts;
+  std::uint64_t seed;
+};
+
+class ExhaustivePropertyTest : public ::testing::TestWithParam<ExactCase> {};
+
+TEST_P(ExhaustivePropertyTest, ExactOptimumBoundsAlgorithm2AndWidth) {
+  const ExactCase c = GetParam();
+  constexpr int kMaxWidth = 8;
+  SynthSocConfig soc_config;
+  soc_config.cores = c.cores;
+  soc_config.name = "exact" + std::to_string(c.seed);
+  Rng rng(c.seed);
+  const Soc soc = generate_soc(soc_config, rng);
+  SiWorkloadConfig config;
+  config.pattern_count = 400;
+  config.groupings = {c.parts};
+  config.seed = c.seed;
+  const SiWorkload workload = SiWorkload::prepare(soc, config);
+  const SiTestSet& tests = workload.tests(c.parts);
+  const TestTimeTable table(soc, kMaxWidth);
+
+  // The relabelled instance: module k of `relabelled` is module
+  // order[k] of `soc`, so core order[k] becomes core k.
+  std::vector<int> order(static_cast<std::size_t>(soc.core_count()));
+  std::iota(order.begin(), order.end(), 0);
+  Rng shuffle(c.seed ^ 0x5a5aULL);
+  shuffle.shuffle(order);
+  Soc relabelled = soc;
+  std::vector<int> label(order.size());
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    relabelled.modules[k] = soc.modules[static_cast<std::size_t>(order[k])];
+    label[static_cast<std::size_t>(order[k])] = static_cast<int>(k);
+  }
+  SiTestSet relabelled_tests = tests;
+  for (SiTestGroup& group : relabelled_tests.groups) {
+    for (int& core : group.cores) core = label[static_cast<std::size_t>(core)];
+    std::sort(group.cores.begin(), group.cores.end());
+  }
+  const TestTimeTable relabelled_table(relabelled, kMaxWidth);
+
+  std::int64_t previous = std::numeric_limits<std::int64_t>::max();
+  for (int w = 1; w <= kMaxWidth; ++w) {
+    const OptimizeResult exact = exhaustive_optimum(soc, table, tests, w);
+    const OptimizeResult heuristic = optimize_tam(soc, table, tests, w);
+    EXPECT_LE(exact.evaluation.t_soc, heuristic.evaluation.t_soc)
+        << "W=" << w;
+    EXPECT_LE(exact.evaluation.t_soc, previous) << "W=" << w;
+    previous = exact.evaluation.t_soc;
+
+    const OptimizeResult exact_relabelled = exhaustive_optimum(
+        relabelled, relabelled_table, relabelled_tests, w);
+    EXPECT_EQ(exact_relabelled.evaluation.t_soc, exact.evaluation.t_soc)
+        << "W=" << w;
+    const OptimizeResult heuristic_relabelled =
+        optimize_tam(relabelled, relabelled_table, relabelled_tests, w);
+    const auto problems = verify_evaluation(
+        relabelled, relabelled_table, relabelled_tests,
+        heuristic_relabelled.architecture, heuristic_relabelled.evaluation);
+    EXPECT_TRUE(problems.empty()) << "W=" << w << ": " << problems.front();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(SmallSocs, ExhaustivePropertyTest,
+                         ::testing::Values(ExactCase{4, 2, 901},
+                                           ExactCase{5, 2, 902},
+                                           ExactCase{6, 3, 903},
+                                           ExactCase{7, 2, 904},
+                                           ExactCase{8, 4, 905}));
 
 }  // namespace
 }  // namespace sitam

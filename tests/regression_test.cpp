@@ -12,6 +12,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/flow.h"
 #include "core/report.h"
@@ -21,6 +22,7 @@
 #include "soc/benchmarks.h"
 #include "tam/optimizer.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 #include "wrapper/design.h"
 
 namespace sitam {
@@ -148,6 +150,25 @@ TEST(Regression, Table3P93791GoldenSerial) {
   expect_matches_golden(
       "table3_p93791.txt",
       render_sweep_document(canonical_sweep("p93791", 800, /*threads=*/1)));
+}
+
+TEST(Regression, RunProtocolRendersTheGoldenTables) {
+  // Both canonical sweeps as cells of one job graph: the same bytes.
+  std::vector<ProtocolCell> cells;
+  for (const char* name : {"p34392", "p93791"}) {
+    SiWorkloadConfig config;
+    config.pattern_count = 800;
+    config.groupings = {1, 2};
+    cells.push_back({load_benchmark(name), config});
+  }
+  Executor executor(ThreadPool::hardware_threads());
+  const std::vector<ProtocolResult> results =
+      run_protocol(cells, {16, 32}, {}, executor);
+  ASSERT_EQ(results.size(), 2u);
+  expect_matches_golden("table2_p34392.txt",
+                        render_sweep_document(results[0].sweep));
+  expect_matches_golden("table3_p93791.txt",
+                        render_sweep_document(results[1].sweep));
 }
 
 TEST(Regression, D695Experiment) {

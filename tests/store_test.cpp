@@ -10,9 +10,11 @@
 #include "store/report.h"
 #include "store/store.h"
 
+#include <csignal>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -20,6 +22,10 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 namespace store = sitam::store;
 
@@ -166,6 +172,60 @@ TEST(ResultStore, TornTailIsSkippedAndIsolatedByTheNextAppend) {
   ASSERT_EQ(records.size(), 3u);
   EXPECT_EQ(skipped, 1);
   EXPECT_EQ(records[2].scenario, "p93791/w24");
+}
+
+TEST(ResultStore, TornAppendIsIsolatedFromTheNextRecord) {
+  // A file-size limit turns an append into a short write (the first
+  // write() stops at the limit) and then a failed one (EFBIG): the torn
+  // bytes stay in the file. The append reports failure, and the next
+  // successful one starts on a fresh line, so only the torn line is lost.
+  // The limit is set in a forked child, so it never touches this runner.
+  const auto path = temp_store_path("store_short_write.jsonl");
+  {
+    store::ResultStore db(path.string());
+    ASSERT_TRUE(db.append(make_record("d695/w16")));
+  }
+  const auto before = static_cast<rlim_t>(std::filesystem::file_size(path));
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    int code = 0;
+    {
+      store::ResultStore db(path.string());
+      rlimit limit{};
+      ::signal(SIGXFSZ, SIG_IGN);
+      if (::getrlimit(RLIMIT_FSIZE, &limit) != 0) ::_exit(10);
+      const rlimit unlimited = limit;
+      limit.rlim_cur = before + 16;
+      if (::setrlimit(RLIMIT_FSIZE, &limit) != 0) ::_exit(11);
+      if (db.append(make_record("d695/torn"))) code = 12;
+      if (::setrlimit(RLIMIT_FSIZE, &unlimited) != 0) ::_exit(13);
+      if (!db.append(make_record("p93791/w24"))) code = 14;
+    }
+    ::_exit(code);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status));
+  ASSERT_EQ(WEXITSTATUS(status), 0);
+  EXPECT_EQ(std::filesystem::file_size(path), [&] {
+    // The short write landed exactly up to the limit.
+    std::ifstream in(path, std::ios::binary);
+    std::string text((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    const std::size_t torn_end = text.find('\n', before);
+    EXPECT_EQ(torn_end, static_cast<std::size_t>(before) + 16);
+    return text.size();
+  }());
+
+  std::int64_t skipped = -1;
+  const auto records = store::ResultStore::read_all(path.string(), &skipped);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(skipped, 1);
+  EXPECT_EQ(records[0].scenario, "d695/w16");
+  EXPECT_EQ(records[1].scenario, "p93791/w24");
+  const store::ResultStore reopened(path.string());
+  EXPECT_EQ(reopened.open_stats().records, 2);
 }
 
 TEST(ResultStore, CorruptSidecarCostsARescanNeverAnAnswer) {

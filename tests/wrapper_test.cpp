@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 
 #include "soc/benchmarks.h"
 #include "wrapper/design.h"
@@ -200,6 +201,43 @@ TEST(TestTimeTable, WocShiftUsesRealWidthBeyondMax) {
   // woc_shift is a pure ceil; it must not clamp.
   EXPECT_EQ(table.woc_shift(0, 10),
             si_woc_shift(soc.modules[0], 10));
+}
+
+TEST(TestTimeTable, OneTableAtTheLargestWidthServesEverySmallerOne) {
+  // run_sweep and run_protocol build one table per SOC, at the largest
+  // width of the sweep, and score every smaller width with it. That is
+  // exact because a table at W_max holds each smaller width's entries as
+  // a table at that width computes them: for every embedded SOC and every
+  // W <= 64, both agree on every core and every width 1..W.
+  for (const std::string& name : benchmark_names()) {
+    const Soc soc = load_benchmark(name);
+    const TestTimeTable widest(soc, 64);
+    for (int w_max = 1; w_max <= 64; ++w_max) {
+      const TestTimeTable table(soc, w_max);
+      for (int c = 0; c < soc.core_count(); ++c) {
+        for (int w = 1; w <= w_max; ++w) {
+          ASSERT_EQ(widest.intest(c, w), table.intest(c, w))
+              << name << " W=" << w_max << " core " << c << " w=" << w;
+          ASSERT_EQ(widest.woc_shift(c, w), table.woc_shift(c, w))
+              << name << " W=" << w_max << " core " << c << " w=" << w;
+        }
+      }
+    }
+  }
+}
+
+TEST(TestTimeTable, RowsFilledLaterInAnyOrderMatchTheConstructor) {
+  const Soc soc = load_benchmark("p93791");
+  const TestTimeTable built(soc, 16);
+  TestTimeTable rows(soc, 16, TestTimeTable::kRowsLater);
+  for (int c = soc.core_count() - 1; c >= 0; --c) rows.fill_row(soc, c);
+  for (int c = 0; c < soc.core_count(); ++c) {
+    for (int w = 1; w <= 20; ++w) {
+      EXPECT_EQ(rows.intest(c, w), built.intest(c, w));
+      EXPECT_EQ(rows.woc_shift(c, w), built.woc_shift(c, w));
+    }
+  }
+  EXPECT_THROW(rows.fill_row(soc, soc.core_count()), std::logic_error);
 }
 
 TEST(TestTimeTable, RejectsBadArguments) {
