@@ -31,6 +31,43 @@ TamEvaluator::TamEvaluator(const Soc& soc, const TestTimeTable& table,
           std::to_string(options.power_budget));
     }
   }
+  groups_of_core_.resize(static_cast<std::size_t>(soc.core_count()));
+  for (std::size_t g = 0; g < tests.groups.size(); ++g) {
+    if (tests.groups[g].patterns <= 0) continue;
+    for (const int core : tests.groups[g].cores) {
+      groups_of_core_[static_cast<std::size_t>(core)].push_back(
+          static_cast<int>(g));
+    }
+  }
+  group_shift_.assign(tests.groups.size(), 0);
+  group_cores_.assign(tests.groups.size(), 0);
+}
+
+std::int64_t TamEvaluator::merged_rail_floor(const TestRail& a,
+                                             const TestRail& b,
+                                             int width) const {
+  // One rail holding both core sets: InTest is sequential on it, and its
+  // SI tests never overlap each other, so their busy times add up.
+  std::int64_t time_in = 0;
+  for (const TestRail* rail : {&a, &b}) {
+    for (const int core : rail->cores) {
+      time_in += table_->intest_floor(core, width);
+      const std::int64_t shift = table_->woc_shift(core, width);
+      for (const int g : groups_of_core_[static_cast<std::size_t>(core)]) {
+        ++group_cores_[static_cast<std::size_t>(g)];
+        group_shift_[static_cast<std::size_t>(g)] += shift;
+      }
+    }
+  }
+  std::int64_t time_si = 0;
+  for (std::size_t g = 0; g < group_cores_.size(); ++g) {
+    if (group_cores_[g] == 0) continue;
+    time_si += rail_si_busy(group_shift_[g], group_cores_[g],
+                            tests_->groups[g].patterns);
+    group_shift_[g] = 0;
+    group_cores_[g] = 0;
+  }
+  return time_in + time_si;
 }
 
 void TamEvaluator::si_group_timing_into(const TamArchitecture& arch,

@@ -241,6 +241,17 @@ class TamEvaluator {
   /// checked against under SITAM_DCHECK and in the differential tests.
   [[nodiscard]] Evaluation evaluate_reference(const TamArchitecture& arch) const;
 
+  /// Lower bound on T_soc of every architecture in which one rail holds
+  /// exactly the cores of `a` and `b` at a width of at most `width`: the
+  /// time_in + time_si of that rail alone at `width`, each core's InTest
+  /// read from TestTimeTable::intest_floor. It holds under every option
+  /// (docs/algorithms.md §5 gives the argument), so mergeTAMs
+  /// skips a partner whose bound is not below its best candidate. Does not
+  /// touch the counters.
+  [[nodiscard]] std::int64_t merged_rail_floor(const TestRail& a,
+                                               const TestRail& b,
+                                               int width) const;
+
   [[nodiscard]] const Soc& soc() const { return *soc_; }
   [[nodiscard]] const SiTestSet& tests() const { return *tests_; }
   [[nodiscard]] const TestTimeTable& table() const { return *table_; }
@@ -275,6 +286,9 @@ class TamEvaluator {
   const TestTimeTable* table_;
   const SiTestSet* tests_;
   EvaluatorOptions options_;
+  // Core -> the SI groups with patterns > 0 that involve it, ascending.
+  // Built once; merged_rail_floor walks it.
+  std::vector<std::vector<int>> groups_of_core_;
 
   // Scratch reused across evaluate() calls (single-threaded per instance,
   // see the class comment).
@@ -282,6 +296,9 @@ class TamEvaluator {
   mutable std::vector<std::int64_t> rail_shift_;  // l_r(s) accumulator
   mutable std::vector<std::int64_t> rail_cores_;  // |C(r) ∩ C(s)| accumulator
   mutable std::vector<int> touched_rails_;
+  // merged_rail_floor's per-group accumulators (all zero between calls).
+  mutable std::vector<std::int64_t> group_shift_;
+  mutable std::vector<std::int64_t> group_cores_;
   mutable std::vector<SiGroupTiming> pending_scratch_;
   mutable std::vector<int> order_scratch_;
   mutable std::vector<std::int64_t> rail_time_in_scratch_;

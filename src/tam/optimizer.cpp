@@ -152,11 +152,17 @@ class Optimizer {
   /// at every width in [max(w_i, w_1), w_i + w_1], distributing freed wires
   /// to bottleneck rails. Applies the best strictly-improving merge and
   /// returns true, else leaves arch untouched and returns false.
+  ///
+  /// A partner is skipped when the merged rail alone, at its widest, cannot
+  /// finish below the best candidate so far: every candidate gives it at
+  /// most w_1 + w_j wires, and only t < best_t is accepted, so the skip
+  /// changes no result (TamEvaluator::merged_rail_floor).
   bool merge_tams(TamArchitecture& arch, std::size_t r1) {
     const std::int64_t current = t_soc(arch);
     std::int64_t best_t = current;
     std::size_t best_partner = arch.rails.size();
     int best_width = 0;
+    std::int64_t pruned = 0;
 
     for (std::size_t rj = 0; rj < arch.rails.size(); ++rj) {
       if (rj == r1) continue;
@@ -164,6 +170,11 @@ class Optimizer {
       const int wj = arch.rails[rj].width;
       const int width_min = std::max(w1, wj);
       const int width_max = w1 + wj;
+      if (eval_.merged_rail_floor(arch.rails[r1], arch.rails[rj],
+                                  width_max) >= best_t) {
+        ++pruned;
+        continue;
+      }
       for (int w = width_min; w <= width_max; ++w) {
         merge_into(arch, r1, rj, w, /*id=*/-2, cand_);
         const int leftover = width_max - w;
@@ -182,6 +193,7 @@ class Optimizer {
         }
       }
     }
+    SITAM_COUNTER("tam.alg2.pruned", pruned);
     if (best_partner == arch.rails.size()) return false;
 
     // Rebuild the winner; with fast scanning also try the precise

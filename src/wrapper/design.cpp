@@ -1,6 +1,7 @@
 #include "wrapper/design.h"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -182,6 +183,7 @@ TestTimeTable::TestTimeTable(const Soc& soc, int max_width, RowsLater)
   }
   const auto widths = static_cast<std::size_t>(max_width);
   intest_.resize(soc.modules.size() * widths);
+  intest_floor_.resize(soc.modules.size() * widths);
   woc_shift_.resize(soc.modules.size() * widths);
   woc_.resize(soc.modules.size());
 }
@@ -192,8 +194,12 @@ void TestTimeTable::fill_row(const Soc& soc, int core) {
   const auto widths = static_cast<std::size_t>(max_width_);
   const Module& m = soc.modules[c];
   const std::int64_t woc = m.woc();
+  std::int64_t running_min = std::numeric_limits<std::int64_t>::max();
   for (int w = 1; w <= max_width_; ++w) {
-    intest_[c * widths + static_cast<std::size_t>(w - 1)] = intest_time(m, w);
+    const std::int64_t t = intest_time(m, w);
+    running_min = std::min(running_min, t);
+    intest_[c * widths + static_cast<std::size_t>(w - 1)] = t;
+    intest_floor_[c * widths + static_cast<std::size_t>(w - 1)] = running_min;
     woc_shift_[c * widths + static_cast<std::size_t>(w - 1)] =
         (woc + w - 1) / w;
   }

@@ -121,6 +121,19 @@ class TestTimeTable {
                    static_cast<std::size_t>(w - 1)];
   }
 
+  /// min over w' <= width of intest(core, w'): the non-increasing envelope
+  /// of the InTest column, equal to intest() wherever the table is
+  /// monotone. A lower bound on the InTest time of the core at any width
+  /// up to `width` (the mergeTAMs partner bound reads it).
+  [[nodiscard]] std::int64_t intest_floor(int core, int width) const {
+    check_core(core);
+    SITAM_CHECK_MSG(width >= 1, "width " << width << " must be >= 1");
+    const int w = width < max_width_ ? width : max_width_;
+    return intest_floor_[static_cast<std::size_t>(core) *
+                             static_cast<std::size_t>(max_width_) +
+                         static_cast<std::size_t>(w - 1)];
+  }
+
   /// ceil(woc / width) for core `core`.
   [[nodiscard]] std::int64_t woc_shift(int core, int width) const {
     check_core(core);
@@ -146,6 +159,7 @@ class TestTimeTable {
   int max_width_;
   int core_count_ = 0;
   std::vector<std::int64_t> intest_;     // [core * max_width + width-1]
+  std::vector<std::int64_t> intest_floor_;  // prefix minimum of intest_
   std::vector<std::int64_t> woc_shift_;  // [core * max_width + width-1]
   std::vector<int> woc_;                 // [core]
 };

@@ -400,6 +400,23 @@ TEST(Obs, Alg2StageSpansOncePerRestartInsideIt) {
             dump.metrics.counter("tam.evaluator.delta_hits"));
 }
 
+// mergeTAMs skips partners on its lower bound (docs/algorithms.md
+// §Algorithm 2): on p93791 it skips some, and the counter reports them.
+TEST(Obs, Alg2PrunedCountsSkippedMergePartners) {
+  const Soc soc = load_benchmark("p93791");
+  SiWorkloadConfig workload_config;
+  workload_config.pattern_count = 600;
+  workload_config.groupings = {4};
+  const SiWorkload workload = SiWorkload::prepare(soc, workload_config);
+  const TestTimeTable table(soc, 24);
+  OptimizerConfig config;
+  config.restarts = 1;
+  obs::TraceSession session;
+  (void)optimize_tam(soc, table, workload.tests(4), 24, config);
+  const TraceDump dump = session.stop();
+  EXPECT_GT(dump.metrics.counter("tam.alg2.pruned"), 0);
+}
+
 TEST(Obs, TracingDoesNotChangeOptimizationResults) {
   const OptimizerScenario s = optimizer_scenario();
   OptimizerConfig config;

@@ -2,6 +2,8 @@
 // SI-mode shift lengths, Pareto widths and the precomputed time table.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <numeric>
 #include <string>
 
@@ -114,14 +116,32 @@ TEST(WrapperTestTime, BistCyclesAddWidthIndependentTerm) {
   EXPECT_EQ(intest_time(m, 4), base_w4 + 5000);
 }
 
+// More wires never lengthen a core's InTest, on every embedded SOC up to
+// W = 64 (pareto_width and the mergeTAMs partner bound rely on it). The
+// table's envelope, intest_floor, is the running minimum of the column, so
+// it equals intest wherever the column is non-increasing.
 TEST(WrapperTestTime, NonIncreasingInWidth) {
-  for (const char* name : {"d695", "p34392", "mini5"}) {
+  constexpr int kMaxWidth = 64;
+  for (const std::string& name : benchmark_names()) {
     const Soc soc = load_benchmark(name);
-    for (const Module& m : soc.modules) {
+    const TestTimeTable table(soc, kMaxWidth);
+    for (int c = 0; c < soc.core_count(); ++c) {
+      const Module& m = soc.modules[static_cast<std::size_t>(c)];
       std::int64_t prev = intest_time(m, 1);
-      for (int w = 2; w <= 24; ++w) {
+      std::int64_t running_min = prev;
+      bool monotone = true;  // the column so far is non-increasing
+      for (int w = 1; w <= kMaxWidth; ++w) {
         const std::int64_t t = intest_time(m, w);
         EXPECT_LE(t, prev) << name << " module " << m.id << " w=" << w;
+        EXPECT_EQ(table.intest(c, w), t);
+        running_min = std::min(running_min, t);
+        EXPECT_EQ(table.intest_floor(c, w), running_min)
+            << name << " module " << m.id << " w=" << w;
+        monotone = monotone && t <= prev;
+        if (monotone) {
+          EXPECT_EQ(table.intest_floor(c, w), t)
+              << name << " module " << m.id << " w=" << w;
+        }
         prev = t;
       }
     }

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -49,10 +50,18 @@ Soc resolve_soc(const CliArgs& args) {
     if (name == spec) return load_benchmark(name);
   }
   // A file: try the sitam dialect first, then the original ITC'02 format.
+  // When neither parses it, report both parsers' messages: the file may be
+  // a sitam-dialect file with one bad line, not an ITC'02 file at all.
   try {
     return load_soc_file(spec);
-  } catch (const SocParseError&) {
-    return load_itc02_file(spec);
+  } catch (const SocParseError& sitam_error) {
+    try {
+      return load_itc02_file(spec);
+    } catch (const std::exception& itc02_error) {
+      throw std::runtime_error(spec + ": not a sitam .soc file (" +
+                               sitam_error.what() + ") nor an ITC'02 file (" +
+                               itc02_error.what() + ")");
+    }
   }
 }
 
