@@ -43,31 +43,35 @@ TamEvaluator::TamEvaluator(const Soc& soc, const TestTimeTable& table,
   group_cores_.assign(tests.groups.size(), 0);
 }
 
-std::int64_t TamEvaluator::merged_rail_floor(const TestRail& a,
-                                             const TestRail& b,
-                                             int width) const {
-  // One rail holding both core sets: InTest is sequential on it, and its
-  // SI tests never overlap each other, so their busy times add up.
-  std::int64_t time_in = 0;
-  for (const TestRail* rail : {&a, &b}) {
-    for (const int core : rail->cores) {
-      time_in += table_->intest_floor(core, width);
+RailTimes TamEvaluator::rail_sum(std::span<const int> a,
+                                 std::span<const int> b, int width,
+                                 InTestSum intest) const {
+  // InTest is sequential on the rail, and its SI tests never overlap each
+  // other, so their busy times add up.
+  RailTimes times;
+  touched_groups_.clear();
+  for (const std::span<const int> cores : {a, b}) {
+    for (const int core : cores) {
+      times.time_in += intest == InTestSum::kExact
+                           ? table_->intest(core, width)
+                           : table_->intest_floor(core, width);
       const std::int64_t shift = table_->woc_shift(core, width);
       for (const int g : groups_of_core_[static_cast<std::size_t>(core)]) {
-        ++group_cores_[static_cast<std::size_t>(g)];
-        group_shift_[static_cast<std::size_t>(g)] += shift;
+        const auto k = static_cast<std::size_t>(g);
+        if (group_cores_[k]++ == 0) touched_groups_.push_back(g);
+        group_shift_[k] += shift;
       }
     }
   }
-  std::int64_t time_si = 0;
-  for (std::size_t g = 0; g < group_cores_.size(); ++g) {
-    if (group_cores_[g] == 0) continue;
-    time_si += rail_si_busy(group_shift_[g], group_cores_[g],
-                            tests_->groups[g].patterns);
-    group_shift_[g] = 0;
-    group_cores_[g] = 0;
+  for (const int g : touched_groups_) {
+    const auto k = static_cast<std::size_t>(g);
+    times.time_si += rail_si_busy(group_shift_[k], group_cores_[k],
+                                  tests_->groups[k].patterns);
+    group_shift_[k] = 0;
+    group_cores_[k] = 0;
   }
-  return time_in + time_si;
+  times.time_used = times.time_in + times.time_si;
+  return times;
 }
 
 void TamEvaluator::si_group_timing_into(const TamArchitecture& arch,

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sitest/group.h"
@@ -241,16 +242,23 @@ class TamEvaluator {
   /// checked against under SITAM_DCHECK and in the differential tests.
   [[nodiscard]] Evaluation evaluate_reference(const TamArchitecture& arch) const;
 
-  /// Lower bound on T_soc of every architecture in which one rail holds
-  /// exactly the cores of `a` and `b` at a width of at most `width`: the
-  /// time_in + time_si of that rail alone at `width`, each core's InTest
-  /// read from TestTimeTable::intest_floor. It holds under every option
-  /// (docs/algorithms.md §5 gives the argument), so mergeTAMs
-  /// skips a partner whose bound is not below its best candidate. Does not
-  /// touch the counters.
-  [[nodiscard]] std::int64_t merged_rail_floor(const TestRail& a,
-                                               const TestRail& b,
-                                               int width) const;
+  /// How rail_sum() reads each core's InTest time at the rail's width.
+  enum class InTestSum : std::uint8_t {
+    kExact,  ///< TestTimeTable::intest: the rail's own time_in.
+    kFloor,  ///< TestTimeTable::intest_floor: a floor over every narrower
+             ///< width (mergeTAMs' partner bound, docs/algorithms.md §5).
+  };
+
+  /// Per-rail times of one rail holding the cores of `a` and `b` (disjoint)
+  /// at `width`: time_in sums each core's InTest, and time_si sums T_r(s)
+  /// over the SI groups with patterns > 0 that involve the rail. A rail's
+  /// times depend only on its cores and width, so with kExact this equals
+  /// evaluate_reference()'s RailTimes for such a rail in any architecture.
+  /// Walks a core -> groups incidence list and resets only the groups it
+  /// touched. Does not touch the counters.
+  [[nodiscard]] RailTimes rail_sum(std::span<const int> a,
+                                   std::span<const int> b, int width,
+                                   InTestSum intest) const;
 
   [[nodiscard]] const Soc& soc() const { return *soc_; }
   [[nodiscard]] const SiTestSet& tests() const { return *tests_; }
@@ -287,7 +295,7 @@ class TamEvaluator {
   const SiTestSet* tests_;
   EvaluatorOptions options_;
   // Core -> the SI groups with patterns > 0 that involve it, ascending.
-  // Built once; merged_rail_floor walks it.
+  // Built once; rail_sum walks it.
   std::vector<std::vector<int>> groups_of_core_;
 
   // Scratch reused across evaluate() calls (single-threaded per instance,
@@ -296,9 +304,11 @@ class TamEvaluator {
   mutable std::vector<std::int64_t> rail_shift_;  // l_r(s) accumulator
   mutable std::vector<std::int64_t> rail_cores_;  // |C(r) ∩ C(s)| accumulator
   mutable std::vector<int> touched_rails_;
-  // merged_rail_floor's per-group accumulators (all zero between calls).
+  // rail_sum's per-group accumulators (all zero between calls) and the
+  // groups it touched.
   mutable std::vector<std::int64_t> group_shift_;
   mutable std::vector<std::int64_t> group_cores_;
+  mutable std::vector<int> touched_groups_;
   mutable std::vector<SiGroupTiming> pending_scratch_;
   mutable std::vector<int> order_scratch_;
   mutable std::vector<std::int64_t> rail_time_in_scratch_;

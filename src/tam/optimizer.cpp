@@ -30,7 +30,8 @@ class Optimizer {
         w_max_(w_max),
         config_(config),
         eval_(soc, table, tests, config.evaluator),
-        delta_(eval_) {}
+        delta_(eval_),
+        bound_(eval_) {}
 
   OptimizeResult run(const std::vector<int>& core_order) {
     TamArchitecture arch = start_solution(core_order);
@@ -46,8 +47,8 @@ class Optimizer {
     result.evaluation = evaluate(arch);
     result.architecture = std::move(arch);
     // The evaluator stack counts every evaluate() call — including the
-    // direct ones above and in order_by_time_used/distribute_cheap/sweep,
-    // which a counter in t_soc() alone would miss.
+    // direct ones above and in order_by_time_used/sweep, which a counter
+    // in t_soc() alone would miss.
     result.stats = config_.delta_eval ? delta_.stats() : eval_.stats();
     return result;
   }
@@ -92,20 +93,9 @@ class Optimizer {
   }
 
   // -------------------------------------------------------------------
-  // Wire distribution (distributeFreeWires)
+  // Wire distribution (distributeFreeWires); the cheap rule, each wire to
+  // the rail with the largest time_used, is CheapMergeBound's replay.
   // -------------------------------------------------------------------
-
-  /// Cheap rule: each wire goes to the rail with the largest time_used.
-  void distribute_cheap(TamArchitecture& arch, int wires) const {
-    for (int i = 0; i < wires; ++i) {
-      const std::vector<RailTimes>& rails = rail_times(arch);
-      std::size_t pick = 0;
-      for (std::size_t r = 1; r < arch.rails.size(); ++r) {
-        if (rails[r].time_used > rails[pick].time_used) pick = r;
-      }
-      ++arch.rails[pick].width;
-    }
-  }
 
   /// Precise rule (the paper's): each wire goes to the rail whose extra
   /// wire minimizes T_soc — which is by definition a bottleneck rail.
@@ -153,16 +143,24 @@ class Optimizer {
   /// to bottleneck rails. Applies the best strictly-improving merge and
   /// returns true, else leaves arch untouched and returns false.
   ///
-  /// A partner is skipped when the merged rail alone, at its widest, cannot
-  /// finish below the best candidate so far: every candidate gives it at
-  /// most w_1 + w_j wires, and only t < best_t is accepted, so the skip
-  /// changes no result (TamEvaluator::merged_rail_floor).
+  /// Two lower bounds skip work without changing the result, since only
+  /// t < best_t is accepted (docs/algorithms.md §5):
+  ///  * a partner, when the merged rail alone at its widest cannot finish
+  ///    below the best candidate so far (every candidate gives it at most
+  ///    w_1 + w_j wires; TamEvaluator::rail_sum with InTest floors);
+  ///  * under the cheap leftover rule, a candidate, when the replay of that
+  ///    rule on exact rail sums (CheapMergeBound) puts its bound at or
+  ///    above the best candidate so far. A candidate that survives takes
+  ///    its leftover wires from the same replay.
   bool merge_tams(TamArchitecture& arch, std::size_t r1) {
     const std::int64_t current = t_soc(arch);
     std::int64_t best_t = current;
     std::size_t best_partner = arch.rails.size();
     int best_width = 0;
     std::int64_t pruned = 0;
+    std::int64_t pruned_candidates = 0;
+    const bool replay = config_.fast_candidate_scan;
+    if (replay) bound_.bind(arch, r1);
 
     for (std::size_t rj = 0; rj < arch.rails.size(); ++rj) {
       if (rj == r1) continue;
@@ -170,20 +168,23 @@ class Optimizer {
       const int wj = arch.rails[rj].width;
       const int width_min = std::max(w1, wj);
       const int width_max = w1 + wj;
-      if (eval_.merged_rail_floor(arch.rails[r1], arch.rails[rj],
-                                  width_max) >= best_t) {
+      if (eval_.rail_sum(arch.rails[r1].cores, arch.rails[rj].cores,
+                         width_max, TamEvaluator::InTestSum::kFloor)
+              .time_used >= best_t) {
         ++pruned;
         continue;
       }
+      if (replay) bound_.set_partner(rj);
       for (int w = width_min; w <= width_max; ++w) {
+        if (replay && bound_.bound(w) >= best_t) {
+          ++pruned_candidates;
+          continue;
+        }
         merge_into(arch, r1, rj, w, /*id=*/-2, cand_);
-        const int leftover = width_max - w;
-        if (leftover > 0) {
-          if (config_.fast_candidate_scan) {
-            distribute_cheap(cand_, leftover);
-          } else {
-            distribute_precise(cand_, leftover);
-          }
+        if (replay) {
+          bound_.distribute(cand_);
+        } else if (w < width_max) {
+          distribute_precise(cand_, width_max - w);
         }
         const std::int64_t t = t_soc(cand_);
         if (t < best_t) {
@@ -194,6 +195,7 @@ class Optimizer {
       }
     }
     SITAM_COUNTER("tam.alg2.pruned", pruned);
+    SITAM_COUNTER("tam.alg2.pruned_candidates", pruned_candidates);
     if (best_partner == arch.rails.size()) return false;
 
     // Rebuild the winner; with fast scanning also try the precise
@@ -206,7 +208,9 @@ class Optimizer {
     if (leftover > 0) {
       if (config_.fast_candidate_scan) {
         TamArchitecture cheap = winner;
-        distribute_cheap(cheap, leftover);
+        bound_.set_partner(best_partner);
+        static_cast<void>(bound_.bound(best_width));
+        bound_.distribute(cheap);
         TamArchitecture precise = std::move(winner);
         distribute_precise(precise, leftover);
         winner = t_soc(precise) <= t_soc(cheap) ? std::move(precise)
@@ -384,6 +388,8 @@ class Optimizer {
   // Holds the last full evaluation behind rail_times() on the non-delta
   // path (assignment recycles its vector capacity).
   mutable Evaluation eval_scratch_;
+  // mergeTAMs' cheap leftover rule and its candidate bound.
+  CheapMergeBound bound_;
   // Candidate storage reused by every merge_into of the scans.
   TamArchitecture cand_;
   int next_id_ = 0;
@@ -415,7 +421,130 @@ OptimizeResult run_restart(const Soc& soc, const TestTimeTable& table,
   return attempt.run(order);
 }
 
+// CheapMergeBound's table entries not summed yet.
+constexpr RailTimes kUnsummed{-1, -1, -1};
+
 }  // namespace
+
+void CheapMergeBound::bind(const TamArchitecture& arch, std::size_t r1) {
+  SITAM_DCHECK(r1 < arch.rails.size());
+  arch_ = &arch;
+  r1_ = r1;
+  // A candidate hands out at most min(w1, wj) <= w1 leftover wires, so no
+  // rail gets more than w1 extra.
+  stride_ = arch.rails[r1].width + 1;
+  other_times_.assign(arch.rails.size() * static_cast<std::size_t>(stride_),
+                      kUnsummed);
+}
+
+const RailTimes& CheapMergeBound::other_at(std::size_t k, int extra) {
+  SITAM_DCHECK(extra < stride_);
+  RailTimes& entry =
+      other_times_[k * static_cast<std::size_t>(stride_) +
+                   static_cast<std::size_t>(extra)];
+  if (entry.time_used < 0) {
+    const TestRail& rail = arch_->rails[k];
+    entry = eval_->rail_sum(rail.cores, {}, rail.width + extra,
+                            TamEvaluator::InTestSum::kExact);
+  }
+  return entry;
+}
+
+const RailTimes& CheapMergeBound::merged_at(int width) {
+  SITAM_DCHECK(width >= width_min_ &&
+               width - width_min_ < static_cast<int>(merged_times_.size()));
+  RailTimes& entry =
+      merged_times_[static_cast<std::size_t>(width - width_min_)];
+  if (entry.time_used < 0) {
+    entry = eval_->rail_sum(arch_->rails[r1_].cores, arch_->rails[rj_].cores,
+                            width, TamEvaluator::InTestSum::kExact);
+  }
+  return entry;
+}
+
+void CheapMergeBound::set_partner(std::size_t rj) {
+  SITAM_DCHECK(rj != r1_);
+  rj_ = rj;
+  const int w1 = arch_->rails[r1_].width;
+  const int wj = arch_->rails[rj].width;
+  width_min_ = std::max(w1, wj);
+  merged_times_.assign(static_cast<std::size_t>(std::min(w1, wj) + 1),
+                       kUnsummed);
+  extra_.assign(arch_->rails.size(), 0);
+  pick_rail_.clear();
+  max_in_.clear();
+  max_si_.clear();
+  max_used_.clear();
+  extend_picks(0);
+}
+
+void CheapMergeBound::extend_picks(int picks) {
+  SITAM_DCHECK(picks < stride_);
+  while (static_cast<int>(max_used_.size()) <= picks) {
+    if (!max_used_.empty()) {
+      pick_rail_.push_back(next_pick_);
+      ++extra_[next_pick_];
+    }
+    // The maxima over the others and the rule's next wire among them: the
+    // first rail (index order) of largest time_used.
+    RailTimes max;
+    next_pick_ = arch_->rails.size();
+    for (std::size_t k = 0; k < arch_->rails.size(); ++k) {
+      if (k == r1_ || k == rj_) continue;
+      const RailTimes& times = other_at(k, extra_[k]);
+      max.time_in = std::max(max.time_in, times.time_in);
+      max.time_si = std::max(max.time_si, times.time_si);
+      if (next_pick_ == arch_->rails.size() ||
+          times.time_used > max.time_used) {
+        max.time_used = times.time_used;
+        next_pick_ = k;
+      }
+    }
+    max_in_.push_back(max.time_in);
+    max_si_.push_back(max.time_si);
+    max_used_.push_back(max.time_used);
+  }
+}
+
+std::int64_t CheapMergeBound::bound(int width) {
+  const bool others = arch_->rails.size() > 2;
+  const int leftover =
+      arch_->rails[r1_].width + arch_->rails[rj_].width - width;
+  SITAM_DCHECK(width >= width_min_ && leftover >= 0);
+  int picks = 0;
+  int merged_extra = 0;
+  for (int s = 0; s < leftover; ++s) {
+    // The merged rail comes last, so it takes the wire only when it is
+    // strictly the largest.
+    if (others && max_used_[static_cast<std::size_t>(picks)] >=
+                      merged_at(width + merged_extra).time_used) {
+      extend_picks(++picks);
+    } else {
+      ++merged_extra;
+    }
+  }
+  picks_ = picks;
+  merged_extra_ = merged_extra;
+  const RailTimes& merged = merged_at(width + merged_extra);
+  const auto i = static_cast<std::size_t>(picks);
+  // Algorithm 1 runs no two tests on one rail at once and a test lasts at
+  // least its busy time on each of its rails (docs/algorithms.md §5).
+  if (eval_->options().interleave_phases) {
+    return std::max(max_used_[i], merged.time_used);
+  }
+  return std::max(max_in_[i], merged.time_in) +
+         std::max(max_si_[i], merged.time_si);
+}
+
+void CheapMergeBound::distribute(TamArchitecture& cand) const {
+  SITAM_DCHECK(cand.rails.size() + 1 == arch_->rails.size());
+  for (int s = 0; s < picks_; ++s) {
+    // Rail k's index in the candidate, which drops r1 and rj.
+    const std::size_t k = pick_rail_[static_cast<std::size_t>(s)];
+    ++cand.rails[k - (k > r1_ ? 1 : 0) - (k > rj_ ? 1 : 0)].width;
+  }
+  cand.rails.back().width += merged_extra_;
+}
 
 /// The running reduction of one job's restarts: the winner so far (lowest
 /// t_soc, ties to the lowest restart index) and the stats summed over the

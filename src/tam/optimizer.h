@@ -76,6 +76,73 @@ struct OptimizerConfig {
   const CancelToken* cancel = nullptr;
 };
 
+/// mergeTAMs' cheap leftover rule (OptimizerConfig::fast_candidate_scan)
+/// and the candidate bound it yields (docs/algorithms.md §5). A candidate
+/// merges rails r1 and rj at width w and hands the w1 + wj - w leftover
+/// wires out one by one to the first rail of largest time_used, the other
+/// rails in index order and then the merged rail. A rail's times depend
+/// only on its cores and width, so the replay computes the candidate's
+/// exact per-rail times from rail sums alone, without building or
+/// evaluating it: the others' sums at w_k + m come from a table filled
+/// lazily per bind(), the merged rail's from one sum per width. The bound is
+/// max time_in + max time_si with the phases in sequence, max time_used
+/// with interleave_phases, and never exceeds the candidate's T_soc; a
+/// candidate that survives it takes its widths from the same replay
+/// (distribute()).
+///
+/// Borrows the evaluator and the bound architecture, which must not change
+/// until the next bind(). Not thread-safe, like the evaluator.
+class CheapMergeBound {
+ public:
+  explicit CheapMergeBound(const TamEvaluator& eval) : eval_(&eval) {}
+
+  /// Binds the architecture and the rail r1 every candidate merges.
+  void bind(const TamArchitecture& arch, std::size_t r1);
+  /// Binds the partner rj != r1 of the next bound() calls.
+  void set_partner(std::size_t rj);
+  /// Lower bound on the T_soc of the candidate that merges r1 and rj at
+  /// `width` in [max(w1, wj), w1 + wj]: O(leftover), plus the rail sums
+  /// and O(rails) per pick that no earlier call of this partner needed.
+  /// Allocates nothing once the scratch has grown.
+  [[nodiscard]] std::int64_t bound(int width);
+  /// Hands the last bound()'s leftover wires out on `cand`, that candidate
+  /// with no leftover wires in its rail order (the other rails in index
+  /// order, then the merged rail at that width): the cheap rule's widths.
+  void distribute(TamArchitecture& cand) const;
+
+ private:
+  // Exact times of rail k (an index of the bound architecture) with
+  // `extra` wires beyond its width, and of the merged rail at `width`;
+  // summed on first use.
+  const RailTimes& other_at(std::size_t k, int extra);
+  const RailTimes& merged_at(int width);
+  // Extends the others-only pick sequence to `picks` wires.
+  void extend_picks(int picks);
+
+  const TamEvaluator* eval_;
+  const TamArchitecture* arch_ = nullptr;
+  std::size_t r1_ = 0;
+  std::size_t rj_ = 0;
+  int stride_ = 0;  // Extra wires per rail in other_times_, plus one.
+  std::vector<RailTimes> other_times_;   // [k * stride_ + extra]
+  int width_min_ = 0;
+  std::vector<RailTimes> merged_times_;  // [width - width_min_]
+  // The rule's picks among the others alone for the bound partner: the
+  // merged rail takes a wire only when it is strictly the largest, so the
+  // others take theirs in this order whatever the merged rail does. After
+  // s picks the next one takes max_used_[s].
+  std::vector<int> extra_;              // Per rail, after the picks so far.
+  std::vector<std::size_t> pick_rail_;  // [s]: the rail of the s-th pick.
+  std::size_t next_pick_ = 0;           // The rail of the next pick.
+  std::vector<std::int64_t> max_in_;    // [s]: maxima over the others
+  std::vector<std::int64_t> max_si_;    //      after s picks.
+  std::vector<std::int64_t> max_used_;
+  // The last bound()'s replay: the others' picks and the merged rail's
+  // wires.
+  int picks_ = 0;
+  int merged_extra_ = 0;
+};
+
 struct OptimizeResult {
   TamArchitecture architecture;
   Evaluation evaluation;

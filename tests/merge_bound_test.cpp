@@ -1,10 +1,15 @@
-// Soundness of the mergeTAMs partner bound (TamEvaluator::merged_rail_floor):
-// for every rail pair of seeded random architectures, every merge width in
-// [max(w_a, w_b), w_a + w_b] and every way the optimizer hands out the
-// leftover wires (its cheap and precise rules, and all of them on the
-// merged rail), the bound never exceeds the candidate's full T_soc, under
-// every evaluator option. mergeTAMs skips a partner on this bound, so a
-// violation here would let the optimizer miss a candidate.
+// Soundness of the two bounds mergeTAMs skips work on, for every rail pair
+// of seeded random architectures and every merge width in
+// [max(w_a, w_b), w_a + w_b], under every evaluator option:
+//  * the partner bound (TamEvaluator::rail_sum with InTest floors at
+//    w_a + w_b) never exceeds the candidate's full T_soc, whichever way the
+//    leftover wires go (the cheap and precise rules, or all of them on the
+//    merged rail);
+//  * the candidate bound (CheapMergeBound) replays the cheap rule exactly:
+//    its rail widths equal the rule's, the rail sums it reads equal the
+//    evaluated candidate's rail times, its bound is the phase bound over
+//    those times, and it never exceeds that candidate's T_soc.
+// A violation here would let the optimizer miss a candidate.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,52 +18,19 @@
 #include <string>
 #include <vector>
 
-#include "core/flow.h"
-#include "interconnect/terminal_space.h"
-#include "interconnect/topology.h"
-#include "pattern/generator.h"
 #include "sitest/group.h"
 #include "soc/benchmarks.h"
-#include "soc/synth.h"
 #include "tam/architecture.h"
 #include "tam/evaluator.h"
+#include "tam/optimizer.h"
+#include "tam_instances.h"
 #include "util/rng.h"
 #include "wrapper/design.h"
 
 namespace sitam {
 namespace {
 
-struct Instance {
-  std::string name;
-  Soc soc;
-  SiTestSet tests;
-  int w_max = 0;
-};
-
-/// A synthetic SOC with SI tests drawn from a Fig. 1 topology.
-Instance synthetic(int cores, int parts, int w_max, std::uint64_t seed) {
-  SynthSocConfig soc_config;
-  soc_config.cores = cores;
-  soc_config.name = "bound" + std::to_string(seed);
-  Rng rng(seed);
-  Instance inst{soc_config.name, generate_soc(soc_config, rng), {}, w_max};
-  const TerminalSpace terminals(inst.soc);
-  const Topology topology =
-      generate_topology(terminals, TopologyConfig{}, rng);
-  const std::vector<SiPattern> patterns = generate_topology_patterns(
-      topology, terminals, 600, TopologyPatternConfig{}, rng);
-  inst.tests = build_si_test_set(patterns, terminals, parts, GroupingConfig{});
-  return inst;
-}
-
-Instance benchmark(const std::string& name, int parts, int w_max) {
-  Instance inst{name, load_benchmark(name), {}, w_max};
-  SiWorkloadConfig config;
-  config.pattern_count = 800;
-  config.groupings = {parts};
-  inst.tests = SiWorkload::prepare(inst.soc, config).tests(parts);
-  return inst;
-}
+using tamtest::Instance;
 
 /// A seeded random architecture: `rails` non-empty rails sharing w_max
 /// wires, each at least one wide.
@@ -134,54 +106,38 @@ void distribute_precise(const TamEvaluator& eval, TamArchitecture& arch,
   }
 }
 
-/// Every option variant: three pick rules, both phase modes, with and
-/// without a power budget (half again the largest group's power), on both
-/// architecture styles.
-std::vector<EvaluatorOptions> option_variants(const SiTestSet& tests) {
-  std::int64_t max_power = 0;
-  for (const SiTestGroup& g : tests.groups) {
-    max_power = std::max(max_power, g.power);
-  }
-  std::vector<EvaluatorOptions> variants;
-  for (const ArchitectureStyle style :
-       {ArchitectureStyle::kTestRail, ArchitectureStyle::kTestBus}) {
-    for (const SchedulePick pick :
-         {SchedulePick::kLongestFirst, SchedulePick::kShortestFirst,
-          SchedulePick::kInputOrder}) {
-      for (const bool interleave : {false, true}) {
-        for (const std::int64_t budget : {std::int64_t{0}, max_power * 3 / 2}) {
-          EvaluatorOptions options;
-          options.style = style;
-          options.pick = pick;
-          options.interleave_phases = interleave;
-          options.power_budget = budget;
-          variants.push_back(options);
-        }
-      }
-    }
-  }
-  return variants;
-}
-
-std::string describe(const EvaluatorOptions& options) {
-  return "style=" + std::to_string(static_cast<int>(options.style)) +
-         " pick=" + std::to_string(static_cast<int>(options.pick)) +
-         " interleave=" + std::to_string(options.interleave_phases) +
-         " budget=" + std::to_string(options.power_budget);
-}
-
 class MergeBoundTest : public ::testing::TestWithParam<int> {};
+
+/// Eight copies of one d695 core, so rails of equal size and width tie on
+/// time_used and the cheap rule's first-max tie rule decides.
+Instance twins() {
+  const Soc d695 = load_benchmark("d695");
+  Instance inst{"twins", {}, {}, 16};
+  inst.soc.name = "twins";
+  for (int c = 0; c < 8; ++c) {
+    Module module = d695.modules[1];
+    module.id = c + 1;
+    inst.soc.modules.push_back(module);
+  }
+  inst.tests.parts = 3;
+  inst.tests.groups = {{"g1", {0, 1, 2, 3, 4, 5, 6, 7}, 20, 20, false, 0},
+                       {"g2", {0, 1, 2, 3}, 5, 5, false, 0},
+                       {"rem", {4, 5}, 0, 0, true, 0}};
+  return inst;
+}
 
 Instance instance_for(int index) {
   switch (index) {
+    case 4:
+      return twins();
     case 0:
-      return synthetic(10, 3, 16, 0xb0d1ULL);
+      return tamtest::synthetic(10, 3, 16, 0xb0d1ULL);
     case 1:
-      return synthetic(16, 4, 24, 0xb0d2ULL);
+      return tamtest::synthetic(16, 4, 24, 0xb0d2ULL);
     case 2:
-      return benchmark("p34392", 4, 24);
+      return tamtest::benchmark("p34392", 4, 24);
     default:
-      return benchmark("p93791", 4, 24);
+      return tamtest::benchmark("p93791", 4, 24);
   }
 }
 
@@ -197,7 +153,7 @@ TEST_P(MergeBoundTest, BoundNeverExceedsAnyCandidate) {
         random_architecture(cores, std::min(rails, cores), inst.w_max, rng));
   }
 
-  for (const EvaluatorOptions& options : option_variants(inst.tests)) {
+  for (const EvaluatorOptions& options : tamtest::option_variants(inst.tests)) {
     const TamEvaluator eval(inst.soc, table, inst.tests, options);
     for (const TamArchitecture& arch : archs) {
       for (std::size_t a = 0; a < arch.rails.size(); ++a) {
@@ -206,7 +162,9 @@ TEST_P(MergeBoundTest, BoundNeverExceedsAnyCandidate) {
           const int wa = arch.rails[a].width;
           const int wb = arch.rails[b].width;
           const std::int64_t bound =
-              eval.merged_rail_floor(arch.rails[a], arch.rails[b], wa + wb);
+              eval.rail_sum(arch.rails[a].cores, arch.rails[b].cores, wa + wb,
+                            TamEvaluator::InTestSum::kFloor)
+                  .time_used;
           EXPECT_GT(bound, 0);
           for (int w = std::max(wa, wb); w <= wa + wb; ++w) {
             const int leftover = wa + wb - w;
@@ -219,7 +177,7 @@ TEST_P(MergeBoundTest, BoundNeverExceedsAnyCandidate) {
             for (const TamArchitecture* cand : {&cheap, &precise, &widest}) {
               cand->validate(cores);
               EXPECT_LE(bound, eval.evaluate_reference(*cand).t_soc)
-                  << inst.name << " " << describe(options) << " "
+                  << inst.name << " " << tamtest::describe(options) << " "
                   << arch.describe() << " rails " << a << "+" << b
                   << " w=" << w << " -> " << cand->describe();
             }
@@ -241,16 +199,103 @@ TEST_P(MergeBoundTest, BoundIsTightWhenTheMergedRailIsAlone) {
   Rng rng(0x71e0000ULL + static_cast<std::uint64_t>(GetParam()));
   const TamArchitecture arch =
       random_architecture(cores, 2, inst.w_max, rng);
-  for (const EvaluatorOptions& options : option_variants(inst.tests)) {
+  for (const EvaluatorOptions& options : tamtest::option_variants(inst.tests)) {
     const TamEvaluator eval(inst.soc, table, inst.tests, options);
     const TamArchitecture one = merged(arch, 0, 1, inst.w_max);
-    EXPECT_EQ(eval.merged_rail_floor(arch.rails[0], arch.rails[1], inst.w_max),
+    EXPECT_EQ(eval.rail_sum(arch.rails[0].cores, arch.rails[1].cores,
+                            inst.w_max, TamEvaluator::InTestSum::kFloor)
+                  .time_used,
               eval.evaluate_reference(one).t_soc)
-        << inst.name << " " << describe(options);
+        << inst.name << " " << tamtest::describe(options);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Socs, MergeBoundTest, ::testing::Values(0, 1, 2, 3));
+TEST_P(MergeBoundTest, CheapReplayIsExactAndBoundsEveryCandidate) {
+  Instance inst = instance_for(GetParam());
+  assign_si_power(inst.tests, inst.soc, 1, 50);
+  const TestTimeTable table(inst.soc, inst.w_max);
+  const int cores = inst.soc.core_count();
+  Rng rng(0xc4ea0000ULL + static_cast<std::uint64_t>(GetParam()));
+  std::vector<TamArchitecture> archs;
+  for (const int rails : {2, 3, 5, 8}) {
+    archs.push_back(
+        random_architecture(cores, std::min(rails, cores), inst.w_max, rng));
+  }
+
+  if (inst.name == "twins") {
+    // Ties the rule must break with one leftover wire: merging rails 0
+    // and 1 at w = 2 leaves {0,1} tied with {2,3}, both at 2 (the other
+    // rail wins), and merging them at w = 7 leaves {2} tied with {3}, both
+    // at 1 (the lower index wins).
+    archs.push_back(TamArchitecture{{{{0}, 1, -1},
+                                     {{1}, 2, -1},
+                                     {{2, 3}, 2, -1},
+                                     {{4, 5, 6, 7}, 11, -1}}});
+    archs.push_back(TamArchitecture{{{{0}, 4, -1},
+                                     {{1}, 4, -1},
+                                     {{2}, 1, -1},
+                                     {{3}, 1, -1},
+                                     {{4, 5, 6, 7}, 6, -1}}});
+  }
+
+  for (const EvaluatorOptions& options :
+       tamtest::option_variants(inst.tests)) {
+    const TamEvaluator eval(inst.soc, table, inst.tests, options);
+    CheapMergeBound replay(eval);
+    for (const TamArchitecture& arch : archs) {
+      for (std::size_t a = 0; a < arch.rails.size(); ++a) {
+        replay.bind(arch, a);
+        for (std::size_t b = 0; b < arch.rails.size(); ++b) {
+          if (a == b) continue;
+          replay.set_partner(b);
+          const int wa = arch.rails[a].width;
+          const int wb = arch.rails[b].width;
+          // Widest leftover last, so the lazy tables fill out of order.
+          for (int w = wa + wb; w >= std::max(wa, wb); --w) {
+            const std::int64_t bound = replay.bound(w);
+            TamArchitecture cheap = merged(arch, a, b, w);
+            TamArchitecture replayed = cheap;
+            replay.distribute(replayed);
+            distribute_cheap(eval, cheap, wa + wb - w);
+            const Evaluation ev = eval.evaluate_reference(cheap);
+            const std::string where =
+                inst.name + " " + tamtest::describe(options) + " " +
+                arch.describe() + " rails " + std::to_string(a) + "+" +
+                std::to_string(b) + " w=" + std::to_string(w) + " -> " +
+                cheap.describe();
+            // The replay's widths are the rule's, rail by rail.
+            ASSERT_EQ(replayed.rails.size(), cheap.rails.size()) << where;
+            for (std::size_t r = 0; r < cheap.rails.size(); ++r) {
+              EXPECT_EQ(replayed.rails[r].width, cheap.rails[r].width)
+                  << where;
+            }
+            // The rail sums it reads are the evaluated rails' times, and
+            // its bound is the phase bound over exactly those times.
+            RailTimes max;
+            for (std::size_t r = 0; r < cheap.rails.size(); ++r) {
+              const TestRail& rail = cheap.rails[r];
+              EXPECT_EQ(eval.rail_sum(rail.cores, {}, rail.width,
+                                      TamEvaluator::InTestSum::kExact),
+                        ev.rails[r])
+                  << where << " rail " << r;
+              max.time_in = std::max(max.time_in, ev.rails[r].time_in);
+              max.time_si = std::max(max.time_si, ev.rails[r].time_si);
+              max.time_used = std::max(max.time_used, ev.rails[r].time_used);
+            }
+            EXPECT_EQ(bound, options.interleave_phases
+                                 ? max.time_used
+                                 : max.time_in + max.time_si)
+                << where;
+            EXPECT_LE(bound, ev.t_soc) << where;
+          }
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Socs, MergeBoundTest,
+                         ::testing::Values(0, 1, 2, 3, 4));
 
 }  // namespace
 }  // namespace sitam

@@ -417,6 +417,30 @@ TEST(Obs, Alg2PrunedCountsSkippedMergePartners) {
   EXPECT_GT(dump.metrics.counter("tam.alg2.pruned"), 0);
 }
 
+TEST(Obs, Alg2PrunedCandidatesCountsOnlyTheCheapRule) {
+  // The candidate bound replays the cheap leftover rule, so it prunes
+  // under the default scan and never under the precise rule.
+  const Soc soc = load_benchmark("p93791");
+  SiWorkloadConfig workload_config;
+  workload_config.pattern_count = 600;
+  workload_config.groupings = {4};
+  const SiWorkload workload = SiWorkload::prepare(soc, workload_config);
+  const TestTimeTable table(soc, 24);
+  for (const bool fast : {true, false}) {
+    OptimizerConfig config;
+    config.restarts = 1;
+    config.fast_candidate_scan = fast;
+    obs::TraceSession session;
+    (void)optimize_tam(soc, table, workload.tests(4), 24, config);
+    const TraceDump dump = session.stop();
+    if (fast) {
+      EXPECT_GT(dump.metrics.counter("tam.alg2.pruned_candidates"), 0);
+    } else {
+      EXPECT_EQ(dump.metrics.counter("tam.alg2.pruned_candidates"), 0);
+    }
+  }
+}
+
 TEST(Obs, TracingDoesNotChangeOptimizationResults) {
   const OptimizerScenario s = optimizer_scenario();
   OptimizerConfig config;

@@ -7,15 +7,13 @@
 // constants and record the change in EXPERIMENTS.md.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/flow.h"
 #include "core/report.h"
+#include "golden_file.h"
 #include "interconnect/terminal_space.h"
 #include "pattern/compaction.h"
 #include "pattern/generator.h"
@@ -96,24 +94,7 @@ std::string render_sweep_document(const SweepResult& sweep) {
   return os.str();
 }
 
-void expect_matches_golden(const std::string& name,
-                           const std::string& actual) {
-  namespace fs = std::filesystem;
-  const fs::path path = fs::path(SITAM_GOLDEN_DIR) / name;
-  if (std::getenv("SITAM_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out(path, std::ios::binary);
-    ASSERT_TRUE(out) << "cannot write " << path;
-    out << actual;
-    GTEST_SKIP() << "golden regenerated: " << path;
-  }
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in) << "missing golden file " << path
-                  << " (run with SITAM_UPDATE_GOLDEN=1 to create it)";
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  // Byte-for-byte: any drift in numbers *or* formatting is a finding.
-  EXPECT_EQ(buffer.str(), actual) << "golden mismatch for " << name;
-}
+using golden::expect_matches_golden;
 
 /// The default OptimizerConfig runs the sweep's job list on every core;
 /// `threads` = 1 runs it serially on the caller. Both must render the
@@ -204,8 +185,8 @@ TEST(Regression, P93791Alg2ResultAndEvaluationOrder) {
             "{8,19,21,29,31|w=3} {1,9,10|w=4} {0,3,6,7,25|w=4} "
             "{14,20,22,23,28,30|w=6} {4,5,11,12,24|w=8} "
             "{2,13,15,16,17,18,26,27|w=7}");
-  EXPECT_EQ(result.stats.evaluations, 12181);
-  EXPECT_EQ(result.stats.delta_hits, 12177);
+  EXPECT_EQ(result.stats.evaluations, 7551);
+  EXPECT_EQ(result.stats.delta_hits, 7547);
   EXPECT_EQ(result.stats.cache_misses, 4);
 }
 
