@@ -16,7 +16,6 @@
 // ctest suite as a bench smoke check. Any other flag is an error.
 #include <cstdint>
 #include <fstream>
-#include <future>
 #include <iostream>
 #include <memory>
 #include <span>
@@ -142,7 +141,10 @@ void write_kernel_report(const std::string& path,
 double time_staged_count(int repeats, const PatternRows& rows,
                          Executor& executor, std::size_t& count) {
   return best_of(repeats, [&] {
-    count = start_greedy_count(rows, executor).get();
+    TaskGroup group(executor);
+    start_greedy_count(rows, executor, nullptr, nullptr,
+                       count_into(group, count));
+    group.wait();
   });
 }
 

@@ -169,10 +169,10 @@ void BM_BuildSiTestSets(benchmark::State& state) {
   const auto patterns =
       generate_random_patterns(ts, 20000, RandomPatternConfig{}, rng);
   const int groupings[] = {1, 2, 4, 8};
-  const int threads = static_cast<int>(state.range(0));
+  Executor executor(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(build_si_test_sets(
-        patterns, ts, groupings, GroupingConfig{}, threads));
+        patterns, ts, groupings, GroupingConfig{}, executor));
   }
   state.SetItemsProcessed(state.iterations() * 20000);
 }

@@ -525,13 +525,13 @@ void Sweep::count() const {
 }
 
 /// A Sweep run as (stage, chunk) tasks on a pool. Stage s's queued inputs
-/// run one task at a time in chunk order: a task for stage s is submitted
+/// run one task at a time in chunk order: a task for stage s is started
 /// when an input reaches an idle stage, and when a task ends with more
 /// queued. Each task takes its input and puts its forward list under the
 /// mutex, so the tasks synchronize once per (stage, chunk). The tasks
 /// share ownership; the one that leaves nothing running after close()
 /// hands `then` the count or the exception. After a task throws, queued
-/// inputs are dropped and no task is submitted, so the exception reaches
+/// inputs are dropped and no task is started, so the exception reaches
 /// `then` once the tasks already running return. It is moved out under
 /// the mutex, so no other worker holds the exception object once `then`
 /// passes it on (one shared object would be freed by whichever thread
@@ -551,8 +551,9 @@ class PooledSweep : public std::enable_shared_from_this<PooledSweep> {
 
   /// Queues `in` for stage 0. Dropped after a failure.
   void feed(Forward in);
-  /// No more chunks.
-  void close();
+  /// No more chunks; a non-null `error` fails the sweep if it is the
+  /// first.
+  void close(std::exception_ptr error = nullptr);
 
  private:
   /// The queued inputs of one stage.
@@ -563,8 +564,8 @@ class PooledSweep : public std::enable_shared_from_this<PooledSweep> {
 
   /// Task (s, next queued chunk).
   void run(std::size_t s);
-  /// Submits task s; a failed submission fails the sweep.
-  void submit(std::size_t s);
+  /// Starts task s; a failed start fails the sweep.
+  void start(std::size_t s);
   /// Marks stage s idle and drops its queued inputs; true when that
   /// leaves nothing running after close(). Caller holds mutex_.
   [[nodiscard]] bool release_locked(std::size_t s);
@@ -584,10 +585,11 @@ class PooledSweep : public std::enable_shared_from_this<PooledSweep> {
   std::exception_ptr error_;       // guarded_by(mutex_)
 };
 
-void PooledSweep::submit(std::size_t s) {
+void PooledSweep::start(std::size_t s) {
   bool last = false;
   try {
-    (void)executor_.submit([self = shared_from_this(), s] { self->run(s); });
+    executor_.run(JobPriority::kNormal,
+                  [self = shared_from_this(), s] { self->run(s); });
   } catch (...) {
     const std::lock_guard lock(mutex_);
     if (!error_) error_ = std::current_exception();
@@ -613,12 +615,14 @@ void PooledSweep::feed(Forward in) {
     first.busy = true;
     ++busy_;
   }
-  submit(0);
+  start(0);
 }
 
-void PooledSweep::close() {
+void PooledSweep::close(std::exception_ptr error) {
   {
     const std::lock_guard lock(mutex_);
+    if (error && !error_) error_ = std::move(error);
+    error = nullptr;  // the sweep's copy is the only one left here
     closed_ = true;
     if (busy_ > 0) return;
   }
@@ -651,7 +655,7 @@ void PooledSweep::run(std::size_t s) {
   in = {};  // consumed: free it before the next task can allocate
 
   std::size_t next[2];
-  std::size_t submits = 0;
+  std::size_t starts = 0;
   bool last = false;
   {
     const std::lock_guard lock(mutex_);
@@ -667,16 +671,16 @@ void PooledSweep::run(std::size_t s) {
       if (!after.busy) {
         after.busy = true;
         ++busy_;
-        next[submits++] = s + 1;
+        next[starts++] = s + 1;
       }
     }
     if (!lanes_[s].inbox.empty() && !error_) {
-      next[submits++] = s;
+      next[starts++] = s;
     } else {
       last = release_locked(s);
     }
   }
-  for (std::size_t k = 0; k < submits; ++k) submit(next[k]);
+  for (std::size_t k = 0; k < starts; ++k) start(next[k]);
   if (last) finish();
 }
 
@@ -715,34 +719,6 @@ void count_on_caller(const PatternRows& rows, const char* span,
     error = std::current_exception();
   }
   done(count, std::move(error));
-}
-
-/// The future form of a count that `start` starts with a CountDone: a
-/// deferred future whose get() waits, on the calling thread, for the
-/// count's group and takes its count or its exception over there.
-template <typename Start>
-[[nodiscard]] std::future<std::size_t> count_future(Executor& executor,
-                                                    const Start& start) {
-  struct Waited {
-    explicit Waited(Executor& executor) : group(executor) {}
-    TaskGroup group;
-    std::size_t count = 0;  // written before the group's release
-  };
-  const auto waited = std::make_shared<Waited>(executor);
-  waited->group.hold();
-  try {
-    start([waited](std::size_t count, std::exception_ptr error) {
-      waited->count = count;
-      waited->group.release(std::move(error));
-    });
-  } catch (...) {
-    waited->group.release();
-    throw;
-  }
-  return std::async(std::launch::deferred, [waited] {
-    waited->group.wait();
-    return waited->count;
-  });
 }
 
 /// 0, 1, ..., n-1: every pattern, in input order.
@@ -808,9 +784,20 @@ void start_greedy_count(const PatternRows& rows,
                         std::span<const std::uint32_t> members,
                         Executor& executor, const CancelToken* cancel,
                         const char* span, CountDone done) {
-  check_members(rows.size(), members);
-  check_cancel(cancel);
-  std::vector<Forward> chunks = member_chunks(rows, members);
+  std::vector<Forward> chunks;
+  std::exception_ptr failed;
+  try {
+    check_members(rows.size(), members);
+    check_cancel(cancel);
+    chunks = member_chunks(rows, members);
+  } catch (...) {
+    failed = std::current_exception();
+  }
+  // Outside the handler, so this thread holds no other reference.
+  if (failed) {
+    done(0, std::move(failed));
+    return;
+  }
   if (executor.size() == 1) {
     count_on_caller(
         rows, span,
@@ -832,7 +819,10 @@ void start_greedy_count(const PatternRows& rows,
 void start_greedy_count(const PatternRows& rows, Executor& executor,
                         const CancelToken* cancel, const char* span,
                         CountDone done) {
-  check_cancel(cancel);
+  if (cancel != nullptr && cancel->requested()) {
+    done(0, std::make_exception_ptr(Cancelled()));
+    return;
+  }
   if (executor.size() == 1) {
     count_on_caller(
         rows, span,
@@ -849,36 +839,38 @@ void start_greedy_count(const PatternRows& rows, Executor& executor,
   }
   const auto pooled = std::make_shared<PooledSweep>(rows, executor, cancel,
                                                     span, std::move(done));
-  // The feeder waits on the writer, never on a stage.
-  (void)executor.submit([pooled, &rows] {
-    for (std::size_t k = 0;; ++k) {
-      const PatternRows::Chunk* chunk = rows.wait_chunk(k);
-      if (chunk == nullptr) break;
-      pooled->feed(chunk_input(*chunk));
-    }
-    pooled->close();
-  });
+  // The feeder waits on the writer, never on a stage. Its own exception
+  // (or a failed start) ends the count like a stage task's.
+  std::exception_ptr failed;
+  try {
+    executor.run(JobPriority::kNormal, [pooled, &rows] {
+      std::exception_ptr error;
+      try {
+        for (std::size_t k = 0;; ++k) {
+          const PatternRows::Chunk* chunk = rows.wait_chunk(k);
+          if (chunk == nullptr) break;
+          pooled->feed(chunk_input(*chunk));
+        }
+      } catch (...) {
+        error = std::current_exception();
+      }
+      pooled->close(std::move(error));
+    });
+  } catch (...) {
+    failed = std::current_exception();
+  }
+  if (failed) pooled->close(std::move(failed));
 }
 
-std::future<std::size_t> start_greedy_count(
-    const PatternRows& rows, std::span<const std::uint32_t> members,
-    Executor& executor, const CancelToken* cancel, const char* span) {
-  return count_future(executor, [&](CountDone done) {
-    start_greedy_count(rows, members, executor, cancel, span,
-                       std::move(done));
-  });
+CountDone count_into(TaskGroup& group, std::size_t& count) {
+  group.hold();
+  return [&group, &count](std::size_t classes, std::exception_ptr error) {
+    count = classes;
+    group.release(std::move(error));
+  };
 }
 
-std::future<std::size_t> start_greedy_count(const PatternRows& rows,
-                                            Executor& executor,
-                                            const CancelToken* cancel,
-                                            const char* span) {
-  return count_future(executor, [&](CountDone done) {
-    start_greedy_count(rows, executor, cancel, span, std::move(done));
-  });
-}
-
-std::size_t compact_greedy_count(std::span<const PatternView> patterns,
+std::size_t compact_greedy_count(std::span<const SiPattern> patterns,
                                  std::span<const std::uint32_t> members,
                                  int total_terminals, int bus_width) {
   check_dimensions(total_terminals, bus_width);
@@ -888,14 +880,12 @@ std::size_t compact_greedy_count(std::span<const PatternView> patterns,
   rows.close();
   SITAM_COUNTER("pattern.rows.words", rows.words());
   Executor caller(1);
-  return start_greedy_count(rows, caller).get();
-}
-
-std::size_t compact_greedy_count(std::span<const SiPattern> patterns,
-                                 std::span<const std::uint32_t> members,
-                                 int total_terminals, int bus_width) {
-  return compact_greedy_count(pattern_views(patterns), members,
-                              total_terminals, bus_width);
+  TaskGroup group(caller);
+  std::size_t count = 0;
+  start_greedy_count(rows, caller, nullptr, nullptr,
+                     count_into(group, count));
+  group.wait();
+  return count;
 }
 
 CompactionResult compact_first_fit(std::span<const SiPattern> patterns,

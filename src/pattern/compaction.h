@@ -35,8 +35,9 @@
 // workload prepare that writer is the care-set index (sitest/group.cpp),
 // which encodes each RawPatternStore chunk beside the draw, publishes row
 // chunk k with the row counts numbered so far, and then frees pair chunk
-// k; compact_greedy, compact_first_fit and the SiPattern form of
-// build_si_test_sets encode their span the same way first. Every count of
+// k (build_si_test_sets draws its span into a store and runs the same
+// pass); compact_greedy and compact_first_fit encode their span the same
+// way first. Every count of
 // the set — the streamed i = 1 count and every group's member-list count —
 // then reads the same rows. A forward between stages carries pattern ids
 // and the row bound, not rows, so stage s reads a candidate's rows by id.
@@ -66,10 +67,12 @@
 //
 //    start_greedy_count runs the same sweep over a member list of an
 //    encoded set, or over every pattern of a PatternRows as its chunks are
-//    published, as stage tasks on an Executor, and returns only the class
-//    count: the 2-D compaction (sitest) needs nothing else, and skips
-//    building the patterns. compact_greedy_count is that count over a
-//    member list of a span, on the caller.
+//    published, as stage tasks on an Executor, and hands only the class
+//    count to a CountDone: the 2-D compaction (sitest) needs nothing else,
+//    and skips building the patterns. A count is a node of the caller's
+//    job graph: it never throws, and count_into lands it in a TaskGroup,
+//    whose wait() is the only way to wait for it. compact_greedy_count is
+//    that count over a member list of a span, on the caller.
 //
 //  * compact_first_fit — a classical clique-cover approximation:
 //    Welsh-Powell-style first-fit coloring of the conflict graph. The same
@@ -91,7 +94,6 @@
 #include <deque>
 #include <exception>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -348,58 +350,46 @@ void PatternRows::add(const PatternView& p, const OnCare& on_care,
   if (open_->start.size() == chunk_patterns_) publish();
 }
 
+/// Receives a count: the class count, or (count 0) the first exception
+/// the count raised. Must not throw.
+using CountDone = std::function<void(std::size_t, std::exception_ptr)>;
+
 /// The greedy sweep's compacted count over the `members` of closed
 /// `rows` (ids, in sweep order), run as (stage, chunk) tasks on
 /// `executor`: compact_greedy(those patterns, ...).patterns.size(),
-/// without building the compacted patterns. On a pool it returns at once;
-/// on one thread (executor.size() == 1) the count runs before it returns.
-/// The future holds the count or the first exception a task threw
-/// (sitam::Cancelled: `cancel` is checked before every task); its get()
-/// and wait() return only once nothing of the count runs any more, so
-/// `rows` and `members` must outlive that wait. A member outside `rows` throws
-/// std::out_of_range and a cancelled `cancel` sitam::Cancelled here,
-/// before anything starts. A non-null `span` names a trace span over the
-/// whole count (arg: the patterns placed), closed on the thread that
-/// finishes it.
-[[nodiscard]] std::future<std::size_t> start_greedy_count(
-    const PatternRows& rows, std::span<const std::uint32_t> members,
-    Executor& executor, const CancelToken* cancel = nullptr,
-    const char* span = nullptr);
-
-/// The same over every pattern of `rows`, in id order. On a pool one task
-/// waits for each chunk as `rows` publishes it and queues it for stage 0,
-/// so this may start before `rows` is written, and the future's wait ends
-/// once `rows` is closed and every chunk is placed. On one thread `rows`
-/// must be closed, or written by another thread.
-[[nodiscard]] std::future<std::size_t> start_greedy_count(
-    const PatternRows& rows, Executor& executor,
-    const CancelToken* cancel = nullptr, const char* span = nullptr);
-
-/// Receives a count: the class count, or (count 0) the first exception
-/// one of its tasks threw. Must not throw.
-using CountDone = std::function<void(std::size_t, std::exception_ptr)>;
-
-/// The two counts above as nodes of a job graph: each reports to `done`
-/// instead of a future. `done` runs once, on the thread that finishes the
-/// count (on one thread, before this returns), and nothing of the count
-/// runs after it, so `done` may free `rows` and `members`. The same
-/// checks throw here, before anything starts, and `done` is not called.
+/// without building the compacted patterns. The count is a node of a job
+/// graph: it never throws, and reports to `done` exactly once, with the
+/// count or the first exception (std::out_of_range for a member outside
+/// `rows`; sitam::Cancelled, as `cancel` is checked first and before
+/// every task; or what a task threw). `done` runs on the thread that
+/// finishes the count (on one thread, before this returns), and nothing
+/// of the count runs after it, so `done` may free `rows` and `members`.
+/// A non-null `span` names a trace span over the whole count (arg: the
+/// patterns placed), closed on the thread that finishes it; a count that
+/// fails its checks opens none.
 void start_greedy_count(const PatternRows& rows,
                         std::span<const std::uint32_t> members,
                         Executor& executor, const CancelToken* cancel,
                         const char* span, CountDone done);
+
+/// The same over every pattern of `rows`, in id order. On a pool one task
+/// waits for each chunk as `rows` publishes it and queues it for stage 0,
+/// so this may start before `rows` is written, and the count ends once
+/// `rows` is closed and every chunk is placed (or that task fails). On
+/// one thread `rows` must be closed, or written by another thread.
 void start_greedy_count(const PatternRows& rows, Executor& executor,
                         const CancelToken* cancel, const char* span,
                         CountDone done);
+
+/// A CountDone that writes the count to `count` and ends a hold it takes
+/// on `group` now: the count as one node of `group`, whose wait() returns
+/// once it has landed and rethrows its error.
+[[nodiscard]] CountDone count_into(TaskGroup& group, std::size_t& count);
 
 /// The compacted count of the `members` of `patterns` (indices, in sweep
 /// order) on the caller: the members are encoded, in member order, into
 /// rows of their own. Same dimension and id checks as compact_greedy, in
 /// member order; a member outside `patterns` throws std::out_of_range.
-[[nodiscard]] std::size_t compact_greedy_count(
-    std::span<const PatternView> patterns,
-    std::span<const std::uint32_t> members, int total_terminals,
-    int bus_width);
 [[nodiscard]] std::size_t compact_greedy_count(
     std::span<const SiPattern> patterns,
     std::span<const std::uint32_t> members, int total_terminals,

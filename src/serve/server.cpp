@@ -215,7 +215,7 @@ void JobServer::handle_job(Request request) {
   emit(ack_response(request));
   if (leader) {
     const JobPriority priority = request.priority;
-    pool_.submit(priority, [this, group] { run_group(group); });
+    pool_.run(priority, [this, group] { run_group(group); });
   }
 }
 
@@ -249,7 +249,21 @@ void JobServer::handle_cancel(const Request& request) {
   emit(cancelled_response(request.id));
 }
 
-void JobServer::run_group(const std::shared_ptr<JobGroup>& group) {
+// A pool task must not throw, so nothing leaves this function; and it
+// leaves in_flight_ however it ends: a sink or a snapshot that throws
+// must not leave drain() and the destructor waiting.
+void JobServer::run_group(const std::shared_ptr<JobGroup>& group) try {
+  struct Leave {
+    JobServer& server;
+    ~Leave() {
+      {
+        const std::lock_guard<std::mutex> lock(server.mutex_);
+        --server.in_flight_;
+      }
+      server.idle_.notify_all();
+    }
+  } leave{*this};
+
   if (options_.progress) {
     emit(progress_response(group->request.id, "running"));
   }
@@ -321,12 +335,9 @@ void JobServer::run_group(const std::shared_ptr<JobGroup>& group) {
   }
 
   maybe_snapshot_stats();
-
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    --in_flight_;
-  }
-  idle_.notify_all();
+} catch (...) {
+  SITAM_WARN << "serve: job " << group->request.id
+             << " could not deliver its responses";
 }
 
 void JobServer::maybe_snapshot_stats() {

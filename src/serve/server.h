@@ -126,6 +126,7 @@ class JobServer {
 
   void handle_job(Request request);
   void handle_cancel(const Request& request);
+  /// A pool task: runs `group` and answers its members. Never throws.
   void run_group(const std::shared_ptr<JobGroup>& group);
   void emit(const std::string& line);
   void write_stats_response();

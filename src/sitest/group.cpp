@@ -201,20 +201,12 @@ class CareInterner {
   std::vector<std::uint32_t> set_of_;    // first-seen id per pattern
 };
 
-/// The care-set index of `patterns`, validating every id in input order.
-/// With `rows`, also encodes each pattern's kernel rows there, in the same
-/// pass, and closes them.
+/// The care-set index of `patterns`, validating every id in input order
+/// (terminal ids only against `terminals`: any bus line is accepted).
 CareIndex index_care_sets(std::span<const PatternView> patterns,
-                          const TerminalSpace& terminals, int bus_width,
-                          PatternRows* rows) {
-  SITAM_TRACE_SPAN_ARG("sitest.index",
-                       static_cast<std::int64_t>(patterns.size()));
-  CareInterner interner(terminals, bus_width);
-  for (const PatternView& p : patterns) interner.add(p, rows);
-  if (rows != nullptr) {
-    rows->close();
-    SITAM_COUNTER("pattern.rows.words", rows->words());
-  }
+                          const TerminalSpace& terminals) {
+  CareInterner interner(terminals, std::numeric_limits<int>::max());
+  for (const PatternView& p : patterns) interner.add(p, nullptr);
   return std::move(interner).finish();
 }
 
@@ -345,22 +337,16 @@ void add_grouping(const CareIndex& index, const Partition& partition,
   }
 }
 
-/// Checks a pass's groupings and thread counts; returns its most jobs:
-/// one per part holding a core, plus the remainder (one at i = 1).
-std::size_t check_pass(std::span<const int> groupings, int cores,
-                       const GroupingConfig& config) {
-  std::size_t max_jobs = 0;
+/// Checks a pass's groupings and compaction thread count.
+void check_pass(std::span<const int> groupings, const GroupingConfig& config) {
   for (const int parts : groupings) {
     if (parts < 1) {
       throw std::invalid_argument("build_si_test_sets: parts must be >= 1");
     }
-    max_jobs +=
-        parts == 1 ? 1 : static_cast<std::size_t>(std::min(parts, cores)) + 1;
   }
   if (config.compaction.threads < 1) {
     throw std::invalid_argument("build_si_test_sets: threads must be >= 1");
   }
-  return max_jobs;
 }
 
 /// Ready once the object holding it is destroyed: declared first in a
@@ -427,22 +413,21 @@ struct Pass {
 
   /// Starts the i = 1 count over every row as the rows are written.
   static void start_single(const std::shared_ptr<Pass>& pass) {
-    pass->start_count([&](CountDone done) {
-      start_greedy_count(pass->rows, pass->group.executor(), pass->cancel,
-                         "sitest.compact", std::move(done));
-    }, [pass](std::size_t count) {
-      std::vector<std::size_t> done;
-      {
-        const std::lock_guard<std::mutex> lock(pass->mutex);
-        pass->single = count;
-        for (std::size_t g = 0; g < pass->groupings.size(); ++g) {
-          if (pass->groupings[g] == 1 && --pass->left[g] == 0) {
-            done.push_back(g);
+    start_greedy_count(
+        pass->rows, pass->group.executor(), pass->cancel, "sitest.compact",
+        pass->landing([pass](std::size_t count) {
+          std::vector<std::size_t> done;
+          {
+            const std::lock_guard<std::mutex> lock(pass->mutex);
+            pass->single = count;
+            for (std::size_t g = 0; g < pass->groupings.size(); ++g) {
+              if (pass->groupings[g] == 1 && --pass->left[g] == 0) {
+                done.push_back(g);
+              }
+            }
           }
-        }
-      }
-      for (const std::size_t g : done) pass->hand_over(g);
-    });
+          for (const std::size_t g : done) pass->hand_over(g);
+        }));
   }
 
   /// Once the index is closed: the i = 1 groups on this thread, and one
@@ -487,48 +472,41 @@ struct Pass {
     }
     for (const std::size_t j : order) {
       const std::size_t at = jobs[j].group;
-      pass->start_count([&](CountDone done) {
-        start_greedy_count(pass->rows, jobs[j].members,
-                           pass->group.executor(), pass->cancel,
-                           "sitest.compact", std::move(done));
-        // The count holds its own copy of the members.
-        jobs[j].members = {};
-      }, [pass, g, at](std::size_t count) {
-        bool last = false;
-        {
-          const std::lock_guard<std::mutex> lock(pass->mutex);
-          pass->sets[g].groups[at].patterns =
-              static_cast<std::int64_t>(count);
-          last = --pass->left[g] == 0;
-        }
-        if (last) pass->hand_over(g);
-      });
+      start_greedy_count(
+          pass->rows, jobs[j].members, pass->group.executor(), pass->cancel,
+          "sitest.compact", pass->landing([pass, g, at](std::size_t count) {
+            bool last = false;
+            {
+              const std::lock_guard<std::mutex> lock(pass->mutex);
+              pass->sets[g].groups[at].patterns =
+                  static_cast<std::int64_t>(count);
+              last = --pass->left[g] == 0;
+            }
+            if (last) pass->hand_over(g);
+          }));
+      // The count holds its own copy of the members.
+      jobs[j].members = {};
     }
     pass->piece_done(g);
   }
 
-  /// Starts one count through `start`, held in the group until it lands;
+  /// The CountDone of one count, held in the group until it lands:
   /// `landed` gets its count, and an error (the count's or landed's)
   /// goes to the group.
-  template <typename Start, typename Landed>
-  void start_count(const Start& start, Landed landed) {
+  template <typename Landed>
+  [[nodiscard]] CountDone landing(Landed landed) {
     group.hold();
-    try {
-      start([held = &group, landed = std::move(landed)](
-                std::size_t count, std::exception_ptr error) mutable {
-        if (!error) {
-          try {
-            landed(count);
-          } catch (...) {
-            error = std::current_exception();
-          }
+    return [held = &group, landed = std::move(landed)](
+               std::size_t count, std::exception_ptr error) mutable {
+      if (!error) {
+        try {
+          landed(count);
+        } catch (...) {
+          error = std::current_exception();
         }
-        held->release(std::move(error));
-      });
-    } catch (...) {
-      group.release();
-      throw;
-    }
+      }
+      held->release(std::move(error));
+    };
   }
 
   void piece_done(std::size_t g) {
@@ -557,104 +535,70 @@ std::future<void> start_si_test_sets(
     const TerminalSpace& terminals, std::span<const int> groupings,
     const GroupingConfig& config, TaskGroup& group,
     const CancelToken* cancel, SetDone on_set) {
-  (void)check_pass(groupings, terminals.core_count(), config);
+  check_pass(groupings, config);
   const auto pass =
       std::make_shared<Pass>(terminals, groupings, config, group, cancel,
                              std::move(on_set), store.chunk_patterns());
   std::future<void> freed = pass->freed.future();
-  const auto draw_all = [&store, &draw] {
-    try {
-      draw();
-    } catch (...) {
-      store.close();  // lets the index finish
-      throw;
-    }
-    store.close();
-  };
   // The index reads the store's chunks in order as `draw` publishes them,
   // encodes their rows and frees them; the i = 1 count reads the rows as
   // the index publishes them. On a pool the draw runs on a worker and the
   // index on this thread, so the rows are allocated where the next pass
-  // allocates its own. On the caller each runs in turn.
-  Executor& executor = group.executor();
-  if (executor.size() > 1) {
-    std::future<void> drawn = executor.submit(draw_all);
-    try {
-      if (pass->has_single()) Pass::start_single(pass);
-      pass->index = index_care_sets(store, terminals, config.bus_width,
-                                    pass->rows, cancel);
-    } catch (...) {
-      drawn.wait();  // it writes `store`
-      throw;
-    }
-    drawn.get();
-  } else {
-    draw_all();
+  // allocates its own. On the caller each runs in turn. The draw's group
+  // is waited for on a throw too: the draw writes `store`.
+  const bool streamed = group.executor().size() > 1;
+  {
+    TaskGroup drawing(group.executor());
+    drawing.run(JobPriority::kNormal, [&store, &draw] {
+      try {
+        draw();
+      } catch (...) {
+        store.close();  // lets the index finish
+        throw;
+      }
+      store.close();
+    });
+    if (streamed && pass->has_single()) Pass::start_single(pass);
     pass->index = index_care_sets(store, terminals, config.bus_width,
                                   pass->rows, cancel);
-    if (pass->has_single()) Pass::start_single(pass);
+    drawing.wait();
   }
+  if (!streamed && pass->has_single()) Pass::start_single(pass);
   check_cancel(cancel);
   Pass::start_groupings(pass, terminals);
   return freed;
 }
 
-namespace {
-
-/// Collects each grouping's set into `sets` by index.
-[[nodiscard]] SetDone collect_into(std::vector<SiTestSet>& sets) {
-  return [&sets](std::size_t g, SiTestSet set) { sets[g] = std::move(set); };
-}
-
-}  // namespace
-
 Hypergraph build_core_hypergraph(std::span<const SiPattern> patterns,
                                  const TerminalSpace& terminals) {
   return core_hypergraph(
-      index_care_sets(pattern_views(patterns), terminals,
-                      std::numeric_limits<int>::max(), nullptr),
+      index_care_sets(pattern_views(patterns), terminals),
       terminals);
 }
 
+// sitam-lint: allow(SL005) — start_si_test_sets validates.
 std::vector<SiTestSet> build_si_test_sets(std::span<const SiPattern> patterns,
                                           const TerminalSpace& terminals,
                                           std::span<const int> groupings,
                                           const GroupingConfig& config,
-                                          int threads,
+                                          Executor& executor,
                                           const CancelToken* cancel) {
-  const std::size_t max_jobs =
-      check_pass(groupings, terminals.core_count(), config);
-  if (threads < 1) {
-    throw std::invalid_argument("build_si_test_sets: threads must be >= 1");
-  }
-  Executor executor(ThreadPool::workers_for(threads, max_jobs));
   std::vector<SiTestSet> sets(groupings.size());
+  RawPatternStore store;
   TaskGroup group(executor);
-  {
-    const auto pass = std::make_shared<Pass>(
-        terminals, groupings, config, group, cancel, collect_into(sets),
-        RawPatternStore::kChunkPatterns);
-    pass->index = index_care_sets(pattern_views(patterns), terminals,
-                                  config.bus_width, &pass->rows);
-    // i = 1 needs no partition, and its job holds every pattern: it starts
-    // first, while the other groupings are partitioned beside it.
-    if (pass->has_single()) Pass::start_single(pass);
-    Pass::start_groupings(pass, terminals);
-  }
-  group.wait();
-  return sets;
-}
-
-// sitam-lint: allow(SL005) — start_si_test_sets validates.
-std::vector<SiTestSet> build_si_test_sets(
-    RawPatternStore& store, const std::function<void()>& draw,
-    const TerminalSpace& terminals, std::span<const int> groupings,
-    const GroupingConfig& config, Executor& executor,
-    const CancelToken* cancel) {
-  std::vector<SiTestSet> sets(groupings.size());
-  TaskGroup group(executor);
-  (void)start_si_test_sets(store, draw, terminals, groupings, config, group,
-                           cancel, collect_into(sets));
+  (void)start_si_test_sets(
+      store,
+      [&store, patterns] {
+        for (const SiPattern& p : patterns) {
+          for (const auto& [terminal, value] : p.assignments()) {
+            store.add_care(terminal, value);
+          }
+          for (const BusBit& bit : p.bus_bits()) store.add_bus(bit);
+          store.end_pattern();
+        }
+      },
+      terminals, groupings, config, group, cancel,
+      [&sets](std::size_t g, SiTestSet set) { sets[g] = std::move(set); });
   group.wait();
   return sets;
 }
@@ -666,8 +610,10 @@ SiTestSet build_si_test_set(std::span<const SiPattern> patterns,
     throw std::invalid_argument("build_si_test_set: parts must be >= 1");
   }
   const int groupings[] = {parts};
+  Executor caller(1);
   return std::move(
-      build_si_test_sets(patterns, terminals, groupings, config, 1).front());
+      build_si_test_sets(patterns, terminals, groupings, config, caller)
+          .front());
 }
 
 }  // namespace sitam

@@ -10,12 +10,14 @@
 // then compacted independently with the greedy clique-cover heuristic.
 //
 // The hypergraph, each pattern's care-core set and each pattern's kernel
-// rows depend only on the raw pattern set, so build_si_test_sets computes
-// them once for a list of groupings: one pass interns each care set to an
-// id and encodes the pattern's rows (PatternRows, pattern/compaction.h),
-// pattern by pattern, so it can read a store while it is drawn; every
-// grouping's buckets are id lists decided once per distinct set, and every
-// group's compaction reads the shared rows. A pattern with no care core
+// rows depend only on the raw pattern set, so one pass computes them once
+// for a list of groupings: it interns each care set to an id and encodes
+// the pattern's rows (PatternRows, pattern/compaction.h), pattern by
+// pattern, as it reads a store while the store is drawn; every grouping's
+// buckets are id lists decided once per distinct set, and every group's
+// compaction reads the shared rows. start_si_test_sets is the pass, as
+// nodes of the caller's job graph (TaskGroup, util/thread_pool.h);
+// build_si_test_sets runs it over a span and waits. A pattern with no care core
 // (all don't-care, no bus line) loads no boundary; at i >= 2 it goes to
 // the remainder group (at i = 1 the single group, as every pattern does).
 #pragma once
@@ -84,73 +86,59 @@ void assign_si_power(SiTestSet& set, const Soc& soc,
                      std::int64_t units_per_cell = 1,
                      std::int64_t base_units = 0);
 
-/// Full two-dimensional compaction for every grouping in `groupings` (one
-/// test set each, in that order) over one raw pattern set: partitions the
-/// cores into `parts` groups, buckets the patterns, and vertically compacts
-/// each bucket. parts == 1 degenerates to pure one-dimensional (count-only)
-/// compaction with a single group spanning all cores.
-///
-/// The i = 1 count starts first; the partitions of every grouping i >= 2
-/// run beside it, and as each returns, that grouping's compactions start
-/// longest first, each as (stage, chunk) tasks (start_greedy_count). No
-/// job waits on another: each partition starts its counts, and each
-/// count lands its group's size. All of it runs on
-/// min(`threads`, jobs) pool workers; threads == 1 runs it on the caller.
-/// The result does not depend on `threads`. `cancel` is checked before
-/// each partition and compaction starts and before each stage task
-/// (nullptr = never cancelled).
-///
-/// Throws std::invalid_argument for parts < 1, threads < 1 or
-/// config.compaction.threads < 1, std::out_of_range for a terminal, bus
-/// line or bus driver outside the declared space (checked in input order
-/// before any compaction), and sitam::Cancelled.
-[[nodiscard]] std::vector<SiTestSet> build_si_test_sets(
-    std::span<const SiPattern> patterns, const TerminalSpace& terminals,
-    std::span<const int> groupings, const GroupingConfig& config,
-    int threads, const CancelToken* cancel = nullptr);
-
 /// Receives grouping g's finished test set (g indexes the groupings).
 using SetDone = std::function<void(std::size_t, SiTestSet)>;
 
-/// The pass of the store form below as nodes of `group`'s job graph, on
-/// group.executor(). On the calling thread it runs the index (and, with
-/// no pool, the draw first); it returns once the store is read and
-/// indexed, with the partitions and counts left running in `group`. As
-/// the last piece of groupings[g] lands, `on_set(g, set)` runs on the
-/// thread that landed it (on one thread, before this returns). The
-/// returned future is ready once no job of the pass is left, and so its
-/// encoded rows and care-set index are freed: a caller that waits on it
-/// before it draws again holds one pass's rows at a time. The draw's and
-/// the index's errors are thrown here, once the draw has returned; the
-/// jobs' errors go to `group`, whose wait() rethrows the first.
+/// Full two-dimensional compaction for every grouping in `groupings` (one
+/// test set each, in that order) over one raw pattern set that `draw`
+/// writes into `store` (open, and closed here), as nodes of `group`'s job
+/// graph on group.executor(): partitions the cores into `parts` groups,
+/// buckets the patterns, and vertically compacts each bucket. parts == 1
+/// degenerates to pure one-dimensional (count-only) compaction with a
+/// single group spanning all cores.
+///
+/// Three jobs share the set: `draw` writes the store; the index reads
+/// each store chunk as it is published, interns its care sets, encodes
+/// its rows and frees it; and the i = 1 count places each row chunk the
+/// index publishes. On a pool (executor size > 1) `draw` runs on a worker
+/// while the index runs on the calling thread and the count's stage tasks
+/// on the other workers; with no workers the three run one after another
+/// on the caller, over the same chunks in the same order. The store's
+/// chunks are freed as they are read, so it cannot be read again. Once
+/// the index is closed the partitions of every grouping i >= 2 run as
+/// tasks, and as each returns, that grouping's compactions start longest
+/// first, each as (stage, chunk) tasks (start_greedy_count). No job waits
+/// on another. The result does not depend on the executor.
+///
+/// This returns once the store is read and indexed, with the partitions
+/// and counts left running in `group`. As the last piece of groupings[g]
+/// lands, `on_set(g, set)` runs on the thread that landed it (on one
+/// thread, before this returns). The returned future is ready once no
+/// job of the pass is left, and so its encoded rows and care-set index
+/// are freed: a caller that waits on it before it draws again holds one
+/// pass's rows at a time. `cancel` is checked after `draw`, before each
+/// chunk the count or the index reads, and before each partition and
+/// stage task (nullptr = never cancelled).
+///
+/// Throws std::invalid_argument for parts < 1 or
+/// config.compaction.threads < 1, before anything starts. The draw's and
+/// the index's errors (std::out_of_range for a terminal, bus line or bus
+/// driver outside the declared space, checked by the index in store
+/// order; sitam::Cancelled) are thrown here, once the draw has returned;
+/// the jobs' errors go to `group`, whose wait() rethrows the first.
 [[nodiscard]] std::future<void> start_si_test_sets(
     RawPatternStore& store, const std::function<void()>& draw,
     const TerminalSpace& terminals, std::span<const int> groupings,
     const GroupingConfig& config, TaskGroup& group,
     const CancelToken* cancel, SetDone on_set);
 
-/// The same pass over a raw set that `draw` writes into `store` (open, and
-/// closed here), with its jobs on `executor`: start_si_test_sets, then
-/// its group's wait. Three jobs share the set: `draw` writes the store;
-/// the index reads each store chunk as it is published, interns its care
-/// sets, encodes its rows and frees it; and the i = 1 count places each
-/// row chunk the index publishes. On a pool (executor.size() > 1) `draw`
-/// runs on a worker while the index runs on the calling thread and the
-/// count's stage tasks on the other workers, so once the store is closed
-/// only the index's renumbering and the count's queued tasks are left;
-/// with no workers the three run one after another on the caller, over
-/// the same chunks in the same order. The store's chunks are freed as
-/// they are read, so it cannot be read again. The partitions and the
-/// i >= 2 jobs follow as in the span form, which this matches for any
-/// executor. Ids are checked by the index in store order, with the span
-/// form's exceptions. `cancel` is also checked after `draw` and before
-/// each chunk the count or the index reads. Every started job has
-/// finished when this returns or throws.
+/// The same pass over `patterns`, drawn into a store of its own, with its
+/// jobs on `executor`: start_si_test_sets, then its group's wait. Every
+/// started job has finished when this returns or throws.
 [[nodiscard]] std::vector<SiTestSet> build_si_test_sets(
-    RawPatternStore& store, const std::function<void()>& draw,
-    const TerminalSpace& terminals, std::span<const int> groupings,
-    const GroupingConfig& config, Executor& executor,
-    const CancelToken* cancel = nullptr);
+    std::span<const SiPattern> patterns, const TerminalSpace& terminals,
+    std::span<const int> groupings, const GroupingConfig& config,
+    Executor& executor, const CancelToken* cancel = nullptr);
 
 /// One grouping of build_si_test_sets, on the caller's thread.
 [[nodiscard]] SiTestSet build_si_test_set(std::span<const SiPattern> patterns,

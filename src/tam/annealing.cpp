@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <exception>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -207,27 +206,20 @@ OptimizeResult optimize_tam_annealing(const Soc& soc,
 
   Executor executor(ThreadPool::workers_for(config.threads,
                                             static_cast<std::size_t>(chains)));
-  std::vector<std::future<OptimizeResult>> futures;
-  futures.reserve(static_cast<std::size_t>(chains));
-  for (int chain = 0; chain < chains; ++chain) {
-    futures.push_back(executor.submit([&, chain] {
-      return run_chain(soc, table, tests, w_max, config, start,
-                       chain_seed(chain));
-    }));
-  }
-  // Collect every future before rethrowing: a cancelled chain must not
-  // strand siblings against unwound stack state.
-  std::vector<OptimizeResult> results;
-  results.reserve(static_cast<std::size_t>(chains));
-  std::exception_ptr first_error;
-  for (auto& future : futures) {
-    try {
-      results.push_back(future.get());
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
+  // Each chain lands in its own slot, so the winner is chosen by chain
+  // index; the group waits for every chain before it rethrows, so a
+  // cancelled chain strands no sibling against unwound stack state.
+  std::vector<OptimizeResult> results(static_cast<std::size_t>(chains));
+  {
+    TaskGroup group(executor);
+    for (int chain = 0; chain < chains; ++chain) {
+      group.run(JobPriority::kNormal, [&, chain] {
+        results[static_cast<std::size_t>(chain)] = run_chain(
+            soc, table, tests, w_max, config, start, chain_seed(chain));
+      });
     }
+    group.wait();
   }
-  if (first_error) std::rethrow_exception(first_error);
 
   // Winner: lowest T_soc, ties broken by lowest chain index; stats sum
   // over every chain (plus the warm start's own optimization).

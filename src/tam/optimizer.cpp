@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <exception>
-#include <future>
 #include <limits>
 #include <mutex>
 #include <numeric>
@@ -581,12 +580,15 @@ class JobWinner {
 OptimizeResult optimize_tam(const Soc& soc, const TestTimeTable& table,
                             const SiTestSet& tests, int w_max,
                             const OptimizerConfig& config) {
-  const OptimizeJob job{&table, &tests, w_max};
+  OptimizeBatch batch(soc, {{&table, &tests, w_max}}, config);
   Executor executor(ThreadPool::workers_for(
       config.threads, static_cast<std::size_t>(std::max(1, config.restarts))));
-  return std::move(optimize_tam_batch(soc, std::span(&job, 1), config,
-                                      executor)
-                       .front());
+  {
+    TaskGroup group(executor);
+    batch.start(0, group);
+    group.wait();
+  }
+  return batch.take(0);
 }
 
 OptimizeBatch::OptimizeBatch(const Soc& soc, std::vector<OptimizeJob> jobs,
@@ -627,26 +629,6 @@ void OptimizeBatch::start(std::size_t j, TaskGroup& group,
 
 OptimizeResult OptimizeBatch::take(std::size_t j) {
   return winners_[j]->take();
-}
-
-// sitam-lint: allow(SL005) — OptimizeBatch's constructor validates.
-std::vector<OptimizeResult> optimize_tam_batch(
-    const Soc& soc, std::span<const OptimizeJob> jobs,
-    const OptimizerConfig& config, Executor& executor) {
-  OptimizeBatch batch(soc, std::vector<OptimizeJob>(jobs.begin(), jobs.end()),
-                      config);
-  {
-    // Units in job-major order, started in submission order.
-    TaskGroup group(executor);
-    for (std::size_t j = 0; j < batch.size(); ++j) batch.start(j, group);
-    group.wait();
-  }
-  std::vector<OptimizeResult> results;
-  results.reserve(batch.size());
-  for (std::size_t j = 0; j < batch.size(); ++j) {
-    results.push_back(batch.take(j));
-  }
-  return results;
 }
 
 OptimizeResult optimize_intest_only(const Soc& soc, const TestTimeTable& table,

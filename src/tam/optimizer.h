@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "sitest/group.h"
@@ -153,16 +152,17 @@ struct OptimizeResult {
 };
 
 /// Solves Problem P_SI_opt: minimizes T_soc = T_in + T_si over TestRail
-/// architectures of total width exactly `w_max`: a batch of one job, its
-/// restarts on config.threads workers (never more than the restarts).
+/// architectures of total width exactly `w_max`: an OptimizeBatch of one
+/// job, its restarts a TaskGroup on config.threads workers (never more
+/// than the restarts).
 /// Throws std::invalid_argument for w_max < 1 or an empty SOC.
 [[nodiscard]] OptimizeResult optimize_tam(const Soc& soc,
                                           const TestTimeTable& table,
                                           const SiTestSet& tests, int w_max,
                                           const OptimizerConfig& config = {});
 
-/// One problem of an optimize_tam_batch call. Borrowed: the table and the
-/// tests must outlive the call.
+/// One problem of an OptimizeBatch. Borrowed: the table and the tests
+/// must outlive the batch.
 struct OptimizeJob {
   const TestTimeTable* table = nullptr;
   const SiTestSet* tests = nullptr;
@@ -213,14 +213,6 @@ class OptimizeBatch {
   OptimizerConfig config_;
   std::vector<std::unique_ptr<JobWinner>> winners_;
 };
-
-/// Starts every job of an OptimizeBatch on `executor` and returns one
-/// result per job in job order. Every unit is waited for before the call
-/// returns or throws (the first error a unit raised is rethrown). Throws
-/// std::invalid_argument, before any unit runs, as OptimizeBatch does.
-[[nodiscard]] std::vector<OptimizeResult> optimize_tam_batch(
-    const Soc& soc, std::span<const OptimizeJob> jobs,
-    const OptimizerConfig& config, Executor& executor);
 
 /// The paper's T_[8] baseline: plain TR-Architect, i.e. Algorithm 2 run
 /// against an *empty* SI test set (optimizing T_in only), after which the

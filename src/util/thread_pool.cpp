@@ -52,20 +52,20 @@ void ThreadPool::shutdown() {
   workers_.clear();
 }
 
-void ThreadPool::enqueue(JobPriority priority, std::function<void()> wrapped) {
+void ThreadPool::run(JobPriority priority, std::function<void()> task) {
   const ThreadPoolObsHooks* hooks = thread_pool_obs_hooks();
-  QueuedTask task;
-  task.run = std::move(wrapped);
+  QueuedTask queued;
+  queued.run = std::move(task);
   if (hooks != nullptr && hooks->enqueue_stamp_ns != nullptr) {
-    task.enqueued_ns = hooks->enqueue_stamp_ns();
+    queued.enqueued_ns = hooks->enqueue_stamp_ns();
   }
   std::size_t depth = 0;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (shutting_down_) {
-      throw std::runtime_error("ThreadPool: submit after shutdown");
+      throw std::runtime_error("ThreadPool: run after shutdown");
     }
-    queues_[static_cast<std::size_t>(priority)].push_back(std::move(task));
+    queues_[static_cast<std::size_t>(priority)].push_back(std::move(queued));
     for (const std::deque<QueuedTask>& queue : queues_) depth += queue.size();
   }
   ready_.notify_one();
@@ -105,7 +105,7 @@ void ThreadPool::worker_loop() {
         continue;
       }
     }
-    task.run();  // packaged_task captures any exception in its future
+    task.run();  // must not throw: nothing above a worker catches
   }
 }
 

@@ -1,24 +1,23 @@
-// Fixed-size worker thread pool with futures-based, prioritised task
-// submission.
+// Fixed-size worker thread pool with prioritised, fire-and-forget tasks,
+// and the one way to run and wait for parallel work on it: a TaskGroup on
+// an Executor.
 //
-// The optimizer's (job, restart) units and the annealing chains are
-// embarrassingly parallel: every unit of work owns its
-// Optimizer/TamEvaluator instance and only the winner selection needs the
-// results together. ThreadPool gives those callers a deterministic
-// harness: submit() returns a std::future so results are collected in
-// *submission* order regardless of which worker finishes first, and
-// exceptions thrown inside a task surface at future::get() instead of
-// terminating a worker. shutdown() (also run
-// by the destructor) drains every queued task before joining, so no
-// submitted work is silently dropped.
+// The §5 protocol is thousands of independent jobs (compaction stages,
+// partitions, Algorithm 2 units). Each is a task of one job graph: a
+// TaskGroup counts the graph's tasks, records the first exception one
+// threw and lets the caller wait for all of them. Results land by index
+// (a job's slot, a restart's fold into its job's winner), never by
+// finishing order, so no thread count changes them. The pool itself only
+// runs closures: run() queues one, and a queued task must not throw (an
+// exception leaving a worker ends the program; TaskGroup::run catches on
+// its tasks' behalf). shutdown() (also run by the destructor) drains
+// every queued task before joining, so no queued work is dropped.
 //
 // Tasks carry a JobPriority: workers always drain higher-priority queues
 // first, FIFO within a priority. The job server uses this to keep
-// interactive requests ahead of bulk sweeps; the optimizer's unit fan
-// simply submits at the default priority, which preserves the original
-// strict-FIFO behaviour. Priorities only reorder *dispatch* — they never
-// change any task's result, so the deterministic-results contract of the
-// restart/chain harnesses is unaffected.
+// interactive requests ahead of bulk sweeps, and run_protocol to keep a
+// cell's prepare ahead of the Algorithm 2 units. Priorities only reorder
+// *dispatch*, never any task's result.
 #pragma once
 
 #include <array>
@@ -27,12 +26,9 @@
 #include <deque>
 #include <exception>
 #include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -77,28 +73,10 @@ class ThreadPool {
   /// the workers. Idempotent; called by the destructor.
   void shutdown();
 
-  /// Enqueues `task` at JobPriority::kNormal and returns a future for its
-  /// result. A task that throws stores the exception in the future
-  /// (rethrown by get()). Throws std::runtime_error after shutdown().
-  template <typename F>
-  auto submit(F task) -> std::future<std::invoke_result_t<F>> {
-    return submit(JobPriority::kNormal, std::move(task));
-  }
-
-  /// Enqueues `task` at `priority`: workers drain kHigh before kNormal
-  /// before kLow, FIFO within each level.
-  template <typename F>
-  auto submit(JobPriority priority, F task)
-      -> std::future<std::invoke_result_t<F>> {
-    using Result = std::invoke_result_t<F>;
-    // shared_ptr because std::function requires copyable callables and
-    // packaged_task is move-only.
-    auto packaged = std::make_shared<std::packaged_task<Result()>>(
-        std::move(task));
-    std::future<Result> future = packaged->get_future();
-    enqueue(priority, [packaged] { (*packaged)(); });
-    return future;
-  }
+  /// Queues `task` at `priority`: workers drain kHigh before kNormal
+  /// before kLow, FIFO within each level. `task` must not throw. Throws
+  /// std::runtime_error after shutdown().
+  void run(JobPriority priority, std::function<void()> task);
 
  private:
   /// Queued task plus its enqueue timestamp when a trace session was
@@ -108,7 +86,6 @@ class ThreadPool {
     std::int64_t enqueued_ns = -1;
   };
 
-  void enqueue(JobPriority priority, std::function<void()> wrapped);
   void worker_loop();
 
   /// Highest-priority non-empty queue, or nullptr. Caller holds mutex_.
@@ -124,10 +101,8 @@ class ThreadPool {
 };
 
 /// Runs tasks on a ThreadPool of `threads` workers or, for threads <= 1,
-/// on the caller at once (no pool is started); either way each result (or
-/// exception) comes back through a future. The job lists of the workload
-/// prepare and of the optimizer batch share it, so a serial run spawns no
-/// thread.
+/// on the caller at once (no pool is started). Every job graph runs on
+/// one, through a TaskGroup, so a serial run spawns no thread.
 class Executor {
  public:
   explicit Executor(int threads) {
@@ -137,20 +112,14 @@ class Executor {
   /// Number of threads running tasks (1 when they run on the caller).
   [[nodiscard]] int size() const { return pool_ ? pool_->size() : 1; }
 
-  template <typename F>
-  auto submit(F task) -> std::future<std::invoke_result_t<F>> {
-    return submit(JobPriority::kNormal, std::move(task));
-  }
-
-  /// On a pool, queued at `priority`; on the caller, run at once.
-  template <typename F>
-  auto submit(JobPriority priority, F task)
-      -> std::future<std::invoke_result_t<F>> {
-    if (pool_) return pool_->submit(priority, std::move(task));
-    std::packaged_task<std::invoke_result_t<F>()> now(std::move(task));
-    auto result = now.get_future();
-    now();
-    return result;
+  /// On a pool, queued at `priority`; on the caller, run at once. `task`
+  /// must not throw.
+  void run(JobPriority priority, std::function<void()> task) {
+    if (pool_) {
+      pool_->run(priority, std::move(task));
+    } else {
+      task();
+    }
   }
 
  private:
@@ -181,16 +150,15 @@ class TaskGroup {
     hold();
     std::exception_ptr error;
     try {
-      (void)executor_.submit(
-          priority, [this, task = std::move(task)]() mutable {
-            std::exception_ptr failure;
-            try {
-              task();
-            } catch (...) {
-              failure = std::current_exception();
-            }
-            release(std::move(failure));
-          });
+      executor_.run(priority, [this, task = std::move(task)]() mutable {
+        std::exception_ptr failure;
+        try {
+          task();
+        } catch (...) {
+          failure = std::current_exception();
+        }
+        release(std::move(failure));
+      });
     } catch (...) {
       error = std::current_exception();
     }

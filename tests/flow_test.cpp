@@ -89,8 +89,9 @@ TEST(SiWorkload, CancelledJobListStartsNoCompaction) {
   token.request();
   for (const int threads : {1, ThreadPool::hardware_threads()}) {
     obs::TraceSession session;
+    Executor executor(threads);
     EXPECT_THROW((void)build_si_test_sets(patterns, ts, groupings,
-                                          GroupingConfig{}, threads, &token),
+                                          GroupingConfig{}, executor, &token),
                  Cancelled)
         << "threads=" << threads;
     const obs::TraceDump dump = session.stop();

@@ -176,11 +176,13 @@ TEST(ParallelDeterminism, SharedGroupingPassMatchesAcrossThreadCounts) {
       generate_random_patterns(ts, 3000, RandomPatternConfig{}, rng);
   const std::vector<int> groupings = {1, 2, 4, 8};
   const GroupingConfig config;
+  Executor caller(1);
   const std::vector<SiTestSet> serial =
-      build_si_test_sets(patterns, ts, groupings, config, 1);
+      build_si_test_sets(patterns, ts, groupings, config, caller);
   for (const int threads : kThreadCounts) {
+    Executor executor(threads);
     const std::vector<SiTestSet> parallel =
-        build_si_test_sets(patterns, ts, groupings, config, threads);
+        build_si_test_sets(patterns, ts, groupings, config, executor);
     ASSERT_EQ(parallel.size(), serial.size());
     for (std::size_t g = 0; g < serial.size(); ++g) {
       ASSERT_EQ(parallel[g].groups.size(), serial[g].groups.size());
@@ -244,7 +246,7 @@ TEST(PreparePipeline, StreamedPassMatchesTheOracle) {
           RawPatternStore store;
           Executor executor(ThreadPool::workers_for(threads, 16));
           Rng draw_rng(kSeed);
-          const std::vector<SiTestSet> sets = build_si_test_sets(
+          const std::vector<SiTestSet> sets = testing::run_pass(
               store,
               [&] {
                 draw_random_patterns(ts, nr, pattern_config, draw_rng, store);
@@ -331,11 +333,19 @@ TEST(PreparePipeline, StreamedRowsCountAtAnyChunkSize) {
     RawPatternStore store(chunk);
     PatternRows rows(ts.total(), pattern_config.bus_width, chunk);
     Executor executor(3);
-    std::future<std::size_t> pooled = start_greedy_count(rows, executor);
+    TaskGroup group(executor);
+    std::size_t pooled = 0;
+    start_greedy_count(rows, executor, nullptr, nullptr,
+                       count_into(group, pooled));
     std::future<std::size_t> on_caller = std::async(
         std::launch::async, [&rows] {
           Executor caller(1);
-          return start_greedy_count(rows, caller).get();
+          TaskGroup serial(caller);
+          std::size_t count = 0;
+          start_greedy_count(rows, caller, nullptr, nullptr,
+                             count_into(serial, count));
+          serial.wait();
+          return count;
         });
     std::future<std::size_t> records =
         std::async(std::launch::async, [&rows] {
@@ -355,7 +365,8 @@ TEST(PreparePipeline, StreamedRowsCountAtAnyChunkSize) {
     draw_random_patterns(ts, kCount, pattern_config, draw_rng, store);
     store.close();
     encoder.join();
-    EXPECT_EQ(pooled.get(), expected);
+    group.wait();
+    EXPECT_EQ(pooled, expected);
     EXPECT_EQ(on_caller.get(), expected);
     std::size_t bits = 0;
     for (const SiPattern& p : raw) {
@@ -393,7 +404,7 @@ TEST(PreparePipeline, BadIdInTheSecondChunkThrowsAfterEveryJobReturns) {
           std::make_unique<Executor>(ThreadPool::workers_for(threads, 16));
       Rng rng(0xbad1dULL);
       try {
-        (void)build_si_test_sets(
+        (void)testing::run_pass(
             *store,
             [&] {
               draw_random_patterns(ts, kChunk + 10, pattern_config, rng,
@@ -435,7 +446,7 @@ TEST(PreparePipeline, CancelDuringTheDrawUnwindsWithCancelled) {
     RawPatternStore store(64);
     Executor executor(ThreadPool::workers_for(threads, 16));
     Rng rng(0xca9ce1ULL);
-    EXPECT_THROW((void)build_si_test_sets(
+    EXPECT_THROW((void)testing::run_pass(
                      store,
                      [&] {
                        draw_random_patterns(ts, 300, pattern_config, rng,
@@ -517,17 +528,30 @@ TEST(StagedCount, MatchesAcrossExecutorSizesAndChunks) {
   for (const int threads : {1, 2, 3, ThreadPool::hardware_threads()}) {
     SCOPED_TRACE(threads);
     Executor executor(threads);
-    EXPECT_EQ(start_greedy_count(*rows, all, executor).get(), expected);
-    EXPECT_EQ(start_greedy_count(*rows, odd, executor).get(), expected_odd);
+    TaskGroup group(executor);
+    std::size_t over_all = 0;
+    std::size_t over_odd = 0;
+    start_greedy_count(*rows, all, executor, nullptr, nullptr,
+                       count_into(group, over_all));
+    start_greedy_count(*rows, odd, executor, nullptr, nullptr,
+                       count_into(group, over_odd));
+    group.wait();
+    EXPECT_EQ(over_all, expected);
+    EXPECT_EQ(over_odd, expected_odd);
     for (const std::size_t chunk : {std::size_t{64}, std::size_t{4096}}) {
       PatternRows streamed_rows(kManyTerminals, 8, chunk);
-      std::future<std::size_t> streamed;
+      std::size_t streamed = 0;
+      const auto start = [&] {
+        start_greedy_count(streamed_rows, executor, nullptr, nullptr,
+                           count_into(group, streamed));
+      };
       // On the caller the count runs at the call, so after the writes.
-      if (threads > 1) streamed = start_greedy_count(streamed_rows, executor);
+      if (threads > 1) start();
       for (const SiPattern& p : patterns) streamed_rows.add(p);
       streamed_rows.close();
-      if (threads == 1) streamed = start_greedy_count(streamed_rows, executor);
-      EXPECT_EQ(streamed.get(), expected) << "chunk=" << chunk;
+      if (threads == 1) start();
+      group.wait();
+      EXPECT_EQ(streamed, expected) << "chunk=" << chunk;
     }
   }
 }
@@ -554,7 +578,10 @@ TEST(StagedCount, BadIdStopsTheEncoderAndTheCountEndsWithItsRows) {
     SCOPED_TRACE(threads);
     auto executor = std::make_unique<Executor>(threads);
     auto rows = std::make_unique<PatternRows>(kManyTerminals, 8, 64);
-    std::future<std::size_t> streamed = start_greedy_count(*rows, *executor);
+    std::size_t streamed = 0;
+    auto group = std::make_unique<TaskGroup>(*executor);
+    start_greedy_count(*rows, *executor, nullptr, nullptr,
+                       count_into(*group, streamed));
     try {
       for (const SiPattern& p : patterns) rows->add(p);
       ADD_FAILURE() << "no throw";
@@ -562,8 +589,10 @@ TEST(StagedCount, BadIdStopsTheEncoderAndTheCountEndsWithItsRows) {
       EXPECT_EQ(std::string(e.what()), expected);
     }
     rows->close();
-    EXPECT_EQ(streamed.get(), before);
+    group->wait();
+    EXPECT_EQ(streamed, before);
     EXPECT_EQ(rows->size(), kBad);
+    group.reset();
     rows.reset();
     executor.reset();
   }
@@ -580,14 +609,17 @@ TEST(StagedCount, CancelWhileStagesRunUnwindsAfterEveryStageTask) {
     CancelToken token;
     auto executor = std::make_unique<Executor>(threads);
     auto rows = std::make_unique<PatternRows>(kManyTerminals, 8, 64);
-    std::future<std::size_t> streamed =
-        start_greedy_count(*rows, *executor, &token);
+    std::size_t streamed = 0;
+    auto group = std::make_unique<TaskGroup>(*executor);
+    start_greedy_count(*rows, *executor, &token, nullptr,
+                       count_into(*group, streamed));
     for (std::size_t i = 0; i < patterns.size(); ++i) {
       if (i == 6000) token.request();
       rows->add(patterns[i]);
     }
     rows->close();
-    EXPECT_THROW((void)streamed.get(), Cancelled);
+    EXPECT_THROW(group->wait(), Cancelled);
+    group.reset();
     rows.reset();
     executor.reset();
   }
@@ -668,34 +700,40 @@ TEST(SweepDeterminism, RunExperimentIsTheMatchingSweepRow) {
 }
 
 TEST(SweepDeterminism, BatchOfJobsMatchesOneCallPerJob) {
-  // optimize_tam_batch returns, per job, exactly what optimize_tam gives
-  // for that job alone.
+  // The units of an OptimizeBatch, every job started in one TaskGroup,
+  // give per job exactly what optimize_tam gives for that job alone, at
+  // every executor size (0 = all cores).
   const Scenario a = make_scenario(4);
   const TestTimeTable wide(a.soc, a.w_max + 3);
   const SiTestSet no_tests;
-  const OptimizeJob jobs[] = {{&a.table, &a.tests, a.w_max},
-                              {&wide, &a.tests, a.w_max + 3},
-                              {&a.table, &no_tests, a.w_max}};
+  const std::vector<OptimizeJob> jobs = {{&a.table, &a.tests, a.w_max},
+                                         {&wide, &a.tests, a.w_max + 3},
+                                         {&a.table, &no_tests, a.w_max}};
   OptimizerConfig config;
   config.restarts = 3;
-  for (const int threads : {1, 3}) {
-    Executor executor(threads);
-    const std::vector<OptimizeResult> batch =
-        optimize_tam_batch(a.soc, jobs, config, executor);
-    ASSERT_EQ(batch.size(), 3u);
-    for (std::size_t j = 0; j < 3; ++j) {
+  for (const int threads : {1, 2, 3, 0}) {
+    SCOPED_TRACE(threads);
+    OptimizeBatch batch(a.soc, jobs, config);
+    Executor executor(ThreadPool::workers_for(threads, 9));
+    {
+      TaskGroup group(executor);
+      for (std::size_t j = 0; j < batch.size(); ++j) batch.start(j, group);
+      group.wait();
+    }
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      const OptimizeResult got = batch.take(j);
       const OptimizeResult alone = optimize_tam(
           a.soc, *jobs[j].table, *jobs[j].tests, jobs[j].w_max, config);
-      EXPECT_EQ(batch[j].architecture.describe(),
-                alone.architecture.describe())
+      EXPECT_EQ(got.architecture.describe(), alone.architecture.describe())
           << "job " << j;
-      EXPECT_TRUE(batch[j].evaluation == alone.evaluation) << "job " << j;
-      EXPECT_TRUE(batch[j].stats == alone.stats) << "job " << j;
+      EXPECT_TRUE(got.evaluation == alone.evaluation) << "job " << j;
+      EXPECT_TRUE(got.stats == alone.stats) << "job " << j;
     }
   }
-  const OptimizeJob bad[] = {{&a.table, &a.tests, 0}};
-  Executor executor(2);
-  EXPECT_THROW((void)optimize_tam_batch(a.soc, bad, config, executor),
+  // A bad job throws from the constructor, before any unit can start.
+  EXPECT_THROW(OptimizeBatch(a.soc, {{&a.table, &a.tests, 0}}, config),
+               std::invalid_argument);
+  EXPECT_THROW(OptimizeBatch(a.soc, {{&a.table, nullptr, a.w_max}}, config),
                std::invalid_argument);
 }
 

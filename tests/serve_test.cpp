@@ -9,11 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <map>
 #include <mutex>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -212,6 +214,43 @@ TEST(JobServer, ControlPlaneAndErrorEnvelopes) {
 
 // Every field docs/SERVER.md lists for `optimize` (and `widths`, which
 // `sweep` adds) parses on one line.
+TEST(JobServer, DrainReturnsWhenTheSinkThrowsOnResults) {
+  // A sink that refuses every result line: each job's worker still leaves
+  // the in-flight count, so drain() and the destructor return, and the
+  // server goes on answering.
+  Recorder recorder;
+  std::atomic<int> refused{0};
+  serve::ServerOptions options;
+  options.threads = 2;
+  {
+    serve::JobServer server(options, [&](const std::string& line) {
+      if (parse_json(line).find("type")->as_string() == "result") {
+        ++refused;
+        throw std::runtime_error("sink refused a result line");
+      }
+      recorder(line);
+    });
+    ASSERT_TRUE(server.submit_line(
+        R"({"op":"optimize","id":"a","soc":"mini5","wmax":4,"nr":300})"));
+    ASSERT_TRUE(server.submit_line(
+        R"({"op":"optimize","id":"b","soc":"mini5","wmax":5,"nr":300})"));
+    server.drain();
+    EXPECT_EQ(refused.load(), 2);
+    EXPECT_EQ(server.stats().completed, 2);
+    EXPECT_TRUE(server.submit_line(R"({"op":"ping"})"));
+    EXPECT_TRUE(server.submit_line(
+        R"({"op":"optimize","id":"c","soc":"mini5","wmax":6,"nr":300})"));
+  }  // the destructor drains job c
+  EXPECT_EQ(refused.load(), 3);
+  const std::vector<std::string> lines = recorder.lines();
+  EXPECT_EQ(std::count_if(lines.begin(), lines.end(),
+                          [](const std::string& line) {
+                            return parse_json(line).find("type")->as_string() ==
+                                   "pong";
+                          }),
+            1);
+}
+
 TEST(Protocol, EveryDocumentedJobFieldParses) {
   const serve::Request request = serve::parse_request(
       R"({"op":"optimize","id":"all","soc":"d695","wmax":16,"nr":2000,)"

@@ -3,10 +3,12 @@
 // pattern for its care cores (SiPattern::care_cores), merges the care sets
 // with Hypergraph::normalize, copies each pattern into its bucket and
 // compacts each bucket with compact_greedy. build_si_test_sets must give
-// the same test set, field by field, for every grouping.
+// the same test set, field by field, for every grouping. run_pass drives
+// start_si_test_sets over a store a test draws, as the prepare does.
 #pragma once
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
 #include <span>
 #include <string>
@@ -16,7 +18,10 @@
 #include "interconnect/terminal_space.h"
 #include "pattern/compaction.h"
 #include "pattern/pattern.h"
+#include "pattern/raw_store.h"
 #include "sitest/group.h"
+#include "util/cancel.h"
+#include "util/thread_pool.h"
 
 namespace sitam::testing {
 
@@ -89,6 +94,24 @@ inline SiTestSet oracle_si_test_set(std::span<const SiPattern> patterns,
   }
   add_group("rem", all_cores, true, remainder);
   return set;
+}
+
+/// The test sets of the pass over what `draw` writes into `store`, with
+/// its jobs on `executor`: start_si_test_sets, then its group's wait.
+inline std::vector<SiTestSet> run_pass(RawPatternStore& store,
+                                       const std::function<void()>& draw,
+                                       const TerminalSpace& terminals,
+                                       std::span<const int> groupings,
+                                       const GroupingConfig& config,
+                                       Executor& executor,
+                                       const CancelToken* cancel = nullptr) {
+  std::vector<SiTestSet> sets(groupings.size());
+  TaskGroup group(executor);
+  (void)start_si_test_sets(
+      store, draw, terminals, groupings, config, group, cancel,
+      [&sets](std::size_t g, SiTestSet set) { sets[g] = std::move(set); });
+  group.wait();
+  return sets;
 }
 
 }  // namespace sitam::testing

@@ -315,8 +315,9 @@ TEST(SitestShared, MatchesTheOracleForEveryGroupingAndThreadCount) {
         for (const std::vector<int>& groupings : lists) {
           for (int threads = 1; threads <= max_threads; ++threads) {
             if (nr > 500 && threads > 3 && threads != max_threads) continue;
+            Executor executor(threads);
             const std::vector<SiTestSet> sets = build_si_test_sets(
-                patterns, ts, groupings, config, threads);
+                patterns, ts, groupings, config, executor);
             ASSERT_EQ(sets.size(), groupings.size());
             for (std::size_t g = 0; g < groupings.size(); ++g) {
               expect_same_set(sets[g], oracle.at(groupings[g]),
@@ -389,8 +390,9 @@ TEST(SitestShared, SharedRowCountsMatchTheReferenceOnSyntheticSocs) {
 
     // The reference per (grouping, group), from the span form at one
     // thread; every other run must give the same sets.
+    Executor caller(1);
     const std::vector<SiTestSet> expected =
-        build_si_test_sets(patterns, ts, groupings, config, 1);
+        build_si_test_sets(patterns, ts, groupings, config, caller);
     for (const SiTestSet& set : expected) {
       for (const SiTestGroup& group : set.groups) {
         const std::vector<SiPattern> members =
@@ -412,13 +414,11 @@ TEST(SitestShared, SharedRowCountsMatchTheReferenceOnSyntheticSocs) {
     }
     for (const int threads : {1, 2, 3, 0}) {
       SCOPED_TRACE(threads);
-      const int span_threads =
-          threads == 0 ? ThreadPool::hardware_threads() : threads;
-      const std::vector<SiTestSet> spanned =
-          build_si_test_sets(patterns, ts, groupings, config, span_threads);
-      RawPatternStore store(256);
       Executor executor(ThreadPool::workers_for(threads, 16));
-      const std::vector<SiTestSet> streamed = build_si_test_sets(
+      const std::vector<SiTestSet> spanned =
+          build_si_test_sets(patterns, ts, groupings, config, executor);
+      RawPatternStore store(256);
+      const std::vector<SiTestSet> streamed = testing::run_pass(
           store,
           [&] {
             for (const SiPattern& p : patterns) {
@@ -449,26 +449,26 @@ TEST(SitestShared, OutOfRangeIdsThrowBeforeAnyCompaction) {
   auto patterns =
       generate_random_patterns(ts, 300, RandomPatternConfig{}, rng);
   const std::vector<int> groupings = {1, 2, 4, 8};
-  const int threads = ThreadPool::hardware_threads();
+  Executor executor(ThreadPool::hardware_threads());
   const GroupingConfig config;
 
   std::vector<SiPattern> bad_terminal = patterns;
   bad_terminal[150].set(ts.total(), SigValue::kRise);
   EXPECT_THROW((void)build_si_test_sets(bad_terminal, ts, groupings, config,
-                                        threads),
+                                        executor),
                std::out_of_range);
   std::vector<SiPattern> bad_line = patterns;
   bad_line[150].set_bus(config.bus_width, 0);
   EXPECT_THROW(
-      (void)build_si_test_sets(bad_line, ts, groupings, config, threads),
+      (void)build_si_test_sets(bad_line, ts, groupings, config, executor),
       std::out_of_range);
   std::vector<SiPattern> bad_driver = patterns;
   bad_driver[150].set_bus(0, soc.core_count());
   EXPECT_THROW(
-      (void)build_si_test_sets(bad_driver, ts, groupings, config, threads),
+      (void)build_si_test_sets(bad_driver, ts, groupings, config, executor),
       std::out_of_range);
   // The failed calls left nothing behind: a good call still works.
-  EXPECT_EQ(build_si_test_sets(patterns, ts, groupings, config, threads)
+  EXPECT_EQ(build_si_test_sets(patterns, ts, groupings, config, executor)
                 .size(),
             groupings.size());
 }
@@ -519,18 +519,17 @@ TEST(SitestShared, EncodePassReportsTheFirstBadIdInInputOrder) {
   for (const Case& c : cases) {
     for (const int threads : {1, 2, 0}) {
       SCOPED_TRACE(c.expected + " threads=" + std::to_string(threads));
+      Executor executor(ThreadPool::workers_for(threads, 16));
       try {
-        (void)build_si_test_sets(
-            c.patterns, ts, groupings, config,
-            threads == 0 ? ThreadPool::hardware_threads() : threads);
+        (void)build_si_test_sets(c.patterns, ts, groupings, config,
+                                 executor);
         ADD_FAILURE() << "span form: no throw";
       } catch (const std::out_of_range& e) {
         EXPECT_EQ(std::string(e.what()), c.expected);
       }
       RawPatternStore store(64);
-      Executor executor(ThreadPool::workers_for(threads, 16));
       try {
-        (void)build_si_test_sets(
+        (void)testing::run_pass(
             store,
             [&] {
               for (const SiPattern& p : c.patterns) {
@@ -572,14 +571,14 @@ TEST(SitestShared, RejectsBadArguments) {
   const Soc soc = load_benchmark("mini5");
   const TerminalSpace ts(soc);
   const std::vector<int> zero = {1, 0};
-  const std::vector<int> one = {1};
-  EXPECT_THROW((void)build_si_test_sets({}, ts, zero, GroupingConfig{}, 1),
-               std::invalid_argument);
-  EXPECT_THROW((void)build_si_test_sets({}, ts, one, GroupingConfig{}, 0),
-               std::invalid_argument);
-  EXPECT_TRUE(
-      build_si_test_sets({}, ts, std::span<const int>{}, GroupingConfig{}, 2)
-          .empty());
+  Executor caller(1);
+  EXPECT_THROW(
+      (void)build_si_test_sets({}, ts, zero, GroupingConfig{}, caller),
+      std::invalid_argument);
+  Executor executor(2);
+  EXPECT_TRUE(build_si_test_sets({}, ts, std::span<const int>{},
+                                 GroupingConfig{}, executor)
+                  .empty());
 }
 
 }  // namespace
