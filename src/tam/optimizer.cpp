@@ -30,7 +30,8 @@ class Optimizer {
         config_(config),
         eval_(soc, table, tests, config.evaluator),
         delta_(eval_),
-        bound_(eval_) {}
+        bound_(eval_),
+        probe_(eval_) {}
 
   OptimizeResult run(const std::vector<int>& core_order) {
     TamArchitecture arch = start_solution(core_order);
@@ -96,23 +97,46 @@ class Optimizer {
   // the rail with the largest time_used, is CheapMergeBound's replay.
   // -------------------------------------------------------------------
 
-  /// Precise rule (the paper's): each wire goes to the rail whose extra
-  /// wire minimizes T_soc — which is by definition a bottleneck rail.
-  void distribute_precise(TamArchitecture& arch, int wires) const {
+  /// Precise rule (the paper's): each wire goes to the first rail whose
+  /// extra wire minimizes T_soc — which is by definition a bottleneck rail.
+  /// Rails are probed in (bound, index) order (WireProbeBound). A rail
+  /// whose (bound, index) is above the best (T_soc, index) so far cannot
+  /// be that rail, and neither can any rail after it, so the scan stops
+  /// there (docs/algorithms.md §5, probe bound).
+  void distribute_precise(TamArchitecture& arch, int wires) {
+    if (wires <= 0) return;
+    probe_.bind(arch, rail_times(arch));
+    std::int64_t pruned = 0;
     for (int i = 0; i < wires; ++i) {
-      std::size_t best_rail = 0;
+      probe_order_.resize(arch.rails.size());
+      std::iota(probe_order_.begin(), probe_order_.end(), std::size_t{0});
+      std::sort(probe_order_.begin(), probe_order_.end(),
+                [&](std::size_t a, std::size_t b) {
+                  const std::int64_t bound_a = probe_.bound(a);
+                  const std::int64_t bound_b = probe_.bound(b);
+                  return bound_a != bound_b ? bound_a < bound_b : a < b;
+                });
+      std::size_t best_rail = arch.rails.size();
       std::int64_t best_t = std::numeric_limits<std::int64_t>::max();
-      for (std::size_t r = 0; r < arch.rails.size(); ++r) {
+      for (std::size_t k = 0; k < probe_order_.size(); ++k) {
+        const std::size_t r = probe_order_[k];
+        const std::int64_t bound = probe_.bound(r);
+        if (bound > best_t || (bound == best_t && r > best_rail)) {
+          pruned += static_cast<std::int64_t>(probe_order_.size() - k);
+          break;
+        }
         ++arch.rails[r].width;
         const std::int64_t t = t_soc(arch);
         --arch.rails[r].width;
-        if (t < best_t) {
+        if (t < best_t || (t == best_t && r < best_rail)) {
           best_t = t;
           best_rail = r;
         }
       }
       ++arch.rails[best_rail].width;
+      probe_.widen(best_rail);
     }
+    SITAM_COUNTER("tam.alg2.pruned_probes", pruned);
   }
 
   // -------------------------------------------------------------------
@@ -241,22 +265,33 @@ class Optimizer {
     if (w_max_ < static_cast<int>(arch.rails.size())) {
       // Not enough wires: repeatedly merge the (W_max+1)-th rail (by
       // time_used, descending) into whichever of the first W_max rails
-      // yields the lowest T_soc (Algorithm 2, lines 7-13).
+      // yields the lowest T_soc (Algorithm 2, lines 7-13). Each partner is
+      // scored in place: it takes the victim's cores at its width of 1 and
+      // the victim stays as an empty rail. T_soc depends neither on the
+      // rail order nor on an empty rail (docs/algorithms.md §5), so this
+      // is the merged architecture's T_soc, and consecutive partners
+      // differ in two rails at fixed positions.
       while (static_cast<int>(arch.rails.size()) > w_max_) {
         check_cancel(config_.cancel);
         const auto order = order_by_time_used(arch);
         const std::size_t victim = order[static_cast<std::size_t>(w_max_)];
         std::size_t best_partner = arch.rails.size();
         std::int64_t best_t = std::numeric_limits<std::int64_t>::max();
+        moved_.cores.clear();
+        moved_.cores.swap(arch.rails[victim].cores);
         for (int j = 0; j < w_max_; ++j) {
           const std::size_t partner = order[static_cast<std::size_t>(j)];
-          merge_into(arch, victim, partner, /*width=*/1, /*id=*/-2, cand_);
-          const std::int64_t t = t_soc(cand_);
+          TestRail& rail = arch.rails[partner];
+          kept_ = rail.cores;
+          rail.merge_cores_from(moved_);
+          const std::int64_t t = t_soc(arch);
+          rail.cores.swap(kept_);
           if (t < best_t) {
             best_t = t;
             best_partner = partner;
           }
         }
+        arch.rails[victim].cores.swap(moved_.cores);
         SITAM_CHECK(best_partner != arch.rails.size());
         merge_into(arch, victim, best_partner, 1, fresh_id(), cand_);
         std::swap(arch, cand_);
@@ -321,16 +356,24 @@ class Optimizer {
     }
   }
 
-  /// Rails whose extra wire would strictly reduce T_soc.
+  /// Rails whose extra wire would strictly reduce T_soc. A rail whose probe
+  /// bound (WireProbeBound) is already >= T_soc is not probed.
   [[nodiscard]] std::vector<std::size_t> bottleneck_rails(
-      TamArchitecture& arch) const {
+      TamArchitecture& arch) {
     const std::int64_t current = t_soc(arch);
+    probe_.bind(arch, rail_times(arch));
     std::vector<std::size_t> result;
+    std::int64_t pruned = 0;
     for (std::size_t r = 0; r < arch.rails.size(); ++r) {
+      if (probe_.bound(r) >= current) {
+        ++pruned;
+        continue;
+      }
       ++arch.rails[r].width;
       if (t_soc(arch) < current) result.push_back(r);
       --arch.rails[r].width;
     }
+    SITAM_COUNTER("tam.alg2.pruned_probes", pruned);
     return result;
   }
 
@@ -389,8 +432,15 @@ class Optimizer {
   mutable Evaluation eval_scratch_;
   // mergeTAMs' cheap leftover rule and its candidate bound.
   CheapMergeBound bound_;
+  // The +1-wire probes' bound and distribute_precise's visiting order.
+  WireProbeBound probe_;
+  std::vector<std::size_t> probe_order_;
   // Candidate storage reused by every merge_into of the scans.
   TamArchitecture cand_;
+  // The start solution's in-place scan: the victim's cores, and the
+  // partner's own while it holds the victim's too.
+  TestRail moved_;
+  std::vector<int> kept_;
   int next_id_ = 0;
 };
 
@@ -543,6 +593,62 @@ void CheapMergeBound::distribute(TamArchitecture& cand) const {
     ++cand.rails[k - (k > r1_ ? 1 : 0) - (k > rj_ ? 1 : 0)].width;
   }
   cand.rails.back().width += merged_extra_;
+}
+
+void WireProbeBound::Max::add(std::int64_t value, std::size_t r) {
+  // The rails bound() leaves out count as 0, so no time may be below it.
+  SITAM_DCHECK(value >= 0);
+  if (value > first) {
+    second = first;
+    first = value;
+    rail = r;
+  } else {
+    second = std::max(second, value);
+  }
+}
+
+void WireProbeBound::refresh_maxima() {
+  SITAM_DCHECK(current_.size() == widened_.size());
+  in_ = si_ = used_ = Max{};
+  for (std::size_t r = 0; r < current_.size(); ++r) {
+    in_.add(current_[r].time_in, r);
+    si_.add(current_[r].time_si, r);
+    used_.add(current_[r].time_used, r);
+  }
+}
+
+void WireProbeBound::bind(const TamArchitecture& arch,
+                          std::span<const RailTimes> rails) {
+  SITAM_DCHECK(rails.size() == arch.rails.size());
+  arch_ = &arch;
+  current_.assign(rails.begin(), rails.end());
+  widened_.resize(arch.rails.size());
+  for (std::size_t r = 0; r < arch.rails.size(); ++r) {
+    const TestRail& rail = arch.rails[r];
+    widened_[r] = eval_->rail_sum(rail.cores, {}, rail.width + 1,
+                                  TamEvaluator::InTestSum::kExact);
+  }
+  refresh_maxima();
+}
+
+void WireProbeBound::widen(std::size_t r) {
+  SITAM_DCHECK(r < current_.size());
+  const TestRail& rail = arch_->rails[r];
+  current_[r] = widened_[r];
+  widened_[r] = eval_->rail_sum(rail.cores, {}, rail.width + 1,
+                                TamEvaluator::InTestSum::kExact);
+  refresh_maxima();
+}
+
+std::int64_t WireProbeBound::bound(std::size_t r) const {
+  const RailTimes& wide = widened_[r];
+  // As CheapMergeBound::bound: no two tests share a rail at once, and a
+  // test lasts at least its busy time on each of its rails.
+  if (eval_->options().interleave_phases) {
+    return std::max(used_.without(r), wide.time_used);
+  }
+  return std::max(in_.without(r), wide.time_in) +
+         std::max(si_.without(r), wide.time_si);
 }
 
 /// The running reduction of one job's restarts: the winner so far (lowest

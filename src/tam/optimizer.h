@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "sitest/group.h"
@@ -140,6 +141,56 @@ class CheapMergeBound {
   // wires.
   int picks_ = 0;
   int merged_extra_ = 0;
+};
+
+/// The bound on Algorithm 2's +1-wire probes (docs/algorithms.md §5, probe
+/// bound): distributeFreeWires trials one extra wire on every rail, and
+/// coreReshuffle does so to find its bottleneck rails. A probe widens rail
+/// r alone, and a rail's times depend only on its cores and width, so the
+/// probe's rail times are the bound architecture's with rail r's replaced
+/// by its rail sum at w_r + 1. The bound is max time_in + max time_si over
+/// those rails with the phases in sequence, max time_used with
+/// interleave_phases, and never exceeds the probe's T_soc.
+///
+/// Borrows the evaluator and the bound architecture, which may change only
+/// through widen() until the next bind(). Not thread-safe, like the
+/// evaluator.
+class WireProbeBound {
+ public:
+  explicit WireProbeBound(const TamEvaluator& eval) : eval_(&eval) {}
+
+  /// Binds `arch` with its current rail times (parallel to arch.rails) and
+  /// sums every rail once at one wire wider.
+  void bind(const TamArchitecture& arch, std::span<const RailTimes> rails);
+  /// Rail r of the bound architecture has just got one more wire: its
+  /// widened times become its current ones, and only its sum is redone.
+  void widen(std::size_t r);
+  /// Lower bound on the T_soc of the bound architecture with one extra
+  /// wire on rail r. O(1).
+  [[nodiscard]] std::int64_t bound(std::size_t r) const;
+
+ private:
+  // The largest value of one RailTimes field over the current rails, the
+  // rail holding it and the largest over the other rails.
+  struct Max {
+    std::int64_t first = 0;
+    std::size_t rail = 0;
+    std::int64_t second = 0;
+
+    void add(std::int64_t value, std::size_t r);
+    [[nodiscard]] std::int64_t without(std::size_t r) const {
+      return r == rail ? second : first;
+    }
+  };
+  void refresh_maxima();
+
+  const TamEvaluator* eval_;
+  const TamArchitecture* arch_ = nullptr;
+  std::vector<RailTimes> current_;
+  std::vector<RailTimes> widened_;
+  Max in_;
+  Max si_;
+  Max used_;
 };
 
 struct OptimizeResult {

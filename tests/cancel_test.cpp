@@ -153,16 +153,24 @@ TEST(CancelSoak, MidRestartCancelReturnsPromptlyAndCachesStayClean) {
   options.threads = 2;
   serve::JobServer server(options, std::ref(collector));
 
-  // A deliberately long job: full p93791 width sweep with many restarts.
+  // A deliberately long job: a p93791 sweep over 31 widths with the most
+  // restarts a request may ask for. Run to completion it would take about
+  // 100 s on a 4-vCPU x86-64 host (its 64-restart form takes about 6 s),
+  // far beyond the 30 s bound below, so a faster optimizer cannot let it
+  // finish before the cancel.
+  std::string widths;
+  for (int w = 8; w <= 128; w += 4) {
+    if (!widths.empty()) widths += ',';
+    widths += std::to_string(w);
+  }
   const std::string long_job =
-      R"({"op":"sweep","id":"soak","soc":"p93791","widths":[8,16,24,32,40,48,56,64],)"
-      R"("parts":[1,2,4],"nr":20000,"restarts":64})";
+      R"({"op":"sweep","id":"soak","soc":"p93791","widths":[)" + widths +
+      R"(],"parts":[1,2,4],"nr":20000,"restarts":1024})";
   ASSERT_TRUE(server.submit_line(long_job));
   ASSERT_TRUE(collector.wait_for("\"stage\":\"running\""));
   // Let the job get past workload preparation so the token lands inside
-  // the optimizer restart loop (the full job runs about 6 s on a 4-vCPU
-  // x86-64 host; cancelling a job that already finished would fail the
-  // wait below, so the job must stay several times longer than the sleep).
+  // the optimizer restart loop (cancelling a job that already finished
+  // would fail the wait below).
   std::this_thread::sleep_for(std::chrono::milliseconds(1500));
 
   // Cancel mid-flight and require the worker back within a bound that a

@@ -1,6 +1,6 @@
-// Soundness of the two bounds mergeTAMs skips work on, for every rail pair
-// of seeded random architectures and every merge width in
-// [max(w_a, w_b), w_a + w_b], under every evaluator option:
+// Soundness of the bounds Algorithm 2 skips work on, under every evaluator
+// option. The two of mergeTAMs, for every rail pair of seeded random
+// architectures and every merge width in [max(w_a, w_b), w_a + w_b]:
 //  * the partner bound (TamEvaluator::rail_sum with InTest floors at
 //    w_a + w_b) never exceeds the candidate's full T_soc, whichever way the
 //    leftover wires go (the cheap and precise rules, or all of them on the
@@ -9,6 +9,9 @@
 //    its rail widths equal the rule's, the rail sums it reads equal the
 //    evaluated candidate's rail times, its bound is the phase bound over
 //    those times, and it never exceeds that candidate's T_soc.
+// The probe bound (WireProbeBound) never exceeds the T_soc of a +1-wire
+// probe, and T_soc ignores the rail order and empty rails, which the start
+// solution's in-place merge scan relies on.
 // A violation here would let the optimizer miss a candidate.
 #include <gtest/gtest.h>
 
@@ -21,6 +24,7 @@
 #include "sitest/group.h"
 #include "soc/benchmarks.h"
 #include "tam/architecture.h"
+#include "tam/delta.h"
 #include "tam/evaluator.h"
 #include "tam/optimizer.h"
 #include "tam_instances.h"
@@ -288,6 +292,127 @@ TEST_P(MergeBoundTest, CheapReplayIsExactAndBoundsEveryCandidate) {
                 << where;
             EXPECT_LE(bound, ev.t_soc) << where;
           }
+        }
+      }
+    }
+  }
+}
+
+// The bound on Algorithm 2's +1-wire probes (WireProbeBound): for every
+// rail of seeded random architectures, before and after wires are handed
+// out through widen() as distributeFreeWires does, it is the phase bound
+// over the probe's evaluated rail times and never exceeds the probe's T_soc.
+TEST_P(MergeBoundTest, ProbeBoundNeverExceedsTheProbe) {
+  Instance inst = instance_for(GetParam());
+  assign_si_power(inst.tests, inst.soc, 1, 50);
+  const TestTimeTable table(inst.soc, inst.w_max);
+  const int cores = inst.soc.core_count();
+  Rng rng(0x9b0b0000ULL + static_cast<std::uint64_t>(GetParam()));
+  std::vector<TamArchitecture> archs;
+  for (const int rails : {1, 2, 3, 5, 8}) {
+    archs.push_back(
+        random_architecture(cores, std::min(rails, cores), inst.w_max, rng));
+  }
+
+  for (const EvaluatorOptions& options :
+       tamtest::option_variants(inst.tests)) {
+    const TamEvaluator eval(inst.soc, table, inst.tests, options);
+    WireProbeBound probe(eval);
+    for (TamArchitecture arch : archs) {
+      probe.bind(arch, eval.evaluate_reference(arch).rails);
+      for (int wire = 0; wire < 3; ++wire) {
+        for (std::size_t r = 0; r < arch.rails.size(); ++r) {
+          TamArchitecture wide = arch;
+          ++wide.rails[r].width;
+          const Evaluation ev = eval.evaluate_reference(wide);
+          RailTimes max;
+          for (const RailTimes& rail : ev.rails) {
+            max.time_in = std::max(max.time_in, rail.time_in);
+            max.time_si = std::max(max.time_si, rail.time_si);
+            max.time_used = std::max(max.time_used, rail.time_used);
+          }
+          const std::string where = inst.name + " " +
+                                    tamtest::describe(options) + " " +
+                                    wide.describe() + " rail " +
+                                    std::to_string(r);
+          EXPECT_EQ(probe.bound(r), options.interleave_phases
+                                        ? max.time_used
+                                        : max.time_in + max.time_si)
+              << where;
+          EXPECT_LE(probe.bound(r), ev.t_soc) << where;
+        }
+        const std::size_t got =
+            rng.below(static_cast<std::uint64_t>(arch.rails.size()));
+        ++arch.rails[got].width;
+        probe.widen(got);
+      }
+    }
+  }
+}
+
+/// `arch` with its rails in a seeded random order and an empty rail
+/// inserted at a random position.
+TamArchitecture shuffled_with_empty_rail(const TamArchitecture& arch,
+                                         Rng& rng) {
+  TamArchitecture out = arch;
+  rng.shuffle(out.rails);
+  const auto at = static_cast<std::ptrdiff_t>(
+      rng.below(static_cast<std::uint64_t>(out.rails.size() + 1)));
+  out.rails.insert(out.rails.begin() + at, TestRail{{}, 1, -1});
+  return out;
+}
+
+// T_soc depends neither on the rail order nor on an empty rail, on the full
+// and on the delta evaluator: the start solution scores each merge partner
+// on the architecture with the partner holding the victim's cores and the
+// victim left empty, at fixed rail positions, instead of the merged
+// architecture (docs/algorithms.md §5).
+TEST_P(MergeBoundTest, TsocIgnoresRailOrderAndEmptyRails) {
+  Instance inst = instance_for(GetParam());
+  assign_si_power(inst.tests, inst.soc, 1, 50);
+  const TestTimeTable table(inst.soc, inst.w_max);
+  const int cores = inst.soc.core_count();
+  Rng rng(0x1a70000ULL + static_cast<std::uint64_t>(GetParam()));
+  std::vector<TamArchitecture> archs;
+  for (const int rails : {2, 3, 5, 8}) {
+    archs.push_back(
+        random_architecture(cores, std::min(rails, cores), inst.w_max, rng));
+  }
+
+  for (const EvaluatorOptions& options :
+       tamtest::option_variants(inst.tests)) {
+    const TamEvaluator eval(inst.soc, table, inst.tests, options);
+    DeltaEvaluator delta(eval);
+    for (const TamArchitecture& arch : archs) {
+      const std::string where =
+          inst.name + " " + tamtest::describe(options) + " " + arch.describe();
+      const std::int64_t t = eval.evaluate_reference(arch).t_soc;
+      for (int round = 0; round < 3; ++round) {
+        const TamArchitecture layout = shuffled_with_empty_rail(arch, rng);
+        EXPECT_EQ(eval.t_soc(layout), t) << where << " -> " << layout.describe();
+        EXPECT_EQ(delta.t_soc(layout), t)
+            << where << " -> " << layout.describe();
+      }
+      // The start solution's scan: each victim's partners in turn, the
+      // delta evaluator patching two rails at fixed positions per partner.
+      for (std::size_t victim = 0; victim < arch.rails.size(); ++victim) {
+        TamArchitecture layout = arch;
+        layout.rails[victim].cores.clear();
+        static_cast<void>(delta.t_soc(arch));
+        for (std::size_t partner = 0; partner < arch.rails.size();
+             ++partner) {
+          if (partner == victim) continue;
+          layout.rails[partner].merge_cores_from(arch.rails[victim]);
+          const std::int64_t expected =
+              eval.evaluate_reference(
+                      merged(arch, victim, partner,
+                             arch.rails[partner].width))
+                  .t_soc;
+          EXPECT_EQ(eval.t_soc(layout), expected)
+              << where << " -> " << layout.describe();
+          EXPECT_EQ(delta.t_soc(layout), expected)
+              << where << " -> " << layout.describe();
+          layout.rails[partner].cores = arch.rails[partner].cores;
         }
       }
     }

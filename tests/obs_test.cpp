@@ -439,6 +439,27 @@ TEST(Obs, Alg2PrunedCandidatesCountsOnlyTheCheapRule) {
   }
 }
 
+TEST(Obs, Alg2PrunedProbesCountsUnderEitherRule) {
+  // The probe bound skips +1-wire probes in distributeFreeWires and
+  // coreReshuffle's bottleneck test, whichever leftover rule mergeTAMs
+  // scans with.
+  const Soc soc = load_benchmark("p93791");
+  SiWorkloadConfig workload_config;
+  workload_config.pattern_count = 600;
+  workload_config.groupings = {4};
+  const SiWorkload workload = SiWorkload::prepare(soc, workload_config);
+  const TestTimeTable table(soc, 24);
+  for (const bool fast : {true, false}) {
+    OptimizerConfig config;
+    config.restarts = 1;
+    config.fast_candidate_scan = fast;
+    obs::TraceSession session;
+    (void)optimize_tam(soc, table, workload.tests(4), 24, config);
+    const TraceDump dump = session.stop();
+    EXPECT_GT(dump.metrics.counter("tam.alg2.pruned_probes"), 0) << fast;
+  }
+}
+
 TEST(Obs, TracingDoesNotChangeOptimizationResults) {
   const OptimizerScenario s = optimizer_scenario();
   OptimizerConfig config;

@@ -185,8 +185,8 @@ TEST(Regression, P93791Alg2ResultAndEvaluationOrder) {
             "{8,19,21,29,31|w=3} {1,9,10|w=4} {0,3,6,7,25|w=4} "
             "{14,20,22,23,28,30|w=6} {4,5,11,12,24|w=8} "
             "{2,13,15,16,17,18,26,27|w=7}");
-  EXPECT_EQ(result.stats.evaluations, 7551);
-  EXPECT_EQ(result.stats.delta_hits, 7547);
+  EXPECT_EQ(result.stats.evaluations, 5738);
+  EXPECT_EQ(result.stats.delta_hits, 5734);
   EXPECT_EQ(result.stats.cache_misses, 4);
 }
 
