@@ -334,8 +334,81 @@ BENCHMARK(BM_OptimizeTamTraced)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// BENCH_parallel.json: serial vs parallel multi-start, delta hit rate.
+// BENCH_parallel.json: serial vs parallel multi-start, delta hit rate, and
+// one multi-grouping prepare on one thread vs the pool.
 // ---------------------------------------------------------------------------
+
+/// Every group's compacted pattern count, grouping by grouping.
+std::vector<std::int64_t> grouping_patterns(const SiWorkload& workload) {
+  std::vector<std::int64_t> counts;
+  for (const int parts : workload.groupings()) {
+    for (const SiTestGroup& group : workload.tests(parts).groups) {
+      counts.push_back(group.patterns);
+    }
+  }
+  return counts;
+}
+
+/// The "prepare" row: SiWorkload::prepare of p93791's N_r = 10 000 table
+/// cell over the groupings {1, 2, 4, 8}, on the caller and on the pool
+/// (hardware threads), min-of-N with the legs interleaved, plus the
+/// partition tree's bisection counters from one traced pooled prepare.
+void write_prepare_row(JsonWriter& json) {
+  const Soc& soc = p93791();
+  SiWorkloadConfig config;
+  config.pattern_count = 10000;
+  config.seed = 0x20070604ULL;  // the table binaries' seed
+  config.groupings = {1, 2, 4, 8};
+  SiWorkloadConfig serial = config;
+  serial.parallel_prepare = false;
+
+  constexpr int kReps = 20;
+  double serial_seconds = std::numeric_limits<double>::infinity();
+  double pool_seconds = std::numeric_limits<double>::infinity();
+  std::vector<std::int64_t> serial_patterns;
+  std::vector<std::int64_t> pool_patterns;
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (const bool pooled : {false, true}) {
+      Stopwatch watch;
+      const SiWorkload workload =
+          SiWorkload::prepare(soc, pooled ? config : serial);
+      double& best = pooled ? pool_seconds : serial_seconds;
+      best = std::min(best, watch.seconds());
+      if (rep == 0) {
+        (pooled ? pool_patterns : serial_patterns) =
+            grouping_patterns(workload);
+      }
+    }
+  }
+  obs::TraceSession session;
+  (void)SiWorkload::prepare(soc, config);
+  const obs::TraceDump dump = session.stop();
+
+  json.key("prepare").begin_object();
+  json.key("soc").value(soc.name);
+  json.key("pattern_count").value(config.pattern_count);
+  json.key("groupings").begin_array();
+  for (const int parts : config.groupings) {
+    json.value(std::int64_t{parts});
+  }
+  json.end_array();
+  json.key("reps").value(std::int64_t{kReps});
+  json.key("serial_seconds").value(serial_seconds);
+  json.key("pool_threads").value(
+      std::int64_t{ThreadPool::hardware_threads()});
+  json.key("pool_seconds").value(pool_seconds);
+  json.key("speedup").value(
+      pool_seconds > 0.0 ? serial_seconds / pool_seconds : 0.0);
+  json.key("bisections")
+      .value(dump.metrics.counter("hypergraph.bisections"));
+  json.key("bisections_shared")
+      .value(dump.metrics.counter("hypergraph.bisections_shared"));
+  json.key("results_identical").value(serial_patterns == pool_patterns);
+  json.end_object();
+  std::cout << "prepare p93791 N_r=10000 {1,2,4,8}: serial "
+            << serial_seconds * 1e3 << " ms, pool "
+            << pool_seconds * 1e3 << " ms\n";
+}
 
 void write_parallel_report(const std::string& path) {
   // Serial baseline vs the full accelerated stack on the multi-restart
@@ -435,6 +508,7 @@ void write_parallel_report(const std::string& path) {
   json.key("results_identical")
       .value(serial_result.evaluation.t_soc ==
              parallel_result.evaluation.t_soc);
+  write_prepare_row(json);
   json.end_object();
 
   std::ofstream out(path);

@@ -367,7 +367,7 @@ class FreedSignal {
 /// shares ownership of it, so its rows and index are freed, and `freed`
 /// is ready, once the last job is gone. A grouping's set is handed to
 /// `on_set` once each of its pieces is done: its set-up (the caller's
-/// group for i = 1, the partition task for i >= 2) and every count.
+/// group for i = 1, its partition's hand-over for i >= 2) and every count.
 struct Pass {
   Pass(const TerminalSpace& terminals, std::span<const int> groupings_in,
        const GroupingConfig& config, TaskGroup& group_in,
@@ -431,33 +431,36 @@ struct Pass {
   }
 
   /// Once the index is closed: the i = 1 groups on this thread, and one
-  /// partition task per grouping i >= 2.
+  /// partition tree for every grouping i >= 2, which hands each grouping's
+  /// partition over as its walk ends.
   static void start_groupings(const std::shared_ptr<Pass>& pass,
                               const TerminalSpace& terminals) {
     pass->hg = core_hypergraph(pass->index, terminals);
+    std::vector<int> parts;
+    std::vector<std::size_t> grouping_of;  // per partition
     for (std::size_t g = 0; g < pass->groupings.size(); ++g) {
       if (pass->groupings[g] == 1) {
         add_single_group(pass->index, pass->cores, pass->sets[g]);
         pass->piece_done(g);
         continue;
       }
-      pass->group.run(JobPriority::kNormal,
-                      [pass, g] { partition(pass, g); });
+      parts.push_back(pass->groupings[g]);
+      grouping_of.push_back(g);
     }
+    if (parts.empty()) return;
+    start_partitions(pass->hg, parts, pass->partition_config, pass->group,
+                     [pass, grouping_of = std::move(grouping_of)](
+                         std::size_t i, Partition partition) {
+                       partitioned(pass, grouping_of[i], partition);
+                     });
   }
 
-  /// Partitions grouping g, buckets its patterns and starts its counts,
-  /// longest first, so the first stage tasks of the biggest compactions
-  /// are queued ahead of the small ones.
-  static void partition(const std::shared_ptr<Pass>& pass, std::size_t g) {
+  /// Grouping g's partition has ended: buckets its patterns and starts its
+  /// counts, longest first, so the first stage tasks of the biggest
+  /// compactions are queued ahead of the small ones.
+  static void partitioned(const std::shared_ptr<Pass>& pass, std::size_t g,
+                          const Partition& partition) {
     check_cancel(pass->cancel);
-    const int parts = pass->groupings[g];
-    Partition partition;
-    {
-      SITAM_TRACE_SPAN_ARG("sitest.partition", parts);
-      partition = partition_hypergraph(pass->hg, parts,
-                                       pass->partition_config);
-    }
     std::vector<CompactionJob>& jobs = pass->jobs[g];
     add_grouping(pass->index, partition, pass->sets[g], jobs);
     std::vector<std::size_t> order(jobs.size());

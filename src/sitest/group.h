@@ -105,10 +105,12 @@ using SetDone = std::function<void(std::size_t, SiTestSet)>;
 /// on the other workers; with no workers the three run one after another
 /// on the caller, over the same chunks in the same order. The store's
 /// chunks are freed as they are read, so it cannot be read again. Once
-/// the index is closed the partitions of every grouping i >= 2 run as
-/// tasks, and as each returns, that grouping's compactions start longest
-/// first, each as (stage, chunk) tasks (start_greedy_count). No job waits
-/// on another. The result does not depend on the executor.
+/// the index is closed one partition tree (start_partitions) partitions
+/// the cores for every grouping i >= 2, computing the bisections their
+/// recursions share once, and as each grouping's partition ends, its
+/// compactions start longest first, each as (stage, chunk) tasks
+/// (start_greedy_count). No job waits on another. The result does not
+/// depend on the executor.
 ///
 /// This returns once the store is read and indexed, with the partitions
 /// and counts left running in `group`. As the last piece of groupings[g]
@@ -117,8 +119,9 @@ using SetDone = std::function<void(std::size_t, SiTestSet)>;
 /// job of the pass is left, and so its encoded rows and care-set index
 /// are freed: a caller that waits on it before it draws again holds one
 /// pass's rows at a time. `cancel` is checked after `draw`, before each
-/// chunk the count or the index reads, and before each partition and
-/// stage task (nullptr = never cancelled).
+/// chunk the count or the index reads, before the partitions start, as
+/// each grouping's partition is handed over, and before each stage task
+/// (nullptr = never cancelled).
 ///
 /// Throws std::invalid_argument for parts < 1 or
 /// config.compaction.threads < 1, before anything starts. The draw's and

@@ -61,6 +61,9 @@ class Rng {
     for (auto& word : state_) word = split_mix64(sm);
   }
 
+  /// Equal states draw equal streams.
+  friend bool operator==(const Rng&, const Rng&) = default;
+
   static constexpr result_type min() noexcept { return 0; }
   static constexpr result_type max() noexcept {
     return std::numeric_limits<result_type>::max();

@@ -15,9 +15,10 @@
 //
 // Tasks carry a JobPriority: workers always drain higher-priority queues
 // first, FIFO within a priority. The job server uses this to keep
-// interactive requests ahead of bulk sweeps, and run_protocol to keep a
-// cell's prepare ahead of the Algorithm 2 units. Priorities only reorder
-// *dispatch*, never any task's result.
+// interactive requests ahead of bulk sweeps, run_protocol to keep a
+// cell's prepare ahead of the Algorithm 2 units, and the partition tree
+// (hypergraph/partition.h) to keep its attempts ahead of the counts they
+// gate. Priorities only reorder *dispatch*, never any task's result.
 #pragma once
 
 #include <array>

@@ -76,9 +76,10 @@ TEST(SiWorkload, ParallelPrepareMatchesSequential) {
 }
 
 TEST(SiWorkload, CancelledJobListStartsNoCompaction) {
-  // prepare's token reaches the job list: each partition and compaction
-  // job checks it before it starts, so a cancelled pass unwinds with
-  // Cancelled without compacting anything, on the caller or on a pool.
+  // prepare's token reaches the job list: the pass checks it before the
+  // partitions start and each compaction job before it starts, so a
+  // cancelled pass unwinds with Cancelled without partitioning or
+  // compacting anything, on the caller or on a pool.
   const Soc soc = load_benchmark("d695");
   const TerminalSpace ts(soc);
   Rng rng(5);
@@ -98,7 +99,9 @@ TEST(SiWorkload, CancelledJobListStartsNoCompaction) {
     for (const obs::TrackDump& track : dump.tracks) {
       for (const obs::SpanEvent& span : track.spans) {
         EXPECT_STRNE(span.name, "sitest.compact") << "threads=" << threads;
-        EXPECT_STRNE(span.name, "sitest.partition") << "threads=" << threads;
+        EXPECT_STRNE(span.name, "hypergraph.bisect") << "threads=" << threads;
+        EXPECT_STRNE(span.name, "hypergraph.attempt")
+            << "threads=" << threads;
       }
     }
   }

@@ -12,6 +12,7 @@
 #include "hypergraph/partition.h"
 #include "interconnect/terminal_space.h"
 #include "pattern/generator.h"
+#include "seeded_hypergraph.h"
 #include "sitest/group.h"
 #include "soc/benchmarks.h"
 #include "util/rng.h"
@@ -332,30 +333,6 @@ std::uint64_t part_digest(const Partition& p) {
   return h;
 }
 
-/// A seeded hypergraph of `n` vertices: weights 1..20, 4n edges of 2..5
-/// pins, weights 1..10.
-Hypergraph seeded_graph(int n, std::uint64_t seed) {
-  Rng rng(seed);
-  Hypergraph hg;
-  hg.vertex_weights.resize(static_cast<std::size_t>(n));
-  for (auto& w : hg.vertex_weights) {
-    w = static_cast<std::int64_t>(rng.uniform(1, 20));
-  }
-  for (int e = 0; e < 4 * n; ++e) {
-    const auto pins = std::min<std::size_t>(rng.uniform(2, 5),
-                                            static_cast<std::size_t>(n));
-    Hyperedge edge;
-    for (const auto v :
-         rng.sample_indices(static_cast<std::size_t>(n), pins)) {
-      edge.pins.push_back(static_cast<int>(v));
-    }
-    edge.weight = static_cast<std::int64_t>(rng.uniform(1, 10));
-    hg.edges.push_back(std::move(edge));
-  }
-  hg.normalize();
-  return hg;
-}
-
 TEST(PartitionPins, SeededGraphsKeepTheirPartitions) {
   // Digests of part_of pinned from the from-scratch FM gain loop. n = 6
   // and 32 stay below the coarsening limit (48), n = 48 sits on it, and
@@ -385,8 +362,8 @@ TEST(PartitionPins, SeededGraphsKeepTheirPartitions) {
   };
   for (const auto& [key, digest] : pinned) {
     const auto [n, k] = key;
-    const Hypergraph hg =
-        seeded_graph(n, 0x9a57ULL + static_cast<std::uint64_t>(n));
+    const Hypergraph hg = testing::seeded_hypergraph(
+        n, 0x9a57ULL + static_cast<std::uint64_t>(n));
     const Partition p = partition_hypergraph(hg, k);
     EXPECT_EQ(part_digest(p), digest) << "n=" << n << " k=" << k;
   }

@@ -16,6 +16,7 @@
 
 #include "core/flow.h"
 #include "core/report.h"
+#include "hypergraph/partition.h"
 #include "interconnect/terminal_space.h"
 #include "obs/export.h"
 #include "obs/manifest.h"
@@ -549,10 +550,17 @@ TEST(Obs, ForwardedCountsTheIdsHandedBetweenStages) {
 }
 
 TEST(Obs, TracedPrepareShowsTheGroupingSchedule) {
-  // One index pass, one partition per grouping i > 1, and one compaction
-  // span per non-empty group, whose arg is the group's raw pattern count.
-  // With pool workers, the i = 1 compaction and the care-set index stream:
-  // their spans start before the draw that feeds them ends.
+  // One index pass, one partition tree for the groupings i > 1, and one
+  // compaction span per non-empty group, whose arg is the group's raw
+  // pattern count. The tree computes each bisection once: two
+  // hypergraph.bisect spans (its draw, then its pick and refine) and one
+  // hypergraph.attempt span per multi-start attempt. The walks of i = 2, 4
+  // and 8 reach 9 bisections (d695's ten cores leave one-core sides at
+  // i = 8) and compute 5: the top one is shared by all three walks, the
+  // next by i = 4 and 8, and i = 8's third is i = 4's. With pool
+  // workers the draw runs on a worker while the care-set index runs on the
+  // calling thread, and the i = 1 compaction is started before the index,
+  // so both read the store as it is drawn.
   const Soc soc = load_benchmark("d695");
   SiWorkloadConfig config;
   config.pattern_count = 10000;
@@ -562,26 +570,48 @@ TEST(Obs, TracedPrepareShowsTheGroupingSchedule) {
   const TraceDump dump = session.stop();
 
   std::vector<obs::SpanEvent> index;
-  std::vector<std::int64_t> partitions;
+  std::vector<std::int64_t> bisections;
+  std::vector<std::int64_t> attempts;
   std::vector<std::int64_t> compactions;
   std::vector<obs::SpanEvent> generate;
   std::vector<obs::SpanEvent> single;  // the i = 1 compaction
+  int index_track = 0;
+  int generate_track = 0;
   for (const obs::TrackDump& track : dump.tracks) {
     for (const obs::SpanEvent& span : track.spans) {
       const std::string_view name = span.name;
-      if (name == "sitest.index") index.push_back(span);
-      if (name == "sitest.partition") partitions.push_back(span.arg);
+      if (name == "sitest.index") {
+        index.push_back(span);
+        index_track = track.tid;
+      }
+      if (name == "hypergraph.bisect") bisections.push_back(span.arg);
+      if (name == "hypergraph.attempt") attempts.push_back(span.arg);
       if (name == "sitest.compact") compactions.push_back(span.arg);
       if (name == "sitest.compact" && span.arg == config.pattern_count) {
         single.push_back(span);
       }
-      if (name == "flow.workload.generate") generate.push_back(span);
+      if (name == "flow.workload.generate") {
+        generate.push_back(span);
+        generate_track = track.tid;
+      }
     }
   }
   ASSERT_EQ(index.size(), 1u);
   EXPECT_EQ(index.front().arg, config.pattern_count);
-  std::sort(partitions.begin(), partitions.end());
-  EXPECT_EQ(partitions, (std::vector<std::int64_t>{2, 4, 8}));
+  const std::int64_t computed = dump.metrics.counter("hypergraph.bisections");
+  EXPECT_EQ(computed, 5);
+  EXPECT_EQ(dump.metrics.counter("hypergraph.bisections_shared"), 4);
+  EXPECT_EQ(static_cast<std::int64_t>(bisections.size()), 2 * computed);
+  EXPECT_EQ(std::count(bisections.begin(), bisections.end(),
+                       soc.core_count()),
+            2)
+      << "the top bisection, of every core, was computed more than once";
+  const std::int64_t starts = PartitionConfig{}.random_starts;
+  EXPECT_EQ(static_cast<std::int64_t>(attempts.size()), starts * computed);
+  for (std::int64_t a = 0; a < starts; ++a) {
+    EXPECT_EQ(std::count(attempts.begin(), attempts.end(), a), computed)
+        << "attempt " << a;
+  }
   std::vector<std::int64_t> groups;
   for (const int parts : config.groupings) {
     for (const SiTestGroup& group : workload.tests(parts).groups) {
@@ -606,10 +636,14 @@ TEST(Obs, TracedPrepareShowsTheGroupingSchedule) {
   }
   EXPECT_EQ(dump.metrics.counter("pattern.rows.words"), words);
   if (ThreadPool::hardware_threads() >= 2) {
-    EXPECT_LT(single.front().begin_ns, generate.front().end_ns)
-        << "the i = 1 compaction waited for the whole draw";
-    EXPECT_LT(index.front().begin_ns, generate.front().end_ns)
-        << "the care-set index waited for the whole draw";
+    // What the graph guarantees, whatever the scheduler does: the draw is
+    // a worker's task while the caller indexes, and the caller starts the
+    // i = 1 count before it opens the index, so neither waits for the
+    // closed store.
+    EXPECT_NE(generate_track, index_track)
+        << "the draw ran on the indexing thread";
+    EXPECT_LE(single.front().begin_ns, index.front().begin_ns)
+        << "the i = 1 compaction started after the index";
   }
 }
 

@@ -4,16 +4,20 @@
 // every thread count, across many seeds, on d695-style synthetic SOCs and
 // the ITC'02 benchmarks. Also covers evaluator-stats consistency, cancelling a
 // pooled sweep, the streamed prepare pipeline against the per-grouping
-// oracle, and the staged compaction count's (stage, chunk) tasks.
+// oracle, the staged compaction count's (stage, chunk) tasks, and the
+// partition tree's shared bisections and attempt tasks.
 #include <gtest/gtest.h>
+#include <pthread.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <numeric>
 #include <span>
 #include <string>
@@ -22,10 +26,13 @@
 #include <vector>
 
 #include "core/flow.h"
+#include "hypergraph/partition.h"
 #include "interconnect/terminal_space.h"
+#include "obs/obs.h"
 #include "pattern/compaction.h"
 #include "pattern/generator.h"
 #include "pattern/raw_store.h"
+#include "seeded_hypergraph.h"
 #include "sitest/group.h"
 #include "sitest_oracle.h"
 #include "soc/benchmarks.h"
@@ -766,6 +773,169 @@ TEST(SweepDeterminism, CancelUnwindsAPooledSweep) {
   // A token set before the call stops the sweep before any unit runs.
   config.threads = 0;
   EXPECT_THROW((void)run_sweep(workload, {8}, config), Cancelled);
+}
+
+/// What one start_partitions run delivered, and its bisection counters.
+struct TreeRun {
+  std::vector<Partition> partitions;
+  std::vector<int> deliveries;  ///< done calls per k
+  std::int64_t computed = 0;
+  std::int64_t shared = 0;
+};
+
+TreeRun run_tree(const Hypergraph& hg, std::span<const int> ks,
+                 const PartitionConfig& config, int threads) {
+  TreeRun run;
+  run.partitions.resize(ks.size());
+  run.deliveries.resize(ks.size());
+  std::mutex mutex;
+  obs::TraceSession session;
+  {
+    Executor executor(threads);
+    TaskGroup group(executor);
+    start_partitions(hg, ks, config, group,
+                     [&](std::size_t i, Partition partition) {
+                       const std::lock_guard<std::mutex> lock(mutex);
+                       run.partitions[i] = std::move(partition);
+                       ++run.deliveries[i];
+                     });
+    group.wait();
+  }
+  const obs::TraceDump dump = session.stop();
+  run.computed = dump.metrics.counter("hypergraph.bisections");
+  run.shared = dump.metrics.counter("hypergraph.bisections_shared");
+  return run;
+}
+
+TEST(PartitionTree, EveryKMatchesItsSerialPartitionAtAnyThreadCount) {
+  // One tree for a list of k shares the bisections its walks have in
+  // common and runs each bisection's attempts as tasks: every k's
+  // partition still equals the serial partition_hypergraph's, delivered
+  // once, at threads {1, 2, 3, all}. The core hypergraphs of the four
+  // table SOCs at N_r 2 000 and 10 000 never coarsen (at most 32 cores);
+  // the random graphs of 49 and 200 vertices do.
+  struct Graph {
+    std::string name;
+    Hypergraph hg;
+    PartitionConfig config;
+  };
+  std::vector<Graph> graphs;
+  constexpr std::uint64_t kSeed = 0x20070604ULL;
+  for (const char* soc : {"d695", "p22810", "p34392", "p93791"}) {
+    const TerminalSpace ts(load_benchmark(soc));
+    for (const int patterns : {2000, 10000}) {
+      Rng rng(kSeed);
+      Graph g{std::string(soc) + "@" + std::to_string(patterns),
+              build_core_hypergraph(generate_random_patterns(
+                                        ts, patterns,
+                                        RandomPatternConfig{}, rng),
+                                    ts),
+              PartitionConfig{}};
+      g.config.seed = kSeed ^ 0x9e3779b97f4a7c15ULL;
+      graphs.push_back(std::move(g));
+    }
+  }
+  for (const int n : {49, 200}) {
+    graphs.push_back(Graph{"random" + std::to_string(n),
+                           testing::seeded_hypergraph(n, 0x9a57ULL + n),
+                           PartitionConfig{}});
+  }
+
+  for (const Graph& g : graphs) {
+    const int n = g.hg.vertex_count();
+    const std::vector<std::vector<int>> lists = {
+        {2, 4, 8}, {3, 5, 6}, {8, 2}, {2, 2}, {1, n}};
+    std::map<int, Partition> serial;
+    for (const auto& ks : lists) {
+      for (const int k : ks) {
+        if (serial.count(k) == 0) {
+          serial[k] = partition_hypergraph(g.hg, k, g.config);
+        }
+      }
+    }
+    for (const int threads : {1, 2, 3, 0}) {
+      const int workers =
+          threads == 0 ? ThreadPool::hardware_threads() : threads;
+      for (const auto& ks : lists) {
+        std::string where = g.name + " threads=" + std::to_string(threads) +
+                            " ks=";
+        for (const int k : ks) where += std::to_string(k) + ",";
+        SCOPED_TRACE(where);
+        const TreeRun run = run_tree(g.hg, ks, g.config, workers);
+        for (std::size_t i = 0; i < ks.size(); ++i) {
+          EXPECT_EQ(run.deliveries[i], 1) << "k=" << ks[i];
+          EXPECT_EQ(run.partitions[i].parts, ks[i]);
+          EXPECT_EQ(run.partitions[i].part_of, serial[ks[i]].part_of)
+              << "k=" << ks[i];
+        }
+        if (g.name.starts_with("p93791") && ks.size() == 3 && ks[0] == 2) {
+          // i = 2, 4 and 8 walk 1 + 3 + 7 bisections; the top one is
+          // computed once for all three and the next once for 4 and 8.
+          EXPECT_EQ(run.computed, 8);
+          EXPECT_EQ(run.shared, 3);
+        }
+        if (ks == std::vector<int>{2, 2}) {
+          EXPECT_EQ(run.computed, 1);
+          EXPECT_EQ(run.shared, 1);
+        }
+      }
+    }
+    // A bad k throws before anything starts.
+    const std::vector<int> bad = {2, 0, 4};
+    bool delivered = false;
+    Executor executor(2);
+    TaskGroup group(executor);
+    EXPECT_THROW(start_partitions(g.hg, bad, g.config, group,
+                                  [&delivered](std::size_t, Partition) {
+                                    delivered = true;
+                                  }),
+                 std::invalid_argument)
+        << g.name;
+    group.wait();
+    EXPECT_FALSE(delivered) << g.name;
+  }
+}
+
+/// Runs `fn` on a thread of its own with a stack of `bytes`.
+void run_on_stack(std::size_t bytes, const std::function<void()>& fn) {
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&attr, bytes), 0);
+  pthread_t thread;
+  const int started = pthread_create(
+      &thread, &attr,
+      [](void* body) -> void* {
+        (*static_cast<const std::function<void()>*>(body))();
+        return nullptr;
+      },
+      const_cast<std::function<void()>*>(&fn));
+  pthread_attr_destroy(&attr);
+  ASSERT_EQ(started, 0);
+  pthread_join(thread, nullptr);
+}
+
+TEST(PartitionTree, FiveHundredBisectionsOnOneThreadDoNotNest) {
+  // k = 512 over 1 024 vertices walks 507 bisections (of a full
+  // recursion's 511: a few steps reach a side of one vertex). On an
+  // executor of one thread every task runs at once, so a walk that
+  // continued each bisection from its last attempt would nest a chain of
+  // frames per bisection; the walk loops instead, so the whole partition
+  // fits in a 256 KiB stack (a sanitizer build's frames included). The
+  // pool gives the same partition.
+  const Hypergraph hg = testing::seeded_hypergraph(1024, 0x51a7ULL);
+  const int ks[] = {512};
+  TreeRun serial;
+  run_on_stack(256 * 1024,
+               [&] { serial = run_tree(hg, ks, PartitionConfig{}, 1); });
+  EXPECT_EQ(serial.computed, 507);
+  ASSERT_EQ(serial.deliveries[0], 1);
+  const TreeRun pooled =
+      run_tree(hg, ks, PartitionConfig{}, ThreadPool::hardware_threads());
+  ASSERT_EQ(pooled.deliveries[0], 1);
+  EXPECT_EQ(pooled.computed, 507);
+  EXPECT_EQ(pooled.partitions[0].part_of, serial.partitions[0].part_of);
+  EXPECT_EQ(serial.partitions[0].part_of,
+            partition_hypergraph(hg, 512).part_of);
 }
 
 TEST(ParallelDeterminism, ChainZeroMatchesSingleChainConfig) {
