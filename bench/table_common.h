@@ -233,10 +233,6 @@ inline int run_table_bench(const std::string& soc_name, int argc,
       }
     }
   }
-  if (results != nullptr && !results->flush_index()) {
-    std::cerr << "error: store index flush failed for " << store_out << "\n";
-    return 1;
-  }
   return emitter.finish() ? 0 : 1;
 } catch (const std::invalid_argument& err) {
   std::cerr << "error: " << err.what() << "\n";

@@ -1,219 +1,17 @@
 #include "obs/trace_verify.h"
 
-#include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
-#include <stdexcept>
 #include <utility>
+#include <vector>
+
+#include "util/json.h"
 
 namespace sitam::obs {
 
 namespace {
-
-// -------------------------------------------------------------------------
-// Minimal JSON value + recursive-descent parser. The repo's util/json is a
-// streaming writer only; this reader exists solely so the trace gate can
-// check its own output, so it favours smallness over speed and reports the
-// first syntax error via ParseError.
-
-struct Value {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string text;
-  std::vector<Value> items;
-  std::map<std::string, Value> fields;
-
-  [[nodiscard]] const Value* field(const std::string& name) const {
-    const auto it = fields.find(name);
-    return it == fields.end() ? nullptr : &it->second;
-  }
-};
-
-class ParseError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
-class Parser {
- public:
-  explicit Parser(const std::string& text) : text_(text) {}
-
-  Value parse_document() {
-    Value v = parse_value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing characters after document");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    std::ostringstream os;
-    os << what << " at offset " << pos_;
-    throw ParseError(os.str());
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    skip_ws();
-    if (pos_ >= text_.size()) fail("unexpected end of document");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  bool try_consume(char c) {
-    if (pos_ < text_.size() && peek() == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  void expect_literal(const char* literal) {
-    for (const char* p = literal; *p != '\0'; ++p) {
-      if (pos_ >= text_.size() || text_[pos_] != *p) {
-        fail(std::string("bad literal (expected ") + literal + ")");
-      }
-      ++pos_;
-    }
-  }
-
-  Value parse_value() {
-    const char c = peek();
-    switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"': {
-        Value v;
-        v.kind = Value::Kind::kString;
-        v.text = parse_string();
-        return v;
-      }
-      case 't': {
-        expect_literal("true");
-        Value v;
-        v.kind = Value::Kind::kBool;
-        v.boolean = true;
-        return v;
-      }
-      case 'f': {
-        expect_literal("false");
-        Value v;
-        v.kind = Value::Kind::kBool;
-        v.boolean = false;
-        return v;
-      }
-      case 'n': {
-        expect_literal("null");
-        return Value{};
-      }
-      default: return parse_number();
-    }
-  }
-
-  Value parse_object() {
-    expect('{');
-    Value v;
-    v.kind = Value::Kind::kObject;
-    if (try_consume('}')) return v;
-    for (;;) {
-      if (peek() != '"') fail("expected object key");
-      std::string key = parse_string();
-      expect(':');
-      v.fields.emplace(std::move(key), parse_value());
-      if (try_consume('}')) return v;
-      expect(',');
-    }
-  }
-
-  Value parse_array() {
-    expect('[');
-    Value v;
-    v.kind = Value::Kind::kArray;
-    if (try_consume(']')) return v;
-    for (;;) {
-      v.items.push_back(parse_value());
-      if (try_consume(']')) return v;
-      expect(',');
-    }
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) break;
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"': out.push_back('"'); break;
-          case '\\': out.push_back('\\'); break;
-          case '/': out.push_back('/'); break;
-          case 'b': out.push_back('\b'); break;
-          case 'f': out.push_back('\f'); break;
-          case 'n': out.push_back('\n'); break;
-          case 'r': out.push_back('\r'); break;
-          case 't': out.push_back('\t'); break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-            // Structural checks don't need the decoded code point.
-            pos_ += 4;
-            out.push_back('?');
-            break;
-          }
-          default: fail("unknown escape");
-        }
-      } else {
-        out.push_back(c);
-      }
-    }
-    fail("unterminated string");
-  }
-
-  Value parse_number() {
-    const std::size_t begin = pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if ((c >= '0' && c <= '9') || c == '-' || c == '+' || c == '.' ||
-          c == 'e' || c == 'E') {
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    if (pos_ == begin) fail("expected a value");
-    const std::string token = text_.substr(begin, pos_ - begin);
-    char* end = nullptr;
-    const double parsed = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0') fail("malformed number");
-    Value v;
-    v.kind = Value::Kind::kNumber;
-    v.number = parsed;
-    return v;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-// -------------------------------------------------------------------------
 
 constexpr std::size_t kMaxProblems = 20;
 
@@ -223,12 +21,17 @@ void add_problem(TraceVerifyResult& result, std::string problem) {
   }
 }
 
-bool integral_number(const Value* v) {
-  return v != nullptr && v->kind == Value::Kind::kNumber &&
-         std::floor(v->number) == v->number;
+/// A string member that is present and non-empty.
+bool nonempty_string(const JsonValue* v) {
+  return v != nullptr && v->is_string() && !v->as_string().empty();
 }
 
-void verify_event(const Value& event, int index, TraceVerifyResult& result,
+/// A numeric member that is present and not negative.
+bool nonnegative_number(const JsonValue* v) {
+  return v != nullptr && v->is_number() && v->as_double() >= 0;
+}
+
+void verify_event(const JsonValue& event, int index, TraceVerifyResult& result,
                   std::map<std::pair<std::int64_t, std::int64_t>, double>&
                       last_ts_by_track) {
   const auto tag = [index](const char* what) {
@@ -236,50 +39,45 @@ void verify_event(const Value& event, int index, TraceVerifyResult& result,
     os << "traceEvents[" << index << "]: " << what;
     return os.str();
   };
-  if (event.kind != Value::Kind::kObject) {
+  if (!event.is_object()) {
     add_problem(result, tag("not an object"));
     return;
   }
-  const Value* ph = event.field("ph");
-  if (ph == nullptr || ph->kind != Value::Kind::kString ||
-      ph->text.empty()) {
+  const JsonValue* ph = event.find("ph");
+  if (!nonempty_string(ph)) {
     add_problem(result, tag("missing string \"ph\""));
     return;
   }
-  const Value* name = event.field("name");
-  if (name == nullptr || name->kind != Value::Kind::kString ||
-      name->text.empty()) {
+  if (!nonempty_string(event.find("name"))) {
     add_problem(result, tag("missing string \"name\""));
   }
-  const Value* pid = event.field("pid");
-  const Value* tid = event.field("tid");
-  if (!integral_number(pid) || !integral_number(tid)) {
+  const JsonValue* pid = event.find("pid");
+  const JsonValue* tid = event.find("tid");
+  if (pid == nullptr || tid == nullptr || !pid->is_integer() ||
+      !tid->is_integer()) {
     add_problem(result, tag("pid/tid must be integers"));
     return;
   }
-  if (ph->text != "X") return;  // Metadata events carry no timestamps.
+  if (ph->as_string() != "X") return;  // Metadata events carry no timestamps.
 
   ++result.span_events;
-  const Value* ts = event.field("ts");
-  const Value* dur = event.field("dur");
-  if (ts == nullptr || ts->kind != Value::Kind::kNumber || ts->number < 0) {
+  const JsonValue* ts = event.find("ts");
+  if (!nonnegative_number(ts)) {
     add_problem(result, tag("\"X\" event needs numeric ts >= 0"));
     return;
   }
-  if (dur == nullptr || dur->kind != Value::Kind::kNumber ||
-      dur->number < 0) {
+  if (!nonnegative_number(event.find("dur"))) {
     add_problem(result, tag("\"X\" event needs numeric dur >= 0"));
   }
-  const std::pair<std::int64_t, std::int64_t> track{
-      static_cast<std::int64_t>(pid->number),
-      static_cast<std::int64_t>(tid->number)};
-  const auto [it, inserted] = last_ts_by_track.emplace(track, ts->number);
+  const double when = ts->as_double();
+  const auto [it, inserted] = last_ts_by_track.emplace(
+      std::make_pair(pid->as_int(), tid->as_int()), when);
   if (inserted) {
     ++result.tracks;
-  } else if (ts->number < it->second) {
+  } else if (when < it->second) {
     add_problem(result, tag("ts decreases within its (pid, tid) track"));
   } else {
-    it->second = ts->number;
+    it->second = when;
   }
 }
 
@@ -300,27 +98,27 @@ std::string TraceVerifyResult::summary() const {
 
 TraceVerifyResult verify_chrome_trace(const std::string& text) {
   TraceVerifyResult result;
-  Value document;
+  JsonValue document;
   try {
-    document = Parser(text).parse_document();
-  } catch (const ParseError& error) {
+    document = parse_json(text);
+  } catch (const JsonParseError& error) {
     add_problem(result, std::string("JSON parse error: ") + error.what());
     return result;
   }
-  if (document.kind != Value::Kind::kObject) {
+  if (!document.is_object()) {
     add_problem(result, "top-level value is not an object");
     return result;
   }
-  const Value* events = document.field("traceEvents");
-  if (events == nullptr || events->kind != Value::Kind::kArray) {
+  const JsonValue* events = document.find("traceEvents");
+  if (events == nullptr || !events->is_array()) {
     add_problem(result, "missing \"traceEvents\" array");
     return result;
   }
   std::map<std::pair<std::int64_t, std::int64_t>, double> last_ts_by_track;
-  for (std::size_t i = 0; i < events->items.size(); ++i) {
+  const std::vector<JsonValue>& items = events->as_array();
+  for (std::size_t i = 0; i < items.size(); ++i) {
     ++result.events;
-    verify_event(events->items[i], static_cast<int>(i), result,
-                 last_ts_by_track);
+    verify_event(items[i], static_cast<int>(i), result, last_ts_by_track);
   }
   result.ok = result.problems.empty();
   return result;

@@ -1,7 +1,8 @@
 // Structural validator for exported Chrome trace-event JSON: the
 // bench_smoke_trace gate uses it to prove a trace will load in Perfetto /
 // chrome://tracing before anyone opens it there. Checks: the document
-// parses, "traceEvents" is an array of well-formed events (string ph/name,
+// parses with util/json's strict parse_json (so a duplicate key is a parse
+// error), "traceEvents" is an array of well-formed events (string ph/name,
 // integer pid/tid, numeric non-negative ts/dur on "X" events), and ts is
 // monotone non-decreasing within every (pid, tid) track.
 #pragma once

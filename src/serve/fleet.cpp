@@ -231,7 +231,6 @@ FleetSummary run_sweep_fleet(const FleetOptions& options) {
   if (!append_error.empty()) {
     throw std::runtime_error(append_error);
   }
-  results.flush_index();
   return summary;
 }
 

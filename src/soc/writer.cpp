@@ -1,6 +1,5 @@
 #include "soc/writer.h"
 
-#include <fstream>
 #include <sstream>
 
 namespace sitam {
@@ -39,13 +38,6 @@ std::string soc_to_text(const Soc& soc) {
     os << "End\n";
   }
   return os.str();
-}
-
-void save_soc_file(const Soc& soc, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot write SOC file: " + path);
-  out << soc_to_text(soc);
-  if (!out) throw std::runtime_error("write failed for SOC file: " + path);
 }
 
 }  // namespace sitam

@@ -11,7 +11,4 @@ namespace sitam {
 /// Runs of equal-length scan chains are emitted with the compact NxL syntax.
 [[nodiscard]] std::string soc_to_text(const Soc& soc);
 
-/// Writes the SOC to a file; throws std::runtime_error if it cannot write.
-void save_soc_file(const Soc& soc, const std::string& path);
-
 }  // namespace sitam

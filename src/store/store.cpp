@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -17,17 +16,10 @@ namespace sitam::store {
 
 namespace {
 
-constexpr const char* kSidecarMagic = "sitam-store-index v1";
-
-/// Sidecar entries are rewritten every this many appends (and on flush /
-/// destruction); between rewrites the sidecar is merely stale, which the
-/// next open detects by its byte cover and repairs with a scan.
-constexpr std::int64_t kSidecarFlushInterval = 64;
-
-/// The sidecar is tab-separated; a key field carrying a tab or newline
-/// would corrupt it (and a newline would corrupt the JSONL framing story
-/// for humans reading it).
-void validate_sidecar_safe(const std::string& value, const char* field) {
+/// Key fields must stay on one line with no tabs: records also come from
+/// outside files (`sitam store-import`), and the line-based Markdown
+/// dashboard prints each key field inside one line.
+void validate_key_field(const std::string& value, const char* field) {
   if (value.find('\t') != std::string::npos ||
       value.find('\n') != std::string::npos ||
       value.find('\r') != std::string::npos) {
@@ -68,19 +60,6 @@ ResultStore::ResultStore(std::string path) : path_(std::move(path)) {
     throw std::runtime_error("cannot open result store '" + path_ +
                              "' for append");
   }
-  const std::lock_guard<std::mutex> lock(mutex_);
-  load_or_rebuild_index_locked();
-}
-
-ResultStore::~ResultStore() {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (appends_since_flush_ > 0) flush_index_locked();
-  }
-  if (fd_ >= 0) ::close(fd_);
-}
-
-void ResultStore::load_or_rebuild_index_locked() {
   const std::int64_t store_bytes = file_size_or_zero(path_);
   if (store_bytes > 0) {
     std::ifstream tail(path_, std::ios::binary);
@@ -88,75 +67,21 @@ void ResultStore::load_or_rebuild_index_locked() {
     char last = '\n';
     if (tail.get(last)) needs_leading_newline_ = last != '\n';
   }
-
-  // Try the sidecar: valid only when it covers the file byte-for-byte.
-  std::ifstream sidecar(index_path_for(path_));
-  if (sidecar) {
-    std::string magic;
-    std::string bytes_line;
-    if (std::getline(sidecar, magic) && magic == kSidecarMagic &&
-        std::getline(sidecar, bytes_line) &&
-        bytes_line.rfind("bytes ", 0) == 0) {
-      std::int64_t covered = -1;
-      try {
-        covered = std::stoll(bytes_line.substr(6));
-      } catch (const std::exception&) {
-        covered = -1;
-      }
-      if (covered == store_bytes) {
-        StoreIndex loaded;
-        std::int64_t records = 0;
-        std::string line;
-        bool ok = true;
-        while (std::getline(sidecar, line)) {
-          if (line.empty()) continue;
-          std::istringstream fields(line);
-          StoreKey key;
-          std::string count_text;
-          if (!std::getline(fields, key.scenario, '\t') ||
-              !std::getline(fields, key.config_hash, '\t') ||
-              !std::getline(fields, key.git_describe, '\t') ||
-              !std::getline(fields, count_text)) {
-            ok = false;
-            break;
-          }
-          std::int64_t n = 0;
-          try {
-            n = std::stoll(count_text);
-          } catch (const std::exception&) {
-            ok = false;
-            break;
-          }
-          for (std::int64_t i = 0; i < n; ++i) loaded.add(key);
-          records += n;
-        }
-        if (ok) {
-          index_ = std::move(loaded);
-          open_stats_.records = records;
-          open_stats_.skipped_lines = 0;
-          open_stats_.index_from_sidecar = true;
-          return;
-        }
-      }
-    }
-  }
-
-  // Sidecar missing, stale, or corrupt: rebuild from the JSONL.
-  index_.clear();
   std::int64_t skipped = 0;
   const std::vector<StoreRecord> records = read_all(path_, &skipped);
   for (const StoreRecord& record : records) index_.add(record.key());
   open_stats_.records = static_cast<std::int64_t>(records.size());
   open_stats_.skipped_lines = skipped;
-  open_stats_.index_from_sidecar = false;
-  flush_index_locked();
+}
+
+ResultStore::~ResultStore() {
+  if (fd_ >= 0) ::close(fd_);
 }
 
 bool ResultStore::append(const StoreRecord& record) {
-  validate_sidecar_safe(record.scenario, "scenario");
-  validate_sidecar_safe(record.config_hash, "config_hash");
-  validate_sidecar_safe(record.manifest.git_describe,
-                        "manifest.git_describe");
+  validate_key_field(record.scenario, "scenario");
+  validate_key_field(record.config_hash, "config_hash");
+  validate_key_field(record.manifest.git_describe, "manifest.git_describe");
   const std::string line = record.to_line();
 
   const std::lock_guard<std::mutex> lock(mutex_);
@@ -180,8 +105,6 @@ bool ResultStore::append(const StoreRecord& record) {
   needs_leading_newline_ = false;
   index_.add(record.key());
   ++appended_;
-  ++appends_since_flush_;
-  if (appends_since_flush_ >= kSidecarFlushInterval) flush_index_locked();
   return true;
 }
 
@@ -195,11 +118,6 @@ std::int64_t ResultStore::count(const StoreKey& key) const {
   return index_.count(key);
 }
 
-StoreIndex ResultStore::index_snapshot() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return index_;
-}
-
 StoreOpenStats ResultStore::open_stats() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return open_stats_;
@@ -208,42 +126,6 @@ StoreOpenStats ResultStore::open_stats() const {
 std::int64_t ResultStore::records_appended() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return appended_;
-}
-
-bool ResultStore::flush_index() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return flush_index_locked();
-}
-
-bool ResultStore::flush_index_locked() {
-  // The recorded byte cover must never exceed what the index has seen, so
-  // measure the file *before* serializing (another process may append in
-  // between; the sidecar then reads as stale and the next open rescans —
-  // the safe direction).
-  const std::int64_t store_bytes = file_size_or_zero(path_);
-  const std::string sidecar_path = index_path_for(path_);
-  const std::string tmp_path = sidecar_path + ".tmp";
-  {
-    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    out << kSidecarMagic << '\n' << "bytes " << store_bytes << '\n';
-    for (const auto& [key, n] : index_.entries()) {
-      out << key.scenario << '\t' << key.config_hash << '\t'
-          << key.git_describe << '\t' << n << '\n';
-    }
-    if (!out) {
-      SITAM_WARN << "cannot write store index sidecar " << tmp_path;
-      return false;
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp_path, sidecar_path, ec);
-  if (ec) {
-    SITAM_WARN << "cannot move store index sidecar into place: "
-               << ec.message();
-    return false;
-  }
-  appends_since_flush_ = 0;
-  return true;
 }
 
 std::vector<StoreRecord> ResultStore::read_all(const std::string& path,
@@ -264,10 +146,6 @@ std::vector<StoreRecord> ResultStore::read_all(const std::string& path,
   }
   if (skipped_lines != nullptr) *skipped_lines = skipped;
   return records;
-}
-
-std::string ResultStore::index_path_for(const std::string& path) {
-  return path + ".idx";
 }
 
 }  // namespace sitam::store

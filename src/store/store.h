@@ -13,11 +13,12 @@
 // The index maps StoreKey — (scenario, config_hash, git_describe) — to
 // the number of records carrying that key. It is what makes sweeps
 // resumable: a re-launched sweep asks contains() per grid cell and runs
-// only the missing ones. A sidecar file (`<store>.idx`) persists the
-// index together with the store byte size it covers; on open the sidecar
-// is used only when that size matches the file exactly, otherwise the
-// index is rebuilt by scanning (a stale or corrupt sidecar can cost a
-// scan, never an incorrect answer). See docs/RESULT_STORE.md.
+// only the missing ones. The index is one scan of the JSONL when the
+// store opens, plus this instance's own appends; nothing derived is
+// persisted, so no second copy can disagree with the file. contains()
+// answers for the store as of open plus this instance's appends: a record
+// another writer appends later is seen by the next open. See
+// docs/RESULT_STORE.md.
 #pragma once
 
 #include <cstdint>
@@ -45,9 +46,6 @@ class StoreIndex {
   }
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   void clear() { entries_.clear(); }
-  [[nodiscard]] const std::map<StoreKey, std::int64_t>& entries() const {
-    return entries_;
-  }
 
  private:
   std::map<StoreKey, std::int64_t> entries_;
@@ -59,41 +57,40 @@ class StoreIndex {
 struct StoreOpenStats {
   std::int64_t records = 0;
   std::int64_t skipped_lines = 0;
-  bool index_from_sidecar = false;
 };
 
 class ResultStore {
  public:
   /// Opens (creating if absent) the JSONL at `path` for appending and
-  /// loads or rebuilds the index. Throws std::runtime_error when the file
-  /// cannot be opened for append.
+  /// builds the index with one scan of it. Throws std::runtime_error when
+  /// the file cannot be opened for append.
   explicit ResultStore(std::string path);
   ResultStore(const ResultStore&) = delete;
   ResultStore& operator=(const ResultStore&) = delete;
-  /// Persists the index sidecar (best effort) and closes the file.
+  /// Closes the file.
   ~ResultStore();
 
   /// Appends one record as a single atomic line write and indexes it.
   /// Returns false (after logging a warning) when the write fails; the
   /// index is only updated on success. Thread-safe. Throws
-  /// std::invalid_argument if the record's key fields contain bytes the
-  /// sidecar format reserves (tab or newline).
+  /// std::invalid_argument if the record's key fields contain a tab or a
+  /// newline: records also come from outside files (`sitam store-import`),
+  /// and the line-based Markdown dashboard prints each key field inside one
+  /// line (a scenario heading, a commit table row).
   bool append(const StoreRecord& record);
 
   /// True when at least one record with this key is in the store.
   [[nodiscard]] bool contains(const StoreKey& key) const;
   /// Number of records with this key.
   [[nodiscard]] std::int64_t count(const StoreKey& key) const;
-  /// Snapshot of the index (copy: safe to iterate without the store lock).
-  [[nodiscard]] StoreIndex index_snapshot() const;
 
   [[nodiscard]] StoreOpenStats open_stats() const;
   [[nodiscard]] std::int64_t records_appended() const;
   [[nodiscard]] const std::string& path() const { return path_; }
 
-  /// Writes the index sidecar now (temp file + rename, so the sidecar is
-  /// never observed half-written). Returns false on I/O failure.
-  bool flush_index();
+  /// Does nothing and returns true: the index is not persisted. Kept only
+  /// for bench/e2e's profiler, which calls it after its append.
+  bool flush_index() { return true; }
 
   /// Reads every valid record in `path` in append order. Lines that fail
   /// to parse are counted into `*skipped_lines` (when non-null) and
@@ -101,16 +98,7 @@ class ResultStore {
   [[nodiscard]] static std::vector<StoreRecord> read_all(
       const std::string& path, std::int64_t* skipped_lines = nullptr);
 
-  /// Sidecar path for a store path ("results.jsonl" -> "results.jsonl.idx").
-  [[nodiscard]] static std::string index_path_for(const std::string& path);
-
  private:
-  /// Builds the index: sidecar when its byte cover matches, full scan
-  /// otherwise. Called from the constructor only; caller holds mutex_.
-  void load_or_rebuild_index_locked();
-  /// Writes the sidecar; caller holds mutex_.
-  bool flush_index_locked();
-
   const std::string path_;
   int fd_ = -1;  ///< Append-only descriptor; -1 after a failed open.
 
@@ -119,7 +107,6 @@ class ResultStore {
   StoreOpenStats open_stats_;        // guarded_by(mutex_)
   std::int64_t appended_ = 0;        // guarded_by(mutex_)
   bool needs_leading_newline_ = false;  // guarded_by(mutex_)
-  std::int64_t appends_since_flush_ = 0;  // guarded_by(mutex_)
 };
 
 }  // namespace sitam::store

@@ -42,7 +42,6 @@ serve::FleetOptions grid_options(std::string store_path) {
 std::string fresh_store_path(const std::string& name) {
   const auto path = std::filesystem::path(::testing::TempDir()) / name;
   std::filesystem::remove(path);
-  std::filesystem::remove(store::ResultStore::index_path_for(path.string()));
   return path.string();
 }
 

@@ -291,8 +291,22 @@ TEST(Obs, ManifestCollectBasenamesThePath) {
 }
 
 TEST(Obs, TraceVerifierRejectsMalformedDocuments) {
-  EXPECT_FALSE(obs::verify_chrome_trace("{").ok);
-  EXPECT_FALSE(obs::verify_chrome_trace("{\"noEvents\": []}").ok);
+  const auto rejects = [](const std::string& text, const char* problem) {
+    const obs::TraceVerifyResult verdict = obs::verify_chrome_trace(text);
+    EXPECT_FALSE(verdict.ok) << text;
+    EXPECT_NE(verdict.summary().find(problem), std::string::npos)
+        << verdict.summary();
+  };
+  rejects("{", "JSON parse error");
+  rejects("{\"noEvents\": []}", "missing \"traceEvents\" array");
+  rejects("{\"traceEvents\": [{\"ph\": \"M\", \"name\": \"a\", "
+          "\"pid\": 1.5, \"tid\": 1}]}",
+          "pid/tid must be integers");
+  // The reader is util/json's strict parse_json: a duplicate key is a
+  // parse error.
+  rejects("{\"traceEvents\": [{\"ph\": \"M\", \"ph\": \"M\", "
+          "\"name\": \"a\", \"pid\": 1, \"tid\": 1}]}",
+          "JSON parse error");
   // ts must be monotone within a (pid, tid) track.
   const std::string backwards =
       "{\"traceEvents\": ["

@@ -330,7 +330,6 @@ TEST(JobServer, StatsLineAndSnapshotRecordArePinned) {
         ".jsonl"))
           .string();
   std::filesystem::remove(path);
-  std::filesystem::remove(store::ResultStore::index_path_for(path));
   Recorder recorder;
   {
     serve::ServerOptions options;
@@ -358,7 +357,6 @@ TEST(JobServer, StatsLineAndSnapshotRecordArePinned) {
   const std::vector<store::StoreRecord> records =
       store::ResultStore::read_all(path);
   std::filesystem::remove(path);
-  std::filesystem::remove(store::ResultStore::index_path_for(path));
   ASSERT_EQ(records.size(), 2u);
   std::string metrics;
   for (const auto& [name, value] : records.back().metrics) {

@@ -1,6 +1,6 @@
 // Persistent result store (src/store): record round-trips and schema
-// rejection, append/reopen through the sidecar index, torn-tail recovery
-// after a simulated crash, stale/corrupt sidecar rescans, two-writer
+// rejection, append/reopen, torn-tail recovery after a simulated crash, a
+// reopen after two writers indexing both writers' records, two-writer
 // line-atomicity under contention (this file rides the tsan suite), the
 // backfill importer, and the dashboard-reconciles-with-manifests gate
 // ISSUE 10's acceptance pins (the BENCH_*.json artifacts import into a
@@ -54,7 +54,6 @@ store::StoreRecord make_record(const std::string& scenario,
 std::filesystem::path temp_store_path(const std::string& name) {
   const auto path = std::filesystem::path(::testing::TempDir()) / name;
   std::filesystem::remove(path);
-  std::filesystem::remove(store::ResultStore::index_path_for(path.string()));
   return path;
 }
 
@@ -125,14 +124,12 @@ TEST(ResultStore, AppendReopenAndSidecarFastPath) {
     EXPECT_EQ(db.records_appended(), 3);
     EXPECT_TRUE(db.contains(a.key()));
     EXPECT_EQ(db.count(b.key()), 2);
-  }  // Destructor persists the sidecar.
+  }
 
   store::ResultStore reopened(path.string());
   const store::StoreOpenStats stats = reopened.open_stats();
   EXPECT_EQ(stats.records, 3);
   EXPECT_EQ(stats.skipped_lines, 0);
-  EXPECT_TRUE(stats.index_from_sidecar)
-      << "a sidecar whose byte cover matches must be trusted";
   EXPECT_EQ(reopened.count(a.key()), 1);
   EXPECT_EQ(reopened.count(b.key()), 2);
 
@@ -156,11 +153,10 @@ TEST(ResultStore, TornTailIsSkippedAndIsolatedByTheNextAppend) {
     out << "{\"schema\":1,\"scenario\":\"torn";
   }
 
-  // The sidecar no longer covers the file, so the open rescans — and the
-  // torn tail reads as one skipped line, never an error.
+  // The open scans the file, and the torn tail reads as one skipped line,
+  // never an error.
   store::ResultStore reopened(path.string());
   const store::StoreOpenStats stats = reopened.open_stats();
-  EXPECT_FALSE(stats.index_from_sidecar);
   EXPECT_EQ(stats.records, 2);
   EXPECT_EQ(stats.skipped_lines, 1);
 
@@ -228,22 +224,34 @@ TEST(ResultStore, TornAppendIsIsolatedFromTheNextRecord) {
   EXPECT_EQ(reopened.open_stats().records, 2);
 }
 
-TEST(ResultStore, CorruptSidecarCostsARescanNeverAnAnswer) {
-  const auto path = temp_store_path("store_badidx.jsonl");
-  const store::StoreRecord a = make_record("d695/w16");
+// Two stores on one file, each the shape of one process: B opens, appends
+// and closes while A is open, then A appends and closes. The next open
+// must index both records, whichever writer closed last: a resumed fleet
+// must not re-run a cell another process stored.
+TEST(ResultStore, ReopenAfterTwoWritersIndexesEveryRecord) {
+  const auto path = temp_store_path("store_two_writers.jsonl");
+  const std::string sidecar = path.string() + ".idx";
+  std::filesystem::remove(sidecar);  // A build that persisted one left it.
+  const store::StoreRecord a = make_record("cell-a");
+  const store::StoreRecord b = make_record("cell-b");
   {
-    store::ResultStore db(path.string());
-    ASSERT_TRUE(db.append(a));
+    store::ResultStore first(path.string());
+    {
+      store::ResultStore second(path.string());
+      ASSERT_TRUE(second.append(b));
+    }
+    ASSERT_TRUE(first.append(a));
+    EXPECT_FALSE(first.contains(b.key()))
+        << "contains() is the store as of open plus this instance's appends";
   }
-  {
-    std::ofstream out(store::ResultStore::index_path_for(path.string()),
-                      std::ios::binary | std::ios::trunc);
-    out << "not a sidecar at all\n";
-  }
-  store::ResultStore reopened(path.string());
-  EXPECT_FALSE(reopened.open_stats().index_from_sidecar);
-  EXPECT_EQ(reopened.open_stats().records, 1);
-  EXPECT_EQ(reopened.count(a.key()), 1);
+  EXPECT_FALSE(std::filesystem::exists(sidecar))
+      << "the index is never persisted";
+
+  const store::ResultStore reopened(path.string());
+  EXPECT_EQ(reopened.open_stats().records, 2);
+  EXPECT_TRUE(reopened.contains(a.key()));
+  EXPECT_TRUE(reopened.contains(b.key()));
+  EXPECT_EQ(store::ResultStore::read_all(path.string()).size(), 2u);
 }
 
 TEST(ResultStore, KeyFieldsWithReservedBytesAreRejected) {

@@ -526,12 +526,13 @@ int cmd_store_import(const CliArgs& args) {
     std::cout << "imported " << file << " as scenario '" << record.scenario
               << "' @ " << record.manifest.git_describe << "\n";
   }
-  results.flush_index();
   return 0;
 }
 
-int usage() {
-  std::cerr
+/// Prints the usage text to `os` and returns `status`: stderr and 2 for a
+/// usage error, stdout and 0 for --help.
+int usage(std::ostream& os = std::cerr, int status = 2) {
+  os
       << "usage: sitam <command> [--flags]\n"
          "  benchmarks                      list embedded benchmark SOCs\n"
          "  info     --soc=<name|file>      per-module details\n"
@@ -555,7 +556,7 @@ int usage() {
          "  (optimize/sweep accept --json --trace-out=F --metrics-out=F;\n"
          "   optimize/sweep/verify accept --restarts=N --no-delta\n"
          "   --threads=T (optimizer workers: default 0 = all cores, 1 = serial))\n";
-  return 2;
+  return status;
 }
 
 /// A subcommand with the flags it reads; any other flag is rejected before
@@ -597,10 +598,18 @@ int main(int argc, char** argv) {
   };
   if (argc < 2) return usage();
   const std::string command = argv[1];
+  if (command == "--help") return usage(std::cout, 0);
   try {
     const CliArgs args(argc - 1, argv + 1);
     for (const Command& entry : commands) {
       if (command != entry.name) continue;
+      if (args.has("help")) {
+        usage(std::cout, 0);
+        std::cout << "sitam " << entry.name << " accepts:";
+        for (const std::string& flag : entry.flags) std::cout << " --" << flag;
+        std::cout << "\n";
+        return 0;
+      }
       args.require_known(entry.flags);
       return entry.run(args);
     }
